@@ -9,7 +9,6 @@
 //! a consequence of lazy replication" — §5.4).
 
 use super::{Phase, Replica};
-use crate::durable::SealedSnapshot;
 use crate::log::CommitEntry;
 use crate::messages::{CheckpointMsg, XPaxosMsg};
 use crate::types::{ReplicaId, SeqNum};
@@ -31,9 +30,9 @@ impl Replica {
         // Capture the snapshot *now*, at the execution point whose digest the
         // round agrees on; it is retained until the CHKPT quorum seals it
         // (execution moves on in the meantime).
-        let snapshot = self.checkpoint_snapshot();
-        let digest = snapshot.digest_with(self.config.state_chunk_bytes);
-        self.pending_snapshots.insert(sn.0, snapshot);
+        let image = self.capture_checkpoint();
+        let digest = image.commitment();
+        self.pending_snapshots.insert(sn.0, image);
         // PRECHK round: MAC-authenticated state digest exchange among active replicas.
         ctx.charge(CryptoOp::Mac { len: 64 });
         let msg = CheckpointMsg {
@@ -190,14 +189,9 @@ impl Replica {
         // Seal the snapshot captured at PRECHK time with the quorum proof —
         // this replica can now serve verified state transfer for `sn` — and
         // persist it, re-seeding the WAL with the surviving log tail.
-        if let Some(snapshot) = self.pending_snapshots.remove(&sn.0) {
-            if snapshot.digest_with(self.config.state_chunk_bytes) == digest {
-                let sealed = SealedSnapshot {
-                    snapshot,
-                    proof: proof.clone(),
-                };
-                self.persist_sealed_snapshot(&sealed);
-                self.latest_snapshot = Some(sealed);
+        if let Some(image) = self.pending_snapshots.remove(&sn.0) {
+            if image.commitment() == digest {
+                self.seal_checkpoint(image, proof.clone());
             }
         }
         self.pending_snapshots.retain(|k, _| *k > sn.0);
@@ -244,8 +238,8 @@ impl Replica {
         // would launder the fork below every later divergence check, so roll
         // back and refetch instead of adopting the proof.
         if self.exec_sn == sn {
-            let snapshot = self.checkpoint_snapshot();
-            if snapshot.digest_with(self.config.state_chunk_bytes) == digest {
+            let image = self.capture_checkpoint();
+            if image.commitment() == digest {
                 // Seal our own snapshot with the received proof — this
                 // replica becomes a transfer source too (useful when the
                 // active replicas of a later view lag).
@@ -254,9 +248,7 @@ impl Replica {
                 self.prepare_log.truncate_upto(sn);
                 self.commit_log.truncate_upto(sn);
                 self.truncate_below_checkpoint(sn);
-                let sealed = SealedSnapshot { snapshot, proof };
-                self.persist_sealed_snapshot(&sealed);
-                self.latest_snapshot = Some(sealed);
+                self.seal_checkpoint(image, proof);
             } else {
                 // The t + 1-signed quorum proves this replica's executed
                 // prefix forked somewhere at or below `sn` — and its *own

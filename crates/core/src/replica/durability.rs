@@ -14,10 +14,14 @@
 //! rather than trusted.
 
 use super::{Phase, Replica};
-use crate::durable::{ClientRecordSnapshot, DurableEvent, ReplicaSnapshot, SealedSnapshot};
+use crate::durable::{
+    ClientRecordSnapshot, DurableEvent, ReplicaSnapshot, SealedSnapshot, SnapshotImage,
+};
+use crate::messages::CheckpointMsg;
 use crate::messages::XPaxosMsg;
 use crate::types::{SeqNum, ViewNumber};
 use bytes::Reader;
+use std::sync::Arc;
 use xft_simnet::{Context, NodeId};
 use xft_store::{DiskFault, Recovered};
 use xft_wire::{WireDecode, WireEncode};
@@ -138,16 +142,20 @@ impl Replica {
         SeqNum(sn.0.saturating_sub(self.config.checkpoint_interval))
     }
 
-    /// Builds the canonical snapshot of this replica's state at its current
-    /// execution point (used at PRECHK initiation, so the captured state is
-    /// exactly the one whose digest the checkpoint round agrees on). The
+    /// Captures this replica's state at its current execution point, once:
+    /// the canonical snapshot, its encoding and its chunk tree. Everything a
+    /// checkpoint does afterwards — the PRECHK vote, the comparison against
+    /// an agreed digest, sealing, the snapshot file, served chunks — reads
+    /// the returned image. (Used at PRECHK initiation, so the captured state
+    /// is exactly the one whose digest the checkpoint round agrees on.) The
     /// snapshot is *windowed*: executed history and cached replies at or
     /// below the window base are attested by the previous seal and excluded,
-    /// so the capture is O(checkpoint interval) however long the run.
-    pub(crate) fn checkpoint_snapshot(&self) -> ReplicaSnapshot {
+    /// so apart from the application bytes the capture is O(checkpoint
+    /// interval) however long the run.
+    pub(crate) fn capture_checkpoint(&self) -> Arc<SnapshotImage> {
         let sn = self.exec_sn;
         let base = self.checkpoint_base(sn);
-        ReplicaSnapshot {
+        let snapshot = ReplicaSnapshot {
             sn,
             base,
             app: self.state.snapshot(),
@@ -159,7 +167,20 @@ impl Replica {
                 .cloned()
                 .collect(),
             clients: self.client_record_snapshots(base),
-        }
+        };
+        Arc::new(SnapshotImage::capture(
+            &snapshot,
+            self.config.state_chunk_bytes,
+        ))
+    }
+
+    /// Seals a captured image with the CHKPT quorum that agreed on its
+    /// commitment: this replica can now serve verified state transfer for
+    /// it and roll back to it, and the snapshot file is installed.
+    pub(crate) fn seal_checkpoint(&mut self, image: Arc<SnapshotImage>, proof: Vec<CheckpointMsg>) {
+        let sealed = SealedSnapshot { image, proof };
+        self.persist_sealed_snapshot(&sealed);
+        self.latest_snapshot = Some(sealed);
     }
 
     /// The canonical per-client exactly-once records (see
@@ -222,20 +243,23 @@ impl Replica {
     /// application state, executed history, exactly-once table, checkpoint
     /// bookkeeping and log truncation — the *adoption* half of state
     /// transfer. The caller is responsible for having verified the seal
-    /// (proof signatures + snapshot digest); this only cross-checks that the
+    /// (proof signatures + image commitment); this only cross-checks that the
     /// restored state machine reproduces the agreed application digest.
     ///
     /// Returns `false` (best-effort restoring a blank state) when the
-    /// application snapshot does not decode or reproduces the wrong digest —
-    /// both indicate a faulty responder or a local `restore` bug, and the
-    /// caller should retry elsewhere.
+    /// image or its application snapshot does not decode or reproduces the
+    /// wrong digest — all indicate a faulty responder or a local `restore`
+    /// bug, and the caller should retry elsewhere.
     pub(crate) fn adopt_sealed_snapshot(
         &mut self,
         sealed: SealedSnapshot,
         persist: bool,
         ctx: &mut Context<XPaxosMsg>,
     ) -> bool {
-        let snap = &sealed.snapshot;
+        let Some(snap) = sealed.image.decode() else {
+            ctx.count("state_transfer_bad_snapshot", 1);
+            return false;
+        };
         if !self.state.restore(&snap.app) {
             ctx.count("state_transfer_bad_snapshot", 1);
             return false;
@@ -255,7 +279,7 @@ impl Replica {
         }
         let sn = snap.sn;
         self.exec_sn = sn;
-        self.executed_history = snap.executed.clone();
+        self.executed_history = snap.executed;
         self.client_table.clear();
         for client in &snap.clients {
             let record = super::ClientRecord::from_snapshot(client, self.view, self.id);
@@ -281,11 +305,10 @@ impl Replica {
                 ctx.cancel_timer(timer);
             }
         }
-        self.latest_snapshot = Some(sealed);
         if persist {
-            let sealed = self.latest_snapshot.clone().expect("just set");
             self.persist_sealed_snapshot(&sealed);
         }
+        self.latest_snapshot = Some(sealed);
         true
     }
 
@@ -313,16 +336,14 @@ impl Replica {
             ..Default::default()
         };
         if let Some(bytes) = recovered.snapshot.as_deref() {
-            if let Some(sealed) = SealedSnapshot::from_bytes(bytes) {
+            if let Some(sealed) = SealedSnapshot::from_bytes(bytes, self.config.state_chunk_bytes) {
                 // Sanity-check the file against its own embedded proof digest
                 // (full signature verification is pointless against our own
                 // disk — CRC already vouches for integrity).
                 let consistent = sealed
                     .proof
                     .first()
-                    .map(|m| {
-                        m.state_digest == sealed.snapshot.digest_with(self.config.state_chunk_bytes)
-                    })
+                    .map(|m| m.state_digest == sealed.image.commitment())
                     .unwrap_or(true);
                 if consistent && self.adopt_sealed_snapshot(sealed, false, ctx) {
                     report.snapshot_sn = Some(self.last_checkpoint);

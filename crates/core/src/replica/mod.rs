@@ -15,7 +15,7 @@ pub mod view_change;
 
 use crate::byzantine::ByzantineBehavior;
 use crate::config::XPaxosConfig;
-use crate::durable::{ReplicaSnapshot, SealedSnapshot};
+use crate::durable::{SealedSnapshot, SnapshotImage};
 use crate::log::{CommitLog, PrepareLog};
 use crate::messages::{CommitMsg, ReplyMsg, SignedRequest, XPaxosMsg};
 use crate::state_machine::StateMachine;
@@ -291,23 +291,6 @@ impl ChunkProgress {
     }
 }
 
-/// Responder-side cache of one sealed snapshot's chunked encoding: the
-/// canonical bytes, their Merkle leaves and root, and the t + 1 proof of
-/// that very generation. Serving N chunks encodes and hashes the snapshot
-/// once instead of N times. The cache deliberately outlives newer seals
-/// while a requester pins its generation (`want_sn`): a slow transfer must
-/// be able to finish against a stable snapshot even though the cluster
-/// keeps checkpointing, otherwise it restarts on every seal and a transfer
-/// wider than one checkpoint interval can never complete.
-#[derive(Debug, Clone)]
-pub(crate) struct ChunkCache {
-    pub(crate) sn: SeqNum,
-    pub(crate) bytes: bytes::Bytes,
-    pub(crate) leaves: Vec<Digest>,
-    pub(crate) root: Digest,
-    pub(crate) proof: Vec<crate::messages::CheckpointMsg>,
-}
-
 /// Per-view-change bookkeeping (paper Algorithm 3 / 5).
 pub(crate) struct ViewChangeState {
     /// The view being installed.
@@ -424,11 +407,11 @@ pub struct Replica {
     pub(crate) checkpoint_proof: Vec<crate::messages::CheckpointMsg>,
     pub(crate) prechk_votes: BTreeMap<u64, BTreeMap<ReplicaId, Digest>>,
     pub(crate) chkpt_votes: BTreeMap<u64, Vec<crate::messages::CheckpointMsg>>,
-    /// Snapshots captured when this replica initiated PRECHK at a sequence
+    /// Images captured when this replica initiated PRECHK at a sequence
     /// number, awaiting their CHKPT proof.
-    pub(crate) pending_snapshots: BTreeMap<u64, ReplicaSnapshot>,
+    pub(crate) pending_snapshots: BTreeMap<u64, std::sync::Arc<SnapshotImage>>,
     /// The latest stable checkpoint's sealed snapshot — what this replica
-    /// serves to lagging peers through state transfer.
+    /// rolls back to and serves to lagging peers through state transfer.
     pub(crate) latest_snapshot: Option<SealedSnapshot>,
 
     // ---- durability & state transfer ---------------------------------------------
@@ -442,8 +425,14 @@ pub struct Replica {
     pub(crate) deferred_replies: VecDeque<(u64, NodeId, XPaxosMsg)>,
     /// An in-progress state transfer, if any.
     pub(crate) pending_transfer: Option<PendingTransfer>,
-    /// Responder-side chunk cache for the latest sealed snapshot.
-    pub(crate) chunk_cache: Option<ChunkCache>,
+    /// The sealed generation state-transfer responses are served from. It
+    /// deliberately outlives newer seals while a requester pins it
+    /// (`want_sn`): a slow transfer must be able to finish against a stable
+    /// snapshot even though the cluster keeps checkpointing, otherwise it
+    /// restarts on every seal and a transfer wider than one checkpoint
+    /// interval can never complete. Shares its image with `latest_snapshot`
+    /// until that moves on.
+    pub(crate) serving_snapshot: Option<SealedSnapshot>,
 
     // ---- view change ------------------------------------------------------------
     pub(crate) vc: Option<ViewChangeState>,
@@ -527,7 +516,7 @@ impl Replica {
             storage: None,
             deferred_replies: VecDeque::new(),
             pending_transfer: None,
-            chunk_cache: None,
+            serving_snapshot: None,
             vc: None,
             forwarded_suspects: HashSet::new(),
             monitored: HashMap::new(),
@@ -788,7 +777,7 @@ impl Replica {
         self.latest_snapshot = None;
         self.deferred_replies.clear();
         self.pending_transfer = None;
-        self.chunk_cache = None;
+        self.serving_snapshot = None;
         self.vc = None;
         self.forwarded_suspects.clear();
         self.monitored.clear();

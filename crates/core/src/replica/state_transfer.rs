@@ -14,8 +14,8 @@
 //!    to one peer at a time (active replicas of its current view first),
 //!    with a retransmission timer rotating through peers;
 //! 2. once a manifest is known, subsequent requests *pin* that snapshot
-//!    generation (`want_sn`), and peers keep serving a pinned generation
-//!    from their chunk cache even after sealing newer checkpoints — a
+//!    generation (`want_sn`), and peers keep serving a pinned generation's
+//!    image even after sealing newer checkpoints — a
 //!    transfer slower than the checkpoint cadence would otherwise restart
 //!    on every seal and never complete; a peer holding a sealed snapshot
 //!    at `sn ≥ min_sn` answers each index
@@ -46,9 +46,9 @@
 //! chunk) but never corrupt one: every byte adopted is covered by t + 1
 //! signatures, at least one from a correct replica.
 
-use super::{ChunkCache, ChunkProgress, PendingTransfer, Replica, TOKEN_STATE_TRANSFER};
+use super::{ChunkProgress, PendingTransfer, Replica, TOKEN_STATE_TRANSFER};
 use crate::durable::{
-    chunk_count, chunk_leaf, snapshot_commitment, DurableEvent, ReplicaSnapshot, SealedSnapshot,
+    chunk_count, chunk_leaf, snapshot_commitment, DurableEvent, SealedSnapshot, SnapshotImage,
     TransferChunkRecord,
 };
 use crate::messages::{
@@ -56,11 +56,10 @@ use crate::messages::{
     StateChunkRequestMsg, StateChunkResponseMsg, XPaxosMsg,
 };
 use crate::types::{ReplicaId, SeqNum};
-use bytes::{Bytes, Reader};
+use bytes::Bytes;
 use std::collections::{BTreeMap, BTreeSet};
-use xft_crypto::{merkle_path, merkle_root, merkle_verify, CryptoOp, Digest};
+use xft_crypto::{merkle_path, merkle_verify, CryptoOp, Digest};
 use xft_simnet::{Context, SimMessage};
-use xft_wire::{WireDecode, WireEncode};
 
 impl Replica {
     /// Starts (or extends) a state transfer towards the checkpoint at
@@ -245,56 +244,40 @@ impl Replica {
         ) {
             return;
         }
-        // Serve from the cached generation whenever it satisfies the
+        // Keep serving the pinned generation whenever it satisfies the
         // request: the requester pinned exactly this generation, or it
-        // takes anything at or beyond `min_sn`. Keeping the cache stable
-        // across newer seals is what lets a transfer slower than the
-        // checkpoint cadence finish at all — rebuilding eagerly would
-        // restart every in-flight requester on each seal.
-        let cacheable = self
-            .chunk_cache
+        // takes anything at or beyond `min_sn`. Holding it stable across
+        // newer seals is what lets a transfer slower than the checkpoint
+        // cadence finish at all — switching eagerly would restart every
+        // in-flight requester on each seal.
+        let pinned = self
+            .serving_snapshot
             .as_ref()
-            .is_some_and(|c| c.sn >= m.min_sn && (m.want_sn == c.sn || m.want_sn == SeqNum(0)));
-        if !cacheable {
-            let Some(sealed) = self.latest_snapshot.as_ref() else {
+            .is_some_and(|s| s.sn() >= m.min_sn && (m.want_sn == s.sn() || m.want_sn == SeqNum(0)));
+        if !pinned {
+            let Some(sealed) = self.latest_snapshot.as_ref().filter(|s| s.sn() >= m.min_sn) else {
                 ctx.count("state_chunk_requests_unserved", 1);
                 return;
             };
-            if sealed.sn() < m.min_sn {
-                ctx.count("state_chunk_requests_unserved", 1);
-                return;
-            }
-            let bytes = sealed.snapshot.wire_bytes();
-            let leaves = ReplicaSnapshot::chunk_leaves(&bytes, self.config.state_chunk_bytes);
-            let root = merkle_root(&leaves);
-            self.chunk_cache = Some(ChunkCache {
-                sn: sealed.sn(),
-                bytes: Bytes::from(bytes),
-                leaves,
-                root,
-                proof: sealed.proof.clone(),
-            });
+            self.serving_snapshot = Some(sealed.clone());
         }
-        let cache = self.chunk_cache.as_ref().expect("just built");
-        let sn = cache.sn;
-        let proof = cache.proof.clone();
-        let count = cache.leaves.len() as u32;
+        let sealed = self.serving_snapshot.as_ref().expect("just pinned");
+        let image = &sealed.image;
+        let sn = sealed.sn();
+        let count = image.leaves().len() as u32;
         let index = if m.index < count { m.index } else { 0 };
-        let chunk = self.config.state_chunk_bytes as usize;
-        let start = index as usize * chunk;
-        let end = (start + chunk).min(cache.bytes.len());
-        let data = cache.bytes.slice(start..end);
-        let path = merkle_path(&cache.leaves, index as usize).unwrap_or_default();
+        let data = image.chunk(index).expect("index below the chunk count");
+        let path = merkle_path(image.leaves(), index as usize).unwrap_or_default();
 
         let mut response = StateChunkResponseMsg {
             sn,
-            chunk_bytes: self.config.state_chunk_bytes,
-            total_len: cache.bytes.len() as u64,
-            root: cache.root,
+            chunk_bytes: image.chunk_bytes(),
+            total_len: image.bytes().len() as u64,
+            root: image.root(),
             index,
             data,
             path,
-            proof,
+            proof: sealed.proof.clone(),
             replica: self.id,
             signature: xft_crypto::Signature::forged(self.signer.id()),
         };
@@ -482,10 +465,11 @@ impl Replica {
     }
 
     /// Every chunk is in: reassemble the snapshot, run the authoritative
-    /// whole-snapshot digest check against the sealed commitment, and adopt.
-    /// On any failure the progress is discarded (the retry timer refetches
-    /// from scratch) — with verified chunks this can only mean a bug or a
-    /// hostile WAL, never a slow path.
+    /// whole-snapshot check (a from-scratch image of the reassembled bytes
+    /// must reproduce the sealed commitment), and adopt. On any failure the
+    /// progress is discarded (the retry timer refetches from scratch) — with
+    /// verified chunks this can only mean a bug or a hostile WAL, never a
+    /// slow path.
     pub(crate) fn finish_chunk_transfer(&mut self, ctx: &mut Context<XPaxosMsg>) {
         let Some(progress) = self
             .pending_transfer
@@ -498,22 +482,24 @@ impl Replica {
         for data in progress.chunks.values() {
             bytes.extend_from_slice(data);
         }
-        let mut r = Reader::new(&bytes);
-        let decoded = ReplicaSnapshot::decode_from(&mut r).filter(|_| r.is_empty());
-        let Some(snapshot) = decoded else {
-            ctx.count("state_transfer_bad_snapshot", 1);
-            return;
-        };
+        // Built at the *configured* chunk size, which is what this replica
+        // will serve the image at; a journaled transfer from under another
+        // setting then fails the comparison instead of being served wrong.
+        let image = SnapshotImage::of_encoded(
+            progress.sn,
+            Bytes::from(bytes),
+            self.config.state_chunk_bytes,
+        );
         let commitment =
             snapshot_commitment(progress.chunk_bytes, progress.total_len, &progress.root);
-        if snapshot.sn != progress.sn || snapshot.digest_with(progress.chunk_bytes) != commitment {
+        if image.commitment() != commitment {
             ctx.count("state_transfer_bad_snapshot", 1);
             return;
         }
         let sn = progress.sn;
         let adopted_bytes = progress.total_len;
         let sealed = SealedSnapshot {
-            snapshot,
+            image: std::sync::Arc::new(image),
             proof: progress.proof,
         };
         if self.adopt_sealed_snapshot(sealed, true, ctx) {

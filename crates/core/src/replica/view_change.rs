@@ -663,19 +663,14 @@ impl Replica {
         if transfer_target.is_none() && horizon > self.last_checkpoint && self.exec_sn == horizon {
             if let Some((sn, digest)) = self.verify_checkpoint_proof(&horizon_proof, ctx) {
                 if sn == horizon {
-                    let snapshot = self.checkpoint_snapshot();
-                    if snapshot.digest_with(self.config.state_chunk_bytes) == digest {
+                    let image = self.capture_checkpoint();
+                    if image.commitment() == digest {
                         self.last_checkpoint = horizon;
                         self.checkpoint_proof = horizon_proof.clone();
                         self.prepare_log.truncate_upto(horizon);
                         self.commit_log.truncate_upto(horizon);
                         self.truncate_below_checkpoint(horizon);
-                        let sealed = crate::durable::SealedSnapshot {
-                            snapshot,
-                            proof: horizon_proof,
-                        };
-                        self.persist_sealed_snapshot(&sealed);
-                        self.latest_snapshot = Some(sealed);
+                        self.seal_checkpoint(image, horizon_proof);
                     } else {
                         ctx.count("lazy_checkpoint_state_mismatch", 1);
                         self.reset_execution_state();

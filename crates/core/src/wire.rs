@@ -13,9 +13,7 @@
 //! Enum variants carry explicit one-byte tags; unknown tags decode to `None`,
 //! which the envelope surfaces as [`xft_wire::WireError::Malformed`].
 
-use crate::durable::{
-    ClientRecordSnapshot, DurableEvent, ReplicaSnapshot, SealedSnapshot, TransferChunkRecord,
-};
+use crate::durable::{ClientRecordSnapshot, DurableEvent, ReplicaSnapshot, TransferChunkRecord};
 use crate::log::{CommitEntry, PrepareEntry};
 use crate::messages::{
     BusyMsg, CheckpointMsg, CommitCarryMsg, CommitMsg, DetectedFaultKind, FaultDetectedMsg,
@@ -155,7 +153,6 @@ struct_codec!(ReplicaSnapshot {
     executed,
     clients
 });
-struct_codec!(SealedSnapshot { snapshot, proof });
 struct_codec!(TransferChunkRecord {
     sn,
     chunk_bytes,
@@ -789,32 +786,22 @@ mod tests {
     }
 
     #[test]
-    fn sealed_snapshot_round_trips_with_base() {
-        let sealed = SealedSnapshot {
-            snapshot: ReplicaSnapshot {
-                sn: SeqNum(128),
-                base: SeqNum(64),
-                app: Bytes::from_static(b"app"),
-                app_digest: Digest::of(b"app"),
-                executed: vec![(SeqNum(65), Digest::of(b"b65"))],
-                clients: vec![ClientRecordSnapshot {
-                    client: ClientId(1),
-                    ranges: vec![(1, 4)],
-                    replies: vec![(4, SeqNum(65), Digest::of(b"r"))],
-                }],
-            },
-            proof: vec![CheckpointMsg {
-                sn: SeqNum(128),
-                view: ViewNumber(1),
-                state_digest: Digest::of(b"state"),
-                replica: 0,
-                signed: true,
-                signature: sig(0),
+    fn replica_snapshot_round_trips_with_base() {
+        let snapshot = ReplicaSnapshot {
+            sn: SeqNum(128),
+            base: SeqNum(64),
+            app: Bytes::from_static(b"app"),
+            app_digest: Digest::of(b"app"),
+            executed: vec![(SeqNum(65), Digest::of(b"b65"))],
+            clients: vec![ClientRecordSnapshot {
+                client: ClientId(1),
+                ranges: vec![(1, 4)],
+                replies: vec![(4, SeqNum(65), Digest::of(b"r"))],
             }],
         };
-        let bytes = sealed.wire_bytes();
+        let bytes = snapshot.wire_bytes();
         let mut r = Reader::new(&bytes);
-        assert_eq!(SealedSnapshot::decode_from(&mut r), Some(sealed));
+        assert_eq!(ReplicaSnapshot::decode_from(&mut r), Some(snapshot));
         assert!(r.is_empty());
     }
 
