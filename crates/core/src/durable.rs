@@ -107,9 +107,6 @@ pub struct ReplicaSnapshot {
     ///
     /// [`StateMachine::snapshot`]: crate::state_machine::StateMachine::snapshot
     pub app: Bytes,
-    /// `D(st)` of the application state, kept alongside the bytes so a
-    /// restored state machine can be cross-checked against what was agreed.
-    pub app_digest: Digest,
     /// The executed history `(sn, batch digest)` for the window
     /// `base + 1 ..= sn` only. History at and below `base` is attested by the
     /// previous seal and garbage-collected, so snapshot size is
@@ -132,7 +129,7 @@ impl ReplicaSnapshot {
             .iter()
             .map(|c| 8 + 4 + c.ranges.len() * 16 + 4 + c.replies.len() * 48)
             .sum();
-        8 + 8 + 4 + self.app.len() + 32 + 4 + self.executed.len() * 40 + 4 + clients
+        8 + 8 + 4 + self.app.len() + 4 + self.executed.len() * 40 + 4 + clients
     }
 }
 
@@ -327,7 +324,6 @@ mod tests {
             sn: SeqNum(128),
             base: SeqNum(0),
             app: Bytes::from_static(b"app-bytes"),
-            app_digest: Digest::of(b"app"),
             executed: vec![
                 (SeqNum(1), Digest::of(b"b1")),
                 (SeqNum(2), Digest::of(b"b2")),

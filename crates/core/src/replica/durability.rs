@@ -159,7 +159,6 @@ impl Replica {
             sn,
             base,
             app: self.state.snapshot(),
-            app_digest: self.state.state_digest(),
             executed: self
                 .executed_history
                 .iter()
@@ -244,12 +243,13 @@ impl Replica {
     /// bookkeeping and log truncation — the *adoption* half of state
     /// transfer. The caller is responsible for having verified the seal
     /// (proof signatures + image commitment); this only cross-checks that the
-    /// restored state machine reproduces the agreed application digest.
+    /// restored state machine holds the agreed application state, i.e. that
+    /// it snapshots back to the very bytes the seal covers.
     ///
     /// Returns `false` (best-effort restoring a blank state) when the
-    /// image or its application snapshot does not decode or reproduces the
-    /// wrong digest — all indicate a faulty responder or a local `restore`
-    /// bug, and the caller should retry elsewhere.
+    /// image or its application snapshot does not decode or restores to a
+    /// different state — all indicate a faulty responder or a local
+    /// `restore` bug, and the caller should retry elsewhere.
     pub(crate) fn adopt_sealed_snapshot(
         &mut self,
         sealed: SealedSnapshot,
@@ -264,7 +264,7 @@ impl Replica {
             ctx.count("state_transfer_bad_snapshot", 1);
             return false;
         }
-        if self.state.state_digest() != snap.app_digest {
+        if self.state.snapshot() != snap.app {
             // The blob decoded but rebuilt the wrong state — and `restore`
             // has already overwritten the previous application state. Roll
             // back *coherently* (blank state, blank bookkeeping) rather than

@@ -14,7 +14,9 @@ pub trait StateMachine: Send {
     /// Applies one operation and returns the reply payload.
     fn apply(&mut self, op: &[u8]) -> Bytes;
 
-    /// A digest of the current state, used by checkpointing (`D(st)` in the paper).
+    /// A digest of the current state (`D(st)` in the paper), used by the
+    /// agreement checks of tests and tools. Checkpoints do not call it: they
+    /// commit to the [`StateMachine::snapshot`] bytes, which cover the state.
     fn state_digest(&self) -> Digest;
 
     /// Estimated CPU nanoseconds needed to execute `op` (charged to the executing
@@ -33,8 +35,10 @@ pub trait StateMachine: Send {
     ///
     /// Used by checkpointing (the snapshot a lagging replica fetches through
     /// state transfer) and by crash recovery (`xft-store` snapshot files).
-    /// The contract is `restore(snapshot())` reproduces a state with the same
-    /// [`StateMachine::state_digest`].
+    /// Must be deterministic (equal states give equal bytes: the checkpoint
+    /// digest covers them), and `restore(snapshot())` must reproduce a state
+    /// with the same `snapshot()` and [`StateMachine::state_digest`] — a
+    /// replica adopting a snapshot checks the former.
     fn snapshot(&self) -> Bytes;
 
     /// Replaces the service state with a previously captured snapshot.

@@ -149,7 +149,6 @@ struct_codec!(ReplicaSnapshot {
     sn,
     base,
     app,
-    app_digest,
     executed,
     clients
 });
@@ -791,7 +790,6 @@ mod tests {
             sn: SeqNum(128),
             base: SeqNum(64),
             app: Bytes::from_static(b"app"),
-            app_digest: Digest::of(b"app"),
             executed: vec![(SeqNum(65), Digest::of(b"b65"))],
             clients: vec![ClientRecordSnapshot {
                 client: ClientId(1),
