@@ -24,7 +24,7 @@ use crate::messages::CheckpointMsg;
 use crate::types::{ClientId, SeqNum, Timestamp, ViewNumber};
 use bytes::Bytes;
 use std::sync::Arc;
-use xft_crypto::{merkle_root, Digest};
+use xft_crypto::{merkle_root, Digest, Sha256};
 use xft_wire::{WireDecode, WireEncode};
 
 /// One WAL record: a replica state transition that must survive a crash.
@@ -133,9 +133,45 @@ impl ReplicaSnapshot {
     }
 }
 
-/// Leaf digest of one snapshot chunk, bound to its index.
+/// Bytes hashed as one unit inside a chunk leaf. Fixed, not configurable:
+/// it is part of what a CHKPT signature covers, and it only trades hashing
+/// granularity against memo size.
+pub const LEAF_BLOCK_BYTES: usize = 1024;
+
+/// Splits `data` into `size`-byte pieces (the last possibly shorter). Empty
+/// data is one empty piece, so "no bytes" still has a chunk and a block.
+fn pieces(data: &[u8], size: usize) -> impl Iterator<Item = &[u8]> {
+    let empty = data.is_empty().then_some(data);
+    empty.into_iter().chain(data.chunks(size))
+}
+
+/// Digest of one leaf block. A pure function of the block's bytes: its
+/// position is bound by the leaf that lists it.
+fn block_digest(block: &[u8]) -> Digest {
+    Digest::of_parts(&[b"state-block", block])
+}
+
+/// Leaf digest of a chunk from the digests of its blocks, bound to the
+/// chunk index. Every field is fixed-width, so no framing is needed.
+fn leaf_of_blocks(index: u32, blocks: &[Digest]) -> Digest {
+    let mut h = Sha256::new();
+    h.update(b"state-chunk-v2");
+    h.update(&index.to_le_bytes());
+    h.update(&(blocks.len() as u32).to_le_bytes());
+    for block in blocks {
+        h.update(block.as_bytes());
+    }
+    Digest(h.finalize())
+}
+
+/// Leaf digest of one snapshot chunk, bound to its index: a hash over the
+/// digests of the chunk's [`LEAF_BLOCK_BYTES`] blocks (a chunk shorter than
+/// a block is one block). The two levels are what let a capture re-hash
+/// only the blocks whose bytes changed since the previous image; a receiver
+/// just calls this on the chunk bytes it was sent.
 pub fn chunk_leaf(index: u32, data: &[u8]) -> Digest {
-    Digest::of_parts(&[b"state-chunk", &index.to_le_bytes(), data])
+    let blocks: Vec<Digest> = pieces(data, LEAF_BLOCK_BYTES).map(block_digest).collect();
+    leaf_of_blocks(index, &blocks)
 }
 
 /// The sealed commitment: what CHKPT signatures actually cover. Binds the
@@ -154,6 +190,15 @@ pub fn snapshot_commitment(chunk_bytes: u32, total_len: u64, root: &Digest) -> D
 pub fn chunk_count(total_len: u64, chunk_bytes: u32) -> u32 {
     let chunk = (chunk_bytes as u64).max(1);
     (total_len.div_ceil(chunk)).max(1) as u32
+}
+
+/// How much hashing one [`SnapshotImage`] build did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ImageStats {
+    /// Leaf blocks in the image.
+    pub blocks_total: u64,
+    /// Blocks whose digest was computed rather than taken from the memo.
+    pub blocks_rehashed: u64,
 }
 
 /// A checkpoint captured once: the canonical encoding of a
@@ -176,6 +221,10 @@ pub struct SnapshotImage {
     sn: SeqNum,
     chunk_bytes: u32,
     bytes: Bytes,
+    /// Block digests, chunk by chunk (every chunk but the last has the same
+    /// number of blocks, so a block's index is the same in any two images
+    /// that both contain its offset).
+    blocks: Vec<Digest>,
     leaves: Vec<Digest>,
     root: Digest,
     commitment: Digest,
@@ -183,38 +232,81 @@ pub struct SnapshotImage {
 
 impl SnapshotImage {
     /// Encodes `snapshot` (one pass, exact capacity) and builds its image.
-    pub fn capture(snapshot: &ReplicaSnapshot, chunk_bytes: u32) -> Self {
+    pub fn capture(
+        snapshot: &ReplicaSnapshot,
+        chunk_bytes: u32,
+        memo: Option<&SnapshotImage>,
+    ) -> (Self, ImageStats) {
         let mut bytes = Vec::with_capacity(snapshot.encoded_len());
         snapshot.encode_into(&mut bytes);
-        Self::of_encoded(snapshot.sn, Bytes::from(bytes), chunk_bytes)
+        Self::of_encoded(snapshot.sn, Bytes::from(bytes), chunk_bytes, memo)
     }
 
     /// Builds the image of an already encoded snapshot (a reassembled
     /// transfer, a snapshot file). `sn` is the caller's claim;
     /// [`SnapshotImage::decode`] holds the bytes to it.
-    pub fn of_encoded(sn: SeqNum, bytes: Bytes, chunk_bytes: u32) -> Self {
+    ///
+    /// `memo` is any earlier image, typically the previous checkpoint's. A
+    /// block whose bytes equal the memo's bytes at the same offset reuses
+    /// the memo's digest, and a chunk none of whose blocks changed reuses
+    /// its leaf. Content is compared by position, so there is nothing to
+    /// track or invalidate: a stale, unrelated or missing memo costs a full
+    /// hash and can never change the result.
+    pub fn of_encoded(
+        sn: SeqNum,
+        bytes: Bytes,
+        chunk_bytes: u32,
+        memo: Option<&SnapshotImage>,
+    ) -> (Self, ImageStats) {
         let chunk = (chunk_bytes as usize).max(1);
-        // Every chunk is full-size except possibly the last; no bytes at all
-        // is still one (empty) chunk.
-        let leaves: Vec<Digest> = if bytes.is_empty() {
-            vec![chunk_leaf(0, &[])]
-        } else {
-            bytes
-                .chunks(chunk)
-                .enumerate()
-                .map(|(i, c)| chunk_leaf(i as u32, c))
-                .collect()
-        };
+        let memo = memo.filter(|m| m.chunk_bytes == chunk_bytes);
+        let memo_len = memo.map_or(0, |m| m.bytes.len());
+        let mut blocks = Vec::with_capacity(bytes.len().div_ceil(LEAF_BLOCK_BYTES) + 1);
+        let mut leaves = Vec::with_capacity(chunk_count(bytes.len() as u64, chunk_bytes) as usize);
+        let mut rehashed = 0u64;
+        for (index, data) in pieces(&bytes, chunk).enumerate() {
+            let chunk_start = index * chunk;
+            let first_block = blocks.len();
+            let mut changed = false;
+            for (j, block) in pieces(data, LEAF_BLOCK_BYTES).enumerate() {
+                let start = chunk_start + j * LEAF_BLOCK_BYTES;
+                let end = start + block.len();
+                // Where the memo's block at this offset ends; its digest is
+                // only reusable if it covers exactly the same range.
+                let memo_end = (start + LEAF_BLOCK_BYTES)
+                    .min(chunk_start + chunk)
+                    .min(memo_len);
+                let kept = memo
+                    .filter(|m| memo_end == end && m.bytes[start..end] == *block)
+                    .map(|m| m.blocks[blocks.len()]);
+                blocks.push(kept.unwrap_or_else(|| {
+                    changed = true;
+                    rehashed += 1;
+                    block_digest(block)
+                }));
+            }
+            let same_extent = (chunk_start + chunk).min(memo_len) == chunk_start + data.len();
+            leaves.push(match memo {
+                Some(m) if !changed && same_extent => m.leaves[index],
+                _ => leaf_of_blocks(index as u32, &blocks[first_block..]),
+            });
+        }
         let root = merkle_root(&leaves);
         let commitment = snapshot_commitment(chunk_bytes, bytes.len() as u64, &root);
-        SnapshotImage {
+        let stats = ImageStats {
+            blocks_total: blocks.len() as u64,
+            blocks_rehashed: rehashed,
+        };
+        let image = SnapshotImage {
             sn,
             chunk_bytes,
             bytes,
+            blocks,
             leaves,
             root,
             commitment,
-        }
+        };
+        (image, stats)
     }
 
     /// The checkpoint sequence number.
@@ -307,7 +399,7 @@ impl SealedSnapshot {
         if r.remaining() != 0 {
             return None;
         }
-        let image = SnapshotImage::of_encoded(sn, encoded, chunk_bytes);
+        let (image, _) = SnapshotImage::of_encoded(sn, encoded, chunk_bytes, None);
         Some(SealedSnapshot {
             image: Arc::new(image),
             proof,
@@ -339,7 +431,9 @@ mod tests {
     const CHUNK: u32 = 64;
 
     fn commitment(snap: &ReplicaSnapshot, chunk_bytes: u32) -> Digest {
-        SnapshotImage::capture(snap, chunk_bytes).commitment()
+        SnapshotImage::capture(snap, chunk_bytes, None)
+            .0
+            .commitment()
     }
 
     #[test]
@@ -370,7 +464,7 @@ mod tests {
     #[test]
     fn every_chunk_verifies_against_the_commitment() {
         let snap = snapshot();
-        let image = SnapshotImage::capture(&snap, CHUNK);
+        let (image, _) = SnapshotImage::capture(&snap, CHUNK, None);
         let bytes = snap.wire_bytes();
         assert_eq!(image.bytes()[..], bytes[..]);
         assert_eq!(image.decode(), Some(snap));
@@ -412,10 +506,94 @@ mod tests {
         ));
     }
 
+    /// Deterministic filler bytes (position-dependent, so shifted content
+    /// never compares equal by accident).
+    fn filler(len: usize) -> Vec<u8> {
+        (0..len)
+            .map(|i| (i as u32).wrapping_mul(2_654_435_761).to_le_bytes()[3])
+            .collect()
+    }
+
+    #[test]
+    fn chunk_leaf_is_two_level_and_total() {
+        // A chunk shorter than a block (even an empty one) is one block.
+        for len in [0, 1, LEAF_BLOCK_BYTES - 1, LEAF_BLOCK_BYTES] {
+            let data = filler(len);
+            assert_eq!(
+                chunk_leaf(3, &data),
+                leaf_of_blocks(3, &[block_digest(&data)])
+            );
+        }
+        let data = filler(2 * LEAF_BLOCK_BYTES + 7);
+        let blocks: Vec<Digest> = data.chunks(LEAF_BLOCK_BYTES).map(block_digest).collect();
+        assert_eq!(blocks.len(), 3);
+        assert_eq!(chunk_leaf(0, &data), leaf_of_blocks(0, &blocks));
+        assert_ne!(chunk_leaf(0, &data), chunk_leaf(1, &data));
+    }
+
+    #[test]
+    fn memoized_image_equals_from_scratch_image() {
+        let base = filler(12_000);
+        let lens = [0, 1, 1023, 1024, 1025, 2048, 4096, 5000, 11_999, 12_000];
+        for chunk in [512u32, 1000, 1024, 3000, 4096, 65_536] {
+            for old_len in lens {
+                let (memo, _) = SnapshotImage::of_encoded(
+                    SeqNum(1),
+                    base[..old_len].to_vec().into(),
+                    chunk,
+                    None,
+                );
+                for new_len in lens {
+                    for flip in [
+                        None,
+                        Some(0),
+                        Some(new_len / 2),
+                        Some(new_len.saturating_sub(1)),
+                    ] {
+                        let mut bytes = base[..new_len].to_vec();
+                        if let Some(at) = flip.filter(|at| *at < new_len) {
+                            bytes[at] ^= 0x5a;
+                        }
+                        let bytes = Bytes::from(bytes);
+                        let (scratch, full) =
+                            SnapshotImage::of_encoded(SeqNum(2), bytes.clone(), chunk, None);
+                        let (memoized, stats) =
+                            SnapshotImage::of_encoded(SeqNum(2), bytes, chunk, Some(&memo));
+                        assert_eq!(
+                            memoized, scratch,
+                            "chunk {chunk} {old_len}->{new_len} {flip:?}"
+                        );
+                        assert_eq!(full.blocks_rehashed, full.blocks_total);
+                        assert_eq!(stats.blocks_total, full.blocks_total);
+                        if old_len == new_len {
+                            let flipped = flip.is_some_and(|at| at < new_len) as u64;
+                            assert_eq!(stats.blocks_rehashed, flipped);
+                        }
+                        // A memo built at another chunk size is no memo.
+                        let (other, _) = SnapshotImage::of_encoded(
+                            SeqNum(1),
+                            base[..old_len].to_vec().into(),
+                            chunk + 1,
+                            None,
+                        );
+                        let (rebuilt, stats) = SnapshotImage::of_encoded(
+                            SeqNum(2),
+                            scratch.bytes().clone(),
+                            chunk,
+                            Some(&other),
+                        );
+                        assert_eq!(rebuilt, scratch);
+                        assert_eq!(stats.blocks_rehashed, stats.blocks_total);
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn sealed_snapshot_file_round_trip() {
         let sealed = SealedSnapshot {
-            image: Arc::new(SnapshotImage::capture(&snapshot(), CHUNK)),
+            image: Arc::new(SnapshotImage::capture(&snapshot(), CHUNK, None).0),
             proof: vec![CheckpointMsg {
                 sn: SeqNum(128),
                 view: ViewNumber(1),

@@ -153,6 +153,7 @@ impl Replica {
     /// so apart from the application bytes the capture is O(checkpoint
     /// interval) however long the run.
     pub(crate) fn capture_checkpoint(&self) -> Arc<SnapshotImage> {
+        let started = self.telemetry.is_enabled().then(std::time::Instant::now);
         let sn = self.exec_sn;
         let base = self.checkpoint_base(sn);
         let snapshot = ReplicaSnapshot {
@@ -167,10 +168,30 @@ impl Replica {
                 .collect(),
             clients: self.client_record_snapshots(base),
         };
-        Arc::new(SnapshotImage::capture(
-            &snapshot,
-            self.config.state_chunk_bytes,
-        ))
+        // Any earlier image serves as the memo (blocks are compared by
+        // content, so it never needs invalidating); the newest one shares
+        // the most with the state being captured.
+        let memo = self
+            .pending_snapshots
+            .values()
+            .next_back()
+            .or(self.latest_snapshot.as_ref().map(|s| &s.image));
+        let (image, stats) =
+            SnapshotImage::capture(&snapshot, self.config.state_chunk_bytes, memo.map(|m| &**m));
+        if let Some(started) = started {
+            self.telemetry.observe(
+                "xft_checkpoint_capture_seconds",
+                1e-9,
+                started.elapsed().as_nanos() as u64,
+            );
+        }
+        self.telemetry
+            .add("xft_checkpoint_blocks_total", stats.blocks_total);
+        self.telemetry.add(
+            "xft_checkpoint_blocks_rehashed_total",
+            stats.blocks_rehashed,
+        );
+        Arc::new(image)
     }
 
     /// Seals a captured image with the CHKPT quorum that agreed on its

@@ -485,10 +485,11 @@ impl Replica {
         // Built at the *configured* chunk size, which is what this replica
         // will serve the image at; a journaled transfer from under another
         // setting then fails the comparison instead of being served wrong.
-        let image = SnapshotImage::of_encoded(
+        let (image, _) = SnapshotImage::of_encoded(
             progress.sn,
             Bytes::from(bytes),
             self.config.state_chunk_bytes,
+            None,
         );
         let commitment =
             snapshot_commitment(progress.chunk_bytes, progress.total_len, &progress.root);
