@@ -138,10 +138,12 @@ impl StateMachine for CoordinationService {
     }
 
     fn snapshot(&self) -> Bytes {
-        let tree = self.tree.to_bytes();
-        let mut out = Vec::with_capacity(8 + tree.len());
+        // One pass into one buffer of exact capacity: at a few megabytes of
+        // state, growing a vector and copying it behind the prefix costs
+        // more than the encoding itself.
+        let mut out = Vec::with_capacity(8 + self.tree.encoded_len());
         out.extend_from_slice(&self.applied.to_le_bytes());
-        out.extend_from_slice(&tree);
+        self.tree.encode_into(&mut out);
         Bytes::from(out)
     }
 
@@ -302,6 +304,10 @@ mod tests {
             data: Bytes::from_static(b"v2"),
         });
         let blob = svc.snapshot();
+        // Ephemeral and persistent nodes are both in the fixture, so this
+        // pins the exact-capacity arithmetic of the one-pass encoding.
+        assert_eq!(blob.len(), 8 + svc.tree().encoded_len());
+        assert_eq!(blob[8..], svc.tree().to_bytes()[..]);
 
         let mut restored = CoordinationService::new();
         assert!(restored.restore(&blob));

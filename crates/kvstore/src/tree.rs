@@ -230,7 +230,27 @@ impl ZNodeTree {
     /// ephemeral ownership, plus the zxid counter — into an opaque blob.
     /// Inverse of [`ZNodeTree::from_bytes`]; used by state-machine snapshots.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 * self.nodes.len());
+        let mut out = Vec::with_capacity(self.encoded_len());
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Exact length of the [`ZNodeTree::to_bytes`] encoding, so a caller can
+    /// reserve once for a multi-megabyte tree instead of growing a vector.
+    pub fn encoded_len(&self) -> usize {
+        let nodes: usize = self
+            .nodes
+            .iter()
+            .map(|(path, node)| {
+                let owner = if node.ephemeral_owner.is_some() { 8 } else { 0 };
+                4 + path.len() + 4 + node.data.len() + 8 + 8 + 1 + owner + 8
+            })
+            .sum();
+        8 + 4 + nodes
+    }
+
+    /// Appends the [`ZNodeTree::to_bytes`] encoding to `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.zxid.to_le_bytes());
         out.extend_from_slice(&(self.nodes.len() as u32).to_le_bytes());
         for (path, node) in &self.nodes {
@@ -249,7 +269,6 @@ impl ZNodeTree {
             }
             out.extend_from_slice(&node.next_sequential.to_le_bytes());
         }
-        out
     }
 
     /// Reconstructs a tree from [`ZNodeTree::to_bytes`] output. Returns
