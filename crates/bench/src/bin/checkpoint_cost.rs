@@ -1,0 +1,164 @@
+//! Checkpoint capture cost at the benchmark's steady state: what one replica
+//! pays on its protocol thread to capture a checkpoint of a 4 096-key, 1 kB
+//! per key coordination service (4.35 MB), by how much of the state changed
+//! since the previous checkpoint.
+//!
+//! A capture is `StateMachine::snapshot()` plus `SnapshotImage::capture`
+//! (encode, compare with the previous image, hash what differs). Rows:
+//!
+//! * `128 keys dirty` — the lone-client interval (128 one-op batches);
+//! * `every key dirty` — the saturated interval (~30 000 ops over 4 096 keys);
+//! * `one resizing put` — a layout shift: every block behind it moves;
+//! * `no previous image` — the first capture after a restart.
+//!
+//! `state_digest()` is printed for reference: checkpoints used to call it
+//! once per capture and no longer do.
+//!
+//! Usage: `checkpoint_cost [--rounds N]`
+
+use bytes::Bytes;
+use std::time::Instant;
+use xft_bench::report::{f2, render_table};
+use xft_core::durable::{ImageStats, ReplicaSnapshot, SnapshotImage};
+use xft_core::state_machine::StateMachine;
+use xft_core::types::SeqNum;
+use xft_crypto::Digest;
+use xft_kvstore::{CoordinationService, KvOp};
+
+const KEYS: u64 = 4_096;
+const INTERVAL: u64 = 128;
+const CHUNK_BYTES: u32 = 64 * 1024;
+
+fn put(svc: &mut CoordinationService, key: u64, fill: u8, len: usize) {
+    svc.apply_op(&KvOp::Put {
+        path: format!("/bench/k{key:05}"),
+        data: Bytes::from(vec![fill; len]),
+    });
+}
+
+/// One capture as the replica does it; returns (snapshot ms, image ms).
+fn capture(
+    svc: &CoordinationService,
+    sn: u64,
+    memo: Option<&SnapshotImage>,
+) -> (SnapshotImage, ImageStats, f64, f64) {
+    let t0 = Instant::now();
+    let app = svc.snapshot();
+    let t1 = Instant::now();
+    let snapshot = ReplicaSnapshot {
+        sn: SeqNum(sn),
+        base: SeqNum(sn.saturating_sub(INTERVAL)),
+        app,
+        executed: (sn.saturating_sub(INTERVAL) + 1..=sn)
+            .map(|s| (SeqNum(s), Digest::of(&s.to_le_bytes())))
+            .collect(),
+        clients: Vec::new(),
+    };
+    let (image, stats) = SnapshotImage::capture(&snapshot, CHUNK_BYTES, memo);
+    let t2 = Instant::now();
+    let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
+    (image, stats, ms(t1 - t0), ms(t2 - t1))
+}
+
+fn median(mut v: Vec<f64>) -> f64 {
+    v.sort_by(f64::total_cmp);
+    v[v.len() / 2]
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().collect();
+    let rounds = args
+        .iter()
+        .position(|a| a == "--rounds")
+        .and_then(|i| args.get(i + 1))
+        .and_then(|v| v.parse::<u64>().ok())
+        .unwrap_or(21);
+
+    let mut svc = CoordinationService::new();
+    svc.apply_op(&KvOp::Create {
+        path: "/bench".into(),
+        data: Bytes::new(),
+        ephemeral_owner: None,
+        sequential: false,
+    });
+    for key in 0..KEYS {
+        put(&mut svc, key, 0, 1024);
+    }
+    let state_bytes = svc.snapshot().len();
+
+    type Dirty = fn(&mut CoordinationService, u64);
+    let scenarios: [(&str, bool, Dirty); 4] = [
+        ("128 keys dirty", true, |svc, round| {
+            for i in 0..INTERVAL {
+                put(svc, (round * 977 + i * 31) % KEYS, round as u8, 1024);
+            }
+        }),
+        ("every key dirty", true, |svc, round| {
+            for key in 0..KEYS {
+                put(svc, key, round as u8, 1024);
+            }
+        }),
+        ("one resizing put", true, |svc, round| {
+            put(svc, 0, round as u8, 1000 + (round % 2) as usize * 24);
+        }),
+        ("no previous image", false, |svc, round| {
+            put(svc, round % KEYS, round as u8, 1024);
+        }),
+    ];
+
+    let mut rows = Vec::new();
+    for (label, with_memo, dirty) in scenarios {
+        let (mut memo, ..) = capture(&svc, INTERVAL, None);
+        let (mut snap_ms, mut image_ms, mut total_ms) = (Vec::new(), Vec::new(), Vec::new());
+        let mut last = None;
+        for round in 1..=rounds {
+            dirty(&mut svc, round);
+            let (image, stats, s, i) =
+                capture(&svc, (round + 1) * INTERVAL, with_memo.then_some(&memo));
+            snap_ms.push(s);
+            image_ms.push(i);
+            total_ms.push(s + i);
+            last = Some(stats);
+            memo = image;
+        }
+        let stats = last.expect("at least one round");
+        rows.push(vec![
+            label.to_string(),
+            format!("{} / {}", stats.blocks_rehashed, stats.blocks_total),
+            f2(median(snap_ms)),
+            f2(median(image_ms)),
+            f2(median(total_ms)),
+        ]);
+    }
+    println!(
+        "{}",
+        render_table(
+            &format!(
+                "Checkpoint capture, {state_bytes} B of service state, {CHUNK_BYTES} B chunks \
+                 (median of {rounds} rounds, ms)"
+            ),
+            &[
+                "interval",
+                "blocks re-hashed",
+                "snapshot()",
+                "image",
+                "capture"
+            ],
+            &rows,
+        )
+    );
+
+    let digest_ms = median(
+        (0..rounds)
+            .map(|_| {
+                let t0 = Instant::now();
+                std::hint::black_box(svc.state_digest());
+                t0.elapsed().as_secs_f64() * 1e3
+            })
+            .collect(),
+    );
+    println!(
+        "state_digest() of the same state: {} ms (not on the checkpoint path)",
+        f2(digest_ms)
+    );
+}

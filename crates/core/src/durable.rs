@@ -543,6 +543,12 @@ mod tests {
                     chunk,
                     None,
                 );
+                let (other, _) = SnapshotImage::of_encoded(
+                    SeqNum(1),
+                    base[..old_len].to_vec().into(),
+                    chunk + 1,
+                    None,
+                );
                 for new_len in lens {
                     for flip in [
                         None,
@@ -570,12 +576,6 @@ mod tests {
                             assert_eq!(stats.blocks_rehashed, flipped);
                         }
                         // A memo built at another chunk size is no memo.
-                        let (other, _) = SnapshotImage::of_encoded(
-                            SeqNum(1),
-                            base[..old_len].to_vec().into(),
-                            chunk + 1,
-                            None,
-                        );
                         let (rebuilt, stats) = SnapshotImage::of_encoded(
                             SeqNum(2),
                             scratch.bytes().clone(),

@@ -34,6 +34,10 @@ pub struct RecoveryReport {
     pub had_state: bool,
     /// Whether a snapshot file was adopted, and at which sequence number.
     pub snapshot_sn: Option<SeqNum>,
+    /// A snapshot file existed but failed its consistency check (or did not
+    /// decode or restore) and was left out: the replica holds only what the
+    /// WAL gives it and must state-transfer the rest.
+    pub snapshot_rejected: bool,
     /// Intact WAL records replayed.
     pub wal_records: usize,
     /// Whether a torn or corrupt WAL tail had to be truncated.
@@ -357,18 +361,24 @@ impl Replica {
             ..Default::default()
         };
         if let Some(bytes) = recovered.snapshot.as_deref() {
-            if let Some(sealed) = SealedSnapshot::from_bytes(bytes, self.config.state_chunk_bytes) {
-                // Sanity-check the file against its own embedded proof digest
-                // (full signature verification is pointless against our own
-                // disk — CRC already vouches for integrity).
-                let consistent = sealed
-                    .proof
-                    .first()
-                    .map(|m| m.state_digest == sealed.image.commitment())
-                    .unwrap_or(true);
-                if consistent && self.adopt_sealed_snapshot(sealed, false, ctx) {
-                    report.snapshot_sn = Some(self.last_checkpoint);
-                }
+            // Check the file against its own embedded proof digest (full
+            // signature verification is pointless against our own disk). A
+            // file that does not decode, commits to something else — a
+            // damaged byte, another leaf format or chunk size — or does not
+            // restore is not adopted; say so, because the replica then comes
+            // up without its checkpointed state and has to fetch it.
+            let adopted = SealedSnapshot::from_bytes(bytes, self.config.state_chunk_bytes)
+                .filter(|sealed| {
+                    let agreed = sealed.proof.first().map(|m| m.state_digest);
+                    agreed == Some(sealed.image.commitment())
+                })
+                .is_some_and(|sealed| self.adopt_sealed_snapshot(sealed, false, ctx));
+            if adopted {
+                report.snapshot_sn = Some(self.last_checkpoint);
+            } else {
+                report.snapshot_rejected = true;
+                ctx.count("snapshots_rejected", 1);
+                self.telemetry.add("xft_snapshots_rejected_total", 1);
             }
         }
         let mut chunk_progress: Option<super::ChunkProgress> = None;

@@ -124,7 +124,13 @@ impl StateMachine for CoordinationService {
     }
 
     fn state_digest(&self) -> Digest {
-        self.tree.digest()
+        // `applied` is serialized state too (it counts failed and read-only
+        // operations, which leave the tree and its zxid alone).
+        Digest::of_parts(&[
+            b"coordination-service",
+            &self.applied.to_le_bytes(),
+            self.tree.digest().as_bytes(),
+        ])
     }
 
     fn execution_cost_ns(&self, op: &[u8]) -> u64 {
@@ -334,6 +340,20 @@ mod tests {
         assert!(!restored.restore(b"????"));
         assert!(!restored.restore(&blob[..blob.len() - 1]));
         assert_eq!(restored.state_digest(), before);
+    }
+
+    #[test]
+    fn state_digest_covers_the_applied_counter() {
+        let mut a = CoordinationService::new();
+        let mut b = CoordinationService::new();
+        // A read leaves the tree alone but is part of the snapshot.
+        b.apply_op(&KvOp::Exists { path: "/x".into() });
+        assert_eq!(a.tree().digest(), b.tree().digest());
+        assert_ne!(a.snapshot(), b.snapshot());
+        assert_ne!(a.state_digest(), b.state_digest());
+        a.apply_op(&KvOp::Exists { path: "/y".into() });
+        assert_eq!(a.snapshot(), b.snapshot());
+        assert_eq!(a.state_digest(), b.state_digest());
     }
 
     #[test]

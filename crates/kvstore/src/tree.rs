@@ -310,30 +310,44 @@ impl ZNodeTree {
 
     /// Per-node leaf digests in path order — the leaves of the tree's Merkle
     /// commitment. Exposed so incremental verifiers can audit single nodes.
+    /// A leaf covers every serialized field of its node: two nodes that
+    /// encode differently in [`ZNodeTree::to_bytes`] never share a leaf.
     pub fn merkle_leaves(&self) -> Vec<Digest> {
         self.nodes
             .iter()
             .map(|(path, node)| {
+                // Tagged like the encoding, so `Some(u64::MAX)` and `None`
+                // (which continue differently at session expiry) differ.
+                let (owned, owner) = match node.ephemeral_owner {
+                    Some(owner) => (1u8, owner),
+                    None => (0u8, 0),
+                };
                 Digest::of_parts(&[
                     b"znode-leaf",
                     path.as_bytes(),
                     &node.data,
                     &node.version.to_le_bytes(),
-                    &node.ephemeral_owner.unwrap_or(u64::MAX).to_le_bytes(),
+                    &node.created_at.to_le_bytes(),
+                    &[owned],
+                    &owner.to_le_bytes(),
+                    &node.next_sequential.to_le_bytes(),
                 ])
             })
             .collect()
     }
 
-    /// A digest covering the entire tree contents (paths, data, versions): the
-    /// Merkle root over [`ZNodeTree::merkle_leaves`], bound to the node count.
-    /// Any single node (plus its audit path) can therefore be verified against
-    /// this digest without rehashing the whole tree.
+    /// A digest covering the entire tree — every node field and the zxid
+    /// counter, i.e. everything [`ZNodeTree::to_bytes`] serializes: the
+    /// Merkle root over [`ZNodeTree::merkle_leaves`], bound to the node
+    /// count and the zxid. Any single node (plus its audit path) can
+    /// therefore be verified against this digest without rehashing the
+    /// whole tree.
     pub fn digest(&self) -> Digest {
         let root = xft_crypto::merkle_root(&self.merkle_leaves());
         Digest::of_parts(&[
             b"znode-tree",
             &(self.nodes.len() as u64).to_le_bytes(),
+            &self.zxid.to_le_bytes(),
             root.as_bytes(),
         ])
     }
@@ -466,6 +480,7 @@ mod tests {
             Digest::of_parts(&[
                 b"znode-tree",
                 &(leaves.len() as u64).to_le_bytes(),
+                &t.zxid().to_le_bytes(),
                 root.as_bytes()
             ])
         );
@@ -483,5 +498,48 @@ mod tests {
         let before = t.digest();
         t.set("/n3", Bytes::from_static(b"mutated"), None).unwrap();
         assert_ne!(t.digest(), before);
+    }
+
+    #[test]
+    fn digest_covers_every_serialized_field() {
+        let mut t = ZNodeTree::new();
+        t.create("/a", Bytes::from_static(b"v"), Some(7), false)
+            .unwrap();
+        t.create("/b", Bytes::from_static(b"w"), None, false)
+            .unwrap();
+        type Mutation = fn(&mut ZNodeTree);
+        let mutations: [(&str, Mutation); 9] = [
+            ("zxid", |t| t.zxid += 1),
+            ("path", |t| {
+                let node = t.nodes.remove("/b").unwrap();
+                t.nodes.insert("/c".into(), node);
+            }),
+            ("data", |t| {
+                t.nodes.get_mut("/b").unwrap().data = Bytes::from_static(b"x")
+            }),
+            ("version", |t| t.nodes.get_mut("/b").unwrap().version += 1),
+            ("created_at", |t| {
+                t.nodes.get_mut("/b").unwrap().created_at += 1
+            }),
+            ("owner value", |t| {
+                t.nodes.get_mut("/a").unwrap().ephemeral_owner = Some(8)
+            }),
+            ("owner presence", |t| {
+                t.nodes.get_mut("/b").unwrap().ephemeral_owner = Some(0)
+            }),
+            ("owner max", |t| {
+                t.nodes.get_mut("/b").unwrap().ephemeral_owner = Some(u64::MAX)
+            }),
+            ("next_sequential", |t| {
+                t.nodes.get_mut("/").unwrap().next_sequential += 1
+            }),
+        ];
+        for (field, mutate) in mutations {
+            let mut m = t.clone();
+            mutate(&mut m);
+            assert_ne!(m.to_bytes(), t.to_bytes(), "{field}: fixture must differ");
+            assert_ne!(m.digest(), t.digest(), "{field} is not covered");
+        }
+        assert_eq!(t.clone().digest(), t.digest());
     }
 }

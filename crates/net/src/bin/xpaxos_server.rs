@@ -207,6 +207,9 @@ fn main() {
                 report.exec_sn.0,
                 match report.snapshot_sn {
                     Some(sn) => format!("at sn {}", sn.0),
+                    None if report.snapshot_rejected => {
+                        "REJECTED (inconsistent with its proof; will state-transfer)".to_string()
+                    }
                     None => "none".to_string(),
                 },
                 report.wal_records,

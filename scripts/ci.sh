@@ -34,6 +34,12 @@ if grep -q "^warning" <<<"$doc_log"; then
     exit 1
 fi
 
+echo "==> the repo's benchmark still builds and passes its own checks (benchmark/check.sh, ~45 s)"
+# fmt + clippy + unit tests of the benchmark package and a smoke run of all
+# four workloads, untraced and traced, with every correctness check on: a
+# product change that breaks them fails here, not at the next measurement.
+benchmark/check.sh
+
 echo "==> quickstart example exits 0"
 cargo run --offline --release --example quickstart >/dev/null
 

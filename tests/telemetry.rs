@@ -235,3 +235,74 @@ fn telemetry_does_not_perturb_the_metrics_fingerprint() {
         "the flight recorder stayed empty"
     );
 }
+
+/// Satellite (checkpoint-cost PR): the capture histogram and the block
+/// counters are fed at every checkpoint capture, reach the scrape, and —
+/// wall-clock timing included — stay observation-only: the same seeded,
+/// checkpointing run commits identically with the hub on or off.
+#[test]
+fn checkpoint_capture_series_are_observation_only() {
+    let run = |telemetry: Option<Arc<Telemetry>>| {
+        let mut builder = ClusterBuilder::new(1, 2)
+            .with_seed(0xC4EC)
+            .with_latency(LatencySpec::Uniform(
+                SimDuration::from_millis(2),
+                SimDuration::from_millis(10),
+            ))
+            .with_workload(ClientWorkload {
+                payload_size: 512,
+                requests: Some(100),
+                ..Default::default()
+            })
+            .with_state_machine(|| Box::new(xft::kvstore::CoordinationService::new()))
+            .with_config(|c| c.with_checkpoint_interval(8).with_state_chunk_bytes(2048));
+        if let Some(hub) = telemetry {
+            builder = builder.with_telemetry_factory(move |_| Arc::clone(&hub));
+        }
+        let mut cluster = builder.build();
+        cluster.run_for(SimDuration::from_secs(30));
+        (
+            cluster.total_committed(),
+            cluster.sim.metrics().fingerprint(),
+            (0..cluster.n())
+                .map(|r| cluster.replica(r).state_digest())
+                .collect::<Vec<_>>(),
+        )
+    };
+    let hub = Telemetry::enabled();
+    let with_hub = run(Some(Arc::clone(&hub)));
+    assert_eq!(
+        with_hub,
+        run(None),
+        "an enabled telemetry hub changed the run"
+    );
+    assert_eq!(with_hub.0, 200);
+
+    let captures = hub
+        .histogram("xft_checkpoint_capture_seconds", 1e-9)
+        .count();
+    let sealed = hub.counter("xft_checkpoints_total").get();
+    assert!(sealed >= 20, "only {sealed} checkpoints sealed");
+    assert!(
+        captures >= sealed,
+        "{captures} captures observed for {sealed} seals"
+    );
+    let total = hub.counter("xft_checkpoint_blocks_total").get();
+    let rehashed = hub.counter("xft_checkpoint_blocks_rehashed_total").get();
+    assert!(total >= captures, "every capture has at least one block");
+    assert!(
+        rehashed > 0 && rehashed < total,
+        "the memo never saved a block ({rehashed} of {total} re-hashed)"
+    );
+    let scrape = hub.render_prometheus();
+    for series in [
+        "xft_checkpoint_capture_seconds",
+        "xft_checkpoint_blocks_total",
+        "xft_checkpoint_blocks_rehashed_total",
+    ] {
+        assert!(
+            scrape.contains(series),
+            "series {series} missing from the /metrics scrape:\n{scrape}"
+        );
+    }
+}

@@ -386,12 +386,24 @@ fn growing_kv_workload(client: u64) -> ClientWorkload {
 /// transfer is genuinely chunked. Storage is attached: transfer chunks are
 /// journaled, and disk faults have a real WAL to damage.
 fn chunked_cluster(seed: u64, chunk_bytes: u32, window: u32) -> xft_core::harness::XPaxosCluster {
+    chunked_cluster_on(seed, chunk_bytes, window, |_| {
+        Box::new(xft::store::MemStorage::new())
+    })
+}
+
+/// [`chunked_cluster`] over the given storage backends.
+fn chunked_cluster_on(
+    seed: u64,
+    chunk_bytes: u32,
+    window: u32,
+    storage: impl Fn(usize) -> Box<dyn xft::store::Storage> + 'static,
+) -> xft_core::harness::XPaxosCluster {
     ClusterBuilder::new(1, 2)
         .with_seed(seed)
         .with_latency(LatencySpec::Constant(SimDuration::from_millis(5)))
         .with_workload_factory(|c| growing_kv_workload(c as u64))
         .with_state_machine(|| Box::new(xft::kvstore::CoordinationService::new()))
-        .with_storage_factory(|_| Box::new(xft::store::MemStorage::new()))
+        .with_storage_factory(storage)
         .with_config(move |mut c| {
             // A short retry period so a transfer whose peer died rotates to
             // the next source quickly.
@@ -468,6 +480,121 @@ fn disk_fault_mid_transfer_resumes_from_journaled_chunks() {
     assert!(metrics.counter("state_transfers_adopted") > 0);
     assert!(cluster.replica(2).executed_upto().0 > 32);
     cluster.check_total_order().expect("total order preserved");
+}
+
+/// A `MemStorage` shared with the test, which can make it hand recovery a
+/// snapshot file with one byte of the application region flipped: damage
+/// the storage layer's own checksum does not see (it was computed over the
+/// bad byte, or the medium has none).
+#[derive(Clone, Default)]
+struct CorruptibleStorage {
+    inner: std::sync::Arc<std::sync::Mutex<xft::store::MemStorage>>,
+    corrupt: std::sync::Arc<std::sync::atomic::AtomicBool>,
+}
+
+impl CorruptibleStorage {
+    fn inner(&self) -> std::sync::MutexGuard<'_, xft::store::MemStorage> {
+        self.inner.lock().expect("storage mutex poisoned")
+    }
+}
+
+impl xft::store::Storage for CorruptibleStorage {
+    fn append(&mut self, record: &[u8]) {
+        self.inner().append(record)
+    }
+    fn sync(&mut self) {
+        self.inner().sync()
+    }
+    fn install_snapshot(&mut self, snapshot: &[u8], records: &[Vec<u8>]) {
+        self.inner().install_snapshot(snapshot, records)
+    }
+    fn load(&mut self) -> xft::store::Recovered {
+        let mut recovered = self.inner().load();
+        if self.corrupt.load(std::sync::atomic::Ordering::Relaxed) {
+            // The file is sn, length prefix, then the snapshot's encoding,
+            // which is sn, base, length prefix, application bytes: offset
+            // 132 is the hundredth application byte.
+            let file = recovered.snapshot.as_mut().expect("a snapshot file");
+            file[132] ^= 0x01;
+        }
+        recovered
+    }
+    fn wipe(&mut self) {
+        self.inner().wipe()
+    }
+    fn inject(&mut self, fault: xft::store::DiskFault) {
+        self.inner().inject(fault)
+    }
+    fn stats(&self) -> xft::store::StorageStats {
+        self.inner().stats()
+    }
+}
+
+#[test]
+fn corrupt_snapshot_file_is_rejected_loudly_and_repaired_by_state_transfer() {
+    // The passive replica seals checkpoints into its snapshot file; one byte
+    // of that file then goes bad and the replica restarts from disk. It
+    // must not adopt the file, must say so (report flag, counter) rather
+    // than come up silently blank, and must catch up by state transfer.
+    let storage = CorruptibleStorage::default();
+    let handle = storage.clone();
+    let mut cluster = chunked_cluster_on(85, 2048, 4, move |r| {
+        if r == 2 {
+            Box::new(handle.clone())
+        } else {
+            Box::new(xft::store::MemStorage::new())
+        }
+    });
+    cluster.run_for(SimDuration::from_secs(6));
+    assert!(cluster.replica(2).last_checkpoint().0 > 0, "nothing sealed");
+    assert_eq!(cluster.sim.metrics().counter("snapshots_rejected"), 0);
+
+    storage
+        .corrupt
+        .store(true, std::sync::atomic::Ordering::Relaxed);
+    cluster.sim.inject_fault_at(
+        SimTime::ZERO + SimDuration::from_secs(6),
+        FaultEvent::Control(2, xft_core::byzantine::CONTROL_TORN_TAIL),
+    );
+    cluster.run_for(SimDuration::from_secs(24));
+
+    let metrics = cluster.sim.metrics();
+    assert_eq!(
+        metrics.counter("snapshots_rejected"),
+        1,
+        "the restart must reject the damaged snapshot file, and count it"
+    );
+    assert!(
+        metrics.counter("state_transfers_adopted") > 0,
+        "without its snapshot the replica must catch up by state transfer"
+    );
+    assert_eq!(metrics.counter("state_chunks_rejected"), 0);
+    assert!(cluster.replica(2).executed_upto().0 > 32);
+    cluster.check_total_order().expect("total order preserved");
+
+    // The same through the offline path `xpaxos-server` logs from: the
+    // transfer installed a good file since, and it still reads back damaged.
+    let recover = |storage: CorruptibleStorage| {
+        xft_core::Replica::new(
+            2,
+            cluster.config.clone(),
+            &cluster.registry,
+            Box::new(xft::kvstore::CoordinationService::new()),
+        )
+        .with_storage(Box::new(storage))
+        .recover_from_storage()
+    };
+    let report = recover(storage.clone());
+    assert!(report.had_state);
+    assert!(report.snapshot_rejected, "{report:?}");
+    assert_eq!(report.snapshot_sn, None);
+    // An intact file is adopted and nothing is flagged.
+    storage
+        .corrupt
+        .store(false, std::sync::atomic::Ordering::Relaxed);
+    let report = recover(storage);
+    assert!(!report.snapshot_rejected, "{report:?}");
+    assert!(report.snapshot_sn.is_some());
 }
 
 #[test]
