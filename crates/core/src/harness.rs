@@ -49,7 +49,7 @@ pub struct ClusterBuilder {
     state_factory: Box<dyn Fn() -> Box<dyn StateMachine>>,
     storage_factory: Option<StorageFactory>,
     telemetry_factory: Option<TelemetryFactory>,
-    crypto_front: Option<crate::pipeline::FrontMode>,
+    crypto_workers: usize,
     evidence: bool,
 }
 
@@ -77,7 +77,7 @@ impl ClusterBuilder {
             state_factory: Box::new(|| Box::new(DigestChainService::new())),
             storage_factory: None,
             telemetry_factory: None,
-            crypto_front: None,
+            crypto_workers: 0,
             evidence: false,
         }
     }
@@ -197,12 +197,12 @@ impl ClusterBuilder {
         self
     }
 
-    /// Sets every replica's crypto front-end mode. Simulations must stay
-    /// deterministic, so `Pool(0)` (the enabled-but-synchronous front: same
-    /// queuing and accounting code paths, executed inline) is the right knob
-    /// here — determinism tests pin that it is trace-identical to `Inline`.
-    pub fn with_crypto_front(mut self, mode: crate::pipeline::FrontMode) -> Self {
-        self.crypto_front = Some(mode);
+    /// Gives every replica's crypto front `workers` threads (default 0). The
+    /// front is synchronous at its API, so simulations stay deterministic
+    /// with any count — determinism tests pin that two workers are
+    /// trace-identical to none.
+    pub fn with_crypto_workers(mut self, workers: usize) -> Self {
+        self.crypto_workers = workers;
         self
     }
 
@@ -248,9 +248,7 @@ impl ClusterBuilder {
                 replica = replica.with_telemetry(factory(r));
             }
             // After with_telemetry: the front captures the replica's hub.
-            if let Some(mode) = self.crypto_front {
-                replica = replica.with_crypto_front(mode);
-            }
+            replica = replica.with_crypto_workers(self.crypto_workers);
             if self.evidence {
                 replica = replica.with_evidence_log(crate::evidence::EvidenceLog::in_memory());
             }

@@ -60,7 +60,7 @@ pub use harness::{ClusterBuilder, LatencySpec, XPaxosCluster};
 pub use messages::XPaxosMsg;
 pub use model::{ProtocolModel, ReplicaFaultState, SystemSnapshot};
 pub use node::XPaxosNode;
-pub use pipeline::{CryptoFront, FrontMode};
+pub use pipeline::CryptoFront;
 pub use replica::durability::RecoveryReport;
 pub use replica::{Phase, Replica};
 pub use state_machine::{DigestChainService, NullService, StateMachine};

@@ -5,12 +5,12 @@
 //! **serial ordering core** (the `Replica` actor). Everything CPU-heavy and
 //! order-independent — client-signature verification, batch digesting,
 //! PREPARE/COMMIT signing — runs through a [`CryptoFront`], which executes it
-//! either inline on the protocol thread or scattered across a fixed pool of
+//! on the protocol thread (zero workers) or scattered across a fixed pool of
 //! crypto workers. The front is *synchronous at the API*: callers always get
 //! the complete result back before proceeding, so the ordering core observes
-//! identical values in every mode and simulated runs stay bit-deterministic
-//! (`FrontMode::Pool(0)` exercises the front's code path with zero workers,
-//! which the determinism regression test compares against `Inline`).
+//! identical values with any worker count and simulated runs stay
+//! bit-deterministic (the determinism regression test compares zero workers
+//! against two).
 //!
 //! Back-pressure: the pool's job queue is bounded. When it fills, jobs
 //! degrade to caller-inline execution, which slows admission on the protocol
@@ -26,22 +26,10 @@ use std::time::Instant;
 use xft_crypto::{Digest, Signature, Signer, Verifier};
 use xft_telemetry::Telemetry;
 
-/// How the crypto front executes its work.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FrontMode {
-    /// All crypto runs inline on the protocol thread (the simulator default;
-    /// also the best configuration on a single-core host).
-    Inline,
-    /// A fixed pool of crypto worker threads. `Pool(0)` enables the front's
-    /// scatter/gather path but executes synchronously on the caller — used to
-    /// prove the front does not perturb determinism.
-    Pool(usize),
-}
-
 /// A unit of work shipped to a crypto worker.
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// The fixed worker pool behind `FrontMode::Pool(n)` for `n > 0`.
+/// The fixed worker pool behind a front with one or more workers.
 struct Pool {
     tx: SyncSender<Job>,
     /// Jobs submitted but not yet picked up (mirrors the queue-depth gauge,
@@ -115,14 +103,14 @@ impl Drop for Pool {
 
 /// The stateless crypto front. See the module docs.
 pub struct CryptoFront {
-    mode: FrontMode,
+    workers: usize,
     pool: Option<Arc<Pool>>,
     telemetry: Arc<Telemetry>,
 }
 
 impl std::fmt::Debug for CryptoFront {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "CryptoFront({:?})", self.mode)
+        write!(f, "CryptoFront({} workers)", self.workers)
     }
 }
 
@@ -131,36 +119,27 @@ impl std::fmt::Debug for CryptoFront {
 const MIN_CHUNK: usize = 4;
 
 impl CryptoFront {
-    /// Creates a front in `mode`, reporting through `telemetry`.
-    pub fn new(mode: FrontMode, telemetry: Arc<Telemetry>) -> Self {
-        let pool = match mode {
-            FrontMode::Pool(n) if n > 0 => Some(Arc::new(Pool::spawn(n, telemetry.clone()))),
-            _ => None,
-        };
+    /// Creates a front backed by `workers` crypto threads, reporting through
+    /// `telemetry`. With zero workers all crypto runs on the caller (the
+    /// simulator default; also the best configuration on a single-core host).
+    pub fn new(workers: usize, telemetry: Arc<Telemetry>) -> Self {
+        let pool = (workers > 0).then(|| Arc::new(Pool::spawn(workers, telemetry.clone())));
         CryptoFront {
-            mode,
+            workers,
             pool,
             telemetry,
         }
     }
 
-    /// An inline front with telemetry disabled (the `Replica::new` default).
+    /// A front without workers and with telemetry disabled (the
+    /// `Replica::new` default).
     pub fn inline() -> Self {
-        CryptoFront::new(FrontMode::Inline, Telemetry::disabled())
+        CryptoFront::new(0, Telemetry::disabled())
     }
 
-    /// The configured mode.
-    pub fn mode(&self) -> FrontMode {
-        self.mode
-    }
-
-    /// Number of worker threads backing the front (0 in inline/synchronous
-    /// modes).
+    /// Number of worker threads backing the front.
     pub fn workers(&self) -> usize {
-        match self.mode {
-            FrontMode::Pool(n) => n,
-            FrontMode::Inline => 0,
-        }
+        self.workers
     }
 
     /// Verifies a batch's client signatures (`sigs[i]` over `requests[i]`),
@@ -170,7 +149,7 @@ impl CryptoFront {
     /// per-signature fallback inside [`Verifier::verify_batch`] pinpoints the
     /// culprits and their (sorted) indices are returned, so the caller can
     /// drop exactly the bad requests and keep the rest. Results are
-    /// identical in every [`FrontMode`]; only the threads doing the hashing
+    /// identical with any worker count; only the threads doing the hashing
     /// differ.
     pub fn verify_client_sigs(
         &self,
@@ -221,8 +200,7 @@ impl CryptoFront {
         sigs: &[Signature],
     ) -> Result<(), Vec<usize>> {
         let n = requests.len();
-        let workers = self.workers().max(1);
-        let chunk_len = n.div_ceil(workers).max(MIN_CHUNK);
+        let chunk_len = n.div_ceil(self.workers).max(MIN_CHUNK);
         if n <= chunk_len {
             return Self::verify_chunk(verifier, requests, sigs);
         }
@@ -340,39 +318,39 @@ mod tests {
         (requests, sigs)
     }
 
-    fn front(mode: FrontMode) -> CryptoFront {
-        CryptoFront::new(mode, Telemetry::disabled())
+    fn front(workers: usize) -> CryptoFront {
+        CryptoFront::new(workers, Telemetry::disabled())
     }
 
     #[test]
-    fn every_mode_agrees_on_valid_batches() {
+    fn every_worker_count_agrees_on_valid_batches() {
         let registry = KeyRegistry::new(5);
         let (requests, sigs) = make_batch(23, &registry);
         let verifier = Verifier::new(registry);
-        for mode in [FrontMode::Inline, FrontMode::Pool(0), FrontMode::Pool(3)] {
-            let f = front(mode);
+        for workers in [0, 3] {
+            let f = front(workers);
             assert_eq!(
                 f.verify_client_sigs(&verifier, &requests, &sigs),
                 Ok(()),
-                "mode {mode:?}"
+                "{workers} workers"
             );
         }
     }
 
     #[test]
-    fn every_mode_pinpoints_the_same_culprits() {
+    fn every_worker_count_pinpoints_the_same_culprits() {
         let registry = KeyRegistry::new(5);
         let (requests, mut sigs) = make_batch(23, &registry);
         sigs[2].tag[0] ^= 1;
         sigs[17].tag[5] ^= 0x40;
         sigs[22].tag[31] ^= 0x80;
         let verifier = Verifier::new(registry);
-        for mode in [FrontMode::Inline, FrontMode::Pool(0), FrontMode::Pool(3)] {
-            let f = front(mode);
+        for workers in [0, 3] {
+            let f = front(workers);
             assert_eq!(
                 f.verify_client_sigs(&verifier, &requests, &sigs),
                 Err(vec![2, 17, 22]),
-                "mode {mode:?}"
+                "{workers} workers"
             );
         }
     }
@@ -382,8 +360,8 @@ mod tests {
         let registry = KeyRegistry::new(9);
         let signer = Signer::new(&registry, client_key(ClientId(0)));
         let digest = Digest::of(b"sign me");
-        let inline_sig = front(FrontMode::Inline).sign_digest(&signer, &digest);
-        let pooled_sig = front(FrontMode::Pool(2)).sign_digest(&signer, &digest);
+        let inline_sig = front(0).sign_digest(&signer, &digest);
+        let pooled_sig = front(2).sign_digest(&signer, &digest);
         assert_eq!(inline_sig, pooled_sig);
     }
 
@@ -392,10 +370,7 @@ mod tests {
         let registry = KeyRegistry::new(9);
         let (requests, _) = make_batch(8, &registry);
         let batch = Batch::new(requests);
-        assert_eq!(
-            front(FrontMode::Pool(2)).digest_batch(&batch),
-            batch.digest()
-        );
+        assert_eq!(front(2).digest_batch(&batch), batch.digest());
     }
 
     #[test]
@@ -405,7 +380,7 @@ mod tests {
         sigs[0].tag[0] ^= 1;
         let verifier = Verifier::new(registry);
         let telemetry = Telemetry::enabled();
-        let f = CryptoFront::new(FrontMode::Inline, telemetry.clone());
+        let f = CryptoFront::new(0, telemetry.clone());
         let _ = f.verify_client_sigs(&verifier, &requests, &sigs);
         assert_eq!(telemetry.counter("xft_sig_batch_fallback_total").get(), 1);
     }

@@ -552,7 +552,7 @@ impl Replica {
         // Rebuild the front against the new hub so its gauges/histograms
         // land there, whatever order the builders were called in.
         self.crypto_front =
-            crate::pipeline::CryptoFront::new(self.crypto_front.mode(), self.telemetry.clone());
+            crate::pipeline::CryptoFront::new(self.crypto_front.workers(), self.telemetry.clone());
         self
     }
 
@@ -631,17 +631,11 @@ impl Replica {
         }
     }
 
-    /// Configures the crypto front-end (default: [`crate::pipeline::FrontMode::Inline`]).
-    /// `Pool(n)` fans verification/digesting/signing across `n` worker
-    /// threads; `Pool(0)` keeps the front's code path but runs synchronously.
-    pub fn with_crypto_front(mut self, mode: crate::pipeline::FrontMode) -> Self {
-        self.crypto_front = crate::pipeline::CryptoFront::new(mode, self.telemetry.clone());
+    /// Fans verification/digesting/signing across `workers` crypto threads
+    /// (default 0: all crypto runs on the protocol thread).
+    pub fn with_crypto_workers(mut self, workers: usize) -> Self {
+        self.crypto_front = crate::pipeline::CryptoFront::new(workers, self.telemetry.clone());
         self
-    }
-
-    /// The configured crypto front mode.
-    pub fn crypto_front_mode(&self) -> crate::pipeline::FrontMode {
-        self.crypto_front.mode()
     }
 
     /// The attached telemetry hub (a disabled hub unless

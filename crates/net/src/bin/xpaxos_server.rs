@@ -40,8 +40,8 @@
 //! fsync latency off the critical path).
 //!
 //! `--crypto-workers N` (N > 0) moves signature verification and signing to
-//! a worker pool (`FrontMode::Pool`); the default keeps crypto inline, which
-//! is the right call on single-core hosts.
+//! a pool of N worker threads; the default keeps crypto on the protocol
+//! thread, which is the right call on single-core hosts.
 //!
 //! `--evidence-dir` turns on accountability forensics: every signed
 //! protocol message the replica sends or accepts is appended to a durable,
@@ -67,7 +67,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xft_core::messages::XPaxosMsg;
-use xft_core::pipeline::FrontMode;
 use xft_core::replica::Replica;
 use xft_core::XPaxosConfig;
 use xft_crypto::KeyRegistry;
@@ -173,10 +172,8 @@ fn main() {
     let registry = KeyRegistry::new(seed ^ 0x5eed);
     register_cluster_keys(&registry, &config);
     let mut replica = Replica::new(id, config, &registry, Box::new(CoordinationService::new()))
-        .with_telemetry(Arc::clone(&telemetry));
-    if crypto_workers > 0 {
-        replica = replica.with_crypto_front(FrontMode::Pool(crypto_workers as usize));
-    }
+        .with_telemetry(Arc::clone(&telemetry))
+        .with_crypto_workers(crypto_workers as usize);
 
     // With a data directory the replica runs on durable storage; an existing
     // directory means this is a restart, so recover before going live.

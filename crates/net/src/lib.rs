@@ -7,8 +7,9 @@
 //!
 //! Design (the environment is offline, so everything is `std`-only — no tokio):
 //!
-//! * **thread-per-connection** over [`std::net`]: one accept thread per node,
-//!   one reader thread per inbound connection, one sender thread per peer;
+//! * **one thread per job** over [`std::net`], all of them blocking: one
+//!   accept thread and one writer thread per node, one reader thread per
+//!   inbound connection;
 //! * **canonical frames**: every message is `xft-wire`'s enveloped encoding
 //!   inside a length-prefixed frame; connections open with a tiny handshake
 //!   announcing the sender's node id;

@@ -5,12 +5,12 @@
 //! transport's inbox, fires due timers, and feeds each stimulus through
 //! [`ActorDriver::step`] exactly as [`xft_simnet::Simulation`] does. The
 //! returned [`StepEffects`] are interpreted against reality instead of the
-//! event queue: sends are encoded and handed to per-peer sender threads,
+//! event queue: sends are encoded and handed to the node's writer thread,
 //! timer operations arm a wall-clock timer wheel, metric events feed the same
 //! [`Metrics`] collector the simulator uses.
 
 use crate::address::AddressBook;
-use crate::transport::{spawn_acceptor, PeerSender, TransportStats, WriterPool};
+use crate::transport::{spawn_acceptor, PeerSender, TransportStats, Writer, INBOX_CAPACITY};
 use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -34,17 +34,6 @@ pub struct NetConfig {
     pub max_frame: usize,
     /// Backoff between reconnection attempts to an unreachable peer.
     pub reconnect_delay: Duration,
-    /// Capacity of each per-peer outbound queue (frames beyond it are dropped).
-    pub queue_capacity: usize,
-    /// Capacity of the inbound message queue. When the protocol thread lags,
-    /// connection readers block on it, exerting TCP backpressure on peers
-    /// instead of buffering without bound.
-    pub inbox_capacity: usize,
-    /// Writer threads in the outbound [`WriterPool`]; peers are spread over
-    /// them round-robin. Two is a good default: one shard can sit in a slow
-    /// syscall while the other keeps draining, without spawning a thread per
-    /// peer (a replica serving 64 clients would otherwise run 64 senders).
-    pub writer_shards: usize,
     /// Clock origin for the actor-visible time. Defaults to "when this
     /// runtime started"; harnesses that compare event times *across* nodes
     /// (the chaos history checker) pass one shared origin to every runtime
@@ -65,9 +54,6 @@ impl Default for NetConfig {
             seed: 1,
             max_frame: xft_wire::DEFAULT_MAX_FRAME,
             reconnect_delay: Duration::from_millis(200),
-            queue_capacity: 4096,
-            inbox_capacity: 65536,
-            writer_shards: 2,
             origin: None,
             telemetry: Telemetry::disabled(),
         }
@@ -187,7 +173,7 @@ where
     timers: BinaryHeap<ArmedTimer>,
     cancelled: HashSet<TimerId>,
     timer_seq: u64,
-    writers: Option<WriterPool>,
+    writer: Writer,
     links: HashMap<NodeId, PeerSender>,
     inbox_rx: Receiver<(NodeId, A::Msg, Option<TraceContext>)>,
     /// Self-sends bypass the bounded network inbox: the protocol thread is
@@ -217,7 +203,7 @@ where
     /// pass a pre-bound `listener` (use port 0 for an ephemeral port and
     /// publish the result through the address book).
     ///
-    /// Spawns the accept thread and one sender thread per address-book peer.
+    /// Spawns the accept thread and the writer thread.
     /// The actor's initial callback (`on_start` or `on_recover`) runs before
     /// the first message is processed.
     pub fn start(
@@ -234,7 +220,7 @@ where
         let handle = Arc::new(NetHandle::default());
         let stats = Arc::new(TransportStats::with_telemetry(config.telemetry.clone()));
         let (inbox_tx, inbox_rx) =
-            sync_channel::<(NodeId, A::Msg, Option<TraceContext>)>(config.inbox_capacity);
+            sync_channel::<(NodeId, A::Msg, Option<TraceContext>)>(INBOX_CAPACITY);
         let reader_threads = Arc::new(Mutex::new(Vec::new()));
         let injector_tx = inbox_tx.clone();
         let accept_thread = spawn_acceptor::<A::Msg>(
@@ -247,13 +233,11 @@ where
             config.max_frame,
         );
 
-        let writers = WriterPool::new(
+        let writer = Writer::new(
             local,
             book.clone(),
             handle.shutdown_flag(),
             stats.clone(),
-            config.writer_shards,
-            config.queue_capacity,
             config.reconnect_delay,
         );
         let mut runtime = TcpRuntime {
@@ -265,7 +249,7 @@ where
             timers: BinaryHeap::new(),
             cancelled: HashSet::new(),
             timer_seq: 0,
-            writers: Some(writers),
+            writer,
             links: HashMap::new(),
             inbox_rx,
             pending_local: VecDeque::new(),
@@ -279,8 +263,8 @@ where
             injector_tx,
             events_processed: 0,
         };
-        // Sender threads are created lazily by ensure_link on the first send
-        // to each peer — clients never pay for client↔client links.
+        // Peers are registered with the writer lazily by ensure_link on the
+        // first send to each — clients never pay for client↔client links.
         let first = match mode {
             StartMode::Fresh => ActorEvent::Start,
             StartMode::Recovered => ActorEvent::Recover,
@@ -304,15 +288,19 @@ where
     /// background threads (e.g. the WAL's overlapped-fsync thread) into the
     /// protocol loop. Best-effort: if the inbox is momentarily full the
     /// notification is dropped — acceptable for edge-triggered signals that
-    /// are re-raised by the next completion.
+    /// are re-raised by the next completion. An enqueued message counts in
+    /// `xft_net_inbox_depth` like a received frame; the run loop subtracts it.
     pub fn local_injector(&self) -> impl Fn(A::Msg) + Send + Sync + 'static
     where
         A::Msg: Sync,
     {
         let tx = self.injector_tx.clone();
         let local = self.local;
+        let telemetry = self.config.telemetry.clone();
         move |msg| {
-            let _ = tx.try_send((local, msg, None));
+            if tx.try_send((local, msg, None)).is_ok() {
+                telemetry.gauge_add("xft_net_inbox_depth", 1);
+            }
         }
     }
 
@@ -423,15 +411,11 @@ where
     }
 
     /// Returns the sender handle for `peer`, registering it with the writer
-    /// pool on first use.
+    /// on first use.
     fn ensure_link(&mut self, peer: NodeId) -> &PeerSender {
-        let writers = self
-            .writers
-            .as_mut()
-            .expect("writer pool alive until shutdown");
         self.links
             .entry(peer)
-            .or_insert_with(|| writers.sender(peer))
+            .or_insert_with(|| self.writer.sender(peer))
     }
 
     fn apply(&mut self, now: SimTime, effects: StepEffects<A::Msg>) {
@@ -487,9 +471,7 @@ where
     pub fn shutdown(mut self) -> A {
         self.handle.request_shutdown();
         self.links.clear();
-        if let Some(writers) = self.writers.take() {
-            writers.join();
-        }
+        self.writer.join();
         if let Some(h) = self.accept_thread.take() {
             let _ = h.join();
         }
@@ -548,5 +530,134 @@ where
 
     fn metrics(&self) -> &Metrics {
         TcpRuntime::metrics(self)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::transport::hello_bytes;
+    use std::io::Write;
+    use std::net::TcpStream;
+    use xft_simnet::{Context, SimMessage};
+
+    #[derive(Debug, Clone)]
+    struct Num(u64);
+
+    impl SimMessage for Num {
+        fn size_bytes(&self) -> usize {
+            8
+        }
+    }
+
+    impl WireEncode for Num {
+        fn encode_into(&self, out: &mut impl bytes::BufMut) {
+            self.0.encode_into(out);
+        }
+    }
+
+    impl WireDecode for Num {
+        fn decode_from(r: &mut bytes::Reader<'_>) -> Option<Self> {
+            u64::decode_from(r).map(Num)
+        }
+    }
+
+    /// Records what it is sent.
+    #[derive(Default)]
+    struct Sink {
+        seen: Vec<u64>,
+    }
+
+    impl Actor for Sink {
+        type Msg = Num;
+
+        fn on_message(&mut self, _from: NodeId, msg: Num, _ctx: &mut Context<Num>) {
+            self.seen.push(msg.0);
+        }
+    }
+
+    fn start(telemetry: Arc<Telemetry>) -> TcpRuntime<Sink> {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let config = NetConfig {
+            telemetry,
+            ..NetConfig::default()
+        };
+        let book = AddressBook::new([]);
+        TcpRuntime::start(Sink::default(), 0, book, listener, config, StartMode::Fresh).unwrap()
+    }
+
+    /// A raw inbound connection from `node` that has sent `values`.
+    fn dial(runtime: &TcpRuntime<Sink>, node: NodeId, values: std::ops::Range<u64>) -> TcpStream {
+        let mut stream = TcpStream::connect(runtime.local_addr()).unwrap();
+        let mut bytes = hello_bytes(node).to_vec();
+        for v in values {
+            bytes.extend(xft_wire::frame_bytes(&xft_wire::encode_msg_vec(&Num(v))));
+        }
+        stream.write_all(&bytes).unwrap();
+        stream
+    }
+
+    fn run_until_seen(runtime: &mut TcpRuntime<Sink>, count: usize) {
+        let start = Instant::now();
+        while runtime.actor().seen.len() < count {
+            assert!(start.elapsed() < Duration::from_secs(10), "messages lost");
+            runtime.run_for(Duration::from_millis(10));
+        }
+    }
+
+    fn assert_prompt_shutdown(runtime: TcpRuntime<Sink>) {
+        let start = Instant::now();
+        runtime.shutdown();
+        let took = start.elapsed();
+        assert!(took < Duration::from_millis(500), "shutdown took {took:?}");
+    }
+
+    #[test]
+    fn injected_messages_leave_the_inbox_gauge_at_zero() {
+        let hub = Telemetry::enabled();
+        let mut runtime = start(hub.clone());
+        let inject = runtime.local_injector();
+        for v in 0..7 {
+            inject(Num(v));
+        }
+        assert_eq!(hub.gauge("xft_net_inbox_depth").get(), 7);
+        run_until_seen(&mut runtime, 7);
+        assert_eq!(runtime.actor().seen, (0..7).collect::<Vec<u64>>());
+        assert_eq!(hub.gauge("xft_net_inbox_depth").get(), 0);
+        runtime.shutdown();
+    }
+
+    #[test]
+    fn shutdown_is_prompt_with_idle_inbound_connections_open() {
+        let mut runtime = start(Telemetry::disabled());
+        let open: Vec<TcpStream> = (1..4).map(|n| dial(&runtime, n, 0..1)).collect();
+        run_until_seen(&mut runtime, open.len()); // every reader is up
+        assert_prompt_shutdown(runtime);
+    }
+
+    #[test]
+    fn reader_parked_on_a_full_inbox_holds_back_its_peer_and_not_shutdown() {
+        // Nothing consumes the inbox: the reader fills it, then blocks on the
+        // next frame while the ones behind it wait in the socket.
+        let runtime = start(Telemetry::disabled());
+        let total = INBOX_CAPACITY as u64 + 100;
+        let _peer = dial(&runtime, 1, 0..total);
+        let stats = runtime.transport_stats();
+        let received = || stats.received.load(Ordering::Relaxed);
+        let start = Instant::now();
+        while received() <= INBOX_CAPACITY as u64 {
+            assert!(
+                start.elapsed() < Duration::from_secs(10),
+                "inbox never filled"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        std::thread::sleep(Duration::from_millis(100));
+        assert_eq!(
+            received(),
+            INBOX_CAPACITY as u64 + 1,
+            "reader ran past a full inbox"
+        );
+        assert_prompt_shutdown(runtime);
     }
 }

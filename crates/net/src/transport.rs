@@ -1,25 +1,25 @@
-//! Connection management: handshakes, outbound writers with bounded per-peer
-//! queues and reconnect, the accept loop and the inbound reader.
+//! Connection management: handshakes, the outbound writer with bounded
+//! per-peer queues and reconnect, the accept loop and the inbound readers.
 //!
 //! Connections are unidirectional: the node that needs to send opens the
 //! connection and writes; the accepting side only reads. A full mesh therefore
 //! uses up to two TCP connections per node pair, which keeps both endpoints'
 //! state machines trivial (no stream sharing, no write locks).
 //!
-//! Two outbound flavours exist: [`PeerLink`] (one dedicated thread per peer —
-//! simple, used by small harnesses) and [`WriterPool`] (a fixed number of
-//! shard threads multiplexing many peers' bounded queues — what
-//! [`crate::TcpRuntime`] uses, so a replica talking to dozens of clients does
-//! not pay dozens of sender threads). Inbound mirrors that: one event-loop
-//! reader thread services every accepted connection with non-blocking reads
-//! instead of a thread per connection.
+//! One thread per job, none of them polling: every accepted connection gets a
+//! reader thread that blocks in `read`, and one [`Writer`] thread per node
+//! owns all outbound connections and blocks on a condvar while every queue is
+//! empty. That is sized for what a node serves in practice — a handful of
+//! inbound connections (its peer replicas plus one multiplexed client
+//! endpoint); hundreds of un-muxed client sockets should be fronted by the
+//! mux client instead of costing a replica one reader thread each.
 
 use crate::address::AddressBook;
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
+use std::sync::mpsc::SyncSender;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -42,9 +42,17 @@ pub const TRANSPORT_VERSION: u8 = 1;
 /// Wire size of the handshake: magic, version, sender node id.
 pub const HELLO_LEN: usize = 4 + 1 + 8;
 
-/// How long sender threads and readers sleep-poll while idle; bounds shutdown
-/// latency.
+/// Longest an idle writer or reader blocks before re-checking the shutdown
+/// flag; bounds shutdown latency.
 const TICK: Duration = Duration::from_millis(50);
+
+/// Capacity of each per-peer outbound queue (frames beyond it are dropped).
+const QUEUE_CAPACITY: usize = 4096;
+
+/// Capacity of a runtime's inbound message queue. When the protocol thread
+/// lags, connection readers block on it, exerting TCP back-pressure on peers
+/// instead of buffering without bound.
+pub(crate) const INBOX_CAPACITY: usize = 65536;
 
 /// Builds the handshake bytes announcing `node`.
 pub fn hello_bytes(node: NodeId) -> [u8; HELLO_LEN] {
@@ -108,164 +116,35 @@ impl TransportStats {
     }
 }
 
-/// The sending half of a peer link: a bounded queue drained by a dedicated
-/// thread that owns the connection and reconnects through the address book.
-pub struct PeerLink {
-    peer: NodeId,
-    queue: SyncSender<Vec<u8>>,
-    handle: Option<JoinHandle<()>>,
-    stats: Arc<TransportStats>,
-}
-
-impl PeerLink {
-    /// Spawns the sender thread for `peer`.
-    pub fn spawn(
-        local: NodeId,
-        peer: NodeId,
-        book: Arc<AddressBook>,
-        shutdown: Arc<AtomicBool>,
-        stats: Arc<TransportStats>,
-        queue_capacity: usize,
-        reconnect_delay: Duration,
-    ) -> Self {
-        let (tx, rx) = sync_channel::<Vec<u8>>(queue_capacity);
-        let thread_stats = stats.clone();
-        let handle = std::thread::Builder::new()
-            .name(format!("xft-send-{local}-to-{peer}"))
-            .spawn(move || {
-                sender_loop(
-                    local,
-                    peer,
-                    book,
-                    shutdown,
-                    thread_stats,
-                    rx,
-                    reconnect_delay,
-                )
-            })
-            .expect("spawn sender thread");
-        PeerLink {
-            peer,
-            queue: tx,
-            handle: Some(handle),
-            stats,
-        }
-    }
-
-    /// Enqueues an already-encoded message payload for this peer, dropping it
-    /// (with accounting) when the queue is full — backpressure must never stall
-    /// the protocol thread.
-    pub fn send(&self, payload: Vec<u8>) {
-        match self.queue.try_send(payload) {
-            Ok(()) => {
-                self.stats.telemetry.gauge_add("xft_net_outq_depth", 1);
-            }
-            Err(TrySendError::Full(_)) => {
-                self.stats.note_drop(&self.stats.dropped_full);
-            }
-            Err(TrySendError::Disconnected(_)) => {
-                // Sender thread already gone (shutdown or panic): the peer is
-                // effectively unreachable, not backpressured.
-                self.stats.note_drop(&self.stats.dropped_unreachable);
-            }
-        }
-    }
-
-    /// The peer this link targets.
-    pub fn peer(&self) -> NodeId {
-        self.peer
-    }
-
-    /// Waits for the sender thread to exit (call after dropping/shutdown).
-    pub fn join(mut self) {
-        drop(self.queue);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-fn sender_loop(
-    local: NodeId,
-    peer: NodeId,
-    book: Arc<AddressBook>,
-    shutdown: Arc<AtomicBool>,
-    stats: Arc<TransportStats>,
-    rx: Receiver<Vec<u8>>,
-    reconnect_delay: Duration,
-) {
-    let mut stream: Option<TcpStream> = None;
-    let mut next_attempt = Instant::now();
-    loop {
-        let payload = match rx.recv_timeout(TICK) {
-            Ok(p) => p,
-            Err(RecvTimeoutError::Timeout) => {
-                if shutdown.load(Ordering::Relaxed) {
-                    return;
-                }
-                continue;
-            }
-            Err(RecvTimeoutError::Disconnected) => return,
-        };
-        stats.telemetry.gauge_add("xft_net_outq_depth", -1);
-
-        // One write attempt plus one reconnect-and-retry; then the frame is
-        // dropped (XPaxos recovers lost messages via retransmission).
-        let mut written = false;
-        for _ in 0..2 {
-            if stream.is_none() {
-                if Instant::now() < next_attempt {
-                    break; // peer recently unreachable: drop without blocking
-                }
-                match connect(local, peer, &book) {
-                    Some(s) => {
-                        stats.telemetry.add("xft_net_connects_total", 1);
-                        stream = Some(s);
-                    }
-                    None => {
-                        next_attempt = Instant::now() + reconnect_delay;
-                        break;
-                    }
-                }
-            }
-            let s = stream.as_mut().expect("connected above");
-            match write_framed(s, &payload) {
-                Ok(()) => {
-                    written = true;
-                    break;
-                }
-                Err(_) => {
-                    stream = None; // stale connection: reconnect once
-                }
-            }
-        }
-        if written {
-            stats.sent.fetch_add(1, Ordering::Relaxed);
-            stats.telemetry.add("xft_net_frames_sent_total", 1);
-        } else {
-            stats.note_drop(&stats.dropped_unreachable);
-        }
-        // No explicit shutdown-with-queued-frames check: PeerLink::join drops
-        // the sending half, so recv drains the queue and then reports
-        // Disconnected; a flagged shutdown with a live queue exits on the
-        // next Timeout tick above.
-    }
-}
-
-/// One peer's bounded outbound queue inside a [`WriterPool`] shard.
+/// One peer's bounded outbound queue.
 struct PeerQueue {
     peer: NodeId,
     frames: Mutex<VecDeque<Vec<u8>>>,
-    capacity: usize,
 }
 
-/// The sending handle for one peer, backed by a [`WriterPool`] shard.
-/// Same contract as [`PeerLink::send`]: never blocks, drops with accounting
-/// when the bounded queue is full.
+/// What a [`Writer`], its thread and its [`PeerSender`]s share.
+struct WriterShared {
+    peers: Mutex<Vec<Arc<PeerQueue>>>,
+    /// Held while notifying and while the writer re-checks the queues before
+    /// it waits, so an edge notify cannot fall between the two.
+    wake_lock: Mutex<()>,
+    wake: Condvar,
+    closed: AtomicBool,
+    stats: Arc<TransportStats>,
+}
+
+impl WriterShared {
+    fn notify(&self) {
+        drop(self.wake_lock.lock().expect("wake mutex poisoned"));
+        self.wake.notify_one();
+    }
+}
+
+/// The sending handle for one peer, backed by the node's [`Writer`]. Never
+/// blocks: drops with accounting when the bounded queue is full.
 pub struct PeerSender {
     queue: Arc<PeerQueue>,
-    wake: Arc<(Mutex<()>, Condvar)>,
-    stats: Arc<TransportStats>,
+    shared: Arc<WriterShared>,
 }
 
 impl PeerSender {
@@ -273,173 +152,110 @@ impl PeerSender {
     /// (with accounting) when the queue is full — backpressure must never
     /// stall the protocol thread.
     pub fn send(&self, payload: Vec<u8>) {
+        let stats = &self.shared.stats;
         let was_empty = {
             let mut frames = self.queue.frames.lock().expect("peer queue poisoned");
-            if frames.len() >= self.queue.capacity {
+            if frames.len() >= QUEUE_CAPACITY {
                 drop(frames);
-                self.stats.note_drop(&self.stats.dropped_full);
+                stats.note_drop(&stats.dropped_full);
                 return;
             }
             frames.push_back(payload);
             frames.len() == 1
         };
-        self.stats.telemetry.gauge_add("xft_net_outq_depth", 1);
-        self.stats
-            .telemetry
-            .gauge_add("xft_net_writer_shard_depth", 1);
-        // Wake the shard only on the empty→non-empty edge. While the queue is
-        // non-empty the shard cannot reach its final all-quiet sweep (it
+        stats.telemetry.gauge_add("xft_net_outq_depth", 1);
+        // Wake the writer only on the empty→non-empty edge. While the queue
+        // is non-empty the writer cannot reach its final all-quiet sweep (it
         // would drain this queue first), so every additional notify would be
         // a wasted futex syscall — at six figures of frames/s that syscall
         // is a measurable share of the send path.
         if was_empty {
-            let (lock, cv) = &*self.wake;
-            drop(lock.lock().expect("wake mutex poisoned"));
-            cv.notify_one();
+            self.shared.notify();
         }
     }
-
-    /// The peer this sender targets.
-    pub fn peer(&self) -> NodeId {
-        self.queue.peer
-    }
 }
 
-struct WriterShard {
-    peers: Arc<Mutex<Vec<Arc<PeerQueue>>>>,
-    wake: Arc<(Mutex<()>, Condvar)>,
-    handle: Option<JoinHandle<()>>,
-}
-
-/// A fixed set of writer threads multiplexing many peers' outbound queues.
+/// A node's single writer thread, multiplexing every peer's outbound queue.
 ///
-/// Peers are assigned to shards round-robin at registration. Each shard
-/// thread owns the TCP connections of its peers, drains whole queues per
+/// The thread owns the TCP connections of all peers, drains whole queues per
 /// sweep (coalescing consecutive frames to one peer into back-to-back
-/// writes), and sleeps on a condvar when every queue is empty. Unreachable
-/// peers get the same treatment as [`PeerLink`]: one write attempt plus one
-/// reconnect-and-retry, then the frame is dropped with accounting, and a
-/// reconnect backoff keeps a dead peer from stalling the shard's other
-/// traffic.
-pub struct WriterPool {
-    closed: Arc<AtomicBool>,
-    stats: Arc<TransportStats>,
-    queue_capacity: usize,
-    shards: Vec<WriterShard>,
-    registered: usize,
+/// writes), and sleeps on a condvar when every queue is empty. An unreachable
+/// peer gets one write attempt plus one reconnect-and-retry, then the frame
+/// is dropped with accounting, and a per-peer reconnect backoff keeps a dead
+/// peer from stalling the traffic to the live ones.
+pub struct Writer {
+    shared: Arc<WriterShared>,
+    handle: JoinHandle<()>,
 }
 
-impl WriterPool {
-    /// Creates the pool and spawns `shard_count` writer threads (clamped to
-    /// at least one).
+impl Writer {
+    /// Spawns the writer thread of node `local`.
     pub fn new(
         local: NodeId,
         book: Arc<AddressBook>,
         shutdown: Arc<AtomicBool>,
         stats: Arc<TransportStats>,
-        shard_count: usize,
-        queue_capacity: usize,
         reconnect_delay: Duration,
     ) -> Self {
-        let closed = Arc::new(AtomicBool::new(false));
-        let shards = (0..shard_count.max(1))
-            .map(|i| {
-                let peers: Arc<Mutex<Vec<Arc<PeerQueue>>>> = Arc::new(Mutex::new(Vec::new()));
-                let wake = Arc::new((Mutex::new(()), Condvar::new()));
-                let handle = std::thread::Builder::new()
-                    .name(format!("xft-write-{local}-{i}"))
-                    .spawn({
-                        let (peers, wake) = (peers.clone(), wake.clone());
-                        let (book, shutdown, closed, stats) = (
-                            book.clone(),
-                            shutdown.clone(),
-                            closed.clone(),
-                            stats.clone(),
-                        );
-                        move || {
-                            writer_shard_loop(
-                                local,
-                                book,
-                                shutdown,
-                                closed,
-                                stats,
-                                peers,
-                                wake,
-                                reconnect_delay,
-                            )
-                        }
-                    })
-                    .expect("spawn writer shard");
-                WriterShard {
-                    peers,
-                    wake,
-                    handle: Some(handle),
-                }
-            })
-            .collect();
-        WriterPool {
-            closed,
+        let shared = Arc::new(WriterShared {
+            peers: Mutex::new(Vec::new()),
+            wake_lock: Mutex::new(()),
+            wake: Condvar::new(),
+            closed: AtomicBool::new(false),
             stats,
-            queue_capacity,
-            shards,
-            registered: 0,
-        }
+        });
+        let handle = std::thread::Builder::new()
+            .name(format!("xft-write-{local}"))
+            .spawn({
+                let shared = shared.clone();
+                move || writer_loop(local, book, shutdown, shared, reconnect_delay)
+            })
+            .expect("spawn writer thread");
+        Writer { shared, handle }
     }
 
-    /// Registers `peer` with the next shard (round-robin) and returns its
-    /// sending handle.
-    pub fn sender(&mut self, peer: NodeId) -> PeerSender {
-        let shard = &self.shards[self.registered % self.shards.len()];
-        self.registered += 1;
+    /// Registers `peer` and returns its sending handle.
+    pub fn sender(&self, peer: NodeId) -> PeerSender {
         let queue = Arc::new(PeerQueue {
             peer,
             frames: Mutex::new(VecDeque::new()),
-            capacity: self.queue_capacity,
         });
-        shard
+        self.shared
             .peers
             .lock()
-            .expect("shard peer list poisoned")
+            .expect("writer peer list poisoned")
             .push(queue.clone());
         PeerSender {
             queue,
-            wake: shard.wake.clone(),
-            stats: self.stats.clone(),
+            shared: self.shared.clone(),
         }
     }
 
-    /// Drains remaining queues and joins every shard thread.
-    pub fn join(mut self) {
-        self.closed.store(true, Ordering::Relaxed);
-        for shard in &self.shards {
-            let (lock, cv) = &*shard.wake;
-            drop(lock.lock().expect("wake mutex poisoned"));
-            cv.notify_all();
-        }
-        for shard in &mut self.shards {
-            if let Some(h) = shard.handle.take() {
-                let _ = h.join();
-            }
-        }
+    /// Drains the remaining queues and joins the writer thread.
+    pub fn join(self) {
+        self.shared.closed.store(true, Ordering::Relaxed);
+        self.shared.notify();
+        let _ = self.handle.join();
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn writer_shard_loop(
+fn writer_loop(
     local: NodeId,
     book: Arc<AddressBook>,
     shutdown: Arc<AtomicBool>,
-    closed: Arc<AtomicBool>,
-    stats: Arc<TransportStats>,
-    peers: Arc<Mutex<Vec<Arc<PeerQueue>>>>,
-    wake: Arc<(Mutex<()>, Condvar)>,
+    shared: Arc<WriterShared>,
     reconnect_delay: Duration,
 ) {
+    let stats = &shared.stats;
     let mut conns: HashMap<NodeId, TcpStream> = HashMap::new();
     let mut next_attempt: HashMap<NodeId, Instant> = HashMap::new();
     loop {
         let mut did_work = false;
-        let list: Vec<Arc<PeerQueue>> = peers.lock().expect("shard peer list poisoned").clone();
+        let list: Vec<Arc<PeerQueue>> = shared
+            .peers
+            .lock()
+            .expect("writer peer list poisoned")
+            .clone();
         for pq in &list {
             let batch: Vec<Vec<u8>> = {
                 let mut frames = pq.frames.lock().expect("peer queue poisoned");
@@ -452,15 +268,12 @@ fn writer_shard_loop(
             stats
                 .telemetry
                 .gauge_add("xft_net_outq_depth", -(batch.len() as i64));
-            stats
-                .telemetry
-                .gauge_add("xft_net_writer_shard_depth", -(batch.len() as i64));
             write_batch(
                 local,
                 pq.peer,
                 &batch,
                 &book,
-                &stats,
+                stats,
                 &mut conns,
                 &mut next_attempt,
                 reconnect_delay,
@@ -469,31 +282,34 @@ fn writer_shard_loop(
         if did_work {
             continue;
         }
-        if closed.load(Ordering::Relaxed) || shutdown.load(Ordering::Relaxed) {
+        if shared.closed.load(Ordering::Relaxed) || shutdown.load(Ordering::Relaxed) {
             return;
         }
-        let (lock, cv) = &*wake;
-        let guard = lock.lock().expect("wake mutex poisoned");
+        let guard = shared.wake_lock.lock().expect("wake mutex poisoned");
         // Senders notify only on a queue's empty→non-empty edge, and they do
         // so holding this lock — so a push that raced our sweep is either
         // visible to this re-check or its notify lands on the wait below.
         // Without the re-check the edge notify could be lost and the frame
-        // would sit a full TICK.
-        let raced = list
+        // would sit a full TICK. The live list, not the sweep's snapshot: the
+        // push may be the first to a peer registered since.
+        let raced = shared
+            .peers
+            .lock()
+            .expect("writer peer list poisoned")
             .iter()
             .any(|pq| !pq.frames.lock().expect("peer queue poisoned").is_empty());
         if raced {
             continue;
         }
         // TICK timeout bounds shutdown latency even if a wake is missed.
-        let _ = cv.wait_timeout(guard, TICK);
+        let _ = shared.wake.wait_timeout(guard, TICK);
     }
 }
 
 /// Writes a drained batch of frames to one peer, coalescing them onto the
-/// shard's connection. Same retry discipline as [`sender_loop`]: one write
-/// pass plus one reconnect-and-retry, then the rest of the batch is dropped
-/// (XPaxos recovers lost messages via retransmission).
+/// writer's connection: one write pass plus one reconnect-and-retry, then the
+/// rest of the batch is dropped (XPaxos recovers lost messages via
+/// retransmission).
 #[allow(clippy::too_many_arguments)]
 fn write_batch(
     local: NodeId,
@@ -571,20 +387,11 @@ fn connect(local: NodeId, peer: NodeId, book: &AddressBook) -> Option<TcpStream>
     Some(stream)
 }
 
-fn write_framed(stream: &mut TcpStream, payload: &[u8]) -> std::io::Result<()> {
-    xft_wire::write_frame(stream, payload)
-}
-
-/// Spawns the accept loop: accepts connections on `listener` and registers
-/// each with a single shared event-loop reader thread that decodes frames
-/// into `inbox`. Returns the accept-thread handle; the reader thread's handle
-/// is pushed into `readers`.
-///
-/// One reader thread services every connection with non-blocking reads (a
-/// poll loop with an adaptive yield→sleep idle strategy), so a node accepting
-/// connections from dozens of peers — a replica serving a large client fleet,
-/// or the mux client front-end receiving from every replica — does not pay a
-/// thread per connection.
+/// Spawns the accept loop: accepts connections on `listener` and gives each
+/// its own reader thread, which decodes frames into `inbox`. Returns the
+/// accept-thread handle; reader handles are pushed into `readers`, and the
+/// finished ones are pruned on every accept so reconnect churn cannot grow
+/// the list.
 pub fn spawn_acceptor<M>(
     local: NodeId,
     listener: TcpListener,
@@ -600,34 +407,32 @@ where
     listener
         .set_nonblocking(true)
         .expect("set listener nonblocking");
-    let conns: Arc<Mutex<Vec<ReaderConn>>> = Arc::new(Mutex::new(Vec::new()));
-    let reader = std::thread::Builder::new()
-        .name(format!("xft-read-{local}"))
-        .spawn({
-            let (conns, shutdown, stats) = (conns.clone(), shutdown.clone(), stats.clone());
-            move || reader_pool_loop(conns, inbox, shutdown, stats, max_frame)
-        })
-        .expect("spawn reader thread");
-    readers.lock().expect("reader list poisoned").push(reader);
     std::thread::Builder::new()
         .name(format!("xft-accept-{local}"))
         .spawn(move || loop {
             match listener.accept() {
                 Ok((stream, _)) => {
                     let _ = stream.set_nodelay(true);
-                    if stream.set_nonblocking(true).is_err() {
-                        continue; // can't service it in the event loop
+                    // Some platforms hand the listener's non-blocking flag
+                    // down to the accepted socket; the reader must block.
+                    if stream.set_nonblocking(false).is_err() {
+                        continue;
                     }
-                    conns
-                        .lock()
-                        .expect("reader conn list poisoned")
-                        .push(ReaderConn::new(stream, max_frame));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    if shutdown.load(Ordering::Relaxed) {
-                        return;
-                    }
-                    std::thread::sleep(Duration::from_millis(20));
+                    let spawned = std::thread::Builder::new()
+                        .name(format!("xft-read-{local}"))
+                        .spawn({
+                            let (inbox, shutdown, stats) =
+                                (inbox.clone(), shutdown.clone(), stats.clone());
+                            move || reader_loop(stream, inbox, shutdown, stats, max_frame)
+                        });
+                    // Out of threads: the connection is dropped, and the
+                    // peer's writer reconnects with its usual back-off.
+                    let Ok(reader) = spawned else {
+                        continue;
+                    };
+                    let mut readers = readers.lock().expect("reader list poisoned");
+                    readers.retain(|h| !h.is_finished());
+                    readers.push(reader);
                 }
                 Err(_) => {
                     if shutdown.load(Ordering::Relaxed) {
@@ -640,155 +445,68 @@ where
         .expect("spawn accept thread")
 }
 
-/// One accepted connection inside the event-loop reader: its stream plus the
-/// incremental handshake/framing state.
-struct ReaderConn {
-    stream: TcpStream,
-    hello: [u8; HELLO_LEN],
-    hello_have: usize,
-    from: Option<NodeId>,
-    frames: FrameBuffer,
-    dead: bool,
-}
-
-impl ReaderConn {
-    fn new(stream: TcpStream, max_frame: usize) -> Self {
-        ReaderConn {
-            stream,
-            hello: [0u8; HELLO_LEN],
-            hello_have: 0,
-            from: None,
-            frames: FrameBuffer::new(max_frame),
-            dead: false,
-        }
-    }
-}
-
-/// What one pump pass over a connection observed.
-enum Pump {
-    /// Bytes arrived (keep the loop hot).
-    Progress,
-    /// Nothing to read right now.
-    Idle,
-    /// The runtime's inbox is gone: the reader thread should exit.
-    InboxGone,
-}
-
-fn reader_pool_loop<M: WireDecode>(
-    conns: Arc<Mutex<Vec<ReaderConn>>>,
+/// Serves one accepted connection: the handshake, then frames decoded into
+/// `inbox` until EOF, an I/O error, a wrong-protocol hello, an undecodable or
+/// oversized frame, shutdown, or the runtime dropping its inbox. Returning
+/// closes the socket. A full inbox blocks the send, which is TCP
+/// back-pressure on the peer.
+fn reader_loop<M: WireDecode>(
+    mut stream: TcpStream,
     inbox: SyncSender<(NodeId, M, Option<TraceContext>)>,
     shutdown: Arc<AtomicBool>,
     stats: Arc<TransportStats>,
-    _max_frame: usize,
+    max_frame: usize,
 ) {
+    // The timeout is how a blocked reader gets to see the shutdown flag.
+    if stream.set_read_timeout(Some(TICK)).is_err() {
+        return;
+    }
+    let mut hello = [0u8; HELLO_LEN];
+    let mut have = 0;
+    while have < HELLO_LEN {
+        match read_some(&mut stream, &mut hello[have..], &shutdown) {
+            Some(n) => have += n,
+            None => return,
+        }
+    }
+    let Some(from) = parse_hello(&hello) else {
+        return;
+    };
+    let mut frames = FrameBuffer::new(max_frame);
     let mut chunk = vec![0u8; 64 * 1024];
-    let mut idle_passes = 0u32;
-    loop {
-        if shutdown.load(Ordering::Relaxed) {
-            return;
-        }
-        let mut progress = false;
-        {
-            let mut list = conns.lock().expect("reader conn list poisoned");
-            for conn in list.iter_mut() {
-                match pump_conn(conn, &mut chunk, &inbox, &stats) {
-                    Pump::Progress => progress = true,
-                    Pump::Idle => {}
-                    Pump::InboxGone => return,
-                }
+    while let Some(n) = read_some(&mut stream, &mut chunk, &shutdown) {
+        frames.extend(&chunk[..n]);
+        loop {
+            let frame = match frames.next_frame() {
+                Ok(Some(frame)) => frame,
+                Ok(None) => break,
+                Err(_) => return, // oversized frame
+            };
+            let Ok((msg, trace)) = decode_msg_traced::<M>(&frame) else {
+                return; // corrupted stream
+            };
+            stats.received.fetch_add(1, Ordering::Relaxed);
+            stats.telemetry.add("xft_net_frames_received_total", 1);
+            stats.telemetry.gauge_add("xft_net_inbox_depth", 1);
+            if inbox.send((from, msg, trace)).is_err() {
+                return; // runtime gone
             }
-            list.retain(|c| !c.dead);
-        }
-        if progress {
-            idle_passes = 0;
-            continue;
-        }
-        // Tiered adaptive idle. Yields donate the core to whoever produces
-        // the next frame (on a single-core host that is the protocol thread
-        // or a peer process), so short gaps — a lone client's think time —
-        // stay on the cheap path. Only a connection quiet for a few
-        // milliseconds earns real sleeps; a truly idle node converges to one
-        // sweep per 500 µs, which is noise.
-        idle_passes = idle_passes.saturating_add(1);
-        if idle_passes < 64 {
-            std::thread::yield_now();
-        } else if idle_passes < 128 {
-            std::thread::sleep(Duration::from_micros(50));
-        } else {
-            std::thread::sleep(Duration::from_micros(500));
         }
     }
 }
 
-/// Drains whatever `conn`'s socket has buffered: finish the handshake first,
-/// then decode complete frames into the inbox. Marks the connection dead on
-/// EOF, I/O error, protocol mismatch or a corrupt/oversized frame.
-fn pump_conn<M: WireDecode>(
-    conn: &mut ReaderConn,
-    chunk: &mut [u8],
-    inbox: &SyncSender<(NodeId, M, Option<TraceContext>)>,
-    stats: &TransportStats,
-) -> Pump {
-    let mut progress = false;
-    loop {
-        if conn.dead {
-            return if progress { Pump::Progress } else { Pump::Idle };
-        }
-        // Handshake phase: accumulate the fixed-size hello.
-        if conn.from.is_none() {
-            match conn.stream.read(&mut conn.hello[conn.hello_have..]) {
-                Ok(0) => conn.dead = true, // peer went away before identifying
-                Ok(n) => {
-                    progress = true;
-                    conn.hello_have += n;
-                    if conn.hello_have == HELLO_LEN {
-                        match parse_hello(&conn.hello) {
-                            Some(from) => conn.from = Some(from),
-                            None => conn.dead = true, // wrong protocol
-                        }
-                    }
-                }
-                Err(e) if is_timeout(&e) => {
-                    return if progress { Pump::Progress } else { Pump::Idle }
-                }
-                Err(_) => conn.dead = true,
-            }
-            continue;
-        }
-        let from = conn.from.expect("handshake complete");
-        match conn.stream.read(chunk) {
-            Ok(0) => conn.dead = true, // EOF: peer closed
-            Ok(n) => {
-                progress = true;
-                conn.frames.extend(&chunk[..n]);
-                loop {
-                    match conn.frames.next_frame() {
-                        Ok(Some(frame)) => match decode_msg_traced::<M>(&frame) {
-                            Ok((msg, trace)) => {
-                                stats.received.fetch_add(1, Ordering::Relaxed);
-                                stats.telemetry.add("xft_net_frames_received_total", 1);
-                                stats.telemetry.gauge_add("xft_net_inbox_depth", 1);
-                                if inbox.send((from, msg, trace)).is_err() {
-                                    return Pump::InboxGone; // runtime gone
-                                }
-                            }
-                            Err(_) => {
-                                conn.dead = true; // corrupted stream
-                                break;
-                            }
-                        },
-                        Ok(None) => break,
-                        Err(_) => {
-                            conn.dead = true; // oversized frame
-                            break;
-                        }
-                    }
-                }
-            }
-            Err(e) if is_timeout(&e) => return if progress { Pump::Progress } else { Pump::Idle },
-            Err(_) => conn.dead = true,
+/// Blocks until `stream` yields bytes. `None` on EOF, on an I/O error and
+/// once shutdown is requested.
+fn read_some(stream: &mut TcpStream, buf: &mut [u8], shutdown: &AtomicBool) -> Option<usize> {
+    while !shutdown.load(Ordering::Relaxed) {
+        match stream.read(buf) {
+            Ok(0) => return None,
+            Ok(n) => return Some(n),
+            Err(e) if is_timeout(&e) => {}
+            Err(_) => return None,
         }
     }
+    None
 }
 
 fn is_timeout(e: &std::io::Error) -> bool {
@@ -801,6 +519,107 @@ fn is_timeout(e: &std::io::Error) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::net::SocketAddr;
+    use std::sync::mpsc::{sync_channel, Receiver};
+
+    const MAX_FRAME: usize = 1 << 20;
+
+    /// An acceptor on an ephemeral loopback port, decoding `u64` frames.
+    struct Listening {
+        addr: SocketAddr,
+        rx: Receiver<(NodeId, u64, Option<TraceContext>)>,
+        readers: Arc<Mutex<Vec<JoinHandle<()>>>>,
+        accept: JoinHandle<()>,
+    }
+
+    fn listen(node: NodeId, shutdown: &Arc<AtomicBool>, stats: &Arc<TransportStats>) -> Listening {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let readers = Arc::new(Mutex::new(Vec::new()));
+        let (tx, rx) = sync_channel(64);
+        let accept = spawn_acceptor::<u64>(
+            node,
+            listener,
+            tx,
+            shutdown.clone(),
+            stats.clone(),
+            readers.clone(),
+            MAX_FRAME,
+        );
+        Listening {
+            addr,
+            rx,
+            readers,
+            accept,
+        }
+    }
+
+    impl Listening {
+        /// The next `count` values, each of which must come from node `from`.
+        fn take(&self, from: NodeId, count: usize) -> Vec<u64> {
+            (0..count)
+                .map(|_| {
+                    let (sender, v, trace) = self
+                        .rx
+                        .recv_timeout(Duration::from_secs(5))
+                        .expect("frame arrives");
+                    assert_eq!(sender, from);
+                    assert_eq!(trace, None, "plain encode carries no trace context");
+                    v
+                })
+                .collect()
+        }
+
+        /// Joins the accept thread and every reader (set `shutdown` first).
+        fn join(self) {
+            self.accept.join().unwrap();
+            for h in self.readers.lock().unwrap().drain(..) {
+                h.join().unwrap();
+            }
+        }
+    }
+
+    /// A raw client connection that has written `hello`.
+    fn dial(addr: SocketAddr, hello: &[u8]) -> TcpStream {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.set_nodelay(true).unwrap();
+        stream.write_all(hello).unwrap();
+        stream
+    }
+
+    fn frame(v: u64) -> Vec<u8> {
+        xft_wire::frame_bytes(&xft_wire::encode_msg_vec(&v))
+    }
+
+    /// Whether the far side has closed `stream` (EOF or reset) within 5 s.
+    fn is_closed(mut stream: TcpStream) -> bool {
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        match stream.read(&mut [0u8; 1]) {
+            Ok(n) => n == 0,
+            Err(e) => !is_timeout(&e),
+        }
+    }
+
+    /// A loopback address nothing listens on.
+    fn dead_addr() -> SocketAddr {
+        TcpListener::bind("127.0.0.1:0")
+            .unwrap()
+            .local_addr()
+            .unwrap()
+    }
+
+    fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
+        let start = Instant::now();
+        while !done() {
+            assert!(
+                start.elapsed() < Duration::from_secs(10),
+                "timed out: {what}"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
 
     #[test]
     fn hello_round_trips_and_rejects_garbage() {
@@ -815,201 +634,197 @@ mod tests {
     }
 
     #[test]
-    fn link_delivers_frames_to_reader() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let book = AddressBook::new([(1usize, addr)]);
+    fn writer_delivers_frames_to_each_peer_in_order() {
+        // Two listening peers behind the one writer thread; every frame must
+        // arrive in per-peer order.
         let shutdown = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(TransportStats::default());
-        let readers = Arc::new(Mutex::new(Vec::new()));
-        let (tx, rx) = sync_channel::<(NodeId, u64, Option<TraceContext>)>(64);
-        let accept = spawn_acceptor::<u64>(
-            1,
-            listener,
-            tx,
-            shutdown.clone(),
-            stats.clone(),
-            readers.clone(),
-            1 << 20,
-        );
-
-        let link = PeerLink::spawn(
-            0,
-            1,
-            book,
-            shutdown.clone(),
-            stats.clone(),
-            64,
-            Duration::from_millis(100),
-        );
-        for v in [7u64, 8, 9] {
-            link.send(xft_wire::encode_msg_vec(&v));
-        }
-        let mut got = Vec::new();
-        for _ in 0..3 {
-            let (from, v, trace) = rx
-                .recv_timeout(Duration::from_secs(5))
-                .expect("frame arrives");
-            assert_eq!(from, 0);
-            assert_eq!(trace, None, "plain encode carries no trace context");
-            got.push(v);
-        }
-        assert_eq!(got, vec![7, 8, 9]);
-
-        shutdown.store(true, Ordering::Relaxed);
-        link.join();
-        accept.join().unwrap();
-        for h in readers.lock().unwrap().drain(..) {
-            h.join().unwrap();
-        }
-        assert_eq!(stats.sent.load(Ordering::Relaxed), 3);
-        assert_eq!(stats.received.load(Ordering::Relaxed), 3);
-    }
-
-    #[test]
-    fn writer_pool_delivers_frames_across_shards() {
-        // Two listening peers spread over two shards; every frame must arrive
-        // in per-peer order through the shared event-loop reader.
-        let mut books = Vec::new();
-        let mut rxs = Vec::new();
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let stats = Arc::new(TransportStats::default());
-        let readers = Arc::new(Mutex::new(Vec::new()));
-        let mut accepts = Vec::new();
-        for peer in [1usize, 2] {
-            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-            books.push((peer, listener.local_addr().unwrap()));
-            let (tx, rx) = sync_channel::<(NodeId, u64, Option<TraceContext>)>(64);
-            accepts.push(spawn_acceptor::<u64>(
-                peer,
-                listener,
-                tx,
-                shutdown.clone(),
-                stats.clone(),
-                readers.clone(),
-                1 << 20,
-            ));
-            rxs.push(rx);
-        }
-        let book = AddressBook::new(books);
-        let mut pool = WriterPool::new(
+        let peers = [listen(1, &shutdown, &stats), listen(2, &shutdown, &stats)];
+        let book = AddressBook::new([(1usize, peers[0].addr), (2, peers[1].addr)]);
+        let writer = Writer::new(
             0,
             book,
             shutdown.clone(),
             stats.clone(),
-            2,
-            64,
             Duration::from_millis(100),
         );
-        let senders: Vec<PeerSender> = [1usize, 2].iter().map(|&p| pool.sender(p)).collect();
+        let senders = [writer.sender(1), writer.sender(2)];
         for v in 0..10u64 {
             senders[(v % 2) as usize].send(xft_wire::encode_msg_vec(&v));
         }
-        for (i, rx) in rxs.iter().enumerate() {
-            let mut got = Vec::new();
-            for _ in 0..5 {
-                let (from, v, _) = rx.recv_timeout(Duration::from_secs(5)).expect("frame");
-                assert_eq!(from, 0);
-                got.push(v);
-            }
+        for (i, peer) in peers.iter().enumerate() {
             let expect: Vec<u64> = (0..10).filter(|v| (v % 2) as usize == i).collect();
-            assert_eq!(got, expect, "per-peer order preserved");
+            assert_eq!(peer.take(0, 5), expect, "per-peer order preserved");
         }
-        pool.join();
+        writer.join();
         shutdown.store(true, Ordering::Relaxed);
-        for a in accepts {
-            a.join().unwrap();
-        }
-        for h in readers.lock().unwrap().drain(..) {
-            h.join().unwrap();
+        for peer in peers {
+            peer.join();
         }
         assert_eq!(stats.sent.load(Ordering::Relaxed), 10);
         assert_eq!(stats.received.load(Ordering::Relaxed), 10);
     }
 
     #[test]
-    fn writer_pool_drops_frames_for_unreachable_peer() {
-        let dead = {
-            let l = TcpListener::bind("127.0.0.1:0").unwrap();
-            l.local_addr().unwrap()
-        };
-        let book = AddressBook::new([(1usize, dead)]);
+    fn writer_drops_frames_for_unreachable_peer() {
+        let book = AddressBook::new([(1usize, dead_addr())]);
         let shutdown = Arc::new(AtomicBool::new(false));
+        // Telemetry-backed stats: every drop must also land in the shared
+        // xft_net_dropped_total counter, not just the per-cause raw counters.
         let stats = Arc::new(TransportStats::with_telemetry(Telemetry::enabled()));
-        let mut pool = WriterPool::new(
-            0,
-            book,
-            shutdown.clone(),
-            stats.clone(),
-            1,
-            4,
-            Duration::from_millis(50),
-        );
-        let sender = pool.sender(1);
+        let writer = Writer::new(0, book, shutdown, stats.clone(), Duration::from_millis(50));
+        let sender = writer.sender(1);
         for v in 0..20u64 {
             sender.send(xft_wire::encode_msg_vec(&v));
         }
-        let start = Instant::now();
-        while stats.dropped_unreachable.load(Ordering::Relaxed)
-            + stats.dropped_full.load(Ordering::Relaxed)
-            < 20
-            && start.elapsed() < Duration::from_secs(5)
-        {
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        let dropped = stats.dropped_unreachable.load(Ordering::Relaxed)
-            + stats.dropped_full.load(Ordering::Relaxed);
-        assert_eq!(dropped, 20, "all frames dropped, none delivered");
+        wait_until("all frames dropped", || {
+            stats.dropped_unreachable.load(Ordering::Relaxed) == 20
+        });
         assert_eq!(
             stats.telemetry.counter("xft_net_dropped_total").get(),
             20,
             "drops must feed the shared xft_net_dropped_total series"
         );
-        pool.join();
+        writer.join();
+        assert_eq!(stats.sent.load(Ordering::Relaxed), 0, "none delivered");
     }
 
     #[test]
-    fn unreachable_peer_drops_frames_without_blocking() {
-        // Reserve a port and close it so nothing is listening there.
-        let dead = {
-            let l = TcpListener::bind("127.0.0.1:0").unwrap();
-            l.local_addr().unwrap()
-        };
-        let book = AddressBook::new([(1usize, dead)]);
+    fn dead_peer_does_not_stall_frames_to_a_live_one() {
         let shutdown = Arc::new(AtomicBool::new(false));
-        // Telemetry-backed stats: every drop — queue overflow or unreachable
-        // peer — must also land in the shared xft_net_dropped_total counter,
-        // not just the per-cause raw counters (the silent-drop accounting fix).
-        let stats = Arc::new(TransportStats::with_telemetry(Telemetry::enabled()));
-        let link = PeerLink::spawn(
+        let stats = Arc::new(TransportStats::default());
+        let live = listen(2, &shutdown, &stats);
+        let book = AddressBook::new([(1usize, dead_addr()), (2, live.addr)]);
+        // A back-off longer than the test: after the first refused connect
+        // the dead peer's frames are dropped without another attempt.
+        let writer = Writer::new(
             0,
-            1,
             book,
             shutdown.clone(),
             stats.clone(),
-            4,
-            Duration::from_millis(50),
+            Duration::from_secs(60),
         );
-        for v in 0..20u64 {
-            link.send(xft_wire::encode_msg_vec(&v));
+        let (to_dead, to_live) = (writer.sender(1), writer.sender(2));
+        for v in 0..50u64 {
+            to_dead.send(xft_wire::encode_msg_vec(&v));
+            to_live.send(xft_wire::encode_msg_vec(&v));
         }
+        assert_eq!(live.take(0, 50), (0..50).collect::<Vec<u64>>());
+        writer.join();
+        assert_eq!(stats.sent.load(Ordering::Relaxed), 50);
+        assert_eq!(stats.dropped_unreachable.load(Ordering::Relaxed), 50);
+        shutdown.store(true, Ordering::Relaxed);
+        live.join();
+    }
+
+    #[test]
+    fn full_queue_drops_with_accounting_and_never_blocks_the_sender() {
+        // A peer that accepts and never reads: once the socket buffers fill,
+        // the writer blocks in `write`, its queue stops draining and fills.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let book = AddressBook::new([(1usize, listener.local_addr().unwrap())]);
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let stats = Arc::new(TransportStats::with_telemetry(Telemetry::enabled()));
+        let writer = Writer::new(0, book, shutdown, stats.clone(), Duration::from_millis(50));
+        let sender = writer.sender(1);
+        let payload = vec![0u8; 1024];
         let start = Instant::now();
-        while stats.dropped_unreachable.load(Ordering::Relaxed)
-            + stats.dropped_full.load(Ordering::Relaxed)
-            < 20
-            && start.elapsed() < Duration::from_secs(5)
-        {
-            std::thread::sleep(Duration::from_millis(10));
+        let mut pushed = 0u64;
+        while stats.dropped_full.load(Ordering::Relaxed) == 0 {
+            assert!(pushed < 200_000, "queue never filled");
+            sender.send(payload.clone());
+            pushed += 1;
         }
-        let dropped = stats.dropped_unreachable.load(Ordering::Relaxed)
-            + stats.dropped_full.load(Ordering::Relaxed);
-        assert_eq!(dropped, 20, "all frames dropped, none delivered");
+        assert!(
+            start.elapsed() < Duration::from_secs(5),
+            "send blocked on a stalled peer"
+        );
+        let (unread, _) = listener.accept().unwrap();
+        // Closing with unread data resets the connection: the blocked write
+        // fails, the reconnect is refused, and whatever is left is dropped.
+        drop((unread, listener));
+        writer.join();
+        let count = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        let dropped = count(&stats.dropped_full) + count(&stats.dropped_unreachable);
+        assert_eq!(
+            count(&stats.sent) + dropped,
+            pushed,
+            "every frame is either written or counted as dropped"
+        );
         assert_eq!(
             stats.telemetry.counter("xft_net_dropped_total").get(),
-            20,
-            "drops must feed the shared xft_net_dropped_total series"
+            dropped
         );
+        assert_eq!(stats.telemetry.gauge("xft_net_outq_depth").get(), 0);
+    }
+
+    #[test]
+    fn bad_input_closes_only_its_own_connection() {
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let stats = Arc::new(TransportStats::default());
+        let node = listen(9, &shutdown, &stats);
+
+        // Four ways to misbehave, opened before the well-behaved connection.
+        let stalled = dial(node.addr, &hello_bytes(1)[..5]);
+        let mut wrong_magic = hello_bytes(2);
+        wrong_magic[0] = b'?';
+        let wrong_magic = dial(node.addr, &wrong_magic);
+        let mut oversized = dial(node.addr, &hello_bytes(3));
+        oversized
+            .write_all(&(MAX_FRAME as u32 + 1).to_le_bytes())
+            .unwrap();
+        let mut undecodable = dial(node.addr, &hello_bytes(4));
+        undecodable
+            .write_all(&xft_wire::frame_bytes(b"not an envelope"))
+            .unwrap();
+
+        // The good connection's hello arrives in two pieces.
+        let hello = hello_bytes(5);
+        let mut good = dial(node.addr, &hello[..7]);
+        good.write_all(&hello[7..]).unwrap();
+        for v in 0..20u64 {
+            good.write_all(&frame(v)).unwrap();
+        }
+        assert_eq!(node.take(5, 20), (0..20).collect::<Vec<u64>>());
+        assert!(node.rx.try_recv().is_err(), "a bad connection delivered");
+
+        assert!(is_closed(wrong_magic), "wrong-magic socket left open");
+        assert!(is_closed(oversized), "oversized-frame socket left open");
+        assert!(is_closed(undecodable), "undecodable-frame socket left open");
+        // The stalled one is merely slow: it stays open, and it still works.
+        let mut stalled = stalled;
+        stalled.write_all(&hello_bytes(1)[5..]).unwrap();
+        stalled.write_all(&frame(77)).unwrap();
+        assert_eq!(node.take(1, 1), vec![77]);
+
         shutdown.store(true, Ordering::Relaxed);
-        link.join();
+        node.join();
+        assert_eq!(stats.received.load(Ordering::Relaxed), 21);
+    }
+
+    #[test]
+    fn reconnect_churn_keeps_the_reader_list_bounded() {
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let stats = Arc::new(TransportStats::default());
+        let node = listen(9, &shutdown, &stats);
+        for cycle in 0..50u64 {
+            let mut conn = dial(node.addr, &hello_bytes(1));
+            for v in 0..3 {
+                conn.write_all(&frame(cycle * 3 + v)).unwrap();
+            }
+            // Closed right after the write: the reader must still deliver
+            // what was sent before it sees the EOF.
+            drop(conn);
+            let expect: Vec<u64> = (0..3).map(|v| cycle * 3 + v).collect();
+            assert_eq!(node.take(1, 3), expect);
+        }
+        // Finished handles go on the next accept; each probe is one.
+        wait_until("finished reader handles pruned", || {
+            drop(dial(node.addr, &hello_bytes(1)));
+            node.readers.lock().unwrap().len() <= 2
+        });
+        shutdown.store(true, Ordering::Relaxed);
+        node.join();
+        assert_eq!(stats.received.load(Ordering::Relaxed), 150);
     }
 }

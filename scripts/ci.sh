@@ -43,9 +43,19 @@ benchmark/check.sh
 echo "==> quickstart example exits 0"
 cargo run --offline --release --example quickstart >/dev/null
 
-echo "==> loopback TCP smoke: 3 xpaxos-servers + 1 xpaxos-client"
+echo "==> loopback TCP smoke: 3 xpaxos-servers + 1 xpaxos-client, then the idle servers must each use < 2 % of a core"
 # Ephemeral-ish port block; one retry with a different base absorbs the rare
 # collision with another process.
+#
+# The idle-cost part is what the benchmark's net.idle_cpu_cores probe
+# measures, without a benchmark run: a transport thread that polls instead of
+# blocking shows up here. Once the client has committed and exited, the
+# servers settle for 1 s, then each one's utime + stime (/proc/<pid>/stat
+# fields 14 and 15, clock ticks) is read twice, 2 s apart.
+cpu_ticks() {
+    # The comm field may hold spaces: count fields from the closing paren.
+    sed 's/.*) //' "/proc/$1/stat" | awk '{ print $12 + $13 }'
+}
 smoke() {
     local base=$1 ops=50
     local addrs="127.0.0.1:${base},127.0.0.1:$((base + 1)),127.0.0.1:$((base + 2)),127.0.0.1:$((base + 3))"
@@ -58,6 +68,18 @@ smoke() {
     local ok=0
     if target/release/xpaxos-client --id 0 "${flags[@]}" --ops "$ops" --payload 256 --timeout-secs 60; then
         ok=1
+        sleep 1
+        local before=() hz pid used_ms
+        hz=$(getconf CLK_TCK)
+        for pid in "${pids[@]}"; do before+=("$(cpu_ticks "$pid")"); done
+        sleep 2
+        for id in 0 1 2; do
+            used_ms=$(( ($(cpu_ticks "${pids[id]}") - before[id]) * 1000 / hz ))
+            echo "idle-cost smoke: server $id used ${used_ms} ms of CPU in 2 s (bar: 40)"
+            if [ "$used_ms" -gt 40 ]; then
+                ok=0
+            fi
+        done
     fi
     kill "${pids[@]}" 2>/dev/null || true
     wait "${pids[@]}" 2>/dev/null || true
@@ -274,7 +296,7 @@ echo "==> perf smoke: 64 muxed clients must beat 5x the seed's loopback throughp
 # the pipelined front-end lands ~35k on an idle single-core container. The 5x
 # bar (1900 ops/s) is deliberately far below the measured number so CI noise
 # cannot flake it, while still catching any order-of-magnitude regression in
-# the batched-verify/ordering/writer-pool path. Results land in
+# the batched-verify/ordering/writer path. Results land in
 # BENCH_loopback.json for the experiment log.
 smoke_perf() {
     local base=$1 clients=64 ops=500

@@ -6,15 +6,13 @@
 
 use xft::core::client::ClientWorkload;
 use xft::core::harness::{ClusterBuilder, LatencySpec, XPaxosCluster};
-use xft::core::pipeline::FrontMode;
 use xft::crypto::Digest;
-use xft::simnet::{FaultEvent, SimDuration, SimTime};
+use xft::simnet::{FaultEvent, PipelineConfig, SimDuration, SimTime};
 
-/// Builds a cluster with a randomized-latency workload; everything depends only
-/// on `seed` (and the crypto front mode, which determinism tests pin as
-/// trace-neutral).
-fn build_with_front(seed: u64, front: Option<FrontMode>) -> XPaxosCluster {
-    let mut builder = ClusterBuilder::new(1, 3)
+/// A cluster with a randomized-latency workload; everything depends only on
+/// `seed` and the client count.
+fn builder(seed: u64, clients: usize) -> ClusterBuilder {
+    ClusterBuilder::new(1, clients)
         .with_seed(seed)
         .with_latency(LatencySpec::Uniform(
             SimDuration::from_millis(2),
@@ -24,15 +22,11 @@ fn build_with_front(seed: u64, front: Option<FrontMode>) -> XPaxosCluster {
             payload_size: 256,
             requests: Some(40),
             ..Default::default()
-        });
-    if let Some(mode) = front {
-        builder = builder.with_crypto_front(mode);
-    }
-    builder.build()
+        })
 }
 
 fn build(seed: u64) -> XPaxosCluster {
-    build_with_front(seed, None)
+    builder(seed, 3).build()
 }
 
 /// A digest of one replica's committed log: every (sequence number, batch
@@ -117,16 +111,21 @@ fn faulty_script() -> xft::simnet::FaultScript {
         .at_secs_f64(11.0, FaultEvent::Control(2, 5)) // amnesia
 }
 
-/// The crypto front-end in its enabled-but-synchronous mode (`Pool(0)`) runs
-/// the exact queuing/accounting code paths of the worker pool but executes
-/// jobs inline — so a simulated cluster with the front enabled must produce
-/// byte-identical traces and an identical metrics fingerprint to one running
-/// `Inline`. This is the contract that lets `xpaxos-server --crypto-workers`
-/// ship without forking the protocol logic between simulation and deployment.
+/// The crypto front is synchronous at its API: with two workers batches are
+/// scattered across real threads and gathered again, yet a simulated cluster
+/// must produce byte-identical traces and an identical metrics fingerprint to
+/// one doing all crypto on the protocol thread. This is the contract that
+/// lets `xpaxos-server --crypto-workers` ship without forking the protocol
+/// logic between simulation and deployment.
 #[test]
-fn synchronous_crypto_front_is_trace_identical_to_inline() {
-    let run = |front: Option<FrontMode>| {
-        let mut cluster = build_with_front(0xF207_7E57, front);
+fn pooled_crypto_front_is_trace_identical_to_inline() {
+    let run = |workers: usize| {
+        // Many clients behind one batch in flight: batches outgrow a single
+        // verification chunk, so the pool really scatters them.
+        let mut cluster = builder(0xF207_7E57, 24)
+            .with_pipeline(PipelineConfig::default().with_max_in_flight(1))
+            .with_crypto_workers(workers)
+            .build();
         cluster.sim.schedule_fault_script(faulty_script());
         cluster.run_for(SimDuration::from_secs(30));
         cluster.check_total_order().expect("total order");
@@ -139,17 +138,22 @@ fn synchronous_crypto_front_is_trace_identical_to_inline() {
                 .map(|r| cluster.replica(r).state_digest())
                 .collect::<Vec<_>>(),
             cluster.sim.metrics().fingerprint(),
+            cluster.sim.metrics().counter("batches_proposed"),
         )
     };
-    let inline = run(Some(FrontMode::Inline));
-    let front = run(Some(FrontMode::Pool(0)));
-    let default = run(None);
+    let inline = run(0);
+    let pooled = run(2);
     assert!(inline.0 > 0, "workload never committed");
-    assert_eq!(
-        inline, front,
-        "enabled-but-synchronous crypto front diverged from inline execution"
+    assert!(
+        inline.0 > 4 * inline.4,
+        "batches too small to scatter: {} commits in {} batches",
+        inline.0,
+        inline.4
     );
-    assert_eq!(inline, default, "explicit Inline diverged from the default");
+    assert_eq!(
+        inline, pooled,
+        "a crypto front with workers diverged from inline execution"
+    );
 }
 
 #[test]

@@ -13,7 +13,7 @@ use xft::telemetry::Telemetry;
 use xft::testing::check;
 
 /// Satellite (parallel front-end PR): the three series the pipeline stages
-/// report — crypto queue depth, batch-verify latency, writer-shard queue
+/// report — crypto queue depth, batch-verify latency, outbound queue
 /// depth — must land in the shared hub and therefore in the `/metrics`
 /// scrape (the HTTP endpoint serves exactly `render_prometheus()`).
 #[test]
@@ -21,10 +21,10 @@ fn pipeline_stage_series_appear_in_the_metrics_scrape() {
     use std::net::TcpListener;
     use std::sync::atomic::AtomicBool;
     use xft::core::messages::client_request_digest;
-    use xft::core::pipeline::{CryptoFront, FrontMode};
+    use xft::core::pipeline::CryptoFront;
     use xft::core::types::{client_key, ClientId, Request};
     use xft::crypto::{KeyRegistry, Signer, Verifier};
-    use xft::net::transport::{TransportStats, WriterPool};
+    use xft::net::transport::{TransportStats, Writer};
     use xft::net::AddressBook;
 
     let hub = Telemetry::enabled();
@@ -45,7 +45,7 @@ fn pipeline_stage_series_appear_in_the_metrics_scrape() {
             (req, sig)
         })
         .unzip();
-    let front = CryptoFront::new(FrontMode::Pool(2), Arc::clone(&hub));
+    let front = CryptoFront::new(2, Arc::clone(&hub));
     let verifier = Verifier::new(registry);
     assert_eq!(
         front.verify_client_sigs(&verifier, &requests, &sigs),
@@ -61,7 +61,7 @@ fn pipeline_stage_series_appear_in_the_metrics_scrape() {
         "crypto queue depth must return to zero once the batch drains"
     );
 
-    // Transport stage: enqueueing on a writer shard bumps the shard-depth
+    // Transport stage: enqueueing for a peer bumps the outbound-queue depth
     // gauge; the drain (delivery or drop) takes it back down.
     let dead = {
         let l = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -70,23 +70,23 @@ fn pipeline_stage_series_appear_in_the_metrics_scrape() {
     let book = AddressBook::new([(1usize, dead)]);
     let shutdown = Arc::new(AtomicBool::new(false));
     let stats = Arc::new(TransportStats::with_telemetry(Arc::clone(&hub)));
-    let mut pool = WriterPool::new(0, book, shutdown, stats, 1, 8, Duration::from_millis(10));
-    let sender = pool.sender(1);
+    let writer = Writer::new(0, book, shutdown, stats, Duration::from_millis(10));
+    let sender = writer.sender(1);
     for v in 0..4u64 {
         sender.send(xft::wire::encode_msg_vec(&v));
     }
-    pool.join();
+    writer.join();
     assert_eq!(
-        hub.gauge("xft_net_writer_shard_depth").get(),
+        hub.gauge("xft_net_outq_depth").get(),
         0,
-        "writer shard depth must return to zero once the pool drains"
+        "outbound queue depth must return to zero once the writer drains"
     );
 
     let scrape = hub.render_prometheus();
     for series in [
         "xft_crypto_queue_depth",
         "xft_crypto_verify_seconds",
-        "xft_net_writer_shard_depth",
+        "xft_net_outq_depth",
     ] {
         assert!(
             scrape.contains(series),
