@@ -81,9 +81,11 @@ pub struct RunSpec {
     pub seed: u64,
     /// Batch size (20 in the paper).
     pub batch_size: usize,
-    /// Request-path pipelining (XPaxos only; the baselines keep the seed's
-    /// stop-and-wait request path, so figure comparisons default to
-    /// [`PipelineConfig::stop_and_wait`] for apples-to-apples curves).
+    /// Request-path pipelining (XPaxos only). The baselines' leaders propose
+    /// every queued request at once with no in-flight limit, so figure
+    /// comparisons default to the pipelined [`PipelineConfig::default`]:
+    /// stop-and-wait XPaxos against pipelining baselines would put a
+    /// one-batch-per-round-trip knee on the XPaxos curve alone.
     pub pipeline: PipelineConfig,
 }
 
@@ -102,7 +104,7 @@ impl RunSpec {
             uplink: Bandwidth::mbps(1000.0),
             seed: 7,
             batch_size: 20,
-            pipeline: PipelineConfig::stop_and_wait(),
+            pipeline: PipelineConfig::default(),
         }
     }
 }
@@ -218,18 +220,19 @@ mod tests {
 
     #[test]
     fn xpaxos_and_paxos_have_similar_latency_and_beat_pbft() {
-        // A scaled-down Figure 7a point: 20 clients, 1 kB requests, Table 4 placement.
-        let result_for = |p: ProtocolUnderTest| {
-            let mut spec = RunSpec::micro(p, 1, 20, 1024);
+        // Scaled-down Figure 7a points: 1 kB requests, Table 4 placement.
+        let result_for = |p: ProtocolUnderTest, clients: usize| {
+            let mut spec = RunSpec::micro(p, 1, clients, 1024);
             spec.duration = SimDuration::from_secs(5);
             spec.warmup = SimDuration::from_secs(1);
             run(&spec)
         };
-        let xpaxos = result_for(ProtocolUnderTest::XPaxos);
-        let paxos = result_for(ProtocolUnderTest::Baseline(BaselineProtocol::PaxosWan));
-        let pbft = result_for(ProtocolUnderTest::Baseline(
-            BaselineProtocol::PbftSpeculative,
-        ));
+        let xpaxos = result_for(ProtocolUnderTest::XPaxos, 20);
+        let paxos = result_for(ProtocolUnderTest::Baseline(BaselineProtocol::PaxosWan), 20);
+        let pbft = result_for(
+            ProtocolUnderTest::Baseline(BaselineProtocol::PbftSpeculative),
+            20,
+        );
         assert!(xpaxos.committed > 0 && paxos.committed > 0 && pbft.committed > 0);
         // XPaxos and Paxos both need one CA↔VA round trip: within 25 ms of each other.
         assert!(
@@ -240,6 +243,24 @@ mod tests {
         );
         // PBFT's cohort includes Tokyo, so it must be clearly slower.
         assert!(pbft.mean_latency_ms > xpaxos.mean_latency_ms + 20.0);
+
+        // At 200 clients the backlog exceeds 8 in-flight batches × 20, which
+        // is where a per-batch request cap or a stop-and-wait XPaxos would
+        // fall off the Paxos curve; both still need one round trip.
+        let xpaxos = result_for(ProtocolUnderTest::XPaxos, 200);
+        let paxos = result_for(ProtocolUnderTest::Baseline(BaselineProtocol::PaxosWan), 200);
+        assert!(
+            xpaxos.throughput_kops >= 0.8 * paxos.throughput_kops,
+            "200 clients: XPaxos {:.2} kops/s vs Paxos {:.2} kops/s",
+            xpaxos.throughput_kops,
+            paxos.throughput_kops
+        );
+        assert!(
+            (xpaxos.mean_latency_ms - paxos.mean_latency_ms).abs() < 25.0,
+            "200 clients: XPaxos {} ms vs Paxos {} ms",
+            xpaxos.mean_latency_ms,
+            paxos.mean_latency_ms
+        );
     }
 
     #[test]

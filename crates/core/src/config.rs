@@ -3,6 +3,14 @@
 use crate::types::ReplicaId;
 use xft_simnet::{NodeId, PipelineConfig, SimDuration};
 
+/// Byte budget of one proposed batch, in [`Batch::wire_size`](crate::Batch::wire_size)
+/// terms (1 MiB): when the primary cuts a batch it takes every queued request
+/// up to this size. A sixteenth of the frame limit, so a PREPARE or
+/// COMMIT-CARRY carrying a full batch plus its client signatures always fits
+/// one frame; the queue itself is bounded by
+/// [`PipelineConfig::max_pending_requests`].
+pub const MAX_BATCH_BYTES: usize = xft_wire::DEFAULT_MAX_FRAME / 16;
+
 /// Configuration shared by every XPaxos replica and client in a cluster.
 #[derive(Debug, Clone)]
 pub struct XPaxosConfig {
@@ -12,9 +20,15 @@ pub struct XPaxosConfig {
     /// delivered and processed within Δ (paper §2). The view-change collection window
     /// is 2Δ.
     pub delta: SimDuration,
-    /// Maximum number of requests the primary packs into one batch (paper uses 20).
+    /// Batch cut threshold (paper uses 20): the primary cuts a batch as soon
+    /// as this many requests are queued (or the pipe is idle, or the batch
+    /// timer fires). A cut carries *every* request queued at that moment, up
+    /// to [`MAX_BATCH_BYTES`], so a backlog that built up behind a full
+    /// in-flight window leaves in one proposal instead of one `batch_size`
+    /// per commit round.
     pub batch_size: usize,
-    /// How long the primary waits to fill a batch before sending a partial one.
+    /// How long the primary waits to reach the cut threshold before cutting
+    /// a partial batch.
     pub batch_timeout: SimDuration,
     /// Checkpoint interval (in sequence numbers). 0 disables checkpointing.
     pub checkpoint_interval: u64,
@@ -116,7 +130,7 @@ impl XPaxosConfig {
         self
     }
 
-    /// Sets the batch size.
+    /// Sets the batch cut threshold (see [`XPaxosConfig::batch_size`]).
     pub fn with_batch_size(mut self, batch: usize) -> Self {
         self.batch_size = batch.max(1);
         self

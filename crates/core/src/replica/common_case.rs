@@ -10,6 +10,7 @@
 
 use super::{Phase, Replica, TOKEN_BATCH, TOKEN_MONITOR};
 use crate::byzantine::ByzantineBehavior;
+use crate::config::MAX_BATCH_BYTES;
 use crate::log::{CommitEntry, PrepareEntry};
 use crate::messages::{
     client_request_digest, reply_digest, CommitCarryMsg, CommitMsg, PrepareMsg, ReplyMsg,
@@ -233,6 +234,32 @@ impl Replica {
         }
     }
 
+    /// Hands the requests buffered during a view change to the primary of
+    /// the view this replica just installed as a non-primary, through the
+    /// same forwarding path [`Self::on_client_request`] takes, and drops
+    /// those already executed. A non-primary keeps no admission queue: left
+    /// in place, the buffer would be re-proposed — duplicates costing a
+    /// verify, a sign and batch space — whenever this replica next became
+    /// primary.
+    pub(crate) fn forward_buffered_requests(&mut self, ctx: &mut Context<XPaxosMsg>) {
+        self.queued_keys.clear();
+        let primary = self.node_of(self.groups.primary(self.view));
+        let caller_trace = xft_telemetry::trace::current();
+        let mut traces = std::mem::take(&mut self.pending_traces).into_iter();
+        for req in std::mem::take(&mut self.pending_requests) {
+            let trace = traces.next().unwrap_or(0);
+            let executed = self
+                .client_table
+                .get(&req.request.client)
+                .is_some_and(|r| r.executed(req.request.timestamp));
+            if !executed {
+                xft_telemetry::trace::set_current(trace);
+                ctx.send(primary, XPaxosMsg::Replicate(req));
+            }
+        }
+        xft_telemetry::trace::set_current(caller_trace);
+    }
+
     /// Starts the per-request retransmission monitor if not already running.
     pub(crate) fn monitor_request(
         &mut self,
@@ -290,13 +317,18 @@ impl Replica {
     /// forms batches from the admission queue and proposes them, keeping up to
     /// `pipeline.max_in_flight_batches` sequence numbers in flight.
     ///
-    /// Proposal policy per iteration:
-    /// * a **full** batch goes out immediately;
-    /// * with `adaptive_timeout`, a **partial** batch goes out immediately when
-    ///   nothing is in flight (an idle pipe means waiting buys no batching,
-    ///   only latency — this kills the batch-timeout floor for a lone client);
+    /// When a batch is cut, per iteration:
+    /// * as soon as `batch_size` requests are queued;
+    /// * with `adaptive_timeout`, immediately when nothing is in flight (an
+    ///   idle pipe means waiting buys no batching, only latency — this kills
+    ///   the batch-timeout floor for a lone client);
     /// * otherwise (`force`, i.e. the batch timer fired or a view change
-    ///   handover), partial batches go out regardless.
+    ///   handover), regardless.
+    ///
+    /// What a cut carries: every queued request, up to [`MAX_BATCH_BYTES`].
+    /// Requests that piled up behind a full window therefore leave in the
+    /// next free slot, so throughput is bounded by the offered load rather
+    /// than by `max_in_flight_batches × batch_size` per commit round trip.
     ///
     /// Leftover requests re-arm the batch timer, so a partial batch waits at
     /// most `batch_timeout` even while the pipe is busy.
@@ -316,7 +348,16 @@ impl Replica {
             if !(force || full || immediate) {
                 break;
             }
-            let take = self.pending_requests.len().min(self.config.batch_size);
+            let mut bytes = Batch::default().wire_size();
+            let take = self
+                .pending_requests
+                .iter()
+                .position(|r| {
+                    bytes += r.request.wire_size();
+                    bytes > MAX_BATCH_BYTES
+                })
+                .unwrap_or(self.pending_requests.len())
+                .max(1); // a lone oversized request still leaves
             let chunk: Vec<SignedRequest> = self.pending_requests.drain(..take).collect();
             // The batch inherits the first traced request's correlation id,
             // so the trace crosses the batch-timer hop into the proposal.
@@ -1082,4 +1123,67 @@ pub(crate) fn combine_digests(digests: &[Digest]) -> Digest {
         acc = acc.combine(d);
     }
     acc
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::client::ClientWorkload;
+    use crate::config::MAX_BATCH_BYTES;
+    use crate::harness::{ClusterBuilder, LatencySpec};
+    use std::collections::BTreeSet;
+    use xft_simnet::{PipelineConfig, SimDuration};
+
+    /// A backlog larger than the byte budget is cut into budget-sized
+    /// batches: 4 clients × 128-deep windows of 4 kB requests (2 MiB) queue
+    /// behind a one-batch window, no proposed batch exceeds
+    /// [`MAX_BATCH_BYTES`], the budget is what bounds them, and every
+    /// request is proposed exactly once.
+    #[test]
+    fn backlog_beyond_the_byte_budget_is_cut_at_the_budget() {
+        let (clients, ops) = (4usize, 256u64);
+        let mut cluster = ClusterBuilder::new(1, clients)
+            .with_seed(24)
+            .with_latency(LatencySpec::Constant(SimDuration::from_millis(1)))
+            .with_workload(ClientWorkload {
+                payload_size: 4096,
+                requests: Some(ops),
+                ..Default::default()
+            })
+            .with_pipeline(
+                PipelineConfig::default()
+                    .with_client_window(128)
+                    .with_max_in_flight(1),
+            )
+            .with_config(|c| c.with_checkpoint_interval(0))
+            .build();
+        cluster.run_for(SimDuration::from_secs(30));
+        assert_eq!(cluster.total_committed(), clients as u64 * ops);
+        cluster.check_total_order().expect("total order holds");
+
+        let primary = cluster.replica(0);
+        let largest = primary
+            .commit_log
+            .iter()
+            .map(|e| e.batch.wire_size())
+            .max()
+            .unwrap_or(0);
+        assert!(
+            largest <= MAX_BATCH_BYTES,
+            "a {largest} B batch exceeds the {MAX_BATCH_BYTES} B budget"
+        );
+        assert!(
+            largest > MAX_BATCH_BYTES - 4096 - 16,
+            "largest batch {largest} B: the budget never bound"
+        );
+        let mut seen = BTreeSet::new();
+        for req in primary.commit_log.iter().flat_map(|e| &e.batch.requests) {
+            assert!(
+                seen.insert((req.client, req.timestamp)),
+                "{:?} ts {} proposed twice",
+                req.client,
+                req.timestamp
+            );
+        }
+        assert_eq!(seen.len() as u64, clients as u64 * ops);
+    }
 }

@@ -22,10 +22,12 @@
 //! The pipeline knobs mirror `xft_simnet::PipelineConfig`: `--max-in-flight`
 //! bounds how many batches the primary keeps in flight, `--adaptive 0`
 //! restores the seed's always-wait batch timer, `--max-pending` bounds the
-//! admission queue (overflow is shed with BUSY), `--batch-size` caps requests
-//! per proposed batch (larger batches amortize per-round protocol cost under
-//! many windowed clients), and `--window` is accepted so all cluster
-//! processes can share one flag list.
+//! admission queue (overflow is shed with BUSY), `--batch-size` is the batch
+//! cut threshold (a batch is cut once that many requests are queued, when
+//! the pipe is idle, or when the 2 ms batch timer fires; the cut carries
+//! every queued request up to a 1 MiB byte budget, so a backlog behind a full
+//! in-flight window leaves in one proposal), and `--window` is accepted so
+//! all cluster processes can share one flag list.
 //!
 //! With `--data-dir` the replica runs on durable storage (`xft-store`): every
 //! prepare/commit/view transition is WAL-logged and stable checkpoints

@@ -20,6 +20,15 @@
 //! * **`max_pending_requests`** — bound on the primary's admission queue;
 //!   requests beyond it are shed with a typed busy reply so open-loop clients
 //!   cannot exhaust replica memory.
+//!
+//! Batch length is not a knob here. The protocol's batch size is a *cut
+//! threshold* — a batch is cut once that many requests are queued, when the
+//! pipe is idle (with `adaptive_timeout`), or when the batch timer fires —
+//! and a cut carries every request queued at that moment, up to a fixed byte
+//! budget (`xft_core::config::MAX_BATCH_BYTES`, a sixteenth of the wire frame
+//! limit). Requests that pile up behind `max_in_flight_batches` therefore
+//! leave in the next free slot, and throughput is not capped at
+//! `max_in_flight_batches × batch size` per commit round trip.
 
 /// Tuning knobs of the windowed request pipeline (clients and primary).
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -89,6 +89,69 @@ fn windowed_clients_multiply_throughput() {
     cluster.check_total_order().expect("total order holds");
 }
 
+/// The batch size follows the queue: on a WAN, 200 closed-loop clients keep
+/// more requests queued than 8 in-flight batches × a 20-request cut
+/// threshold, and a cut carries the whole backlog, so the primary is no
+/// longer capped at `8 × 20 / RTT`. Clients sit with the primary (Table-4
+/// placement: CA primary, VA follower, JP passive), as in the paper's
+/// micro-benchmarks — with the same delay on client links too, 200 clients
+/// could not fill 8 × 20 (that needs more than `2 × 8 × 20` of them).
+#[test]
+fn queued_backlog_leaves_in_one_batch_and_lifts_the_window_ceiling() {
+    use xft::chaos::checker::{check_history, decode_history};
+    use xft::chaos::workload::chaos_workload;
+    use xft::simnet::ec2::{ec2_rtt_matrix, table4_placement};
+    use xft::simnet::{Region, SimTime};
+
+    let (clients, batch, in_flight) = (200usize, 20usize, 8usize);
+    let mut cluster = ClusterBuilder::new(1, clients)
+        .with_seed(25)
+        .with_latency(LatencySpec::Ec2 {
+            replica_regions: table4_placement(3),
+            client_region: Region::UsWestCA,
+        })
+        .with_workload_factory(|c| {
+            let mut w = chaos_workload(25, c as u64, 16, 30);
+            w.think_time = SimDuration::ZERO;
+            w
+        })
+        .with_state_machine(|| Box::new(xft::kvstore::CoordinationService::new()))
+        .with_pipeline(PipelineConfig::default().with_max_in_flight(in_flight))
+        .with_config(|c| c.with_batch_size(batch))
+        .build();
+    cluster.run_for(SimDuration::from_secs(10));
+
+    let metrics = cluster.sim.metrics();
+    let ops_per_batch =
+        metrics.committed() as f64 / metrics.counter("batches_proposed").max(1) as f64;
+    assert!(
+        ops_per_batch > batch as f64,
+        "{ops_per_batch:.1} ops per batch: cuts never carried the backlog"
+    );
+    let rtt_s = ec2_rtt_matrix()[Region::UsWestCA.index()][Region::UsEastVA.index()].avg_ms / 1e3;
+    let ceiling = (in_flight * batch) as f64 / rtt_s;
+    let throughput = metrics.throughput_ops(
+        SimTime::ZERO + SimDuration::from_secs(2),
+        SimTime::ZERO + SimDuration::from_secs(10),
+    );
+    assert!(
+        throughput >= 1.05 * ceiling,
+        "{throughput:.0} ops/s is not above the {ceiling:.0} ops/s window ceiling"
+    );
+    assert_eq!(metrics.counter("view_changes_started"), 0);
+
+    cluster.check_total_order().expect("total order holds");
+    let mut ops = Vec::new();
+    for c in 0..clients {
+        ops.extend(decode_history(c as u64, &cluster.client(c).history()));
+    }
+    let violations = check_history(&ops);
+    assert!(
+        violations.is_empty(),
+        "history checker found: {violations:?}"
+    );
+}
+
 /// Property: with jittered links (which reorder proposals and commits),
 /// windowed clients and a deep primary pipeline, every replica still executes
 /// in strict sequence-number order, overlapping histories agree, and replicas
@@ -104,8 +167,9 @@ fn out_of_order_arrivals_execute_in_order_with_identical_digests() {
         let window = rng.usize_in(2, 9);
         let ops = rng.u64_in(20, 41);
         let jitter_ms = rng.u64_in(5, 20);
-        // Small batches keep many proposals in flight concurrently, which is
-        // what makes jittered links actually reorder them.
+        // A low cut threshold keeps many proposals in flight concurrently,
+        // which is what makes jittered links actually reorder them (a cut
+        // still carries every queued request, so batches vary in length).
         let batch_size = rng.usize_in(1, 5);
         let seed = rng.u64_below(1 << 32);
         let mut cluster = ClusterBuilder::new(t, clients)
