@@ -49,7 +49,6 @@ pub struct ClusterBuilder {
     state_factory: Box<dyn Fn() -> Box<dyn StateMachine>>,
     storage_factory: Option<StorageFactory>,
     telemetry_factory: Option<TelemetryFactory>,
-    crypto_workers: usize,
     evidence: bool,
 }
 
@@ -77,7 +76,6 @@ impl ClusterBuilder {
             state_factory: Box::new(|| Box::new(DigestChainService::new())),
             storage_factory: None,
             telemetry_factory: None,
-            crypto_workers: 0,
             evidence: false,
         }
     }
@@ -197,15 +195,6 @@ impl ClusterBuilder {
         self
     }
 
-    /// Gives every replica's crypto front `workers` threads (default 0). The
-    /// front is synchronous at its API, so simulations stay deterministic
-    /// with any count — determinism tests pin that two workers are
-    /// trace-identical to none.
-    pub fn with_crypto_workers(mut self, workers: usize) -> Self {
-        self.crypto_workers = workers;
-        self
-    }
-
     /// Builds the cluster.
     pub fn build(self) -> XPaxosCluster {
         let n = self.config.n();
@@ -247,8 +236,6 @@ impl ClusterBuilder {
             if let Some(factory) = self.telemetry_factory.as_ref() {
                 replica = replica.with_telemetry(factory(r));
             }
-            // After with_telemetry: the front captures the replica's hub.
-            replica = replica.with_crypto_workers(self.crypto_workers);
             if self.evidence {
                 replica = replica.with_evidence_log(crate::evidence::EvidenceLog::in_memory());
             }

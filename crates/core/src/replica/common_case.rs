@@ -22,8 +22,7 @@ use xft_crypto::{CryptoOp, Digest, Signature};
 use xft_simnet::{Context, NodeId};
 
 impl Replica {
-    /// Signs a digest through the crypto front (stage *sign∥* — off the
-    /// protocol thread when the front is pooled), honouring the
+    /// Signs a digest through the crypto front (stage *sign*), honouring the
     /// `CorruptSignatures` Byzantine behaviour.
     pub(crate) fn sign(&self, digest: &Digest) -> Signature {
         if self.behavior == ByzantineBehavior::CorruptSignatures {
@@ -49,7 +48,7 @@ impl Replica {
         ctx: &mut Context<XPaxosMsg>,
     ) {
         // Fresh requests defer signature verification to the *batched* pass
-        // at proposal time (the stateless front's verify∥ stage), where a
+        // at proposal time (the stateless front's verify stage), where a
         // whole batch is checked in one go. Retransmissions are still
         // verified here: they can arm Algorithm-4 monitors and escalate to
         // view suspicion — paths a forged signature must never reach.
@@ -403,7 +402,7 @@ impl Replica {
             .map(|sr| (sr.request, sr.signature))
             .unzip();
 
-        // Stateless front, stage verify∥: the whole batch's client
+        // Stateless front, stage verify: the whole batch's client
         // signatures are checked in one pass (deferred from admission). On
         // failure the per-signature fallback pinpoints the culprits; they
         // are dropped and the remaining requests proceed as this batch.
@@ -433,8 +432,8 @@ impl Replica {
         ctx.count("batches_proposed", 1);
         let sn = self.next_sn;
         let view = self.view;
-        // Stage order: the batch digest (cached thereafter) comes off the
-        // front too.
+        // Stage order: the batch digest (cached thereafter) goes through
+        // the front too.
         let batch_digest = self.crypto_front.digest_batch(&batch);
         ctx.charge(CryptoOp::Hash {
             len: batch.wire_size(),

@@ -337,9 +337,8 @@ pub struct Replica {
     pub(crate) signer: Signer,
     pub(crate) verifier: Verifier,
     /// Stateless crypto front-end: batched client-signature verification,
-    /// batch digesting and PREPARE/COMMIT signing, optionally on a worker
-    /// pool. Synchronous at the API, so ordering decisions are identical in
-    /// every mode (see [`crate::pipeline`]).
+    /// batch digesting and PREPARE/COMMIT signing on the protocol thread
+    /// (see [`crate::pipeline`]).
     pub(crate) crypto_front: crate::pipeline::CryptoFront,
     /// Injected non-crash behaviour (tests / FD experiments).
     pub(crate) behavior: ByzantineBehavior,
@@ -549,10 +548,8 @@ impl Replica {
     /// the field documentation.
     pub fn with_telemetry(mut self, telemetry: std::sync::Arc<xft_telemetry::Telemetry>) -> Self {
         self.telemetry = telemetry;
-        // Rebuild the front against the new hub so its gauges/histograms
-        // land there, whatever order the builders were called in.
-        self.crypto_front =
-            crate::pipeline::CryptoFront::new(self.crypto_front.workers(), self.telemetry.clone());
+        // Rebuild the front against the new hub so its histograms land there.
+        self.crypto_front = crate::pipeline::CryptoFront::new(self.telemetry.clone());
         self
     }
 
@@ -629,13 +626,6 @@ impl Replica {
         for (peer, sn, trace, msg) in items {
             log.record(crate::evidence::DIR_SENT, peer, now_ns, trace, sn, msg);
         }
-    }
-
-    /// Fans verification/digesting/signing across `workers` crypto threads
-    /// (default 0: all crypto runs on the protocol thread).
-    pub fn with_crypto_workers(mut self, workers: usize) -> Self {
-        self.crypto_front = crate::pipeline::CryptoFront::new(workers, self.telemetry.clone());
-        self
     }
 
     /// The attached telemetry hub (a disabled hub unless

@@ -166,12 +166,6 @@ impl Batch {
             .get_or_init(|| xft_wire::domain_digest(b"batch", self))
     }
 
-    /// Seeds the digest cache with an externally computed value (the crypto
-    /// front hashes a clone on a worker thread and hands the result back).
-    pub(crate) fn warm_digest(&self, digest: Digest) {
-        let _ = self.cached_digest.set(digest);
-    }
-
     /// Number of requests in the batch.
     pub fn len(&self) -> usize {
         self.requests.len()

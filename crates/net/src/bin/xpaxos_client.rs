@@ -188,17 +188,6 @@ fn main() {
     let timeout_secs: u64 = args.optional("--timeout-secs").unwrap_or(60);
     let mux: u64 = args.optional("--mux").unwrap_or(0);
     let json_out: Option<String> = args.optional("--json");
-    // Accepted for flag-list parity with xpaxos-server; only the servers act
-    // on them.
-    let _max_in_flight: Option<usize> = args.optional("--max-in-flight");
-    let _adaptive: Option<u64> = args.optional("--adaptive");
-    let _max_pending: Option<usize> = args.optional("--max-pending");
-    let _checkpoint_interval: Option<u64> = args.optional("--checkpoint-interval");
-    let _state_chunk_bytes: Option<u32> = args.optional("--state-chunk-bytes");
-    let _state_fetch_window: Option<u32> = args.optional("--state-fetch-window");
-    let _data_dir: Option<String> = args.optional("--data-dir");
-    let _fsync_batch: Option<u64> = args.optional("--fsync-batch");
-    let _batch_size: Option<usize> = args.optional("--batch-size");
     args.finish();
 
     let addrs = match parse_node_addrs(&addrs_raw) {
@@ -283,23 +272,29 @@ fn main() {
         "xpaxos-client: committed {committed}/{total_target} ops in {:.2} s ({throughput:.1} ops/s)",
         elapsed.as_secs_f64()
     );
-    let stats = criterion::summarize(&mut latencies);
-    if let Some(stats) = &stats {
+    latencies.sort_unstable();
+    // Nearest-rank percentiles: the workspace's one rule, shared with the
+    // simulator's metrics and the telemetry histograms.
+    let percentiles = (!latencies.is_empty()).then(|| {
+        let at = |q: f64| latencies[xft_telemetry::percentile_index(latencies.len(), q)];
+        (at(0.50), at(0.90), at(0.99))
+    });
+    if let Some((p50, p90, p99)) = percentiles {
+        let mean = latencies.iter().sum::<Duration>() / latencies.len() as u32;
         println!(
             "xpaxos-client: latency min {}  mean {}  p50 {}  p90 {}  p99 {}",
-            criterion::fmt_duration(stats.min),
-            criterion::fmt_duration(stats.mean),
-            criterion::fmt_duration(stats.p50()),
-            criterion::fmt_duration(stats.p90),
-            criterion::fmt_duration(stats.p99),
+            fmt_duration(latencies[0]),
+            fmt_duration(mean),
+            fmt_duration(p50),
+            fmt_duration(p90),
+            fmt_duration(p99),
         );
     }
     if let Some(path) = json_out {
         // Latency percentiles in milliseconds.
         let ms = |d: Duration| d.as_secs_f64() * 1e3;
-        let (p50, p90, p99) = stats
-            .as_ref()
-            .map(|s| (ms(s.p50()), ms(s.p90), ms(s.p99)))
+        let (p50, p90, p99) = percentiles
+            .map(|(p50, p90, p99)| (ms(p50), ms(p90), ms(p99)))
             .unwrap_or((0.0, 0.0, 0.0));
         let json = format!(
             "{{\"ops_per_sec\": {throughput:.1}, \"p50\": {p50:.4}, \"p90\": {p90:.4}, \"p99\": {p99:.4}}}\n"
@@ -309,4 +304,31 @@ fn main() {
         }
     }
     exit(if committed >= total_target { 0 } else { 1 });
+}
+
+/// Renders a duration with a human-friendly unit (ns/µs/ms/s).
+fn fmt_duration(d: Duration) -> String {
+    let nanos = d.as_nanos();
+    if nanos < 1_000 {
+        format!("{nanos} ns")
+    } else if nanos < 1_000_000 {
+        format!("{:.2} µs", nanos as f64 / 1_000.0)
+    } else if nanos < 1_000_000_000 {
+        format!("{:.2} ms", nanos as f64 / 1_000_000.0)
+    } else {
+        format!("{:.2} s", nanos as f64 / 1_000_000_000.0)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn duration_formatting_covers_scales() {
+        assert_eq!(fmt_duration(Duration::from_nanos(12)), "12 ns");
+        assert_eq!(fmt_duration(Duration::from_micros(3)), "3.00 µs");
+        assert_eq!(fmt_duration(Duration::from_millis(5)), "5.00 ms");
+        assert_eq!(fmt_duration(Duration::from_secs(2)), "2.00 s");
+    }
 }

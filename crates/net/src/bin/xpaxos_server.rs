@@ -5,10 +5,10 @@
 //! xpaxos-server --id 0 --t 1 --clients 1 \
 //!     --addrs 127.0.0.1:7000,127.0.0.1:7001,127.0.0.1:7002,127.0.0.1:7010 \
 //!     [--seed 1] [--delta-ms 500] [--retransmit-ms 2000] [--run-secs 0] \
-//!     [--window 1] [--max-in-flight 8] [--adaptive 1] [--max-pending 4096] \
+//!     [--max-in-flight 8] [--adaptive 1] [--max-pending 4096] \
 //!     [--batch-size 20] \
 //!     [--data-dir PATH] [--fsync-batch 1] [--fsync-overlap 0|1] \
-//!     [--crypto-workers 0] [--checkpoint-interval 128] \
+//!     [--checkpoint-interval 128] \
 //!     [--state-chunk-bytes 65536] [--state-fetch-window 4] \
 //!     [--metrics-addr 127.0.0.1:9100] [--telemetry 0|1] \
 //!     [--evidence-dir PATH]
@@ -22,12 +22,12 @@
 //! The pipeline knobs mirror `xft_simnet::PipelineConfig`: `--max-in-flight`
 //! bounds how many batches the primary keeps in flight, `--adaptive 0`
 //! restores the seed's always-wait batch timer, `--max-pending` bounds the
-//! admission queue (overflow is shed with BUSY), `--batch-size` is the batch
-//! cut threshold (a batch is cut once that many requests are queued, when
-//! the pipe is idle, or when the 2 ms batch timer fires; the cut carries
+//! admission queue (overflow is shed with BUSY), and `--batch-size` is the
+//! batch cut threshold (a batch is cut once that many requests are queued,
+//! when the pipe is idle, or when the 2 ms batch timer fires; the cut carries
 //! every queued request up to a 1 MiB byte budget, so a backlog behind a full
-//! in-flight window leaves in one proposal), and `--window` is accepted so
-//! all cluster processes can share one flag list.
+//! in-flight window leaves in one proposal). The client window is the
+//! client's own setting (`xpaxos-client --window`).
 //!
 //! With `--data-dir` the replica runs on durable storage (`xft-store`): every
 //! prepare/commit/view transition is WAL-logged and stable checkpoints
@@ -39,11 +39,12 @@
 //! (OS page cache only). `--fsync-overlap 1` moves fsyncs to a background
 //! thread: ordering proceeds while the disk syncs, and client replies are
 //! held until the WAL is durable up to their LSN (same durability promise,
-//! fsync latency off the critical path).
+//! fsync latency off the critical path). The background thread syncs
+//! whenever anything is unsynced, so it has no batch to honour:
+//! `--fsync-overlap 1` with any `--fsync-batch` other than 1 is rejected.
 //!
-//! `--crypto-workers N` (N > 0) moves signature verification and signing to
-//! a pool of N worker threads; the default keeps crypto on the protocol
-//! thread, which is the right call on single-core hosts.
+//! Signature verification, batch digesting and signing run on the protocol
+//! thread.
 //!
 //! `--evidence-dir` turns on accountability forensics: every signed
 //! protocol message the replica sends or accepts is appended to a durable,
@@ -92,14 +93,12 @@ fn main() {
     let delta_ms: u64 = args.optional("--delta-ms").unwrap_or(500);
     let retransmit_ms: u64 = args.optional("--retransmit-ms").unwrap_or(2000);
     let run_secs: u64 = args.optional("--run-secs").unwrap_or(0);
-    let window: usize = args.optional("--window").unwrap_or(1);
     let max_in_flight: usize = args.optional("--max-in-flight").unwrap_or(8);
     let adaptive: u64 = args.optional("--adaptive").unwrap_or(1);
     let max_pending: usize = args.optional("--max-pending").unwrap_or(4096);
     let data_dir: Option<String> = args.optional("--data-dir");
     let fsync_batch: u64 = args.optional("--fsync-batch").unwrap_or(1);
     let fsync_overlap: u64 = args.optional("--fsync-overlap").unwrap_or(0);
-    let crypto_workers: u64 = args.optional("--crypto-workers").unwrap_or(0);
     let batch_size: Option<usize> = args.optional("--batch-size");
     let checkpoint_interval: u64 = args.optional("--checkpoint-interval").unwrap_or(128);
     let state_chunk_bytes: Option<u32> = args.optional("--state-chunk-bytes");
@@ -110,6 +109,13 @@ fn main() {
         .optional("--telemetry")
         .unwrap_or(u64::from(metrics_addr.is_some()));
     args.finish();
+    if fsync_overlap != 0 && fsync_batch != 1 {
+        eprintln!(
+            "xpaxos-server: --fsync-overlap 1 syncs whenever anything is unsynced; \
+             --fsync-batch {fsync_batch} would be ignored (use --fsync-batch 1)"
+        );
+        exit(2);
+    }
 
     let telemetry = if telemetry_on != 0 {
         Telemetry::enabled()
@@ -129,7 +135,6 @@ fn main() {
     }
 
     let pipeline = PipelineConfig::default()
-        .with_client_window(window)
         .with_max_in_flight(max_in_flight)
         .with_adaptive_timeout(adaptive != 0)
         .with_max_pending(max_pending);
@@ -174,8 +179,7 @@ fn main() {
     let registry = KeyRegistry::new(seed ^ 0x5eed);
     register_cluster_keys(&registry, &config);
     let mut replica = Replica::new(id, config, &registry, Box::new(CoordinationService::new()))
-        .with_telemetry(Arc::clone(&telemetry))
-        .with_crypto_workers(crypto_workers as usize);
+        .with_telemetry(Arc::clone(&telemetry));
 
     // With a data directory the replica runs on durable storage; an existing
     // directory means this is a restart, so recover before going live.
@@ -224,12 +228,12 @@ fn main() {
     // The evidence log lives in its own storage directory: it has its own
     // GC cadence (the checkpoint horizon) and its own WAL/snapshot pair, and
     // a restart resumes the hash chain where it left off. Overlapped
-    // group-commit fsyncs keep the recording overhead off the critical
-    // path — evidence is for post-hoc audit, not for the protocol's
-    // durability promise, so a crash losing the unsynced tail only shortens
-    // the chain (recovery resumes from the intact prefix).
+    // fsyncs keep the recording overhead off the critical path — evidence
+    // is for post-hoc audit, not for the protocol's durability promise, so
+    // a crash losing the unsynced tail only shortens the chain (recovery
+    // resumes from the intact prefix).
     if let Some(dir) = &evidence_dir {
-        let storage = match DiskStorage::open(dir, SyncPolicy::every(64).overlapped()) {
+        let storage = match DiskStorage::open(dir, SyncPolicy::every(1).overlapped()) {
             Ok(s) => s,
             Err(e) => {
                 eprintln!("xpaxos-server: cannot open --evidence-dir {dir}: {e}");

@@ -26,7 +26,7 @@
 //!
 //! The `xpaxos-server` / `xpaxos-client` binaries in this crate run a live
 //! cluster on loopback (or any reachable addresses) and report
-//! throughput/latency with `xft-microbench` statistics.
+//! throughput and p50/p90/p99 latency by `xft-telemetry`'s percentile rule.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -36,7 +36,7 @@ pub enum MetricEvent {
 
 /// End-to-end latency percentiles of one run, in milliseconds.
 ///
-/// Mirrors the `p50/p90/p99` summary reported by `xft-microbench` so the
+/// Mirrors the `p50/p90/p99` summary reported by `xpaxos-client` so the
 /// simulator's metrics and the live binaries' wall-clock reports carry the
 /// same columns.
 #[derive(Debug, Clone, Copy, PartialEq)]

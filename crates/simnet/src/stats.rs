@@ -13,7 +13,7 @@ pub fn mean(values: &[f64]) -> f64 {
 /// Returns the `q`-quantile (0.0 ≤ q ≤ 1.0) of `values` using nearest-rank on a sorted
 /// copy. Returns 0.0 for an empty slice. Delegates to the workspace's single
 /// percentile implementation in `xft-telemetry`, shared with
-/// `xft-microbench::Stats` and the telemetry histograms.
+/// `xpaxos-client`'s latency report and the telemetry histograms.
 pub fn percentile(values: &[f64], q: f64) -> f64 {
     xft_telemetry::percentile(values, q)
 }

@@ -307,6 +307,8 @@ impl Storage for DiskStorage {
         self.telemetry
             .add("xft_wal_bytes_written_total", framed.len() as u64);
         if let Some(overlap) = &self.overlap {
+            // Overlapped: every append wakes the fsync thread, whatever
+            // `policy.batch` says (see `SyncPolicy`).
             overlap
                 .appended
                 .store(self.stats.appends, Ordering::Release);
@@ -579,6 +581,26 @@ mod tests {
         assert_eq!(rec.tail, TailState::Clean);
         drop(s);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn overlapped_policy_ignores_batch() {
+        for batch in [0, 64] {
+            let dir = temp_dir(&format!("overlap-batch-{batch}"));
+            let mut s = DiskStorage::open(&dir, SyncPolicy::every(batch).overlapped()).unwrap();
+            for i in 0..5u8 {
+                s.append(&[i]);
+            }
+            // No explicit sync(): the background thread reaches the WAL end
+            // though 5 appends are fewer than 64 and batch 0 means "never".
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+            while s.durable_lsn() < s.wal_lsn() && std::time::Instant::now() < deadline {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            assert_eq!(s.durable_lsn(), s.wal_lsn(), "batch {batch}");
+            drop(s);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

@@ -93,17 +93,22 @@ impl Recovered {
 /// * `SyncPolicy::OS_FLUSH` (batch = 0) never fsyncs explicitly and leaves
 ///   durability to the OS page cache — the fastest and weakest setting.
 ///
-/// Orthogonally, `overlap` moves the fsync off the appending thread: appends
-/// return immediately, a background thread fsyncs as fast as the disk allows
-/// (natural group commit — everything appended during one fsync rides the
-/// next), and completion is reported through [`Storage::durable_lsn`] plus an
-/// optional [`SyncNotifier`] callback. Callers that promised durability (the
+/// `overlap` replaces that cadence rather than adding to it: appends return
+/// immediately, and a background thread fsyncs whenever anything is
+/// unsynced, as fast as the disk allows (natural group commit — everything
+/// appended during one fsync rides the next). **An overlapped policy ignores
+/// `batch`**: `every(0).overlapped()` and `every(64).overlapped()` sync
+/// exactly like `every(1).overlapped()`, the spelling to use. Completion is
+/// reported through [`Storage::durable_lsn`] plus an optional
+/// [`SyncNotifier`] callback. Callers that promised durability (the
 /// replica's client replies) wait for the LSN instead of the fsync itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SyncPolicy {
-    /// Appends per fsync; `0` disables explicit fsyncs.
+    /// Appends per fsync; `0` disables explicit fsyncs. Ignored when
+    /// `overlap` is set.
     pub batch: u64,
-    /// Run fsyncs on a background thread, overlapped with appends.
+    /// Run fsyncs on a background thread, overlapped with appends, whenever
+    /// anything is unsynced.
     pub overlap: bool,
 }
 
@@ -127,7 +132,8 @@ impl SyncPolicy {
         }
     }
 
-    /// Moves fsyncs to a background thread (pipelined group commit).
+    /// Moves fsyncs to a background thread (pipelined group commit) that
+    /// syncs whenever anything is unsynced; `batch` no longer applies.
     pub fn overlapped(mut self) -> Self {
         self.overlap = true;
         self

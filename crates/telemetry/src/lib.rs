@@ -10,7 +10,7 @@
 //!   gauges and log-bucketed histograms with p50/p90/p99, rendered in
 //!   Prometheus text format;
 //! * the single **percentile** implementation ([`percentile_index`],
-//!   [`percentile`]) shared by `xft-microbench::Stats`,
+//!   [`percentile`]) shared by `xpaxos-client`'s latency report,
 //!   `xft_simnet::metrics::latency_summary()` and the histogram quantiles —
 //!   one rounding convention, property-tested for equality;
 //! * **trace correlation** ([`trace`]): a correlation ID minted at the

@@ -1,11 +1,10 @@
 //! The workspace's one percentile implementation.
 //!
-//! Before this crate, `xft-microbench::Stats` and
-//! `xft_simnet::metrics::latency_summary()` each carried a private copy of
-//! the same nearest-rank rule; a rounding drift between them would have made
-//! bench reports and simulator reports disagree silently. Both now delegate
-//! here, and the log-bucketed [`crate::Histogram`] selects its quantile
-//! bucket with the same rule.
+//! `xpaxos-client`'s latency report and
+//! `xft_simnet::metrics::latency_summary()` both delegate here, so a rounding
+//! drift cannot make live and simulated reports disagree silently, and the
+//! log-bucketed [`crate::Histogram`] selects its quantile bucket with the
+//! same rule.
 
 /// Index of the `q`-quantile (nearest rounded rank) in a sorted sample of
 /// `len` elements: `round((len - 1) * q)`, clamped to the valid range.

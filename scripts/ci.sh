@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # CI gate for the XFT reproduction. Everything runs offline against the
-# vendored in-workspace shims; there are no crates.io dependencies.
+# vendored in-workspace `bytes` shim; there are no crates.io dependencies.
 #
 #   tier-1 : cargo build --release && cargo test -q
-#   extras : all bench/bin/example targets must compile, docs must build
+#   extras : all bin/example/test targets must compile, docs must build
 #            without warnings (the crates carry #![warn(missing_docs)]).
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -17,7 +17,7 @@ cargo build --release --offline
 echo "==> tier-1: tests"
 cargo test -q --offline
 
-echo "==> benches, bins and examples compile"
+echo "==> bins, examples and tests compile"
 cargo build --offline --all-targets
 
 echo "==> clippy stays warning-clean"
@@ -42,6 +42,16 @@ benchmark/check.sh
 
 echo "==> quickstart example exits 0"
 cargo run --offline --release --example quickstart >/dev/null
+
+echo "==> xpaxos-server rejects --fsync-overlap 1 with a --fsync-batch it would ignore"
+# The background fsync thread syncs whenever anything is unsynced, so a batch
+# other than 1 means nothing there; the flag pair must fail fast (exit 2)
+# rather than start a replica (which --run-secs 1 would let exit 0).
+status=0
+target/release/xpaxos-server --id 0 --t 1 --clients 1 \
+    --addrs 127.0.0.1:0,127.0.0.1:0,127.0.0.1:0,127.0.0.1:0 \
+    --fsync-batch 8 --fsync-overlap 1 --run-secs 1 2>/dev/null || status=$?
+[ "$status" = 2 ] || { echo "expected exit 2, got $status" >&2; exit 1; }
 
 echo "==> loopback TCP smoke: 3 xpaxos-servers + 1 xpaxos-client, then the idle servers must each use < 2 % of a core"
 # Ephemeral-ish port block; one retry with a different base absorbs the rare
@@ -93,8 +103,7 @@ smoke_pipelined() {
     local addrs="127.0.0.1:${base},127.0.0.1:$((base + 1)),127.0.0.1:$((base + 2))"
     addrs="${addrs},127.0.0.1:$((base + 3)),127.0.0.1:$((base + 4))"
     addrs="${addrs},127.0.0.1:$((base + 5)),127.0.0.1:$((base + 6))"
-    local flags=(--t 1 --clients 4 --window 8 --addrs "$addrs"
-                 --delta-ms 200 --retransmit-ms 1000)
+    local flags=(--t 1 --clients 4 --addrs "$addrs" --delta-ms 200 --retransmit-ms 1000)
     local pids=()
     for id in 0 1 2; do
         target/release/xpaxos-server --id "$id" "${flags[@]}" --run-secs 120 &
@@ -102,7 +111,8 @@ smoke_pipelined() {
     done
     local ok=0
     # No --id: the client binary spawns all 4 windowed workers itself.
-    if target/release/xpaxos-client "${flags[@]}" --ops "$ops" --payload 256 --timeout-secs 60; then
+    if target/release/xpaxos-client "${flags[@]}" --window 8 --ops "$ops" --payload 256 \
+        --timeout-secs 60; then
         ok=1
     fi
     kill "${pids[@]}" 2>/dev/null || true
@@ -121,11 +131,11 @@ smoke_recovery() {
     datadir=$(mktemp -d)
     local addrs="127.0.0.1:${base},127.0.0.1:$((base + 1)),127.0.0.1:$((base + 2))"
     addrs="${addrs},127.0.0.1:$((base + 3)),127.0.0.1:$((base + 4))"
-    local flags=(--t 1 --clients 2 --addrs "$addrs" --delta-ms 200 --retransmit-ms 1000
-                 --checkpoint-interval 16)
+    local flags=(--t 1 --clients 2 --addrs "$addrs" --delta-ms 200 --retransmit-ms 1000)
+    local server_flags=(--checkpoint-interval 16)
     local pids=()
     for id in 0 1 2; do
-        target/release/xpaxos-server --id "$id" "${flags[@]}" \
+        target/release/xpaxos-server --id "$id" "${flags[@]}" "${server_flags[@]}" \
             --data-dir "$datadir/r$id" --run-secs 180 &
         pids+=($!)
     done
@@ -133,7 +143,7 @@ smoke_recovery() {
     if target/release/xpaxos-client --id 0 "${flags[@]}" --ops 40 --payload 256 --timeout-secs 60; then
         kill -9 "${pids[1]}" 2>/dev/null || true
         wait "${pids[1]}" 2>/dev/null || true
-        target/release/xpaxos-server --id 1 "${flags[@]}" \
+        target/release/xpaxos-server --id 1 "${flags[@]}" "${server_flags[@]}" \
             --data-dir "$datadir/r1" --run-secs 180 >"$datadir/r1.log" 2>&1 &
         pids[1]=$!
         if target/release/xpaxos-client --id 1 "${flags[@]}" --ops 40 --payload 256 --timeout-secs 60 \
@@ -169,11 +179,11 @@ smoke_metrics() {
     datadir=$(mktemp -d)
     local addrs="127.0.0.1:${base},127.0.0.1:$((base + 1)),127.0.0.1:$((base + 2))"
     addrs="${addrs},127.0.0.1:$((base + 3)),127.0.0.1:$((base + 4))"
-    local flags=(--t 1 --clients 2 --addrs "$addrs" --delta-ms 200 --retransmit-ms 1000
-                 --checkpoint-interval 16)
+    local flags=(--t 1 --clients 2 --addrs "$addrs" --delta-ms 200 --retransmit-ms 1000)
+    local server_flags=(--checkpoint-interval 16)
     local pids=()
     for id in 0 1 2; do
-        target/release/xpaxos-server --id "$id" "${flags[@]}" \
+        target/release/xpaxos-server --id "$id" "${flags[@]}" "${server_flags[@]}" \
             --data-dir "$datadir/r$id" --metrics-addr "127.0.0.1:$((mbase + id))" \
             --evidence-dir "$datadir/ev$id" --run-secs 180 2>/dev/null &
         pids+=($!)
@@ -226,11 +236,11 @@ smoke_chunked() {
     datadir=$(mktemp -d)
     local addrs="127.0.0.1:${base},127.0.0.1:$((base + 1)),127.0.0.1:$((base + 2))"
     addrs="${addrs},127.0.0.1:$((base + 3)),127.0.0.1:$((base + 4)),127.0.0.1:$((base + 5))"
-    local flags=(--t 1 --clients 3 --addrs "$addrs" --delta-ms 200 --retransmit-ms 1000
-                 --checkpoint-interval 16 --state-chunk-bytes 1024 --state-fetch-window 2)
+    local flags=(--t 1 --clients 3 --addrs "$addrs" --delta-ms 200 --retransmit-ms 1000)
+    local server_flags=(--checkpoint-interval 16 --state-chunk-bytes 1024 --state-fetch-window 2)
     local pids=()
     for id in 0 1 2; do
-        target/release/xpaxos-server --id "$id" "${flags[@]}" \
+        target/release/xpaxos-server --id "$id" "${flags[@]}" "${server_flags[@]}" \
             --data-dir "$datadir/r$id" --metrics-addr "127.0.0.1:$((mbase + id))" \
             --run-secs 240 2>/dev/null &
         pids+=($!)
@@ -244,7 +254,7 @@ smoke_chunked() {
         if target/release/xpaxos-client --id 1 "${flags[@]}" --ops 40 --payload 1024 --timeout-secs 60; then
             # Phase 3: restart replica 2 from its WAL; fresh traffic announces
             # sealed checkpoints it can only reach via chunked state transfer.
-            target/release/xpaxos-server --id 2 "${flags[@]}" \
+            target/release/xpaxos-server --id 2 "${flags[@]}" "${server_flags[@]}" \
                 --data-dir "$datadir/r2" --metrics-addr "127.0.0.1:$((mbase + 2))" \
                 --run-secs 240 2>/dev/null &
             pids[2]=$!

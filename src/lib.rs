@@ -17,9 +17,7 @@
 //! * [`reliability`] (`xft-reliability`) — the nines-of-reliability analysis,
 //! * [`kvstore`] (`xft-kvstore`) — the ZooKeeper-like coordination service,
 //! * [`telemetry`] (`xft-telemetry`) — metrics registry, trace correlation,
-//!   synchrony monitor and flight recorder (observation-only),
-//! * [`microbench`] (`xft-microbench`) — the vendored criterion-style bench
-//!   harness and its latency statistics.
+//!   synchrony monitor and flight recorder (observation-only).
 //!
 //! It also hosts [`testing`], the seeded property-testing harness the
 //! integration tests use in place of `proptest` (the build is offline).
@@ -37,7 +35,6 @@ pub use xft_chaos as chaos;
 pub use xft_core as core;
 pub use xft_crypto as crypto;
 pub use xft_kvstore as kvstore;
-pub use xft_microbench as microbench;
 pub use xft_net as net;
 pub use xft_reliability as reliability;
 pub use xft_simnet as simnet;

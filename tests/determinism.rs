@@ -7,12 +7,12 @@
 use xft::core::client::ClientWorkload;
 use xft::core::harness::{ClusterBuilder, LatencySpec, XPaxosCluster};
 use xft::crypto::Digest;
-use xft::simnet::{FaultEvent, PipelineConfig, SimDuration, SimTime};
+use xft::simnet::{FaultEvent, SimDuration, SimTime};
 
 /// A cluster with a randomized-latency workload; everything depends only on
-/// `seed` and the client count.
-fn builder(seed: u64, clients: usize) -> ClusterBuilder {
-    ClusterBuilder::new(1, clients)
+/// `seed`.
+fn build(seed: u64) -> XPaxosCluster {
+    ClusterBuilder::new(1, 3)
         .with_seed(seed)
         .with_latency(LatencySpec::Uniform(
             SimDuration::from_millis(2),
@@ -23,10 +23,7 @@ fn builder(seed: u64, clients: usize) -> ClusterBuilder {
             requests: Some(40),
             ..Default::default()
         })
-}
-
-fn build(seed: u64) -> XPaxosCluster {
-    builder(seed, 3).build()
+        .build()
 }
 
 /// A digest of one replica's committed log: every (sequence number, batch
@@ -109,51 +106,6 @@ fn faulty_script() -> xft::simnet::FaultScript {
         .at_secs_f64(8.0, FaultEvent::PartitionPair(1, 2))
         .at_secs_f64(10.0, FaultEvent::HealAll)
         .at_secs_f64(11.0, FaultEvent::Control(2, 5)) // amnesia
-}
-
-/// The crypto front is synchronous at its API: with two workers batches are
-/// scattered across real threads and gathered again, yet a simulated cluster
-/// must produce byte-identical traces and an identical metrics fingerprint to
-/// one doing all crypto on the protocol thread. This is the contract that
-/// lets `xpaxos-server --crypto-workers` ship without forking the protocol
-/// logic between simulation and deployment.
-#[test]
-fn pooled_crypto_front_is_trace_identical_to_inline() {
-    let run = |workers: usize| {
-        // Many clients behind one batch in flight: batches outgrow a single
-        // verification chunk, so the pool really scatters them.
-        let mut cluster = builder(0xF207_7E57, 24)
-            .with_pipeline(PipelineConfig::default().with_max_in_flight(1))
-            .with_crypto_workers(workers)
-            .build();
-        cluster.sim.schedule_fault_script(faulty_script());
-        cluster.run_for(SimDuration::from_secs(30));
-        cluster.check_total_order().expect("total order");
-        (
-            cluster.total_committed(),
-            (0..cluster.n())
-                .map(|r| log_digest(&cluster, r))
-                .collect::<Vec<_>>(),
-            (0..cluster.n())
-                .map(|r| cluster.replica(r).state_digest())
-                .collect::<Vec<_>>(),
-            cluster.sim.metrics().fingerprint(),
-            cluster.sim.metrics().counter("batches_proposed"),
-        )
-    };
-    let inline = run(0);
-    let pooled = run(2);
-    assert!(inline.0 > 0, "workload never committed");
-    assert!(
-        inline.0 > 4 * inline.4,
-        "batches too small to scatter: {} commits in {} batches",
-        inline.0,
-        inline.4
-    );
-    assert_eq!(
-        inline, pooled,
-        "a crypto front with workers diverged from inline execution"
-    );
 }
 
 #[test]

@@ -12,10 +12,10 @@ use xft::simnet::{PipelineConfig, SimDuration};
 use xft::telemetry::Telemetry;
 use xft::testing::check;
 
-/// Satellite (parallel front-end PR): the three series the pipeline stages
-/// report — crypto queue depth, batch-verify latency, outbound queue
-/// depth — must land in the shared hub and therefore in the `/metrics`
-/// scrape (the HTTP endpoint serves exactly `render_prometheus()`).
+/// The series the pipeline stages report — batch-verify latency, the
+/// batch-verify fallback counter, outbound queue depth — must land in the
+/// shared hub and therefore in the `/metrics` scrape (the HTTP endpoint
+/// serves exactly `render_prometheus()`).
 #[test]
 fn pipeline_stage_series_appear_in_the_metrics_scrape() {
     use std::net::TcpListener;
@@ -29,10 +29,10 @@ fn pipeline_stage_series_appear_in_the_metrics_scrape() {
 
     let hub = Telemetry::enabled();
 
-    // Crypto stage: a pooled front batch-verifying real signatures records
-    // queue depth (gauge, back to 0 once drained) and verify latency.
+    // Crypto stage: the front batch-verifying real signatures records its
+    // latency, and a forged one ticks the fallback counter.
     let registry = KeyRegistry::new(4);
-    let (requests, sigs): (Vec<_>, Vec<_>) = (0..16u64)
+    let (requests, mut sigs): (Vec<_>, Vec<_>) = (0..16u64)
         .map(|i| {
             let client = ClientId(i % 4);
             let req = Request {
@@ -45,7 +45,7 @@ fn pipeline_stage_series_appear_in_the_metrics_scrape() {
             (req, sig)
         })
         .unzip();
-    let front = CryptoFront::new(2, Arc::clone(&hub));
+    let front = CryptoFront::new(Arc::clone(&hub));
     let verifier = Verifier::new(registry);
     assert_eq!(
         front.verify_client_sigs(&verifier, &requests, &sigs),
@@ -55,11 +55,12 @@ fn pipeline_stage_series_appear_in_the_metrics_scrape() {
         hub.histogram("xft_crypto_verify_seconds", 1e-9).count() > 0,
         "batch verification never observed its latency"
     );
+    sigs[5].tag[0] ^= 1;
     assert_eq!(
-        hub.gauge("xft_crypto_queue_depth").get(),
-        0,
-        "crypto queue depth must return to zero once the batch drains"
+        front.verify_client_sigs(&verifier, &requests, &sigs),
+        Err(vec![5])
     );
+    assert_eq!(hub.counter("xft_sig_batch_fallback_total").get(), 1);
 
     // Transport stage: enqueueing for a peer bumps the outbound-queue depth
     // gauge; the drain (delivery or drop) takes it back down.
@@ -84,8 +85,8 @@ fn pipeline_stage_series_appear_in_the_metrics_scrape() {
 
     let scrape = hub.render_prometheus();
     for series in [
-        "xft_crypto_queue_depth",
         "xft_crypto_verify_seconds",
+        "xft_sig_batch_fallback_total",
         "xft_net_outq_depth",
     ] {
         assert!(
@@ -93,11 +94,21 @@ fn pipeline_stage_series_appear_in_the_metrics_scrape() {
             "series {series} missing from the /metrics scrape:\n{scrape}"
         );
     }
+    // The crypto front has no queue: verify latency is its only series, so
+    // no queue-depth gauge is left in the scrape.
+    let stray: Vec<&str> = scrape
+        .lines()
+        .filter(|l| l.starts_with("xft_crypto_") && !l.starts_with("xft_crypto_verify_seconds"))
+        .collect();
+    assert!(
+        stray.is_empty(),
+        "unexpected crypto series in the /metrics scrape: {stray:?}"
+    );
 }
 
-/// Satellite: one percentile rule for the whole workspace. `xft-microbench`'s
-/// `Stats`, `xft-simnet`'s `stats::percentile` and `xft_telemetry::percentile`
-/// must report the identical p50/p90/p99 on random samples, and the
+/// One percentile rule for the whole workspace. `xft-simnet`'s
+/// `stats::percentile` and `xft_telemetry::percentile` must report the
+/// identical p50/p90/p99 on random samples, and the
 /// log-bucketed histogram's quantile must bound the exact percentile within
 /// its containing power-of-two bucket.
 #[test]
@@ -106,28 +117,17 @@ fn percentile_implementations_agree_on_random_samples() {
         let len = rng.usize_in(1, 400);
         let samples_ns: Vec<u64> = (0..len).map(|_| rng.u64_in(1, 5_000_000)).collect();
         let as_f64: Vec<f64> = samples_ns.iter().map(|&v| v as f64).collect();
-        let mut as_durations: Vec<Duration> = samples_ns
-            .iter()
-            .map(|&v| Duration::from_nanos(v))
-            .collect();
-
-        let bench = xft::microbench::summarize(&mut as_durations).expect("non-empty sample");
         let hist = xft::telemetry::Histogram::new();
         for &v in &samples_ns {
             hist.record(v);
         }
 
-        for (q, bench_value) in [(0.50, bench.p50()), (0.90, bench.p90), (0.99, bench.p99)] {
+        for q in [0.50, 0.90, 0.99] {
             let telemetry = xft::telemetry::percentile(&as_f64, q);
             let simnet = xft::simnet::stats::percentile(&as_f64, q);
             if telemetry != simnet {
                 return Err(format!(
                     "q={q}: telemetry {telemetry} != simnet {simnet} on {len} samples"
-                ));
-            }
-            if bench_value != Duration::from_nanos(telemetry as u64) {
-                return Err(format!(
-                    "q={q}: microbench {bench_value:?} != shared rule {telemetry} ns on {len} samples"
                 ));
             }
             // The histogram's bucket bound must contain the exact percentile:
