@@ -11,7 +11,8 @@
 //! * **snapshot files**: one opaque snapshot blob (the replica's encoded
 //!   state-machine snapshot plus the t + 1-signed CHKPT proof) installed
 //!   atomically via write-to-temp + rename, re-seeding the WAL with the
-//!   entries that must outlive it;
+//!   entries that must outlive it — on [`DiskStorage`], off the caller's
+//!   thread (see [`disk`]);
 //! * **crash recovery**: scan the WAL, verify every record's CRC, truncate a
 //!   torn or corrupt tail, and hand the intact prefix back for replay.
 //!
@@ -201,9 +202,22 @@ pub trait Storage: Send {
     fn sync(&mut self);
 
     /// Installs `snapshot` as the new recovery base and re-seeds the WAL
-    /// with `records` (the entries that must survive past the snapshot).
-    /// The switch is crash-safe: recovery sees either the old state or the
-    /// new snapshot, never a mix.
+    /// with `records` (the entries that must survive past the snapshot),
+    /// dropping the records appended before the call.
+    ///
+    /// A backend may return before the install is durable ([`DiskStorage`]
+    /// persists it on a background thread); appends made meanwhile land
+    /// after the re-seed records. The switch is crash-safe. Depending on
+    /// when a crash strikes, recovery sees:
+    ///
+    /// * the old snapshot and every record appended so far;
+    /// * the new snapshot and every record appended so far, including those
+    ///   the snapshot supersedes (the caller must replay them as no-ops);
+    /// * the new snapshot, `records`, and every record appended after the
+    ///   call.
+    ///
+    /// A later `install_snapshot`, [`Storage::load`], [`Storage::wipe`] or
+    /// [`Storage::inject`] first waits for an install still in flight.
     fn install_snapshot(&mut self, snapshot: &[u8], records: &[Vec<u8>]);
 
     /// Reads back everything durable, truncating any torn or corrupt WAL

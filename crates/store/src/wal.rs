@@ -84,19 +84,29 @@ const fn crc32_tables() -> [[u32; 256]; 8] {
     t
 }
 
-/// Frames one record (header + payload) into a fresh buffer.
+/// The header that frames `payload`: its length and CRC. Writing it and then
+/// the payload produces the same bytes as [`frame_record`] without copying
+/// the payload into a second buffer.
 ///
 /// Panics if the payload exceeds [`MAX_RECORD`] — the replica never produces
 /// one, and silently truncating would corrupt the log.
-pub fn frame_record(payload: &[u8]) -> Vec<u8> {
+pub fn record_header(payload: &[u8]) -> [u8; RECORD_HEADER] {
     assert!(
         payload.len() <= MAX_RECORD,
         "WAL record of {} bytes exceeds MAX_RECORD",
         payload.len()
     );
+    let mut header = [0u8; RECORD_HEADER];
+    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+    header
+}
+
+/// Frames one record (header + payload) into a fresh buffer; panics like
+/// [`record_header`].
+pub fn frame_record(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(RECORD_HEADER + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    out.extend_from_slice(&record_header(payload));
     out.extend_from_slice(payload);
     out
 }

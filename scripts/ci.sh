@@ -126,13 +126,16 @@ echo "==> kill -9 recovery smoke: restart a server from its --data-dir"
 # SIGKILL and restarted from its data directory; it must log a recovery line
 # and client 1 must then commit against the healed cluster. The short
 # checkpoint interval makes the rejoin exercise snapshots + state transfer.
+# These servers run the production storage (--fsync-overlap 1), so the
+# SIGKILL lands on the overlapped WAL fsync and the background snapshot
+# installer; the other durable smokes keep the default synchronous policy.
 smoke_recovery() {
     local base=$1 datadir
     datadir=$(mktemp -d)
     local addrs="127.0.0.1:${base},127.0.0.1:$((base + 1)),127.0.0.1:$((base + 2))"
     addrs="${addrs},127.0.0.1:$((base + 3)),127.0.0.1:$((base + 4))"
     local flags=(--t 1 --clients 2 --addrs "$addrs" --delta-ms 200 --retransmit-ms 1000)
-    local server_flags=(--checkpoint-interval 16)
+    local server_flags=(--checkpoint-interval 16 --fsync-overlap 1)
     local pids=()
     for id in 0 1 2; do
         target/release/xpaxos-server --id "$id" "${flags[@]}" "${server_flags[@]}" \

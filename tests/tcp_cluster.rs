@@ -18,6 +18,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use xft::core::client::{Client, ClientWorkload};
+use xft::core::messages::XPaxosMsg;
 use xft::core::replica::Replica;
 use xft::core::types::ClientId;
 use xft::core::XPaxosConfig;
@@ -28,6 +29,7 @@ use xft::net::runtime::{NetConfig, NetHandle, StartMode, TcpRuntime};
 use xft::net::transport::TransportStats;
 use xft::net::{bind_loopback_cluster, check_total_order, register_cluster_keys, AddressBook};
 use xft::simnet::{Actor, PipelineConfig, SimDuration};
+use xft::store::{DiskStorage, SyncNotifier, SyncPolicy};
 use xft_wire::{WireDecode, WireEncode};
 
 const T: usize = 1;
@@ -80,6 +82,22 @@ where
     where
         A: Send + 'static,
     {
+        Self::spawn_wired(actor, node, book, listener, mode, |_| {})
+    }
+
+    /// [`NodeThread::spawn`], with `wire` run on the started runtime before
+    /// it is driven.
+    fn spawn_wired(
+        actor: A,
+        node: usize,
+        book: Arc<AddressBook>,
+        listener: TcpListener,
+        mode: StartMode,
+        wire: impl FnOnce(&TcpRuntime<A>),
+    ) -> Self
+    where
+        A: Send + 'static,
+    {
         let config = NetConfig {
             seed: 0xF00D + node as u64,
             reconnect_delay: Duration::from_millis(50),
@@ -87,6 +105,7 @@ where
         };
         let mut runtime = TcpRuntime::start(actor, node, book, listener, config, mode)
             .expect("start tcp runtime");
+        wire(&runtime);
         let handle = runtime.handle();
         let stats = runtime.transport_stats();
         let thread = std::thread::Builder::new()
@@ -276,14 +295,37 @@ fn temp_data_root(tag: &str) -> PathBuf {
     root
 }
 
-/// `kill -9` + restart from disk: a replica whose process state is *discarded
-/// entirely* must rebuild itself from its `--data-dir` equivalent (WAL +
-/// snapshot via `xft-store`), rejoin the live cluster over TCP, catch up
-/// through lazy replication / verified state transfer, and agree on the total
-/// order — the committed kv operations from before the kill survive the
-/// restart.
 #[test]
 fn killed_replica_recovers_from_its_data_dir_and_rejoins() {
+    kill_and_restart_from_data_dir("recovery", SyncPolicy::EVERY_APPEND);
+}
+
+/// The same on the production storage: WAL fsyncs on the overlapped thread,
+/// their `SyncDone` wired as `xpaxos-server` wires it, and every checkpoint
+/// installed in the background.
+#[test]
+fn killed_replica_on_overlapped_storage_recovers_from_its_data_dir_and_rejoins() {
+    kill_and_restart_from_data_dir("recovery-overlapped", SyncPolicy::every(1).overlapped());
+}
+
+/// Posts each overlapped fsync completion into the replica's inbox as a
+/// `SyncDone`, releasing the replies gated on it (a no-op without a slot).
+fn wire_sync_done(slot: Option<SyncNotifier>) -> impl FnOnce(&TcpRuntime<Replica>) {
+    move |runtime| {
+        if let Some(slot) = slot {
+            let inject = runtime.local_injector();
+            let _ = slot.set(Box::new(move |lsn| inject(XPaxosMsg::SyncDone(lsn))));
+        }
+    }
+}
+
+/// `kill -9` + restart from disk: a replica whose process state is *discarded
+/// entirely* must rebuild itself from its `--data-dir` equivalent (WAL +
+/// snapshot via `xft-store`, opened with `policy`), rejoin the live cluster
+/// over TCP, catch up through lazy replication / verified state transfer,
+/// and agree on the total order — the committed kv operations from before
+/// the kill survive the restart.
+fn kill_and_restart_from_data_dir(tag: &str, policy: SyncPolicy) {
     let mut config = cluster_config();
     // A short checkpoint interval makes the live cluster truncate its logs
     // while the victim is down, so the rejoin exercises snapshot-backed
@@ -291,33 +333,32 @@ fn killed_replica_recovers_from_its_data_dir_and_rejoins() {
     config = config.with_checkpoint_interval(16);
     let registry = KeyRegistry::new(77 ^ 0x5eed);
     register_cluster_keys(&registry, &config);
-    let data_root = temp_data_root("recovery");
+    let data_root = temp_data_root(tag);
     let open_storage = |r: usize| {
-        Box::new(
-            xft::store::DiskStorage::open(
-                data_root.join(format!("replica-{r}")),
-                xft::store::SyncPolicy::EVERY_APPEND,
-            )
-            .expect("open data dir"),
-        )
+        let storage = DiskStorage::open(data_root.join(format!("replica-{r}")), policy)
+            .expect("open data dir");
+        let slot = storage.sync_notifier_slot();
+        (Box::new(storage), slot)
     };
 
     let (mut listeners, book) = bind_loopback_cluster(N + CLIENTS).expect("bind cluster ports");
     let mut replicas: Vec<Option<NodeThread<Replica>>> = Vec::new();
     for (r, listener) in listeners.drain(..N).enumerate() {
+        let (storage, slot) = open_storage(r);
         let replica = Replica::new(
             r,
             config.clone(),
             &registry,
             Box::new(CoordinationService::new()),
         )
-        .with_storage(open_storage(r));
-        replicas.push(Some(NodeThread::spawn(
+        .with_storage(storage);
+        replicas.push(Some(NodeThread::spawn_wired(
             replica,
             r,
             book.clone(),
             listener,
             StartMode::Fresh,
+            wire_sync_done(slot),
         )));
     }
     let mut clients: Vec<NodeThread<Client>> = Vec::new();
@@ -364,13 +405,14 @@ fn killed_replica_recovers_from_its_data_dir_and_rejoins() {
     // Phase 4: restart from disk. A brand-new Replica instance adopts the
     // snapshot, replays the WAL and re-executes — the committed prefix from
     // before the kill must be back.
+    let (storage, slot) = open_storage(0);
     let mut reborn = Replica::new(
         0,
         config.clone(),
         &registry,
         Box::new(CoordinationService::new()),
     )
-    .with_storage(open_storage(0));
+    .with_storage(storage);
     let report = reborn.recover_from_storage();
     assert!(report.had_state, "data dir held durable state");
     assert!(
@@ -382,7 +424,14 @@ fn killed_replica_recovers_from_its_data_dir_and_rejoins() {
     assert!(report.wal_records > 0, "WAL records were replayed");
 
     let new_listener = TcpListener::bind("127.0.0.1:0").expect("bind recovery port");
-    let recovered = NodeThread::spawn(reborn, 0, book.clone(), new_listener, StartMode::Recovered);
+    let recovered = NodeThread::spawn_wired(
+        reborn,
+        0,
+        book.clone(),
+        new_listener,
+        StartMode::Recovered,
+        wire_sync_done(slot),
+    );
     let received_at_restart = recovered
         .stats
         .received
