@@ -166,9 +166,6 @@ impl BaselineClusterBuilder {
             cost_model: self.cost_model,
             cores_per_node: self.cores_per_node,
             trace_messages: self.trace_messages,
-            // The baseline actors run the seed's stop-and-wait request path;
-            // record that on the run configuration.
-            pipeline: xft_simnet::PipelineConfig::stop_and_wait(),
         };
         let mut sim: Simulation<BaselineNode> = Simulation::new(sim_config, latency, self.uplink);
         for r in 0..spec.n {

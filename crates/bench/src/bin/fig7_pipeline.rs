@@ -1,14 +1,11 @@
 //! Figure 7-style open-vs-closed-loop sweep on a loopback-like deployment:
-//! demonstrates the latency/throughput knee moving when the request path is
-//! pipelined (windowed clients + multi-in-flight batching + adaptive batch
-//! timeouts) versus the seed's stop-and-wait configuration.
+//! demonstrates the latency/throughput knee moving with the client window on
+//! the pipelined request path (multi-in-flight batching, an idle pipe cuts a
+//! batch at once).
 //!
-//! Three configurations per client count:
-//! * **stop-and-wait** — window 1, one batch in flight, every partial batch
-//!   waits out the 2 ms batch timer (the seed's request path);
-//! * **adaptive** — window 1, pipelined primary with adaptive timeouts (the
-//!   lone-client latency fix);
-//! * **window 8** — 8 requests in flight per client through the full pipeline.
+//! Two configurations per client count:
+//! * **pipelined w=1** — closed-loop clients, one request each in flight;
+//! * **pipelined w=8** — 8 requests in flight per client.
 //!
 //! Usage: `fig7_pipeline [--quick] [--json OUT]`.
 //!
@@ -82,9 +79,8 @@ fn main() {
         (vec![1, 2, 4, 8, 16, 32], 2000)
     };
 
-    let configs: [(&str, PipelineConfig); 3] = [
-        ("stop-and-wait", PipelineConfig::stop_and_wait()),
-        ("adaptive w=1", PipelineConfig::default()),
+    let configs: [(&str, PipelineConfig); 2] = [
+        ("pipelined w=1", PipelineConfig::default()),
         (
             "pipelined w=8",
             PipelineConfig::default().with_client_window(8),
@@ -127,8 +123,7 @@ fn main() {
         )
     );
     println!(
-        "Expected shape: stop-and-wait saturates near batch_size / batch_timeout with ~2 ms\n\
-         floors; adaptive w=1 drops the lone-client latency to the RTT scale; windowed\n\
+        "Expected shape: w=1 holds the lone-client latency at the RTT scale; windowed\n\
          clients move the throughput knee up by roughly the window factor until the\n\
          in-flight batch limit or CPU, not the batch timer, becomes the bottleneck."
     );

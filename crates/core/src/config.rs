@@ -58,8 +58,8 @@ pub struct XPaxosConfig {
     pub fault_detection: bool,
     /// Enable lazy replication of commit logs to passive replicas (paper §4.5.2).
     pub lazy_replication: bool,
-    /// Request-path pipelining: client windows, in-flight batch limit, adaptive
-    /// batch timeout and the primary's admission-queue bound.
+    /// Request-path pipelining: client windows, in-flight batch limit and the
+    /// primary's admission-queue bound.
     pub pipeline: PipelineConfig,
     /// Simnet node ids of the replicas, indexed by [`ReplicaId`].
     pub replica_nodes: Vec<NodeId>,
@@ -172,18 +172,6 @@ impl XPaxosConfig {
         self.pipeline = pipeline;
         self
     }
-
-    /// Sets the per-client request window (1 = closed loop).
-    pub fn with_client_window(mut self, window: usize) -> Self {
-        self.pipeline.client_window = window.max(1);
-        self
-    }
-
-    /// Sets the primary's in-flight batch limit (1 = stop-and-wait).
-    pub fn with_max_in_flight(mut self, batches: usize) -> Self {
-        self.pipeline.max_in_flight_batches = batches.max(1);
-        self
-    }
 }
 
 #[cfg(test)]
@@ -210,14 +198,15 @@ mod tests {
 
     #[test]
     fn pipeline_builders_clamp_and_replace() {
-        let c = XPaxosConfig::new(1, 0)
-            .with_client_window(0)
-            .with_max_in_flight(0);
+        let c = XPaxosConfig::new(1, 0).with_pipeline(
+            PipelineConfig::default()
+                .with_client_window(0)
+                .with_max_in_flight(0),
+        );
         assert_eq!(c.pipeline.client_window, 1);
         assert_eq!(c.pipeline.max_in_flight_batches, 1);
         let c = c.with_pipeline(PipelineConfig::default().with_client_window(16));
-        assert_eq!(c.pipeline.client_window, 16);
-        assert!(c.pipeline.adaptive_timeout);
+        assert_eq!(c.pipeline, PipelineConfig::default().with_client_window(16));
     }
 
     #[test]

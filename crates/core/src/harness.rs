@@ -116,8 +116,7 @@ impl ClusterBuilder {
     }
 
     /// Sets the request-path pipeline knobs (client window, in-flight batch
-    /// limit, adaptive batch timeout, admission bound) for every node, and
-    /// records them on the simulation's [`SimConfig`].
+    /// limit, admission bound) for every node.
     pub fn with_pipeline(mut self, pipeline: xft_simnet::PipelineConfig) -> Self {
         self.config.pipeline = pipeline;
         self
@@ -222,7 +221,6 @@ impl ClusterBuilder {
             cost_model: self.cost_model,
             cores_per_node: self.cores_per_node,
             trace_messages: self.trace_messages,
-            pipeline: self.config.pipeline.clone(),
         };
         let mut sim: Simulation<XPaxosNode> = Simulation::new(sim_config, latency, self.uplink);
 

@@ -211,17 +211,15 @@ impl Replica {
         if self.phase != Phase::Active {
             // Buffer during view changes; the new primary will pick pending requests up.
             self.queued_keys.insert((client, ts));
-            self.pending_requests.push_back(req);
-            self.pending_traces
-                .push_back(xft_telemetry::trace::current());
+            self.pending_requests
+                .push_back((req, xft_telemetry::trace::current()));
             return;
         }
 
         if self.is_primary_in(self.view) {
             self.queued_keys.insert((client, ts));
-            self.pending_requests.push_back(req);
-            self.pending_traces
-                .push_back(xft_telemetry::trace::current());
+            self.pending_requests
+                .push_back((req, xft_telemetry::trace::current()));
             self.telemetry.add("xft_admitted_total", 1);
             self.tel_event(ctx, "admit", || format!("client={} ts={}", client.0, ts));
             self.pump_pipeline(ctx, false);
@@ -244,9 +242,7 @@ impl Replica {
         self.queued_keys.clear();
         let primary = self.node_of(self.groups.primary(self.view));
         let caller_trace = xft_telemetry::trace::current();
-        let mut traces = std::mem::take(&mut self.pending_traces).into_iter();
-        for req in std::mem::take(&mut self.pending_requests) {
-            let trace = traces.next().unwrap_or(0);
+        for (req, trace) in std::mem::take(&mut self.pending_requests) {
             let executed = self
                 .client_table
                 .get(&req.request.client)
@@ -318,9 +314,9 @@ impl Replica {
     ///
     /// When a batch is cut, per iteration:
     /// * as soon as `batch_size` requests are queued;
-    /// * with `adaptive_timeout`, immediately when nothing is in flight (an
-    ///   idle pipe means waiting buys no batching, only latency — this kills
-    ///   the batch-timeout floor for a lone client);
+    /// * immediately when nothing is in flight (an idle pipe means waiting
+    ///   buys no batching, only latency — so a lone client never waits out
+    ///   the batch timer);
     /// * otherwise (`force`, i.e. the batch timer fired or a view change
     ///   handover), regardless.
     ///
@@ -343,28 +339,33 @@ impl Replica {
         while self.proposed_in_flight < max_in_flight && !self.pending_requests.is_empty() {
             let full = self.pending_requests.len() >= self.config.batch_size;
             let pipe_idle = self.proposed_in_flight == 0;
-            let immediate = self.config.pipeline.adaptive_timeout && pipe_idle;
-            if !(force || full || immediate) {
+            if !(force || full || pipe_idle) {
                 break;
             }
             let mut bytes = Batch::default().wire_size();
             let take = self
                 .pending_requests
                 .iter()
-                .position(|r| {
+                .position(|(r, _)| {
                     bytes += r.request.wire_size();
                     bytes > MAX_BATCH_BYTES
                 })
                 .unwrap_or(self.pending_requests.len())
                 .max(1); // a lone oversized request still leaves
-            let chunk: Vec<SignedRequest> = self.pending_requests.drain(..take).collect();
+
             // The batch inherits the first traced request's correlation id,
             // so the trace crosses the batch-timer hop into the proposal.
-            let batch_trace = self
-                .pending_traces
-                .drain(..take.min(self.pending_traces.len()))
-                .find(|t| *t != 0)
-                .unwrap_or(0);
+            let mut batch_trace = 0;
+            let chunk: Vec<SignedRequest> = self
+                .pending_requests
+                .drain(..take)
+                .map(|(req, trace)| {
+                    if batch_trace == 0 {
+                        batch_trace = trace;
+                    }
+                    req
+                })
+                .collect();
             for req in &chunk {
                 self.queued_keys
                     .remove(&(req.request.client, req.request.timestamp));

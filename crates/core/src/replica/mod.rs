@@ -382,14 +382,13 @@ pub struct Replica {
     pub(crate) early_commits: BTreeMap<u64, Vec<CommitMsg>>,
 
     // ---- batching pipeline (primary role) ----------------------------------------
-    /// Admission queue: requests accepted but not yet proposed. Bounded by
+    /// Admission queue: requests accepted but not yet proposed, each with the
+    /// correlation id it carried at admission (0 = none). Bounded by
     /// `config.pipeline.max_pending_requests`; overflow is shed with BUSY.
-    pub(crate) pending_requests: VecDeque<SignedRequest>,
-    /// Telemetry-only mirror of `pending_requests`: the correlation id each
-    /// request carried at admission (0 = none), re-established when its batch
-    /// is proposed so the trace survives the batch-timer hop. Never feeds
-    /// protocol decisions or `Metrics`.
-    pub(crate) pending_traces: VecDeque<u64>,
+    /// The id is telemetry-only: it is re-established when the request's
+    /// batch is proposed, so the trace survives the batch-timer hop, and
+    /// never feeds protocol decisions or `Metrics`.
+    pub(crate) pending_requests: VecDeque<(SignedRequest, u64)>,
     /// Mirror of `pending_requests` keys, so retransmissions of a request
     /// that is still queued (client re-sends after a suspect or recovery)
     /// don't occupy additional queue slots or batch capacity.
@@ -502,7 +501,6 @@ impl Replica {
             stashed_proposals: BTreeMap::new(),
             early_commits: BTreeMap::new(),
             pending_requests: VecDeque::new(),
-            pending_traces: VecDeque::new(),
             queued_keys: HashSet::new(),
             batch_timer: None,
             proposed_in_flight: 0,
@@ -749,7 +747,6 @@ impl Replica {
         self.stashed_proposals.clear();
         self.early_commits.clear();
         self.pending_requests.clear();
-        self.pending_traces.clear();
         self.queued_keys.clear();
         self.batch_timer = None;
         self.proposed_in_flight = 0;

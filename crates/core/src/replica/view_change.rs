@@ -918,9 +918,7 @@ mod tests {
                 continue;
             }
             assert!(
-                replica.pending_requests.is_empty()
-                    && replica.pending_traces.is_empty()
-                    && replica.queued_keys.is_empty(),
+                replica.pending_requests.is_empty() && replica.queued_keys.is_empty(),
                 "non-primary replica {r} in view {} still queues {} requests",
                 replica.view().0,
                 replica.pending_requests.len()

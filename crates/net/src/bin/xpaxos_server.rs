@@ -5,13 +5,10 @@
 //! xpaxos-server --id 0 --t 1 --clients 1 \
 //!     --addrs 127.0.0.1:7000,127.0.0.1:7001,127.0.0.1:7002,127.0.0.1:7010 \
 //!     [--seed 1] [--delta-ms 500] [--retransmit-ms 2000] [--run-secs 0] \
-//!     [--max-in-flight 8] [--adaptive 1] [--max-pending 4096] \
-//!     [--batch-size 20] \
-//!     [--data-dir PATH] [--fsync-batch 1] [--fsync-overlap 0|1] \
-//!     [--checkpoint-interval 128] \
+//!     [--max-in-flight 8] [--batch-size 20] \
+//!     [--data-dir PATH] [--checkpoint-interval 128] \
 //!     [--state-chunk-bytes 65536] [--state-fetch-window 4] \
-//!     [--metrics-addr 127.0.0.1:9100] [--telemetry 0|1] \
-//!     [--evidence-dir PATH]
+//!     [--metrics-addr 127.0.0.1:9100] [--evidence-dir PATH]
 //! ```
 //!
 //! `--addrs` lists every node of the cluster in node-id order: the `2t + 1`
@@ -19,14 +16,13 @@
 //! same `--t/--clients/--addrs/--seed/--delta-ms` so they agree on membership,
 //! keys and timeouts. `--run-secs 0` runs until killed.
 //!
-//! The pipeline knobs mirror `xft_simnet::PipelineConfig`: `--max-in-flight`
-//! bounds how many batches the primary keeps in flight, `--adaptive 0`
-//! restores the seed's always-wait batch timer, `--max-pending` bounds the
-//! admission queue (overflow is shed with BUSY), and `--batch-size` is the
-//! batch cut threshold (a batch is cut once that many requests are queued,
-//! when the pipe is idle, or when the 2 ms batch timer fires; the cut carries
-//! every queued request up to a 1 MiB byte budget, so a backlog behind a full
-//! in-flight window leaves in one proposal). The client window is the
+//! `--max-in-flight` bounds how many batches the primary keeps in flight
+//! (`xft_simnet::PipelineConfig::max_in_flight_batches`), and `--batch-size`
+//! is the batch cut threshold: a batch is cut once that many requests are
+//! queued, when the pipe is idle, or when the 2 ms batch timer fires; the cut
+//! carries every queued request up to a 1 MiB byte budget, so a backlog
+//! behind a full in-flight window leaves in one proposal. The admission queue
+//! holds 4096 requests; overflow is shed with BUSY. The client window is the
 //! client's own setting (`xpaxos-client --window`).
 //!
 //! With `--data-dir` the replica runs on durable storage (`xft-store`): every
@@ -34,14 +30,10 @@
 //! install snapshot files. A restart with the same `--data-dir` recovers —
 //! scan the WAL, verify CRCs, truncate any torn tail, adopt the snapshot,
 //! re-execute — and rejoins the live cluster, fetching anything newer through
-//! verified state transfer. `--fsync-batch` is the group-commit knob: `1`
-//! fsyncs per record (full durability), `N` once per `N` records, `0` never
-//! (OS page cache only). `--fsync-overlap 1` moves fsyncs to a background
-//! thread: ordering proceeds while the disk syncs, and client replies are
-//! held until the WAL is durable up to their LSN (same durability promise,
-//! fsync latency off the critical path). The background thread syncs
-//! whenever anything is unsynced, so it has no batch to honour:
-//! `--fsync-overlap 1` with any `--fsync-batch` other than 1 is rejected.
+//! verified state transfer. Every record is fsynced, on a background thread
+//! (`SyncPolicy::every(1).overlapped()`): ordering proceeds while the disk
+//! syncs, and client replies are held until the WAL is durable up to their
+//! LSN (per-record durability, fsync latency off the critical path).
 //!
 //! Signature verification, batch digesting and signing run on the protocol
 //! thread.
@@ -55,14 +47,13 @@
 //! `GET /evidence`.
 //!
 //! `--metrics-addr` starts an in-process Prometheus-text scrape endpoint
-//! (`GET /metrics`) with a `/healthz` synchrony report, and implies
-//! `--telemetry 1`: protocol stages feed the flight recorder, WAL fsyncs the
-//! latency histogram, the transport its drop/queue series, and a panic or a
-//! SUSPECT prints a flight-recorder dump to stderr. `--telemetry 1` without
-//! `--metrics-addr` records without serving (the shutdown line still prints
-//! a metrics summary). Telemetry is observation-only — protocol state and
-//! message bytes are identical with it on or off (modulo the optional trace
-//! field in the envelope, which carries no authenticated meaning).
+//! (`GET /metrics`) with a `/healthz` synchrony report, and turns telemetry
+//! on (it is off without it): protocol stages feed the flight recorder, WAL
+//! fsyncs the latency histogram, the transport its drop/queue series, and a
+//! panic or a SUSPECT prints a flight-recorder dump to stderr. Telemetry is
+//! observation-only — protocol state and message bytes are identical with it
+//! on or off (modulo the optional trace field in the envelope, which carries
+//! no authenticated meaning).
 
 use std::net::TcpListener;
 use std::process::exit;
@@ -94,30 +85,16 @@ fn main() {
     let retransmit_ms: u64 = args.optional("--retransmit-ms").unwrap_or(2000);
     let run_secs: u64 = args.optional("--run-secs").unwrap_or(0);
     let max_in_flight: usize = args.optional("--max-in-flight").unwrap_or(8);
-    let adaptive: u64 = args.optional("--adaptive").unwrap_or(1);
-    let max_pending: usize = args.optional("--max-pending").unwrap_or(4096);
     let data_dir: Option<String> = args.optional("--data-dir");
-    let fsync_batch: u64 = args.optional("--fsync-batch").unwrap_or(1);
-    let fsync_overlap: u64 = args.optional("--fsync-overlap").unwrap_or(0);
     let batch_size: Option<usize> = args.optional("--batch-size");
     let checkpoint_interval: u64 = args.optional("--checkpoint-interval").unwrap_or(128);
     let state_chunk_bytes: Option<u32> = args.optional("--state-chunk-bytes");
     let state_fetch_window: Option<u32> = args.optional("--state-fetch-window");
     let metrics_addr: Option<String> = args.optional("--metrics-addr");
     let evidence_dir: Option<String> = args.optional("--evidence-dir");
-    let telemetry_on: u64 = args
-        .optional("--telemetry")
-        .unwrap_or(u64::from(metrics_addr.is_some()));
     args.finish();
-    if fsync_overlap != 0 && fsync_batch != 1 {
-        eprintln!(
-            "xpaxos-server: --fsync-overlap 1 syncs whenever anything is unsynced; \
-             --fsync-batch {fsync_batch} would be ignored (use --fsync-batch 1)"
-        );
-        exit(2);
-    }
 
-    let telemetry = if telemetry_on != 0 {
+    let telemetry = if metrics_addr.is_some() {
         Telemetry::enabled()
     } else {
         Telemetry::disabled()
@@ -134,11 +111,6 @@ fn main() {
         }));
     }
 
-    let pipeline = PipelineConfig::default()
-        .with_max_in_flight(max_in_flight)
-        .with_adaptive_timeout(adaptive != 0)
-        .with_max_pending(max_pending);
-
     let addrs = match parse_node_addrs(&addrs_raw) {
         Ok(a) => a,
         Err(e) => {
@@ -150,7 +122,7 @@ fn main() {
         .with_delta(SimDuration::from_millis(delta_ms))
         .with_client_retransmit(SimDuration::from_millis(retransmit_ms))
         .with_checkpoint_interval(checkpoint_interval)
-        .with_pipeline(pipeline);
+        .with_pipeline(PipelineConfig::default().with_max_in_flight(max_in_flight));
     if let Some(batch) = batch_size {
         config = config.with_batch_size(batch);
     }
@@ -186,11 +158,7 @@ fn main() {
     let mut start_mode = StartMode::Fresh;
     let mut sync_notifier = None;
     if let Some(dir) = &data_dir {
-        let mut policy = SyncPolicy::every(fsync_batch);
-        if fsync_overlap != 0 {
-            policy = policy.overlapped();
-        }
-        let storage = match DiskStorage::open(dir, policy) {
+        let storage = match DiskStorage::open(dir, SyncPolicy::every(1).overlapped()) {
             Ok(s) => s.with_telemetry(Arc::clone(&telemetry)),
             Err(e) => {
                 eprintln!("xpaxos-server: cannot open --data-dir {dir}: {e}");

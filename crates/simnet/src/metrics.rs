@@ -15,7 +15,7 @@ pub enum MetricEvent {
         at: SimTime,
         /// End-to-end latency observed by the client.
         latency: SimDuration,
-        /// Request payload size, for byte-throughput reporting.
+        /// Request payload size (part of [`Metrics::fingerprint`]).
         payload_bytes: usize,
     },
     /// Increment a named counter.
@@ -112,11 +112,7 @@ impl Metrics {
 
     /// Value of a named counter (0 if never incremented).
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters
-            .iter()
-            .find(|(k, _)| **k == name)
-            .map(|(_, v)| *v)
-            .unwrap_or(0)
+        self.counters.get(name).copied().unwrap_or(0)
     }
 
     /// All counters, sorted by name.
@@ -127,15 +123,6 @@ impl Metrics {
     /// Completed view changes.
     pub fn view_changes(&self) -> &[(SimTime, u64)] {
         &self.view_changes
-    }
-
-    /// Average end-to-end latency of committed requests.
-    pub fn mean_latency(&self) -> SimDuration {
-        if self.commits.is_empty() {
-            return SimDuration::ZERO;
-        }
-        let total: u64 = self.commits.iter().map(|(_, l, _)| l.as_nanos()).sum();
-        SimDuration::from_nanos(total / self.commits.len() as u64)
     }
 
     /// `q`-quantile of end-to-end latency in milliseconds.
@@ -198,11 +185,6 @@ impl Metrics {
             .map(|(t, _, _)| t.as_secs_f64())
             .collect();
         rate_timeseries(&times, bin.as_secs_f64(), horizon.as_secs_f64())
-    }
-
-    /// Total committed payload bytes.
-    pub fn committed_bytes(&self) -> u64 {
-        self.commits.iter().map(|(_, _, b)| *b as u64).sum()
     }
 
     /// CPU nanoseconds consumed by a node so far.
@@ -297,8 +279,6 @@ mod tests {
         commit_at(&mut m, 2.5, 300.0);
         assert_eq!(m.committed(), 3);
         assert!((m.mean_latency_ms() - 200.0).abs() < 1e-9);
-        assert_eq!(m.committed_bytes(), 3 * 1024);
-        assert_eq!(m.mean_latency(), SimDuration::from_millis(200));
     }
 
     #[test]

@@ -1,34 +1,29 @@
 //! Request-path pipelining knobs shared by every runtime backend.
 //!
-//! The same [`PipelineConfig`] travels through the simulator's
-//! [`SimConfig`](crate::sim::SimConfig), protocol configurations built on top
-//! of it, and the deployment CLIs, so a pipelined experiment means the same
-//! thing on every backend:
+//! The same [`PipelineConfig`] travels through protocol configurations and
+//! the deployment CLIs, so a pipelined experiment means the same thing on
+//! every backend:
 //!
 //! * **`client_window`** — how many requests each client keeps outstanding.
 //!   `1` is the classical closed loop of the paper's micro-benchmarks; larger
 //!   windows turn the client into an open-loop load generator with bounded
 //!   in-flight work.
 //! * **`max_in_flight_batches`** — how many sequence numbers the primary may
-//!   have proposed but not yet committed. `1` is stop-and-wait agreement;
-//!   larger values overlap agreement rounds (pipelining).
-//! * **`adaptive_timeout`** — when set, the primary proposes a partial batch
-//!   *immediately* whenever the pipeline is empty instead of waiting out the
-//!   batch timer; batches then form naturally only while the pipe is busy.
-//!   This removes the batch-timeout latency floor for light load without
-//!   giving up batching under heavy load.
+//!   have proposed but not yet committed. Values above `1` overlap agreement
+//!   rounds (pipelining).
 //! * **`max_pending_requests`** — bound on the primary's admission queue;
 //!   requests beyond it are shed with a typed busy reply so open-loop clients
 //!   cannot exhaust replica memory.
 //!
 //! Batch length is not a knob here. The protocol's batch size is a *cut
 //! threshold* — a batch is cut once that many requests are queued, when the
-//! pipe is idle (with `adaptive_timeout`), or when the batch timer fires —
-//! and a cut carries every request queued at that moment, up to a fixed byte
-//! budget (`xft_core::config::MAX_BATCH_BYTES`, a sixteenth of the wire frame
-//! limit). Requests that pile up behind `max_in_flight_batches` therefore
-//! leave in the next free slot, and throughput is not capped at
-//! `max_in_flight_batches × batch size` per commit round trip.
+//! pipe is idle (an idle pipe means waiting buys no batching, only latency),
+//! or when the batch timer fires — and a cut carries every request queued at
+//! that moment, up to a fixed byte budget (`xft_core::config::MAX_BATCH_BYTES`,
+//! a sixteenth of the wire frame limit). Requests that pile up behind
+//! `max_in_flight_batches` therefore leave in the next free slot, and
+//! throughput is not capped at `max_in_flight_batches × batch size` per
+//! commit round trip.
 
 /// Tuning knobs of the windowed request pipeline (clients and primary).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,8 +32,6 @@ pub struct PipelineConfig {
     pub max_in_flight_batches: usize,
     /// Requests each client keeps outstanding (≥ 1; 1 = closed loop).
     pub client_window: usize,
-    /// Propose partial batches immediately while the pipeline is empty.
-    pub adaptive_timeout: bool,
     /// Bound on the primary's admission queue; overflow is shed with a BUSY
     /// reply.
     pub max_pending_requests: usize,
@@ -49,24 +42,12 @@ impl Default for PipelineConfig {
         PipelineConfig {
             max_in_flight_batches: 8,
             client_window: 1,
-            adaptive_timeout: true,
             max_pending_requests: 4096,
         }
     }
 }
 
 impl PipelineConfig {
-    /// The seed's stop-and-wait behaviour: one outstanding request per client,
-    /// one batch at a time, every partial batch waits out the batch timer.
-    pub fn stop_and_wait() -> Self {
-        PipelineConfig {
-            max_in_flight_batches: 1,
-            client_window: 1,
-            adaptive_timeout: false,
-            max_pending_requests: 4096,
-        }
-    }
-
     /// Sets the client window (clamped to ≥ 1).
     pub fn with_client_window(mut self, window: usize) -> Self {
         self.client_window = window.max(1);
@@ -76,12 +57,6 @@ impl PipelineConfig {
     /// Sets the maximum number of in-flight batches (clamped to ≥ 1).
     pub fn with_max_in_flight(mut self, batches: usize) -> Self {
         self.max_in_flight_batches = batches.max(1);
-        self
-    }
-
-    /// Enables or disables adaptive batch timeouts.
-    pub fn with_adaptive_timeout(mut self, enabled: bool) -> Self {
-        self.adaptive_timeout = enabled;
         self
     }
 
@@ -97,15 +72,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_is_pipelined_and_stop_and_wait_is_not() {
+    fn default_is_pipelined() {
         let d = PipelineConfig::default();
         assert!(d.max_in_flight_batches > 1);
         assert_eq!(d.client_window, 1);
-        assert!(d.adaptive_timeout);
-
-        let s = PipelineConfig::stop_and_wait();
-        assert_eq!(s.max_in_flight_batches, 1);
-        assert!(!s.adaptive_timeout);
+        assert_eq!(d.max_pending_requests, 4096);
     }
 
     #[test]
@@ -113,11 +84,9 @@ mod tests {
         let p = PipelineConfig::default()
             .with_client_window(0)
             .with_max_in_flight(0)
-            .with_max_pending(0)
-            .with_adaptive_timeout(false);
+            .with_max_pending(0);
         assert_eq!(p.client_window, 1);
         assert_eq!(p.max_in_flight_batches, 1);
         assert_eq!(p.max_pending_requests, 1);
-        assert!(!p.adaptive_timeout);
     }
 }

@@ -15,7 +15,6 @@ use crate::fault::{FaultEvent, FaultScript};
 use crate::latency::LatencyModel;
 use crate::metrics::Metrics;
 use crate::network::{Bandwidth, Network, SendOutcome};
-use crate::pipeline::PipelineConfig;
 use crate::rng::SimRng;
 use crate::runtime::{ActorDriver, ActorEvent, Runtime};
 use crate::time::{SimDuration, SimTime};
@@ -37,11 +36,6 @@ pub struct SimConfig {
     pub cores_per_node: u32,
     /// Record every message transmission in the trace.
     pub trace_messages: bool,
-    /// The request-path pipelining knobs in effect for this run. The
-    /// simulator core doesn't consume them (actors read their own protocol
-    /// config); cluster builders record them here so every backend's run
-    /// configuration carries the same knob set and tooling can introspect it.
-    pub pipeline: PipelineConfig,
 }
 
 impl Default for SimConfig {
@@ -51,7 +45,6 @@ impl Default for SimConfig {
             cost_model: CostModel::paper_default(),
             cores_per_node: 8, // the paper's EC2 VMs have 8 vCPUs
             trace_messages: false,
-            pipeline: PipelineConfig::default(),
         }
     }
 }
@@ -587,7 +580,6 @@ mod tests {
             cost_model: CostModel::free(),
             cores_per_node: 1,
             trace_messages: trace,
-            ..SimConfig::default()
         };
         Simulation::new(
             config,
@@ -672,7 +664,6 @@ mod tests {
                 cost_model: CostModel::paper_default(),
                 cores_per_node: 2,
                 trace_messages: false,
-                ..SimConfig::default()
             };
             let mut s: Simulation<PingPong> = Simulation::new(
                 config,
@@ -725,7 +716,6 @@ mod tests {
             cost_model: CostModel::free(),
             cores_per_node: 1,
             trace_messages: false,
-            ..SimConfig::default()
         };
         let mut s: Simulation<Busy> = Simulation::new(
             config,

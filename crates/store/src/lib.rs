@@ -91,8 +91,8 @@ impl Recovered {
 ///   strongest durability, one fsync per operation;
 /// * `SyncPolicy::every(n)` fsyncs once per `n` appends (group commit) —
 ///   a crash can lose at most the last `n − 1` records;
-/// * `SyncPolicy::OS_FLUSH` (batch = 0) never fsyncs explicitly and leaves
-///   durability to the OS page cache — the fastest and weakest setting.
+/// * `SyncPolicy::every(0)` never fsyncs explicitly and leaves durability to
+///   the OS page cache — the fastest and weakest setting.
 ///
 /// `overlap` replaces that cadence rather than adding to it: appends return
 /// immediately, and a background thread fsyncs whenever anything is
@@ -119,12 +119,6 @@ impl SyncPolicy {
         batch: 1,
         overlap: false,
     };
-    /// Never fsync explicitly; durability is whatever the OS provides.
-    pub const OS_FLUSH: SyncPolicy = SyncPolicy {
-        batch: 0,
-        overlap: false,
-    };
-
     /// Fsync once per `batch` appends (`0` = never).
     pub fn every(batch: u64) -> Self {
         SyncPolicy {
@@ -262,8 +256,9 @@ mod tests {
     #[test]
     fn sync_policy_constants_and_default() {
         assert_eq!(SyncPolicy::default(), SyncPolicy::EVERY_APPEND);
-        assert_eq!(SyncPolicy::every(0), SyncPolicy::OS_FLUSH);
+        assert_eq!(SyncPolicy::every(1), SyncPolicy::EVERY_APPEND);
         assert_eq!(SyncPolicy::every(8).batch, 8);
+        assert!(SyncPolicy::every(1).overlapped().overlap);
     }
 
     #[test]

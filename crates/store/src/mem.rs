@@ -8,7 +8,7 @@
 //! [`scan_records`] path.
 
 use crate::wal::{frame_record, scan_records};
-use crate::{DiskFault, Recovered, Storage, StorageStats, SyncPolicy};
+use crate::{DiskFault, Recovered, Storage, StorageStats};
 
 /// In-memory stable storage. "Durable" means "present in the buffers": the
 /// simulator parks actors (and their storage) across crashes, so whatever is
@@ -17,24 +17,15 @@ use crate::{DiskFault, Recovered, Storage, StorageStats, SyncPolicy};
 pub struct MemStorage {
     wal: Vec<u8>,
     snapshot: Option<Vec<u8>>,
-    policy: SyncPolicy,
     stats: StorageStats,
-    unsynced: u64,
 }
 
 impl MemStorage {
-    /// Creates empty storage with per-append sync accounting.
+    /// Creates empty storage. Memory is always "durable", so every append
+    /// counts as one sync, as under
+    /// [`SyncPolicy::EVERY_APPEND`](crate::SyncPolicy::EVERY_APPEND).
     pub fn new() -> Self {
-        MemStorage::with_policy(SyncPolicy::EVERY_APPEND)
-    }
-
-    /// Creates empty storage with the given group-commit policy (the policy
-    /// only drives the `syncs` counter — memory is always "durable").
-    pub fn with_policy(policy: SyncPolicy) -> Self {
-        MemStorage {
-            policy,
-            ..Default::default()
-        }
+        MemStorage::default()
     }
 
     /// The raw WAL bytes (tests and fault-injection helpers).
@@ -48,18 +39,11 @@ impl Storage for MemStorage {
         self.wal.extend_from_slice(&frame_record(record));
         self.stats.appends += 1;
         self.stats.wal_bytes = self.wal.len() as u64;
-        self.unsynced += 1;
-        if self.policy.batch > 0 && self.unsynced >= self.policy.batch {
-            self.sync();
-        }
+        self.stats.syncs += 1;
     }
 
-    fn sync(&mut self) {
-        if self.unsynced > 0 {
-            self.stats.syncs += 1;
-            self.unsynced = 0;
-        }
-    }
+    /// Nothing to do: every append was counted as synced.
+    fn sync(&mut self) {}
 
     fn install_snapshot(&mut self, snapshot: &[u8], records: &[Vec<u8>]) {
         self.snapshot = Some(snapshot.to_vec());
@@ -69,7 +53,6 @@ impl Storage for MemStorage {
         }
         self.stats.snapshots += 1;
         self.stats.wal_bytes = self.wal.len() as u64;
-        self.sync();
     }
 
     fn load(&mut self) -> Recovered {
@@ -87,7 +70,6 @@ impl Storage for MemStorage {
         self.wal.clear();
         self.snapshot = None;
         self.stats.wal_bytes = 0;
-        self.unsynced = 0;
     }
 
     fn inject(&mut self, fault: DiskFault) {
@@ -127,23 +109,6 @@ mod tests {
         assert!(rec.snapshot.is_none());
         assert_eq!(s.stats().appends, 2);
         assert_eq!(s.stats().syncs, 2, "EVERY_APPEND syncs per record");
-    }
-
-    #[test]
-    fn group_commit_counts_fewer_syncs() {
-        let mut s = MemStorage::with_policy(SyncPolicy::every(4));
-        for i in 0..10u8 {
-            s.append(&[i]);
-        }
-        assert_eq!(s.stats().syncs, 2, "10 appends at batch 4 → 2 full batches");
-        s.sync();
-        assert_eq!(
-            s.stats().syncs,
-            3,
-            "explicit barrier flushes the partial batch"
-        );
-        s.sync();
-        assert_eq!(s.stats().syncs, 3, "idempotent when nothing is pending");
     }
 
     #[test]

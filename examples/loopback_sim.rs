@@ -9,12 +9,9 @@
 //! ```console
 //! $ cargo run --release --example loopback_sim
 //! $ cargo run --release --example loopback_sim -- --clients 4 --window 8
-//! $ cargo run --release --example loopback_sim -- --stop-and-wait
 //! ```
 //!
-//! `--clients N` / `--window K` mirror the `xpaxos-client` flags;
-//! `--stop-and-wait` restores the seed's request path (window 1, one batch in
-//! flight, always-wait batch timer) for before/after comparison.
+//! `--clients N` / `--window K` mirror the `xpaxos-client` flags.
 
 use xft::core::harness::{ClusterBuilder, LatencySpec};
 use xft::kvstore::workload::bench_workload;
@@ -33,13 +30,7 @@ fn main() {
     const OPS: u64 = 1000;
     const PAYLOAD: usize = 1024;
     let clients = flag_value("--clients").unwrap_or(1).max(1);
-    let stop_and_wait = std::env::args().any(|a| a == "--stop-and-wait");
-    let pipeline = if stop_and_wait {
-        PipelineConfig::stop_and_wait()
-    } else {
-        PipelineConfig::default().with_client_window(flag_value("--window").unwrap_or(1).max(1))
-    };
-    let window = pipeline.client_window;
+    let window = flag_value("--window").unwrap_or(1).max(1);
 
     let mut cluster = ClusterBuilder::new(1, clients)
         // Loopback RTTs are tens of microseconds; 25 µs one-way approximates it.
@@ -48,7 +39,7 @@ fn main() {
         // workers.
         .with_workload_factory(|c| bench_workload(c as u64, PAYLOAD, Some(OPS)))
         .with_state_machine(|| Box::new(CoordinationService::new()))
-        .with_pipeline(pipeline)
+        .with_pipeline(PipelineConfig::default().with_client_window(window))
         .build();
     cluster.run_for(SimDuration::from_secs(60));
 
@@ -58,8 +49,7 @@ fn main() {
     let last = metrics.commit_times_secs().last().copied().unwrap_or(0.0);
     println!(
         "simnet loopback twin: committed {committed}/{target} ops of {PAYLOAD} B \
-         ({clients} client(s), window {window}{})",
-        if stop_and_wait { ", stop-and-wait" } else { "" }
+         ({clients} client(s), window {window})"
     );
     println!(
         "simnet loopback twin: {:.1} ops/s",

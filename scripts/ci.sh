@@ -43,14 +43,15 @@ benchmark/check.sh
 echo "==> quickstart example exits 0"
 cargo run --offline --release --example quickstart >/dev/null
 
-echo "==> xpaxos-server rejects --fsync-overlap 1 with a --fsync-batch it would ignore"
-# The background fsync thread syncs whenever anything is unsynced, so a batch
-# other than 1 means nothing there; the flag pair must fail fast (exit 2)
-# rather than start a replica (which --run-secs 1 would let exit 0).
+echo "==> xpaxos-server rejects the removed synchronous-fsync flag as unknown"
+# --data-dir always runs the overlapped per-record fsync, so a script still
+# asking for the old synchronous mode must fail fast (exit 2) instead of
+# starting a replica with different durability (which --run-secs 1 would
+# let exit 0).
 status=0
 target/release/xpaxos-server --id 0 --t 1 --clients 1 \
     --addrs 127.0.0.1:0,127.0.0.1:0,127.0.0.1:0,127.0.0.1:0 \
-    --fsync-batch 8 --fsync-overlap 1 --run-secs 1 2>/dev/null || status=$?
+    --fsync-overlap 0 --run-secs 1 2>/dev/null || status=$?
 [ "$status" = 2 ] || { echo "expected exit 2, got $status" >&2; exit 1; }
 
 echo "==> loopback TCP smoke: 3 xpaxos-servers + 1 xpaxos-client, then the idle servers must each use < 2 % of a core"
@@ -126,16 +127,16 @@ echo "==> kill -9 recovery smoke: restart a server from its --data-dir"
 # SIGKILL and restarted from its data directory; it must log a recovery line
 # and client 1 must then commit against the healed cluster. The short
 # checkpoint interval makes the rejoin exercise snapshots + state transfer.
-# These servers run the production storage (--fsync-overlap 1), so the
+# Like every durable smoke, these servers run the production storage, so the
 # SIGKILL lands on the overlapped WAL fsync and the background snapshot
-# installer; the other durable smokes keep the default synchronous policy.
+# installer.
 smoke_recovery() {
     local base=$1 datadir
     datadir=$(mktemp -d)
     local addrs="127.0.0.1:${base},127.0.0.1:$((base + 1)),127.0.0.1:$((base + 2))"
     addrs="${addrs},127.0.0.1:$((base + 3)),127.0.0.1:$((base + 4))"
     local flags=(--t 1 --clients 2 --addrs "$addrs" --delta-ms 200 --retransmit-ms 1000)
-    local server_flags=(--checkpoint-interval 16 --fsync-overlap 1)
+    local server_flags=(--checkpoint-interval 16)
     local pids=()
     for id in 0 1 2; do
         target/release/xpaxos-server --id "$id" "${flags[@]}" "${server_flags[@]}" \

@@ -1,7 +1,8 @@
-//! Tests for the windowed request pipeline: adaptive batching kills the
-//! batch-timer latency floor, out-of-order commit arrivals still execute in
-//! sequence-number order with identical state-machine digests, and the
-//! bounded admission queue sheds load without losing liveness.
+//! Tests for the windowed request pipeline: an idle pipe cuts a batch at
+//! once, so a lone client never waits out the batch timer; out-of-order
+//! commit arrivals still execute in sequence-number order with identical
+//! state-machine digests; and the bounded admission queue sheds load without
+//! losing liveness.
 
 use xft::core::client::ClientWorkload;
 use xft::core::harness::{ClusterBuilder, LatencySpec};
@@ -22,9 +23,9 @@ fn saturating_workload(requests: u64) -> ClientWorkload {
 
 /// Regression for the tentpole latency fix: a lone closed-loop client on
 /// loopback-like links used to pay the full 2 ms batch timeout on every
-/// request (seed: ~2.1 ms mean); with adaptive timeouts the pipeline is empty
-/// when its request arrives, so the batch is proposed immediately and the
-/// mean latency sits at the RTT scale, far below the 2 ms floor.
+/// request (seed: ~2.1 ms mean); now the pipeline is empty when its request
+/// arrives, so the batch is proposed immediately and the mean latency sits at
+/// the RTT scale, far below the 2 ms floor.
 #[test]
 fn lone_closed_loop_client_no_longer_waits_out_the_batch_timer() {
     let mut cluster = ClusterBuilder::new(1, 1)
@@ -40,25 +41,6 @@ fn lone_closed_loop_client_no_longer_waits_out_the_batch_timer() {
         "lone client mean latency {mean_ms:.3} ms still near the 2 ms batch-timeout floor"
     );
     cluster.check_total_order().expect("total order holds");
-}
-
-/// The seed's behaviour is still reachable: stop-and-wait pins every request
-/// to the batch timer, so the same run sits at (or above) the 2 ms floor.
-#[test]
-fn stop_and_wait_configuration_reproduces_the_batch_timer_floor() {
-    let mut cluster = ClusterBuilder::new(1, 1)
-        .with_seed(21)
-        .with_latency(LatencySpec::Constant(SimDuration::from_micros(25)))
-        .with_workload(saturating_workload(200))
-        .with_pipeline(PipelineConfig::stop_and_wait())
-        .build();
-    cluster.run_for(SimDuration::from_secs(10));
-    assert_eq!(cluster.total_committed(), 200);
-    let mean_ms = cluster.sim.metrics().mean_latency_ms();
-    assert!(
-        mean_ms >= 2.0,
-        "stop-and-wait mean latency {mean_ms:.3} ms should include the 2 ms batch timeout"
-    );
 }
 
 /// Windowed clients push the throughput knee well past the batch-timer bound:
