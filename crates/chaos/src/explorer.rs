@@ -17,7 +17,8 @@ use crate::checker::{check_history, decode_history, OpEvent, Violation};
 use crate::schedule::{analyze_schedule, generate, ScheduleConfig, TimedEvent};
 use crate::workload::chaos_workload;
 use std::sync::{Arc, Mutex};
-use xft_core::harness::{ClusterBuilder, LatencySpec};
+use xft_core::harness::{check_total_order, ClusterBuilder, LatencySpec};
+use xft_core::Replica;
 use xft_kvstore::CoordinationService;
 use xft_simnet::{FaultScript, PipelineConfig, SimDuration, SimTime};
 use xft_telemetry::Telemetry;
@@ -216,9 +217,12 @@ fn run_schedule_inner(
 
     // Identical committed prefixes across correct (never-touched) replicas.
     if !analysis.used_drops {
-        let clean: Vec<usize> = (0..n).filter(|r| !analysis.touched.contains(r)).collect();
+        let clean: Vec<&Replica> = (0..n)
+            .filter(|r| !analysis.touched.contains(r))
+            .map(|r| cluster.replica(r))
+            .collect();
         if clean.len() >= 2 {
-            if let Err(detail) = cluster.check_total_order_among(&clean) {
+            if let Err(detail) = check_total_order(&clean) {
                 violations.push(Violation::TotalOrderDivergence { detail });
             }
         }

@@ -49,6 +49,10 @@ const MAX_TS_SPREAD: u64 = MAX_CLIENT_WINDOW as u64;
 /// sustained shedding still escalates to the fault-detection path.
 const MAX_BUSY_BACKOFFS: u32 = 3;
 
+/// Unit of the BUSY back-off: the client waits 4–12 of these (jittered) before
+/// re-sending a shed request, a few of the primary's batch periods.
+const BUSY_BACKOFF_UNIT: SimDuration = SimDuration::from_millis(2);
+
 /// Timer token used for open-loop / think-time pacing.
 const TOKEN_NEXT_REQUEST: u64 = 1;
 /// Timer token base for per-request retransmission timeouts; the request's
@@ -242,7 +246,7 @@ impl Client {
     /// batch periods (jittered, so competing clients don't retry in lockstep
     /// and starve whoever sorts last), giving the queue time to drain.
     fn busy_backoff_delay(&self, ctx: &mut Context<XPaxosMsg>) -> SimDuration {
-        self.config.batch_timeout * (4 + ctx.rng().next_below(9))
+        BUSY_BACKOFF_UNIT * (4 + ctx.rng().next_below(9))
     }
 
     fn node_of(&self, replica: ReplicaId) -> NodeId {

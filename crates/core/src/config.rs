@@ -11,6 +11,10 @@ use xft_simnet::{NodeId, PipelineConfig, SimDuration};
 /// [`PipelineConfig::max_pending_requests`].
 pub const MAX_BATCH_BYTES: usize = xft_wire::DEFAULT_MAX_FRAME / 16;
 
+/// How long the primary waits to reach the cut threshold
+/// ([`XPaxosConfig::batch_size`]) before cutting a partial batch.
+pub const BATCH_TIMEOUT: SimDuration = SimDuration::from_millis(2);
+
 /// Configuration shared by every XPaxos replica and client in a cluster.
 #[derive(Debug, Clone)]
 pub struct XPaxosConfig {
@@ -21,15 +25,12 @@ pub struct XPaxosConfig {
     /// is 2Δ.
     pub delta: SimDuration,
     /// Batch cut threshold (paper uses 20): the primary cuts a batch as soon
-    /// as this many requests are queued (or the pipe is idle, or the batch
-    /// timer fires). A cut carries *every* request queued at that moment, up
+    /// as this many requests are queued (or the pipe is idle, or the
+    /// [`BATCH_TIMEOUT`] timer fires). A cut carries *every* request queued at that moment, up
     /// to [`MAX_BATCH_BYTES`], so a backlog that built up behind a full
     /// in-flight window leaves in one proposal instead of one `batch_size`
     /// per commit round.
     pub batch_size: usize,
-    /// How long the primary waits to reach the cut threshold before cutting
-    /// a partial batch.
-    pub batch_timeout: SimDuration,
     /// Checkpoint interval (in sequence numbers). 0 disables checkpointing.
     pub checkpoint_interval: u64,
     /// State-transfer chunk size in bytes: sealed snapshots are served in
@@ -51,13 +52,9 @@ pub struct XPaxosConfig {
     /// the primary, a correct active replica expects it to commit within this time,
     /// otherwise it suspects the view.
     pub replica_retransmit: SimDuration,
-    /// Timeout for completing a view change before suspecting the new view as well.
-    pub view_change_timeout: SimDuration,
     /// Enable the Fault Detection mechanism (extra VC-CONFIRM phase and prepare-log
     /// exchange during view change, paper §4.4).
     pub fault_detection: bool,
-    /// Enable lazy replication of commit logs to passive replicas (paper §4.5.2).
-    pub lazy_replication: bool,
     /// Request-path pipelining: client windows, in-flight batch limit and the
     /// primary's admission-queue bound.
     pub pipeline: PipelineConfig,
@@ -77,15 +74,12 @@ impl XPaxosConfig {
             t,
             delta,
             batch_size: 20,
-            batch_timeout: SimDuration::from_millis(2),
             checkpoint_interval: 128,
             state_chunk_bytes: 64 * 1024,
             state_fetch_window: 4,
             client_retransmit: SimDuration::from_secs(4),
             replica_retransmit: SimDuration::from_secs(4),
-            view_change_timeout: SimDuration::from_millis(1250 * 4),
             fault_detection: false,
-            lazy_replication: true,
             pipeline: PipelineConfig::default(),
             replica_nodes: (0..n).collect(),
             client_nodes: (n..n + clients).collect(),
@@ -117,10 +111,15 @@ impl XPaxosConfig {
         self.delta * 2
     }
 
-    /// Sets Δ (and scales the view-change timeout accordingly).
+    /// Timeout for completing a view change before suspecting the new view
+    /// as well: 4Δ.
+    pub fn view_change_timeout(&self) -> SimDuration {
+        self.delta * 4
+    }
+
+    /// Sets Δ (which also scales the view-change timeout).
     pub fn with_delta(mut self, delta: SimDuration) -> Self {
         self.delta = delta;
-        self.view_change_timeout = delta * 4;
         self
     }
 
@@ -152,12 +151,6 @@ impl XPaxosConfig {
     /// Sets the state-transfer fetch window (clamped to at least 1).
     pub fn with_state_fetch_window(mut self, window: u32) -> Self {
         self.state_fetch_window = window.max(1);
-        self
-    }
-
-    /// Enables or disables lazy replication.
-    pub fn with_lazy_replication(mut self, enabled: bool) -> Self {
-        self.lazy_replication = enabled;
         self
     }
 
@@ -217,16 +210,14 @@ mod tests {
             .with_batch_size(0)
             .with_checkpoint_interval(64)
             .with_state_chunk_bytes(100)
-            .with_state_fetch_window(0)
-            .with_lazy_replication(false);
+            .with_state_fetch_window(0);
         assert_eq!(c.delta, SimDuration::from_millis(100));
         assert_eq!(c.two_delta(), SimDuration::from_millis(200));
-        assert_eq!(c.view_change_timeout, SimDuration::from_millis(400));
+        assert_eq!(c.view_change_timeout(), SimDuration::from_millis(400));
         assert!(c.fault_detection);
         assert_eq!(c.batch_size, 1, "batch size is clamped to at least 1");
         assert_eq!(c.checkpoint_interval, 64);
         assert_eq!(c.state_chunk_bytes, 512, "chunk size is clamped to ≥ 512");
         assert_eq!(c.state_fetch_window, 1, "fetch window is clamped to ≥ 1");
-        assert!(!c.lazy_replication);
     }
 }

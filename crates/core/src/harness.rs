@@ -260,6 +260,43 @@ impl ClusterBuilder {
     }
 }
 
+/// Checks the paper's total-order safety property (Theorem 1): for every
+/// sequence number executed by two of `replicas`, the executed batch must be
+/// identical. Returns an error describing the first divergence found. Works on
+/// simulated replicas and on replicas returned by a TCP runtime's shutdown.
+///
+/// Pass a subset to leave out a replica that was partitioned while it held
+/// speculatively executed entries of the t = 1 fast path (§4.2.2): it may
+/// hold a divergent suffix that no client committed until it rejoins and
+/// repairs through a view change, exactly as the paper's Lemma 1 permits.
+pub fn check_total_order(replicas: &[&Replica]) -> Result<(), String> {
+    let histories: Vec<BTreeMap<u64, Digest>> = replicas
+        .iter()
+        .map(|r| {
+            r.executed_history()
+                .iter()
+                .map(|(sn, d)| (sn.0, *d))
+                .collect()
+        })
+        .collect();
+    for (i, a) in replicas.iter().enumerate() {
+        for (j, b) in replicas.iter().enumerate().skip(i + 1) {
+            for (sn, da) in &histories[i] {
+                if let Some(db) = histories[j].get(sn) {
+                    if da != db {
+                        return Err(format!(
+                            "total-order violation at sn {sn}: replica {} executed {da:?}, replica {} executed {db:?}",
+                            a.id(),
+                            b.id()
+                        ));
+                    }
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
 /// A built XPaxos cluster running in the simulator.
 pub struct XPaxosCluster {
     /// The underlying simulation.
@@ -304,44 +341,10 @@ impl XPaxosCluster {
             .sum()
     }
 
-    /// Checks the paper's total-order safety property across all replicas: for every
-    /// sequence number executed by two replicas, the executed batch must be identical.
-    /// Returns an error describing the first divergence found.
+    /// Checks the paper's total-order safety property across all replicas
+    /// (see [`check_total_order`]).
     pub fn check_total_order(&self) -> Result<(), String> {
-        self.check_total_order_among(&(0..self.config.n()).collect::<Vec<_>>())
-    }
-
-    /// Like [`check_total_order`](Self::check_total_order) but restricted to a subset
-    /// of replicas. Useful for scenarios in which a replica is partitioned while it
-    /// holds speculatively executed entries of the t = 1 fast path (§4.2.2): such a
-    /// replica may hold a divergent suffix that no client committed until it rejoins
-    /// and repairs through a view change, exactly as the paper's Lemma 1 permits.
-    pub fn check_total_order_among(&self, replicas: &[ReplicaId]) -> Result<(), String> {
-        let n = replicas.len();
-        let mut by_replica: Vec<BTreeMap<u64, Digest>> = Vec::with_capacity(n);
-        for &r in replicas {
-            let history: BTreeMap<u64, Digest> = self
-                .replica(r)
-                .executed_history()
-                .iter()
-                .map(|(sn, d)| (sn.0, *d))
-                .collect();
-            by_replica.push(history);
-        }
-        for a in 0..n {
-            for b in (a + 1)..n {
-                for (sn, da) in &by_replica[a] {
-                    if let Some(db) = by_replica[b].get(sn) {
-                        if da != db {
-                            return Err(format!(
-                                "total-order violation at sn {sn}: replica {a} executed {da:?}, replica {b} executed {db:?}"
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-        Ok(())
+        check_total_order(&(0..self.n()).map(|r| self.replica(r)).collect::<Vec<_>>())
     }
 
     /// The highest sequence number executed by any replica.

@@ -34,6 +34,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod auth;
 pub mod byzantine;
 pub mod client;
 pub mod config;
@@ -56,7 +57,7 @@ pub use client::{Client, ClientWorkload, HistoryRecord};
 pub use config::XPaxosConfig;
 pub use durable::{DurableEvent, ReplicaSnapshot, SealedSnapshot};
 pub use evidence::{EvidenceAnchor, EvidenceLog, EvidenceRecord};
-pub use harness::{ClusterBuilder, LatencySpec, XPaxosCluster};
+pub use harness::{check_total_order, ClusterBuilder, LatencySpec, XPaxosCluster};
 pub use messages::XPaxosMsg;
 pub use model::{ProtocolModel, ReplicaFaultState, SystemSnapshot};
 pub use node::XPaxosNode;

@@ -7,7 +7,7 @@
 //! PREPARE/COMMIT signing — goes through a [`CryptoFront`], which runs it on
 //! the protocol thread and reports its cost to telemetry.
 
-use crate::types::Request;
+use crate::types::{client_key, Request};
 use std::sync::Arc;
 use std::time::Instant;
 use xft_crypto::{Digest, Signature, Signer, Verifier};
@@ -30,13 +30,15 @@ impl CryptoFront {
         CryptoFront::new(Telemetry::disabled())
     }
 
-    /// Verifies a batch's client signatures (`sigs[i]` over `requests[i]`),
-    /// digesting each request and checking the whole batch in one pass.
+    /// Verifies a batch's client signatures (`sigs[i]` over `requests[i]`,
+    /// under the key of the client `requests[i]` names), digesting each
+    /// request and checking the whole batch in one pass.
     ///
     /// Returns `Ok(())` when every signature verifies. On failure the
     /// per-signature fallback inside [`Verifier::verify_batch`] pinpoints the
     /// culprits and their (sorted) indices are returned, so the caller can
-    /// drop exactly the bad requests and keep the rest.
+    /// drop exactly the bad requests and keep the rest. A signature made
+    /// under another client's key is a culprit too.
     pub fn verify_client_sigs(
         &self,
         verifier: &Verifier,
@@ -48,7 +50,16 @@ impl CryptoFront {
         let items: Vec<(Digest, Signature)> = requests
             .iter()
             .zip(sigs.iter())
-            .map(|(req, sig)| (crate::messages::client_request_digest(req), *sig))
+            .map(|(req, sig)| {
+                // Under another client's key the signature fails like a forgery.
+                let key = client_key(req.client);
+                let bound = if sig.signer == key {
+                    *sig
+                } else {
+                    Signature::forged(key)
+                };
+                (crate::messages::client_request_digest(req), bound)
+            })
             .collect();
         let result = verifier.verify_batch(&items);
         if let Some(t0) = t0 {
@@ -57,9 +68,6 @@ impl CryptoFront {
                 1e-9,
                 t0.elapsed().as_nanos() as u64,
             );
-        }
-        if result.is_err() {
-            self.telemetry.add("xft_sig_batch_fallback_total", 1);
         }
         result
     }
@@ -126,7 +134,21 @@ mod tests {
     }
 
     #[test]
-    fn fallback_counter_ticks_on_bad_batches() {
+    fn a_request_signed_by_another_client_is_a_culprit() {
+        let registry = KeyRegistry::new(5);
+        let (requests, mut sigs) = make_batch(6, &registry);
+        // Request 4 names client 0; re-sign it under client 1's key.
+        let other = Signer::new(&registry, client_key(ClientId(1)));
+        sigs[4] = other.sign_digest(&client_request_digest(&requests[4]));
+        let verifier = Verifier::new(registry);
+        assert_eq!(
+            CryptoFront::inline().verify_client_sigs(&verifier, &requests, &sigs),
+            Err(vec![4])
+        );
+    }
+
+    #[test]
+    fn verify_latency_lands_in_the_hub_and_nothing_is_counted() {
         let registry = KeyRegistry::new(5);
         let (requests, mut sigs) = make_batch(8, &registry);
         sigs[0].tag[0] ^= 1;
@@ -134,6 +156,13 @@ mod tests {
         let telemetry = Telemetry::enabled();
         let f = CryptoFront::new(telemetry.clone());
         let _ = f.verify_client_sigs(&verifier, &requests, &sigs);
-        assert_eq!(telemetry.counter("xft_sig_batch_fallback_total").get(), 1);
+        assert_eq!(
+            telemetry
+                .histogram("xft_crypto_verify_seconds", 1e-9)
+                .count(),
+            1
+        );
+        // The fallback is counted once, by the caller (`sig_batch_fallback`).
+        assert!(!telemetry.render_prometheus().contains("_total"));
     }
 }

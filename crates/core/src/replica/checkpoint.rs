@@ -9,6 +9,7 @@
 //! a consequence of lazy replication" — §5.4).
 
 use super::{Phase, Replica};
+use crate::auth::verify_replica_sig;
 use crate::log::CommitEntry;
 use crate::messages::{CheckpointMsg, XPaxosMsg};
 use crate::types::{ReplicaId, SeqNum};
@@ -30,7 +31,7 @@ impl Replica {
         // Capture the snapshot *now*, at the execution point whose digest the
         // round agrees on; it is retained until the CHKPT quorum seals it
         // (execution moves on in the meantime).
-        let image = self.capture_checkpoint();
+        let image = self.capture_checkpoint(ctx);
         let digest = image.commitment();
         self.pending_snapshots.insert(sn.0, image);
         // PRECHK round: MAC-authenticated state digest exchange among active replicas.
@@ -68,7 +69,7 @@ impl Replica {
                 return;
             }
             let expected = crate::messages::checkpoint_vote_digest(m.view, m.sn, &m.state_digest);
-            if !self.verifier.is_valid_digest(&expected, &m.signature) {
+            if !verify_replica_sig(&self.verifier, m.replica, &expected, &m.signature) {
                 return;
             }
             self.chkpt_votes.entry(m.sn.0).or_default().push(m.clone());
@@ -181,7 +182,6 @@ impl Replica {
         // instead of O(history).
         self.truncate_below_checkpoint(sn);
         ctx.count("checkpoints", 1);
-        self.telemetry.add("xft_checkpoints_total", 1);
         self.tel_event(ctx, "chkpt", || {
             format!("sn={} view={} stable", sn.0, self.view.0)
         });
@@ -238,7 +238,7 @@ impl Replica {
         // would launder the fork below every later divergence check, so roll
         // back and refetch instead of adopting the proof.
         if self.exec_sn == sn {
-            let image = self.capture_checkpoint();
+            let image = self.capture_checkpoint(ctx);
             if image.commitment() == digest {
                 // Seal our own snapshot with the received proof — this
                 // replica becomes a transfer source too (useful when the
@@ -284,7 +284,7 @@ impl Replica {
 
     /// Followers lazily propagate the committed entry at `sn` to passive replicas.
     pub(crate) fn lazy_replicate(&mut self, sn: SeqNum, ctx: &mut Context<XPaxosMsg>) {
-        if !self.config.lazy_replication || self.phase != Phase::Active {
+        if self.phase != Phase::Active {
             return;
         }
         // Only followers propagate (the primary's uplink is the throughput bottleneck
@@ -363,5 +363,50 @@ impl Replica {
         }
         self.try_execute(ctx);
         ctx.count("lazy_entries", 1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::client::ClientWorkload;
+    use crate::harness::{ClusterBuilder, LatencySpec};
+    use crate::messages::{checkpoint_vote_digest, CheckpointMsg, XPaxosMsg};
+    use crate::types::{replica_key, SeqNum, ViewNumber};
+    use xft_crypto::{Digest, Signer};
+    use xft_simnet::SimDuration;
+
+    /// Replica 0 copies its own CHKPT vote under replica 1's id to forge a
+    /// t + 1 proof of a checkpoint nobody reached. The passive replica must
+    /// reject the proof rather than start fetching that state.
+    #[test]
+    fn a_copied_chkpt_vote_starts_no_state_transfer_at_a_passive() {
+        let mut cluster = ClusterBuilder::new(1, 1)
+            .with_latency(LatencySpec::Constant(SimDuration::from_millis(1)))
+            .with_workload(ClientWorkload {
+                requests: Some(0),
+                ..Default::default()
+            })
+            .build();
+        let (sn, view, state) = (SeqNum(128), ViewNumber(0), Digest::of(b"never reached"));
+        let signer = Signer::new(&cluster.registry, replica_key(0));
+        let vote = CheckpointMsg {
+            sn,
+            view,
+            state_digest: state,
+            replica: 0,
+            signed: true,
+            signature: signer.sign_digest(&checkpoint_vote_digest(view, sn, &state)),
+        };
+        let copy = CheckpointMsg {
+            replica: 1,
+            ..vote.clone()
+        };
+        let proof = vec![vote, copy];
+        cluster
+            .sim
+            .post_message(0, 2, XPaxosMsg::LazyCheckpoint { proof });
+        cluster.run_for(SimDuration::from_millis(50));
+        assert!(cluster.replica(2).pending_transfer.is_none());
+        assert_eq!(cluster.sim.metrics().counter("state_transfers_started"), 0);
     }
 }

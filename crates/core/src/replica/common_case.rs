@@ -9,12 +9,12 @@
 //!   active replica commits once it holds one COMMIT from each follower.
 
 use super::{Phase, Replica, TOKEN_BATCH, TOKEN_MONITOR};
+use crate::auth::{verify_client_sig, verify_replica_sig};
 use crate::byzantine::ByzantineBehavior;
-use crate::config::MAX_BATCH_BYTES;
+use crate::config::{BATCH_TIMEOUT, MAX_BATCH_BYTES};
 use crate::log::{CommitEntry, PrepareEntry};
 use crate::messages::{
-    client_request_digest, reply_digest, CommitCarryMsg, CommitMsg, PrepareMsg, ReplyMsg,
-    SignedRequest, XPaxosMsg,
+    reply_digest, CommitCarryMsg, CommitMsg, PrepareMsg, ReplyMsg, SignedRequest, XPaxosMsg,
 };
 use crate::types::{Batch, ClientId, ReplicaId, SeqNum, Timestamp};
 use std::collections::BTreeMap;
@@ -54,11 +54,7 @@ impl Replica {
         // view suspicion — paths a forged signature must never reach.
         if retransmission {
             ctx.charge(CryptoOp::VerifySig);
-            if self
-                .verifier
-                .verify_digest(&client_request_digest(&req.request), &req.signature)
-                .is_err()
-            {
+            if !verify_client_sig(&self.verifier, &req.request, &req.signature) {
                 return;
             }
         }
@@ -186,7 +182,6 @@ impl Replica {
         let queues_here = self.phase != Phase::Active || self.is_primary_in(self.view);
         if queues_here && queue_full {
             ctx.count("requests_shed", 1);
-            self.telemetry.add("xft_shed_total", 1);
             self.tel_event(ctx, "shed", || {
                 format!("client={} ts={} queue full", client.0, ts)
             });
@@ -220,7 +215,6 @@ impl Replica {
             self.queued_keys.insert((client, ts));
             self.pending_requests
                 .push_back((req, xft_telemetry::trace::current()));
-            self.telemetry.add("xft_admitted_total", 1);
             self.tel_event(ctx, "admit", || format!("client={} ts={}", client.0, ts));
             self.pump_pipeline(ctx, false);
         } else {
@@ -326,7 +320,7 @@ impl Replica {
     /// than by `max_in_flight_batches × batch_size` per commit round trip.
     ///
     /// Leftover requests re-arm the batch timer, so a partial batch waits at
-    /// most `batch_timeout` even while the pipe is busy.
+    /// most [`BATCH_TIMEOUT`] even while the pipe is busy.
     pub(crate) fn pump_pipeline(&mut self, ctx: &mut Context<XPaxosMsg>, force: bool) {
         if self.phase != Phase::Active || !self.is_primary_in(self.view) {
             return;
@@ -376,7 +370,7 @@ impl Replica {
         xft_telemetry::trace::set_current(caller_trace);
         if !self.pending_requests.is_empty() {
             if self.batch_timer.is_none() {
-                self.batch_timer = Some(ctx.set_timer(self.config.batch_timeout, TOKEN_BATCH));
+                self.batch_timer = Some(ctx.set_timer(BATCH_TIMEOUT, TOKEN_BATCH));
             }
         } else if let Some(timer) = self.batch_timer.take() {
             ctx.cancel_timer(timer);
@@ -414,7 +408,7 @@ impl Replica {
         {
             // The fallback re-verified every signature individually.
             ctx.charge(CryptoOp::VerifyBatch { count: reqs.len() });
-            ctx.count("sig_batch_fallbacks", 1);
+            ctx.count("sig_batch_fallback", 1);
             self.tel_event(ctx, "sig-fallback", || {
                 format!("culprits={} of {}", culprits.len(), reqs.len())
             });
@@ -441,7 +435,6 @@ impl Replica {
         });
         if self.telemetry.is_enabled() {
             let now_ns = ctx.now().as_nanos();
-            self.telemetry.add("xft_batches_proposed_total", 1);
             self.telemetry
                 .observe("xft_batch_size", 1.0, batch.len() as u64);
             self.telemetry
@@ -588,10 +581,7 @@ impl Replica {
         ctx: &mut Context<XPaxosMsg>,
     ) {
         ctx.charge(CryptoOp::VerifySig);
-        let primary = self.groups.primary(view);
-        if signature.signer == crate::types::replica_key(primary)
-            && self.verifier.is_valid_digest(signed, signature)
-        {
+        if verify_replica_sig(&self.verifier, self.groups.primary(view), signed, signature) {
             self.enter_view_change(view, ctx);
         }
     }
@@ -618,7 +608,8 @@ impl Replica {
         // single batched pass through the crypto front).
         ctx.charge(CryptoOp::VerifySig);
         let expected = PrepareEntry::signed_digest(&m.batch.digest(), m.sn, m.view);
-        if !self.verifier.is_valid_digest(&expected, &m.signature) {
+        let primary = self.groups.primary(m.view);
+        if !verify_replica_sig(&self.verifier, primary, &expected, &m.signature) {
             self.suspect_view(ctx);
             return;
         }
@@ -715,7 +706,8 @@ impl Replica {
         ctx.charge(CryptoOp::VerifySig);
         let batch_digest = m.batch.digest();
         let expected = CommitEntry::commit_digest(&batch_digest, m.sn, m.view);
-        if !self.verifier.is_valid_digest(&expected, &m.signature) {
+        let primary = self.groups.primary(m.view);
+        if !verify_replica_sig(&self.verifier, primary, &expected, &m.signature) {
             self.suspect_view(ctx);
             return;
         }
@@ -794,7 +786,7 @@ impl Replica {
         self.persist(|| crate::durable::DurableEvent::Commit(entry.clone()));
         self.commit_log.insert(entry);
         self.committed_batches += 1;
-        self.telemetry.add("xft_commits_total", 1);
+        ctx.count("commits", 1);
         self.tel_event(ctx, "commit", || {
             format!("sn={} view={} carry", m.sn.0, m.view.0)
         });
@@ -808,13 +800,23 @@ impl Replica {
     }
 
     /// COMMIT (digest form): t = 1 completion at the primary, general-case collection,
-    /// or post-view-change proof accumulation.
+    /// or post-view-change proof accumulation. The signature must be the named
+    /// replica's, over the commit digest (bound to the reply digest when the
+    /// COMMIT carries one). A COMMIT that fails is dropped without suspecting
+    /// anyone: anyone can send garbage under any name.
     pub(crate) fn on_commit(&mut self, _from: NodeId, m: CommitMsg, ctx: &mut Context<XPaxosMsg>) {
         if m.view != self.view {
             return;
         }
         ctx.charge(CryptoOp::VerifySig);
         if m.replica >= self.config.n() {
+            return;
+        }
+        let mut signed = CommitEntry::commit_digest(&m.batch_digest, m.sn, m.view);
+        if let Some(rd) = &m.reply_digest {
+            signed = signed.combine(rd);
+        }
+        if !verify_replica_sig(&self.verifier, m.replica, &signed, &m.signature) {
             return;
         }
         self.process_commit(m, ctx);
@@ -917,7 +919,7 @@ impl Replica {
         self.persist(|| crate::durable::DurableEvent::Commit(entry.clone()));
         self.commit_log.insert(entry);
         self.committed_batches += 1;
-        self.telemetry.add("xft_commits_total", 1);
+        ctx.count("commits", 1);
         self.tel_event(ctx, "commit", || {
             format!("sn={} view={} fast-path", sn.0, self.view.0)
         });
@@ -948,7 +950,7 @@ impl Replica {
         self.persist(|| crate::durable::DurableEvent::Commit(entry.clone()));
         self.commit_log.insert(entry);
         self.committed_batches += 1;
-        self.telemetry.add("xft_commits_total", 1);
+        ctx.count("commits", 1);
         self.tel_event(ctx, "commit", || {
             format!("sn={} view={} general", sn.0, self.view.0)
         });
@@ -1009,7 +1011,6 @@ impl Replica {
                 ctx.count("fast_path_reply_divergence", 1);
                 if self.telemetry.is_enabled() {
                     let follower = self.groups.followers(self.view)[0];
-                    self.telemetry.add("xft_reply_divergence_total", 1);
                     self.telemetry
                         .with_monitor(|mon| mon.mark_faulty(follower as u64));
                     self.tel_event(ctx, "diverge", || {
@@ -1044,7 +1045,6 @@ impl Replica {
         debug_assert_eq!(sn, self.exec_sn.next(), "execution must be in order");
         self.exec_sn = sn;
         self.executed_history.push((sn, batch.digest()));
-        self.telemetry.add("xft_executed_batches_total", 1);
         self.tel_event(ctx, "execute", || {
             format!("sn={} reqs={}", sn.0, batch.len())
         });
@@ -1127,11 +1127,78 @@ pub(crate) fn combine_digests(digests: &[Digest]) -> Digest {
 
 #[cfg(test)]
 mod tests {
+    use crate::byzantine::ByzantineBehavior;
     use crate::client::ClientWorkload;
     use crate::config::MAX_BATCH_BYTES;
-    use crate::harness::{ClusterBuilder, LatencySpec};
+    use crate::harness::{ClusterBuilder, LatencySpec, XPaxosCluster};
+    use crate::log::CommitEntry;
+    use crate::messages::{client_request_digest, CommitMsg, SignedRequest, XPaxosMsg};
+    use crate::types::{client_key, replica_key, ClientId, Request, SeqNum, ViewNumber};
     use std::collections::BTreeSet;
+    use xft_crypto::Signer;
     use xft_simnet::{PipelineConfig, SimDuration};
+
+    fn one_ms_cluster(clients: usize, requests: u64) -> XPaxosCluster {
+        ClusterBuilder::new(1, clients)
+            .with_latency(LatencySpec::Constant(SimDuration::from_millis(1)))
+            .with_workload(ClientWorkload {
+                requests: Some(requests),
+                ..Default::default()
+            })
+            .build()
+    }
+
+    /// With the follower muted, the passive replica signs a COMMIT in the
+    /// follower's name for the batch the primary proposed. The primary must
+    /// not take it as the follower's commitment.
+    #[test]
+    fn a_commit_in_the_followers_name_under_another_key_commits_nothing() {
+        let mut cluster = one_ms_cluster(1, 1);
+        cluster.replica_mut(1).set_behavior(ByzantineBehavior::Mute);
+        cluster.run_for(SimDuration::from_millis(20));
+        let (sn, view) = (SeqNum(1), ViewNumber(0));
+        let batch_digest = cluster
+            .replica(0)
+            .prepare_log
+            .get(sn)
+            .expect("the primary proposed the request")
+            .batch
+            .digest();
+        let passive = Signer::new(&cluster.registry, replica_key(2));
+        let commit = CommitMsg {
+            view,
+            sn,
+            batch_digest,
+            replica: 1,
+            reply_digest: None,
+            signature: passive.sign_digest(&CommitEntry::commit_digest(&batch_digest, sn, view)),
+        };
+        cluster.sim.post_message(2, 0, XPaxosMsg::Commit(commit));
+        cluster.run_for(SimDuration::from_millis(20));
+        assert_eq!(cluster.replica(0).committed_batches(), 0);
+        assert_eq!(cluster.sim.metrics().counter("commits"), 0);
+    }
+
+    /// Client 1 signs a request that names client 0. The primary must drop it
+    /// at the batched verification, so it is never proposed.
+    #[test]
+    fn a_request_naming_another_client_is_never_proposed() {
+        let mut cluster = one_ms_cluster(2, 0);
+        let request = Request::new(ClientId(0), 999_999, vec![0xEE; 64].into());
+        let client1 = Signer::new(&cluster.registry, client_key(ClientId(1)));
+        let forged = SignedRequest {
+            signature: client1.sign_digest(&client_request_digest(&request)),
+            request,
+        };
+        let client1_node = cluster.config.client_nodes[1];
+        cluster
+            .sim
+            .post_message(client1_node, 0, XPaxosMsg::Replicate(forged));
+        cluster.run_for(SimDuration::from_millis(50));
+        assert_eq!(cluster.sim.metrics().counter("batches_proposed"), 0);
+        assert_eq!(cluster.sim.metrics().counter("sig_batch_fallback"), 1);
+        assert!(cluster.replica(0).prepare_log.is_empty());
+    }
 
     /// A backlog larger than the byte budget is cut into budget-sized
     /// batches: 4 clients × 128-deep windows of 4 kB requests (2 MiB) queue

@@ -74,7 +74,6 @@ impl Replica {
                 let required = storage.wal_lsn();
                 if storage.durable_lsn() < required {
                     self.deferred_replies.push_back((required, node, msg));
-                    self.telemetry.add("xft_reply_deferred_total", 1);
                     return;
                 }
                 // The gate is open: anything still queued is durable too
@@ -156,7 +155,7 @@ impl Replica {
     /// below the window base are attested by the previous seal and excluded,
     /// so apart from the application bytes the capture is O(checkpoint
     /// interval) however long the run.
-    pub(crate) fn capture_checkpoint(&self) -> Arc<SnapshotImage> {
+    pub(crate) fn capture_checkpoint(&self, ctx: &mut Context<XPaxosMsg>) -> Arc<SnapshotImage> {
         let started = self.telemetry.is_enabled().then(std::time::Instant::now);
         let sn = self.exec_sn;
         let base = self.checkpoint_base(sn);
@@ -189,12 +188,8 @@ impl Replica {
                 started.elapsed().as_nanos() as u64,
             );
         }
-        self.telemetry
-            .add("xft_checkpoint_blocks_total", stats.blocks_total);
-        self.telemetry.add(
-            "xft_checkpoint_blocks_rehashed_total",
-            stats.blocks_rehashed,
-        );
+        ctx.count("checkpoint_blocks", stats.blocks_total);
+        ctx.count("checkpoint_blocks_rehashed", stats.blocks_rehashed);
         Arc::new(image)
     }
 
@@ -378,7 +373,6 @@ impl Replica {
             } else {
                 report.snapshot_rejected = true;
                 ctx.count("snapshots_rejected", 1);
-                self.telemetry.add("xft_snapshots_rejected_total", 1);
             }
         }
         let mut chunk_progress: Option<super::ChunkProgress> = None;
@@ -457,7 +451,6 @@ impl Replica {
         // None` and drives it.
         if let Some(progress) = chunk_progress.take() {
             if progress.sn > self.exec_sn && self.pending_transfer.is_none() {
-                self.telemetry.add("xft_state_transfer_resumes_total", 1);
                 ctx.count("state_transfer_resumes", 1);
                 self.pending_transfer = Some(super::PendingTransfer {
                     target: progress.sn,

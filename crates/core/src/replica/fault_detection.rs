@@ -13,6 +13,7 @@
 //!   committed entry of the same view.
 
 use super::{Phase, Replica};
+use crate::auth::verify_replica_sig;
 use crate::messages::{
     DetectedFaultKind, FaultDetectedMsg, VcConfirmMsg, ViewChangeMsg, XPaxosMsg,
 };
@@ -134,10 +135,8 @@ impl Replica {
     /// Handles a FAULT-DETECTED announcement from another replica.
     pub(crate) fn on_fault_detected(&mut self, m: FaultDetectedMsg, ctx: &mut Context<XPaxosMsg>) {
         ctx.charge(CryptoOp::VerifySig);
-        if !self.verifier.is_valid_digest(
-            &fault_detected_digest(m.new_view, m.culprit, m.reporter),
-            &m.signature,
-        ) {
+        let signed = fault_detected_digest(m.new_view, m.culprit, m.reporter);
+        if !verify_replica_sig(&self.verifier, m.reporter, &signed, &m.signature) {
             return;
         }
         if m.culprit >= self.config.n() {

@@ -541,9 +541,11 @@ impl Replica {
         self.storage.is_some()
     }
 
-    /// Attaches a telemetry hub: protocol counters, flight-recorder events,
-    /// and synchrony-monitor samples flow into it. Observation-only — see
-    /// the field documentation.
+    /// Attaches a telemetry hub: histograms, flight-recorder events and
+    /// synchrony-monitor samples flow into it. The replica's counters do not:
+    /// it counts through [`Context::count`], and the TCP runtime exports
+    /// those counts to its hub. Observation-only — see the field
+    /// documentation.
     pub fn with_telemetry(mut self, telemetry: std::sync::Arc<xft_telemetry::Telemetry>) -> Self {
         self.telemetry = telemetry;
         // Rebuild the front against the new hub so its histograms land there.

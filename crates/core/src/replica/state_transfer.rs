@@ -47,13 +47,14 @@
 //! signatures, at least one from a correct replica.
 
 use super::{ChunkProgress, PendingTransfer, Replica, TOKEN_STATE_TRANSFER};
+use crate::auth::verify_replica_sig;
 use crate::durable::{
     chunk_count, chunk_leaf, snapshot_commitment, DurableEvent, SealedSnapshot, SnapshotImage,
     TransferChunkRecord,
 };
 use crate::messages::{
-    checkpoint_vote_digest, state_chunk_request_digest, state_chunk_response_digest, CheckpointMsg,
-    StateChunkRequestMsg, StateChunkResponseMsg, XPaxosMsg,
+    state_chunk_request_digest, state_chunk_response_digest, CheckpointMsg, StateChunkRequestMsg,
+    StateChunkResponseMsg, XPaxosMsg,
 };
 use crate::types::{ReplicaId, SeqNum};
 use bytes::Bytes;
@@ -238,10 +239,8 @@ impl Replica {
         if m.replica >= self.config.n() || m.replica == self.id {
             return;
         }
-        if !self.verifier.is_valid_digest(
-            &state_chunk_request_digest(m.min_sn, m.want_sn, m.index, m.replica),
-            &m.signature,
-        ) {
+        let signed = state_chunk_request_digest(m.min_sn, m.want_sn, m.index, m.replica);
+        if !verify_replica_sig(&self.verifier, m.replica, &signed, &m.signature) {
             return;
         }
         // Keep serving the pinned generation whenever it satisfies the
@@ -285,9 +284,7 @@ impl Replica {
         response.signature = self.sign(&state_chunk_response_digest(&response));
         let served_bytes = response.data.len() as u64;
         ctx.count("state_chunks_served", 1);
-        self.telemetry.add("xft_state_chunks_served_total", 1);
-        self.telemetry
-            .add("xft_state_transfer_bytes_total", served_bytes);
+        ctx.count("state_transfer_bytes", served_bytes);
         let msg = XPaxosMsg::StateChunkResponse(response);
         let frame = msg.size_bytes() as u64;
         self.telemetry.observe("xft_state_chunk_bytes", 1.0, frame);
@@ -343,10 +340,8 @@ impl Replica {
         if m.replica >= self.config.n() || m.replica == self.id {
             return;
         }
-        if !self
-            .verifier
-            .is_valid_digest(&state_chunk_response_digest(&m), &m.signature)
-        {
+        let signed = state_chunk_response_digest(&m);
+        if !verify_replica_sig(&self.verifier, m.replica, &signed, &m.signature) {
             ctx.count("state_chunks_rejected", 1);
             return;
         }
@@ -427,7 +422,6 @@ impl Replica {
 
         if fresh {
             ctx.count("state_chunks_verified", 1);
-            self.telemetry.add("xft_state_chunks_verified_total", 1);
             // Journal the verified chunk so a crash resumes the transfer
             // from the WAL instead of refetching every chunk.
             self.persist(|| {
@@ -505,7 +499,6 @@ impl Replica {
         };
         if self.adopt_sealed_snapshot(sealed, true, ctx) {
             ctx.count("state_transfers_adopted", 1);
-            self.telemetry.add("xft_state_transfers_adopted_total", 1);
             self.tel_event(ctx, "xfer", || {
                 format!("adopted sn={} ({adopted_bytes} bytes, chunked)", sn.0)
             });
@@ -518,30 +511,16 @@ impl Replica {
         }
     }
 
-    /// Verifies a checkpoint proof: at least t + 1 *distinct* replicas'
-    /// signed CHKPT messages, all for the same sequence number and state
-    /// digest, every signature valid. Returns the proven `(sn, digest)`.
+    /// Verifies a checkpoint proof ([`crate::auth::verify_checkpoint_proof`]),
+    /// charging one batched verification of its signatures.
     pub(crate) fn verify_checkpoint_proof(
         &self,
         proof: &[CheckpointMsg],
         ctx: &mut Context<XPaxosMsg>,
     ) -> Option<(SeqNum, Digest)> {
-        let first = proof.first()?;
-        let (sn, digest) = (first.sn, first.state_digest);
-        let mut signers: BTreeSet<ReplicaId> = BTreeSet::new();
-        let mut items: Vec<(Digest, xft_crypto::Signature)> = Vec::with_capacity(proof.len());
-        for m in proof {
-            if !m.signed || m.sn != sn || m.state_digest != digest || m.replica >= self.config.n() {
-                return None;
-            }
-            items.push((checkpoint_vote_digest(m.view, m.sn, &digest), m.signature));
-            signers.insert(m.replica);
+        if !proof.is_empty() {
+            ctx.charge(CryptoOp::VerifyBatch { count: proof.len() });
         }
-        // One batched pass over the whole proof (t + 1 signatures).
-        ctx.charge(CryptoOp::VerifyBatch { count: items.len() });
-        if self.verifier.verify_batch(&items).is_err() {
-            return None;
-        }
-        (signers.len() >= self.config.active_count()).then_some((sn, digest))
+        crate::auth::verify_checkpoint_proof(&self.verifier, self.config.t, proof)
     }
 }

@@ -8,6 +8,7 @@
 //! NEW-VIEW message.
 
 use super::{Phase, Replica, ViewChangeState, TOKEN_VC_COLLECT, TOKEN_VC_TIMEOUT};
+use crate::auth::verify_replica_sig;
 use crate::byzantine::ByzantineBehavior;
 use crate::log::{CommitEntry, PrepareEntry};
 use crate::messages::{
@@ -56,10 +57,8 @@ impl Replica {
             return;
         }
         ctx.charge(CryptoOp::VerifySig);
-        if !self
-            .verifier
-            .is_valid_digest(&suspect_digest(m.view, m.replica), &m.signature)
-        {
+        let signed = suspect_digest(m.view, m.replica);
+        if !verify_replica_sig(&self.verifier, m.replica, &signed, &m.signature) {
             return;
         }
         if m.view < self.view {
@@ -169,8 +168,10 @@ impl Replica {
         if self.is_active_in(target) {
             // Active replicas of the new view collect messages from everyone else.
             let collect_timer = ctx.set_timer(self.config.two_delta(), TOKEN_VC_COLLECT + target.0);
-            let timeout_timer =
-                ctx.set_timer(self.config.view_change_timeout, TOKEN_VC_TIMEOUT + target.0);
+            let timeout_timer = ctx.set_timer(
+                self.config.view_change_timeout(),
+                TOKEN_VC_TIMEOUT + target.0,
+            );
             self.vc = Some(ViewChangeState {
                 target,
                 vc_msgs: BTreeMap::new(),
@@ -203,7 +204,7 @@ impl Replica {
     /// received messages *and* to messages embedded in VC-FINAL sets.
     fn valid_view_change_msg(&self, m: &ViewChangeMsg, ctx: &mut Context<XPaxosMsg>) -> bool {
         ctx.charge(CryptoOp::VerifySig);
-        if !self.verifier.is_valid_digest(&m.digest(), &m.signature) {
+        if !verify_replica_sig(&self.verifier, m.replica, &m.digest(), &m.signature) {
             return false;
         }
         if m.last_checkpoint > SeqNum(0) {
@@ -663,7 +664,7 @@ impl Replica {
         if transfer_target.is_none() && horizon > self.last_checkpoint && self.exec_sn == horizon {
             if let Some((sn, digest)) = self.verify_checkpoint_proof(&horizon_proof, ctx) {
                 if sn == horizon {
-                    let image = self.capture_checkpoint();
+                    let image = self.capture_checkpoint(ctx);
                     if image.commitment() == digest {
                         self.last_checkpoint = horizon;
                         self.checkpoint_proof = horizon_proof.clone();
@@ -861,9 +862,41 @@ pub(crate) fn vc_set_digest(set: &[ViewChangeMsg]) -> Digest {
 #[cfg(test)]
 mod tests {
     use crate::client::ClientWorkload;
-    use crate::harness::{ClusterBuilder, LatencySpec};
+    use crate::harness::{check_total_order, ClusterBuilder, LatencySpec};
+    use crate::messages::{suspect_digest, SuspectMsg, XPaxosMsg};
     use crate::replica::Phase;
+    use crate::types::{replica_key, ViewNumber};
+    use xft_crypto::Signer;
     use xft_simnet::{FaultEvent, SimDuration, SimTime};
+
+    /// Only the active replicas of a view may suspect it. The passive replica
+    /// signing a SUSPECT in the primary's name must not move anyone.
+    #[test]
+    fn a_suspect_signed_by_a_passive_in_the_primarys_name_starts_no_view_change() {
+        let mut cluster = ClusterBuilder::new(1, 1)
+            .with_latency(LatencySpec::Constant(SimDuration::from_millis(1)))
+            .with_workload(ClientWorkload {
+                requests: Some(0),
+                ..Default::default()
+            })
+            .build();
+        let passive = Signer::new(&cluster.registry, replica_key(2));
+        let suspect = SuspectMsg {
+            view: ViewNumber(0),
+            replica: 0,
+            signature: passive.sign_digest(&suspect_digest(ViewNumber(0), 0)),
+        };
+        cluster.sim.post_message(2, 1, XPaxosMsg::Suspect(suspect));
+        cluster.run_for(SimDuration::from_millis(50));
+        for r in 0..3 {
+            assert_eq!(
+                cluster.replica(r).view(),
+                ViewNumber(0),
+                "replica {r} moved"
+            );
+        }
+        assert_eq!(cluster.sim.metrics().counter("view_changes_started"), 0);
+    }
 
     /// Requests a replica buffers while a view change is in progress must not
     /// outlive the install at a replica that is not the new primary: they are
@@ -924,8 +957,6 @@ mod tests {
                 replica.pending_requests.len()
             );
         }
-        cluster
-            .check_total_order_among(&[1, 2])
-            .expect("total order holds");
+        check_total_order(&[cluster.replica(1), cluster.replica(2)]).expect("total order holds");
     }
 }

@@ -18,6 +18,7 @@ use crate::statements::{self, Statement};
 use bytes::Bytes;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
+use xft_core::auth::verify_checkpoint_proof;
 use xft_core::evidence::EvidenceRecord;
 use xft_core::messages::ViewChangeMsg;
 use xft_core::types::replica_key;
@@ -221,13 +222,9 @@ impl Auditor {
                 if earlier.last_checkpoint.0 == 0 {
                     continue;
                 }
-                let proven = statements::verify_checkpoint_proof(
-                    &self.verifier,
-                    self.n,
-                    self.t,
-                    &earlier.checkpoint_proof,
-                )
-                .is_some_and(|(sn, _)| sn == earlier.last_checkpoint);
+                let proven =
+                    verify_checkpoint_proof(&self.verifier, self.t, &earlier.checkpoint_proof)
+                        .is_some_and(|(sn, _)| sn == earlier.last_checkpoint);
                 if !proven {
                     continue;
                 }

@@ -15,6 +15,7 @@
 use crate::statements::{self, Statement};
 use bytes::{BufMut, Bytes, Reader};
 use std::sync::Arc;
+use xft_core::auth::verify_checkpoint_proof;
 use xft_core::evidence::EvidenceMsg;
 use xft_core::types::replica_key;
 use xft_crypto::{KeyRegistry, Verifier};
@@ -245,18 +246,12 @@ impl ProofOfCulpability {
                 // The earlier view change proved a horizon H = `self.sn`
                 // with a valid t + 1 CHKPT proof; the later one (a strictly
                 // later view) claims a horizon below H.
-                let (n, t) = (self.n as usize, self.t as usize);
                 later.new_view > earlier.new_view
                     && later.new_view.0 == self.view
                     && earlier.last_checkpoint.0 == self.sn
                     && later.last_checkpoint < earlier.last_checkpoint
-                    && statements::verify_checkpoint_proof(
-                        verifier,
-                        n,
-                        t,
-                        &earlier.checkpoint_proof,
-                    )
-                    .is_some_and(|(sn, _)| sn == earlier.last_checkpoint)
+                    && verify_checkpoint_proof(verifier, self.t as usize, &earlier.checkpoint_proof)
+                        .is_some_and(|(sn, _)| sn == earlier.last_checkpoint)
             }
             _ => false,
         }

@@ -9,10 +9,11 @@
 //! travelled — a replica cannot hide a fork by only ever shipping it inside
 //! a view-change log.
 
+use xft_core::auth::verify_replica_sig;
 use xft_core::evidence::EvidenceMsg;
 use xft_core::log::{CommitEntry, PrepareEntry};
 use xft_core::messages::{checkpoint_vote_digest, CheckpointMsg, ViewChangeMsg, XPaxosMsg};
-use xft_core::types::{replica_key, SeqNum, ViewNumber};
+use xft_core::types::{SeqNum, ViewNumber};
 use xft_crypto::{Digest, Signature, Verifier};
 
 /// One signed claim by one replica, extracted from a protocol message.
@@ -238,97 +239,61 @@ fn extract_view_change(m: &ViewChangeMsg, out: &mut Vec<Statement>) {
     }
 }
 
-/// Checks a statement's signature against the claimed author: the signing
-/// key must be the author's registered replica key *and* the signature must
-/// verify over the exact digest the protocol signs for that statement kind.
-/// Anything that fails is worthless as evidence and must be discarded — a
-/// garbage signature (e.g. the corrupt-signatures fault) can never turn
-/// into an accusation.
+/// Checks a statement's signature against the claimed author, by the
+/// replica's own rule ([`verify_replica_sig`]): the signing key must be the
+/// author's replica key *and* the signature must verify over the exact digest
+/// the protocol signs for that statement kind. Anything that fails is
+/// worthless as evidence and must be discarded — a garbage signature (e.g.
+/// the corrupt-signatures fault) can never turn into an accusation.
 pub fn verify_statement(verifier: &Verifier, n: usize, st: &Statement) -> bool {
+    if st.author() >= n as u64 {
+        return false;
+    }
+    let author = st.author() as usize;
     match st {
         Statement::Proposal {
-            signer,
             view,
             sn,
             batch,
             sig,
+            ..
         } => {
             // The primary signs the prepare domain in the general case and
             // the commit domain on the t = 1 fast path; a proposal embedded
             // in a log entry may be either, so both are accepted — the
             // conflict (same signer, same slot, different batch) is
             // equivocation under either domain.
-            *signer < n as u64
-                && sig.signer == replica_key(*signer as usize)
-                && (verifier
-                    .verify_digest(&PrepareEntry::signed_digest(batch, *sn, *view), sig)
-                    .is_ok()
-                    || verifier
-                        .verify_digest(&CommitEntry::commit_digest(batch, *sn, *view), sig)
-                        .is_ok())
+            let prepare = PrepareEntry::signed_digest(batch, *sn, *view);
+            let commit = CommitEntry::commit_digest(batch, *sn, *view);
+            verify_replica_sig(verifier, author, &prepare, sig)
+                || verify_replica_sig(verifier, author, &commit, sig)
         }
         Statement::Commit {
-            replica,
             view,
             sn,
             batch,
             reply,
             sig,
+            ..
         } => {
             let mut digest = CommitEntry::commit_digest(batch, *sn, *view);
             if let Some(rd) = reply {
                 digest = digest.combine(rd);
             }
-            *replica < n as u64
-                && sig.signer == replica_key(*replica as usize)
-                && verifier.verify_digest(&digest, sig).is_ok()
+            verify_replica_sig(verifier, author, &digest, sig)
         }
         Statement::Chkpt {
-            replica,
             view,
             sn,
             state,
             sig,
-        } => {
-            *replica < n as u64
-                && sig.signer == replica_key(*replica as usize)
-                && verifier
-                    .verify_digest(&checkpoint_vote_digest(*view, *sn, state), sig)
-                    .is_ok()
-        }
-        Statement::ViewChange(m) => {
-            m.replica < n
-                && m.signature.signer == replica_key(m.replica)
-                && verifier.verify_digest(&m.digest(), &m.signature).is_ok()
-        }
+            ..
+        } => verify_replica_sig(
+            verifier,
+            author,
+            &checkpoint_vote_digest(*view, *sn, state),
+            sig,
+        ),
+        Statement::ViewChange(m) => verify_replica_sig(verifier, author, &m.digest(), &m.signature),
     }
-}
-
-/// Verifies a t + 1 checkpoint proof offline: at least `t + 1` *distinct*
-/// replicas' signed CHKPT votes, all for the same `(sn, state)`, every
-/// signature valid. Returns the proven `(sn, state)`. Mirrors the replica's
-/// own `verify_checkpoint_proof`, without a simulation context.
-pub fn verify_checkpoint_proof(
-    verifier: &Verifier,
-    n: usize,
-    t: usize,
-    proof: &[CheckpointMsg],
-) -> Option<(SeqNum, Digest)> {
-    let first = proof.first()?;
-    let (sn, state) = (first.sn, first.state_digest);
-    let mut signers = std::collections::BTreeSet::new();
-    for m in proof {
-        if !m.signed || m.sn != sn || m.state_digest != state || m.replica >= n {
-            return None;
-        }
-        if m.signature.signer != replica_key(m.replica)
-            || verifier
-                .verify_digest(&checkpoint_vote_digest(m.view, m.sn, &state), &m.signature)
-                .is_err()
-        {
-            return None;
-        }
-        signers.insert(m.replica);
-    }
-    (signers.len() > t).then_some((sn, state))
 }

@@ -48,9 +48,11 @@
 //!
 //! `--metrics-addr` starts an in-process Prometheus-text scrape endpoint
 //! (`GET /metrics`) with a `/healthz` synchrony report, and turns telemetry
-//! on (it is off without it): protocol stages feed the flight recorder, WAL
-//! fsyncs the latency histogram, the transport its drop/queue series, and a
-//! panic or a SUSPECT prints a flight-recorder dump to stderr. Telemetry is
+//! on (it is off without it): every protocol counter is served as
+//! `xft_<name>_total`, protocol stages feed the flight recorder, WAL fsyncs
+//! the latency histogram, the transport its drop/queue series, and a panic
+//! or a SUSPECT prints a flight-recorder dump to stderr. README lists every
+//! series. Telemetry is
 //! observation-only — protocol state and message bytes are identical with it
 //! on or off (modulo the optional trace field in the envelope, which carries
 //! no authenticated meaning).

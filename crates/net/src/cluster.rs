@@ -3,7 +3,6 @@
 use crate::address::AddressBook;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
-use xft_core::replica::Replica;
 use xft_core::types::{client_key, replica_key, ClientId};
 use xft_core::XPaxosConfig;
 use xft_crypto::KeyRegistry;
@@ -55,43 +54,6 @@ pub fn parse_node_addrs(list: &str) -> Result<Vec<SocketAddr>, String> {
                 .map_err(|e| format!("bad address {a:?}: {e}"))
         })
         .collect()
-}
-
-/// Checks the paper's total-order safety property across live replicas: every
-/// sequence number executed by two of them must carry the same batch digest.
-///
-/// The socket-runtime counterpart of
-/// `XPaxosCluster::check_total_order_among`, for replicas recovered out of
-/// [`crate::TcpRuntime::shutdown`] rather than read from a simulation.
-pub fn check_total_order(replicas: &[&Replica]) -> Result<(), String> {
-    let histories: Vec<std::collections::BTreeMap<u64, _>> = replicas
-        .iter()
-        .map(|r| {
-            r.executed_history()
-                .iter()
-                .map(|(sn, d)| (sn.0, *d))
-                .collect()
-        })
-        .collect();
-    for (i, a) in replicas.iter().enumerate() {
-        for (j, b) in replicas.iter().enumerate().skip(i + 1) {
-            for (sn, da) in a.executed_history() {
-                if let Some(db) = histories[j].get(&sn.0) {
-                    if da != db {
-                        return Err(format!(
-                            "total-order violation at sn {}: replica {} executed {:?}, replica {} executed {:?}",
-                            sn.0,
-                            a.id(),
-                            da,
-                            b.id(),
-                            db
-                        ));
-                    }
-                }
-            }
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]

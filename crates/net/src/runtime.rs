@@ -7,7 +7,10 @@
 //! returned [`StepEffects`] are interpreted against reality instead of the
 //! event queue: sends are encoded and handed to the node's writer thread,
 //! timer operations arm a wall-clock timer wheel, metric events feed the same
-//! [`Metrics`] collector the simulator uses.
+//! [`Metrics`] collector the simulator uses and, when the telemetry hub is
+//! enabled, its `/metrics` counters: the actor's counter *name* becomes the
+//! series `xft_<name>_total`, and each completed view change ticks
+//! `xft_view_changes_total`.
 
 use crate::address::AddressBook;
 use crate::transport::{spawn_acceptor, PeerSender, TransportStats, Writer, INBOX_CAPACITY};
@@ -22,7 +25,7 @@ use xft_simnet::{
     Actor, ActorDriver, ActorEvent, MetricEvent, Metrics, NodeId, Runtime, SimDuration, SimRng,
     SimTime, StepEffects, TimerId, TimerOp,
 };
-use xft_telemetry::Telemetry;
+use xft_telemetry::{Counter, Telemetry};
 use xft_wire::{encode_msg_traced_vec, TraceContext, WireDecode, WireEncode};
 
 /// Tuning knobs of a [`TcpRuntime`].
@@ -182,6 +185,8 @@ where
     /// (0 = none), so a trace survives a local hop too.
     pending_local: VecDeque<(NodeId, A::Msg, u64)>,
     metrics: Metrics,
+    /// Hub counters fed by the actor's metric events, resolved once per name.
+    exported: HashMap<&'static str, Arc<Counter>>,
     handle: Arc<NetHandle>,
     stats: Arc<TransportStats>,
     accept_thread: Option<JoinHandle<()>>,
@@ -254,6 +259,7 @@ where
             inbox_rx,
             pending_local: VecDeque::new(),
             metrics: Metrics::new(local + 1),
+            exported: HashMap::new(),
             handle,
             stats,
             accept_thread: Some(accept_thread),
@@ -450,18 +456,34 @@ where
             self.metrics.charge_cpu(self.local, effects.cpu_charged_ns);
         }
         for ev in effects.metric_events {
-            if let MetricEvent::Commit { latency, .. } = &ev {
-                self.handle.committed.fetch_add(1, Ordering::Relaxed);
-                self.handle
-                    .latencies_ns
-                    .lock()
-                    .expect("latency buffer poisoned")
-                    .push(latency.as_nanos());
+            match &ev {
+                MetricEvent::Commit { latency, .. } => {
+                    self.handle.committed.fetch_add(1, Ordering::Relaxed);
+                    self.handle
+                        .latencies_ns
+                        .lock()
+                        .expect("latency buffer poisoned")
+                        .push(latency.as_nanos());
+                }
+                MetricEvent::Count { name, delta } => self.export(name, *delta),
+                MetricEvent::ViewChange { .. } => self.export("view_changes", 1),
             }
             self.metrics.apply(ev);
         }
         if effects.halt_requested {
             self.handle.request_shutdown();
+        }
+    }
+
+    /// Adds `delta` to the hub counter `xft_<name>_total` (nothing when the
+    /// hub is disabled, so a disabled hub registers no series).
+    fn export(&mut self, name: &'static str, delta: u64) {
+        let telemetry = &self.config.telemetry;
+        if telemetry.is_enabled() {
+            self.exported
+                .entry(name)
+                .or_insert_with(|| telemetry.counter(&format!("xft_{name}_total")))
+                .add(delta);
         }
     }
 
@@ -576,14 +598,29 @@ mod tests {
         }
     }
 
-    fn start(telemetry: Arc<Telemetry>) -> TcpRuntime<Sink> {
+    /// Counts `x` by the value it is sent and reports a view change.
+    struct Tally;
+
+    impl Actor for Tally {
+        type Msg = Num;
+
+        fn on_message(&mut self, _from: NodeId, msg: Num, ctx: &mut Context<Num>) {
+            ctx.count("x", msg.0);
+            ctx.record(MetricEvent::ViewChange {
+                at: ctx.now(),
+                new_view: 1,
+            });
+        }
+    }
+
+    fn start<A: Actor<Msg = Num>>(actor: A, telemetry: Arc<Telemetry>) -> TcpRuntime<A> {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let config = NetConfig {
             telemetry,
             ..NetConfig::default()
         };
         let book = AddressBook::new([]);
-        TcpRuntime::start(Sink::default(), 0, book, listener, config, StartMode::Fresh).unwrap()
+        TcpRuntime::start(actor, 0, book, listener, config, StartMode::Fresh).unwrap()
     }
 
     /// A raw inbound connection from `node` that has sent `values`.
@@ -615,7 +652,7 @@ mod tests {
     #[test]
     fn injected_messages_leave_the_inbox_gauge_at_zero() {
         let hub = Telemetry::enabled();
-        let mut runtime = start(hub.clone());
+        let mut runtime = start(Sink::default(), hub.clone());
         let inject = runtime.local_injector();
         for v in 0..7 {
             inject(Num(v));
@@ -628,8 +665,29 @@ mod tests {
     }
 
     #[test]
+    fn actor_counters_and_view_changes_reach_an_enabled_hub_only() {
+        for hub in [Telemetry::enabled(), Telemetry::disabled()] {
+            let mut runtime = start(Tally, hub.clone());
+            runtime.local_injector()(Num(3));
+            let start = Instant::now();
+            while runtime.metrics().counter("x") < 3 {
+                assert!(start.elapsed() < Duration::from_secs(10), "message lost");
+                runtime.run_for(Duration::from_millis(10));
+            }
+            runtime.shutdown();
+            let scrape = hub.render_prometheus();
+            if hub.is_enabled() {
+                assert!(scrape.contains("xft_x_total 3\n"), "{scrape}");
+                assert!(scrape.contains("xft_view_changes_total 1\n"), "{scrape}");
+            } else {
+                assert_eq!(scrape, "", "a disabled hub registered series");
+            }
+        }
+    }
+
+    #[test]
     fn shutdown_is_prompt_with_idle_inbound_connections_open() {
-        let mut runtime = start(Telemetry::disabled());
+        let mut runtime = start(Sink::default(), Telemetry::disabled());
         let open: Vec<TcpStream> = (1..4).map(|n| dial(&runtime, n, 0..1)).collect();
         run_until_seen(&mut runtime, open.len()); // every reader is up
         assert_prompt_shutdown(runtime);
@@ -639,7 +697,7 @@ mod tests {
     fn reader_parked_on_a_full_inbox_holds_back_its_peer_and_not_shutdown() {
         // Nothing consumes the inbox: the reader fills it, then blocks on the
         // next frame while the ones behind it wait in the socket.
-        let runtime = start(Telemetry::disabled());
+        let runtime = start(Sink::default(), Telemetry::disabled());
         let total = INBOX_CAPACITY as u64 + 100;
         let _peer = dial(&runtime, 1, 0..total);
         let stats = runtime.transport_stats();

@@ -278,11 +278,6 @@ impl<A: Actor> Simulation<A> {
         self.run_until(deadline)
     }
 
-    /// Runs until no events remain (or `max` is reached / halted). Returns events processed.
-    pub fn run_until_quiescent(&mut self, max: SimTime) -> u64 {
-        self.run_until(max)
-    }
-
     /// Processes a single event if one is pending. Returns `false` when the queue is
     /// empty.
     pub fn step(&mut self) -> bool {

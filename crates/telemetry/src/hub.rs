@@ -143,12 +143,13 @@ impl Telemetry {
     }
 
     /// Records a SUSPECT: monitor entry, recorder event, and (if
-    /// [`Telemetry::set_dump_on_suspect`] is on) a stderr dump.
+    /// [`Telemetry::set_dump_on_suspect`] is on) a stderr dump. Counting is
+    /// the caller's job (the replica's counters reach `/metrics` through its
+    /// runtime).
     pub fn record_suspect(&self, at_ns: u64, node: u64, view: u64, reason: &str) {
         if !self.enabled {
             return;
         }
-        self.add("xft_suspects_total", 1);
         self.with_monitor(|m| m.record_suspect(at_ns, view, reason.to_string()));
         self.event(at_ns, node, "suspect", || format!("view={view} {reason}"));
         if self.dump_on_suspect.load(Ordering::Relaxed) {
@@ -159,12 +160,12 @@ impl Telemetry {
         }
     }
 
-    /// Records a completed view change with its cause.
+    /// Records a completed view change with its cause (monitor entry and
+    /// recorder event; like [`Telemetry::record_suspect`], it counts nothing).
     pub fn record_view_change(&self, at_ns: u64, node: u64, new_view: u64, cause: &str) {
         if !self.enabled {
             return;
         }
-        self.add("xft_view_changes_total", 1);
         self.with_monitor(|m| m.record_view_change(at_ns, new_view, cause.to_string()));
         self.event(at_ns, node, "new-view", || {
             format!("view={new_view} {cause}")
@@ -297,9 +298,13 @@ mod tests {
         t.set_delta_ns(100_000_000);
         t.record_suspect(1_000, 0, 3, "retransmit monitor fired");
         t.record_view_change(2_000, 0, 4, "suspect of view 3");
-        assert_eq!(t.counter("xft_suspects_total").get(), 1);
-        assert_eq!(t.counter("xft_view_changes_total").get(), 1);
+        assert_eq!(t.with_monitor(|m| m.suspect_count()), Some(1));
         assert_eq!(t.with_monitor(|m| m.view_change_count()), Some(1));
+        assert_eq!(t.recorded_events(), 2);
+        assert!(
+            !t.render_prometheus().contains("_total"),
+            "the hub counts nothing itself: the runtime exports the counters"
+        );
         let health = t.healthz(3_000);
         assert!(health.contains("view change -> 4"));
         assert!(health.contains("retransmit monitor fired"));

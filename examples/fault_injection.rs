@@ -6,7 +6,7 @@
 //! Run with: `cargo run --release --example fault_injection`
 
 use xft::core::client::ClientWorkload;
-use xft::core::harness::{ClusterBuilder, LatencySpec};
+use xft::core::harness::{check_total_order, ClusterBuilder, LatencySpec};
 use xft::core::{ByzantineBehavior, SeqNum};
 use xft::simnet::{FaultEvent, SimDuration, SimTime};
 
@@ -62,8 +62,7 @@ fn main() {
             println!("  replica {r} detected faulty replicas: {detected:?}");
         }
     }
-    cluster
-        .check_total_order_among(&[1, 2])
+    check_total_order(&[cluster.replica(1), cluster.replica(2)])
         .expect("total order among correct replicas");
     println!("safety and liveness preserved despite a non-crash fault ✓");
 }

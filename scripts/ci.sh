@@ -167,7 +167,8 @@ echo "==> telemetry smoke: scrape /metrics + /healthz + /evidence across commits
 # --evidence-dir; client 0 commits, the view-0 primary is SIGKILLed to force
 # a view change, client 1 commits against the healed cluster, then replica
 # 1's scrape endpoint must report nonzero protocol, WAL and view-change
-# series, the synchrony fault-vector gauges, and a non-empty evidence chain.
+# series, the synchrony fault-vector gauges, and a non-empty evidence chain,
+# and every series it serves must be listed in README's series table.
 http_get() { # host port path — curl when available, bash /dev/tcp otherwise
     if command -v curl >/dev/null 2>&1; then
         curl -sf --max-time 5 "http://$1:$2$3"
@@ -177,6 +178,14 @@ http_get() { # host port path — curl when available, bash /dev/tcp otherwise
         cat <&3
         exec 3<&- 3>&-
     fi
+}
+# Reads a /metrics scrape on stdin and prints every series name on it that
+# README's `xft_*` series table does not list. Labels and the histogram
+# `_bucket`/`_sum`/`_count` suffixes are stripped first.
+undocumented_series() {
+    comm -23 \
+        <(grep -E '^xft_' | sed -E 's/[{ ].*//; s/_(bucket|sum|count)$//' | sort -u) \
+        <(grep -oE '^ *\| `xft_[a-z_]+`' README.md | tr -d '|` ' | sort -u)
 }
 smoke_metrics() {
     local base=$1 mbase=$(($1 + 5)) datadir
@@ -199,23 +208,27 @@ smoke_metrics() {
         kill -9 "${pids[0]}" 2>/dev/null || true
         wait "${pids[0]}" 2>/dev/null || true
         if target/release/xpaxos-client --id 1 "${flags[@]}" --ops 40 --payload 256 --timeout-secs 60; then
-            local scrape health evidence
+            local scrape health evidence undocumented
             scrape=$(http_get 127.0.0.1 "$((mbase + 1))" /metrics)
+            undocumented=$(undocumented_series <<<"$scrape")
             health=$(http_get 127.0.0.1 "$((mbase + 1))" /healthz)
             evidence=$(http_get 127.0.0.1 "$((mbase + 1))" /evidence)
             if grep -Eq '^xft_commits_total [1-9]' <<<"$scrape" \
                 && grep -Eq '^xft_wal_fsync_seconds_count [1-9]' <<<"$scrape" \
                 && grep -Eq '^xft_view_changes_total [1-9]' <<<"$scrape" \
+                && grep -Eq '^xft_view_changes_started_total [1-9]' <<<"$scrape" \
                 && grep -Eq '^xft_est_crash_faults [0-9]' <<<"$scrape" \
                 && grep -Eq '^xft_last_heard_age_seconds\{' <<<"$scrape" \
                 && grep -q 'synchrony estimate' <<<"$health" \
                 && grep -q '# evidence chain' <<<"$evidence" \
-                && grep -Eq 'seq=[0-9]+ .* (PREPARE|COMMIT)' <<<"$evidence"; then
+                && grep -Eq 'seq=[0-9]+ .* (PREPARE|COMMIT)' <<<"$evidence" \
+                && [ -z "$undocumented" ]; then
                 ok=1
             else
                 echo "scrape missed expected series:" >&2
-                grep -E '^xft_(commits_total|wal_fsync_seconds_count|view_changes_total|est_crash_faults)' \
+                grep -E '^xft_(commits_total|wal_fsync_seconds_count|view_changes(_started)?_total|est_crash_faults)' \
                     <<<"$scrape" >&2 || true
+                [ -z "$undocumented" ] || echo "series missing from README's table: $undocumented" >&2
                 head -3 <<<"$evidence" >&2 || true
             fi
         fi

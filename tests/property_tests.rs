@@ -11,7 +11,7 @@
 use bytes::Bytes;
 use std::collections::BTreeMap;
 use xft::core::client::ClientWorkload;
-use xft::core::harness::{ClusterBuilder, LatencySpec};
+use xft::core::harness::{check_total_order, ClusterBuilder, LatencySpec};
 use xft::core::log::{CommitEntry, PrepareEntry};
 use xft::core::messages::{
     BusyMsg, CheckpointMsg, CommitCarryMsg, CommitMsg, DetectedFaultKind, FaultDetectedMsg,
@@ -621,8 +621,11 @@ fn xpaxos_total_order_under_random_crash_schedules() {
             }
             // Safety among the replicas that were never disturbed (the disturbed replica may
             // hold a speculative suffix until it repairs through a later view change).
-            let undisturbed: Vec<usize> = (0..3).filter(|r| *r != victim).collect();
-            cluster.check_total_order_among(&undisturbed)
+            let undisturbed: Vec<_> = (0..3)
+                .filter(|r| *r != victim)
+                .map(|r| cluster.replica(r))
+                .collect();
+            check_total_order(&undisturbed)
         },
     );
 }

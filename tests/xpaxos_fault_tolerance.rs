@@ -5,7 +5,7 @@
 //! replicas and must preserve total order throughout.
 
 use xft_core::client::ClientWorkload;
-use xft_core::harness::{ClusterBuilder, LatencySpec};
+use xft_core::harness::{check_total_order, ClusterBuilder, LatencySpec};
 use xft_core::ByzantineBehavior;
 use xft_simnet::{FaultEvent, SimDuration, SimTime};
 
@@ -184,8 +184,7 @@ fn partitioned_follower_forces_view_change() {
     // The isolated follower may hold a speculatively executed suffix of the t = 1 fast
     // path that no client committed (it repairs when it rejoins); the paper's safety
     // property is checked across the replicas that remained connected.
-    cluster
-        .check_total_order_among(&[0, 2])
+    check_total_order(&[cluster.replica(0), cluster.replica(2)])
         .expect("total order preserved among connected replicas");
 }
 
@@ -265,10 +264,11 @@ fn drive_behavior_through_view_change(
         .unwrap();
     assert!(max_view >= 1, "no view change happened (views stuck at 0)");
     // Total order among the replicas that stayed non-Byzantine.
-    let correct: Vec<usize> = (0..3).filter(|r| *r != target).collect();
-    cluster
-        .check_total_order_among(&correct)
-        .expect("total order among correct replicas");
+    let correct: Vec<_> = (0..3)
+        .filter(|r| *r != target)
+        .map(|r| cluster.replica(r))
+        .collect();
+    check_total_order(&correct).expect("total order among correct replicas");
     cluster
 }
 

@@ -2,7 +2,7 @@
 //! lazy replication (Figure 5), fault detection (§4.4), and the XFT model boundary.
 
 use xft::core::client::ClientWorkload;
-use xft::core::harness::{ClusterBuilder, LatencySpec};
+use xft::core::harness::{check_total_order, ClusterBuilder, LatencySpec};
 use xft::core::{ByzantineBehavior, SeqNum};
 use xft::simnet::{FaultEvent, SimDuration, SimTime};
 
@@ -182,7 +182,6 @@ fn corrupt_signature_primary_is_replaced() {
     cluster.run_for(SimDuration::from_secs(30));
     let after = cluster.total_committed();
     assert!(after > before, "no progress after signature corruption");
-    cluster
-        .check_total_order_among(&[1, 2])
+    check_total_order(&[cluster.replica(1), cluster.replica(2)])
         .expect("correct replicas consistent");
 }
