@@ -27,6 +27,11 @@
 //! (the view-0 primary suffers amnesia, re-proposes early slots, and the
 //! auditor must pin *exactly* that replica from the followers' evidence).
 //!
+//! Every per-seed line carries the run's metrics fingerprint, and every mode
+//! ends its summary with one combined fingerprint over the seeds it ran, in
+//! seed order: two builds whose sweeps print the same combined fingerprint
+//! ran every seed byte-identically.
+//!
 //! Exit code 0 = the run's expectation held (clean for in-budget sweeps,
 //! caught-and-shrunk for `beyond`/`demo`, culprit pinned for `audit`); 1 =
 //! it did not.
@@ -36,7 +41,9 @@ use std::time::Instant;
 use xft_chaos::explorer::{demo_violation_events, record_flight, run_schedule};
 use xft_chaos::forensics::demo_equivocation_events;
 use xft_chaos::tcp::{run_seed_tcp, TcpChaosConfig};
-use xft_chaos::{audit_run, explore, format_script, shrink, ExplorerConfig, SeedReport};
+use xft_chaos::{
+    audit_run, combined_fingerprint, explore, format_script, shrink, ExplorerConfig, SeedReport,
+};
 use xft_net::cli::Args;
 use xft_simnet::SimDuration;
 
@@ -140,6 +147,7 @@ fn main() {
             let events = demo_violation_events(&demo_cfg);
             let report = run_schedule(base_seed, events, &demo_cfg);
             print_report(&report, true);
+            print_combined(std::slice::from_ref(&report));
             if report.ok() {
                 println!("RESULT: FAIL — the demo violation was not caught");
                 exit(1);
@@ -170,6 +178,7 @@ fn main() {
             let events = demo_equivocation_events(&audit_cfg);
             let outcome = audit_run(base_seed, events, &audit_cfg);
             print_report(&outcome.report, true);
+            print_combined(std::slice::from_ref(&outcome.report));
             println!(
                 "audit: {} records, {} statements ({} unverifiable, discarded), {} proof(s)",
                 outcome.stats.records,
@@ -243,8 +252,22 @@ fn sweep(
     for r in &failing {
         print_report(r, true);
     }
-    println!("violating seeds: {} / {}", failing.len(), reports.len());
+    println!(
+        "violating seeds: {} / {}, combined fingerprint {:#018x}",
+        failing.len(),
+        reports.len(),
+        combined_fingerprint(&reports)
+    );
     failing.into_iter().cloned().collect()
+}
+
+/// The summary line of a single-schedule mode (`demo`, `audit`).
+fn print_combined(reports: &[SeedReport]) {
+    println!(
+        "combined fingerprint {:#018x} over {} seed(s)",
+        combined_fingerprint(reports),
+        reports.len()
+    );
 }
 
 /// The accountability gate for over-budget sweeps: every violating seed is
@@ -328,12 +351,13 @@ fn tcp_phase(cfg: &ExplorerConfig, base_seed: u64, tcp_sample: u64) -> bool {
 
 fn print_report(report: &SeedReport, full: bool) {
     println!(
-        "seed {:>6}: {:>5} commits ({:>4} post-heal), {} events, peak budget {}{}",
+        "seed {:>6}: {:>5} commits ({:>4} post-heal), {} events, peak budget {}, fingerprint {:#018x}{}",
         report.seed,
         report.committed,
         report.committed_after_heal,
         report.events.len(),
         report.peak_budget,
+        report.fingerprint,
         if report.ok() {
             "".to_string()
         } else {

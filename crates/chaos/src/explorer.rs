@@ -93,6 +93,11 @@ pub struct SeedReport {
     pub violations: Vec<Violation>,
     /// Peak concurrent fault count the schedule actually reached.
     pub peak_budget: usize,
+    /// The run's [`xft_simnet::Metrics::fingerprint`]: equal fingerprints
+    /// mean byte-identical commits, counters, view changes and CPU tables.
+    /// Live-socket runs ([`crate::tcp::run_seed_tcp`]) are not deterministic
+    /// and report 0.
+    pub fingerprint: u64,
 }
 
 impl SeedReport {
@@ -265,6 +270,7 @@ fn run_schedule_inner(
             committed_after_heal,
             violations,
             peak_budget: analysis.peak_budget,
+            fingerprint: cluster.sim.metrics().fingerprint(),
         },
         harvested,
     )
@@ -302,6 +308,23 @@ pub fn explore(
     let mut reports = reports.into_inner().expect("report sink poisoned");
     reports.sort_by_key(|r| r.seed);
     reports
+}
+
+/// One fingerprint for a whole sweep: FNV-1a over each report's seed and
+/// [`SeedReport::fingerprint`], in the order given ([`explore`] returns seed
+/// order). Two sweeps print the same value iff every seed ran identically.
+pub fn combined_fingerprint(reports: &[SeedReport]) -> u64 {
+    let mut h: u64 = 0xcbf29ce484222325;
+    for r in reports {
+        for b in [r.seed.to_le_bytes(), r.fingerprint.to_le_bytes()]
+            .iter()
+            .flatten()
+        {
+            h ^= *b as u64;
+            h = h.wrapping_mul(0x100000001b3);
+        }
+    }
+    h
 }
 
 /// The deterministic over-budget demonstration schedule: both active replicas
@@ -351,6 +374,8 @@ mod tests {
         let cfg = quick_cfg();
         let a = run_seed(21, &cfg);
         let b = run_seed(21, &cfg);
+        assert_eq!(a.fingerprint, b.fingerprint);
+        assert_ne!(a.fingerprint, 0);
         assert_eq!(a.committed, b.committed);
         assert_eq!(a.events, b.events);
         assert_eq!(a.violations, b.violations);
@@ -386,6 +411,7 @@ mod tests {
         assert_eq!(plain.committed, traced.committed);
         assert_eq!(plain.committed_after_heal, traced.committed_after_heal);
         assert_eq!(plain.violations, traced.violations);
+        assert_eq!(plain.fingerprint, traced.fingerprint);
         assert!(dump.contains("=== flight recorder dump"), "{dump}");
         assert!(dump.contains("commit"), "missing commit stages:\n{dump}");
     }

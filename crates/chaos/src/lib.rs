@@ -52,7 +52,9 @@ pub mod tcp;
 pub mod workload;
 
 pub use checker::{check_history, OpEvent, Violation};
-pub use explorer::{explore, run_schedule, run_seed, ExplorerConfig, SeedReport};
+pub use explorer::{
+    combined_fingerprint, explore, run_schedule, run_seed, ExplorerConfig, SeedReport,
+};
 pub use forensics::{audit_run, injected_byzantine, AuditOutcome};
 pub use schedule::{analyze_schedule, format_script, generate, ScheduleConfig, TimedEvent};
 pub use shrink::shrink;

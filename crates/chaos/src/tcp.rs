@@ -270,6 +270,7 @@ pub fn run_seed_tcp(seed: u64, cfg: &TcpChaosConfig) -> SeedReport {
         committed_after_heal: committed.saturating_sub(committed_at_heal),
         violations,
         peak_budget: analysis.peak_budget,
+        fingerprint: 0,
     }
 }
 

@@ -322,7 +322,13 @@ echo "==> chaos smoke: 200 in-budget seeds, fixed base seed, zero violations all
 # Any non-linearizable verdict fails the build and prints the shrunk minimal
 # FaultScript reproducer. The window/drain are trimmed to keep the smoke
 # time-budgeted (~1 min); the full-length sweep is `chaos-explorer --seeds 1000`.
-target/release/chaos-explorer --seeds 200 --base-seed 1 --window-secs 5 --drain-secs 14
+# The combined fingerprint is echoed on its own line: a change that claims to
+# leave simulated behaviour untouched must print the parent's value.
+chaos_log=$(mktemp)
+target/release/chaos-explorer --seeds 200 --base-seed 1 --window-secs 5 --drain-secs 14 \
+    | tee "$chaos_log"
+echo "chaos smoke $(grep -o 'combined fingerprint 0x[0-9a-f]*' "$chaos_log")"
+rm -f "$chaos_log"
 
 echo "==> chaos demo: a deliberately over-budget run must be caught, shrunk and flight-recorded"
 recorder_dir=$(mktemp -d)
