@@ -7,6 +7,16 @@
 //! entries to the passive replicas so that a passive replica promoted by a view change
 //! has most of the state already ("this fast execution of the view-change subprotocol is
 //! a consequence of lazy replication" — §5.4).
+//!
+//! The checkpoint horizon moves through three transitions, each written here
+//! once and shared by every role that reaches a checkpoint:
+//! `advance_checkpoint` garbage-collects up to a proven
+//! checkpoint (CHKPT quorum, LAZY-CHECKPOINT, NEW-VIEW horizon, adopted
+//! snapshot); `settle_at_checkpoint` compares the state of a
+//! replica standing exactly at a proven checkpoint and either seals it or
+//! discards it and fetches the agreed one (LAZY-CHECKPOINT, NEW-VIEW
+//! horizon); and `repair_forked_suffix` is the one rollback
+//! (a passive's fork repair, a NEW-VIEW rebuild).
 
 use super::{Phase, Replica};
 use crate::auth::verify_replica_sig;
@@ -169,32 +179,19 @@ impl Replica {
             (digest, group.into_values().collect())
         };
 
-        self.last_checkpoint = sn;
-        self.checkpoint_proof = proof.clone();
-        self.prepare_log.truncate_upto(sn);
-        self.commit_log.truncate_upto(sn);
-        self.pending_commits.retain(|k, _| *k > sn.0);
-        self.follower_commits.retain(|k, _| *k > sn.0);
-        self.prechk_votes.retain(|k, _| *k > sn.0);
-        self.chkpt_votes.retain(|k, _| *k >= sn.0);
-        // Garbage-collect executed history and dead cached replies below the
-        // new window base — this is what keeps long-lived replicas O(interval)
-        // instead of O(history).
-        self.truncate_below_checkpoint(sn);
+        // Take the image captured at PRECHK time out before the horizon
+        // moves past it, then seal it with the quorum proof — this replica
+        // can now serve verified state transfer for `sn` — and persist it,
+        // re-seeding the WAL with the surviving log tail.
+        let image = self.pending_snapshots.remove(&sn.0);
+        self.advance_checkpoint(sn, proof.clone());
         ctx.count("checkpoints", 1);
         self.tel_event(ctx, "chkpt", || {
             format!("sn={} view={} stable", sn.0, self.view.0)
         });
-
-        // Seal the snapshot captured at PRECHK time with the quorum proof —
-        // this replica can now serve verified state transfer for `sn` — and
-        // persist it, re-seeding the WAL with the surviving log tail.
-        if let Some(image) = self.pending_snapshots.remove(&sn.0) {
-            if image.commitment() == digest {
-                self.seal_checkpoint(image, proof.clone());
-            }
+        if let Some(image) = image.filter(|image| image.commitment() == digest) {
+            self.seal_checkpoint(image, proof.clone());
         }
-        self.pending_snapshots.retain(|k, _| *k > sn.0);
 
         // Propagate the checkpoint proof to the passive replicas.
         for passive in self.groups.passive_replicas(self.view) {
@@ -233,53 +230,126 @@ impl Replica {
             return;
         }
         // At the checkpoint exactly, this replica can *compare* its state
-        // against the agreed digest. A mismatch means a forked suffix
-        // survived into the checkpointed prefix — garbage-collecting now
-        // would launder the fork below every later divergence check, so roll
-        // back and refetch instead of adopting the proof.
-        if self.exec_sn == sn {
-            let image = self.capture_checkpoint(ctx);
-            if image.commitment() == digest {
-                // Seal our own snapshot with the received proof — this
-                // replica becomes a transfer source too (useful when the
-                // active replicas of a later view lag).
-                self.last_checkpoint = sn;
-                self.checkpoint_proof = proof.clone();
-                self.prepare_log.truncate_upto(sn);
-                self.commit_log.truncate_upto(sn);
-                self.truncate_below_checkpoint(sn);
-                self.seal_checkpoint(image, proof);
-            } else {
-                // The t + 1-signed quorum proves this replica's executed
-                // prefix forked somewhere at or below `sn` — and its *own
-                // log* may hold the forked entries, so a local replay can
-                // only reproduce the fork. Discard everything up to the
-                // checkpoint and fetch the agreed state instead.
-                ctx.count("lazy_checkpoint_state_mismatch", 1);
-                self.reset_execution_state();
-                self.last_checkpoint = SeqNum(0);
-                self.checkpoint_proof.clear();
-                self.prepare_log.truncate_upto(sn);
-                self.commit_log.truncate_upto(sn);
-                self.pending_commits.retain(|k, _| *k > sn.0);
-                self.pending_snapshots.clear();
-                self.begin_state_transfer(sn, ctx);
-                return;
-            }
-        } else {
-            // Executed past the checkpoint already (no state to compare at
-            // `sn`): adopt the proof and garbage-collect. Any fork in the
-            // prefix was repaired when the conflicting entries arrived
-            // (`on_lazy_replicate`).
-            self.last_checkpoint = sn;
-            self.checkpoint_proof = proof.clone();
-            self.prepare_log.truncate_upto(sn);
-            self.commit_log.truncate_upto(sn);
-            self.truncate_below_checkpoint(sn);
+        // against the agreed digest; past it, there is no state to compare
+        // at `sn`, and any fork in the prefix was repaired when the
+        // conflicting entries arrived (`on_lazy_replicate`).
+        if self.exec_sn > sn {
+            self.advance_checkpoint(sn, proof);
+        } else if !self.settle_at_checkpoint(sn, digest, proof, ctx) {
+            return;
         }
         // Resume execution past the boundary we stopped at.
         self.try_execute(ctx);
         ctx.count("lazy_checkpoints", 1);
+    }
+
+    /// Moves the checkpoint horizon up to the proven checkpoint `sn`. This
+    /// is the one rule for every way a replica learns a checkpoint: its
+    /// CHKPT quorum, a LAZY-CHECKPOINT, a NEW-VIEW's merged horizon and an
+    /// adopted snapshot. The proof is kept for VIEW-CHANGE claims, and the
+    /// ordering state at or below `sn` goes (`drop_through`). Evidence,
+    /// executed history and cached client replies below the window base go
+    /// too, the last two by the rule the capture path uses, so a veteran
+    /// replica's live tables stay byte-equivalent to what an adopting
+    /// replica decodes from the snapshot. One interval of history is kept
+    /// so fork detection works across a view change straddling the seal.
+    /// This is what keeps a long-lived replica O(interval) instead of
+    /// O(history).
+    pub(crate) fn advance_checkpoint(&mut self, sn: SeqNum, proof: Vec<CheckpointMsg>) {
+        self.last_checkpoint = sn;
+        self.checkpoint_proof = proof;
+        self.drop_through(sn);
+        let base = self.checkpoint_base(sn);
+        if let Some(evidence) = self.evidence.as_mut() {
+            evidence.gc_below(base);
+        }
+        self.executed_history.retain(|(s, _)| *s > base);
+        for record in self.client_table.values_mut() {
+            let floor = record.retained_reply_floor();
+            record
+                .replies
+                .retain(|ts, cached| cached.reply.sn > base || floor.is_none_or(|f| *ts >= f));
+        }
+    }
+
+    /// Drops the ordering state a checkpoint at `sn` makes dead: log
+    /// entries, uncollected commit signatures, cached follower COMMITs,
+    /// PRECHK and CHKPT votes and captured images, all at or below `sn`.
+    fn drop_through(&mut self, sn: SeqNum) {
+        self.prepare_log.truncate_upto(sn);
+        self.commit_log.truncate_upto(sn);
+        self.pending_commits.retain(|k, _| *k > sn.0);
+        self.follower_commits.retain(|k, _| *k > sn.0);
+        self.prechk_votes.retain(|k, _| *k > sn.0);
+        self.chkpt_votes.retain(|k, _| *k > sn.0);
+        self.pending_snapshots.retain(|k, _| *k > sn.0);
+    }
+
+    /// This replica executed exactly up to the proven checkpoint `sn`
+    /// (agreed state `digest`): capture and compare. A match advances the
+    /// horizon and seals the capture with `proof`, making this replica a
+    /// transfer source too. A mismatch proves the executed prefix forked at
+    /// or below `sn` — garbage-collecting now would launder the fork below
+    /// every later divergence check, and the local log may hold the forked
+    /// entries, so a replay can only reproduce it: drop everything up to the
+    /// checkpoint, discard the executed state and fetch the agreed one.
+    /// Returns whether the state matched.
+    pub(crate) fn settle_at_checkpoint(
+        &mut self,
+        sn: SeqNum,
+        digest: Digest,
+        proof: Vec<CheckpointMsg>,
+        ctx: &mut Context<XPaxosMsg>,
+    ) -> bool {
+        let image = self.capture_checkpoint(ctx);
+        if image.commitment() == digest {
+            self.advance_checkpoint(sn, proof.clone());
+            self.seal_checkpoint(image, proof);
+            return true;
+        }
+        ctx.count("lazy_checkpoint_state_mismatch", 1);
+        self.drop_through(sn);
+        self.pending_snapshots.clear();
+        self.refetch_checkpoint(sn, ctx);
+        false
+    }
+
+    /// This replica's executed suffix is proven divergent from the canonical
+    /// order (a speculatively executed entry was selected out by a view
+    /// change it missed — paper Lemma 1). The one rollback: back to the
+    /// sealed snapshot at the last checkpoint, or — without one — to a blank
+    /// slate that replays from sequence number 1 (full log) or fetches the
+    /// checkpoint from a peer. The caller's `try_execute` replays the
+    /// corrected log from there.
+    pub(crate) fn repair_forked_suffix(&mut self, ctx: &mut Context<XPaxosMsg>) {
+        let base = self.last_checkpoint;
+        match self.latest_snapshot.clone().filter(|s| s.sn() == base) {
+            Some(sealed) => {
+                self.adopt_sealed_snapshot(sealed, false, ctx);
+            }
+            None => self.refetch_checkpoint(base, ctx),
+        }
+    }
+
+    /// Discards the executed state and the seal it stood on, then fetches
+    /// the checkpoint at `target` (a no-op at 0: a full log replays from the
+    /// start).
+    fn refetch_checkpoint(&mut self, target: SeqNum, ctx: &mut Context<XPaxosMsg>) {
+        self.discard_executed_state();
+        self.begin_state_transfer(target, ctx);
+    }
+
+    /// Resets executed state to a blank slate — application state, executed
+    /// history, exactly-once table and the fast-path commit cache — and
+    /// forgets the checkpoint it stood on. The logs are the caller's.
+    pub(crate) fn discard_executed_state(&mut self) {
+        self.state.reset();
+        self.executed_history.clear();
+        self.client_table.clear();
+        self.follower_commits.clear();
+        self.exec_sn = SeqNum(0);
+        self.last_checkpoint = SeqNum(0);
+        self.checkpoint_proof.clear();
     }
 
     /// Followers lazily propagate the committed entry at `sn` to passive replicas.
@@ -359,6 +429,7 @@ impl Replica {
             }
         }
         if forked {
+            ctx.count("fork_repairs", 1);
             self.repair_forked_suffix(ctx);
         }
         self.try_execute(ctx);
@@ -369,11 +440,240 @@ impl Replica {
 #[cfg(test)]
 mod tests {
     use crate::client::ClientWorkload;
-    use crate::harness::{ClusterBuilder, LatencySpec};
-    use crate::messages::{checkpoint_vote_digest, CheckpointMsg, XPaxosMsg};
-    use crate::types::{replica_key, SeqNum, ViewNumber};
+    use crate::harness::{ClusterBuilder, LatencySpec, XPaxosCluster};
+    use crate::messages::{
+        checkpoint_vote_digest, state_chunk_request_digest, CheckpointMsg, StateChunkRequestMsg,
+        XPaxosMsg,
+    };
+    use crate::types::{replica_key, ReplicaId, SeqNum, ViewNumber};
     use xft_crypto::{Digest, Signer};
-    use xft_simnet::SimDuration;
+    use xft_simnet::{with_offline_context, SimDuration};
+
+    /// A t = 1 cluster that ran a short workload to quiescence with
+    /// checkpointing off: every replica — the passive one (2) through lazy
+    /// replication — executed the same prefix and still holds its log.
+    /// Returns the cluster and that prefix's last sequence number.
+    fn quiescent_cluster() -> (XPaxosCluster, SeqNum) {
+        let mut cluster = ClusterBuilder::new(1, 2)
+            .with_latency(LatencySpec::Constant(SimDuration::from_millis(1)))
+            .with_workload(ClientWorkload {
+                requests: Some(10),
+                ..Default::default()
+            })
+            .with_config(|c| c.with_checkpoint_interval(0))
+            .build();
+        cluster.run_for(SimDuration::from_secs(2));
+        let sn = cluster.replica(0).executed_upto();
+        assert!(sn >= SeqNum(4), "only {} batches executed", sn.0);
+        for r in 1..3 {
+            assert_eq!(cluster.replica(r).executed_upto(), sn, "replica {r} lags");
+        }
+        (cluster, sn)
+    }
+
+    /// A t + 1 proof that view 0's actives agreed on `state` at `sn`.
+    fn proof(cluster: &XPaxosCluster, sn: SeqNum, state: Digest) -> Vec<CheckpointMsg> {
+        (0..2)
+            .map(|replica| CheckpointMsg {
+                sn,
+                view: ViewNumber(0),
+                state_digest: state,
+                replica,
+                signed: true,
+                signature: Signer::new(&cluster.registry, replica_key(replica))
+                    .sign_digest(&checkpoint_vote_digest(ViewNumber(0), sn, &state)),
+            })
+            .collect()
+    }
+
+    /// The digest a checkpoint of replica `r`'s current state would agree on.
+    fn state_of(cluster: &XPaxosCluster, r: ReplicaId) -> Digest {
+        let replica = cluster.replica(r);
+        with_offline_context(replica.node_of(r), |ctx| {
+            replica.capture_checkpoint(ctx).commitment()
+        })
+    }
+
+    fn counter(cluster: &XPaxosCluster, name: &str) -> u64 {
+        cluster.sim.metrics().counter(name)
+    }
+
+    fn lazy_checkpoint(cluster: &mut XPaxosCluster, proof: Vec<CheckpointMsg>) {
+        cluster
+            .sim
+            .post_message(0, 2, XPaxosMsg::LazyCheckpoint { proof });
+        cluster.run_for(SimDuration::from_millis(50));
+    }
+
+    /// Nothing at or below `sn` survives at replica `r`: no log entry, no
+    /// vote, no captured image.
+    fn assert_nothing_at_or_below(cluster: &XPaxosCluster, r: ReplicaId, sn: SeqNum) {
+        let replica = cluster.replica(r);
+        assert!(replica.commit_log.iter().all(|e| e.sn > sn));
+        assert!(replica.prepare_log.iter().all(|e| e.sn > sn));
+        assert!(replica.prechk_votes.keys().all(|k| *k > sn.0));
+        assert!(replica.chkpt_votes.keys().all(|k| *k > sn.0));
+        assert!(replica.pending_snapshots.keys().all(|k| *k > sn.0));
+    }
+
+    #[test]
+    fn a_passive_behind_the_proof_starts_a_state_transfer() {
+        let (mut cluster, sn) = quiescent_cluster();
+        let ahead = SeqNum(sn.0 + 8);
+        let proof = proof(
+            &cluster,
+            ahead,
+            Digest::of(b"a state this replica never saw"),
+        );
+        lazy_checkpoint(&mut cluster, proof);
+        assert_eq!(counter(&cluster, "lazy_checkpoints_behind"), 1);
+        assert_eq!(counter(&cluster, "state_transfers_started"), 1);
+        let passive = cluster.replica(2);
+        assert_eq!(
+            passive.pending_transfer.as_ref().map(|p| p.target),
+            Some(ahead)
+        );
+        assert_eq!(
+            (passive.executed_upto(), passive.last_checkpoint()),
+            (sn, SeqNum(0))
+        );
+    }
+
+    #[test]
+    fn a_passive_at_the_proof_with_matching_state_seals_and_serves_it() {
+        let (mut cluster, sn) = quiescent_cluster();
+        let proof = proof(&cluster, sn, state_of(&cluster, 0));
+        lazy_checkpoint(&mut cluster, proof);
+        assert_eq!(counter(&cluster, "lazy_checkpoints"), 1);
+        assert_eq!(counter(&cluster, "lazy_checkpoint_state_mismatch"), 0);
+        let passive = cluster.replica(2);
+        assert_eq!(passive.last_checkpoint(), sn);
+        assert_eq!(passive.latest_snapshot.as_ref().map(|s| s.sn()), Some(sn));
+        assert_nothing_at_or_below(&cluster, 2, sn);
+
+        // The sealed capture is a transfer source: replica 1 asks for it.
+        let request = StateChunkRequestMsg {
+            min_sn: sn,
+            want_sn: SeqNum(0),
+            index: 0,
+            replica: 1,
+            signature: Signer::new(&cluster.registry, replica_key(1))
+                .sign_digest(&state_chunk_request_digest(sn, SeqNum(0), 0, 1)),
+        };
+        cluster
+            .sim
+            .post_message(1, 2, XPaxosMsg::StateChunkRequest(request));
+        cluster.run_for(SimDuration::from_millis(50));
+        assert_eq!(counter(&cluster, "state_chunks_served"), 1);
+    }
+
+    #[test]
+    fn a_passive_at_the_proof_with_diverged_state_discards_it_and_refetches() {
+        let (mut cluster, sn) = quiescent_cluster();
+        // Stale checkpoint leftovers from an earlier view as an active.
+        let image = {
+            let passive = cluster.replica(2);
+            with_offline_context(passive.node_of(2), |ctx| passive.capture_checkpoint(ctx))
+        };
+        let stale_vote = proof(&cluster, sn, image.commitment()).remove(0);
+        let passive = cluster.replica_mut(2);
+        passive
+            .prechk_votes
+            .entry(sn.0)
+            .or_default()
+            .insert(0, image.commitment());
+        passive
+            .chkpt_votes
+            .entry(sn.0 - 1)
+            .or_default()
+            .push(stale_vote.clone());
+        passive
+            .chkpt_votes
+            .entry(sn.0)
+            .or_default()
+            .push(stale_vote);
+        passive.pending_snapshots.insert(sn.0, image);
+
+        let proof = proof(&cluster, sn, Digest::of(b"the agreed state"));
+        lazy_checkpoint(&mut cluster, proof);
+        assert_eq!(counter(&cluster, "lazy_checkpoint_state_mismatch"), 1);
+        assert_eq!(counter(&cluster, "lazy_checkpoints"), 0);
+        assert_eq!(counter(&cluster, "state_transfers_started"), 1);
+        let passive = cluster.replica(2);
+        assert_eq!(passive.executed_upto(), SeqNum(0));
+        assert!(passive.executed_history().is_empty());
+        assert_eq!(passive.last_checkpoint(), SeqNum(0));
+        assert!(passive.checkpoint_proof.is_empty() && passive.latest_snapshot.is_none());
+        assert_eq!(
+            passive.pending_transfer.as_ref().map(|p| p.target),
+            Some(sn)
+        );
+        assert_nothing_at_or_below(&cluster, 2, sn);
+        assert!(passive.pending_snapshots.is_empty());
+    }
+
+    #[test]
+    fn a_passive_past_the_proof_advances_without_sealing() {
+        let (mut cluster, sn) = quiescent_cluster();
+        let behind = SeqNum(sn.0 - 2);
+        let proof = proof(&cluster, behind, Digest::of(b"not compared"));
+        lazy_checkpoint(&mut cluster, proof);
+        assert_eq!(counter(&cluster, "lazy_checkpoints"), 1);
+        assert_eq!(counter(&cluster, "lazy_checkpoint_state_mismatch"), 0);
+        assert_eq!(counter(&cluster, "state_transfers_started"), 0);
+        let passive = cluster.replica(2);
+        assert_eq!(
+            (passive.executed_upto(), passive.last_checkpoint()),
+            (sn, behind)
+        );
+        assert_eq!(passive.checkpoint_proof.len(), 2);
+        assert!(passive.latest_snapshot.is_none());
+        assert_nothing_at_or_below(&cluster, 2, behind);
+        assert!(passive.commit_log.get(sn).is_some());
+    }
+
+    /// A NEW-VIEW floored on a proven horizon that a replica stands exactly
+    /// at settles like a LAZY-CHECKPOINT: replica 2 (active in view 1) holds
+    /// a diverged state and refetches, replica 1 (active in view 2) holds the
+    /// agreed one and seals it.
+    #[test]
+    fn a_new_view_horizon_settles_like_a_lazy_checkpoint() {
+        let (mut cluster, sn) = quiescent_cluster();
+        let agreed = state_of(&cluster, 0);
+        for (r, target, state) in [
+            (2, ViewNumber(1), Digest::of(b"not replica 2's state")),
+            (1, ViewNumber(2), agreed),
+        ] {
+            let proof = proof(&cluster, sn, state);
+            let replica = cluster.replica_mut(r);
+            let sent = with_offline_context(replica.node_of(r), |ctx| {
+                replica.enter_view_change(target, ctx);
+                let vc = replica.vc.as_mut().expect("active in the target view");
+                vc.horizon = sn;
+                vc.horizon_proof = proof;
+                replica.install_new_view(target, Vec::new(), ctx);
+                ctx.pending_sends()
+                    .iter()
+                    .filter(|out| matches!(out.msg, XPaxosMsg::StateChunkRequest(_)))
+                    .count()
+            });
+            if state == agreed {
+                assert_eq!(replica.last_checkpoint(), sn);
+                assert_eq!(replica.executed_upto(), sn);
+                assert_eq!(replica.latest_snapshot.as_ref().map(|s| s.sn()), Some(sn));
+                assert_eq!(sent, 0);
+            } else {
+                assert_eq!(replica.last_checkpoint(), SeqNum(0));
+                assert_eq!(replica.executed_upto(), SeqNum(0));
+                assert_eq!(
+                    replica.pending_transfer.as_ref().map(|p| p.target),
+                    Some(sn)
+                );
+                assert_eq!(sent, 1, "the refetch asks one peer for chunk 0");
+            }
+            assert_nothing_at_or_below(&cluster, r, sn);
+        }
+    }
 
     /// Replica 0 copies its own CHKPT vote under replica 1's id to forge a
     /// t + 1 proof of a checkpoint nobody reached. The passive replica must

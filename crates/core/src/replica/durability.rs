@@ -238,26 +238,6 @@ impl Replica {
         clients
     }
 
-    /// Garbage-collects executed state below a freshly sealed checkpoint at
-    /// `sn`: executed history strictly below the window base (one interval
-    /// of slack keeps fork detection working across a view change straddling
-    /// the seal), and cached client replies by the same rule the capture
-    /// path uses — so a veteran replica's live tables stay byte-equivalent
-    /// to what an adopting replica decodes from the snapshot.
-    pub(crate) fn truncate_below_checkpoint(&mut self, sn: SeqNum) {
-        let base = self.checkpoint_base(sn);
-        if let Some(evidence) = self.evidence.as_mut() {
-            evidence.gc_below(base);
-        }
-        self.executed_history.retain(|(s, _)| *s > base);
-        for record in self.client_table.values_mut() {
-            let floor = record.retained_reply_floor();
-            record
-                .replies
-                .retain(|ts, cached| cached.reply.sn > base || floor.is_none_or(|f| *ts >= f));
-        }
-    }
-
     /// Replaces this replica's executed state with a sealed snapshot:
     /// application state, executed history, exactly-once table, checkpoint
     /// bookkeeping and log truncation — the *adoption* half of state
@@ -291,9 +271,7 @@ impl Replica {
             // leaving a blank state machine under live exec_sn/client-table
             // values; execution stalls here until a good snapshot arrives
             // (the pending transfer stays armed and retries elsewhere).
-            self.reset_execution_state();
-            self.last_checkpoint = SeqNum(0);
-            self.checkpoint_proof.clear();
+            self.discard_executed_state();
             ctx.count("state_transfer_bad_snapshot", 1);
             return false;
         }
@@ -305,15 +283,7 @@ impl Replica {
             let record = super::ClientRecord::from_snapshot(client, self.view, self.id);
             self.client_table.insert(client.client, record);
         }
-        self.last_checkpoint = sn;
-        self.checkpoint_proof = sealed.proof.clone();
-        self.prepare_log.truncate_upto(sn);
-        self.commit_log.truncate_upto(sn);
-        self.pending_commits.retain(|k, _| *k > sn.0);
-        self.follower_commits.retain(|k, _| *k > sn.0);
-        self.prechk_votes.retain(|k, _| *k > sn.0);
-        self.chkpt_votes.retain(|k, _| *k >= sn.0);
-        self.pending_snapshots.retain(|k, _| *k > sn.0);
+        self.advance_checkpoint(sn, sealed.proof.clone());
         if self.next_sn < sn {
             self.next_sn = sn;
         }
@@ -465,42 +435,6 @@ impl Replica {
         report.exec_sn = self.exec_sn;
         ctx.count("storage_recoveries", 1);
         report
-    }
-
-    /// Resets executed state to a blank slate: application state, executed
-    /// history, exactly-once table and the fast-path commit cache. Callers
-    /// decide what happens to the logs and checkpoint bookkeeping.
-    pub(crate) fn reset_execution_state(&mut self) {
-        self.state.reset();
-        self.executed_history.clear();
-        self.client_table.clear();
-        self.follower_commits.clear();
-        self.exec_sn = SeqNum(0);
-    }
-
-    /// This replica's executed suffix is proven divergent from the canonical
-    /// order (a speculatively executed entry was selected out by a view
-    /// change it missed — paper Lemma 1). Roll back to the last trustworthy
-    /// base and let the caller's `try_execute` replay the corrected log:
-    /// sequence number 1 with a full log, the last sealed snapshot when one
-    /// exists, or a blank slate plus a state transfer otherwise.
-    pub(crate) fn repair_forked_suffix(&mut self, ctx: &mut Context<XPaxosMsg>) {
-        ctx.count("fork_repairs", 1);
-        if self.last_checkpoint == SeqNum(0) {
-            self.reset_execution_state();
-        } else if let Some(sealed) = self
-            .latest_snapshot
-            .clone()
-            .filter(|s| s.sn() == self.last_checkpoint)
-        {
-            self.adopt_sealed_snapshot(sealed, false, ctx);
-        } else {
-            let target = self.last_checkpoint;
-            self.reset_execution_state();
-            self.last_checkpoint = SeqNum(0);
-            self.checkpoint_proof.clear();
-            self.begin_state_transfer(target, ctx);
-        }
     }
 
     /// A disk fault struck ([`crate::byzantine::CONTROL_TORN_TAIL`] /

@@ -651,39 +651,18 @@ impl Replica {
             }
         }
 
-        // A proven horizon above our own stable checkpoint is adopted the way
-        // a lazy checkpoint proof is (`on_lazy_checkpoint`): standing exactly
-        // at the boundary, compare state digests and seal — raising the
-        // Lemma-1 replay base past the suffix the selection deliberately
-        // excluded, and making this replica a transfer source for the other
-        // actives. On a mismatch the executed suffix forked somewhere at or
-        // below the horizon, so discard and refetch rather than launder the
-        // fork under the garbage-collection line. (Replicas *behind* the
-        // horizon took the state-transfer branch above; replicas *past* it
-        // are checked entry-by-entry below.)
+        // A proven horizon above our own stable checkpoint settles the way a
+        // lazy checkpoint proof does: standing exactly at the boundary,
+        // compare and seal — raising the Lemma-1 replay base past the suffix
+        // the selection deliberately excluded — or discard and refetch.
+        // (Replicas *behind* the horizon took the state-transfer branch
+        // above; replicas *past* it are checked entry-by-entry below.)
         if transfer_target.is_none() && horizon > self.last_checkpoint && self.exec_sn == horizon {
-            if let Some((sn, digest)) = self.verify_checkpoint_proof(&horizon_proof, ctx) {
-                if sn == horizon {
-                    let image = self.capture_checkpoint(ctx);
-                    if image.commitment() == digest {
-                        self.last_checkpoint = horizon;
-                        self.checkpoint_proof = horizon_proof.clone();
-                        self.prepare_log.truncate_upto(horizon);
-                        self.commit_log.truncate_upto(horizon);
-                        self.truncate_below_checkpoint(horizon);
-                        self.seal_checkpoint(image, horizon_proof);
-                    } else {
-                        ctx.count("lazy_checkpoint_state_mismatch", 1);
-                        self.reset_execution_state();
-                        self.last_checkpoint = SeqNum(0);
-                        self.checkpoint_proof.clear();
-                        self.prepare_log.truncate_upto(horizon);
-                        self.commit_log.truncate_upto(horizon);
-                        self.pending_commits.retain(|k, _| *k > horizon.0);
-                        self.pending_snapshots.clear();
-                        self.begin_state_transfer(horizon, ctx);
-                    }
-                }
+            if let Some((_, digest)) = self
+                .verify_checkpoint_proof(&horizon_proof, ctx)
+                .filter(|(sn, _)| *sn == horizon)
+            {
+                self.settle_at_checkpoint(horizon, digest, horizon_proof, ctx);
             }
         }
 
@@ -692,9 +671,10 @@ impl Replica {
         // selected differently or dropped (paper Lemma 1) — rolling the state machine
         // forward would leave orphaned operations in the application state and the
         // client table (the chaos explorer caught exactly that as duplicate write
-        // serials). Instead, roll back to the last trustworthy base and replay the
-        // adopted log: the very beginning in full-log mode, or the last sealed
-        // checkpoint snapshot otherwise. Replay suppresses client replies;
+        // serials). Instead, roll back the way a passive repairs a fork
+        // (`repair_forked_suffix`) and replay the adopted log: from the very
+        // beginning in full-log mode, or from the last sealed checkpoint
+        // snapshot otherwise. Replay suppresses client replies;
         // retransmissions are answered from the rebuilt cache. (With a pending state
         // transfer the snapshot adoption itself replaces everything executed so far,
         // so there is nothing separate to repair.)
@@ -721,23 +701,7 @@ impl Replica {
                 ctx.count("state_rebuilds", 1);
                 self.commit_log.lose_suffix(SeqNum(highest.max(base.0)));
                 self.prepare_log.lose_suffix(SeqNum(highest.max(base.0)));
-                if full_log {
-                    self.reset_execution_state();
-                    // The install tail's try_execute (reply-suppressed)
-                    // replays the adopted log from sn 1.
-                } else if let Some(sealed) = self.latest_snapshot.clone().filter(|s| s.sn() == base)
-                {
-                    // Rewind to the sealed checkpoint and replay forward.
-                    self.adopt_sealed_snapshot(sealed, false, ctx);
-                } else {
-                    // No local snapshot to rewind to (a promoted passive that
-                    // truncated without sealing): restart blank and fetch the
-                    // checkpoint from a peer before executing anything.
-                    self.reset_execution_state();
-                    self.last_checkpoint = SeqNum(0);
-                    self.checkpoint_proof.clear();
-                    self.begin_state_transfer(base, ctx);
-                }
+                self.repair_forked_suffix(ctx);
             }
         }
 
