@@ -451,6 +451,11 @@ pub fn suspect_digest(view: ViewNumber, replica: ReplicaId) -> Digest {
     xft_wire::domain_digest(b"suspect", &(view, replica as u64))
 }
 
+/// Digest the new primary signs in a NEW-VIEW message.
+pub fn new_view_digest(view: ViewNumber) -> Digest {
+    xft_wire::domain_digest(b"new-view", &view)
+}
+
 /// Digest signed in a CHKPT message: binds the view, the checkpoint sequence
 /// number and the agreed snapshot digest under a dedicated domain. Checkpoint
 /// votes are durable, load-bearing evidence (sealed-snapshot proofs,

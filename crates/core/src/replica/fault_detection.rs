@@ -90,6 +90,9 @@ impl Replica {
     /// Handles a VC-CONFIRM message from another active replica of the new view.
     pub(crate) fn on_vc_confirm(&mut self, m: VcConfirmMsg, ctx: &mut Context<XPaxosMsg>) {
         ctx.charge(CryptoOp::VerifySig);
+        if !verify_replica_sig(&self.verifier, m.replica, &m.vc_set_digest, &m.signature) {
+            return;
+        }
         {
             let Some(vc) = self.vc.as_mut() else {
                 return;

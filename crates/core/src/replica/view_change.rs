@@ -12,7 +12,7 @@ use crate::auth::verify_replica_sig;
 use crate::byzantine::ByzantineBehavior;
 use crate::log::{CommitEntry, PrepareEntry};
 use crate::messages::{
-    suspect_digest, NewViewMsg, SuspectMsg, VcFinalMsg, ViewChangeMsg, XPaxosMsg,
+    new_view_digest, suspect_digest, NewViewMsg, SuspectMsg, VcFinalMsg, ViewChangeMsg, XPaxosMsg,
 };
 use crate::types::{Batch, SeqNum, ViewNumber};
 use std::collections::BTreeMap;
@@ -299,6 +299,10 @@ impl Replica {
     /// Handles a VC-FINAL message from another active replica of the new view.
     pub(crate) fn on_vc_final(&mut self, m: VcFinalMsg, ctx: &mut Context<XPaxosMsg>) {
         ctx.charge(CryptoOp::VerifySig);
+        let signed = vc_set_digest(&m.vc_set);
+        if !verify_replica_sig(&self.verifier, m.replica, &signed, &m.signature) {
+            return;
+        }
         if m.new_view > self.view {
             self.enter_view_change(m.new_view, ctx);
         }
@@ -489,7 +493,7 @@ impl Replica {
             let nv = NewViewMsg {
                 new_view: target,
                 prepare_log: prepare_log.clone(),
-                signature: self.sign(&Digest::of_parts(&[b"new-view", &target.0.to_le_bytes()])),
+                signature: self.sign(&new_view_digest(target)),
             };
             for node in self.other_active_nodes(target) {
                 ctx.send(node, XPaxosMsg::NewView(nv.clone()));
@@ -502,9 +506,20 @@ impl Replica {
         }
     }
 
-    /// Handles the new primary's NEW-VIEW message.
+    /// Handles the new primary's NEW-VIEW message. The message names no
+    /// sender: it counts only when signed by the primary of the view it
+    /// installs.
     pub(crate) fn on_new_view(&mut self, m: NewViewMsg, ctx: &mut Context<XPaxosMsg>) {
         ctx.charge(CryptoOp::VerifySig);
+        let primary = self.groups.primary(m.new_view);
+        if !verify_replica_sig(
+            &self.verifier,
+            primary,
+            &new_view_digest(m.new_view),
+            &m.signature,
+        ) {
+            return;
+        }
         if m.new_view > self.view {
             self.enter_view_change(m.new_view, ctx);
         }
@@ -825,13 +840,213 @@ pub(crate) fn vc_set_digest(set: &[ViewChangeMsg]) -> Digest {
 
 #[cfg(test)]
 mod tests {
+    use super::vc_set_digest;
     use crate::client::ClientWorkload;
-    use crate::harness::{check_total_order, ClusterBuilder, LatencySpec};
-    use crate::messages::{suspect_digest, SuspectMsg, XPaxosMsg};
-    use crate::replica::Phase;
-    use crate::types::{replica_key, ViewNumber};
-    use xft_crypto::Signer;
-    use xft_simnet::{FaultEvent, SimDuration, SimTime};
+    use crate::harness::{check_total_order, ClusterBuilder, LatencySpec, XPaxosCluster};
+    use crate::log::{CommitEntry, PrepareEntry};
+    use crate::messages::{
+        new_view_digest, suspect_digest, NewViewMsg, SuspectMsg, VcConfirmMsg, VcFinalMsg,
+        ViewChangeMsg, XPaxosMsg,
+    };
+    use crate::replica::{Phase, Replica};
+    use crate::types::{replica_key, Batch, ClientId, ReplicaId, Request, SeqNum, ViewNumber};
+    use bytes::Bytes;
+    use xft_crypto::{Digest, Signature, Signer};
+    use xft_simnet::{with_offline_context, Context, FaultEvent, SimDuration, SimTime};
+
+    fn idle_cluster(fault_detection: bool) -> XPaxosCluster {
+        ClusterBuilder::new(1, 1)
+            .with_latency(LatencySpec::Constant(SimDuration::from_millis(1)))
+            .with_workload(ClientWorkload {
+                requests: Some(0),
+                ..Default::default()
+            })
+            .with_config(|c| c.with_fault_detection(fault_detection))
+            .build()
+    }
+
+    fn signer(cluster: &XPaxosCluster, r: ReplicaId) -> Signer {
+        Signer::new(&cluster.registry, replica_key(r))
+    }
+
+    /// Runs one handler call on replica 2 outside the simulator's queue.
+    fn at_replica_2(
+        cluster: &mut XPaxosCluster,
+        f: impl FnOnce(&mut Replica, &mut Context<XPaxosMsg>),
+    ) {
+        let replica = cluster.replica_mut(2);
+        with_offline_context(replica.node_of(2), |ctx| f(replica, ctx));
+    }
+
+    /// Takes replica 2, an active of view 1 (= {0, 2}, primary 0), through
+    /// the VIEW-CHANGE collection of an idle cluster: it holds every
+    /// replica's empty VIEW-CHANGE and sent its VC-FINAL, so its merge waits
+    /// only for replica 0's VC-FINAL. Returns that VC-FINAL's set.
+    fn collect_view_1_at_replica_2(cluster: &mut XPaxosCluster) -> Vec<ViewChangeMsg> {
+        let set: Vec<ViewChangeMsg> = (0..3)
+            .map(|r| {
+                let mut vc = ViewChangeMsg {
+                    new_view: ViewNumber(1),
+                    replica: r,
+                    commit_log: Vec::new(),
+                    prepare_log: Vec::new(),
+                    last_checkpoint: SeqNum(0),
+                    checkpoint_proof: Vec::new(),
+                    signature: Signature::forged(replica_key(r)),
+                };
+                vc.signature = signer(cluster, r).sign_digest(&vc.digest());
+                vc
+            })
+            .collect();
+        let msgs = set.clone();
+        at_replica_2(cluster, |replica, ctx| {
+            replica.enter_view_change(ViewNumber(1), ctx);
+            for vc in msgs {
+                replica.on_view_change(vc, ctx);
+            }
+        });
+        let vc = cluster.replica(2).vc.as_ref().expect("collecting view 1");
+        assert!(vc.vc_final_sent && vc.merged.is_none());
+        set
+    }
+
+    /// Replica `signer_id`'s VC-FINAL over `set`, in replica 0's name.
+    fn vc_final_from_0(
+        cluster: &XPaxosCluster,
+        set: &[ViewChangeMsg],
+        signer_id: ReplicaId,
+    ) -> VcFinalMsg {
+        VcFinalMsg {
+            new_view: ViewNumber(1),
+            replica: 0,
+            vc_set: set.to_vec(),
+            signature: signer(cluster, signer_id).sign_digest(&vc_set_digest(set)),
+        }
+    }
+
+    fn merged(cluster: &XPaxosCluster) -> bool {
+        cluster
+            .replica(2)
+            .vc
+            .as_ref()
+            .is_some_and(|vc| vc.merged.is_some())
+    }
+
+    /// Replica 1 (the passive replica of view 1) cannot get a NEW-VIEW
+    /// installed at replica 2: it carries an extra batch that no selection
+    /// contains, and it is not signed by view 1's primary.
+    #[test]
+    fn a_new_view_signed_by_the_passive_is_not_installed_and_its_batch_never_runs() {
+        let mut cluster = idle_cluster(false);
+        let set = collect_view_1_at_replica_2(&mut cluster);
+        let vc_final = vc_final_from_0(&cluster, &set, 0);
+        at_replica_2(&mut cluster, |replica, ctx| {
+            replica.on_vc_final(vc_final, ctx)
+        });
+        assert!(merged(&cluster));
+
+        let (view, sn) = (ViewNumber(1), SeqNum(1));
+        let extra = Batch::single(Request::new(ClientId(0), 1, Bytes::from_static(b"forged")));
+        let passive = signer(&cluster, 1);
+        let forged = NewViewMsg {
+            new_view: view,
+            prepare_log: vec![PrepareEntry {
+                view,
+                sn,
+                batch: extra.clone(),
+                client_sigs: Vec::new(),
+                primary_sig: passive.sign_digest(&CommitEntry::commit_digest(
+                    &extra.digest(),
+                    sn,
+                    view,
+                )),
+            }],
+            signature: passive.sign_digest(&new_view_digest(view)),
+        };
+        cluster.sim.post_message(1, 2, XPaxosMsg::NewView(forged));
+        cluster.run_for(SimDuration::from_millis(200));
+        let replica = cluster.replica(2);
+        assert_eq!(replica.phase(), Phase::ViewChange);
+        assert!(replica.commit_log.get(sn).is_none());
+        for r in 0..3 {
+            assert!(
+                !cluster
+                    .replica(r)
+                    .executed_history()
+                    .iter()
+                    .any(|(_, d)| *d == extra.digest()),
+                "replica {r} executed the forged batch"
+            );
+        }
+
+        // The real primary's (empty) NEW-VIEW still installs the view.
+        let genuine = NewViewMsg {
+            new_view: view,
+            prepare_log: Vec::new(),
+            signature: signer(&cluster, 0).sign_digest(&new_view_digest(view)),
+        };
+        cluster.sim.post_message(0, 2, XPaxosMsg::NewView(genuine));
+        cluster.run_for(SimDuration::from_millis(10));
+        let replica = cluster.replica(2);
+        assert_eq!(
+            (replica.phase(), replica.installed_view),
+            (Phase::Active, view)
+        );
+    }
+
+    #[test]
+    fn a_vc_final_in_an_actives_name_under_another_key_does_not_complete_the_merge() {
+        let mut cluster = idle_cluster(false);
+        let set = collect_view_1_at_replica_2(&mut cluster);
+        let forged = vc_final_from_0(&cluster, &set, 1);
+        at_replica_2(&mut cluster, |replica, ctx| {
+            replica.on_vc_final(forged, ctx)
+        });
+        assert!(!merged(&cluster));
+        let genuine = vc_final_from_0(&cluster, &set, 0);
+        at_replica_2(&mut cluster, |replica, ctx| {
+            replica.on_vc_final(genuine, ctx)
+        });
+        assert!(merged(&cluster));
+    }
+
+    #[test]
+    fn a_vc_confirm_in_an_actives_name_under_another_key_raises_no_suspicion() {
+        let mut cluster = idle_cluster(true);
+        let set = collect_view_1_at_replica_2(&mut cluster);
+        let vc_final = vc_final_from_0(&cluster, &set, 0);
+        at_replica_2(&mut cluster, |replica, ctx| {
+            replica.on_vc_final(vc_final, ctx)
+        });
+        assert!(cluster
+            .replica(2)
+            .vc
+            .as_ref()
+            .is_some_and(|vc| vc.confirm_sent));
+
+        let other = Digest::of(b"a different filtered set");
+        let confirm_from_0 = |signer_id: ReplicaId| VcConfirmMsg {
+            new_view: ViewNumber(1),
+            replica: 0,
+            vc_set_digest: other,
+            signature: signer(&cluster, signer_id).sign_digest(&other),
+        };
+        let (forged, genuine) = (confirm_from_0(1), confirm_from_0(0));
+        at_replica_2(&mut cluster, |replica, ctx| {
+            replica.on_vc_confirm(forged, ctx)
+        });
+        let replica = cluster.replica(2);
+        assert_eq!(
+            (replica.view(), replica.phase()),
+            (ViewNumber(1), Phase::ViewChange)
+        );
+
+        // Replica 0 itself disagreeing is a real mismatch: view 1 is suspected.
+        at_replica_2(&mut cluster, |replica, ctx| {
+            replica.on_vc_confirm(genuine, ctx)
+        });
+        assert_eq!(cluster.replica(2).view(), ViewNumber(2));
+    }
 
     /// Only the active replicas of a view may suspect it. The passive replica
     /// signing a SUSPECT in the primary's name must not move anyone.
