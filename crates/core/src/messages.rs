@@ -312,8 +312,6 @@ pub enum DetectedFaultKind {
     /// A replica's logs contain conflicting entries for the same sequence number
     /// (fork-I / fork-II in the paper).
     Fork,
-    /// A message carried an invalid signature.
-    BadSignature,
 }
 
 /// All XPaxos wire messages.

@@ -465,7 +465,6 @@ impl WireEncode for DetectedFaultKind {
         let tag: u8 = match self {
             DetectedFaultKind::StateLoss => 1,
             DetectedFaultKind::Fork => 2,
-            DetectedFaultKind::BadSignature => 3,
         };
         tag.encode_into(out);
     }
@@ -476,7 +475,6 @@ impl WireDecode for DetectedFaultKind {
         match r.get_u8()? {
             1 => Some(DetectedFaultKind::StateLoss),
             2 => Some(DetectedFaultKind::Fork),
-            3 => Some(DetectedFaultKind::BadSignature),
             _ => None,
         }
     }
@@ -853,6 +851,23 @@ mod tests {
         out.push(xft_wire::WIRE_VERSION);
         out.push(200); // no such variant tag
         assert_eq!(decode_msg::<XPaxosMsg>(&out), Err(WireError::Malformed));
+    }
+
+    #[test]
+    fn fault_kinds_decode_only_their_two_tags() {
+        for kind in [DetectedFaultKind::StateLoss, DetectedFaultKind::Fork] {
+            let bytes = kind.wire_bytes();
+            assert_eq!(
+                DetectedFaultKind::decode_from(&mut Reader::new(&bytes)),
+                Some(kind)
+            );
+        }
+        for tag in [0u8, 3, 255] {
+            assert_eq!(
+                DetectedFaultKind::decode_from(&mut Reader::new(&[tag])),
+                None
+            );
+        }
     }
 
     #[test]
