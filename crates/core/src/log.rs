@@ -69,6 +69,17 @@ impl CommitEntry {
     }
 }
 
+/// Digest the primary signs when it proposes a batch: at t = 1 its proposal is
+/// the COMMIT m0 of the fast path (Fig. 2b), so it signs the commit digest; at
+/// t ≥ 2 it is the PREPARE of the general path (Fig. 2a).
+pub fn proposal_digest(t: usize, batch_digest: &Digest, sn: SeqNum, view: ViewNumber) -> Digest {
+    if t == 1 {
+        CommitEntry::commit_digest(batch_digest, sn, view)
+    } else {
+        PrepareEntry::signed_digest(batch_digest, sn, view)
+    }
+}
+
 /// A replica's prepare log (primary role) or the prepare entries it received
 /// (follower role in the general case).
 #[derive(Debug, Clone, Default)]
@@ -153,6 +164,11 @@ impl CommitLog {
     /// Looks up the entry at `sn`.
     pub fn get(&self, sn: SeqNum) -> Option<&CommitEntry> {
         self.entries.get(&sn.0)
+    }
+
+    /// Looks up the entry at `sn` for an in-place update.
+    pub fn get_mut(&mut self, sn: SeqNum) -> Option<&mut CommitEntry> {
+        self.entries.get_mut(&sn.0)
     }
 
     /// Whether an entry exists at `sn`.

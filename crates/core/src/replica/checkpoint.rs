@@ -424,8 +424,7 @@ impl Replica {
                 if entry.sn > self.next_sn {
                     self.next_sn = entry.sn;
                 }
-                self.persist(|| crate::durable::DurableEvent::Commit(entry.clone()));
-                self.commit_log.insert(entry);
+                self.log_commit(entry);
             }
         }
         if forked {

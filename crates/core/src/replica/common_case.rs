@@ -7,19 +7,37 @@
 //! * For `t ≥ 2` the general PREPARE / COMMIT pattern of Figure 2a is used: the primary
 //!   prepares, followers broadcast signed COMMITs to all active replicas, and every
 //!   active replica commits once it holds one COMMIT from each follower.
+//!
+//! Each rule of the common case is written once:
+//!
+//! * **One proposal digest.** [`proposal_digest`] is what the primary signs:
+//!   the commit digest at t = 1, the prepare digest at t ≥ 2. `propose_batch`,
+//!   the NEW-VIEW re-proposal and the follower's check all use it.
+//! * **One proposal admission.** `on_proposal` admits the primary's proposal
+//!   — the COMMIT m0 at t = 1, the PREPARE at t ≥ 2, both as a
+//!   [`PrepareEntry`] — by view, role, signatures and sequence number, and
+//!   stashes it within the reorder window while it cannot be applied yet.
+//!   Its apply step is `apply_commit_carry` (Fig. 2b: the follower executes
+//!   and answers the primary with m1) or `apply_prepare` (Fig. 2a: the
+//!   follower logs the prepare and broadcasts its COMMIT).
+//! * **One commit write.** `log_commit` persists the Commit record, then
+//!   inserts the entry: the only way a first-time commit enters the log, in
+//!   the common case, the view change and lazy replication alike.
+//!   `record_commit` adds the statistics for the three common-case
+//!   completions (carry, fast path, general).
 
 use super::{Phase, Replica, TOKEN_BATCH, TOKEN_MONITOR};
 use crate::auth::{verify_client_sig, verify_replica_sig};
 use crate::byzantine::ByzantineBehavior;
 use crate::config::{BATCH_TIMEOUT, MAX_BATCH_BYTES};
-use crate::log::{CommitEntry, PrepareEntry};
+use crate::log::{proposal_digest, CommitEntry, PrepareEntry};
 use crate::messages::{
     reply_digest, CommitCarryMsg, CommitMsg, PrepareMsg, ReplyMsg, SignedRequest, XPaxosMsg,
 };
 use crate::types::{Batch, ClientId, ReplicaId, SeqNum, Timestamp};
 use std::collections::BTreeMap;
 use xft_crypto::{CryptoOp, Digest, Signature};
-use xft_simnet::{Context, NodeId};
+use xft_simnet::Context;
 
 impl Replica {
     /// Signs a digest through the crypto front (stage *sign*), honouring the
@@ -377,19 +395,6 @@ impl Replica {
         }
     }
 
-    /// Force-flushes the admission queue up to the in-flight limit (batch-timer
-    /// expiry and view-change handover).
-    pub(crate) fn flush_batches(&mut self, ctx: &mut Context<XPaxosMsg>) {
-        self.pump_pipeline(ctx, true);
-    }
-
-    /// A batch this primary proposed has committed: free its pipeline slot and
-    /// propose more if requests are waiting.
-    pub(crate) fn note_batch_committed(&mut self, ctx: &mut Context<XPaxosMsg>) {
-        self.proposed_in_flight = self.proposed_in_flight.saturating_sub(1);
-        self.pump_pipeline(ctx, false);
-    }
-
     /// Assigns the next sequence number to a batch and sends it to the followers.
     fn propose_batch(&mut self, requests: Vec<SignedRequest>, ctx: &mut Context<XPaxosMsg>) {
         let (mut reqs, mut sigs): (Vec<_>, Vec<_>) = requests
@@ -444,15 +449,8 @@ impl Replica {
             });
         }
 
-        // The primary's signature doubles as its commit statement in the t = 1 path and
-        // as the prepare statement in the general path.
-        let signed = if self.config.t == 1 {
-            CommitEntry::commit_digest(&batch_digest, sn, view)
-        } else {
-            PrepareEntry::signed_digest(&batch_digest, sn, view)
-        };
         ctx.charge(CryptoOp::Sign);
-        let primary_sig = self.sign(&signed);
+        let primary_sig = self.sign(&proposal_digest(self.config.t, &batch_digest, sn, view));
         self.tel_event(ctx, "sign", || format!("sn={} view={}", sn.0, view.0));
 
         let entry = PrepareEntry {
@@ -495,27 +493,33 @@ impl Replica {
     // Follower paths
     // -----------------------------------------------------------------------------
 
-    /// Stashes a verified proposal that arrived ahead of the next expected
-    /// sequence number. The stash is bounded to roughly the pipeline depth:
-    /// anything farther ahead is dropped and recovered by retransmission or a
-    /// view change, exactly as a lost message would be.
-    fn stash_proposal(&mut self, sn: SeqNum, msg: XPaxosMsg, ctx: &mut Context<XPaxosMsg>) {
-        let cap = self.config.pipeline.max_in_flight_batches.max(1) * 2 + 16;
-        if sn.0 > self.next_sn.0 + cap as u64 || self.stashed_proposals.len() >= cap {
+    /// How far ahead of `next_sn` a follower buffers proposals and COMMITs:
+    /// roughly the pipeline depth. Anything farther ahead is dropped and
+    /// recovered by retransmission or a view change, exactly as a lost
+    /// message would be.
+    fn reorder_window(&self) -> usize {
+        self.config.pipeline.max_in_flight_batches.max(1) * 2 + 16
+    }
+
+    /// Stashes a verified proposal that cannot be applied yet, within the
+    /// reorder window.
+    fn stash_proposal(&mut self, p: PrepareEntry, ctx: &mut Context<XPaxosMsg>) {
+        let cap = self.reorder_window();
+        if p.sn.0 > self.next_sn.0 + cap as u64 || self.stashed_proposals.len() >= cap {
             ctx.count("proposals_dropped", 1);
             return;
         }
         ctx.count("proposals_stashed", 1);
-        self.stashed_proposals.insert(sn.0, msg);
+        self.stashed_proposals.insert(p.sn.0, p);
     }
 
-    /// Buffers a COMMIT whose PREPARE has not been processed yet, bounded to
-    /// the same pipeline-depth window as the proposal stash. Commits at or
-    /// below `next_sn` are stale, not early (their prepare either exists or
-    /// was checkpoint-truncated because the slot committed): buffering them
-    /// would pin the stash forever since no future prepare drains them.
+    /// Buffers a COMMIT whose PREPARE has not been processed yet, within the
+    /// reorder window. Commits at or below `next_sn` are stale, not early
+    /// (their prepare either exists or was checkpoint-truncated because the
+    /// slot committed): buffering them would pin the buffer forever since no
+    /// future prepare drains them.
     fn stash_early_commit(&mut self, m: CommitMsg, ctx: &mut Context<XPaxosMsg>) {
-        let cap = self.config.pipeline.max_in_flight_batches.max(1) * 2 + 16;
+        let cap = self.reorder_window();
         self.early_commits.retain(|sn, _| *sn > self.next_sn.0);
         if m.sn.0 <= self.next_sn.0
             || m.sn.0 > self.next_sn.0 + cap as u64
@@ -546,126 +550,119 @@ impl Replica {
     /// stash is cleared on every view change, so replay skips straight to the
     /// apply step. Each replay ends with another drain call, so a run of
     /// consecutive stashed proposals is consumed in order. Also invoked after
-    /// a state-transfer adoption, which is what releases carry proposals that
+    /// a state-transfer adoption, which is what releases t = 1 proposals that
     /// were deferred while execution lagged.
     pub(crate) fn drain_stashed(&mut self, ctx: &mut Context<XPaxosMsg>) {
-        let next = self.next_sn.next().0;
-        let Some(msg) = self.stashed_proposals.get(&next) else {
-            return;
-        };
-        if matches!(msg, XPaxosMsg::CommitCarry(_)) && SeqNum(next) != self.exec_sn.next() {
+        let next = self.next_sn.next();
+        if self.awaits_execution(next) {
             return; // execution still catching up; re-drained after adoption
         }
-        let msg = self.stashed_proposals.remove(&next).expect("peeked above");
-        match msg {
-            XPaxosMsg::Prepare(m) => self.apply_prepare(m, ctx),
-            XPaxosMsg::CommitCarry(m) => self.apply_commit_carry(m, ctx),
-            _ => {}
+        if let Some(p) = self.stashed_proposals.remove(&next.0) {
+            self.apply_proposal(p, ctx);
         }
     }
 
-    /// A proposal for a view ahead of ours, validly signed by that view's
-    /// primary, is proof the cluster moved on without us — after an amnesia
-    /// fault reset our view estimate, or after we missed every SUSPECT of an
-    /// interim view change. Join the view change toward it: either the
-    /// VIEW-CHANGE exchange completes normally, or our collection timeout
-    /// escalates with a signed SUSPECT and rotates the group (this is what
-    /// un-wedges a cluster whose current follower forgot the view: found by
-    /// the chaos explorer). No new power is granted to faulty replicas — an
-    /// active replica can already force view changes with signed SUSPECTs.
-    fn join_newer_view_if_proven(
-        &mut self,
-        view: crate::types::ViewNumber,
-        signed: &Digest,
-        signature: &xft_crypto::Signature,
-        ctx: &mut Context<XPaxosMsg>,
-    ) {
-        ctx.charge(CryptoOp::VerifySig);
-        if verify_replica_sig(&self.verifier, self.groups.primary(view), signed, signature) {
-            self.enter_view_change(view, ctx);
-        }
-    }
-
-    /// General case (t ≥ 2): a follower receives the primary's PREPARE.
-    pub(crate) fn on_prepare(
-        &mut self,
-        _from: NodeId,
-        m: PrepareMsg,
-        ctx: &mut Context<XPaxosMsg>,
-    ) {
-        if m.view > self.view {
-            let expected = PrepareEntry::signed_digest(&m.batch.digest(), m.sn, m.view);
-            self.join_newer_view_if_proven(m.view, &expected, &m.signature, ctx);
+    /// A follower admits the primary's proposal: the COMMIT m0 carrying the
+    /// batch at t = 1, the PREPARE at t ≥ 2 (`on_message` drops the other
+    /// kind). In order:
+    /// 1. a newer view's proposal, validly signed by that view's primary,
+    ///    proves the cluster moved on without us (an amnesia fault, or every
+    ///    SUSPECT of an interim view change missed): join the view change
+    ///    toward it. This un-wedges a cluster whose follower forgot the view
+    ///    (found by the chaos explorer) and grants a faulty replica nothing a
+    ///    signed SUSPECT does not;
+    /// 2. otherwise only an active non-primary of the current view, outside a
+    ///    view change, takes it;
+    /// 3. the primary's signature and
+    /// 4. the client signatures (one per request, one batched pass) must
+    ///    verify: a correct primary proposes only verified requests, so
+    ///    either failure suspects the view;
+    /// 5. a stale or duplicate proposal is dropped; one ahead of `next_sn + 1`
+    ///    is stashed until the gap fills, and so, at t = 1 (the follower
+    ///    executes on apply), is one that execution lags behind while a state
+    ///    transfer fills the checkpointed prefix;
+    /// 6. apply.
+    pub(crate) fn on_proposal(&mut self, p: PrepareEntry, ctx: &mut Context<XPaxosMsg>) {
+        let signed = proposal_digest(self.config.t, &p.batch.digest(), p.sn, p.view);
+        let primary = self.groups.primary(p.view);
+        if p.view > self.view {
+            ctx.charge(CryptoOp::VerifySig);
+            if verify_replica_sig(&self.verifier, primary, &signed, &p.primary_sig) {
+                self.enter_view_change(p.view, ctx);
+            }
             return;
         }
-        if self.phase != Phase::Active || m.view != self.view || !self.is_active_in(self.view) {
+        if self.phase != Phase::Active
+            || p.view != self.view
+            || !self.is_active_in(self.view)
+            || self.is_primary_in(self.view)
+        {
             return;
         }
-        if self.is_primary_in(self.view) {
-            return; // the primary never receives PREPAREs
-        }
-        // Verify the primary's and the clients' signatures (the latter as a
-        // single batched pass through the crypto front).
         ctx.charge(CryptoOp::VerifySig);
-        let expected = PrepareEntry::signed_digest(&m.batch.digest(), m.sn, m.view);
-        let primary = self.groups.primary(m.view);
-        if !verify_replica_sig(&self.verifier, primary, &expected, &m.signature) {
+        if !verify_replica_sig(&self.verifier, primary, &signed, &p.primary_sig) {
             self.suspect_view(ctx);
             return;
         }
         ctx.charge(CryptoOp::VerifyBatch {
-            count: m.client_sigs.len(),
+            count: p.client_sigs.len(),
         });
-        if m.client_sigs.len() != m.batch.len()
+        if p.client_sigs.len() != p.batch.len()
             || self
                 .crypto_front
-                .verify_client_sigs(&self.verifier, &m.batch.requests, &m.client_sigs)
+                .verify_client_sigs(&self.verifier, &p.batch.requests, &p.client_sigs)
                 .is_err()
         {
-            // A correctly-behaving primary never proposes unverified client
-            // requests, so this is evidence against the primary itself.
             self.suspect_view(ctx);
             return;
         }
-        if m.sn > self.next_sn.next() {
-            // Ahead of the pipeline: buffer and replay once the gap fills.
-            self.stash_proposal(m.sn, XPaxosMsg::Prepare(m), ctx);
-            return;
-        }
-        if m.sn != self.next_sn.next() {
+        let next = self.next_sn.next();
+        if p.sn < next {
             return; // stale or duplicate proposal
         }
-        self.apply_prepare(m, ctx);
+        if p.sn > next || self.awaits_execution(p.sn) {
+            self.stash_proposal(p, ctx);
+        } else {
+            self.apply_proposal(p, ctx);
+        }
     }
 
-    /// Applies a verified, in-order PREPARE (`m.sn == next_sn + 1`). Split
-    /// from [`Self::on_prepare`] so proposals replayed from the stash —
-    /// already verified on arrival, and invalidated by view changes clearing
-    /// the stash — don't pay (or charge) verification twice.
-    fn apply_prepare(&mut self, m: PrepareMsg, ctx: &mut Context<XPaxosMsg>) {
-        debug_assert_eq!(m.sn, self.next_sn.next());
-        self.tel_event(ctx, "prepare", || {
-            format!("sn={} view={} reqs={}", m.sn.0, m.view.0, m.batch.len())
-        });
-        self.next_sn = m.sn;
-        let batch_digest = m.batch.digest();
-        let entry = PrepareEntry {
-            view: m.view,
-            sn: m.sn,
-            batch: m.batch,
-            client_sigs: m.client_sigs,
-            primary_sig: m.signature,
-        };
-        self.persist(|| crate::durable::DurableEvent::Prepare(entry.clone()));
-        self.prepare_log.insert(entry);
+    /// Whether a t = 1 proposal for `sn` must wait for execution to reach
+    /// `sn - 1`: the fast-path follower executes on apply.
+    fn awaits_execution(&self, sn: SeqNum) -> bool {
+        self.config.t == 1 && sn != self.exec_sn.next()
+    }
 
-        // Sign and broadcast the COMMIT to all active replicas.
+    /// The apply step of this configuration's path.
+    fn apply_proposal(&mut self, p: PrepareEntry, ctx: &mut Context<XPaxosMsg>) {
+        if self.config.t == 1 {
+            self.apply_commit_carry(p, ctx);
+        } else {
+            self.apply_prepare(p, ctx);
+        }
+    }
+
+    /// Fig. 2a, follower side: applies a verified, in-order PREPARE
+    /// (`p.sn == next_sn + 1`) — log it, then sign and broadcast a COMMIT to
+    /// the other active replicas. Split from [`Self::on_proposal`] so
+    /// proposals replayed from the stash — already verified on arrival, and
+    /// invalidated by view changes clearing the stash — don't pay (or charge)
+    /// verification twice.
+    fn apply_prepare(&mut self, p: PrepareEntry, ctx: &mut Context<XPaxosMsg>) {
+        debug_assert_eq!(p.sn, self.next_sn.next());
+        self.tel_event(ctx, "prepare", || {
+            format!("sn={} view={} reqs={}", p.sn.0, p.view.0, p.batch.len())
+        });
+        let (view, sn, batch_digest) = (p.view, p.sn, p.batch.digest());
+        self.next_sn = sn;
+        self.persist(|| crate::durable::DurableEvent::Prepare(p.clone()));
+        self.prepare_log.insert(p);
+
         ctx.charge(CryptoOp::Sign);
-        let commit_digest = CommitEntry::commit_digest(&batch_digest, m.sn, m.view);
-        let sig = self.sign(&commit_digest);
+        let sig = self.sign(&CommitEntry::commit_digest(&batch_digest, sn, view));
         let commit = CommitMsg {
-            view: m.view,
-            sn: m.sn,
+            view,
+            sn,
             batch_digest,
             replica: self.id,
             reply_digest: None,
@@ -673,129 +670,63 @@ impl Replica {
         };
         // Record our own commit locally, then broadcast.
         self.pending_commits
-            .entry(m.sn.0)
+            .entry(sn.0)
             .or_default()
             .sigs
             .insert(self.id, sig);
-        for node in self.other_active_nodes(m.view) {
+        for node in self.other_active_nodes(view) {
             ctx.send(node, XPaxosMsg::Commit(commit.clone()));
         }
-        self.drain_early_commits(m.sn, ctx);
-        self.try_complete_general(m.sn, ctx);
+        self.drain_early_commits(sn, ctx);
+        self.try_complete_general(sn, ctx);
         self.drain_stashed(ctx);
     }
 
-    /// t = 1 fast path: the follower receives the primary's COMMIT carrying the batch.
-    pub(crate) fn on_commit_carry(
-        &mut self,
-        _from: NodeId,
-        m: CommitCarryMsg,
-        ctx: &mut Context<XPaxosMsg>,
-    ) {
-        if m.view > self.view {
-            let expected = CommitEntry::commit_digest(&m.batch.digest(), m.sn, m.view);
-            self.join_newer_view_if_proven(m.view, &expected, &m.signature, ctx);
-            return;
-        }
-        if self.phase != Phase::Active || m.view != self.view {
-            return;
-        }
-        if !self.is_active_in(self.view) || self.is_primary_in(self.view) {
-            return;
-        }
-        ctx.charge(CryptoOp::VerifySig);
-        let batch_digest = m.batch.digest();
-        let expected = CommitEntry::commit_digest(&batch_digest, m.sn, m.view);
-        let primary = self.groups.primary(m.view);
-        if !verify_replica_sig(&self.verifier, primary, &expected, &m.signature) {
-            self.suspect_view(ctx);
-            return;
-        }
-        ctx.charge(CryptoOp::VerifyBatch {
-            count: m.client_sigs.len(),
-        });
-        if m.client_sigs.len() != m.batch.len()
-            || self
-                .crypto_front
-                .verify_client_sigs(&self.verifier, &m.batch.requests, &m.client_sigs)
-                .is_err()
-        {
-            self.suspect_view(ctx);
-            return;
-        }
-        if m.sn > self.next_sn.next() {
-            // Ahead of the pipeline: buffer and replay once the gap fills.
-            self.stash_proposal(m.sn, XPaxosMsg::CommitCarry(m), ctx);
-            return;
-        }
-        if m.sn != self.next_sn.next() {
-            return;
-        }
-        if m.sn != self.exec_sn.next() {
-            // The carry path executes immediately, but execution lags the
-            // proposal stream (a state transfer is filling the checkpointed
-            // prefix): defer the proposal until the snapshot is adopted.
-            self.stash_proposal(m.sn, XPaxosMsg::CommitCarry(m), ctx);
-            return;
-        }
-        self.apply_commit_carry(m, ctx);
-    }
+    /// Fig. 2b, follower side: applies a verified, in-order COMMIT m0
+    /// (`p.sn == next_sn + 1`) — execute the batch at once (the follower
+    /// executes before the primary on this path), commit it, and answer the
+    /// primary with the signed COMMIT m1 that binds the reply digest. Split
+    /// from [`Self::on_proposal`] for the same reason as
+    /// [`Self::apply_prepare`]. Writes no Prepare record: the Commit record
+    /// that follows carries everything recovery needs.
+    fn apply_commit_carry(&mut self, p: PrepareEntry, ctx: &mut Context<XPaxosMsg>) {
+        debug_assert_eq!(p.sn, self.next_sn.next());
+        let (view, sn, batch_digest) = (p.view, p.sn, p.batch.digest());
+        let (batch, primary_sig) = (p.batch.clone(), p.primary_sig);
+        self.next_sn = sn;
+        self.prepare_log.insert(p);
 
-    /// Applies a verified, in-order COMMIT-CARRY (`m.sn == next_sn + 1`);
-    /// split from [`Self::on_commit_carry`] for the same reason as
-    /// [`Self::apply_prepare`].
-    fn apply_commit_carry(&mut self, m: CommitCarryMsg, ctx: &mut Context<XPaxosMsg>) {
-        debug_assert_eq!(m.sn, self.next_sn.next());
-        let batch_digest = m.batch.digest();
-        self.next_sn = m.sn;
-        self.prepare_log.insert(PrepareEntry {
-            view: m.view,
-            sn: m.sn,
-            batch: m.batch.clone(),
-            client_sigs: m.client_sigs,
-            primary_sig: m.signature,
-        });
-
-        // Execute immediately (the follower executes before the primary in this path)
-        // and include the reply digest in the signed commit m1.
-        let reply_digests = self.execute_batch_now(m.sn, &m.batch, ctx);
+        let reply_digests = self.execute_batch_now(sn, &batch, ctx);
         let combined_reply = combine_digests(&reply_digests);
 
         ctx.charge(CryptoOp::Sign);
-        let commit_digest =
-            CommitEntry::commit_digest(&batch_digest, m.sn, m.view).combine(&combined_reply);
-        let sig = self.sign(&commit_digest);
+        let sig = self
+            .sign(&CommitEntry::commit_digest(&batch_digest, sn, view).combine(&combined_reply));
         let m1 = CommitMsg {
-            view: m.view,
-            sn: m.sn,
+            view,
+            sn,
             batch_digest,
             replica: self.id,
             reply_digest: Some(combined_reply),
             signature: sig,
         };
+        self.record_commit(
+            CommitEntry {
+                view,
+                sn,
+                batch,
+                primary_sig,
+                commit_sigs: BTreeMap::from([(self.id, sig)]),
+            },
+            "carry",
+            ctx,
+        );
 
-        let mut commit_sigs = BTreeMap::new();
-        commit_sigs.insert(self.id, sig);
-        let entry = CommitEntry {
-            view: m.view,
-            sn: m.sn,
-            batch: m.batch,
-            primary_sig: m.signature,
-            commit_sigs,
-        };
-        self.persist(|| crate::durable::DurableEvent::Commit(entry.clone()));
-        self.commit_log.insert(entry);
-        self.committed_batches += 1;
-        ctx.count("commits", 1);
-        self.tel_event(ctx, "commit", || {
-            format!("sn={} view={} carry", m.sn.0, m.view.0)
-        });
-
-        let primary = self.groups.primary(m.view);
+        let primary = self.groups.primary(view);
         ctx.send(self.node_of(primary), XPaxosMsg::Commit(m1));
 
         self.maybe_checkpoint(ctx);
-        self.lazy_replicate(m.sn, ctx);
+        self.lazy_replicate(sn, ctx);
         self.drain_stashed(ctx);
     }
 
@@ -804,7 +735,7 @@ impl Replica {
     /// replica's, over the commit digest (bound to the reply digest when the
     /// COMMIT carries one). A COMMIT that fails is dropped without suspecting
     /// anyone: anyone can send garbage under any name.
-    pub(crate) fn on_commit(&mut self, _from: NodeId, m: CommitMsg, ctx: &mut Context<XPaxosMsg>) {
+    pub(crate) fn on_commit(&mut self, m: CommitMsg, ctx: &mut Context<XPaxosMsg>) {
         if m.view != self.view {
             return;
         }
@@ -905,27 +836,19 @@ impl Replica {
             return;
         }
         self.note_peer_ack(m.sn, m.replica, ctx);
-        let mut commit_sigs = BTreeMap::new();
-        commit_sigs.insert(follower, m.signature);
         let entry = CommitEntry {
             view: prep.view,
             sn: prep.sn,
             batch: prep.batch.clone(),
             primary_sig: prep.primary_sig,
-            commit_sigs,
+            commit_sigs: BTreeMap::from([(follower, m.signature)]),
         };
-        let sn = m.sn;
         self.follower_commits.insert(m.sn.0, m);
-        self.persist(|| crate::durable::DurableEvent::Commit(entry.clone()));
-        self.commit_log.insert(entry);
-        self.committed_batches += 1;
-        ctx.count("commits", 1);
-        self.tel_event(ctx, "commit", || {
-            format!("sn={} view={} fast-path", sn.0, self.view.0)
-        });
+        self.record_commit(entry, "fast-path", ctx);
         self.try_execute(ctx);
         self.maybe_checkpoint(ctx);
-        self.note_batch_committed(ctx);
+        self.proposed_in_flight = self.proposed_in_flight.saturating_sub(1);
+        self.pump_pipeline(ctx, false);
     }
 
     /// General case: completes the commit of `sn` once every follower's COMMIT arrived.
@@ -947,19 +870,40 @@ impl Replica {
             primary_sig: prep.primary_sig,
             commit_sigs: self.pending_commits.remove(&sn.0).unwrap_or_default().sigs,
         };
-        self.persist(|| crate::durable::DurableEvent::Commit(entry.clone()));
-        self.commit_log.insert(entry);
-        self.committed_batches += 1;
-        ctx.count("commits", 1);
-        self.tel_event(ctx, "commit", || {
-            format!("sn={} view={} general", sn.0, self.view.0)
-        });
+        self.record_commit(entry, "general", ctx);
         self.try_execute(ctx);
         self.maybe_checkpoint(ctx);
         self.lazy_replicate(sn, ctx);
         if self.is_primary_in(self.view) {
-            self.note_batch_committed(ctx);
+            // Free the batch's pipeline slot and propose more if requests wait.
+            self.proposed_in_flight = self.proposed_in_flight.saturating_sub(1);
+            self.pump_pipeline(ctx, false);
         }
+    }
+
+    /// Enters a first-time commit into the log, persisting its Commit record
+    /// first: the only way an entry that was not committed here before gets
+    /// into the commit log (WAL recovery replays records it already wrote).
+    pub(crate) fn log_commit(&mut self, entry: CommitEntry) {
+        self.persist(|| crate::durable::DurableEvent::Commit(entry.clone()));
+        self.commit_log.insert(entry);
+    }
+
+    /// Records a batch committed by the common case — `path` is the carry,
+    /// fast-path or general completion — in the log and the statistics.
+    fn record_commit(
+        &mut self,
+        entry: CommitEntry,
+        path: &'static str,
+        ctx: &mut Context<XPaxosMsg>,
+    ) {
+        let (sn, view) = (entry.sn, entry.view);
+        self.log_commit(entry);
+        self.committed_batches += 1;
+        ctx.count("commits", 1);
+        self.tel_event(ctx, "commit", || {
+            format!("sn={} view={} {path}", sn.0, view.0)
+        });
     }
 
     // -----------------------------------------------------------------------------

@@ -16,8 +16,8 @@ pub mod view_change;
 use crate::byzantine::ByzantineBehavior;
 use crate::config::XPaxosConfig;
 use crate::durable::{SealedSnapshot, SnapshotImage};
-use crate::log::{CommitLog, PrepareLog};
-use crate::messages::{CommitMsg, ReplyMsg, SignedRequest, XPaxosMsg};
+use crate::log::{CommitLog, PrepareEntry, PrepareLog};
+use crate::messages::{CommitCarryMsg, CommitMsg, PrepareMsg, ReplyMsg, SignedRequest, XPaxosMsg};
 use crate::state_machine::StateMachine;
 use crate::sync_group::SyncGroups;
 use crate::types::{ClientId, ReplicaId, SeqNum, Timestamp, ViewNumber};
@@ -372,10 +372,11 @@ pub struct Replica {
     /// Recently executed timestamps and cached replies per client
     /// (exactly-once semantics, windowed).
     pub(crate) client_table: HashMap<ClientId, ClientRecord>,
-    /// Proposals (PREPARE / COMMIT-CARRY) that arrived ahead of the next
-    /// expected sequence number; drained in order as the gap fills (follower
-    /// side of the commit pipeline).
-    pub(crate) stashed_proposals: BTreeMap<u64, XPaxosMsg>,
+    /// Verified proposals (PREPARE / COMMIT-CARRY) that cannot be applied
+    /// yet — ahead of the next expected sequence number, or (t = 1) of
+    /// execution; drained in order as the gap fills (follower side of the
+    /// commit pipeline).
+    pub(crate) stashed_proposals: BTreeMap<u64, PrepareEntry>,
     /// COMMITs that arrived before this replica processed the matching
     /// PREPARE (possible whenever proposals are pipelined over jittered
     /// links); replayed once the prepare lands.
@@ -874,9 +875,34 @@ impl Actor for Replica {
         match msg {
             XPaxosMsg::Replicate(req) => self.on_client_request(req, false, ctx),
             XPaxosMsg::Resend(req) => self.on_client_request(req, true, ctx),
-            XPaxosMsg::Prepare(m) => self.on_prepare(from, m, ctx),
-            XPaxosMsg::CommitCarry(m) => self.on_commit_carry(from, m, ctx),
-            XPaxosMsg::Commit(m) => self.on_commit(from, m, ctx),
+            // The primary's proposal: COMMIT-CARRY at t = 1, PREPARE at
+            // t ≥ 2. The kind this configuration does not use is dropped.
+            XPaxosMsg::Prepare(_) if self.config.t == 1 => {}
+            XPaxosMsg::CommitCarry(_) if self.config.t > 1 => {}
+            XPaxosMsg::Prepare(PrepareMsg {
+                view,
+                sn,
+                batch,
+                client_sigs,
+                signature,
+            })
+            | XPaxosMsg::CommitCarry(CommitCarryMsg {
+                view,
+                sn,
+                batch,
+                client_sigs,
+                signature,
+            }) => self.on_proposal(
+                PrepareEntry {
+                    view,
+                    sn,
+                    batch,
+                    client_sigs,
+                    primary_sig: signature,
+                },
+                ctx,
+            ),
+            XPaxosMsg::Commit(m) => self.on_commit(m, ctx),
             XPaxosMsg::Suspect(m) => self.on_suspect(m, ctx),
             XPaxosMsg::ViewChange(m) => self.on_view_change(m, ctx),
             XPaxosMsg::VcFinal(m) => self.on_vc_final(m, ctx),
@@ -905,7 +931,7 @@ impl Actor for Replica {
         }
         if token == TOKEN_BATCH {
             self.batch_timer = None;
-            self.flush_batches(ctx);
+            self.pump_pipeline(ctx, true);
         } else if token == TOKEN_STATE_TRANSFER {
             self.on_state_transfer_timer(ctx);
         } else if (TOKEN_VC_COLLECT..TOKEN_VC_TIMEOUT).contains(&token) {

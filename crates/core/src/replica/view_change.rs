@@ -10,7 +10,7 @@
 use super::{Phase, Replica, ViewChangeState, TOKEN_VC_COLLECT, TOKEN_VC_TIMEOUT};
 use crate::auth::verify_replica_sig;
 use crate::byzantine::ByzantineBehavior;
-use crate::log::{CommitEntry, PrepareEntry};
+use crate::log::{proposal_digest, CommitEntry, PrepareEntry};
 use crate::messages::{
     new_view_digest, suspect_digest, NewViewMsg, SuspectMsg, VcFinalMsg, ViewChangeMsg, XPaxosMsg,
 };
@@ -476,17 +476,13 @@ impl Replica {
             for (sn, (_, batch)) in &selected {
                 ctx.charge(CryptoOp::Sign);
                 let sn = SeqNum(*sn);
-                let digest_to_sign = if self.config.t == 1 {
-                    CommitEntry::commit_digest(&batch.digest(), sn, target)
-                } else {
-                    PrepareEntry::signed_digest(&batch.digest(), sn, target)
-                };
+                let signed = proposal_digest(self.config.t, &batch.digest(), sn, target);
                 prepare_log.push(PrepareEntry {
                     view: target,
                     sn,
                     batch: batch.clone(),
                     client_sigs: Vec::new(),
-                    primary_sig: self.sign(&digest_to_sign),
+                    primary_sig: self.sign(&signed),
                 });
             }
             ctx.charge(CryptoOp::Sign);
@@ -619,15 +615,13 @@ impl Replica {
                 None => true,
             };
             if replace {
-                let commit = CommitEntry {
+                self.log_commit(CommitEntry {
                     view: target,
                     sn: entry.sn,
                     batch: entry.batch.clone(),
                     primary_sig: entry.primary_sig,
                     commit_sigs: BTreeMap::new(),
-                };
-                self.persist(|| crate::durable::DurableEvent::Commit(commit.clone()));
-                self.commit_log.insert(commit);
+                });
             }
             self.prepare_log.insert(entry);
         }
@@ -654,15 +648,13 @@ impl Replica {
                 None => true,
             };
             if fill {
-                let commit = CommitEntry {
+                self.log_commit(CommitEntry {
                     view: target,
                     sn: SeqNum(sn),
                     batch: Batch::default(),
                     primary_sig: xft_crypto::Signature::forged(self.signer.id()),
                     commit_sigs: BTreeMap::new(),
-                };
-                self.persist(|| crate::durable::DurableEvent::Commit(commit.clone()));
-                self.commit_log.insert(commit);
+                });
             }
         }
 
@@ -801,7 +793,7 @@ impl Replica {
         // Client requests buffered during the view change: the new primary
         // proposes them, every other replica hands them over to it.
         if self.is_primary_in(target) {
-            self.flush_batches(ctx);
+            self.pump_pipeline(ctx, true);
         } else {
             self.forward_buffered_requests(ctx);
         }
