@@ -759,16 +759,13 @@ impl Replica {
     /// charge verification twice.
     fn process_commit(&mut self, m: CommitMsg, ctx: &mut Context<XPaxosMsg>) {
         // Proof accumulation for an entry that is already committed locally (also used
-        // after view changes to rebuild full commit certificates).
-        if let Some(existing) = self.commit_log.get(m.sn) {
-            if existing.batch.digest() == m.batch_digest {
-                let view = existing.view;
-                let mut entry = existing.clone();
-                entry.commit_sigs.insert(m.replica, m.signature);
-                // Only strengthen the proof; never downgrade the view.
-                if view == entry.view {
-                    self.commit_log.insert(entry);
-                }
+        // after view changes to rebuild full commit certificates). A signature
+        // counts only for the view the entry committed in: one over another
+        // view's commit digest proves nothing about this entry. Not persisted
+        // (see `persist`).
+        if let Some(existing) = self.commit_log.get_mut(m.sn) {
+            if existing.view == m.view && existing.batch.digest() == m.batch_digest {
+                existing.commit_sigs.insert(m.replica, m.signature);
             }
             return;
         }
@@ -1077,10 +1074,12 @@ mod tests {
     use crate::harness::{ClusterBuilder, LatencySpec, XPaxosCluster};
     use crate::log::CommitEntry;
     use crate::messages::{client_request_digest, CommitMsg, SignedRequest, XPaxosMsg};
-    use crate::types::{client_key, replica_key, ClientId, Request, SeqNum, ViewNumber};
-    use std::collections::BTreeSet;
-    use xft_crypto::Signer;
-    use xft_simnet::{PipelineConfig, SimDuration};
+    use crate::types::{
+        client_key, replica_key, Batch, ClientId, ReplicaId, Request, SeqNum, ViewNumber,
+    };
+    use std::collections::{BTreeMap, BTreeSet};
+    use xft_crypto::{Signature, Signer};
+    use xft_simnet::{with_offline_context, Actor, PipelineConfig, SimDuration};
 
     fn one_ms_cluster(clients: usize, requests: u64) -> XPaxosCluster {
         ClusterBuilder::new(1, clients)
@@ -1196,5 +1195,65 @@ mod tests {
             );
         }
         assert_eq!(seen.len() as u64, clients as u64 * ops);
+    }
+
+    /// An idle cluster (no client requests) with synchronous groups of t + 1.
+    fn idle_cluster(t: usize) -> XPaxosCluster {
+        ClusterBuilder::new(t, 1)
+            .with_latency(LatencySpec::Constant(SimDuration::from_millis(1)))
+            .with_workload(ClientWorkload {
+                requests: Some(0),
+                ..Default::default()
+            })
+            .build()
+    }
+
+    fn signer(cluster: &XPaxosCluster, r: ReplicaId) -> Signer {
+        Signer::new(&cluster.registry, replica_key(r))
+    }
+
+    /// A one-request batch from client 0 (timestamp `sn`), with its signature.
+    fn signed_batch(cluster: &XPaxosCluster, sn: u64) -> (Batch, Vec<Signature>) {
+        let request = Request::new(ClientId(0), sn, vec![sn as u8; 8].into());
+        let sig = Signer::new(&cluster.registry, client_key(ClientId(0)))
+            .sign_digest(&client_request_digest(&request));
+        (Batch::single(request), vec![sig])
+    }
+
+    /// Replica 2, active in view 1 (= {0, 2}), holds a view-0 entry whose
+    /// proof carries replica 0's view-0 commit signature. A valid view-1
+    /// COMMIT from replica 0 for the same batch signs another view's digest:
+    /// it must not enter (or overwrite) that proof.
+    #[test]
+    fn a_commit_of_the_current_view_leaves_an_older_views_proof_alone() {
+        let mut cluster = idle_cluster(1);
+        let (sn, old, current) = (SeqNum(1), ViewNumber(0), ViewNumber(1));
+        let (batch, _) = signed_batch(&cluster, 1);
+        let batch_digest = batch.digest();
+        let primary = signer(&cluster, 0);
+        let old_sig = primary.sign_digest(&CommitEntry::commit_digest(&batch_digest, sn, old));
+        let commit = CommitMsg {
+            view: current,
+            sn,
+            batch_digest,
+            replica: 0,
+            reply_digest: None,
+            signature: primary.sign_digest(&CommitEntry::commit_digest(&batch_digest, sn, current)),
+        };
+        let replica = cluster.replica_mut(2);
+        assert!(replica.groups.is_active(current, 0) && replica.is_active_in(current));
+        replica.view = current;
+        replica.commit_log.insert(CommitEntry {
+            view: old,
+            sn,
+            batch,
+            primary_sig: old_sig,
+            commit_sigs: BTreeMap::from([(0, old_sig)]),
+        });
+        with_offline_context(replica.node_of(2), |ctx| {
+            replica.on_message(replica.node_of(0), XPaxosMsg::Commit(commit), ctx)
+        });
+        let entry = replica.commit_log.get(sn).expect("entry kept");
+        assert_eq!(entry.commit_sigs, BTreeMap::from([(0, old_sig)]));
     }
 }
