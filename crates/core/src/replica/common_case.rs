@@ -1072,14 +1072,17 @@ mod tests {
     use crate::client::ClientWorkload;
     use crate::config::MAX_BATCH_BYTES;
     use crate::harness::{ClusterBuilder, LatencySpec, XPaxosCluster};
-    use crate::log::CommitEntry;
-    use crate::messages::{client_request_digest, CommitMsg, SignedRequest, XPaxosMsg};
+    use crate::log::{CommitEntry, PrepareEntry};
+    use crate::messages::{
+        client_request_digest, CommitCarryMsg, CommitMsg, PrepareMsg, SignedRequest, XPaxosMsg,
+    };
+    use crate::replica::Replica;
     use crate::types::{
         client_key, replica_key, Batch, ClientId, ReplicaId, Request, SeqNum, ViewNumber,
     };
     use std::collections::{BTreeMap, BTreeSet};
     use xft_crypto::{Signature, Signer};
-    use xft_simnet::{with_offline_context, Actor, PipelineConfig, SimDuration};
+    use xft_simnet::{with_offline_context, Actor, PipelineConfig, SimDuration, SimMessage};
 
     fn one_ms_cluster(clients: usize, requests: u64) -> XPaxosCluster {
         ClusterBuilder::new(1, clients)
@@ -1218,6 +1221,268 @@ mod tests {
         let sig = Signer::new(&cluster.registry, client_key(ClientId(0)))
             .sign_digest(&client_request_digest(&request));
         (Batch::single(request), vec![sig])
+    }
+
+    /// What a row delivers to replica 1, a follower of view 0 (primary 0).
+    #[derive(Clone, Copy)]
+    enum In {
+        /// The primary's proposal for `sn`, of the kind this `t` uses.
+        Proposal(u64),
+        /// The same, signed by replica 2 in the primary's name.
+        ForgedProposal(u64),
+        /// The same, without its client signature.
+        UnsignedProposal(u64),
+        /// A PREPARE the primary signed, whatever `t` is.
+        Prepare(u64),
+        /// A COMMIT-CARRY the primary signed, whatever `t` is.
+        Carry(u64),
+        /// Replica 2's COMMIT for `sn`.
+        CommitFrom2(u64),
+    }
+
+    /// Builds the message `input` describes, and the replica that sends it.
+    fn message(cluster: &XPaxosCluster, t: usize, input: In) -> (ReplicaId, XPaxosMsg) {
+        let view = ViewNumber(0);
+        let proposal = |sn: u64, carry: bool, signer_id: ReplicaId, client_sigs: bool| {
+            let (batch, sigs) = signed_batch(cluster, sn);
+            let sn = SeqNum(sn);
+            let digest = if carry {
+                CommitEntry::commit_digest(&batch.digest(), sn, view)
+            } else {
+                PrepareEntry::signed_digest(&batch.digest(), sn, view)
+            };
+            let signature = signer(cluster, signer_id).sign_digest(&digest);
+            let client_sigs = if client_sigs { sigs } else { Vec::new() };
+            let msg = if carry {
+                XPaxosMsg::CommitCarry(CommitCarryMsg {
+                    view,
+                    sn,
+                    batch,
+                    client_sigs,
+                    signature,
+                })
+            } else {
+                XPaxosMsg::Prepare(PrepareMsg {
+                    view,
+                    sn,
+                    batch,
+                    client_sigs,
+                    signature,
+                })
+            };
+            (0, msg)
+        };
+        match input {
+            In::Proposal(sn) => proposal(sn, t == 1, 0, true),
+            In::ForgedProposal(sn) => proposal(sn, t == 1, 2, true),
+            In::UnsignedProposal(sn) => proposal(sn, t == 1, 0, false),
+            In::Prepare(sn) => proposal(sn, false, 0, true),
+            In::Carry(sn) => proposal(sn, true, 0, true),
+            In::CommitFrom2(sn) => {
+                let batch_digest = signed_batch(cluster, sn).0.digest();
+                let sn = SeqNum(sn);
+                let commit = CommitMsg {
+                    view,
+                    sn,
+                    batch_digest,
+                    replica: 2,
+                    reply_digest: None,
+                    signature: signer(cluster, 2).sign_digest(&CommitEntry::commit_digest(
+                        &batch_digest,
+                        sn,
+                        view,
+                    )),
+                };
+                (2, XPaxosMsg::Commit(commit))
+            }
+        }
+    }
+
+    /// What replica 1 holds and emitted after a row.
+    #[derive(Clone, Debug, Default, PartialEq)]
+    struct Outcome {
+        stashed: Vec<u64>,
+        prepared: Vec<u64>,
+        committed: Vec<u64>,
+        sent: BTreeSet<&'static str>,
+        proposals_stashed: u64,
+        proposals_dropped: u64,
+        suspects_sent: u64,
+    }
+
+    /// Delivers `inputs` in order to replica 1 of a fresh idle cluster, after
+    /// `setup`, in one offline callback.
+    fn deliver(t: usize, setup: fn(&mut Replica), inputs: &[In]) -> Outcome {
+        let mut cluster = idle_cluster(t);
+        let msgs: Vec<_> = inputs.iter().map(|i| message(&cluster, t, *i)).collect();
+        let replica = cluster.replica_mut(1);
+        assert!(replica.is_active_in(ViewNumber(0)) && !replica.is_primary_in(ViewNumber(0)));
+        setup(replica);
+        with_offline_context(replica.node_of(1), |ctx| {
+            for (from, msg) in msgs {
+                replica.on_message(replica.node_of(from), msg, ctx);
+            }
+            Outcome {
+                stashed: replica.stashed_proposals.keys().copied().collect(),
+                prepared: replica.prepare_log.iter().map(|e| e.sn.0).collect(),
+                committed: replica.commit_log.iter().map(|e| e.sn.0).collect(),
+                sent: ctx.pending_sends().iter().map(|o| o.msg.kind()).collect(),
+                proposals_stashed: ctx.counted("proposals_stashed"),
+                proposals_dropped: ctx.counted("proposals_dropped"),
+                suspects_sent: ctx.counted("suspects_sent"),
+            }
+        })
+    }
+
+    fn as_is(_: &mut Replica) {}
+
+    fn past_sn_5(r: &mut Replica) {
+        r.next_sn = SeqNum(5);
+    }
+
+    /// Sequencing at 3 while execution is still at 0 (a state transfer is
+    /// filling the checkpointed prefix).
+    fn execution_lags(r: &mut Replica) {
+        r.next_sn = SeqNum(3);
+    }
+
+    /// A table row: what it checks, at which `t`, the replica's setup, the
+    /// inputs and the outcome they must give.
+    type Row = (
+        &'static str,
+        &'static [usize],
+        fn(&mut Replica),
+        Vec<In>,
+        Outcome,
+    );
+
+    /// One row per branch of `on_proposal`, each at the `t` values it names.
+    #[test]
+    fn proposal_admission_table() {
+        let kinds = |k: &[&'static str]| k.iter().copied().collect::<BTreeSet<_>>();
+        let suspected = Outcome {
+            sent: kinds(&["SUSPECT", "VIEW-CHANGE"]),
+            suspects_sent: 1,
+            ..Outcome::default()
+        };
+        let stashed = |sn| Outcome {
+            stashed: vec![sn],
+            proposals_stashed: 1,
+            ..Outcome::default()
+        };
+        let both: &[usize] = &[1, 2];
+        let rows: Vec<Row> = vec![
+            (
+                "in order: executed, committed, m1 to the primary",
+                &[1],
+                as_is,
+                vec![In::Proposal(1)],
+                Outcome {
+                    prepared: vec![1],
+                    committed: vec![1],
+                    sent: kinds(&["COMMIT", "LAZY-REPLICATE"]),
+                    ..Outcome::default()
+                },
+            ),
+            (
+                "in order: prepared, COMMIT broadcast",
+                &[2],
+                as_is,
+                vec![In::Proposal(1)],
+                Outcome {
+                    prepared: vec![1],
+                    sent: kinds(&["COMMIT"]),
+                    ..Outcome::default()
+                },
+            ),
+            (
+                "bad primary signature: suspected",
+                both,
+                as_is,
+                vec![In::ForgedProposal(1)],
+                suspected.clone(),
+            ),
+            (
+                "client signature count mismatch: suspected",
+                both,
+                as_is,
+                vec![In::UnsignedProposal(1)],
+                suspected,
+            ),
+            (
+                "ahead of next_sn: stashed",
+                both,
+                as_is,
+                vec![In::Proposal(3)],
+                stashed(3),
+            ),
+            (
+                "past the reorder window: dropped",
+                both,
+                as_is,
+                vec![In::Proposal(100)],
+                Outcome {
+                    proposals_dropped: 1,
+                    ..Outcome::default()
+                },
+            ),
+            (
+                "stale: dropped",
+                both,
+                past_sn_5,
+                vec![In::Proposal(3)],
+                Outcome::default(),
+            ),
+            (
+                "execution lags: deferred",
+                &[1],
+                execution_lags,
+                vec![In::Proposal(4)],
+                stashed(4),
+            ),
+            (
+                "execution lags: a PREPARE does not wait for it",
+                &[2],
+                execution_lags,
+                vec![In::Proposal(4)],
+                Outcome {
+                    prepared: vec![4],
+                    sent: kinds(&["COMMIT"]),
+                    ..Outcome::default()
+                },
+            ),
+            (
+                "a COMMIT before its PREPARE is replayed once the PREPARE lands",
+                &[2],
+                as_is,
+                vec![In::CommitFrom2(1), In::Proposal(1)],
+                Outcome {
+                    prepared: vec![1],
+                    committed: vec![1],
+                    sent: kinds(&["COMMIT", "LAZY-REPLICATE", "REPLY"]),
+                    ..Outcome::default()
+                },
+            ),
+            (
+                "a PREPARE at t = 1: dropped",
+                &[1],
+                as_is,
+                vec![In::Prepare(1)],
+                Outcome::default(),
+            ),
+            (
+                "a COMMIT-CARRY at t = 2: dropped",
+                &[2],
+                as_is,
+                vec![In::Carry(1)],
+                Outcome::default(),
+            ),
+        ];
+        for (name, ts, setup, inputs, expected) in rows {
+            for &t in ts {
+                assert_eq!(deliver(t, setup, &inputs), expected, "t = {t}: {name}");
+            }
+        }
     }
 
     /// Replica 2, active in view 1 (= {0, 2}), holds a view-0 entry whose

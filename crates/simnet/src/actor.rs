@@ -215,6 +215,18 @@ impl<'a, M: SimMessage> Context<'a, M> {
         self.metric_events.push(MetricEvent::Count { name, delta });
     }
 
+    /// The total counted under `name` so far in this callback — how a handler
+    /// driven through [`with_offline_context`] shows its counters.
+    pub fn counted(&self, name: &str) -> u64 {
+        self.metric_events
+            .iter()
+            .map(|event| match event {
+                MetricEvent::Count { name: n, delta } if *n == name => *delta,
+                _ => 0,
+            })
+            .sum()
+    }
+
     /// Asks the simulation to stop after this callback (used by tests and scripted
     /// scenarios that reach a goal condition).
     pub fn request_halt(&mut self) {

@@ -328,6 +328,13 @@ chaos_log=$(mktemp)
 target/release/chaos-explorer --seeds 200 --base-seed 1 --window-secs 5 --drain-secs 14 \
     | tee "$chaos_log"
 echo "chaos smoke $(grep -o 'combined fingerprint 0x[0-9a-f]*' "$chaos_log")"
+
+echo "==> chaos smoke at t = 2: 200 in-budget seeds on the PREPARE / COMMIT path, zero violations allowed"
+# The t = 1 smoke exercises only the COMMIT-CARRY fast path; this one pins
+# the general path (n = 5) the same way, and echoes its fingerprint too.
+target/release/chaos-explorer --t 2 --seeds 200 --base-seed 1 --window-secs 5 --drain-secs 14 \
+    | tee "$chaos_log"
+echo "chaos smoke t=2 $(grep -o 'combined fingerprint 0x[0-9a-f]*' "$chaos_log")"
 rm -f "$chaos_log"
 
 echo "==> chaos demo: a deliberately over-budget run must be caught, shrunk and flight-recorded"

@@ -9,10 +9,10 @@ use xft::core::harness::{ClusterBuilder, LatencySpec, XPaxosCluster};
 use xft::crypto::Digest;
 use xft::simnet::{FaultEvent, SimDuration, SimTime};
 
-/// A cluster with a randomized-latency workload; everything depends only on
-/// `seed`.
-fn build(seed: u64) -> XPaxosCluster {
-    ClusterBuilder::new(1, 3)
+/// A cluster of 2t + 1 replicas with a randomized-latency workload;
+/// everything depends only on `t` and `seed`.
+fn build(t: usize, seed: u64) -> XPaxosCluster {
+    ClusterBuilder::new(t, 3)
         .with_seed(seed)
         .with_latency(LatencySpec::Uniform(
             SimDuration::from_millis(2),
@@ -39,8 +39,8 @@ fn log_digest(cluster: &XPaxosCluster, replica: usize) -> Digest {
 
 #[test]
 fn same_seed_produces_identical_commit_traces() {
-    let mut a = build(0x000D_5EED);
-    let mut b = build(0x000D_5EED);
+    let mut a = build(1, 0x000D_5EED);
+    let mut b = build(1, 0x000D_5EED);
     a.run_for(SimDuration::from_secs(30));
     b.run_for(SimDuration::from_secs(30));
 
@@ -72,7 +72,7 @@ fn same_seed_produces_identical_commit_traces() {
 #[test]
 fn same_seed_is_deterministic_even_under_faults() {
     let run = |seed: u64| {
-        let mut cluster = build(seed);
+        let mut cluster = build(1, seed);
         let crash = SimTime::ZERO + SimDuration::from_secs(5);
         let heal = crash + SimDuration::from_secs(5);
         cluster.sim.inject_fault_at(crash, FaultEvent::Crash(1));
@@ -93,7 +93,8 @@ fn same_seed_is_deterministic_even_under_faults() {
 /// uses: Byzantine control codes (including amnesia), a link partition, a
 /// crash/recovery and message-drop churn. Same seed + same script must give
 /// byte-identical commit traces *and* byte-identical metrics — the property
-/// every shrunk chaos reproducer relies on to replay exactly.
+/// every shrunk chaos reproducer relies on to replay exactly. Every node it
+/// names exists at t = 1 (n = 3) and at t = 2 (n = 5).
 fn faulty_script() -> xft::simnet::FaultScript {
     use xft::simnet::FaultScript;
     FaultScript::new()
@@ -108,31 +109,38 @@ fn faulty_script() -> xft::simnet::FaultScript {
         .at_secs_f64(11.0, FaultEvent::Control(2, 5)) // amnesia
 }
 
+/// Run at t = 1 (the COMMIT-CARRY fast path) and at t = 2 (the PREPARE /
+/// COMMIT general path).
 #[test]
 fn same_seed_and_fault_script_give_identical_traces_and_metrics() {
-    let run = |seed: u64| {
-        let mut cluster = build(seed);
-        cluster.sim.schedule_fault_script(faulty_script());
-        cluster.run_for(SimDuration::from_secs(30));
-        (
-            cluster.total_committed(),
-            (0..cluster.n())
-                .map(|r| log_digest(&cluster, r))
-                .collect::<Vec<_>>(),
-            (0..cluster.n())
-                .map(|r| cluster.replica(r).state_digest())
-                .collect::<Vec<_>>(),
-            cluster.sim.metrics().fingerprint(),
-            cluster.sim.metrics().committed(),
-            cluster.sim.metrics().counters().clone(),
-        )
-    };
-    let a = run(0xFA_17);
-    let b = run(0xFA_17);
-    assert_eq!(a, b, "faulty runs must be bit-for-bit reproducible");
-    assert!(a.4 > 0, "the faulty run never committed anything");
-    // The metrics fingerprint is sensitive: a different seed's run yields a
-    // different fingerprint (overwhelmingly).
-    let c = run(0xFA_18);
-    assert_ne!(a.3, c.3, "fingerprint failed to distinguish different runs");
+    for t in [1, 2] {
+        let run = |seed: u64| {
+            let mut cluster = build(t, seed);
+            cluster.sim.schedule_fault_script(faulty_script());
+            cluster.run_for(SimDuration::from_secs(30));
+            (
+                cluster.total_committed(),
+                (0..cluster.n())
+                    .map(|r| log_digest(&cluster, r))
+                    .collect::<Vec<_>>(),
+                (0..cluster.n())
+                    .map(|r| cluster.replica(r).state_digest())
+                    .collect::<Vec<_>>(),
+                cluster.sim.metrics().fingerprint(),
+                cluster.sim.metrics().committed(),
+                cluster.sim.metrics().counters().clone(),
+            )
+        };
+        let a = run(0xFA_17);
+        let b = run(0xFA_17);
+        assert_eq!(
+            a, b,
+            "t = {t}: faulty runs must be bit-for-bit reproducible"
+        );
+        assert!(a.4 > 0, "t = {t}: the faulty run never committed anything");
+        // The metrics fingerprint is sensitive: a different seed's run yields a
+        // different fingerprint (overwhelmingly).
+        let c = run(0xFA_18);
+        assert_ne!(a.3, c.3, "t = {t}: fingerprint failed to distinguish runs");
+    }
 }
