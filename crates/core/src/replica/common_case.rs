@@ -878,9 +878,10 @@ impl Replica {
         }
     }
 
-    /// Enters a first-time commit into the log, persisting its Commit record
-    /// first: the only way an entry that was not committed here before gets
-    /// into the commit log (WAL recovery replays records it already wrote).
+    /// Persists a Commit record, then enters the entry into the commit log:
+    /// the only way a new entry — a first commit at its slot, or a higher
+    /// view's replacing a lower one's — gets there. WAL recovery re-inserts
+    /// records already written; proof strengthening edits an entry in place.
     pub(crate) fn log_commit(&mut self, entry: CommitEntry) {
         self.persist(|| crate::durable::DurableEvent::Commit(entry.clone()));
         self.commit_log.insert(entry);
