@@ -80,6 +80,21 @@ pub fn proposal_digest(t: usize, batch_digest: &Digest, sn: SeqNum, view: ViewNu
     }
 }
 
+/// Digest a replica signs in a COMMIT statement: the commit digest, bound to
+/// the reply digest when the COMMIT carries one (the t = 1 follower's m1).
+pub fn commit_statement_digest(
+    batch_digest: &Digest,
+    sn: SeqNum,
+    view: ViewNumber,
+    reply: Option<&Digest>,
+) -> Digest {
+    let digest = CommitEntry::commit_digest(batch_digest, sn, view);
+    match reply {
+        Some(rd) => digest.combine(rd),
+        None => digest,
+    }
+}
+
 /// A replica's prepare log (primary role) or the prepare entries it received
 /// (follower role in the general case).
 #[derive(Debug, Clone, Default)]
@@ -333,5 +348,14 @@ mod tests {
         assert_ne!(a, c);
         let e = CommitEntry::commit_digest(&d, SeqNum(1), ViewNumber(0));
         assert_ne!(a, e, "prepare and commit domains must differ");
+    }
+
+    #[test]
+    fn a_commit_statement_binds_the_reply_digest_only_when_it_carries_one() {
+        let (d, rd) = (Digest::of(b"batch"), Digest::of(b"reply"));
+        let plain = CommitEntry::commit_digest(&d, SeqNum(1), ViewNumber(0));
+        let statement = |reply| commit_statement_digest(&d, SeqNum(1), ViewNumber(0), reply);
+        assert_eq!(statement(None), plain);
+        assert_eq!(statement(Some(&rd)), plain.combine(&rd));
     }
 }

@@ -108,7 +108,7 @@ impl Replica {
         let mut digests = votes.values();
         let first = *digests.next().expect("non-empty votes");
         if !digests.all(|d| *d == first) {
-            self.suspect_view(ctx);
+            self.suspect_view(None, ctx);
             return;
         }
         // Send our signed CHKPT (once).
@@ -444,6 +444,7 @@ mod tests {
         checkpoint_vote_digest, state_chunk_request_digest, CheckpointMsg, StateChunkRequestMsg,
         XPaxosMsg,
     };
+    use crate::replica::view_change::Selection;
     use crate::types::{replica_key, ReplicaId, SeqNum, ViewNumber};
     use xft_crypto::{Digest, Signer};
     use xft_simnet::{with_offline_context, SimDuration};
@@ -648,8 +649,11 @@ mod tests {
             let sent = with_offline_context(replica.node_of(r), |ctx| {
                 replica.enter_view_change(target, ctx);
                 let vc = replica.vc.as_mut().expect("active in the target view");
-                vc.horizon = sn;
-                vc.horizon_proof = proof;
+                vc.selection = Some(Selection {
+                    horizon: sn,
+                    horizon_proof: proof,
+                    ..Selection::default()
+                });
                 replica.install_new_view(target, Vec::new(), ctx);
                 ctx.pending_sends()
                     .iter()

@@ -30,7 +30,7 @@ use super::{Phase, Replica, TOKEN_BATCH, TOKEN_MONITOR};
 use crate::auth::{verify_client_sig, verify_replica_sig};
 use crate::byzantine::ByzantineBehavior;
 use crate::config::{BATCH_TIMEOUT, MAX_BATCH_BYTES};
-use crate::log::{proposal_digest, CommitEntry, PrepareEntry};
+use crate::log::{commit_statement_digest, proposal_digest, CommitEntry, PrepareEntry};
 use crate::messages::{
     reply_digest, CommitCarryMsg, CommitMsg, PrepareMsg, ReplyMsg, SignedRequest, XPaxosMsg,
 };
@@ -168,12 +168,7 @@ impl Replica {
             }
             if escalate {
                 ctx.count("cache_answer_suspects", 1);
-                let suspect = self.make_suspect(self.view);
-                ctx.send(
-                    self.client_node(client),
-                    XPaxosMsg::SuspectToClient(suspect),
-                );
-                self.suspect_view(ctx);
+                self.suspect_view(Some(client), ctx);
             }
             return;
         }
@@ -298,12 +293,7 @@ impl Replica {
             }
         }
         if self.is_active_in(self.view) && self.phase == Phase::Active {
-            let suspect = self.make_suspect(self.view);
-            ctx.send(
-                self.client_node(client),
-                XPaxosMsg::SuspectToClient(suspect),
-            );
-            self.suspect_view(ctx);
+            self.suspect_view(Some(client), ctx);
         }
     }
 
@@ -601,7 +591,7 @@ impl Replica {
         }
         ctx.charge(CryptoOp::VerifySig);
         if !verify_replica_sig(&self.verifier, primary, &signed, &p.primary_sig) {
-            self.suspect_view(ctx);
+            self.suspect_view(None, ctx);
             return;
         }
         ctx.charge(CryptoOp::VerifyBatch {
@@ -613,7 +603,7 @@ impl Replica {
                 .verify_client_sigs(&self.verifier, &p.batch.requests, &p.client_sigs)
                 .is_err()
         {
-            self.suspect_view(ctx);
+            self.suspect_view(None, ctx);
             return;
         }
         let next = self.next_sn.next();
@@ -659,7 +649,7 @@ impl Replica {
         self.prepare_log.insert(p);
 
         ctx.charge(CryptoOp::Sign);
-        let sig = self.sign(&CommitEntry::commit_digest(&batch_digest, sn, view));
+        let sig = self.sign(&commit_statement_digest(&batch_digest, sn, view, None));
         let commit = CommitMsg {
             view,
             sn,
@@ -700,8 +690,12 @@ impl Replica {
         let combined_reply = combine_digests(&reply_digests);
 
         ctx.charge(CryptoOp::Sign);
-        let sig = self
-            .sign(&CommitEntry::commit_digest(&batch_digest, sn, view).combine(&combined_reply));
+        let sig = self.sign(&commit_statement_digest(
+            &batch_digest,
+            sn,
+            view,
+            Some(&combined_reply),
+        ));
         let m1 = CommitMsg {
             view,
             sn,
@@ -743,10 +737,8 @@ impl Replica {
         if m.replica >= self.config.n() {
             return;
         }
-        let mut signed = CommitEntry::commit_digest(&m.batch_digest, m.sn, m.view);
-        if let Some(rd) = &m.reply_digest {
-            signed = signed.combine(rd);
-        }
+        let signed =
+            commit_statement_digest(&m.batch_digest, m.sn, m.view, m.reply_digest.as_ref());
         if !verify_replica_sig(&self.verifier, m.replica, &signed, &m.signature) {
             return;
         }
@@ -825,7 +817,7 @@ impl Replica {
                 self.telemetry
                     .with_monitor(|mon| mon.mark_faulty(m.replica as u64));
             }
-            self.suspect_view(ctx);
+            self.suspect_view(None, ctx);
             return;
         }
         let follower = self.groups.followers(self.view)[0];
@@ -959,7 +951,7 @@ impl Replica {
                         format!("sn={} follower={} reply digests differ", next.0, follower)
                     });
                 }
-                self.suspect_view(ctx);
+                self.suspect_view(None, ctx);
                 break;
             }
             for req in &batch.requests {

@@ -69,18 +69,13 @@ impl Replica {
             vc_set_digest: digest,
             signature: self.sign(&digest),
         };
-        {
-            let Some(vc) = self.vc.as_mut() else {
-                return;
-            };
-            if vc.confirm_sent {
-                return;
-            }
-            vc.confirm_sent = true;
-            vc.vc_confirms.insert(self.id, digest);
-            // Replace the merged set with the filtered one for the final selection.
-            vc.merged = Some(filtered);
-        }
+        let Some(vc) = self.vc.as_mut() else {
+            return;
+        };
+        vc.confirm_sent = true;
+        vc.vc_confirms.insert(self.id, digest);
+        // Replace the merged set with the filtered one for the final selection.
+        vc.merged = Some(filtered);
         for node in self.other_active_nodes(target) {
             ctx.send(node, XPaxosMsg::VcConfirm(confirm.clone()));
         }
@@ -93,46 +88,37 @@ impl Replica {
         if !verify_replica_sig(&self.verifier, m.replica, &m.vc_set_digest, &m.signature) {
             return;
         }
-        {
-            let Some(vc) = self.vc.as_mut() else {
-                return;
-            };
-            if vc.target != m.new_view || !self.groups.is_active(m.new_view, m.replica) {
-                return;
-            }
-            vc.vc_confirms.insert(m.replica, m.vc_set_digest);
+        if !self.groups.is_active(m.new_view, m.replica) {
+            return;
         }
+        let Some(vc) = self.vc_for(m.new_view) else {
+            return;
+        };
+        vc.vc_confirms.insert(m.replica, m.vc_set_digest);
         self.check_confirm_quorum(ctx);
     }
 
     /// Proceeds with selection once all active replicas confirmed the same filtered set;
     /// suspects the view if the confirmations disagree.
     pub(crate) fn check_confirm_quorum(&mut self, ctx: &mut Context<XPaxosMsg>) {
-        let (proceed, mismatch, merged) = {
-            let Some(vc) = self.vc.as_ref() else {
-                return;
-            };
-            if !vc.confirm_sent || vc.merged.is_none() {
-                return;
-            }
-            let active = self.groups.active_replicas(vc.target);
-            if !active.iter().all(|r| vc.vc_confirms.contains_key(r)) {
-                return;
-            }
-            let mine = vc.vc_confirms.get(&self.id).copied();
-            let mismatch = vc.vc_confirms.values().any(|d| Some(*d) != mine);
-            (true, mismatch, vc.merged.clone().unwrap_or_default())
+        let Some(vc) = self.vc.as_ref() else {
+            return;
         };
-        if !proceed {
+        if !vc.confirm_sent {
             return;
         }
-        if mismatch {
+        let active = self.groups.active_replicas(vc.target);
+        if !active.iter().all(|r| vc.vc_confirms.contains_key(r)) {
+            return;
+        }
+        let mine = vc.vc_confirms.get(&self.id);
+        if vc.vc_confirms.values().any(|d| Some(d) != mine) {
             // The active replicas did not agree on the filtered set: someone is faulty;
             // move to the next view (Algorithm 5, lines 8–9).
-            self.suspect_view(ctx);
+            self.suspect_view(None, ctx);
             return;
         }
-        self.proceed_with_selection(merged, ctx);
+        self.proceed_with_selection(ctx);
     }
 
     /// Handles a FAULT-DETECTED announcement from another replica.

@@ -305,28 +305,23 @@ pub(crate) struct ViewChangeState {
     pub(crate) vc_finals: BTreeMap<ReplicaId, crate::messages::VcFinalMsg>,
     /// VC-CONFIRM digests received (fault-detection mode only).
     pub(crate) vc_confirms: BTreeMap<ReplicaId, Digest>,
-    /// Whether this replica already broadcast its VC-CONFIRM.
+    /// Whether this replica already broadcast its VC-CONFIRM (and with it
+    /// set the filtered `merged`).
     pub(crate) confirm_sent: bool,
-    /// The merged view-change set (after VC-FINAL exchange).
+    /// The merged view-change set (after VC-FINAL exchange; with fault
+    /// detection, filtered of the replicas it detected).
     pub(crate) merged: Option<Vec<crate::messages::ViewChangeMsg>>,
-    /// The selection this replica computed from the merged set (sn → batch digest).
-    pub(crate) selection_digests: BTreeMap<u64, Digest>,
-    /// The checkpoint horizon of the merged set — the highest *proven* stable
-    /// checkpoint any contributor claimed — and its t + 1-signed proof.
-    /// Everything at or below it is preserved by that checkpoint, not by
-    /// re-proposal, so installation must treat it as the sequencing floor of
-    /// the new view (see [`Replica::install_new_view`]).
-    pub(crate) horizon: SeqNum,
-    pub(crate) horizon_proof: Vec<crate::messages::CheckpointMsg>,
+    /// The selection this replica computed from the merged set.
+    pub(crate) selection: Option<view_change::Selection>,
     /// A NEW-VIEW that arrived before our own VC-FINAL merge finished. The
     /// selection it must be validated against does not exist yet, so it is
     /// held here and replayed the moment the merge completes — installing it
     /// unvalidated would let a faulty primary omit committed requests.
     pub(crate) pending_new_view: Option<crate::messages::NewViewMsg>,
     /// 2Δ collection timer.
-    pub(crate) collect_timer: Option<TimerId>,
+    pub(crate) collect_timer: TimerId,
     /// Overall completion timer.
-    pub(crate) timeout_timer: Option<TimerId>,
+    pub(crate) timeout_timer: TimerId,
 }
 
 /// An XPaxos replica.
@@ -785,14 +780,7 @@ impl Replica {
         if let Some(timer) = self.pending_transfer.as_mut().and_then(|p| p.timer.take()) {
             ctx.cancel_timer(timer);
         }
-        if let Some(vc) = self.vc.as_mut() {
-            if let Some(timer) = vc.collect_timer.take() {
-                ctx.cancel_timer(timer);
-            }
-            if let Some(timer) = vc.timeout_timer.take() {
-                ctx.cancel_timer(timer);
-            }
-        }
+        self.end_view_change(ctx);
         for (_, (_, timer)) in self.monitored_by_req.drain() {
             ctx.cancel_timer(timer);
         }

@@ -368,13 +368,8 @@ impl Replica {
             return;
         }
         // The t + 1 seal must vouch for exactly this manifest.
-        let Some((proof_sn, proof_digest)) = self.verify_checkpoint_proof(&m.proof, ctx) else {
-            ctx.count("state_chunks_rejected", 1);
-            return;
-        };
-        if proof_sn != sn
-            || proof_digest != snapshot_commitment(m.chunk_bytes, m.total_len, &m.root)
-        {
+        let commitment = snapshot_commitment(m.chunk_bytes, m.total_len, &m.root);
+        if self.proven_checkpoint(&m.proof, sn, ctx) != Some(commitment) {
             ctx.count("state_chunks_rejected", 1);
             return;
         }
@@ -522,5 +517,18 @@ impl Replica {
             ctx.charge(CryptoOp::VerifyBatch { count: proof.len() });
         }
         crate::auth::verify_checkpoint_proof(&self.verifier, self.config.t, proof)
+    }
+
+    /// The state digest `proof` proves for checkpoint `sn`: `None` unless it
+    /// verifies (charged as in [`Self::verify_checkpoint_proof`]) and
+    /// proves exactly `sn`.
+    pub(crate) fn proven_checkpoint(
+        &self,
+        proof: &[CheckpointMsg],
+        sn: SeqNum,
+        ctx: &mut Context<XPaxosMsg>,
+    ) -> Option<Digest> {
+        self.verify_checkpoint_proof(proof, ctx)
+            .and_then(|(proven, digest)| (proven == sn).then_some(digest))
     }
 }

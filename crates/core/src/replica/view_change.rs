@@ -10,11 +10,12 @@
 use super::{Phase, Replica, ViewChangeState, TOKEN_VC_COLLECT, TOKEN_VC_TIMEOUT};
 use crate::auth::verify_replica_sig;
 use crate::byzantine::ByzantineBehavior;
-use crate::log::{proposal_digest, CommitEntry, PrepareEntry};
+use crate::log::{commit_statement_digest, proposal_digest, CommitEntry, PrepareEntry};
 use crate::messages::{
-    new_view_digest, suspect_digest, NewViewMsg, SuspectMsg, VcFinalMsg, ViewChangeMsg, XPaxosMsg,
+    new_view_digest, suspect_digest, CheckpointMsg, NewViewMsg, SuspectMsg, VcFinalMsg,
+    ViewChangeMsg, XPaxosMsg,
 };
-use crate::types::{Batch, SeqNum, ViewNumber};
+use crate::types::{Batch, ClientId, SeqNum, ViewNumber};
 use std::collections::BTreeMap;
 use xft_crypto::{CryptoOp, Digest};
 use xft_simnet::{Context, MetricEvent};
@@ -29,21 +30,37 @@ impl Replica {
         }
     }
 
-    /// Initiates a view change from the current view (only active replicas may do so).
-    pub(crate) fn suspect_view(&mut self, ctx: &mut Context<XPaxosMsg>) {
+    /// Initiates a view change from the current view (only active replicas
+    /// may do so). A `client` whose request raised the suspicion gets the
+    /// same signed SUSPECT first (Algorithm 4).
+    pub(crate) fn suspect_view(&mut self, client: Option<ClientId>, ctx: &mut Context<XPaxosMsg>) {
         if !self.is_active_in(self.view) {
             return;
         }
-        let view = self.view;
+        let reason = "local suspicion (timeout, bad signature or divergence)";
+        self.suspect(self.view, "suspects_sent", reason, client, ctx);
+    }
+
+    /// The whole suspicion of `view`: sign one SUSPECT, count it under
+    /// `counter`, record `reason`, send the SUSPECT to `client` (if any) and
+    /// every other replica, and move to the next view.
+    fn suspect(
+        &mut self,
+        view: ViewNumber,
+        counter: &'static str,
+        reason: &str,
+        client: Option<ClientId>,
+        ctx: &mut Context<XPaxosMsg>,
+    ) {
         ctx.charge(CryptoOp::Sign);
         let suspect = self.make_suspect(view);
-        ctx.count("suspects_sent", 1);
-        self.telemetry.record_suspect(
-            ctx.now().as_nanos(),
-            self.id as u64,
-            view.0,
-            "local suspicion (timeout, bad signature or divergence)",
-        );
+        ctx.count(counter, 1);
+        self.telemetry
+            .record_suspect(ctx.now().as_nanos(), self.id as u64, view.0, reason);
+        if let Some(client) = client {
+            let node = self.client_node(client);
+            ctx.send(node, XPaxosMsg::SuspectToClient(suspect.clone()));
+        }
         for node in self.other_replica_nodes() {
             ctx.send(node, XPaxosMsg::Suspect(suspect.clone()));
         }
@@ -73,26 +90,17 @@ impl Replica {
         self.enter_view_change(m.view.next(), ctx);
     }
 
-    /// Moves this replica into the view change installing `target`.
+    /// Moves this replica into the view change installing `target`; a no-op
+    /// when it already runs or installed `target` or a later view. Every
+    /// handler that learns of a newer view joins it through here.
     pub(crate) fn enter_view_change(&mut self, target: ViewNumber, ctx: &mut Context<XPaxosMsg>) {
-        // Already installing or installed `target` (or something later): nothing to do.
-        if target < self.view || (target == self.view && self.phase == Phase::ViewChange) {
-            return;
-        }
-        if target == self.view && self.phase == Phase::Active {
+        if target <= self.view {
             return;
         }
 
         self.view = target;
         self.phase = Phase::ViewChange;
-        if let Some(old) = self.vc.take() {
-            if let Some(t) = old.collect_timer {
-                ctx.cancel_timer(t);
-            }
-            if let Some(t) = old.timeout_timer {
-                ctx.cancel_timer(t);
-            }
-        }
+        self.end_view_change(ctx);
         if let Some(t) = self.batch_timer.take() {
             ctx.cancel_timer(t);
         }
@@ -130,10 +138,10 @@ impl Replica {
         // good. Under-claiming is safe — the horizon is the *maximum* over
         // the merged set, and correct replicas' proofs always verify.
         let (claimed_checkpoint, claimed_proof) = if self.last_checkpoint > SeqNum(0)
-            && matches!(
-                self.verify_checkpoint_proof(&self.checkpoint_proof, ctx),
-                Some((sn, _)) if sn == self.last_checkpoint
-            ) {
+            && self
+                .proven_checkpoint(&self.checkpoint_proof, self.last_checkpoint, ctx)
+                .is_some()
+        {
             (self.last_checkpoint, self.checkpoint_proof.clone())
         } else {
             (SeqNum(0), Vec::new())
@@ -181,19 +189,30 @@ impl Replica {
                 vc_confirms: BTreeMap::new(),
                 confirm_sent: false,
                 merged: None,
-                selection_digests: BTreeMap::new(),
-                horizon: SeqNum(0),
-                horizon_proof: Vec::new(),
+                selection: None,
                 pending_new_view: None,
-                collect_timer: Some(collect_timer),
-                timeout_timer: Some(timeout_timer),
+                collect_timer,
+                timeout_timer,
             });
         } else {
             // Passive replicas have done their part (log transfer): they simply adopt
             // the new view number and keep serving lazy replication.
-            self.vc = None;
             self.phase = Phase::Active;
         }
+    }
+
+    /// Ends the view change in progress, if any: drops its state and cancels
+    /// its two timers. The only place those timers are cancelled.
+    pub(crate) fn end_view_change(&mut self, ctx: &mut Context<XPaxosMsg>) {
+        if let Some(vc) = self.vc.take() {
+            ctx.cancel_timer(vc.collect_timer);
+            ctx.cancel_timer(vc.timeout_timer);
+        }
+    }
+
+    /// The view change in progress, if it installs `view`.
+    pub(crate) fn vc_for(&mut self, view: ViewNumber) -> Option<&mut ViewChangeState> {
+        self.vc.as_mut().filter(|vc| vc.target == view)
     }
 
     /// Full validity check for a VIEW-CHANGE message: the sender's signature
@@ -207,13 +226,10 @@ impl Replica {
         if !verify_replica_sig(&self.verifier, m.replica, &m.digest(), &m.signature) {
             return false;
         }
-        if m.last_checkpoint > SeqNum(0) {
-            match self.verify_checkpoint_proof(&m.checkpoint_proof, ctx) {
-                Some((sn, _)) if sn == m.last_checkpoint => {}
-                _ => return false,
-            }
-        }
-        true
+        m.last_checkpoint == SeqNum(0)
+            || self
+                .proven_checkpoint(&m.checkpoint_proof, m.last_checkpoint, ctx)
+                .is_some()
     }
 
     /// Handles a VIEW-CHANGE message addressed to an active replica of the new view.
@@ -221,16 +237,10 @@ impl Replica {
         if !self.valid_view_change_msg(&m, ctx) {
             return;
         }
-        if m.new_view > self.view {
-            // Someone is ahead of us: join that view change.
-            self.enter_view_change(m.new_view, ctx);
-        }
-        let Some(vc) = self.vc.as_mut() else {
+        self.enter_view_change(m.new_view, ctx);
+        let Some(vc) = self.vc_for(m.new_view) else {
             return;
         };
-        if vc.target != m.new_view {
-            return;
-        }
         vc.vc_msgs.insert(m.replica, m);
         self.check_vc_progress(ctx);
     }
@@ -241,16 +251,11 @@ impl Replica {
         target: ViewNumber,
         ctx: &mut Context<XPaxosMsg>,
     ) {
-        let mut relevant = false;
-        if let Some(vc) = self.vc.as_mut() {
-            if vc.target == target {
-                vc.collect_deadline_passed = true;
-                relevant = true;
-            }
-        }
-        if relevant {
-            self.check_vc_progress(ctx);
-        }
+        let Some(vc) = self.vc_for(target) else {
+            return;
+        };
+        vc.collect_deadline_passed = true;
+        self.check_vc_progress(ctx);
     }
 
     /// Sends VC-FINAL once the collection condition of Algorithm 3 line 13 holds:
@@ -259,24 +264,21 @@ impl Replica {
     pub(crate) fn check_vc_progress(&mut self, ctx: &mut Context<XPaxosMsg>) {
         let n = self.config.n();
         let t = self.config.t;
-        let (target, set) = {
-            let Some(vc) = self.vc.as_mut() else {
-                return;
-            };
-            if vc.vc_final_sent {
-                let _ = vc;
-                self.maybe_merge(ctx);
-                return;
-            }
-            let enough =
-                vc.vc_msgs.len() == n || (vc.collect_deadline_passed && vc.vc_msgs.len() >= n - t);
-            if !enough {
-                return;
-            }
-            vc.vc_final_sent = true;
-            let set: Vec<ViewChangeMsg> = vc.vc_msgs.values().cloned().collect();
-            (vc.target, set)
+        let Some(vc) = self.vc.as_mut() else {
+            return;
         };
+        if vc.vc_final_sent {
+            self.maybe_merge(ctx);
+            return;
+        }
+        let enough =
+            vc.vc_msgs.len() == n || (vc.collect_deadline_passed && vc.vc_msgs.len() >= n - t);
+        if !enough {
+            return;
+        }
+        vc.vc_final_sent = true;
+        let set: Vec<ViewChangeMsg> = vc.vc_msgs.values().cloned().collect();
+        let target = vc.target;
 
         ctx.charge(CryptoOp::Sign);
         let digest = vc_set_digest(&set);
@@ -303,28 +305,20 @@ impl Replica {
         if !verify_replica_sig(&self.verifier, m.replica, &signed, &m.signature) {
             return;
         }
-        if m.new_view > self.view {
-            self.enter_view_change(m.new_view, ctx);
+        self.enter_view_change(m.new_view, ctx);
+        if !self.groups.is_active(m.new_view, m.replica) {
+            return;
         }
-        {
-            let Some(vc) = self.vc.as_mut() else {
-                return;
-            };
-            if vc.target != m.new_view {
-                return;
-            }
-            if !self.groups.is_active(m.new_view, m.replica) {
-                return;
-            }
-            vc.vc_finals.insert(m.replica, m);
-        }
+        let Some(vc) = self.vc_for(m.new_view) else {
+            return;
+        };
+        vc.vc_finals.insert(m.replica, m);
         self.maybe_merge(ctx);
     }
 
     /// Once VC-FINAL messages from all t + 1 active replicas of the new view are in,
     /// merge the sets and either run fault detection (VC-CONFIRM) or select directly.
     pub(crate) fn maybe_merge(&mut self, ctx: &mut Context<XPaxosMsg>) {
-        let fd = self.config.fault_detection;
         let (direct, embedded) = {
             let Some(vc) = self.vc.as_mut() else {
                 return;
@@ -365,46 +359,23 @@ impl Replica {
             }
         }
         let merged: Vec<ViewChangeMsg> = merged.into_values().collect();
-        let Some(vc) = self.vc.as_mut() else {
-            return;
-        };
-        vc.merged = Some(merged.clone());
-
-        if fd {
+        if self.config.fault_detection {
             self.run_fault_detection_and_confirm(merged, ctx);
-        } else {
-            self.proceed_with_selection(merged, ctx);
+        } else if let Some(vc) = self.vc.as_mut() {
+            vc.merged = Some(merged);
+            self.proceed_with_selection(ctx);
         }
     }
 
     /// Computes the selection from the merged view-change set and, if this replica is
     /// the new primary, broadcasts NEW-VIEW.
-    pub(crate) fn proceed_with_selection(
-        &mut self,
-        merged: Vec<ViewChangeMsg>,
-        ctx: &mut Context<XPaxosMsg>,
-    ) {
-        let fd = self.config.fault_detection;
-        let target = match self.vc.as_ref() {
-            Some(vc) => vc.target,
-            None => return,
+    pub(crate) fn proceed_with_selection(&mut self, ctx: &mut Context<XPaxosMsg>) {
+        let Some(vc) = self.vc.as_ref() else {
+            return;
         };
-
-        // The checkpoint horizon of the merged set: the highest *proven*
-        // stable checkpoint any contributor reached. Everything at or below
-        // it is checkpointed, executed history — garbage-collected from the
-        // logs and re-obtainable only through state transfer. Stale log
-        // entries below the horizon (a long-isolated replica's leftovers)
-        // must not be re-proposed, and the gap between them and the
-        // surviving logs must never be mistaken for never-committed holes:
-        // that would bury hundreds of committed requests under no-ops (the
-        // fork the chaos explorer caught the moment checkpointing was
-        // allowed into its schedules).
-        let horizon = merged
-            .iter()
-            .map(|m| m.last_checkpoint)
-            .max()
-            .unwrap_or(SeqNum(0));
+        let target = vc.target;
+        let merged = vc.merged.as_deref().unwrap_or_default();
+        let selection = select(merged, self.config.fault_detection);
         self.tel_event(ctx, "vc-select", || {
             let who: Vec<String> = merged
                 .iter()
@@ -422,69 +393,35 @@ impl Replica {
             format!(
                 "target={} horizon={} merged=[{}]",
                 target.0,
-                horizon.0,
+                selection.horizon.0,
                 who.join(" ")
             )
         });
 
-        // For each sequence number above the horizon keep the batch with the
-        // highest view number found in any commit log (and, with FD, any
-        // prepare log).
-        let mut selected: BTreeMap<u64, (ViewNumber, Batch)> = BTreeMap::new();
-        for m in &merged {
-            for entry in m.commit_log.iter().filter(|e| e.sn > horizon) {
-                let slot = selected
-                    .entry(entry.sn.0)
-                    .or_insert((entry.view, entry.batch.clone()));
-                if entry.view > slot.0 {
-                    *slot = (entry.view, entry.batch.clone());
-                }
-            }
-            if fd {
-                for entry in m.prepare_log.iter().filter(|e| e.sn > horizon) {
-                    let slot = selected
-                        .entry(entry.sn.0)
-                        .or_insert((entry.view, entry.batch.clone()));
-                    if entry.view > slot.0 {
-                        *slot = (entry.view, entry.batch.clone());
+        // The new primary re-proposes every selected request in the new view.
+        let proposal = self.is_primary_in(target).then(|| {
+            selection
+                .batches
+                .iter()
+                .map(|(sn, batch)| {
+                    ctx.charge(CryptoOp::Sign);
+                    let signed = proposal_digest(self.config.t, &batch.digest(), *sn, target);
+                    PrepareEntry {
+                        view: target,
+                        sn: *sn,
+                        batch: batch.clone(),
+                        client_sigs: Vec::new(),
+                        primary_sig: self.sign(&signed),
                     }
-                }
-            }
-        }
-        let selection_digests: BTreeMap<u64, Digest> = selected
-            .iter()
-            .map(|(sn, (_, batch))| (*sn, batch.digest()))
-            .collect();
-        // Remember the horizon together with its proof (every merged claim
-        // was proof-verified on receipt, so the max claim's proof is the one
-        // backing `horizon`): installation needs it to seal or fetch the
-        // checkpointed prefix it floors the new view on.
-        let horizon_proof = merged
-            .iter()
-            .find(|m| m.last_checkpoint == horizon)
-            .map(|m| m.checkpoint_proof.clone())
-            .unwrap_or_default();
-        if let Some(vc) = self.vc.as_mut() {
-            vc.selection_digests = selection_digests;
-            vc.horizon = horizon;
-            vc.horizon_proof = horizon_proof;
-        }
+                })
+                .collect::<Vec<_>>()
+        });
+        let Some(vc) = self.vc.as_mut() else {
+            return;
+        };
+        vc.selection = Some(selection);
 
-        if self.groups.is_primary(target, self.id) {
-            // Re-propose every selected request in the new view.
-            let mut prepare_log = Vec::with_capacity(selected.len());
-            for (sn, (_, batch)) in &selected {
-                ctx.charge(CryptoOp::Sign);
-                let sn = SeqNum(*sn);
-                let signed = proposal_digest(self.config.t, &batch.digest(), sn, target);
-                prepare_log.push(PrepareEntry {
-                    view: target,
-                    sn,
-                    batch: batch.clone(),
-                    client_sigs: Vec::new(),
-                    primary_sig: self.sign(&signed),
-                });
-            }
+        if let Some(prepare_log) = proposal {
             ctx.charge(CryptoOp::Sign);
             let nv = NewViewMsg {
                 new_view: target,
@@ -495,7 +432,7 @@ impl Replica {
                 ctx.send(node, XPaxosMsg::NewView(nv.clone()));
             }
             self.install_new_view(target, prepare_log, ctx);
-        } else if let Some(nv) = self.vc.as_mut().and_then(|vc| vc.pending_new_view.take()) {
+        } else if let Some(nv) = vc.pending_new_view.take() {
             // A NEW-VIEW beat our VC-FINAL merge; validate it now that the
             // selection exists.
             self.on_new_view(nv, ctx);
@@ -516,51 +453,26 @@ impl Replica {
         ) {
             return;
         }
-        if m.new_view > self.view {
-            self.enter_view_change(m.new_view, ctx);
-        }
-        if !self.is_active_in(m.new_view) {
+        self.enter_view_change(m.new_view, ctx);
+        // Only an active replica of `m.new_view` runs its view change.
+        let Some(vc) = self.vc_for(m.new_view) else {
+            return;
+        };
+        if vc.merged.is_none() {
+            // The primary's NEW-VIEW overtook the VC-FINAL exchange: we
+            // have no selection to validate it against yet. Hold it —
+            // `proceed_with_selection` replays it once the merge lands.
+            vc.pending_new_view = Some(m);
             return;
         }
-        let selection = {
-            let Some(vc) = self.vc.as_mut() else { return };
-            if vc.target != m.new_view {
-                return;
-            }
-            if vc.merged.is_none() {
-                // The primary's NEW-VIEW overtook the VC-FINAL exchange: we
-                // have no selection to validate it against yet. Hold it —
-                // `proceed_with_selection` replays it once the merge lands.
-                vc.pending_new_view = Some(m);
-                return;
-            }
-            vc.selection_digests.clone()
-        };
-        // Verify the proposal against our own selection where we have one: the new
-        // primary must not omit or alter requests we know were committed. One
-        // tolerated omission: entries below the proposal's own checkpoint
-        // horizon (its lowest re-proposed sequence number) — the primary may
-        // know of a newer stable checkpoint than we do, and everything below
-        // a real checkpoint is preserved by it, not by re-proposal. A
-        // primary *lying* about the horizon buys nothing: the missing prefix
-        // must then come from a state transfer whose proof it cannot forge,
-        // so the view stalls (execution never skips ahead) and is suspected
-        // rather than forked. An *empty* proposal tolerates nothing
-        // (floor 0): otherwise a faulty primary could omit everything we
-        // know committed without even naming a horizon.
-        let proposal_floor = m.prepare_log.iter().map(|e| e.sn.0).min().unwrap_or(0);
-        if !selection.is_empty() {
-            for (sn, digest) in &selection {
-                match m.prepare_log.iter().find(|e| e.sn.0 == *sn) {
-                    Some(entry) if entry.batch.digest() == *digest => {}
-                    None if *sn < proposal_floor => {}
-                    _ => {
-                        // The new primary is faulty: suspect the new view.
-                        self.suspect_view(ctx);
-                        return;
-                    }
-                }
-            }
+        if !vc
+            .selection
+            .as_ref()
+            .is_none_or(|selection| selection.admits(&m.prepare_log))
+        {
+            // The new primary is faulty: suspect the new view.
+            self.suspect_view(None, ctx);
+            return;
         }
         self.install_new_view(m.new_view, m.prepare_log, ctx);
     }
@@ -584,10 +496,11 @@ impl Replica {
         // The merge horizon: the selection excluded everything at or below
         // it as checkpointed history, so the new view *assumes* that prefix
         // — it is preserved by the proven checkpoint, never by re-proposal.
-        let (horizon, horizon_proof) = match self.vc.as_ref() {
-            Some(vc) if vc.target == target => (vc.horizon, vc.horizon_proof.clone()),
-            _ => (SeqNum(0), Vec::new()),
-        };
+        let (horizon, horizon_proof) =
+            match self.vc_for(target).and_then(|vc| vc.selection.as_ref()) {
+                Some(selection) => (selection.horizon, selection.horizon_proof.clone()),
+                None => (SeqNum(0), Vec::new()),
+            };
 
         // The checkpointed prefix the adopted log sits on: the merge horizon,
         // or further still when the selection's own entries start later
@@ -665,10 +578,7 @@ impl Replica {
         // (Replicas *behind* the horizon took the state-transfer branch
         // above; replicas *past* it are checked entry-by-entry below.)
         if transfer_target.is_none() && horizon > self.last_checkpoint && self.exec_sn == horizon {
-            if let Some((_, digest)) = self
-                .verify_checkpoint_proof(&horizon_proof, ctx)
-                .filter(|(sn, _)| *sn == horizon)
-            {
+            if let Some(digest) = self.proven_checkpoint(&horizon_proof, horizon, ctx) {
                 self.settle_at_checkpoint(horizon, digest, horizon_proof, ctx);
             }
         }
@@ -726,10 +636,11 @@ impl Replica {
                     batch_digest: e.batch.digest(),
                     replica: self.id,
                     reply_digest: None,
-                    signature: self.sign(&CommitEntry::commit_digest(
+                    signature: self.sign(&commit_statement_digest(
                         &e.batch.digest(),
                         e.sn,
                         target,
+                        None,
                     )),
                 })
             })
@@ -753,14 +664,7 @@ impl Replica {
         self.installed_view = target;
         self.persist(|| crate::durable::DurableEvent::View(target));
         self.view_changes_completed += 1;
-        if let Some(vc) = self.vc.take() {
-            if let Some(t) = vc.collect_timer {
-                ctx.cancel_timer(t);
-            }
-            if let Some(t) = vc.timeout_timer {
-                ctx.cancel_timer(t);
-            }
-        }
+        self.end_view_change(ctx);
         ctx.record(MetricEvent::ViewChange {
             at: ctx.now(),
             new_view: target.0,
@@ -805,19 +709,94 @@ impl Replica {
         if self.phase != Phase::ViewChange || self.view != target {
             return;
         }
-        ctx.count("view_change_timeouts", 1);
-        self.telemetry.record_suspect(
-            ctx.now().as_nanos(),
-            self.id as u64,
-            target.0,
-            "view-change collection timed out",
-        );
-        ctx.charge(CryptoOp::Sign);
-        let suspect = self.make_suspect(target);
-        for node in self.other_replica_nodes() {
-            ctx.send(node, XPaxosMsg::Suspect(suspect.clone()));
+        let reason = "view-change collection timed out";
+        self.suspect(target, "view_change_timeouts", reason, None, ctx);
+    }
+}
+
+/// What a view change re-proposes, computed by [`select`] from the merged
+/// VIEW-CHANGE set.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct Selection {
+    /// The checkpoint horizon: the highest *proven* stable checkpoint any
+    /// contributor claimed. Everything at or below it is preserved by that
+    /// checkpoint, not by re-proposal, so installation floors the new view
+    /// on it (see [`Replica::install_new_view`]).
+    pub(crate) horizon: SeqNum,
+    /// The t + 1-signed CHKPT proof of `horizon`.
+    pub(crate) horizon_proof: Vec<CheckpointMsg>,
+    /// For each slot above the horizon, the batch of the highest view.
+    pub(crate) batches: BTreeMap<SeqNum, Batch>,
+}
+
+impl Selection {
+    /// Whether a NEW-VIEW proposal keeps every selected batch: the new
+    /// primary must not omit or alter requests we know were committed. One
+    /// tolerated omission: entries below the proposal's own checkpoint
+    /// horizon (its lowest re-proposed sequence number) — the primary may
+    /// know of a newer stable checkpoint than we do, and everything below
+    /// a real checkpoint is preserved by it, not by re-proposal. A
+    /// primary *lying* about the horizon buys nothing: the missing prefix
+    /// must then come from a state transfer whose proof it cannot forge,
+    /// so the view stalls (execution never skips ahead) and is suspected
+    /// rather than forked. An *empty* proposal tolerates nothing
+    /// (floor 0): otherwise a faulty primary could omit everything we
+    /// know committed without even naming a horizon.
+    pub(crate) fn admits(&self, proposal: &[PrepareEntry]) -> bool {
+        let floor = proposal.iter().map(|e| e.sn).min().unwrap_or(SeqNum(0));
+        self.batches
+            .iter()
+            .all(|(sn, batch)| match proposal.iter().find(|e| e.sn == *sn) {
+                Some(entry) => entry.batch.digest() == batch.digest(),
+                None => *sn < floor,
+            })
+    }
+}
+
+/// The selection of Algorithm 3 over a merged VIEW-CHANGE set, in merged
+/// order. Every claim in `merged` was proof-verified on receipt, so the
+/// highest one is the horizon and the first message making it supplies its
+/// proof. Stale log entries at or below the horizon (a long-isolated
+/// replica's leftovers) are never re-proposed, and the gap between them and
+/// the surviving logs is never mistaken for never-committed holes: that
+/// would bury committed requests under no-ops (the fork the chaos explorer
+/// caught the moment checkpointing was allowed into its schedules). Above
+/// the horizon each slot keeps the batch of the highest view found in any
+/// commit log and, with fault detection `fd`, any prepare log; on a tie the
+/// first one seen wins.
+pub(crate) fn select(merged: &[ViewChangeMsg], fd: bool) -> Selection {
+    let horizon = merged
+        .iter()
+        .map(|m| m.last_checkpoint)
+        .max()
+        .unwrap_or(SeqNum(0));
+    let horizon_proof = merged
+        .iter()
+        .find(|m| m.last_checkpoint == horizon)
+        .map(|m| m.checkpoint_proof.clone())
+        .unwrap_or_default();
+    let mut highest: BTreeMap<SeqNum, (ViewNumber, &Batch)> = BTreeMap::new();
+    for m in merged {
+        let prepared = if fd { &m.prepare_log[..] } else { &[] };
+        let entries = m
+            .commit_log
+            .iter()
+            .map(|e| (e.sn, e.view, &e.batch))
+            .chain(prepared.iter().map(|e| (e.sn, e.view, &e.batch)));
+        for (sn, view, batch) in entries.filter(|(sn, ..)| *sn > horizon) {
+            let slot = highest.entry(sn).or_insert((view, batch));
+            if view > slot.0 {
+                *slot = (view, batch);
+            }
         }
-        self.enter_view_change(target.next(), ctx);
+    }
+    Selection {
+        horizon,
+        horizon_proof,
+        batches: highest
+            .into_iter()
+            .map(|(sn, (_, batch))| (sn, batch.clone()))
+            .collect(),
     }
 }
 
@@ -832,19 +811,161 @@ pub(crate) fn vc_set_digest(set: &[ViewChangeMsg]) -> Digest {
 
 #[cfg(test)]
 mod tests {
-    use super::vc_set_digest;
+    use super::{select, vc_set_digest, Selection};
     use crate::client::ClientWorkload;
     use crate::harness::{check_total_order, ClusterBuilder, LatencySpec, XPaxosCluster};
     use crate::log::{CommitEntry, PrepareEntry};
     use crate::messages::{
-        new_view_digest, suspect_digest, NewViewMsg, SuspectMsg, VcConfirmMsg, VcFinalMsg,
-        ViewChangeMsg, XPaxosMsg,
+        new_view_digest, suspect_digest, CheckpointMsg, NewViewMsg, SuspectMsg, VcConfirmMsg,
+        VcFinalMsg, ViewChangeMsg, XPaxosMsg,
     };
     use crate::replica::{Phase, Replica};
     use crate::types::{replica_key, Batch, ClientId, ReplicaId, Request, SeqNum, ViewNumber};
     use bytes::Bytes;
     use xft_crypto::{Digest, Signature, Signer};
-    use xft_simnet::{with_offline_context, Context, FaultEvent, SimDuration, SimTime};
+    use xft_simnet::{with_offline_context, Actor, Context, FaultEvent, SimDuration, SimTime};
+
+    /// A one-request batch told apart by `tag`.
+    fn batch(tag: &'static str) -> Batch {
+        Batch::single(Request::new(
+            ClientId(0),
+            1,
+            Bytes::from_static(tag.as_bytes()),
+        ))
+    }
+
+    /// An unsigned VIEW-CHANGE from `replica` claiming checkpoint `chkpt`,
+    /// with commit- and prepare-log entries given as (view, sn, batch tag).
+    /// `select` verifies nothing, so a claim's "proof" is one vote naming
+    /// its replica: that is what tells two proofs apart.
+    fn vc_msg(
+        replica: ReplicaId,
+        chkpt: u64,
+        commits: &[(u64, u64, &'static str)],
+        prepares: &[(u64, u64, &'static str)],
+    ) -> ViewChangeMsg {
+        ViewChangeMsg {
+            new_view: ViewNumber(9),
+            replica,
+            commit_log: commits
+                .iter()
+                .map(|&(view, sn, tag)| CommitEntry {
+                    view: ViewNumber(view),
+                    sn: SeqNum(sn),
+                    batch: batch(tag),
+                    primary_sig: Signature::forged(replica_key(replica)),
+                    commit_sigs: Default::default(),
+                })
+                .collect(),
+            prepare_log: prepares
+                .iter()
+                .map(|&(view, sn, tag)| PrepareEntry {
+                    view: ViewNumber(view),
+                    sn: SeqNum(sn),
+                    batch: batch(tag),
+                    client_sigs: Vec::new(),
+                    primary_sig: Signature::forged(replica_key(replica)),
+                })
+                .collect(),
+            last_checkpoint: SeqNum(chkpt),
+            checkpoint_proof: proof_of(replica, chkpt),
+            signature: Signature::forged(replica_key(replica)),
+        }
+    }
+
+    fn proof_of(replica: ReplicaId, chkpt: u64) -> Vec<CheckpointMsg> {
+        if chkpt == 0 {
+            return Vec::new();
+        }
+        vec![CheckpointMsg {
+            sn: SeqNum(chkpt),
+            view: ViewNumber(0),
+            state_digest: Digest::of(b"state"),
+            replica,
+            signed: true,
+            signature: Signature::forged(replica_key(replica)),
+        }]
+    }
+
+    #[test]
+    fn select_table() {
+        let selection =
+            |horizon: u64, proof_from: ReplicaId, batches: &[(u64, &'static str)]| Selection {
+                horizon: SeqNum(horizon),
+                horizon_proof: proof_of(proof_from, horizon),
+                batches: batches
+                    .iter()
+                    .map(|&(sn, tag)| (SeqNum(sn), batch(tag)))
+                    .collect(),
+            };
+        let rows: Vec<(&str, Vec<ViewChangeMsg>, bool, Selection)> = vec![
+            (
+                "the highest view wins",
+                vec![
+                    vc_msg(0, 0, &[(0, 1, "a")], &[]),
+                    vc_msg(1, 0, &[(2, 1, "b")], &[]),
+                    vc_msg(2, 0, &[(1, 1, "c")], &[]),
+                ],
+                false,
+                selection(0, 0, &[(1, "b")]),
+            ),
+            (
+                "on a tie the first one seen wins",
+                vec![
+                    vc_msg(0, 0, &[(1, 1, "a")], &[(1, 2, "p")]),
+                    vc_msg(1, 0, &[(1, 1, "b"), (1, 2, "q")], &[]),
+                ],
+                true,
+                selection(0, 0, &[(1, "a"), (2, "p")]),
+            ),
+            (
+                "a commit-log entry is seen before its sender's prepare-log entry",
+                vec![vc_msg(0, 0, &[(1, 1, "a")], &[(1, 1, "p")])],
+                true,
+                selection(0, 0, &[(1, "a")]),
+            ),
+            (
+                "entries at or below the horizon are excluded",
+                vec![
+                    vc_msg(0, 0, &[(0, 3, "x"), (0, 4, "y"), (0, 5, "z")], &[]),
+                    vc_msg(1, 4, &[(0, 5, "z")], &[]),
+                ],
+                false,
+                selection(4, 1, &[(5, "z")]),
+            ),
+            (
+                "prepare-log entries do not count with FD off",
+                vec![vc_msg(0, 0, &[(0, 1, "a")], &[(1, 1, "p"), (1, 2, "q")])],
+                false,
+                selection(0, 0, &[(1, "a")]),
+            ),
+            (
+                "prepare-log entries count with FD on",
+                vec![vc_msg(0, 0, &[(0, 1, "a")], &[(1, 1, "p"), (1, 2, "q")])],
+                true,
+                selection(0, 0, &[(1, "p"), (2, "q")]),
+            ),
+            (
+                "the proof of the highest claim is returned, first claim first",
+                vec![
+                    vc_msg(0, 2, &[], &[]),
+                    vc_msg(1, 6, &[], &[]),
+                    vc_msg(2, 6, &[], &[]),
+                ],
+                false,
+                selection(6, 1, &[]),
+            ),
+            (
+                "an empty set gives an empty selection",
+                Vec::new(),
+                true,
+                Selection::default(),
+            ),
+        ];
+        for (name, merged, fd, expected) in rows {
+            assert_eq!(select(&merged, fd), expected, "{name}");
+        }
+    }
 
     fn idle_cluster(fault_detection: bool) -> XPaxosCluster {
         ClusterBuilder::new(1, 1)
@@ -870,24 +991,54 @@ mod tests {
         with_offline_context(replica.node_of(2), |ctx| f(replica, ctx));
     }
 
+    /// Replica `signer_id`'s VIEW-CHANGE for `view` in replica `r`'s name,
+    /// with `commit_log` and an unproven claim of checkpoint `chkpt`.
+    fn signed_vc(
+        cluster: &XPaxosCluster,
+        r: ReplicaId,
+        signer_id: ReplicaId,
+        view: u64,
+        commit_log: Vec<CommitEntry>,
+        chkpt: u64,
+    ) -> ViewChangeMsg {
+        let mut vc = ViewChangeMsg {
+            new_view: ViewNumber(view),
+            replica: r,
+            commit_log,
+            prepare_log: Vec::new(),
+            last_checkpoint: SeqNum(chkpt),
+            checkpoint_proof: Vec::new(),
+            signature: Signature::forged(replica_key(r)),
+        };
+        vc.signature = signer(cluster, signer_id).sign_digest(&vc.digest());
+        vc
+    }
+
+    /// A view-0 commit of `batch` at sn 1.
+    fn committed_at_1(batch: &Batch) -> CommitEntry {
+        CommitEntry {
+            view: ViewNumber(0),
+            sn: SeqNum(1),
+            batch: batch.clone(),
+            primary_sig: Signature::forged(replica_key(0)),
+            commit_sigs: Default::default(),
+        }
+    }
+
     /// Takes replica 2, an active of view 1 (= {0, 2}, primary 0), through
     /// the VIEW-CHANGE collection of an idle cluster: it holds every
-    /// replica's empty VIEW-CHANGE and sent its VC-FINAL, so its merge waits
-    /// only for replica 0's VC-FINAL. Returns that VC-FINAL's set.
-    fn collect_view_1_at_replica_2(cluster: &mut XPaxosCluster) -> Vec<ViewChangeMsg> {
+    /// replica's VIEW-CHANGE and sent its VC-FINAL, so its merge waits only
+    /// for replica 0's VC-FINAL. The logs are empty, except that replicas 0
+    /// and 1 (view 0's actives) report `sn_1` committed at sn 1 in view 0
+    /// when given. Returns that VC-FINAL's set.
+    fn collect_view_1_at_replica_2(
+        cluster: &mut XPaxosCluster,
+        sn_1: Option<&Batch>,
+    ) -> Vec<ViewChangeMsg> {
         let set: Vec<ViewChangeMsg> = (0..3)
             .map(|r| {
-                let mut vc = ViewChangeMsg {
-                    new_view: ViewNumber(1),
-                    replica: r,
-                    commit_log: Vec::new(),
-                    prepare_log: Vec::new(),
-                    last_checkpoint: SeqNum(0),
-                    checkpoint_proof: Vec::new(),
-                    signature: Signature::forged(replica_key(r)),
-                };
-                vc.signature = signer(cluster, r).sign_digest(&vc.digest());
-                vc
+                let log = sn_1.filter(|_| r < 2).map(committed_at_1);
+                signed_vc(cluster, r, r, 1, log.into_iter().collect(), 0)
             })
             .collect();
         let msgs = set.clone();
@@ -930,7 +1081,7 @@ mod tests {
     #[test]
     fn a_new_view_signed_by_the_passive_is_not_installed_and_its_batch_never_runs() {
         let mut cluster = idle_cluster(false);
-        let set = collect_view_1_at_replica_2(&mut cluster);
+        let set = collect_view_1_at_replica_2(&mut cluster, None);
         let vc_final = vc_final_from_0(&cluster, &set, 0);
         at_replica_2(&mut cluster, |replica, ctx| {
             replica.on_vc_final(vc_final, ctx)
@@ -989,7 +1140,7 @@ mod tests {
     #[test]
     fn a_vc_final_in_an_actives_name_under_another_key_does_not_complete_the_merge() {
         let mut cluster = idle_cluster(false);
-        let set = collect_view_1_at_replica_2(&mut cluster);
+        let set = collect_view_1_at_replica_2(&mut cluster, None);
         let forged = vc_final_from_0(&cluster, &set, 1);
         at_replica_2(&mut cluster, |replica, ctx| {
             replica.on_vc_final(forged, ctx)
@@ -1005,7 +1156,7 @@ mod tests {
     #[test]
     fn a_vc_confirm_in_an_actives_name_under_another_key_raises_no_suspicion() {
         let mut cluster = idle_cluster(true);
-        let set = collect_view_1_at_replica_2(&mut cluster);
+        let set = collect_view_1_at_replica_2(&mut cluster, None);
         let vc_final = vc_final_from_0(&cluster, &set, 0);
         at_replica_2(&mut cluster, |replica, ctx| {
             replica.on_vc_final(vc_final, ctx)
@@ -1038,6 +1189,346 @@ mod tests {
             replica.on_vc_confirm(genuine, ctx)
         });
         assert_eq!(cluster.replica(2).view(), ViewNumber(2));
+    }
+
+    /// Where replica 2 stands when a handler row starts.
+    #[derive(Clone, Copy)]
+    enum At {
+        /// View 0, active (a fresh cluster).
+        Fresh,
+        /// Collecting VIEW-CHANGE messages for the view, nothing received.
+        Collecting(u64),
+        /// View 1's merge is done and its selection holds the batch
+        /// replicas 0 and 1 committed at sn 1 in view 0.
+        Merged,
+        /// View 1 installed over that selection.
+        Installed,
+    }
+
+    enum Input {
+        Msg(Box<XPaxosMsg>),
+        Enter(u64),
+    }
+
+    impl Input {
+        fn msg(m: XPaxosMsg) -> Self {
+            Input::Msg(Box::new(m))
+        }
+    }
+
+    /// What a handler row leaves at replica 2.
+    #[derive(Debug, PartialEq)]
+    struct Seen {
+        view: u64,
+        phase: Phase,
+        /// View changes the handler started (a join counts one).
+        started: u64,
+        /// VIEW-CHANGE, VC-FINAL and VC-CONFIRM messages the view change holds.
+        recorded: usize,
+        /// Whether a NEW-VIEW waits for the selection.
+        held: bool,
+    }
+
+    fn reported_batch() -> Batch {
+        Batch::single(Request::new(
+            ClientId(0),
+            1,
+            Bytes::from_static(b"committed"),
+        ))
+    }
+
+    /// Replica `signer_id`'s VC-FINAL for `view` over an empty set, in `r`'s name.
+    fn vc_final(c: &XPaxosCluster, r: ReplicaId, signer_id: ReplicaId, view: u64) -> Input {
+        Input::msg(XPaxosMsg::VcFinal(VcFinalMsg {
+            new_view: ViewNumber(view),
+            replica: r,
+            vc_set: Vec::new(),
+            signature: signer(c, signer_id).sign_digest(&vc_set_digest(&[])),
+        }))
+    }
+
+    fn vc_confirm(c: &XPaxosCluster, r: ReplicaId, signer_id: ReplicaId, view: u64) -> Input {
+        let digest = Digest::of(b"a filtered set");
+        Input::msg(XPaxosMsg::VcConfirm(VcConfirmMsg {
+            new_view: ViewNumber(view),
+            replica: r,
+            vc_set_digest: digest,
+            signature: signer(c, signer_id).sign_digest(&digest),
+        }))
+    }
+
+    /// A NEW-VIEW for `view` signed by `signer_id`, re-proposing the
+    /// reported batch at sn 1 when `keep` is set.
+    fn new_view(c: &XPaxosCluster, signer_id: ReplicaId, view: u64, keep: bool) -> Input {
+        let view = ViewNumber(view);
+        let batch = reported_batch();
+        let prepare_log = keep
+            .then(|| PrepareEntry {
+                view,
+                sn: SeqNum(1),
+                batch,
+                client_sigs: Vec::new(),
+                primary_sig: Signature::forged(replica_key(signer_id)),
+            })
+            .into_iter()
+            .collect();
+        Input::msg(XPaxosMsg::NewView(NewViewMsg {
+            new_view: view,
+            prepare_log,
+            signature: signer(c, signer_id).sign_digest(&new_view_digest(view)),
+        }))
+    }
+
+    fn view_change(c: &XPaxosCluster, r: ReplicaId, signer_id: ReplicaId, view: u64) -> Input {
+        Input::msg(XPaxosMsg::ViewChange(signed_vc(
+            c,
+            r,
+            signer_id,
+            view,
+            Vec::new(),
+            0,
+        )))
+    }
+
+    fn start_at(cluster: &mut XPaxosCluster, at: At) {
+        match at {
+            At::Fresh => {}
+            At::Collecting(view) => at_replica_2(cluster, |replica, ctx| {
+                replica.enter_view_change(ViewNumber(view), ctx)
+            }),
+            At::Merged | At::Installed => {
+                let set = collect_view_1_at_replica_2(cluster, Some(&reported_batch()));
+                let vc_final = vc_final_from_0(cluster, &set, 0);
+                at_replica_2(cluster, |replica, ctx| replica.on_vc_final(vc_final, ctx));
+                assert!(merged(cluster));
+                if let At::Installed = at {
+                    let Input::Msg(nv) = new_view(cluster, 0, 1, true) else {
+                        unreachable!()
+                    };
+                    at_replica_2(cluster, |replica, ctx| replica.on_message(0, *nv, ctx));
+                    assert_eq!(cluster.replica(2).installed_view, ViewNumber(1));
+                }
+            }
+        }
+    }
+
+    /// One row per join or drop branch of the four view-change handlers at
+    /// replica 2 (t = 1: view 1 = {0, 2} and view 3 = {0, 1} led by 0,
+    /// view 2 = {1, 2} led by 1), plus `enter_view_change` at a view it
+    /// already runs or installed.
+    #[test]
+    fn view_change_handler_table() {
+        type Build = fn(&XPaxosCluster) -> Input;
+        let seen = |view, phase, started, recorded, held| Seen {
+            view,
+            phase,
+            started,
+            recorded,
+            held,
+        };
+        let vc = Phase::ViewChange;
+        let active = Phase::Active;
+        let rows: Vec<(&str, At, Build, Seen)> = vec![
+            (
+                "VIEW-CHANGE under another key: dropped",
+                At::Collecting(1),
+                |c| view_change(c, 1, 0, 1),
+                seen(1, vc, 0, 0, false),
+            ),
+            (
+                "VIEW-CHANGE claiming an unproven checkpoint: dropped",
+                At::Collecting(1),
+                |c| Input::msg(XPaxosMsg::ViewChange(signed_vc(c, 1, 1, 1, Vec::new(), 8))),
+                seen(1, vc, 0, 0, false),
+            ),
+            (
+                "VIEW-CHANGE for the view being collected: recorded",
+                At::Collecting(1),
+                |c| view_change(c, 1, 1, 1),
+                seen(1, vc, 0, 1, false),
+            ),
+            (
+                "VIEW-CHANGE for a newer view: joined and recorded",
+                At::Fresh,
+                |c| view_change(c, 1, 1, 1),
+                seen(1, vc, 1, 1, false),
+            ),
+            (
+                "VIEW-CHANGE for an older view: dropped",
+                At::Collecting(2),
+                |c| view_change(c, 1, 1, 1),
+                seen(2, vc, 0, 0, false),
+            ),
+            (
+                "VIEW-CHANGE for a view this replica is passive in: joined, not recorded",
+                At::Fresh,
+                |c| view_change(c, 1, 1, 3),
+                seen(3, active, 1, 0, false),
+            ),
+            (
+                "VIEW-CHANGE for the installed view: dropped",
+                At::Installed,
+                |c| view_change(c, 1, 1, 1),
+                seen(1, active, 0, 0, false),
+            ),
+            (
+                "VC-FINAL under another key: dropped",
+                At::Collecting(1),
+                |c| vc_final(c, 0, 1, 1),
+                seen(1, vc, 0, 0, false),
+            ),
+            (
+                "VC-FINAL from the view's passive: dropped",
+                At::Collecting(1),
+                |c| vc_final(c, 1, 1, 1),
+                seen(1, vc, 0, 0, false),
+            ),
+            (
+                "VC-FINAL for the view being collected: recorded",
+                At::Collecting(1),
+                |c| vc_final(c, 0, 0, 1),
+                seen(1, vc, 0, 1, false),
+            ),
+            (
+                "VC-FINAL for a newer view: joined and recorded",
+                At::Collecting(1),
+                |c| vc_final(c, 1, 1, 2),
+                seen(2, vc, 1, 1, false),
+            ),
+            (
+                "VC-FINAL for an older view: dropped",
+                At::Collecting(2),
+                |c| vc_final(c, 0, 0, 1),
+                seen(2, vc, 0, 0, false),
+            ),
+            (
+                "VC-FINAL for a view this replica is passive in: joined, not recorded",
+                At::Fresh,
+                |c| vc_final(c, 0, 0, 3),
+                seen(3, active, 1, 0, false),
+            ),
+            (
+                "VC-CONFIRM under another key: dropped",
+                At::Collecting(1),
+                |c| vc_confirm(c, 0, 1, 1),
+                seen(1, vc, 0, 0, false),
+            ),
+            (
+                "VC-CONFIRM from the view's passive: dropped",
+                At::Collecting(1),
+                |c| vc_confirm(c, 1, 1, 1),
+                seen(1, vc, 0, 0, false),
+            ),
+            (
+                "VC-CONFIRM for the view being collected: recorded",
+                At::Collecting(1),
+                |c| vc_confirm(c, 0, 0, 1),
+                seen(1, vc, 0, 1, false),
+            ),
+            (
+                "VC-CONFIRM for a newer view: neither joined nor recorded",
+                At::Collecting(1),
+                |c| vc_confirm(c, 1, 1, 2),
+                seen(1, vc, 0, 0, false),
+            ),
+            (
+                "NEW-VIEW not signed by the view's primary: dropped",
+                At::Collecting(1),
+                |c| new_view(c, 1, 1, true),
+                seen(1, vc, 0, 0, false),
+            ),
+            (
+                "NEW-VIEW before the merge: held",
+                At::Collecting(1),
+                |c| new_view(c, 0, 1, true),
+                seen(1, vc, 0, 0, true),
+            ),
+            (
+                "NEW-VIEW for a newer view: joined and held",
+                At::Fresh,
+                |c| new_view(c, 0, 1, true),
+                seen(1, vc, 1, 0, true),
+            ),
+            (
+                "NEW-VIEW for a view this replica is passive in: joined, dropped",
+                At::Fresh,
+                |c| new_view(c, 0, 3, true),
+                seen(3, active, 1, 0, false),
+            ),
+            (
+                "NEW-VIEW for an older view: dropped",
+                At::Collecting(2),
+                |c| new_view(c, 0, 1, true),
+                seen(2, vc, 0, 0, false),
+            ),
+            (
+                "NEW-VIEW omitting a selected batch: the view is suspected",
+                At::Merged,
+                |c| new_view(c, 0, 1, false),
+                seen(2, vc, 1, 0, false),
+            ),
+            (
+                "NEW-VIEW keeping the selection: installed",
+                At::Merged,
+                |c| new_view(c, 0, 1, true),
+                seen(1, active, 0, 0, false),
+            ),
+            (
+                "enter_view_change at the active view: no-op",
+                At::Fresh,
+                |_| Input::Enter(0),
+                seen(0, active, 0, 0, false),
+            ),
+            (
+                "enter_view_change at an installed view: no-op",
+                At::Installed,
+                |_| Input::Enter(1),
+                seen(1, active, 0, 0, false),
+            ),
+            (
+                "enter_view_change below an installed view: no-op",
+                At::Installed,
+                |_| Input::Enter(0),
+                seen(1, active, 0, 0, false),
+            ),
+            (
+                "enter_view_change at the view being collected: no-op",
+                At::Collecting(1),
+                |_| Input::Enter(1),
+                seen(1, vc, 0, 0, false),
+            ),
+            (
+                "enter_view_change below the view being collected: no-op",
+                At::Collecting(1),
+                |_| Input::Enter(0),
+                seen(1, vc, 0, 0, false),
+            ),
+        ];
+        for (name, at, build, expected) in rows {
+            let mut cluster = idle_cluster(false);
+            start_at(&mut cluster, at);
+            let input = build(&cluster);
+            let mut started = 0;
+            at_replica_2(&mut cluster, |replica, ctx| {
+                match input {
+                    Input::Msg(msg) => replica.on_message(0, *msg, ctx),
+                    Input::Enter(view) => replica.enter_view_change(ViewNumber(view), ctx),
+                }
+                started = ctx.counted("view_changes_started");
+            });
+            let replica = cluster.replica(2);
+            let vc = replica.vc.as_ref();
+            let got = Seen {
+                view: replica.view().0,
+                phase: replica.phase(),
+                started,
+                recorded: vc.map_or(0, |vc| {
+                    vc.vc_msgs.len() + vc.vc_finals.len() + vc.vc_confirms.len()
+                }),
+                held: vc.is_some_and(|vc| vc.pending_new_view.is_some()),
+            };
+            assert_eq!(got, expected, "{name}");
+        }
     }
 
     /// Only the active replicas of a view may suspect it. The passive replica

@@ -11,7 +11,7 @@
 
 use xft_core::auth::verify_replica_sig;
 use xft_core::evidence::EvidenceMsg;
-use xft_core::log::{CommitEntry, PrepareEntry};
+use xft_core::log::{commit_statement_digest, CommitEntry, PrepareEntry};
 use xft_core::messages::{checkpoint_vote_digest, CheckpointMsg, ViewChangeMsg, XPaxosMsg};
 use xft_core::types::{SeqNum, ViewNumber};
 use xft_crypto::{Digest, Signature, Verifier};
@@ -276,10 +276,7 @@ pub fn verify_statement(verifier: &Verifier, n: usize, st: &Statement) -> bool {
             sig,
             ..
         } => {
-            let mut digest = CommitEntry::commit_digest(batch, *sn, *view);
-            if let Some(rd) = reply {
-                digest = digest.combine(rd);
-            }
+            let digest = commit_statement_digest(batch, *sn, *view, reply.as_ref());
             verify_replica_sig(verifier, author, &digest, sig)
         }
         Statement::Chkpt {

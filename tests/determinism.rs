@@ -9,9 +9,10 @@ use xft::core::harness::{ClusterBuilder, LatencySpec, XPaxosCluster};
 use xft::crypto::Digest;
 use xft::simnet::{FaultEvent, SimDuration, SimTime};
 
-/// A cluster of 2t + 1 replicas with a randomized-latency workload;
-/// everything depends only on `t` and `seed`.
-fn build(t: usize, seed: u64) -> XPaxosCluster {
+/// A cluster of 2t + 1 replicas with a randomized-latency workload and
+/// fault detection on iff `fd`; everything depends only on `t`, `seed` and
+/// `fd`.
+fn build(t: usize, seed: u64, fd: bool) -> XPaxosCluster {
     ClusterBuilder::new(t, 3)
         .with_seed(seed)
         .with_latency(LatencySpec::Uniform(
@@ -23,6 +24,7 @@ fn build(t: usize, seed: u64) -> XPaxosCluster {
             requests: Some(40),
             ..Default::default()
         })
+        .with_config(|c| c.with_fault_detection(fd))
         .build()
 }
 
@@ -39,8 +41,8 @@ fn log_digest(cluster: &XPaxosCluster, replica: usize) -> Digest {
 
 #[test]
 fn same_seed_produces_identical_commit_traces() {
-    let mut a = build(1, 0x000D_5EED);
-    let mut b = build(1, 0x000D_5EED);
+    let mut a = build(1, 0x000D_5EED, false);
+    let mut b = build(1, 0x000D_5EED, false);
     a.run_for(SimDuration::from_secs(30));
     b.run_for(SimDuration::from_secs(30));
 
@@ -72,7 +74,7 @@ fn same_seed_produces_identical_commit_traces() {
 #[test]
 fn same_seed_is_deterministic_even_under_faults() {
     let run = |seed: u64| {
-        let mut cluster = build(1, seed);
+        let mut cluster = build(1, seed, false);
         let crash = SimTime::ZERO + SimDuration::from_secs(5);
         let heal = crash + SimDuration::from_secs(5);
         cluster.sim.inject_fault_at(crash, FaultEvent::Crash(1));
@@ -110,12 +112,13 @@ fn faulty_script() -> xft::simnet::FaultScript {
 }
 
 /// Run at t = 1 (the COMMIT-CARRY fast path) and at t = 2 (the PREPARE /
-/// COMMIT general path).
+/// COMMIT general path), each with fault detection off and on (the
+/// VC-CONFIRM round and prepare-log transfer).
 #[test]
 fn same_seed_and_fault_script_give_identical_traces_and_metrics() {
-    for t in [1, 2] {
+    for (t, fd) in [(1, false), (2, false), (1, true), (2, true)] {
         let run = |seed: u64| {
-            let mut cluster = build(t, seed);
+            let mut cluster = build(t, seed, fd);
             cluster.sim.schedule_fault_script(faulty_script());
             cluster.run_for(SimDuration::from_secs(30));
             (
@@ -135,12 +138,18 @@ fn same_seed_and_fault_script_give_identical_traces_and_metrics() {
         let b = run(0xFA_17);
         assert_eq!(
             a, b,
-            "t = {t}: faulty runs must be bit-for-bit reproducible"
+            "t = {t}, fd = {fd}: faulty runs must be bit-for-bit reproducible"
         );
-        assert!(a.4 > 0, "t = {t}: the faulty run never committed anything");
+        assert!(
+            a.4 > 0,
+            "t = {t}, fd = {fd}: the faulty run never committed anything"
+        );
         // The metrics fingerprint is sensitive: a different seed's run yields a
         // different fingerprint (overwhelmingly).
         let c = run(0xFA_18);
-        assert_ne!(a.3, c.3, "t = {t}: fingerprint failed to distinguish runs");
+        assert_ne!(
+            a.3, c.3,
+            "t = {t}, fd = {fd}: fingerprint failed to distinguish runs"
+        );
     }
 }
