@@ -433,7 +433,7 @@ impl Replica {
             }
             self.install_new_view(target, prepare_log, ctx);
         } else if let Some(nv) = vc.pending_new_view.take() {
-            // A NEW-VIEW beat our VC-FINAL merge; validate it now that the
+            // A NEW-VIEW beat our selection; validate it now that the
             // selection exists.
             self.on_new_view(nv, ctx);
         }
@@ -458,18 +458,15 @@ impl Replica {
         let Some(vc) = self.vc_for(m.new_view) else {
             return;
         };
-        if vc.merged.is_none() {
-            // The primary's NEW-VIEW overtook the VC-FINAL exchange: we
-            // have no selection to validate it against yet. Hold it —
-            // `proceed_with_selection` replays it once the merge lands.
+        let Some(selection) = vc.selection.as_ref() else {
+            // The primary's NEW-VIEW overtook the VC-FINAL exchange (or,
+            // with fault detection, the VC-CONFIRM round): we have no
+            // selection to validate it against yet. Hold it —
+            // `proceed_with_selection` replays it once the selection lands.
             vc.pending_new_view = Some(m);
             return;
-        }
-        if !vc
-            .selection
-            .as_ref()
-            .is_none_or(|selection| selection.admits(&m.prepare_log))
-        {
+        };
+        if !selection.admits(&m.prepare_log) {
             // The new primary is faulty: suspect the new view.
             self.suspect_view(None, ctx);
             return;
@@ -496,11 +493,11 @@ impl Replica {
         // The merge horizon: the selection excluded everything at or below
         // it as checkpointed history, so the new view *assumes* that prefix
         // — it is preserved by the proven checkpoint, never by re-proposal.
-        let (horizon, horizon_proof) =
-            match self.vc_for(target).and_then(|vc| vc.selection.as_ref()) {
-                Some(selection) => (selection.horizon, selection.horizon_proof.clone()),
-                None => (SeqNum(0), Vec::new()),
-            };
+        let selection = self
+            .vc_for(target)
+            .and_then(|vc| vc.selection.as_ref())
+            .expect("a view installs only over its selection");
+        let (horizon, horizon_proof) = (selection.horizon, selection.horizon_proof.clone());
 
         // The checkpointed prefix the adopted log sits on: the merge horizon,
         // or further still when the selection's own entries start later
@@ -1528,6 +1525,56 @@ mod tests {
                 held: vc.is_some_and(|vc| vc.pending_new_view.is_some()),
             };
             assert_eq!(got, expected, "{name}");
+        }
+    }
+
+    /// With fault detection on, the selection exists only once the
+    /// VC-CONFIRM round agrees. A NEW-VIEW arriving between the merge and
+    /// that agreement must wait for it: replica 2 knows from replicas 0 and
+    /// 1 that sn 1 committed in view 0, so primary 0's NEW-VIEW omitting it
+    /// is caught with fault detection on exactly as with it off.
+    #[test]
+    fn a_new_view_that_beats_the_selection_waits_for_it() {
+        for fd in [false, true] {
+            let mut cluster = idle_cluster(fd);
+            let set = collect_view_1_at_replica_2(&mut cluster, Some(&reported_batch()));
+            let vc_final = vc_final_from_0(&cluster, &set, 0);
+            at_replica_2(&mut cluster, |replica, ctx| {
+                replica.on_vc_final(vc_final, ctx)
+            });
+            let Input::Msg(omitting) = new_view(&cluster, 0, 1, false) else {
+                unreachable!()
+            };
+            at_replica_2(&mut cluster, |replica, ctx| {
+                replica.on_message(0, *omitting, ctx)
+            });
+            if fd {
+                let replica = cluster.replica(2);
+                assert_eq!(
+                    (replica.view(), replica.phase(), replica.installed_view),
+                    (ViewNumber(1), Phase::ViewChange, ViewNumber(0)),
+                    "installed before the VC-CONFIRM round agreed"
+                );
+                let vc = replica.vc.as_ref().expect("collecting view 1");
+                assert!(vc.pending_new_view.is_some());
+                let digest = vc.vc_confirms[&2];
+                let confirm = VcConfirmMsg {
+                    new_view: ViewNumber(1),
+                    replica: 0,
+                    vc_set_digest: digest,
+                    signature: signer(&cluster, 0).sign_digest(&digest),
+                };
+                at_replica_2(&mut cluster, |replica, ctx| {
+                    replica.on_vc_confirm(confirm, ctx)
+                });
+            }
+            let replica = cluster.replica(2);
+            assert_eq!(
+                (replica.view(), replica.installed_view),
+                (ViewNumber(2), ViewNumber(0)),
+                "fd = {fd}: the omitting NEW-VIEW was not suspected"
+            );
+            assert!(replica.commit_log.get(SeqNum(1)).is_none());
         }
     }
 
