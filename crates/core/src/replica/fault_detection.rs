@@ -8,7 +8,8 @@
 //!
 //! * **state loss** — a replica that was active in an earlier view reports a prepare
 //!   log missing an entry whose commitment in that view is proven by another replica's
-//!   commit log;
+//!   commit log, above the replica's own proven stable checkpoint (checkpoint GC
+//!   removes the entries at or below it);
 //! * **fork** — a replica reports an entry for a sequence number that conflicts with a
 //!   committed entry of the same view.
 
@@ -177,12 +178,14 @@ pub(crate) fn detect_faults(
             if other.replica == m.replica {
                 continue;
             }
-            for committed in &other.commit_log {
-                // Only consider proofs from views in which `m.replica` was active: an
-                // active replica of that view must hold the corresponding entry.
-                if !groups.is_active(committed.view, m.replica) {
-                    continue;
-                }
+            // Only consider proofs from views in which `m.replica` was active, above
+            // its proven stable checkpoint: an active replica of that view must hold
+            // the corresponding entry unless checkpoint GC removed it.
+            let owed = other
+                .commit_log
+                .iter()
+                .filter(|c| groups.is_active(c.view, m.replica) && c.sn > m.last_checkpoint);
+            for committed in owed {
                 let in_prepare = m
                     .prepare_log
                     .iter()
@@ -222,4 +225,56 @@ pub(crate) fn detect_faults(
         }
     }
     detected
+}
+
+#[cfg(test)]
+mod tests {
+    use super::detect_faults;
+    use crate::log::CommitEntry;
+    use crate::messages::{DetectedFaultKind, ViewChangeMsg};
+    use crate::sync_group::SyncGroups;
+    use crate::types::{replica_key, Batch, ReplicaId, SeqNum, ViewNumber};
+    use xft_crypto::Signature;
+
+    fn vc_msg(replica: ReplicaId, chkpt: u64, committed_sns: &[u64]) -> ViewChangeMsg {
+        ViewChangeMsg {
+            new_view: ViewNumber(1),
+            replica,
+            commit_log: committed_sns
+                .iter()
+                .map(|&sn| CommitEntry {
+                    view: ViewNumber(0),
+                    sn: SeqNum(sn),
+                    batch: Batch::default(),
+                    primary_sig: Signature::forged(replica_key(0)),
+                    commit_sigs: Default::default(),
+                })
+                .collect(),
+            prepare_log: Vec::new(),
+            last_checkpoint: SeqNum(chkpt),
+            checkpoint_proof: Vec::new(),
+            signature: Signature::forged(replica_key(replica)),
+        }
+    }
+
+    /// Replica 1, active in view 0 (= {0, 1}) at t = 1, claims checkpoint 32
+    /// with empty logs; replica 2 reports view-0 commits. Only a commit
+    /// above replica 1's checkpoint is state it should still hold.
+    #[test]
+    fn state_loss_is_flagged_only_above_the_replicas_checkpoint() {
+        let groups = SyncGroups::new(1);
+        let state_loss = vec![(1, DetectedFaultKind::StateLoss)];
+        for (committed, expected) in [
+            (&[10][..], Vec::new()),
+            (&[40][..], state_loss.clone()),
+            (&[10, 40][..], state_loss),
+        ] {
+            let merged = [vc_msg(1, 32, &[]), vc_msg(2, 0, committed)];
+            assert_eq!(
+                detect_faults(&groups, &merged),
+                expected,
+                "replica 2 reports commits at {committed:?}"
+            );
+        }
+    }
 }
