@@ -34,14 +34,20 @@ fn main() {
         cluster.total_committed()
     );
 
-    // Phase 2: the primary of view 0 turns Byzantine — it "loses" its commit log
-    // (a data-loss fault) and goes mute, which forces a view change.
+    // Phase 2: the primary of view 0 turns Byzantine — it "loses" both of its
+    // logs (a data-loss fault) — and a one-second partition between it and
+    // its follower forces a view change. It still takes part in that view
+    // change, so its truncated VIEW-CHANGE reaches the new view's actives.
     cluster
         .replica_mut(0)
         .set_behavior(ByzantineBehavior::DataLossBothLogs { keep: SeqNum(0) });
     cluster.sim.inject_fault_at(
         SimTime::ZERO + SimDuration::from_secs(5),
-        FaultEvent::Control(0, 1), // control code 1 = mute
+        FaultEvent::PartitionPair(0, 1),
+    );
+    cluster.sim.inject_fault_at(
+        SimTime::ZERO + SimDuration::from_secs(6),
+        FaultEvent::HealPair(0, 1),
     );
     cluster.run_for(SimDuration::from_secs(20));
 
@@ -61,7 +67,15 @@ fn main() {
         if !detected.is_empty() {
             println!("  replica {r} detected faulty replicas: {detected:?}");
         }
+        assert!(
+            detected.iter().all(|culprit| *culprit == 0),
+            "replica {r} accused a correct replica: {detected:?}"
+        );
     }
+    assert!(
+        (1..cluster.n()).any(|r| cluster.replica(r).detected_faulty().contains(&0)),
+        "no correct replica detected the data-loss fault"
+    );
     check_total_order(&[cluster.replica(1), cluster.replica(2)])
         .expect("total order among correct replicas");
     println!("safety and liveness preserved despite a non-crash fault ✓");

@@ -43,6 +43,9 @@ benchmark/check.sh
 echo "==> quickstart example exits 0"
 cargo run --offline --release --example quickstart >/dev/null
 
+echo "==> fault_injection example exits 0: fault detection flags the data-loss primary and no correct replica"
+cargo run --offline --release --example fault_injection >/dev/null
+
 echo "==> xpaxos-server rejects the removed synchronous-fsync flag as unknown"
 # --data-dir always runs the overlapped per-record fsync, so a script still
 # asking for the old synchronous mode must fail fast (exit 2) instead of
