@@ -6,6 +6,28 @@
 //! least 2Δ and for at least n − t messages), exchanges the collected sets in VC-FINAL
 //! messages, and only then lets the new primary re-propose the selected requests in a
 //! NEW-VIEW message.
+//!
+//! Each rule is written once:
+//!
+//! * **Entry and exit.** `Replica::enter_view_change` is the only way into a view
+//!   change and a no-op at a view the replica already runs or installed; every handler
+//!   that learns of a newer view joins it through there, then finds its view change
+//!   with `Replica::vc_for`. `Replica::end_view_change` drops the state and is the
+//!   only place its two timers are cancelled.
+//! * **Suspicion.** `suspect` signs one SUSPECT, counts it, records the reason, sends
+//!   it to the client whose request raised it (if any) and to every other replica,
+//!   and enters the next view. `Replica::suspect_view` (a local suspicion) and
+//!   `Replica::on_vc_timeout` call it.
+//! * **Selection.** `select` is a pure function of the merged VIEW-CHANGE set. Its
+//!   `Selection` holds the checkpoint horizon (the highest proven claim), that
+//!   claim's proof, and for each slot above the horizon the batch of the highest view
+//!   (commit logs, plus prepare logs with fault detection; the first one seen wins a
+//!   tie). A NEW-VIEW is held until this replica's selection exists, which with fault
+//!   detection is only at the VC-CONFIRM quorum, and is installed only if
+//!   `Selection::admits` it.
+//! * **Proven checkpoint.** `Replica::proven_checkpoint` verifies a CHKPT proof and
+//!   requires it to prove a given sequence number: for the replica's own claim, a
+//!   received claim, the NEW-VIEW horizon and a state-transfer manifest.
 
 use super::{Phase, Replica, ViewChangeState, TOKEN_VC_COLLECT, TOKEN_VC_TIMEOUT};
 use crate::auth::verify_replica_sig;
@@ -713,7 +735,7 @@ impl Replica {
 
 /// What a view change re-proposes, computed by [`select`] from the merged
 /// VIEW-CHANGE set.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Default, PartialEq)]
 pub(crate) struct Selection {
     /// The checkpoint horizon: the highest *proven* stable checkpoint any
     /// contributor claimed. Everything at or below it is preserved by that
