@@ -313,10 +313,11 @@ pub(crate) struct ViewChangeState {
     pub(crate) merged: Option<Vec<crate::messages::ViewChangeMsg>>,
     /// The selection this replica computed from the merged set.
     pub(crate) selection: Option<view_change::Selection>,
-    /// A NEW-VIEW that arrived before our own VC-FINAL merge finished. The
-    /// selection it must be validated against does not exist yet, so it is
-    /// held here and replayed the moment the merge completes — installing it
-    /// unvalidated would let a faulty primary omit committed requests.
+    /// A NEW-VIEW that arrived before our selection existed (the VC-FINAL
+    /// merge or, with fault detection, the VC-CONFIRM quorum was still
+    /// missing). It is held here and replayed the moment the selection
+    /// lands — installing it unvalidated would let a faulty primary omit
+    /// committed requests.
     pub(crate) pending_new_view: Option<crate::messages::NewViewMsg>,
     /// 2Δ collection timer.
     pub(crate) collect_timer: TimerId,
