@@ -1248,14 +1248,6 @@ mod tests {
         held: bool,
     }
 
-    fn reported_batch() -> Batch {
-        Batch::single(Request::new(
-            ClientId(0),
-            1,
-            Bytes::from_static(b"committed"),
-        ))
-    }
-
     /// Replica `signer_id`'s VC-FINAL for `view` over an empty set, in `r`'s name.
     fn vc_final(c: &XPaxosCluster, r: ReplicaId, signer_id: ReplicaId, view: u64) -> Input {
         Input::msg(XPaxosMsg::VcFinal(VcFinalMsg {
@@ -1276,16 +1268,20 @@ mod tests {
         }))
     }
 
-    /// A NEW-VIEW for `view` signed by `signer_id`, re-proposing the
-    /// reported batch at sn 1 when `keep` is set.
-    fn new_view(c: &XPaxosCluster, signer_id: ReplicaId, view: u64, keep: bool) -> Input {
+    /// A NEW-VIEW for `view` signed by `signer_id`, proposing the batch
+    /// tagged `sn_1` at sn 1, or nothing.
+    fn new_view(
+        c: &XPaxosCluster,
+        signer_id: ReplicaId,
+        view: u64,
+        sn_1: Option<&'static str>,
+    ) -> Input {
         let view = ViewNumber(view);
-        let batch = reported_batch();
-        let prepare_log = keep
-            .then(|| PrepareEntry {
+        let prepare_log = sn_1
+            .map(|tag| PrepareEntry {
                 view,
                 sn: SeqNum(1),
-                batch,
+                batch: batch(tag),
                 client_sigs: Vec::new(),
                 primary_sig: Signature::forged(replica_key(signer_id)),
             })
@@ -1316,12 +1312,12 @@ mod tests {
                 replica.enter_view_change(ViewNumber(view), ctx)
             }),
             At::Merged | At::Installed => {
-                let set = collect_view_1_at_replica_2(cluster, Some(&reported_batch()));
+                let set = collect_view_1_at_replica_2(cluster, Some(&batch("committed")));
                 let vc_final = vc_final_from_0(cluster, &set, 0);
                 at_replica_2(cluster, |replica, ctx| replica.on_vc_final(vc_final, ctx));
                 assert!(merged(cluster));
                 if let At::Installed = at {
-                    let Input::Msg(nv) = new_view(cluster, 0, 1, true) else {
+                    let Input::Msg(nv) = new_view(cluster, 0, 1, Some("committed")) else {
                         unreachable!()
                     };
                     at_replica_2(cluster, |replica, ctx| replica.on_message(0, *nv, ctx));
@@ -1453,43 +1449,49 @@ mod tests {
             (
                 "NEW-VIEW not signed by the view's primary: dropped",
                 At::Collecting(1),
-                |c| new_view(c, 1, 1, true),
+                |c| new_view(c, 1, 1, Some("committed")),
                 seen(1, vc, 0, 0, false),
             ),
             (
                 "NEW-VIEW before the merge: held",
                 At::Collecting(1),
-                |c| new_view(c, 0, 1, true),
+                |c| new_view(c, 0, 1, Some("committed")),
                 seen(1, vc, 0, 0, true),
             ),
             (
                 "NEW-VIEW for a newer view: joined and held",
                 At::Fresh,
-                |c| new_view(c, 0, 1, true),
+                |c| new_view(c, 0, 1, Some("committed")),
                 seen(1, vc, 1, 0, true),
             ),
             (
                 "NEW-VIEW for a view this replica is passive in: joined, dropped",
                 At::Fresh,
-                |c| new_view(c, 0, 3, true),
+                |c| new_view(c, 0, 3, Some("committed")),
                 seen(3, active, 1, 0, false),
             ),
             (
                 "NEW-VIEW for an older view: dropped",
                 At::Collecting(2),
-                |c| new_view(c, 0, 1, true),
+                |c| new_view(c, 0, 1, Some("committed")),
                 seen(2, vc, 0, 0, false),
             ),
             (
                 "NEW-VIEW omitting a selected batch: the view is suspected",
                 At::Merged,
-                |c| new_view(c, 0, 1, false),
+                |c| new_view(c, 0, 1, None),
+                seen(2, vc, 1, 0, false),
+            ),
+            (
+                "NEW-VIEW altering a selected batch: the view is suspected",
+                At::Merged,
+                |c| new_view(c, 0, 1, Some("altered")),
                 seen(2, vc, 1, 0, false),
             ),
             (
                 "NEW-VIEW keeping the selection: installed",
                 At::Merged,
-                |c| new_view(c, 0, 1, true),
+                |c| new_view(c, 0, 1, Some("committed")),
                 seen(1, active, 0, 0, false),
             ),
             (
@@ -1559,12 +1561,12 @@ mod tests {
     fn a_new_view_that_beats_the_selection_waits_for_it() {
         for fd in [false, true] {
             let mut cluster = idle_cluster(fd);
-            let set = collect_view_1_at_replica_2(&mut cluster, Some(&reported_batch()));
+            let set = collect_view_1_at_replica_2(&mut cluster, Some(&batch("committed")));
             let vc_final = vc_final_from_0(&cluster, &set, 0);
             at_replica_2(&mut cluster, |replica, ctx| {
                 replica.on_vc_final(vc_final, ctx)
             });
-            let Input::Msg(omitting) = new_view(&cluster, 0, 1, false) else {
+            let Input::Msg(omitting) = new_view(&cluster, 0, 1, None) else {
                 unreachable!()
             };
             at_replica_2(&mut cluster, |replica, ctx| {
