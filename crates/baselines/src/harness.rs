@@ -41,7 +41,6 @@ pub struct BaselineClusterBuilder {
     latency: BaselineLatency,
     uplink: Bandwidth,
     cost_model: CostModel,
-    cores_per_node: u32,
     trace_messages: bool,
     state_factory: Box<dyn Fn() -> Box<dyn StateMachine>>,
 }
@@ -61,7 +60,6 @@ impl BaselineClusterBuilder {
             latency: BaselineLatency::Constant(SimDuration::from_millis(1)),
             uplink: Bandwidth::UNLIMITED,
             cost_model: CostModel::free(),
-            cores_per_node: 8,
             trace_messages: false,
             state_factory: Box::new(|| Box::new(NullService::new())),
         }
@@ -115,12 +113,6 @@ impl BaselineClusterBuilder {
         self
     }
 
-    /// Sets the number of cores per node.
-    pub fn with_cores(mut self, cores: u32) -> Self {
-        self.cores_per_node = cores;
-        self
-    }
-
     /// Enables message tracing.
     pub fn with_tracing(mut self, enabled: bool) -> Self {
         self.trace_messages = enabled;
@@ -164,8 +156,8 @@ impl BaselineClusterBuilder {
         let sim_config = SimConfig {
             seed: self.seed,
             cost_model: self.cost_model,
-            cores_per_node: self.cores_per_node,
             trace_messages: self.trace_messages,
+            ..SimConfig::default()
         };
         let mut sim: Simulation<BaselineNode> = Simulation::new(sim_config, latency, self.uplink);
         for r in 0..spec.n {

@@ -44,7 +44,6 @@ pub struct ClusterBuilder {
     latency: LatencySpec,
     uplink: Bandwidth,
     cost_model: CostModel,
-    cores_per_node: u32,
     trace_messages: bool,
     state_factory: Box<dyn Fn() -> Box<dyn StateMachine>>,
     storage_factory: Option<StorageFactory>,
@@ -71,7 +70,6 @@ impl ClusterBuilder {
             latency: LatencySpec::Constant(SimDuration::from_millis(1)),
             uplink: Bandwidth::UNLIMITED,
             cost_model: CostModel::free(),
-            cores_per_node: 8,
             trace_messages: false,
             state_factory: Box::new(|| Box::new(DigestChainService::new())),
             storage_factory: None,
@@ -137,12 +135,6 @@ impl ClusterBuilder {
     /// Sets the crypto cost model (use [`CostModel::paper_default`] for CPU experiments).
     pub fn with_cost_model(mut self, cost_model: CostModel) -> Self {
         self.cost_model = cost_model;
-        self
-    }
-
-    /// Sets the number of cores per node (the paper's VMs have 8 vCPUs).
-    pub fn with_cores(mut self, cores: u32) -> Self {
-        self.cores_per_node = cores;
         self
     }
 
@@ -219,8 +211,8 @@ impl ClusterBuilder {
         let sim_config = SimConfig {
             seed: self.seed,
             cost_model: self.cost_model,
-            cores_per_node: self.cores_per_node,
             trace_messages: self.trace_messages,
+            ..SimConfig::default()
         };
         let mut sim: Simulation<XPaxosNode> = Simulation::new(sim_config, latency, self.uplink);
 

@@ -37,19 +37,6 @@ impl XPaxosNode {
             XPaxosNode::Replica(_) => panic!("node is a replica, not a client"),
         }
     }
-
-    /// Mutable access to the client, panicking if this node is a replica.
-    pub fn client_mut(&mut self) -> &mut Client {
-        match self {
-            XPaxosNode::Client(c) => c,
-            XPaxosNode::Replica(_) => panic!("node is a replica, not a client"),
-        }
-    }
-
-    /// Whether this node is a replica.
-    pub fn is_replica(&self) -> bool {
-        matches!(self, XPaxosNode::Replica(_))
-    }
 }
 
 impl Actor for XPaxosNode {

@@ -533,11 +533,6 @@ impl Replica {
         self
     }
 
-    /// Whether stable storage is attached.
-    pub fn has_storage(&self) -> bool {
-        self.storage.is_some()
-    }
-
     /// Attaches a telemetry hub: histograms, flight-recorder events and
     /// synchrony-monitor samples flow into it. The replica's counters do not:
     /// it counts through [`Context::count`], and the TCP runtime exports
@@ -623,12 +618,6 @@ impl Replica {
         for (peer, sn, trace, msg) in items {
             log.record(crate::evidence::DIR_SENT, peer, now_ns, trace, sn, msg);
         }
-    }
-
-    /// The attached telemetry hub (a disabled hub unless
-    /// [`Replica::with_telemetry`] was used).
-    pub fn telemetry(&self) -> &std::sync::Arc<xft_telemetry::Telemetry> {
-        &self.telemetry
     }
 
     /// Records one flight-recorder stage event, timestamped with the actor's
