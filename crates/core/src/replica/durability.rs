@@ -13,6 +13,7 @@
 //! context), so exactly-once bookkeeping and executed history are rebuilt
 //! rather than trusted.
 
+use super::state_transfer::{ChunkProgress, PendingTransfer};
 use super::{Phase, Replica};
 use crate::durable::{
     ClientRecordSnapshot, DurableEvent, ReplicaSnapshot, SealedSnapshot, SnapshotImage,
@@ -287,13 +288,13 @@ impl Replica {
         if self.next_sn < sn {
             self.next_sn = sn;
         }
-        if let Some(pending) = self.pending_transfer.take() {
-            if pending.target > sn {
-                // Snapshot helped but the goal moved on; keep transferring.
-                self.pending_transfer = Some(pending);
-            } else if let Some(timer) = pending.timer {
-                ctx.cancel_timer(timer);
-            }
+        // A transfer whose goal moved past the snapshot keeps going.
+        if self
+            .pending_transfer
+            .as_ref()
+            .is_some_and(|p| p.target <= sn)
+        {
+            self.end_state_transfer(ctx);
         }
         if persist {
             self.persist_sealed_snapshot(&sealed);
@@ -345,7 +346,7 @@ impl Replica {
                 ctx.count("snapshots_rejected", 1);
             }
         }
-        let mut chunk_progress: Option<super::ChunkProgress> = None;
+        let mut chunk_progress: Option<ChunkProgress> = None;
         for raw in &recovered.records {
             let mut r = Reader::new(raw);
             let Some(event) = DurableEvent::decode_from(&mut r) else {
@@ -376,34 +377,14 @@ impl Replica {
                         self.prepare_log.insert(entry);
                     }
                 }
+                // Rebuild the in-flight transfer by the rule the wire uses
+                // (the reassembled snapshot is digest-checked again before
+                // adoption, so a tampered WAL can stall recovery but not
+                // corrupt it). The adopted snapshot supersedes older chunks.
                 DurableEvent::TransferChunk(c) => {
-                    // Rebuild the in-flight transfer from journaled chunks
-                    // (verified before they were written; the reassembled
-                    // snapshot is digest-checked again before adoption, so a
-                    // tampered WAL can stall recovery but not corrupt it).
-                    if c.sn <= self.last_checkpoint {
-                        continue; // superseded by the adopted snapshot
-                    }
-                    let stale = chunk_progress
-                        .as_ref()
-                        .is_some_and(|p| c.sn < p.sn || (c.sn == p.sn && p.root != c.root));
-                    if stale {
-                        continue;
-                    }
-                    if chunk_progress.as_ref().map(|p| p.sn) != Some(c.sn) {
-                        chunk_progress = Some(super::ChunkProgress {
-                            sn: c.sn,
-                            chunk_bytes: c.chunk_bytes,
-                            total_len: c.total_len,
-                            root: c.root,
-                            proof: c.proof,
-                            chunks: Default::default(),
-                            inflight: Default::default(),
-                        });
-                    }
-                    let progress = chunk_progress.as_mut().expect("just ensured");
-                    if c.index < progress.chunk_count() {
-                        progress.chunks.insert(c.index, c.data);
+                    if c.sn > self.last_checkpoint {
+                        let chunk_bytes = self.config.state_chunk_bytes;
+                        ChunkProgress::absorb(&mut chunk_progress, &c, chunk_bytes);
                     }
                 }
             }
@@ -417,18 +398,12 @@ impl Replica {
         // Resume a transfer that was mid-flight at the crash. No timer is
         // armed here (recovery may run in an offline context); the first
         // live `begin_state_transfer` — triggered by observing the cluster's
-        // checkpoint, or immediately by `on_disk_fault` — finds `timer:
-        // None` and drives it.
-        if let Some(progress) = chunk_progress.take() {
+        // checkpoint, or immediately by `on_disk_fault` — resumes it.
+        if let Some(progress) = chunk_progress {
             if progress.sn > self.exec_sn && self.pending_transfer.is_none() {
                 ctx.count("state_transfer_resumes", 1);
-                self.pending_transfer = Some(super::PendingTransfer {
-                    target: progress.sn,
-                    attempts: 0,
-                    timer: None,
-                    trace: xft_telemetry::trace::mint(self.id as u64, progress.sn.0),
-                    progress: Some(progress),
-                });
+                self.pending_transfer =
+                    Some(PendingTransfer::new(self.id, progress.sn, Some(progress)));
             }
         }
         report.view = self.view;
@@ -463,12 +438,9 @@ impl Replica {
         }
         self.clear_volatile_state();
         self.recover_with(ctx);
-        if self.pending_transfer.is_some() {
-            // A transfer rebuilt from journaled chunks: this context is live,
-            // so re-arm it immediately instead of waiting to observe a peer
-            // checkpoint.
-            self.continue_state_transfer(ctx);
-        }
+        // This context is live: a transfer rebuilt from journaled chunks
+        // resumes now instead of waiting to observe a peer checkpoint.
+        self.resume_state_transfer(ctx);
         ctx.count("disk_fault_restarts", 1);
     }
 }

@@ -21,6 +21,7 @@ use crate::messages::{CommitCarryMsg, CommitMsg, PrepareMsg, ReplyMsg, SignedReq
 use crate::state_machine::StateMachine;
 use crate::sync_group::SyncGroups;
 use crate::types::{ClientId, ReplicaId, SeqNum, Timestamp, ViewNumber};
+use state_transfer::PendingTransfer;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use xft_crypto::{Digest, KeyRegistry, Signature, Signer, Verifier};
 use xft_simnet::{Actor, Context, ControlCode, NodeId, TimerId};
@@ -228,66 +229,6 @@ impl ClientRecord {
             );
         }
         record
-    }
-}
-
-/// An in-progress state transfer: the replica is missing executed state up
-/// to `target` (a checkpoint its peers garbage-collected their logs at) and
-/// is pulling the sealed snapshot chunk by chunk. Execution stalls at
-/// `exec_sn` until the reassembled snapshot is verified and adopted; the
-/// retry timer rotates through peers.
-#[derive(Debug, Clone)]
-pub(crate) struct PendingTransfer {
-    /// The checkpoint sequence number needed (the snapshot adopted may be
-    /// newer).
-    pub(crate) target: SeqNum,
-    /// Requests sent so far (selects the next peer to ask).
-    pub(crate) attempts: u64,
-    /// Retry timer.
-    pub(crate) timer: Option<TimerId>,
-    /// Correlation ID minted when the transfer started: every chunk request
-    /// of this transfer carries it, so the whole fetch — across peer
-    /// rotations and crash-resumes — groups as one trace in the flight
-    /// recorder, like any client request.
-    pub(crate) trace: u64,
-    /// Chunk-level progress, established by the first verified response
-    /// (which doubles as the transfer manifest) or rebuilt from WAL
-    /// `TransferChunk` records after a crash.
-    pub(crate) progress: Option<ChunkProgress>,
-}
-
-/// Verified progress of one chunked snapshot transfer: the manifest the
-/// t + 1-signed seal commits to, plus every chunk verified so far. Each
-/// verified chunk is journaled to the WAL, so a crash mid-transfer resumes
-/// from here instead of refetching.
-#[derive(Debug, Clone)]
-pub(crate) struct ChunkProgress {
-    /// The sealed checkpoint being fetched.
-    pub(crate) sn: SeqNum,
-    /// Chunk size the seal commits to (must match the local config).
-    pub(crate) chunk_bytes: u32,
-    /// Total length of the snapshot's canonical encoding.
-    pub(crate) total_len: u64,
-    /// Merkle root over the chunk leaves.
-    pub(crate) root: Digest,
-    /// The t + 1 signed CHKPT proof carried by every verified response.
-    pub(crate) proof: Vec<crate::messages::CheckpointMsg>,
-    /// Verified chunks by index.
-    pub(crate) chunks: BTreeMap<u32, bytes::Bytes>,
-    /// Indices requested and not yet answered (bounds in-flight repair
-    /// traffic to `state_fetch_window × state_chunk_bytes`).
-    pub(crate) inflight: BTreeSet<u32>,
-}
-
-impl ChunkProgress {
-    /// Number of chunks the manifest describes.
-    pub(crate) fn chunk_count(&self) -> u32 {
-        crate::durable::chunk_count(self.total_len, self.chunk_bytes)
-    }
-
-    /// Whether every chunk has been verified.
-    pub(crate) fn is_complete(&self) -> bool {
-        self.chunks.len() as u32 == self.chunk_count()
     }
 }
 
@@ -767,9 +708,7 @@ impl Replica {
         if let Some(timer) = self.batch_timer.take() {
             ctx.cancel_timer(timer);
         }
-        if let Some(timer) = self.pending_transfer.as_mut().and_then(|p| p.timer.take()) {
-            ctx.cancel_timer(timer);
-        }
+        self.end_state_transfer(ctx);
         self.end_view_change(ctx);
         for (_, (_, timer)) in self.monitored_by_req.drain() {
             ctx.cancel_timer(timer);
@@ -940,12 +879,12 @@ impl Actor for Replica {
         self.proposed_in_flight = 0;
         self.stashed_proposals.clear();
         self.early_commits.clear();
-        // An interrupted state transfer resumes immediately (its retry timer
-        // died with the crash).
+        // An interrupted state transfer resumes immediately: its retry timer
+        // died with the crash.
         if let Some(pending) = self.pending_transfer.as_mut() {
             pending.timer = None;
-            self.continue_state_transfer(ctx);
         }
+        self.resume_state_transfer(ctx);
         self.note_evidence_sent(ctx);
     }
 

@@ -32,7 +32,7 @@
 use super::{Phase, Replica, ViewChangeState, TOKEN_VC_COLLECT, TOKEN_VC_TIMEOUT};
 use crate::auth::verify_replica_sig;
 use crate::byzantine::ByzantineBehavior;
-use crate::log::{commit_statement_digest, proposal_digest, CommitEntry, PrepareEntry};
+use crate::log::{commit_statement_digest, proposal_digest, CommitEntry, CommitLog, PrepareEntry};
 use crate::messages::{
     new_view_digest, suspect_digest, CheckpointMsg, NewViewMsg, SuspectMsg, VcFinalMsg,
     ViewChangeMsg, XPaxosMsg,
@@ -496,51 +496,126 @@ impl Replica {
         self.install_new_view(m.new_view, m.prepare_log, ctx);
     }
 
-    /// Installs the new view: adopt the re-proposed entries, exchange commit proofs,
-    /// execute what became committed and resume normal operation.
+    /// Installs the new view over the selected `entries`: adopt them, reach
+    /// their checkpoint horizon, repair a diverged execution, exchange commit
+    /// proofs, execute what became committed and resume normal operation.
     pub(crate) fn install_new_view(
         &mut self,
         target: ViewNumber,
         entries: Vec<PrepareEntry>,
         ctx: &mut Context<XPaxosMsg>,
     ) {
-        let present: std::collections::BTreeSet<u64> = entries.iter().map(|e| e.sn.0).collect();
-        let highest = present.iter().next_back().copied().unwrap_or(0);
-        let lowest = present.iter().next().copied().unwrap_or(0);
-        // With checkpointing off the replica holds its full log, so divergent
-        // speculative execution can be repaired by replaying the adopted log
-        // from the start (see below). With checkpoints, the sealed snapshot
-        // takes the log prefix's place as the replay base.
-        let full_log = self.last_checkpoint == SeqNum(0);
-        // The merge horizon: the selection excluded everything at or below
-        // it as checkpointed history, so the new view *assumes* that prefix
-        // — it is preserved by the proven checkpoint, never by re-proposal.
+        let lowest = entries.iter().map(|e| e.sn.0).min().unwrap_or(0);
+        let highest = entries.iter().map(|e| e.sn.0).max().unwrap_or(0);
         let selection = self
             .vc_for(target)
             .and_then(|vc| vc.selection.as_ref())
             .expect("a view installs only over its selection");
         let (horizon, horizon_proof) = (selection.horizon, selection.horizon_proof.clone());
 
-        // The checkpointed prefix the adopted log sits on: the merge horizon,
-        // or further still when the selection's own entries start later
-        // (`lowest > 1` means the cluster checkpointed at `lowest - 1` and
-        // garbage-collected everything below). A replica that has not
-        // executed that far cannot replay its way there and must fetch the
-        // sealed snapshot through state transfer. Until it arrives, execution
-        // stalls at `exec_sn` — the replica never pretends to hold state it
-        // has not verified (the seed's `exec_sn = lowest - 1` skip). Floor
-        // the horizon in even when the selection is *empty*: resuming
-        // sequencing below a proven checkpoint re-proposes slots that were
-        // committed, client-acked and sealed — the fork the chaos explorer
-        // caught when one active sealed a checkpoint moments before the view
-        // fell and took the only surviving log copy down with it.
-        let checkpointed_prefix = horizon.0.max(lowest.saturating_sub(1));
-        let transfer_target = if SeqNum(checkpointed_prefix) > self.exec_sn {
-            Some(SeqNum(checkpointed_prefix))
-        } else {
-            None
-        };
+        // Reaching the horizon, part one: the new view *assumes* the prefix
+        // the selection excluded as checkpointed (the merge horizon, or
+        // `lowest - 1` when the entries start later), even for an empty
+        // selection: sequencing below a proven checkpoint would re-propose
+        // sealed slots. A replica behind it fetches the snapshot once the
+        // view is installed; execution stalls until then.
+        let checkpointed_prefix = SeqNum(horizon.0.max(lowest.saturating_sub(1)));
+        let transfer_target = (checkpointed_prefix > self.exec_sn).then_some(checkpointed_prefix);
 
+        self.adopt_selected_log(target, entries, lowest, highest, transfer_target.is_some());
+        // With a transfer pending, the snapshot adoption replaces everything
+        // executed so far: there is nothing to settle or repair.
+        if transfer_target.is_none() {
+            self.settle_at_horizon(horizon, horizon_proof, ctx);
+            self.rebuild_diverged_execution(target, lowest, highest, ctx);
+        }
+
+        // Strengthen proofs: send a COMMIT for every adopted entry to the other active
+        // replicas (this mirrors "process the prepare logs as in the common case").
+        let other_actives = self.other_active_nodes(target);
+        for e in self.commit_log.iter() {
+            if e.view != target || e.sn.0 > highest {
+                continue;
+            }
+            let (sn, batch_digest) = (e.sn, e.batch.digest());
+            ctx.charge(CryptoOp::Sign);
+            let signed = commit_statement_digest(&batch_digest, sn, target, None);
+            let commit = XPaxosMsg::Commit(crate::messages::CommitMsg {
+                view: target,
+                sn,
+                batch_digest,
+                replica: self.id,
+                reply_digest: None,
+                signature: self.sign(&signed),
+            });
+            ctx.send_to_all(&other_actives, &commit);
+        }
+
+        // Sequencing continues from the end of the adopted log, never below
+        // its checkpointed prefix. Higher slots prepared in older views were
+        // never committed (outside anarchy): clients retransmit them.
+        self.next_sn = SeqNum(highest.max(self.exec_sn.0).max(checkpointed_prefix.0));
+        self.pending_commits.retain(|sn, _| *sn <= self.next_sn.0);
+        self.view = target;
+        self.phase = Phase::Active;
+        self.installed_view = target;
+        self.persist(|| crate::durable::DurableEvent::View(target));
+        self.view_changes_completed += 1;
+        self.end_view_change(ctx);
+        ctx.record(MetricEvent::ViewChange {
+            at: ctx.now(),
+            new_view: target.0,
+        });
+        let reason = match transfer_target {
+            Some(_) => "view-change exchange complete (state transfer pending)",
+            None => "view-change exchange complete",
+        };
+        let (now, id) = (ctx.now().as_nanos(), self.id as u64);
+        self.telemetry.record_view_change(now, id, target.0, reason);
+
+        // Reaching the horizon, part three: a checkpointed prefix this replica
+        // lacks is fetched now that the view (and with it the preferred
+        // transfer sources) is installed.
+        if let Some(target_sn) = transfer_target {
+            self.begin_state_transfer(target_sn, ctx);
+        }
+
+        // Install-time execution answers no client (after a rebuild that
+        // would be a reply storm): retransmissions hit the reply cache.
+        self.replaying = true;
+        self.try_execute(ctx);
+        self.replaying = false;
+
+        // Client requests buffered during the view change: the new primary
+        // proposes them, every other replica hands them over to it.
+        if self.is_primary_in(target) {
+            self.pump_pipeline(ctx, true);
+        } else {
+            self.forward_buffered_requests(ctx);
+        }
+    }
+
+    /// Step 1 of installing `target`: adopt the selected `entries` (sequence
+    /// numbers `lowest..=highest`) into both logs and fill the holes between
+    /// them with no-op batches, so execution can proceed past them (holes can
+    /// only be never-committed slots). In full-log mode a leftover
+    /// *uncommitted* entry of an older view at a selected-out slot is
+    /// replaced by the same no-op every other replica fills there — keeping
+    /// it would fork the sequence. Slots below a pending state transfer
+    /// (`transferring`) are *not* holes: they are checkpointed history this
+    /// replica is about to adopt wholesale.
+    fn adopt_selected_log(
+        &mut self,
+        target: ViewNumber,
+        entries: Vec<PrepareEntry>,
+        lowest: u64,
+        highest: u64,
+        transferring: bool,
+    ) {
+        let present: std::collections::BTreeSet<u64> = entries.iter().map(|e| e.sn.0).collect();
+        // With checkpointing off the replica holds its full log, so it can
+        // replay the adopted log from the start.
+        let full_log = self.last_checkpoint == SeqNum(0);
         for entry in entries {
             let replace = match self.commit_log.get(entry.sn) {
                 Some(existing) => existing.view < target,
@@ -557,19 +632,12 @@ impl Replica {
             }
             self.prepare_log.insert(entry);
         }
-        // Fill any holes in the adopted sequence with no-op batches so execution can
-        // proceed past them (holes can only correspond to never-committed slots). In
-        // full-log mode a leftover *uncommitted* entry of an older view at a
-        // selected-out slot is replaced by the same no-op every other replica fills
-        // there — keeping it would fork the sequence. Slots below a pending state
-        // transfer are *not* holes: they are checkpointed history this replica is
-        // about to adopt wholesale.
-        let first_hole_sn = match transfer_target {
+        let first_hole_sn = match transferring {
             // `max(1)`: a horizon-only transfer adopts an *empty* log
             // (`lowest` = 0), which leaves nothing to hole-fill.
-            Some(_) => lowest.max(1),
-            None if full_log => 1,
-            None => self.exec_sn.0 + 1,
+            true => lowest.max(1),
+            false if full_log => 1,
+            false => self.exec_sn.0 + 1,
         };
         for sn in first_hole_sn..=highest {
             if present.contains(&sn) {
@@ -589,136 +657,61 @@ impl Replica {
                 });
             }
         }
+    }
 
-        // A proven horizon above our own stable checkpoint settles the way a
-        // lazy checkpoint proof does: standing exactly at the boundary,
-        // compare and seal — raising the Lemma-1 replay base past the suffix
-        // the selection deliberately excluded — or discard and refetch.
-        // (Replicas *behind* the horizon took the state-transfer branch
-        // above; replicas *past* it are checked entry-by-entry below.)
-        if transfer_target.is_none() && horizon > self.last_checkpoint && self.exec_sn == horizon {
-            if let Some(digest) = self.proven_checkpoint(&horizon_proof, horizon, ctx) {
-                self.settle_at_checkpoint(horizon, digest, horizon_proof, ctx);
+    /// Reaching the horizon, part two, for a replica not behind it: a proven
+    /// horizon above its own stable checkpoint settles the way a lazy
+    /// checkpoint proof does. Standing exactly at the boundary, compare and
+    /// seal — raising the Lemma-1 replay base past the suffix the selection
+    /// deliberately excluded — or discard and refetch. (A replica *past* the
+    /// horizon is checked entry by entry in step 3.)
+    fn settle_at_horizon(
+        &mut self,
+        horizon: SeqNum,
+        proof: Vec<CheckpointMsg>,
+        ctx: &mut Context<XPaxosMsg>,
+    ) {
+        if horizon > self.last_checkpoint && self.exec_sn == horizon {
+            if let Some(digest) = self.proven_checkpoint(&proof, horizon, ctx) {
+                self.settle_at_checkpoint(horizon, digest, proof, ctx);
             }
         }
+    }
 
-        // Divergence repair: if what this replica *executed* diverges anywhere from
-        // the adopted canonical log — a speculatively executed slot that the new view
-        // selected differently or dropped (paper Lemma 1) — rolling the state machine
-        // forward would leave orphaned operations in the application state and the
-        // client table (the chaos explorer caught exactly that as duplicate write
-        // serials). Instead, roll back the way a passive repairs a fork
-        // (`repair_forked_suffix`) and replay the adopted log: from the very
-        // beginning in full-log mode, or from the last sealed checkpoint
-        // snapshot otherwise. Replay suppresses client replies;
-        // retransmissions are answered from the rebuilt cache. (With a pending state
-        // transfer the snapshot adoption itself replaces everything executed so far,
-        // so there is nothing separate to repair.)
-        if transfer_target.is_none() {
-            let base = self.last_checkpoint;
-            let mut rebuild = self.exec_sn.0 > highest.max(base.0);
-            if !rebuild {
-                rebuild = self.executed_history.iter().any(|(sn, digest)| {
-                    *sn > base
-                        && self
-                            .commit_log
-                            .get(*sn)
-                            .map(|e| e.batch.digest() != *digest)
-                            .unwrap_or(true)
-                });
-            }
-            self.tel_event(ctx, "nv-install", || {
-                format!(
-                    "target={} lowest={} highest={} base={} exec={} rebuild={}",
-                    target.0, lowest, highest, base.0, self.exec_sn.0, rebuild
-                )
-            });
-            if rebuild {
-                ctx.count("state_rebuilds", 1);
-                self.commit_log.lose_suffix(SeqNum(highest.max(base.0)));
-                self.prepare_log.lose_suffix(SeqNum(highest.max(base.0)));
-                self.repair_forked_suffix(ctx);
-            }
-        }
-
-        // Strengthen proofs: send a COMMIT for every adopted entry to the other active
-        // replicas (this mirrors "process the prepare logs as in the common case").
-        let other_actives = self.other_active_nodes(target);
-        let commits: Vec<XPaxosMsg> = self
-            .commit_log
-            .iter()
-            .filter(|e| e.view == target && e.sn.0 <= highest)
-            .map(|e| {
-                XPaxosMsg::Commit(crate::messages::CommitMsg {
-                    view: target,
-                    sn: e.sn,
-                    batch_digest: e.batch.digest(),
-                    replica: self.id,
-                    reply_digest: None,
-                    signature: self.sign(&commit_statement_digest(
-                        &e.batch.digest(),
-                        e.sn,
-                        target,
-                        None,
-                    )),
-                })
-            })
-            .collect();
-        for msg in commits {
-            ctx.charge(CryptoOp::Sign);
-            for node in &other_actives {
-                ctx.send(*node, msg.clone());
-            }
-        }
-
-        // Sequencing in the new view continues from the end of the adopted log —
-        // never below the checkpointed prefix it sits on, even when the adopted
-        // log is empty. Any higher slots this replica prepared in previous views
-        // were never committed (outside anarchy) and are abandoned: their
-        // requests will be re-proposed when the clients retransmit.
-        self.next_sn = SeqNum(highest.max(self.exec_sn.0).max(checkpointed_prefix));
-        self.pending_commits.retain(|sn, _| *sn <= self.next_sn.0);
-        self.view = target;
-        self.phase = Phase::Active;
-        self.installed_view = target;
-        self.persist(|| crate::durable::DurableEvent::View(target));
-        self.view_changes_completed += 1;
-        self.end_view_change(ctx);
-        ctx.record(MetricEvent::ViewChange {
-            at: ctx.now(),
-            new_view: target.0,
-        });
-        self.telemetry.record_view_change(
-            ctx.now().as_nanos(),
-            self.id as u64,
-            target.0,
-            if transfer_target.is_some() {
-                "view-change exchange complete (state transfer pending)"
-            } else {
-                "view-change exchange complete"
-            },
+    /// Step 3 of installing `target`: if what this replica *executed*
+    /// diverges from the adopted log ([`executed_diverges`]; paper Lemma 1),
+    /// rolling forward would leave orphaned operations in the state machine
+    /// and client table (the chaos explorer caught them as duplicate write
+    /// serials). Instead roll back as a passive repairs a fork
+    /// (`repair_forked_suffix`) and replay the adopted log, from the start
+    /// in full-log mode or else from the last sealed snapshot.
+    fn rebuild_diverged_execution(
+        &mut self,
+        target: ViewNumber,
+        lowest: u64,
+        highest: u64,
+        ctx: &mut Context<XPaxosMsg>,
+    ) {
+        let base = self.last_checkpoint;
+        let end = SeqNum(highest).max(base);
+        let rebuild = executed_diverges(
+            self.exec_sn,
+            &self.executed_history,
+            &self.commit_log,
+            base,
+            end,
         );
-
-        // A checkpointed prefix this replica lacks is fetched now that the
-        // view (and with it the preferred transfer sources) is installed.
-        if let Some(target_sn) = transfer_target {
-            self.begin_state_transfer(target_sn, ctx);
-        }
-
-        // Install-time execution never answers clients directly — after a
-        // rebuild it would replay the whole history as a reply storm; even a
-        // normal install's entries are better served from the rebuilt reply
-        // cache when the client retransmits.
-        self.replaying = true;
-        self.try_execute(ctx);
-        self.replaying = false;
-
-        // Client requests buffered during the view change: the new primary
-        // proposes them, every other replica hands them over to it.
-        if self.is_primary_in(target) {
-            self.pump_pipeline(ctx, true);
-        } else {
-            self.forward_buffered_requests(ctx);
+        self.tel_event(ctx, "nv-install", || {
+            format!(
+                "target={} lowest={} highest={} base={} exec={} rebuild={}",
+                target.0, lowest, highest, base.0, self.exec_sn.0, rebuild
+            )
+        });
+        if rebuild {
+            ctx.count("state_rebuilds", 1);
+            self.commit_log.lose_suffix(end);
+            self.prepare_log.lose_suffix(end);
+            self.repair_forked_suffix(ctx);
         }
     }
 
@@ -819,6 +812,24 @@ pub(crate) fn select(merged: &[ViewChangeMsg], fd: bool) -> Selection {
     }
 }
 
+/// Whether what a replica executed diverges from the log it adopted: it
+/// executed past `end` (the adopted log's end, or the checkpoint `base` when
+/// that is higher), or a batch it executed above `base` is missing from
+/// `log` or differs from the one there. Entries at or below `base` are
+/// preserved by the checkpoint and ignored.
+pub(crate) fn executed_diverges(
+    exec_sn: SeqNum,
+    executed: &[(SeqNum, Digest)],
+    log: &CommitLog,
+    base: SeqNum,
+    end: SeqNum,
+) -> bool {
+    exec_sn > end
+        || executed.iter().any(|(sn, digest)| {
+            *sn > base && log.get(*sn).is_none_or(|e| e.batch.digest() != *digest)
+        })
+}
+
 /// Digest of a set of view-change messages (used for VC-FINAL / VC-CONFIRM signatures).
 pub(crate) fn vc_set_digest(set: &[ViewChangeMsg]) -> Digest {
     let mut acc = Digest::of(b"vc-set");
@@ -830,10 +841,10 @@ pub(crate) fn vc_set_digest(set: &[ViewChangeMsg]) -> Digest {
 
 #[cfg(test)]
 mod tests {
-    use super::{select, vc_set_digest, Selection};
+    use super::{executed_diverges, select, vc_set_digest, Selection};
     use crate::client::ClientWorkload;
     use crate::harness::{check_total_order, ClusterBuilder, LatencySpec, XPaxosCluster};
-    use crate::log::{CommitEntry, PrepareEntry};
+    use crate::log::{CommitEntry, CommitLog, PrepareEntry};
     use crate::messages::{
         new_view_digest, suspect_digest, CheckpointMsg, NewViewMsg, SuspectMsg, VcConfirmMsg,
         VcFinalMsg, ViewChangeMsg, XPaxosMsg,
@@ -983,6 +994,73 @@ mod tests {
         ];
         for (name, merged, fd, expected) in rows {
             assert_eq!(select(&merged, fd), expected, "{name}");
+        }
+    }
+
+    #[test]
+    fn executed_diverges_table() {
+        type Slots = &'static [(u64, &'static str)];
+        let log = |slots: Slots| {
+            let mut log = CommitLog::new();
+            for &(sn, tag) in slots {
+                log.insert(CommitEntry {
+                    view: ViewNumber(1),
+                    sn: SeqNum(sn),
+                    batch: batch(tag),
+                    primary_sig: Signature::forged(replica_key(0)),
+                    commit_sigs: Default::default(),
+                });
+            }
+            log
+        };
+        let executed = |slots: Slots| -> Vec<(SeqNum, Digest)> {
+            let digests = slots
+                .iter()
+                .map(|&(sn, tag)| (SeqNum(sn), batch(tag).digest()));
+            digests.collect()
+        };
+        const ABC: Slots = &[(1, "a"), (2, "b"), (3, "c")];
+        // (name, exec_sn, executed, adopted log, base, end, diverges)
+        let rows: Vec<(&str, u64, Slots, Slots, u64, u64, bool)> = vec![
+            ("a clean log", 3, ABC, ABC, 0, 3, false),
+            (
+                "a suffix past the adopted log",
+                4,
+                &[(1, "a"), (2, "b"), (3, "c"), (4, "d")],
+                ABC,
+                0,
+                3,
+                true,
+            ),
+            (
+                "a mismatched digest",
+                3,
+                &[(1, "a"), (2, "x"), (3, "c")],
+                ABC,
+                0,
+                3,
+                true,
+            ),
+            ("a missing entry", 3, ABC, &[(1, "a"), (3, "c")], 0, 3, true),
+            (
+                "entries at or below the base are ignored",
+                3,
+                &[(1, "x"), (2, "y"), (3, "c")],
+                &[(3, "c")],
+                2,
+                3,
+                false,
+            ),
+        ];
+        for (name, exec_sn, done, adopted, base, end, diverges) in rows {
+            let got = executed_diverges(
+                SeqNum(exec_sn),
+                &executed(done),
+                &log(adopted),
+                SeqNum(base),
+                SeqNum(end),
+            );
+            assert_eq!(got, diverges, "{name}");
         }
     }
 
