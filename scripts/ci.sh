@@ -248,9 +248,11 @@ echo "==> chunked rejoin smoke: kill -9 a replica, grow the store, rejoin via bo
 # SIGKILLed and misses several checkpoint intervals, so the actives have
 # truncated the history it needs and a restart can only catch up through the
 # chunked state-transfer protocol. The restarted replica's scrape must show a
-# verified multi-chunk transfer adopted, and the serving replicas' peak
-# response frame must stay O(chunk_bytes) — 1 KiB data + envelope/Merkle-path/
-# proof overhead, capped at 3072 B — however large the snapshot has grown.
+# verified multi-chunk transfer adopted with no chunk rejected and no bad
+# reassembled snapshot (correct peers' chunks must all verify; an absent
+# counter is 0), and the serving replicas' peak response frame must stay
+# O(chunk_bytes) — 1 KiB data + envelope/Merkle-path/proof overhead, capped
+# at 3072 B — however large the snapshot has grown.
 smoke_chunked() {
     local base=$1 mbase=$(($1 + 7)) datadir
     datadir=$(mktemp -d)
@@ -295,6 +297,9 @@ smoke_chunked() {
                     tries=$((tries + 1))
                     sleep 1
                 done
+                local rejected bad
+                rejected=$(sed -n 's/^xft_state_chunks_rejected_total \([0-9]*\).*/\1/p' <<<"$scrape")
+                bad=$(sed -n 's/^xft_state_transfer_bad_snapshot_total \([0-9]*\).*/\1/p' <<<"$scrape")
                 local peak=0 p
                 for peer in 0 1; do
                     p=$(http_get 127.0.0.1 "$((mbase + peer))" /metrics 2>/dev/null \
@@ -304,12 +309,15 @@ smoke_chunked() {
                     fi
                 done
                 if [ "${adopted:-0}" -ge 1 ] && [ "${verified:-0}" -ge 2 ] \
+                    && [ "${rejected:-0}" -eq 0 ] && [ "${bad:-0}" -eq 0 ] \
                     && [ "$peak" -gt 0 ] && [ "$peak" -le 3072 ]; then
-                    echo "chunked rejoin: adopted=$adopted verified=$verified peak_frame=${peak}B (cap 3072)"
+                    echo "chunked rejoin: adopted=$adopted verified=$verified rejected=0 bad_snapshot=0" \
+                        "peak_frame=${peak}B (cap 3072)"
                     ok=1
                 else
                     echo "chunked rejoin missed its gates:" \
-                        "adopted=${adopted:-0} verified=${verified:-0} peak_frame=${peak}B" >&2
+                        "adopted=${adopted:-0} verified=${verified:-0} rejected=${rejected:-0}" \
+                        "bad_snapshot=${bad:-0} peak_frame=${peak}B" >&2
                 fi
             fi
         fi
