@@ -465,19 +465,16 @@ impl Replica {
                 return; // names no peer
             }
             // Index in range, exact chunk length (full-size except the final
-            // chunk), an audit path proving the chunk's leaf under the
-            // manifest root, and a t + 1 seal vouching for exactly this
+            // chunk; the index check keeps the subtraction from
+            // underflowing), an audit path proving the chunk's leaf under
+            // the manifest root, and a t + 1 seal vouching for exactly this
             // manifest.
             let count = chunk_count(m.total_len, m.chunk_bytes);
-            let expected_len = if m.index == count - 1 {
-                m.total_len - (count as u64 - 1) * m.chunk_bytes as u64
-            } else {
-                m.chunk_bytes as u64
-            };
+            let (index, chunk) = (m.index as u64, m.chunk_bytes as u64);
             let signed = state_chunk_response_digest(&m);
             verify_replica_sig(&self.verifier, m.replica, &signed, &m.signature)
                 && m.index < count
-                && m.data.len() as u64 == expected_len
+                && m.data.len() as u64 == (m.total_len - index * chunk).min(chunk)
                 && merkle_verify(
                     &chunk_leaf(m.index, &m.data),
                     m.index as usize,
