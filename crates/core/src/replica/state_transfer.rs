@@ -503,7 +503,7 @@ impl Replica {
         let pending = self.pending_transfer.as_mut().expect("checked above");
         let chunk_bytes = self.config.state_chunk_bytes;
         let fresh = match ChunkProgress::absorb(&mut pending.progress, &record, chunk_bytes) {
-            Absorbed::Dropped => return, // a stale generation (or an impossible conflicting manifest)
+            Absorbed::Dropped => return, // another manifest at the pinned generation
             Absorbed::Duplicate => false,
             Absorbed::Fresh => true,
         };
@@ -883,10 +883,6 @@ mod tests {
         }
     }
 
-    fn sns(f: &Fixture) -> (SeqNum, SeqNum, u64, u64) {
-        (f.old.sn(), f.new.sn(), f.old.sn().0, f.new.sn().0)
-    }
-
     /// One row per branch of the STATE-CHUNK-REQUEST handler (at replica
     /// 0, asked by replica 2), the STATE-CHUNK-RESPONSE handler and the
     /// retry timer (at replica 2, answered by replica 0).
@@ -929,7 +925,7 @@ mod tests {
                 "REQUEST pinning the generation being served: served from it",
                 0,
                 |f| {
-                    let (old, _, _, _) = sns(f);
+                    let old = f.old.sn();
                     let serving = f.old.clone();
                     let pin = Input::set(move |r| r.serving_snapshot = Some(serving));
                     (vec![pin], request(f, 2, 2, 1, (old, old)))
@@ -1073,7 +1069,7 @@ mod tests {
                 2,
                 |f| (vec![Input::Begin(f.new.sn())], chunk(f, &f.new, 0)),
                 |f| {
-                    let (_, _, _, new) = sns(f);
+                    let new = f.new.sn().0;
                     let counted = [
                         ("state_chunk_requests_sent", 2),
                         ("state_chunks_verified", 1),
