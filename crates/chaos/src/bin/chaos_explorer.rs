@@ -8,6 +8,7 @@
 //! chaos-explorer --mode demo                      # deterministic over-budget demo
 //! chaos-explorer --mode audit --proof-dump DIR    # single equivocator -> proof bundle
 //! chaos-explorer --seeds 50 --tcp-sample 2        # also replay 2 seeds over real sockets
+//! chaos-explorer --seeds 200 --fault-detection true  # simulated replicas run fault detection (§4.4)
 //! chaos-explorer --mode demo --recorder-dump DIR  # attach a flight-recorder dump
 //! ```
 //!
@@ -68,6 +69,7 @@ fn main() {
     let drain_secs: f64 = args.optional("--drain-secs").unwrap_or(22.0);
     let tcp_sample: u64 = args.optional("--tcp-sample").unwrap_or(0);
     let checkpoint_interval: u64 = args.optional("--checkpoint-interval").unwrap_or(32);
+    let fault_detection: bool = args.optional("--fault-detection").unwrap_or(false);
     let verbose: bool = args.optional("--verbose").unwrap_or(false);
     let recorder_dump: Option<String> = args.optional("--recorder-dump");
     let proof_dump: Option<String> = args.optional("--proof-dump");
@@ -83,6 +85,7 @@ fn main() {
         max_events,
         beyond_budget: mode == "beyond",
         checkpoint_interval,
+        fault_detection,
     };
 
     match mode.as_str() {

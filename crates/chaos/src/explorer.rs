@@ -47,6 +47,9 @@ pub struct ExplorerConfig {
     /// Checkpoint interval in sequence numbers (0 disables — the seed's
     /// behaviour; the default keeps checkpointing and state transfer hot).
     pub checkpoint_interval: u64,
+    /// Run the replicas with fault detection on (paper §4.4: prepare logs in
+    /// VIEW-CHANGE messages and the VC-CONFIRM round).
+    pub fault_detection: bool,
 }
 
 impl Default for ExplorerConfig {
@@ -61,6 +64,7 @@ impl Default for ExplorerConfig {
             max_events: 8,
             beyond_budget: false,
             checkpoint_interval: 32,
+            fault_detection: false,
         }
     }
 }
@@ -196,6 +200,7 @@ fn run_schedule_inner(
                 // and WAL resume rather than a single-frame fast path.
                 .with_state_chunk_bytes(1024)
                 .with_state_fetch_window(2)
+                .with_fault_detection(cfg.fault_detection)
         })
         .with_state_machine(|| Box::new(CoordinationService::new()))
         // In-memory stable storage gives the torn-tail / corrupt-record disk

@@ -346,6 +346,16 @@ echo "==> chaos smoke at t = 2: 200 in-budget seeds on the PREPARE / COMMIT path
 target/release/chaos-explorer --t 2 --seeds 200 --base-seed 1 --window-secs 5 --drain-secs 14 \
     | tee "$chaos_log"
 echo "chaos smoke t=2 $(grep -o 'combined fingerprint 0x[0-9a-f]*' "$chaos_log")"
+
+echo "==> chaos smoke with fault detection: 200 in-budget seeds at t = 1 and t = 2, zero violations allowed"
+# The same two sweeps with the replicas running fault detection (paper §4.4:
+# prepare logs in VIEW-CHANGE messages and the VC-CONFIRM round), a path the
+# smokes above never reach.
+for t in 1 2; do
+    target/release/chaos-explorer --t "$t" --fault-detection true --seeds 200 --base-seed 1 \
+        --window-secs 5 --drain-secs 14 | tee "$chaos_log"
+    echo "chaos smoke fd t=$t $(grep -o 'combined fingerprint 0x[0-9a-f]*' "$chaos_log")"
+done
 rm -f "$chaos_log"
 
 echo "==> chaos demo: a deliberately over-budget run must be caught, shrunk and flight-recorded"
