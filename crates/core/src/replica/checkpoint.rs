@@ -18,12 +18,12 @@
 //! horizon); and `repair_forked_suffix` is the one rollback
 //! (a passive's fork repair, a NEW-VIEW rebuild).
 
+use super::votes::Votes;
 use super::{Phase, Replica};
 use crate::auth::verify_replica_sig;
 use crate::log::CommitEntry;
 use crate::messages::{CheckpointMsg, XPaxosMsg};
-use crate::types::{ReplicaId, SeqNum};
-use std::collections::BTreeMap;
+use crate::types::SeqNum;
 use xft_crypto::{CryptoOp, Digest};
 use xft_simnet::Context;
 
@@ -82,8 +82,12 @@ impl Replica {
             if !verify_replica_sig(&self.verifier, m.replica, &expected, &m.signature) {
                 return;
             }
-            self.chkpt_votes.entry(m.sn.0).or_default().push(m.clone());
-            self.check_chkpt_quorum(m.sn, ctx);
+            let sn = m.sn;
+            self.chkpt_votes
+                .entry(sn.0)
+                .or_default()
+                .insert(m.replica, m);
+            self.check_chkpt_quorum(sn, ctx);
         } else {
             ctx.charge(CryptoOp::VerifyMac { len: 64 });
             self.prechk_votes
@@ -96,28 +100,21 @@ impl Replica {
 
     /// Once t + 1 matching PRECHK digests are in, send the signed CHKPT message.
     fn check_prechk_quorum(&mut self, sn: SeqNum, ctx: &mut Context<XPaxosMsg>) {
-        let needed = self.config.active_count();
         let Some(votes) = self.prechk_votes.get(&sn.0) else {
             return;
         };
-        if votes.len() < needed {
+        if votes.len() < self.config.active_count() {
             return;
         }
         // All active replicas must report the same digest; otherwise states diverged
         // and the view must be suspected.
-        let mut digests = votes.values();
-        let first = *digests.next().expect("non-empty votes");
-        if !digests.all(|d| *d == first) {
+        let Some(&first) = votes.agreed() else {
             self.suspect_view(None, ctx);
             return;
-        }
+        };
         // Send our signed CHKPT (once).
-        let already_sent = self
-            .chkpt_votes
-            .get(&sn.0)
-            .map(|v| v.iter().any(|m| m.replica == self.id))
-            .unwrap_or(false);
-        if already_sent {
+        let own = |votes: &Votes<CheckpointMsg>| votes.get(self.id).is_some();
+        if self.chkpt_votes.get(&sn.0).is_some_and(own) {
             return;
         }
         ctx.charge(CryptoOp::Sign);
@@ -131,7 +128,10 @@ impl Replica {
                 self.view, sn, &first,
             )),
         };
-        self.chkpt_votes.entry(sn.0).or_default().push(msg.clone());
+        self.chkpt_votes
+            .entry(sn.0)
+            .or_default()
+            .insert(self.id, msg.clone());
         for node in self.other_active_nodes(self.view) {
             ctx.send(node, XPaxosMsg::Checkpoint(msg.clone()));
         }
@@ -143,41 +143,29 @@ impl Replica {
     /// snapshot with the proof (retaining it for state transfer, persisting
     /// it to storage) and propagate the proof to passive replicas (LAZYCHK).
     fn check_chkpt_quorum(&mut self, sn: SeqNum, ctx: &mut Context<XPaxosMsg>) {
-        let needed = self.config.active_count();
-        let (digest, proof): (Digest, Vec<CheckpointMsg>) = {
-            let Some(votes) = self.chkpt_votes.get(&sn.0) else {
-                return;
-            };
-            if sn <= self.last_checkpoint {
-                return;
-            }
-            // Group by digest and dedupe by sender: a quorum means t + 1
-            // different replicas vouching for the same state, not t + 1
-            // messages. The quorum must include *this replica's own* vote:
-            // our vote is only cast once we executed to `sn` and captured
-            // the snapshot, so requiring it guarantees the truncation below
-            // never discards entries we have not executed, and that the
-            // agreed digest is ours (no fork can be laundered under a
-            // checkpoint this replica never reached).
-            let mut by_digest: BTreeMap<Digest, BTreeMap<ReplicaId, CheckpointMsg>> =
-                BTreeMap::new();
-            for m in votes {
-                if m.signed && m.replica < self.config.n() {
-                    by_digest
-                        .entry(m.state_digest)
-                        .or_default()
-                        .entry(m.replica)
-                        .or_insert_with(|| m.clone());
-                }
-            }
-            let Some((digest, group)) = by_digest
-                .into_iter()
-                .find(|(_, group)| group.len() >= needed && group.contains_key(&self.id))
-            else {
-                return;
-            };
-            (digest, group.into_values().collect())
+        if sn <= self.last_checkpoint {
+            return;
+        }
+        // A quorum is t + 1 different replicas vouching for the state of
+        // *this replica's own* vote: our vote is only cast once we executed
+        // to `sn` and captured the snapshot, so requiring it guarantees the
+        // truncation below never discards entries we have not executed, and
+        // that the agreed digest is ours (no fork can be laundered under a
+        // checkpoint this replica never reached).
+        let Some(votes) = self.chkpt_votes.get(&sn.0) else {
+            return;
         };
+        let Some(digest) = votes.get(self.id).map(|own| own.state_digest) else {
+            return;
+        };
+        let proof: Vec<CheckpointMsg> = votes
+            .values()
+            .filter(|m| m.state_digest == digest)
+            .cloned()
+            .collect();
+        if proof.len() < self.config.active_count() {
+            return;
+        }
 
         // Take the image captured at PRECHK time out before the horizon
         // moves past it, then seal it with the quorum proof — this replica
@@ -586,12 +574,12 @@ mod tests {
             .chkpt_votes
             .entry(sn.0 - 1)
             .or_default()
-            .push(stale_vote.clone());
+            .insert(stale_vote.replica, stale_vote.clone());
         passive
             .chkpt_votes
             .entry(sn.0)
             .or_default()
-            .push(stale_vote);
+            .insert(stale_vote.replica, stale_vote);
         passive.pending_snapshots.insert(sn.0, image);
 
         let proof = proof(&cluster, sn, Digest::of(b"the agreed state"));

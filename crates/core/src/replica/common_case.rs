@@ -483,24 +483,14 @@ impl Replica {
     // Follower paths
     // -----------------------------------------------------------------------------
 
-    /// How far ahead of `next_sn` a follower buffers proposals and COMMITs:
-    /// roughly the pipeline depth. Anything farther ahead is dropped and
-    /// recovered by retransmission or a view change, exactly as a lost
-    /// message would be.
-    fn reorder_window(&self) -> usize {
-        self.config.pipeline.max_in_flight_batches.max(1) * 2 + 16
-    }
-
     /// Stashes a verified proposal that cannot be applied yet, within the
     /// reorder window.
     fn stash_proposal(&mut self, p: PrepareEntry, ctx: &mut Context<XPaxosMsg>) {
-        let cap = self.reorder_window();
-        if p.sn.0 > self.next_sn.0 + cap as u64 || self.stashed_proposals.len() >= cap {
+        if self.stashed_proposals.admit(p.sn.0, self.next_sn.0, p) {
+            ctx.count("proposals_stashed", 1);
+        } else {
             ctx.count("proposals_dropped", 1);
-            return;
         }
-        ctx.count("proposals_stashed", 1);
-        self.stashed_proposals.insert(p.sn.0, p);
     }
 
     /// Buffers a COMMIT whose PREPARE has not been processed yet, within the
@@ -509,27 +499,21 @@ impl Replica {
     /// slot committed): buffering them would pin the buffer forever since no
     /// future prepare drains them.
     fn stash_early_commit(&mut self, m: CommitMsg, ctx: &mut Context<XPaxosMsg>) {
-        let cap = self.reorder_window();
-        self.early_commits.retain(|sn, _| *sn > self.next_sn.0);
-        if m.sn.0 <= self.next_sn.0
-            || m.sn.0 > self.next_sn.0 + cap as u64
-            || self.early_commits.len() >= cap
-        {
+        let sn = m.sn.0;
+        let mut slot = self.early_commits.take(sn).unwrap_or_default();
+        let fresh = slot.insert(m.replica, m);
+        if !self.early_commits.admit(sn, self.next_sn.0, slot) {
             ctx.count("commits_dropped", 1);
-            return;
-        }
-        let slot = self.early_commits.entry(m.sn.0).or_default();
-        if !slot.iter().any(|c| c.replica == m.replica) {
+        } else if fresh {
             ctx.count("commits_buffered", 1);
-            slot.push(m);
         }
     }
 
     /// Replays buffered COMMITs for `sn` once its prepare entry exists; the
     /// replay skips straight past the (already charged) verification step.
     fn drain_early_commits(&mut self, sn: SeqNum, ctx: &mut Context<XPaxosMsg>) {
-        if let Some(commits) = self.early_commits.remove(&sn.0) {
-            for commit in commits {
+        if let Some(commits) = self.early_commits.take(sn.0) {
+            for commit in commits.into_map().into_values() {
                 self.process_commit(commit, ctx);
             }
         }
@@ -547,7 +531,7 @@ impl Replica {
         if self.awaits_execution(next) {
             return; // execution still catching up; re-drained after adoption
         }
-        if let Some(p) = self.stashed_proposals.remove(&next.0) {
+        if let Some(p) = self.stashed_proposals.take(next.0) {
             self.apply_proposal(p, ctx);
         }
     }
@@ -662,7 +646,6 @@ impl Replica {
         self.pending_commits
             .entry(sn.0)
             .or_default()
-            .sigs
             .insert(self.id, sig);
         for node in self.other_active_nodes(view) {
             ctx.send(node, XPaxosMsg::Commit(commit.clone()));
@@ -745,46 +728,41 @@ impl Replica {
         self.process_commit(m, ctx);
     }
 
-    /// Applies a verified COMMIT. Split from [`Self::on_commit`] so commits
-    /// replayed from the early-commit buffer — verified (and charged) on
-    /// arrival, and invalidated by view changes clearing the buffer — don't
-    /// charge verification twice.
+    /// Applies a verified COMMIT by one of three rules: it strengthens the
+    /// proof of an entry already committed here, completes the t = 1
+    /// primary's fast path, or joins the general-case collection. Split from
+    /// [`Self::on_commit`] so commits replayed from the early-commit buffer —
+    /// verified (and charged) on arrival, and invalidated by view changes
+    /// clearing the buffer — don't charge verification twice.
     fn process_commit(&mut self, m: CommitMsg, ctx: &mut Context<XPaxosMsg>) {
-        // Proof accumulation for an entry that is already committed locally (also used
-        // after view changes to rebuild full commit certificates). A signature
-        // counts only for the view the entry committed in: one over another
-        // view's commit digest proves nothing about this entry. Not persisted
-        // (see `persist`).
         if let Some(existing) = self.commit_log.get_mut(m.sn) {
-            if existing.view == m.view && existing.batch.digest() == m.batch_digest {
-                existing.commit_sigs.insert(m.replica, m.signature);
-            }
-            return;
-        }
-
-        if self.config.t == 1 && self.is_primary_in(self.view) {
+            strengthen_proof(existing, m);
+        } else if self.config.t == 1 && self.is_primary_in(self.view) {
             self.complete_fast_path(m, ctx);
         } else {
-            // General case: collect one COMMIT per follower.
-            let Some(prep) = self.prepare_log.get(m.sn) else {
-                // With multiple proposals in flight, a peer's COMMIT can
-                // overtake the primary's PREPARE on jittered links. Buffer it
-                // and replay once the prepare lands — dropping it would leave
-                // this replica's commit certificate permanently incomplete.
-                self.stash_early_commit(m, ctx);
-                return;
-            };
-            if prep.batch.digest() != m.batch_digest || prep.view != m.view {
-                return;
-            }
-            self.pending_commits
-                .entry(m.sn.0)
-                .or_default()
-                .sigs
-                .insert(m.replica, m.signature);
-            self.note_peer_ack(m.sn, m.replica, ctx);
-            self.try_complete_general(m.sn, ctx);
+            self.collect_commit(m, ctx);
         }
+    }
+
+    /// General case: collects one COMMIT per follower for a prepared entry.
+    fn collect_commit(&mut self, m: CommitMsg, ctx: &mut Context<XPaxosMsg>) {
+        let Some(prep) = self.prepare_log.get(m.sn) else {
+            // With multiple proposals in flight, a peer's COMMIT can
+            // overtake the primary's PREPARE on jittered links. Buffer it
+            // and replay once the prepare lands — dropping it would leave
+            // this replica's commit certificate permanently incomplete.
+            self.stash_early_commit(m, ctx);
+            return;
+        };
+        if prep.batch.digest() != m.batch_digest || prep.view != m.view {
+            return;
+        }
+        self.pending_commits
+            .entry(m.sn.0)
+            .or_default()
+            .insert(m.replica, m.signature);
+        self.note_peer_ack(m.sn, m.replica, ctx);
+        self.try_complete_general(m.sn, ctx);
     }
 
     /// Feeds a follower's COMMIT acknowledgement into the synchrony monitor's
@@ -846,7 +824,7 @@ impl Replica {
         let Some(pending) = self.pending_commits.get(&sn.0) else {
             return;
         };
-        if !followers.iter().all(|f| pending.sigs.contains_key(f)) {
+        if !pending.covers(&followers) {
             return;
         }
         let Some(prep) = self.prepare_log.get(sn) else {
@@ -857,7 +835,11 @@ impl Replica {
             sn,
             batch: prep.batch.clone(),
             primary_sig: prep.primary_sig,
-            commit_sigs: self.pending_commits.remove(&sn.0).unwrap_or_default().sigs,
+            commit_sigs: self
+                .pending_commits
+                .remove(&sn.0)
+                .unwrap_or_default()
+                .into_map(),
         };
         self.record_commit(entry, "general", ctx);
         self.try_execute(ctx);
@@ -1047,6 +1029,25 @@ impl Replica {
         }
         digests
     }
+}
+
+/// Adds a COMMIT's signature to the proof of an entry already committed
+/// (also how a view change rebuilds full commit certificates). A signature
+/// counts only for the view the entry committed in: one over another view's
+/// commit digest proves nothing about this entry. Not persisted (see
+/// `Replica::persist`).
+fn strengthen_proof(entry: &mut CommitEntry, m: CommitMsg) {
+    if entry.view == m.view && entry.batch.digest() == m.batch_digest {
+        entry.commit_sigs.insert(m.replica, m.signature);
+    }
+}
+
+/// How far ahead of `next_sn` a follower buffers proposals and COMMITs:
+/// roughly the pipeline depth. Anything farther ahead is dropped and
+/// recovered by retransmission or a view change, exactly as a lost message
+/// would be.
+pub(super) fn reorder_window(config: &crate::config::XPaxosConfig) -> usize {
+    config.pipeline.max_in_flight_batches.max(1) * 2 + 16
 }
 
 /// Combines per-request reply digests into the single digest carried by the follower's
@@ -1316,7 +1317,7 @@ mod tests {
                 replica.on_message(replica.node_of(from), msg, ctx);
             }
             Outcome {
-                stashed: replica.stashed_proposals.keys().copied().collect(),
+                stashed: replica.stashed_proposals.keys().collect(),
                 prepared: replica.prepare_log.iter().map(|e| e.sn.0).collect(),
                 committed: replica.commit_log.iter().map(|e| e.sn.0).collect(),
                 sent: ctx.pending_sends().iter().map(|o| o.msg.kind()).collect(),

@@ -73,7 +73,6 @@ impl Replica {
         let Some(vc) = self.vc.as_mut() else {
             return;
         };
-        vc.confirm_sent = true;
         vc.vc_confirms.insert(self.id, digest);
         // Replace the merged set with the filtered one for the final selection.
         vc.merged = Some(filtered);
@@ -89,7 +88,8 @@ impl Replica {
         if !verify_replica_sig(&self.verifier, m.replica, &m.vc_set_digest, &m.signature) {
             return;
         }
-        if !self.groups.is_active(m.new_view, m.replica) {
+        // This replica's own VC-CONFIRM is the one it sends.
+        if m.replica == self.id || !self.groups.is_active(m.new_view, m.replica) {
             return;
         }
         let Some(vc) = self.vc_for(m.new_view) else {
@@ -105,15 +105,14 @@ impl Replica {
         let Some(vc) = self.vc.as_ref() else {
             return;
         };
-        if !vc.confirm_sent {
+        // Covering the active group includes this replica's own VC-CONFIRM.
+        if !vc
+            .vc_confirms
+            .covers(self.groups.active_replicas(vc.target))
+        {
             return;
         }
-        let active = self.groups.active_replicas(vc.target);
-        if !active.iter().all(|r| vc.vc_confirms.contains_key(r)) {
-            return;
-        }
-        let mine = vc.vc_confirms.get(&self.id);
-        if vc.vc_confirms.values().any(|d| Some(d) != mine) {
+        if vc.vc_confirms.agreed().is_none() {
             // The active replicas did not agree on the filtered set: someone is faulty;
             // move to the next view (Algorithm 5, lines 8–9).
             self.suspect_view(None, ctx);

@@ -12,6 +12,7 @@ pub mod durability;
 pub mod fault_detection;
 pub mod state_transfer;
 pub mod view_change;
+pub mod votes;
 
 use crate::byzantine::ByzantineBehavior;
 use crate::config::XPaxosConfig;
@@ -23,6 +24,7 @@ use crate::sync_group::SyncGroups;
 use crate::types::{ClientId, ReplicaId, SeqNum, Timestamp, ViewNumber};
 use state_transfer::PendingTransfer;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use votes::{Reorder, Votes};
 use xft_crypto::{Digest, KeyRegistry, Signature, Signer, Verifier};
 use xft_simnet::{Actor, Context, ControlCode, NodeId, TimerId};
 use xft_store::Storage;
@@ -45,13 +47,6 @@ pub enum Phase {
     Active,
     /// A view change towards `Replica::view` is in progress.
     ViewChange,
-}
-
-/// Commit signatures collected for a sequence number before the entry is complete
-/// (general case, t ≥ 2).
-#[derive(Debug, Default, Clone)]
-pub(crate) struct PendingCommit {
-    pub(crate) sigs: BTreeMap<ReplicaId, Signature>,
 }
 
 /// A cached reply together with the *raw* application reply digest it was
@@ -236,19 +231,16 @@ impl ClientRecord {
 pub(crate) struct ViewChangeState {
     /// The view being installed.
     pub(crate) target: ViewNumber,
-    /// VIEW-CHANGE messages received, keyed by sender.
-    pub(crate) vc_msgs: BTreeMap<ReplicaId, crate::messages::ViewChangeMsg>,
+    /// VIEW-CHANGE messages received.
+    pub(crate) vc_msgs: Votes<crate::messages::ViewChangeMsg>,
     /// Whether the 2Δ collection window has elapsed.
     pub(crate) collect_deadline_passed: bool,
-    /// Whether this replica already broadcast its VC-FINAL.
-    pub(crate) vc_final_sent: bool,
-    /// VC-FINAL messages received, keyed by sender.
-    pub(crate) vc_finals: BTreeMap<ReplicaId, crate::messages::VcFinalMsg>,
-    /// VC-CONFIRM digests received (fault-detection mode only).
-    pub(crate) vc_confirms: BTreeMap<ReplicaId, Digest>,
-    /// Whether this replica already broadcast its VC-CONFIRM (and with it
-    /// set the filtered `merged`).
-    pub(crate) confirm_sent: bool,
+    /// VC-FINAL messages received, this replica's own (sent once the
+    /// collection condition holds) included.
+    pub(crate) vc_finals: Votes<crate::messages::VcFinalMsg>,
+    /// VC-CONFIRM digests received, this replica's own (sent with the
+    /// filtered `merged` set) included; fault-detection mode only.
+    pub(crate) vc_confirms: Votes<Digest>,
     /// The merged view-change set (after VC-FINAL exchange; with fault
     /// detection, filtered of the replicas it detected).
     pub(crate) merged: Option<Vec<crate::messages::ViewChangeMsg>>,
@@ -295,9 +287,13 @@ pub struct Replica {
     pub(crate) exec_sn: SeqNum,
     pub(crate) prepare_log: PrepareLog,
     pub(crate) commit_log: CommitLog,
-    /// Commit signatures still being collected (general case).
-    pub(crate) pending_commits: BTreeMap<u64, PendingCommit>,
-    /// Follower COMMIT messages kept for attaching to client replies (t = 1 path).
+    /// Commit signatures still being collected per sequence number
+    /// (general case).
+    pub(crate) pending_commits: BTreeMap<u64, Votes<Signature>>,
+    /// The t = 1 primary's fast-path certificates: the follower's signed
+    /// COMMIT per sequence number, read when executing (the reply-digest
+    /// cross-check) and when answering clients, and kept across view changes
+    /// until checkpoint GC. One message per slot, not a vote collection.
     pub(crate) follower_commits: HashMap<u64, CommitMsg>,
     pub(crate) state: Box<dyn StateMachine>,
     /// (sn, batch digest) for every executed batch, used by consistency checks.
@@ -313,11 +309,11 @@ pub struct Replica {
     /// yet — ahead of the next expected sequence number, or (t = 1) of
     /// execution; drained in order as the gap fills (follower side of the
     /// commit pipeline).
-    pub(crate) stashed_proposals: BTreeMap<u64, PrepareEntry>,
+    pub(crate) stashed_proposals: Reorder<PrepareEntry>,
     /// COMMITs that arrived before this replica processed the matching
     /// PREPARE (possible whenever proposals are pipelined over jittered
     /// links); replayed once the prepare lands.
-    pub(crate) early_commits: BTreeMap<u64, Vec<CommitMsg>>,
+    pub(crate) early_commits: Reorder<Votes<CommitMsg>>,
 
     // ---- batching pipeline (primary role) ----------------------------------------
     /// Admission queue: requests accepted but not yet proposed, each with the
@@ -341,8 +337,10 @@ pub struct Replica {
     /// it is 0); carried in VIEW-CHANGE messages so the new view's selection
     /// can trust the truncation horizon.
     pub(crate) checkpoint_proof: Vec<crate::messages::CheckpointMsg>,
-    pub(crate) prechk_votes: BTreeMap<u64, BTreeMap<ReplicaId, Digest>>,
-    pub(crate) chkpt_votes: BTreeMap<u64, Vec<crate::messages::CheckpointMsg>>,
+    /// PRECHK state digests per sequence number.
+    pub(crate) prechk_votes: BTreeMap<u64, Votes<Digest>>,
+    /// Signed CHKPT messages per sequence number.
+    pub(crate) chkpt_votes: BTreeMap<u64, Votes<crate::messages::CheckpointMsg>>,
     /// Images captured when this replica initiated PRECHK at a sequence
     /// number, awaiting their CHKPT proof.
     pub(crate) pending_snapshots: BTreeMap<u64, std::sync::Arc<SnapshotImage>>,
@@ -415,6 +413,7 @@ impl Replica {
         let signer = Signer::new(registry, crate::types::replica_key(id));
         let verifier = Verifier::new(registry.clone());
         let groups = SyncGroups::new(config.t);
+        let window = common_case::reorder_window(&config);
         Replica {
             id,
             config,
@@ -436,8 +435,8 @@ impl Replica {
             executed_history: Vec::new(),
             replaying: false,
             client_table: HashMap::new(),
-            stashed_proposals: BTreeMap::new(),
-            early_commits: BTreeMap::new(),
+            stashed_proposals: Reorder::new(window),
+            early_commits: Reorder::new(window),
             pending_requests: VecDeque::new(),
             queued_keys: HashSet::new(),
             batch_timer: None,

@@ -29,6 +29,7 @@
 //!   requires it to prove a given sequence number: for the replica's own claim, a
 //!   received claim, the NEW-VIEW horizon and a state-transfer manifest.
 
+use super::votes::Votes;
 use super::{Phase, Replica, ViewChangeState, TOKEN_VC_COLLECT, TOKEN_VC_TIMEOUT};
 use crate::auth::verify_replica_sig;
 use crate::byzantine::ByzantineBehavior;
@@ -204,12 +205,10 @@ impl Replica {
             );
             self.vc = Some(ViewChangeState {
                 target,
-                vc_msgs: BTreeMap::new(),
+                vc_msgs: Votes::default(),
                 collect_deadline_passed: false,
-                vc_final_sent: false,
-                vc_finals: BTreeMap::new(),
-                vc_confirms: BTreeMap::new(),
-                confirm_sent: false,
+                vc_finals: Votes::default(),
+                vc_confirms: Votes::default(),
                 merged: None,
                 selection: None,
                 pending_new_view: None,
@@ -289,7 +288,7 @@ impl Replica {
         let Some(vc) = self.vc.as_mut() else {
             return;
         };
-        if vc.vc_final_sent {
+        if vc.vc_finals.get(self.id).is_some() {
             self.maybe_merge(ctx);
             return;
         }
@@ -298,7 +297,6 @@ impl Replica {
         if !enough {
             return;
         }
-        vc.vc_final_sent = true;
         let set: Vec<ViewChangeMsg> = vc.vc_msgs.values().cloned().collect();
         let target = vc.target;
 
@@ -328,7 +326,8 @@ impl Replica {
             return;
         }
         self.enter_view_change(m.new_view, ctx);
-        if !self.groups.is_active(m.new_view, m.replica) {
+        // This replica's own VC-FINAL is the one it sends.
+        if m.replica == self.id || !self.groups.is_active(m.new_view, m.replica) {
             return;
         }
         let Some(vc) = self.vc_for(m.new_view) else {
@@ -345,14 +344,12 @@ impl Replica {
             let Some(vc) = self.vc.as_mut() else {
                 return;
             };
-            if vc.merged.is_some() || !vc.vc_final_sent {
-                return;
-            }
+            // Covering the active group includes this replica's own VC-FINAL.
             let active = self.groups.active_replicas(vc.target);
-            if !active.iter().all(|r| vc.vc_finals.contains_key(r)) {
+            if vc.merged.is_some() || !vc.vc_finals.covers(active) {
                 return;
             }
-            let direct: Vec<ViewChangeMsg> = vc.vc_msgs.values().cloned().collect();
+            let direct = vc.vc_msgs.clone();
             let embedded: Vec<ViewChangeMsg> = vc
                 .vc_finals
                 .values()
@@ -368,19 +365,13 @@ impl Replica {
         // checkpoint-proof verification here — otherwise one faulty active
         // replica could smuggle in a forged log or a fictitious checkpoint
         // horizon under another replica's name.
-        let mut merged: BTreeMap<usize, ViewChangeMsg> = BTreeMap::new();
-        for m in direct {
-            merged.entry(m.replica).or_insert(m);
-        }
+        let mut merged = direct;
         for m in embedded {
-            if merged.contains_key(&m.replica) {
-                continue;
-            }
-            if self.valid_view_change_msg(&m, ctx) {
+            if merged.get(m.replica).is_none() && self.valid_view_change_msg(&m, ctx) {
                 merged.insert(m.replica, m);
             }
         }
-        let merged: Vec<ViewChangeMsg> = merged.into_values().collect();
+        let merged: Vec<ViewChangeMsg> = merged.into_map().into_values().collect();
         if self.config.fault_detection {
             self.run_fault_detection_and_confirm(merged, ctx);
         } else if let Some(vc) = self.vc.as_mut() {
@@ -1146,7 +1137,7 @@ mod tests {
             }
         });
         let vc = cluster.replica(2).vc.as_ref().expect("collecting view 1");
-        assert!(vc.vc_final_sent && vc.merged.is_none());
+        assert!(vc.vc_finals.get(2).is_some() && vc.merged.is_none());
         set
     }
 
@@ -1262,7 +1253,7 @@ mod tests {
             .replica(2)
             .vc
             .as_ref()
-            .is_some_and(|vc| vc.confirm_sent));
+            .is_some_and(|vc| vc.vc_confirms.get(2).is_some()));
 
         let other = Digest::of(b"a different filtered set");
         let confirm_from_0 = |signer_id: ReplicaId| VcConfirmMsg {
@@ -1659,7 +1650,7 @@ mod tests {
                 );
                 let vc = replica.vc.as_ref().expect("collecting view 1");
                 assert!(vc.pending_new_view.is_some());
-                let digest = vc.vc_confirms[&2];
+                let digest = *vc.vc_confirms.get(2).unwrap();
                 let confirm = VcConfirmMsg {
                     new_view: ViewNumber(1),
                     replica: 0,
