@@ -715,11 +715,6 @@ impl Replica {
         self.monitored.clear();
     }
 
-    /// The currently configured Byzantine behaviour.
-    pub fn behavior(&self) -> ByzantineBehavior {
-        self.behavior
-    }
-
     /// Whether this replica is active (primary or follower) in `view`.
     pub fn is_active_in(&self, view: ViewNumber) -> bool {
         self.groups.is_active(view, self.id)

@@ -72,16 +72,6 @@ impl CostModel {
         }
     }
 
-    /// A faster model approximating elliptic-curve signatures (ablation experiments).
-    pub fn fast_signatures() -> Self {
-        CostModel {
-            sign_ns: 60_000,
-            verify_sig_ns: 120_000,
-            mac_fixed_ns: 1_000,
-            per_byte_ns_q8: 768,
-        }
-    }
-
     /// Simulated CPU nanoseconds charged for `op`.
     pub fn cost_ns(&self, op: CryptoOp) -> u64 {
         let per_byte = |len: usize| (self.per_byte_ns_q8 * len as u64) >> 8;

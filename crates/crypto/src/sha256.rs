@@ -199,19 +199,6 @@ pub fn sha256(data: &[u8]) -> [u8; OUTPUT_LEN] {
     h.finalize()
 }
 
-/// Whether this process compresses SHA-256 blocks with the x86 SHA
-/// extensions (diagnostics; the digest output is identical either way).
-pub fn hardware_accelerated() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        shani::available()
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
 /// Hardware compression via the x86 SHA new instructions. Kept in its own
 /// module so the `unsafe` surface is exactly one intrinsic-only function,
 /// guarded by runtime feature detection.

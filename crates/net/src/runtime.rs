@@ -470,9 +470,6 @@ where
             }
             self.metrics.apply(ev);
         }
-        if effects.halt_requested {
-            self.handle.request_shutdown();
-        }
     }
 
     /// Adds `delta` to the hub counter `xft_<name>_total` (nothing when the

@@ -105,7 +105,6 @@ pub struct Context<'a, M> {
     pub(crate) timer_ops: Vec<TimerOp>,
     pub(crate) cpu_charged_ns: u64,
     pub(crate) metric_events: Vec<MetricEvent>,
-    pub(crate) halt_requested: bool,
 }
 
 impl<'a, M: SimMessage> Context<'a, M> {
@@ -126,7 +125,6 @@ impl<'a, M: SimMessage> Context<'a, M> {
             timer_ops: Vec::new(),
             cpu_charged_ns: 0,
             metric_events: Vec::new(),
-            halt_requested: false,
         }
     }
 
@@ -160,14 +158,6 @@ impl<'a, M: SimMessage> Context<'a, M> {
             if t != self.node {
                 self.send(t, msg.clone());
             }
-        }
-    }
-
-    /// Sends `msg` to every node in `targets`, including the local node if present
-    /// (self-sends are delivered with zero network latency).
-    pub fn send_including_self(&mut self, targets: &[NodeId], msg: &M) {
-        for &t in targets {
-            self.send(t, msg.clone());
         }
     }
 
@@ -225,12 +215,6 @@ impl<'a, M: SimMessage> Context<'a, M> {
                 _ => 0,
             })
             .sum()
-    }
-
-    /// Asks the simulation to stop after this callback (used by tests and scripted
-    /// scenarios that reach a goal condition).
-    pub fn request_halt(&mut self) {
-        self.halt_requested = true;
     }
 
     /// The cost model in effect (lets protocols adapt message sizes to tests).

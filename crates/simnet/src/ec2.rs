@@ -49,20 +49,6 @@ impl Region {
         Region::ALL.iter().position(|r| r == self).unwrap()
     }
 
-    /// Short name as used in the paper's tables ("VA", "CA", …).
-    pub fn short_name(&self) -> &'static str {
-        match self {
-            Region::UsEastVA => "VA",
-            Region::UsWestCA => "CA",
-            Region::UsWestOR => "OR",
-            Region::EuropeEU => "EU",
-            Region::TokyoJP => "JP",
-            Region::SydneyAU => "AU",
-            Region::SaoPauloBR => "BR",
-            Region::SingaporeSG => "SG",
-        }
-    }
-
     /// Full datacenter name as printed in Table 3.
     pub fn full_name(&self) -> &'static str {
         match self {

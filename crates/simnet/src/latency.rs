@@ -156,11 +156,6 @@ impl RegionLatencyModel {
         RttStats::new(0.5, 2.0, 5.0, 10.0)
     }
 
-    /// The region a node lives in.
-    pub fn region_of(&self, node: NodeId) -> usize {
-        self.placement[node]
-    }
-
     /// Number of placed nodes.
     pub fn node_count(&self) -> usize {
         self.placement.len()

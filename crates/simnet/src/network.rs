@@ -97,12 +97,6 @@ impl Network {
         }
     }
 
-    /// Sets one node's uplink bandwidth.
-    pub fn set_uplink(&mut self, node: NodeId, bandwidth: Bandwidth) {
-        self.ensure_capacity(node + 1);
-        self.uplink_bandwidth[node] = bandwidth;
-    }
-
     /// Sets the random packet-loss probability (applied per message).
     pub fn set_drop_probability(&mut self, p: f64) {
         self.drop_probability = p.clamp(0.0, 1.0);
@@ -156,21 +150,9 @@ impl Network {
             || self.blocked_links.contains(&(from, to)))
     }
 
-    /// Nodes currently isolated.
-    pub fn isolated_nodes(&self) -> Vec<NodeId> {
-        let mut v: Vec<NodeId> = self.isolated.iter().copied().collect();
-        v.sort_unstable();
-        v
-    }
-
     /// Statistics: (delivered, dropped) message counts.
     pub fn counters(&self) -> (u64, u64) {
         (self.delivered, self.dropped)
-    }
-
-    /// Typical one-way latency between two nodes (passthrough to the latency model).
-    pub fn typical_latency(&self, from: NodeId, to: NodeId) -> SimDuration {
-        self.latency.typical(from, to)
     }
 
     /// Schedules a message of `size_bytes` from `from` to `to` sent at time `now`.

@@ -57,8 +57,6 @@ pub struct StepEffects<M> {
     pub cpu_charged_ns: u64,
     /// Metric events recorded.
     pub metric_events: Vec<MetricEvent>,
-    /// Whether the actor asked the runtime to stop.
-    pub halt_requested: bool,
 }
 
 /// Drives actors one event at a time on behalf of a runtime.
@@ -110,7 +108,6 @@ impl ActorDriver {
             timer_ops,
             cpu_charged_ns,
             metric_events,
-            halt_requested,
             ..
         } = ctx;
         StepEffects {
@@ -118,7 +115,6 @@ impl ActorDriver {
             timer_ops,
             cpu_charged_ns,
             metric_events,
-            halt_requested,
         }
     }
 }
@@ -213,7 +209,6 @@ mod tests {
         assert_eq!(fx.sends.len(), 1);
         assert_eq!(fx.sends[0].to, 3);
         assert_eq!(fx.metric_events.len(), 1);
-        assert!(!fx.halt_requested);
 
         driver.step(&mut actor, 0, now, &mut rng, ActorEvent::Timer { token: 7 });
         assert_eq!(actor.timer_tokens, vec![7]);

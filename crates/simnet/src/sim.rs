@@ -113,7 +113,6 @@ pub struct Simulation<A: Actor> {
     cancelled_timers: HashSet<TimerId>,
     next_seq: u64,
     driver: ActorDriver,
-    halted: bool,
 }
 
 impl<A: Actor> Simulation<A> {
@@ -137,7 +136,6 @@ impl<A: Actor> Simulation<A> {
             cancelled_timers: HashSet::new(),
             next_seq: 0,
             driver,
-            halted: false,
         }
     }
 
@@ -182,11 +180,6 @@ impl<A: Actor> Simulation<A> {
         &mut self.nodes[id]
     }
 
-    /// Whether a node is currently alive (not crashed).
-    pub fn is_alive(&self, id: NodeId) -> bool {
-        self.alive[id]
-    }
-
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.now
@@ -202,20 +195,9 @@ impl<A: Actor> Simulation<A> {
         &self.trace
     }
 
-    /// Mutable access to the network (to set per-node bandwidth, packet loss, or apply
-    /// partitions directly).
-    pub fn network_mut(&mut self) -> &mut Network {
-        &mut self.network
-    }
-
     /// Read access to the network.
     pub fn network(&self) -> &Network {
         &self.network
-    }
-
-    /// Whether an actor requested a halt.
-    pub fn is_halted(&self) -> bool {
-        self.halted
     }
 
     /// Schedules a single fault event at an absolute time.
@@ -252,11 +234,11 @@ impl<A: Actor> Simulation<A> {
         });
     }
 
-    /// Runs until the queue is exhausted, `deadline` is reached, or an actor halts the
-    /// simulation. Returns the number of events processed.
+    /// Runs until the queue is exhausted or `deadline` is reached. Returns the number of
+    /// events processed.
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
         let mut processed = 0u64;
-        while !self.halted {
+        loop {
             let Some(next_time) = self.queue.peek().map(|e| e.time) else {
                 break;
             };
@@ -368,7 +350,6 @@ impl<A: Actor> Simulation<A> {
             timer_ops,
             cpu_charged_ns,
             metric_events,
-            halt_requested,
         } = self.driver.step(
             &mut self.nodes[node],
             node,
@@ -450,9 +431,6 @@ impl<A: Actor> Simulation<A> {
 
         for ev in metric_events {
             self.metrics.apply(ev);
-        }
-        if halt_requested {
-            self.halted = true;
         }
         // Don't leak this step's correlation id into timer/control steps of
         // other nodes — the same hygiene the TCP runtime applies per message.
