@@ -25,7 +25,7 @@ use crate::log::CommitEntry;
 use crate::messages::{CheckpointMsg, XPaxosMsg};
 use crate::types::SeqNum;
 use xft_crypto::{CryptoOp, Digest};
-use xft_simnet::Context;
+use xft_simnet::{Context, NodeId};
 
 impl Replica {
     /// After executing a batch, starts a checkpoint round if the interval was crossed.
@@ -64,8 +64,14 @@ impl Replica {
         self.check_prechk_quorum(sn, ctx);
     }
 
-    /// Handles both PRECHK (unsigned) and CHKPT (signed) messages.
-    pub(crate) fn on_checkpoint(&mut self, m: CheckpointMsg, ctx: &mut Context<XPaxosMsg>) {
+    /// Handles both PRECHK (unsigned) and CHKPT (signed) messages from node
+    /// `from`.
+    pub(crate) fn on_checkpoint(
+        &mut self,
+        from: NodeId,
+        m: CheckpointMsg,
+        ctx: &mut Context<XPaxosMsg>,
+    ) {
         if !self.is_active_in(self.view) {
             return;
         }
@@ -90,6 +96,12 @@ impl Replica {
             self.check_chkpt_quorum(sn, ctx);
         } else {
             ctx.charge(CryptoOp::VerifyMac { len: 64 });
+            // The MAC authenticates the channel, not a name: a PRECHK counts
+            // only for the active replica that sent it.
+            let sender = self.replica_of_node(from);
+            if sender != Some(m.replica) || !self.groups.is_active(self.view, m.replica) {
+                return;
+            }
             self.prechk_votes
                 .entry(m.sn.0)
                 .or_default()
@@ -699,5 +711,62 @@ mod tests {
         cluster.run_for(SimDuration::from_millis(50));
         assert!(cluster.replica(2).pending_transfer.is_none());
         assert_eq!(cluster.sim.metrics().counter("state_transfers_started"), 0);
+    }
+
+    /// A t = 1 cluster of 2 clients × 400 requests with a checkpoint every
+    /// 32 slots, into which passive replica 2 — while execution is around
+    /// sn 50 — sends each active one PRECHK for sn 96 with a garbage digest
+    /// under every name in `names`, then runs 20 s.
+    fn run_with_forged_prechks(names: &[ReplicaId]) -> XPaxosCluster {
+        let mut cluster = ClusterBuilder::new(1, 2)
+            .with_workload(ClientWorkload {
+                requests: Some(400),
+                ..Default::default()
+            })
+            .with_config(|c| c.with_checkpoint_interval(32))
+            .build();
+        while cluster.replica(0).executed_upto() < SeqNum(50) {
+            cluster.run_for(SimDuration::from_millis(1));
+        }
+        for &replica in names {
+            let prechk = CheckpointMsg {
+                sn: SeqNum(96),
+                view: ViewNumber(0),
+                state_digest: Digest::of(b"garbage"),
+                replica,
+                signed: false,
+                signature: xft_crypto::Signature::forged(replica_key(2)),
+            };
+            for active in 0..2 {
+                let msg = XPaxosMsg::Checkpoint(prechk.clone());
+                cluster.sim.post_message(2, active, msg);
+            }
+        }
+        cluster.run_for(SimDuration::from_secs(20));
+        cluster
+    }
+
+    /// Every slot executed at both actives, in view 0, with no checkpoint
+    /// past what they executed.
+    fn assert_unharmed(cluster: &XPaxosCluster) {
+        assert_eq!(counter(cluster, "view_changes_started"), 0);
+        for r in 0..2 {
+            let replica = cluster.replica(r);
+            assert_eq!(replica.view(), ViewNumber(0), "replica {r}");
+            assert_eq!(replica.executed_upto(), SeqNum(800), "replica {r}");
+            assert!(replica.last_checkpoint() <= replica.executed_upto());
+        }
+    }
+
+    #[test]
+    fn prechks_a_passive_sends_in_the_actives_names_stabilize_nothing() {
+        let cluster = run_with_forged_prechks(&[0, 1]);
+        assert_unharmed(&cluster);
+    }
+
+    #[test]
+    fn a_prechk_from_a_passive_in_its_own_name_raises_no_suspicion() {
+        let cluster = run_with_forged_prechks(&[2]);
+        assert_unharmed(&cluster);
     }
 }

@@ -819,7 +819,7 @@ impl Actor for Replica {
             XPaxosMsg::VcFinal(m) => self.on_vc_final(m, ctx),
             XPaxosMsg::VcConfirm(m) => self.on_vc_confirm(m, ctx),
             XPaxosMsg::NewView(m) => self.on_new_view(m, ctx),
-            XPaxosMsg::Checkpoint(m) => self.on_checkpoint(m, ctx),
+            XPaxosMsg::Checkpoint(m) => self.on_checkpoint(from, m, ctx),
             XPaxosMsg::LazyCheckpoint { proof } => self.on_lazy_checkpoint(proof, ctx),
             XPaxosMsg::LazyReplicate { entries, .. } => self.on_lazy_replicate(entries, ctx),
             XPaxosMsg::StateChunkRequest(m) => self.on_state_chunk_request(m, ctx),
