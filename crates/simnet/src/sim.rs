@@ -238,13 +238,7 @@ impl<A: Actor> Simulation<A> {
     /// events processed.
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
         let mut processed = 0u64;
-        loop {
-            let Some(next_time) = self.queue.peek().map(|e| e.time) else {
-                break;
-            };
-            if next_time > deadline {
-                break;
-            }
+        while self.queue.peek().is_some_and(|e| e.time <= deadline) {
             self.step();
             processed += 1;
         }
