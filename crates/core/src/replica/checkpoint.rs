@@ -445,9 +445,11 @@ mod tests {
         XPaxosMsg,
     };
     use crate::replica::view_change::Selection;
+    use crate::replica::votes::Votes;
+    use crate::replica::Replica;
     use crate::types::{replica_key, ReplicaId, SeqNum, ViewNumber};
     use xft_crypto::{Digest, Signer};
-    use xft_simnet::{with_offline_context, SimDuration};
+    use xft_simnet::{with_offline_context, Actor, SimDuration, SimMessage};
 
     /// A t = 1 cluster that ran a short workload to quiescence with
     /// checkpointing off: every replica — the passive one (2) through lazy
@@ -768,5 +770,216 @@ mod tests {
     fn a_prechk_from_a_passive_in_its_own_name_raises_no_suspicion() {
         let cluster = run_with_forged_prechks(&[2]);
         assert_unharmed(&cluster);
+    }
+
+    /// The sequence number every row of the handler table votes on.
+    const SN: SeqNum = SeqNum(8);
+
+    /// A PRECHK for `state` in `name`'s name.
+    fn prechk(name: ReplicaId, state: &[u8]) -> CheckpointMsg {
+        CheckpointMsg {
+            sn: SN,
+            view: ViewNumber(0),
+            state_digest: Digest::of(state),
+            replica: name,
+            signed: false,
+            signature: xft_crypto::Signature::forged(replica_key(name)),
+        }
+    }
+
+    /// A CHKPT for `state` in `name`'s name, signed with replica `key`'s key.
+    fn chkpt(
+        cluster: &XPaxosCluster,
+        name: ReplicaId,
+        key: ReplicaId,
+        state: &[u8],
+    ) -> CheckpointMsg {
+        let state_digest = Digest::of(state);
+        let signer = Signer::new(&cluster.registry, replica_key(key));
+        CheckpointMsg {
+            signed: true,
+            signature: signer.sign_digest(&checkpoint_vote_digest(
+                ViewNumber(0),
+                SN,
+                &state_digest,
+            )),
+            ..prechk(name, state)
+        }
+    }
+
+    fn no_votes(_: &mut Replica) {}
+
+    /// Replica 0 has voted PRECHK for state `S`.
+    fn own_prechk(r: &mut Replica) {
+        r.prechk_votes
+            .entry(SN.0)
+            .or_default()
+            .insert(0, Digest::of(b"S"));
+    }
+
+    /// Replica 0 has voted CHKPT for state `S`.
+    fn own_chkpt(r: &mut Replica) {
+        let state_digest = Digest::of(b"S");
+        let vote = CheckpointMsg {
+            signed: true,
+            signature: r.sign(&checkpoint_vote_digest(ViewNumber(0), SN, &state_digest)),
+            ..prechk(0, b"S")
+        };
+        r.chkpt_votes.entry(SN.0).or_default().insert(0, vote);
+    }
+
+    /// What the receiver holds and sent after a row.
+    #[derive(Debug, Default, PartialEq)]
+    struct Seen {
+        prechk: Vec<ReplicaId>,
+        chkpt: Vec<ReplicaId>,
+        sent: Vec<(ReplicaId, &'static str)>,
+        suspects: u64,
+        stable: bool,
+    }
+
+    /// One row per branch of the CHECKPOINT handlers, at an idle t = 1
+    /// cluster (view 0: replicas 0 and 1 active, 2 passive). Each row
+    /// delivers its (sender, message) inputs to the receiver after a setup.
+    #[test]
+    fn checkpoint_handler_table() {
+        type Build = fn(&XPaxosCluster) -> Vec<(ReplicaId, CheckpointMsg)>;
+        type Row = (&'static str, ReplicaId, fn(&mut Replica), Build, Seen);
+        let seen =
+            |prechk: &[ReplicaId], chkpt: &[ReplicaId], sent: &[(ReplicaId, &'static str)]| Seen {
+                prechk: prechk.to_vec(),
+                chkpt: chkpt.to_vec(),
+                sent: sent.to_vec(),
+                ..Seen::default()
+            };
+        let rows: Vec<Row> = vec![
+            (
+                "a passive receiver: PRECHK and CHKPT dropped",
+                2,
+                no_votes,
+                |c| vec![(0, prechk(0, b"S")), (0, chkpt(c, 0, 0, b"S"))],
+                Seen::default(),
+            ),
+            (
+                "PRECHK in another replica's name: dropped, the real votes agree",
+                0,
+                own_prechk,
+                |_| vec![(1, prechk(0, b"X")), (1, prechk(1, b"S"))],
+                seen(&[0, 1], &[0], &[(1, "CHKPT")]),
+            ),
+            (
+                "PRECHK from a passive, in its own name: dropped",
+                0,
+                own_prechk,
+                |_| vec![(2, prechk(2, b"X"))],
+                seen(&[0], &[], &[]),
+            ),
+            (
+                "PRECHK before this replica's own: pending",
+                0,
+                no_votes,
+                |_| vec![(1, prechk(1, b"S"))],
+                seen(&[1], &[], &[]),
+            ),
+            (
+                "PRECHK quorum that agrees: CHKPT sent once",
+                0,
+                own_prechk,
+                |_| vec![(1, prechk(1, b"S")), (1, prechk(1, b"S"))],
+                seen(&[0, 1], &[0], &[(1, "CHKPT")]),
+            ),
+            (
+                "PRECHK quorum that splits: the view is suspected",
+                0,
+                own_prechk,
+                |_| vec![(1, prechk(1, b"X"))],
+                Seen {
+                    suspects: 1,
+                    ..seen(
+                        &[0, 1],
+                        &[],
+                        &[
+                            (1, "SUSPECT"),
+                            (2, "SUSPECT"),
+                            (0, "VIEW-CHANGE"),
+                            (2, "VIEW-CHANGE"),
+                        ],
+                    )
+                },
+            ),
+            (
+                "CHKPT signed with another replica's key: dropped",
+                0,
+                own_chkpt,
+                |c| vec![(1, chkpt(c, 1, 2, b"S"))],
+                seen(&[], &[0], &[]),
+            ),
+            (
+                "CHKPT naming a replica out of range: dropped",
+                0,
+                own_chkpt,
+                |c| vec![(1, chkpt(c, 7, 1, b"S"))],
+                seen(&[], &[0], &[]),
+            ),
+            (
+                "CHKPT quorum without this replica's own vote: pending",
+                0,
+                no_votes,
+                |c| vec![(1, chkpt(c, 1, 1, b"S")), (2, chkpt(c, 2, 2, b"S"))],
+                seen(&[], &[1, 2], &[]),
+            ),
+            (
+                "CHKPT quorum on another state than this replica's: pending",
+                0,
+                own_chkpt,
+                |c| vec![(1, chkpt(c, 1, 1, b"X"))],
+                seen(&[], &[0, 1], &[]),
+            ),
+            (
+                "CHKPT quorum with this replica's own vote: stable, LAZYCHK to the passive",
+                0,
+                own_chkpt,
+                |c| vec![(1, chkpt(c, 1, 1, b"S"))],
+                Seen {
+                    stable: true,
+                    ..seen(&[], &[], &[(2, "LAZYCHK")])
+                },
+            ),
+        ];
+        for (what, at, setup, build, want) in rows {
+            let mut cluster = ClusterBuilder::new(1, 1)
+                .with_latency(LatencySpec::Constant(SimDuration::from_millis(1)))
+                .with_workload(ClientWorkload {
+                    requests: Some(0),
+                    ..Default::default()
+                })
+                .build();
+            let inputs = build(&cluster);
+            let replica = cluster.replica_mut(at);
+            setup(replica);
+            let got = with_offline_context(replica.node_of(at), |ctx| {
+                for (from, m) in inputs {
+                    replica.on_message(replica.node_of(from), XPaxosMsg::Checkpoint(m), ctx);
+                }
+                Seen {
+                    prechk: replica
+                        .prechk_votes
+                        .get(&SN.0)
+                        .map_or_else(Vec::new, Votes::voters),
+                    chkpt: replica
+                        .chkpt_votes
+                        .get(&SN.0)
+                        .map_or_else(Vec::new, Votes::voters),
+                    sent: ctx
+                        .pending_sends()
+                        .iter()
+                        .map(|o| (replica.replica_of_node(o.to).unwrap(), o.msg.kind()))
+                        .collect(),
+                    suspects: ctx.counted("suspects_sent"),
+                    stable: replica.last_checkpoint() == SN,
+                }
+            });
+            assert_eq!(got, want, "{what}");
+        }
     }
 }

@@ -114,6 +114,13 @@ impl<M> Reorder<M> {
 mod tests {
     use super::*;
 
+    impl<V> Votes<V> {
+        /// The replicas that voted, in order.
+        pub(crate) fn voters(&self) -> Vec<ReplicaId> {
+            self.0.keys().copied().collect()
+        }
+    }
+
     impl<M> Reorder<M> {
         /// The occupied sequence numbers, in order.
         pub(crate) fn keys(&self) -> impl Iterator<Item = u64> + '_ {
