@@ -483,16 +483,6 @@ impl Replica {
     // Follower paths
     // -----------------------------------------------------------------------------
 
-    /// Stashes a verified proposal that cannot be applied yet, within the
-    /// reorder window.
-    fn stash_proposal(&mut self, p: PrepareEntry, ctx: &mut Context<XPaxosMsg>) {
-        if self.stashed_proposals.admit(p.sn.0, self.next_sn.0, p) {
-            ctx.count("proposals_stashed", 1);
-        } else {
-            ctx.count("proposals_dropped", 1);
-        }
-    }
-
     /// Buffers a COMMIT whose PREPARE has not been processed yet, within the
     /// reorder window. Commits at or below `next_sn` are stale, not early
     /// (their prepare either exists or was checkpoint-truncated because the
@@ -506,16 +496,6 @@ impl Replica {
             ctx.count("commits_dropped", 1);
         } else if fresh {
             ctx.count("commits_buffered", 1);
-        }
-    }
-
-    /// Replays buffered COMMITs for `sn` once its prepare entry exists; the
-    /// replay skips straight past the (already charged) verification step.
-    fn drain_early_commits(&mut self, sn: SeqNum, ctx: &mut Context<XPaxosMsg>) {
-        if let Some(commits) = self.early_commits.take(sn.0) {
-            for commit in commits.into_map().into_values() {
-                self.process_commit(commit, ctx);
-            }
         }
     }
 
@@ -594,10 +574,12 @@ impl Replica {
         if p.sn < next {
             return; // stale or duplicate proposal
         }
-        if p.sn > next || self.awaits_execution(p.sn) {
-            self.stash_proposal(p, ctx);
-        } else {
+        if p.sn == next && !self.awaits_execution(p.sn) {
             self.apply_proposal(p, ctx);
+        } else if self.stashed_proposals.admit(p.sn.0, self.next_sn.0, p) {
+            ctx.count("proposals_stashed", 1);
+        } else {
+            ctx.count("proposals_dropped", 1);
         }
     }
 
@@ -650,7 +632,12 @@ impl Replica {
         for node in self.other_active_nodes(view) {
             ctx.send(node, XPaxosMsg::Commit(commit.clone()));
         }
-        self.drain_early_commits(sn, ctx);
+        // Replay the COMMITs that overtook this PREPARE; they were verified
+        // (and charged) on arrival.
+        let early = self.early_commits.take(sn.0).unwrap_or_default();
+        for commit in early.into_map().into_values() {
+            self.process_commit(commit, ctx);
+        }
         self.try_complete_general(sn, ctx);
         self.drain_stashed(ctx);
     }
