@@ -18,7 +18,6 @@
 //! horizon); and `repair_forked_suffix` is the one rollback
 //! (a passive's fork repair, a NEW-VIEW rebuild).
 
-use super::votes::Votes;
 use super::{Phase, Replica};
 use crate::auth::verify_replica_sig;
 use crate::log::CommitEntry;
@@ -125,8 +124,12 @@ impl Replica {
             return;
         };
         // Send our signed CHKPT (once).
-        let own = |votes: &Votes<CheckpointMsg>| votes.get(self.id).is_some();
-        if self.chkpt_votes.get(&sn.0).is_some_and(own) {
+        if self
+            .chkpt_votes
+            .get(&sn.0)
+            .and_then(|v| v.get(self.id))
+            .is_some()
+        {
             return;
         }
         ctx.charge(CryptoOp::Sign);

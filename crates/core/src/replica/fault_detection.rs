@@ -106,10 +106,8 @@ impl Replica {
             return;
         };
         // Covering the active group includes this replica's own VC-CONFIRM.
-        if !vc
-            .vc_confirms
-            .covers(self.groups.active_replicas(vc.target))
-        {
+        let active = self.groups.active_replicas(vc.target);
+        if !vc.vc_confirms.covers(active) {
             return;
         }
         if vc.vc_confirms.agreed().is_none() {
