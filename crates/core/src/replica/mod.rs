@@ -12,7 +12,7 @@ pub mod durability;
 pub mod fault_detection;
 pub mod state_transfer;
 pub mod view_change;
-pub mod votes;
+pub(crate) mod votes;
 
 use crate::byzantine::ByzantineBehavior;
 use crate::config::XPaxosConfig;
