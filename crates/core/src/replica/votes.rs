@@ -34,7 +34,7 @@ impl<V> Votes<V> {
 
     /// Whether every replica of `group` has voted.
     pub(crate) fn covers(&self, group: &[ReplicaId]) -> bool {
-        group.iter().all(|r| self.0.contains_key(r))
+        group.iter().all(|&r| self.get(r).is_some())
     }
 
     /// How many replicas have voted.
