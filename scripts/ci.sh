@@ -333,28 +333,37 @@ echo "==> chaos smoke: 200 in-budget seeds, fixed base seed, zero violations all
 # Any non-linearizable verdict fails the build and prints the shrunk minimal
 # FaultScript reproducer. The window/drain are trimmed to keep the smoke
 # time-budgeted (~1 min); the full-length sweep is `chaos-explorer --seeds 1000`.
-# The combined fingerprint is echoed on its own line: a change that claims to
-# leave simulated behaviour untouched must print the parent's value.
+# Each of the four smokes' combined fingerprint is compared with the value
+# pinned here: simulated behaviour that moves fails the build. A change that
+# moves a fingerprint on purpose updates its pin in the same commit and says
+# why in CHANGES.md.
+check_fingerprint() { # label pinned log
+    local got
+    got=$(grep -o 'combined fingerprint 0x[0-9a-f]*' "$3" | grep -o '0x[0-9a-f]*$' || true)
+    echo "chaos smoke $1 combined fingerprint ${got:-none} (pinned $2)"
+    [ "$got" = "$2" ] || { echo "chaos smoke $1: fingerprint moved from the pin" >&2; exit 1; }
+}
 chaos_log=$(mktemp)
 target/release/chaos-explorer --seeds 200 --base-seed 1 --window-secs 5 --drain-secs 14 \
     | tee "$chaos_log"
-echo "chaos smoke $(grep -o 'combined fingerprint 0x[0-9a-f]*' "$chaos_log")"
+check_fingerprint "t=1" 0xc29322692e4a6442 "$chaos_log"
 
 echo "==> chaos smoke at t = 2: 200 in-budget seeds on the PREPARE / COMMIT path, zero violations allowed"
 # The t = 1 smoke exercises only the COMMIT-CARRY fast path; this one pins
-# the general path (n = 5) the same way, and echoes its fingerprint too.
+# the general path (n = 5) the same way, and checks its fingerprint too.
 target/release/chaos-explorer --t 2 --seeds 200 --base-seed 1 --window-secs 5 --drain-secs 14 \
     | tee "$chaos_log"
-echo "chaos smoke t=2 $(grep -o 'combined fingerprint 0x[0-9a-f]*' "$chaos_log")"
+check_fingerprint "t=2" 0x9e6f39418e9b0d04 "$chaos_log"
 
 echo "==> chaos smoke with fault detection: 200 in-budget seeds at t = 1 and t = 2, zero violations allowed"
 # The same two sweeps with the replicas running fault detection (paper §4.4:
 # prepare logs in VIEW-CHANGE messages and the VC-CONFIRM round), a path the
 # smokes above never reach.
-for t in 1 2; do
+for pin in 1:0x58e5a9b0f54f8593 2:0x5d4407419ad3ea1b; do
+    t=${pin%%:*}
     target/release/chaos-explorer --t "$t" --fault-detection true --seeds 200 --base-seed 1 \
         --window-secs 5 --drain-secs 14 | tee "$chaos_log"
-    echo "chaos smoke fd t=$t $(grep -o 'combined fingerprint 0x[0-9a-f]*' "$chaos_log")"
+    check_fingerprint "fd t=$t" "${pin#*:}" "$chaos_log"
 done
 rm -f "$chaos_log"
 
