@@ -2,20 +2,24 @@
 //!
 //! The build environment is offline, so the workspace cannot pull the real
 //! [`bytes`](https://crates.io/crates/bytes) crate from crates.io. This crate
-//! reimplements exactly the API surface the repository uses — [`Bytes`],
-//! [`BytesMut`] and the [`BufMut`] trait — and is aliased in every consumer's
-//! manifest as `bytes = { path = "../bytes-shim", package = "xft-bytes" }`, so
-//! the `use bytes::…` statements across the tree compile unchanged.
+//! reimplements exactly the API surface the repository uses — [`Bytes`], the
+//! [`BufMut`] trait and its reading counterpart [`Reader`] — and is aliased in
+//! every consumer's manifest as
+//! `bytes = { path = "../bytes-shim", package = "xft-bytes" }`, so the
+//! `use bytes::…` statements across the tree compile unchanged.
 //!
 //! Semantics mirror the real crate where the workspace depends on them:
 //!
 //! * [`Bytes`] is an immutable, cheaply cloneable byte string. Clones share the
 //!   underlying allocation through an [`Arc`]; [`Bytes::slice`] produces a
 //!   zero-copy view into the same allocation.
-//! * [`Bytes::from_static`] does not allocate at all.
-//! * [`BytesMut`] is a growable buffer; [`BytesMut::freeze`] converts it into an
-//!   immutable [`Bytes`] without copying.
-//! * [`BufMut`] provides the `put_*` writers the operation encoders use.
+//! * [`Bytes::from_static`] does not allocate at all; `Bytes::from(Vec<u8>)`
+//!   takes the vector without copying it.
+//! * [`BufMut`] provides the little-endian `put_*` writers the `xft-wire`
+//!   codec is built on, implemented for `Vec<u8>`.
+//!
+//! Every byte format in the workspace is declared through `xft-wire`; this
+//! crate only supplies the buffers it writes into and reads from.
 //!
 //! [`bytes`]: https://crates.io/crates/bytes
 
@@ -272,71 +276,6 @@ impl fmt::Debug for Bytes {
     }
 }
 
-/// A growable byte buffer, frozen into an immutable [`Bytes`] when complete.
-#[derive(Clone, Default, PartialEq, Eq)]
-pub struct BytesMut {
-    buf: Vec<u8>,
-}
-
-impl BytesMut {
-    /// Creates an empty buffer.
-    pub fn new() -> Self {
-        BytesMut { buf: Vec::new() }
-    }
-
-    /// Creates an empty buffer with room for `capacity` bytes.
-    pub fn with_capacity(capacity: usize) -> Self {
-        BytesMut {
-            buf: Vec::with_capacity(capacity),
-        }
-    }
-
-    /// Number of bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether the buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Converts the buffer into an immutable [`Bytes`] without copying.
-    pub fn freeze(self) -> Bytes {
-        Bytes::from(self.buf)
-    }
-
-    /// Clears the buffer, keeping its allocation.
-    pub fn clear(&mut self) {
-        self.buf.clear();
-    }
-
-    /// Appends `extend` to the buffer.
-    pub fn extend_from_slice(&mut self, extend: &[u8]) {
-        self.buf.extend_from_slice(extend);
-    }
-}
-
-impl Deref for BytesMut {
-    type Target = [u8];
-
-    fn deref(&self) -> &[u8] {
-        &self.buf
-    }
-}
-
-impl AsRef<[u8]> for BytesMut {
-    fn as_ref(&self) -> &[u8] {
-        &self.buf
-    }
-}
-
-impl fmt::Debug for BytesMut {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        debug_bytes(&self.buf, f)
-    }
-}
-
 /// Writer interface for appending fixed-width integers and slices to a buffer.
 ///
 /// Only the methods this workspace calls are provided; all of them match the
@@ -350,11 +289,6 @@ pub trait BufMut {
         self.put_slice(&[n]);
     }
 
-    /// Appends a `u16` in little-endian order.
-    fn put_u16_le(&mut self, n: u16) {
-        self.put_slice(&n.to_le_bytes());
-    }
-
     /// Appends a `u32` in little-endian order.
     fn put_u32_le(&mut self, n: u32) {
         self.put_slice(&n.to_le_bytes());
@@ -364,25 +298,13 @@ pub trait BufMut {
     fn put_u64_le(&mut self, n: u64) {
         self.put_slice(&n.to_le_bytes());
     }
-
-    /// Appends a `u32` in big-endian order.
-    fn put_u32(&mut self, n: u32) {
-        self.put_slice(&n.to_be_bytes());
-    }
-
-    /// Appends a `u64` in big-endian order.
-    fn put_u64(&mut self, n: u64) {
-        self.put_slice(&n.to_be_bytes());
-    }
-}
-
-impl BufMut for BytesMut {
-    fn put_slice(&mut self, src: &[u8]) {
-        self.buf.extend_from_slice(src);
-    }
 }
 
 impl BufMut for Vec<u8> {
+    // Inlined across crates: without it, every field the codec writes into a
+    // vector pays an out-of-line call (~25 % of a multi-megabyte snapshot's
+    // encoding time).
+    #[inline]
     fn put_slice(&mut self, src: &[u8]) {
         self.extend_from_slice(src);
     }
@@ -442,11 +364,6 @@ impl<'a> Reader<'a> {
         self.get_array::<1>().map(|b| b[0])
     }
 
-    /// Reads a `u16` in little-endian order.
-    pub fn get_u16_le(&mut self) -> Option<u16> {
-        self.get_array().map(u16::from_le_bytes)
-    }
-
     /// Reads a `u32` in little-endian order.
     pub fn get_u32_le(&mut self) -> Option<u32> {
         self.get_array().map(u32::from_le_bytes)
@@ -455,16 +372,6 @@ impl<'a> Reader<'a> {
     /// Reads a `u64` in little-endian order.
     pub fn get_u64_le(&mut self) -> Option<u64> {
         self.get_array().map(u64::from_le_bytes)
-    }
-
-    /// Reads a `u32` in big-endian order.
-    pub fn get_u32(&mut self) -> Option<u32> {
-        self.get_array().map(u32::from_be_bytes)
-    }
-
-    /// Reads a `u64` in big-endian order.
-    pub fn get_u64(&mut self) -> Option<u64> {
-        self.get_array().map(u64::from_be_bytes)
     }
 }
 
@@ -504,20 +411,6 @@ mod tests {
     }
 
     #[test]
-    fn bytes_mut_roundtrip() {
-        let mut m = BytesMut::new();
-        m.put_u8(7);
-        m.put_u32_le(0xDEADBEEF);
-        m.put_u64_le(42);
-        m.put_slice(b"xyz");
-        let frozen = m.freeze();
-        assert_eq!(frozen.len(), 1 + 4 + 8 + 3);
-        assert_eq!(frozen[0], 7);
-        assert_eq!(&frozen[1..5], &0xDEADBEEFu32.to_le_bytes());
-        assert_eq!(&frozen[13..], b"xyz");
-    }
-
-    #[test]
     fn conversions() {
         let v: Bytes = vec![9u8, 9].into();
         assert_eq!(v.to_vec(), vec![9u8, 9]);
@@ -538,19 +431,13 @@ mod tests {
     fn reader_round_trips_bufmut_writers() {
         let mut buf = Vec::new();
         buf.put_u8(7);
-        buf.put_u16_le(513);
         buf.put_u32_le(0xDEADBEEF);
         buf.put_u64_le(42);
-        buf.put_u32(0xCAFEBABE);
-        buf.put_u64(99);
         buf.put_slice(b"tail");
         let mut r = Reader::new(&buf);
         assert_eq!(r.get_u8(), Some(7));
-        assert_eq!(r.get_u16_le(), Some(513));
         assert_eq!(r.get_u32_le(), Some(0xDEADBEEF));
         assert_eq!(r.get_u64_le(), Some(42));
-        assert_eq!(r.get_u32(), Some(0xCAFEBABE));
-        assert_eq!(r.get_u64(), Some(99));
         assert_eq!(r.get_slice(4), Some(&b"tail"[..]));
         assert!(r.is_empty());
     }

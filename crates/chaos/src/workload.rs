@@ -14,6 +14,7 @@ use std::sync::Arc;
 use xft_core::client::{ClientWorkload, OpFactory};
 use xft_kvstore::KvOp;
 use xft_simnet::{SimDuration, SimRng};
+use xft_wire::{WireDecode, WireEncode};
 
 /// Path of chaos key `k`.
 pub fn key_path(k: usize) -> String {
@@ -22,21 +23,12 @@ pub fn key_path(k: usize) -> String {
 
 /// The unique 16-byte value request `(client, ts)` writes.
 pub fn encode_value(client: u64, ts: u64) -> Bytes {
-    let mut v = Vec::with_capacity(16);
-    v.extend_from_slice(&client.to_le_bytes());
-    v.extend_from_slice(&ts.to_le_bytes());
-    Bytes::from(v)
+    Bytes::from((client, ts).wire_bytes())
 }
 
 /// Decodes a written value back to its `(client, ts)` writer.
 pub fn decode_value(value: &[u8]) -> Option<(u64, u64)> {
-    if value.len() != 16 {
-        return None;
-    }
-    Some((
-        u64::from_le_bytes(value[..8].try_into().ok()?),
-        u64::from_le_bytes(value[8..].try_into().ok()?),
-    ))
+    WireDecode::decode_exact(value)
 }
 
 /// The deterministic operation for `(seed, client, ts)`.

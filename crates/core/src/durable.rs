@@ -352,8 +352,7 @@ impl SnapshotImage {
     /// Decodes the snapshot. `None` if the bytes are not exactly one
     /// canonical [`ReplicaSnapshot`] at this image's sequence number.
     pub fn decode(&self) -> Option<ReplicaSnapshot> {
-        let mut r = bytes::Reader::new(&self.bytes);
-        ReplicaSnapshot::decode_from(&mut r).filter(|s| r.is_empty() && s.sn == self.sn)
+        ReplicaSnapshot::decode_exact(&self.bytes).filter(|s| s.sn == self.sn)
     }
 }
 
@@ -381,9 +380,7 @@ impl SealedSnapshot {
     /// function of the bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.image.bytes.len() + 64 + self.proof.len() * 128);
-        self.image.sn.encode_into(&mut out);
-        self.image.bytes.encode_into(&mut out);
-        self.proof.encode_into(&mut out);
+        (self.image.sn, &self.image.bytes, &self.proof).encode_into(&mut out);
         out
     }
 
@@ -392,13 +389,7 @@ impl SealedSnapshot {
     /// the proof's digest: a file written under another leaf definition or
     /// chunk size decodes fine and commits to something else.
     pub fn from_bytes(bytes: &[u8], chunk_bytes: u32) -> Option<Self> {
-        let mut r = bytes::Reader::new(bytes);
-        let sn = SeqNum::decode_from(&mut r)?;
-        let encoded = Bytes::decode_from(&mut r)?;
-        let proof = Vec::<CheckpointMsg>::decode_from(&mut r)?;
-        if r.remaining() != 0 {
-            return None;
-        }
+        let (sn, encoded, proof) = WireDecode::decode_exact(bytes)?;
         let (image, _) = SnapshotImage::of_encoded(sn, encoded, chunk_bytes, None);
         Some(SealedSnapshot {
             image: Arc::new(image),

@@ -40,7 +40,7 @@ use bytes::{BufMut, Bytes, Reader};
 use xft_crypto::{Digest, Signature};
 use xft_simnet::SimMessage;
 use xft_store::{MemStorage, Storage};
-use xft_wire::{domain_digest, WireDecode, WireEncode};
+use xft_wire::{domain_digest, struct_codec, WireDecode, WireEncode};
 
 /// Direction tag: the recording replica sent this message.
 pub const DIR_SENT: u8 = 0;
@@ -84,40 +84,21 @@ impl EvidenceRecord {
 
     /// Decodes the recorded message payload (full or digest-compacted).
     pub fn decode_evidence(&self) -> Option<EvidenceMsg> {
-        let mut r = Reader::new(&self.msg);
-        EvidenceMsg::decode_from(&mut r).filter(|_| r.is_empty())
+        EvidenceMsg::decode_exact(&self.msg)
     }
 }
 
-impl WireEncode for EvidenceRecord {
-    fn encode_into(&self, out: &mut impl BufMut) {
-        self.seq.encode_into(out);
-        self.prev.encode_into(out);
-        self.at_ns.encode_into(out);
-        self.recorder.encode_into(out);
-        self.direction.encode_into(out);
-        self.peer.encode_into(out);
-        self.trace.encode_into(out);
-        self.sn.encode_into(out);
-        self.msg.encode_into(out);
-    }
-}
-
-impl WireDecode for EvidenceRecord {
-    fn decode_from(r: &mut Reader<'_>) -> Option<Self> {
-        Some(EvidenceRecord {
-            seq: u64::decode_from(r)?,
-            prev: Digest::decode_from(r)?,
-            at_ns: u64::decode_from(r)?,
-            recorder: u64::decode_from(r)?,
-            direction: u8::decode_from(r)?,
-            peer: u64::decode_from(r)?,
-            trace: u64::decode_from(r)?,
-            sn: u64::decode_from(r)?,
-            msg: Bytes::decode_from(r)?,
-        })
-    }
-}
+struct_codec!(EvidenceRecord {
+    seq,
+    prev,
+    at_ns,
+    recorder,
+    direction,
+    peer,
+    trace,
+    sn,
+    msg
+});
 
 /// The chain state *before* the oldest retained record: written as the
 /// storage snapshot blob at every GC, so verification of a garbage-collected
@@ -143,23 +124,11 @@ impl EvidenceAnchor {
     }
 }
 
-impl WireEncode for EvidenceAnchor {
-    fn encode_into(&self, out: &mut impl BufMut) {
-        self.next_seq.encode_into(out);
-        self.head.encode_into(out);
-        self.dropped.encode_into(out);
-    }
-}
-
-impl WireDecode for EvidenceAnchor {
-    fn decode_from(r: &mut Reader<'_>) -> Option<Self> {
-        Some(EvidenceAnchor {
-            next_seq: u64::decode_from(r)?,
-            head: Digest::decode_from(r)?,
-            dropped: u64::decode_from(r)?,
-        })
-    }
-}
+struct_codec!(EvidenceAnchor {
+    next_seq,
+    head,
+    dropped
+});
 
 /// Whether a protocol message belongs in the evidence log: the signed
 /// replica-to-replica messages accountability proofs can be built from.
@@ -239,29 +208,14 @@ pub struct OrderingClaim {
     pub commit_sigs: Vec<(u64, Signature)>,
 }
 
-impl WireEncode for OrderingClaim {
-    fn encode_into(&self, out: &mut impl BufMut) {
-        self.view.encode_into(out);
-        self.sn.encode_into(out);
-        self.batch.encode_into(out);
-        self.requests.encode_into(out);
-        self.primary_sig.encode_into(out);
-        self.commit_sigs.encode_into(out);
-    }
-}
-
-impl WireDecode for OrderingClaim {
-    fn decode_from(r: &mut Reader<'_>) -> Option<Self> {
-        Some(OrderingClaim {
-            view: ViewNumber::decode_from(r)?,
-            sn: SeqNum::decode_from(r)?,
-            batch: Digest::decode_from(r)?,
-            requests: u32::decode_from(r)?,
-            primary_sig: Signature::decode_from(r)?,
-            commit_sigs: Vec::decode_from(r)?,
-        })
-    }
-}
+struct_codec!(OrderingClaim {
+    view,
+    sn,
+    batch,
+    requests,
+    primary_sig,
+    commit_sigs
+});
 
 /// What an [`EvidenceRecord`] holds: the full protocol message for compact
 /// traffic, or the digest-compacted form of a bulk message — the signed
@@ -305,35 +259,30 @@ impl EvidenceMsg {
 impl WireEncode for EvidenceMsg {
     fn encode_into(&self, out: &mut impl BufMut) {
         match self {
-            EvidenceMsg::Full(m) => {
-                EV_FULL.encode_into(out);
-                m.encode_into(out);
-            }
+            EvidenceMsg::Full(m) => (EV_FULL, m).encode_into(out),
             EvidenceMsg::Compact {
                 kind,
                 claims,
                 chkpts,
-            } => {
-                EV_COMPACT.encode_into(out);
-                kind.encode_into(out);
-                claims.encode_into(out);
-                chkpts.encode_into(out);
-            }
+            } => (EV_COMPACT, kind, claims, chkpts).encode_into(out),
         }
     }
 }
 
 impl WireDecode for EvidenceMsg {
     fn decode_from(r: &mut Reader<'_>) -> Option<Self> {
-        match u8::decode_from(r)? {
-            EV_FULL => Some(EvidenceMsg::Full(XPaxosMsg::decode_from(r)?)),
-            EV_COMPACT => Some(EvidenceMsg::Compact {
-                kind: u8::decode_from(r)?,
-                claims: Vec::decode_from(r)?,
-                chkpts: Vec::decode_from(r)?,
-            }),
-            _ => None,
-        }
+        Some(match r.get_u8()? {
+            EV_FULL => EvidenceMsg::Full(WireDecode::decode_from(r)?),
+            EV_COMPACT => {
+                let (kind, claims, chkpts) = WireDecode::decode_from(r)?;
+                EvidenceMsg::Compact {
+                    kind,
+                    claims,
+                    chkpts,
+                }
+            }
+            _ => return None,
+        })
     }
 }
 
@@ -396,16 +345,8 @@ pub fn evidence_payload(msg: &XPaxosMsg) -> Vec<u8> {
     };
     let mut out = Vec::with_capacity(128);
     match compacted {
-        Some((kind, claims, chkpts)) => {
-            EV_COMPACT.encode_into(&mut out);
-            kind.encode_into(&mut out);
-            claims.encode_into(&mut out);
-            chkpts.encode_into(&mut out);
-        }
-        None => {
-            EV_FULL.encode_into(&mut out);
-            msg.encode_into(&mut out);
-        }
+        Some((kind, claims, chkpts)) => (EV_COMPACT, kind, claims, chkpts).encode_into(&mut out),
+        None => (EV_FULL, msg).encode_into(&mut out),
     }
     out
 }
@@ -636,15 +577,11 @@ impl EvidenceLog {
         let anchor = recovered
             .snapshot
             .as_deref()
-            .and_then(|blob| {
-                let mut r = Reader::new(blob);
-                EvidenceAnchor::decode_from(&mut r).filter(|_| r.is_empty())
-            })
+            .and_then(EvidenceAnchor::decode_exact)
             .unwrap_or_else(EvidenceAnchor::genesis);
         let mut records = Vec::with_capacity(recovered.records.len());
         for raw in &recovered.records {
-            let mut r = Reader::new(raw);
-            match EvidenceRecord::decode_from(&mut r).filter(|_| r.is_empty()) {
+            match EvidenceRecord::decode_exact(raw) {
                 Some(record) => records.push(record),
                 None => break,
             }

@@ -8,6 +8,7 @@
 
 use bytes::Bytes;
 use xft_crypto::Digest;
+use xft_wire::{WireDecode, WireEncode};
 
 /// A deterministic replicated state machine.
 pub trait StateMachine: Send {
@@ -84,14 +85,14 @@ impl StateMachine for NullService {
     }
 
     fn snapshot(&self) -> Bytes {
-        Bytes::copy_from_slice(&self.applied.to_le_bytes())
+        Bytes::from(self.applied.wire_bytes())
     }
 
     fn restore(&mut self, snapshot: &[u8]) -> bool {
-        let Ok(bytes) = <[u8; 8]>::try_from(snapshot) else {
+        let Some(applied) = u64::decode_exact(snapshot) else {
             return false;
         };
-        self.applied = u64::from_le_bytes(bytes);
+        self.applied = applied;
         true
     }
 }
@@ -148,19 +149,14 @@ impl StateMachine for DigestChainService {
     }
 
     fn snapshot(&self) -> Bytes {
-        let mut out = Vec::with_capacity(40);
-        out.extend_from_slice(self.chain.as_bytes());
-        out.extend_from_slice(&self.applied.to_le_bytes());
-        Bytes::from(out)
+        Bytes::from((self.chain, self.applied).wire_bytes())
     }
 
     fn restore(&mut self, snapshot: &[u8]) -> bool {
-        if snapshot.len() != 40 {
+        let Some((chain, applied)) = WireDecode::decode_exact(snapshot) else {
             return false;
-        }
-        let chain: [u8; 32] = snapshot[..32].try_into().expect("32 bytes");
-        let applied = u64::from_le_bytes(snapshot[32..].try_into().expect("8 bytes"));
-        self.chain = Digest(chain);
+        };
+        self.chain = chain;
         self.applied = applied;
         true
     }

@@ -10,8 +10,10 @@
 //!   canonical encoding via [`xft_wire::domain_digest`], so the bytes a
 //!   replica signs are, by construction, the bytes its peers decode.
 //!
-//! Enum variants carry explicit one-byte tags; unknown tags decode to `None`,
-//! which the envelope surfaces as [`xft_wire::WireError::Malformed`].
+//! Structs are declared once, as their fields in order, through
+//! [`xft_wire::struct_codec!`]; a replica id (`usize`) is a `u64` on the
+//! wire. Enum variants carry explicit one-byte tags; unknown tags decode to
+//! `None`, which the envelope surfaces as [`xft_wire::WireError::Malformed`].
 
 use crate::durable::{ClientRecordSnapshot, DurableEvent, ReplicaSnapshot, TransferChunkRecord};
 use crate::log::{CommitEntry, PrepareEntry};
@@ -22,7 +24,7 @@ use crate::messages::{
 };
 use crate::types::{Batch, ClientId, Request, SeqNum, ViewNumber};
 use bytes::{BufMut, Reader};
-use xft_wire::{WireDecode, WireEncode};
+use xft_wire::{struct_codec, WireDecode, WireEncode};
 
 /// Variant tags of [`XPaxosMsg`] on the wire. Kept explicit (rather than
 /// derived from declaration order) so reordering the enum can never silently
@@ -71,31 +73,6 @@ newtype_u64_codec!(ViewNumber);
 newtype_u64_codec!(SeqNum);
 newtype_u64_codec!(ClientId);
 
-/// `ReplicaId` is `usize` in memory but always `u64` on the wire.
-fn encode_replica(replica: usize, out: &mut impl BufMut) {
-    (replica as u64).encode_into(out);
-}
-
-fn decode_replica(r: &mut Reader<'_>) -> Option<usize> {
-    u64::decode_from(r).and_then(|v| usize::try_from(v).ok())
-}
-
-/// Encodes/decodes a struct field-by-field in declaration order.
-macro_rules! struct_codec {
-    ($ty:ty { $($field:ident),+ $(,)? }) => {
-        impl WireEncode for $ty {
-            fn encode_into(&self, out: &mut impl BufMut) {
-                $(self.$field.encode_into(out);)+
-            }
-        }
-        impl WireDecode for $ty {
-            fn decode_from(r: &mut Reader<'_>) -> Option<Self> {
-                Some(Self { $($field: WireDecode::decode_from(r)?),+ })
-            }
-        }
-    };
-}
-
 struct_codec!(Request {
     client,
     timestamp,
@@ -140,6 +117,13 @@ struct_codec!(PrepareEntry {
     client_sigs,
     primary_sig
 });
+struct_codec!(CommitEntry {
+    view,
+    sn,
+    batch,
+    primary_sig,
+    commit_sigs
+});
 struct_codec!(ClientRecordSnapshot {
     client,
     ranges,
@@ -161,160 +145,79 @@ struct_codec!(TransferChunkRecord {
     data,
     proof
 });
-
-// Structs holding a `ReplicaId` (usize) field need hand-written impls so the
-// id travels as u64.
-
-impl WireEncode for VcFinalMsg {
-    fn encode_into(&self, out: &mut impl BufMut) {
-        self.new_view.encode_into(out);
-        encode_replica(self.replica, out);
-        self.vc_set.encode_into(out);
-        self.signature.encode_into(out);
-    }
-}
-
-impl WireDecode for VcFinalMsg {
-    fn decode_from(r: &mut Reader<'_>) -> Option<Self> {
-        Some(VcFinalMsg {
-            new_view: WireDecode::decode_from(r)?,
-            replica: decode_replica(r)?,
-            vc_set: WireDecode::decode_from(r)?,
-            signature: WireDecode::decode_from(r)?,
-        })
-    }
-}
-
-impl WireEncode for VcConfirmMsg {
-    fn encode_into(&self, out: &mut impl BufMut) {
-        self.new_view.encode_into(out);
-        encode_replica(self.replica, out);
-        self.vc_set_digest.encode_into(out);
-        self.signature.encode_into(out);
-    }
-}
-
-impl WireDecode for VcConfirmMsg {
-    fn decode_from(r: &mut Reader<'_>) -> Option<Self> {
-        Some(VcConfirmMsg {
-            new_view: WireDecode::decode_from(r)?,
-            replica: decode_replica(r)?,
-            vc_set_digest: WireDecode::decode_from(r)?,
-            signature: WireDecode::decode_from(r)?,
-        })
-    }
-}
-
-impl WireEncode for CommitMsg {
-    fn encode_into(&self, out: &mut impl BufMut) {
-        self.view.encode_into(out);
-        self.sn.encode_into(out);
-        self.batch_digest.encode_into(out);
-        encode_replica(self.replica, out);
-        self.reply_digest.encode_into(out);
-        self.signature.encode_into(out);
-    }
-}
-
-impl WireDecode for CommitMsg {
-    fn decode_from(r: &mut Reader<'_>) -> Option<Self> {
-        Some(CommitMsg {
-            view: WireDecode::decode_from(r)?,
-            sn: WireDecode::decode_from(r)?,
-            batch_digest: WireDecode::decode_from(r)?,
-            replica: decode_replica(r)?,
-            reply_digest: WireDecode::decode_from(r)?,
-            signature: WireDecode::decode_from(r)?,
-        })
-    }
-}
-
-impl WireEncode for ReplyMsg {
-    fn encode_into(&self, out: &mut impl BufMut) {
-        self.view.encode_into(out);
-        self.sn.encode_into(out);
-        self.client.encode_into(out);
-        self.timestamp.encode_into(out);
-        self.reply_digest.encode_into(out);
-        self.payload.encode_into(out);
-        encode_replica(self.replica, out);
-        self.follower_commit.encode_into(out);
-    }
-}
-
-impl WireDecode for ReplyMsg {
-    fn decode_from(r: &mut Reader<'_>) -> Option<Self> {
-        Some(ReplyMsg {
-            view: WireDecode::decode_from(r)?,
-            sn: WireDecode::decode_from(r)?,
-            client: WireDecode::decode_from(r)?,
-            timestamp: WireDecode::decode_from(r)?,
-            reply_digest: WireDecode::decode_from(r)?,
-            payload: WireDecode::decode_from(r)?,
-            replica: decode_replica(r)?,
-            follower_commit: WireDecode::decode_from(r)?,
-        })
-    }
-}
-
-impl WireEncode for BusyMsg {
-    fn encode_into(&self, out: &mut impl BufMut) {
-        self.view.encode_into(out);
-        self.client.encode_into(out);
-        self.timestamp.encode_into(out);
-        encode_replica(self.replica, out);
-    }
-}
-
-impl WireDecode for BusyMsg {
-    fn decode_from(r: &mut Reader<'_>) -> Option<Self> {
-        Some(BusyMsg {
-            view: WireDecode::decode_from(r)?,
-            client: WireDecode::decode_from(r)?,
-            timestamp: WireDecode::decode_from(r)?,
-            replica: decode_replica(r)?,
-        })
-    }
-}
-
-impl WireEncode for SuspectMsg {
-    fn encode_into(&self, out: &mut impl BufMut) {
-        self.view.encode_into(out);
-        encode_replica(self.replica, out);
-        self.signature.encode_into(out);
-    }
-}
-
-impl WireDecode for SuspectMsg {
-    fn decode_from(r: &mut Reader<'_>) -> Option<Self> {
-        Some(SuspectMsg {
-            view: WireDecode::decode_from(r)?,
-            replica: decode_replica(r)?,
-            signature: WireDecode::decode_from(r)?,
-        })
-    }
-}
-
-impl WireEncode for ViewChangeMsg {
-    fn encode_into(&self, out: &mut impl BufMut) {
-        self.unsigned_part().encode_into(out);
-        self.signature.encode_into(out);
-    }
-}
-
-impl WireDecode for ViewChangeMsg {
-    fn decode_from(r: &mut Reader<'_>) -> Option<Self> {
-        Some(ViewChangeMsg {
-            new_view: WireDecode::decode_from(r)?,
-            replica: decode_replica(r)?,
-            commit_log: WireDecode::decode_from(r)?,
-            prepare_log: WireDecode::decode_from(r)?,
-            last_checkpoint: WireDecode::decode_from(r)?,
-            checkpoint_proof: WireDecode::decode_from(r)?,
-            signature: WireDecode::decode_from(r)?,
-        })
-    }
-}
+struct_codec!(VcFinalMsg {
+    new_view,
+    replica,
+    vc_set,
+    signature
+});
+struct_codec!(VcConfirmMsg {
+    new_view,
+    replica,
+    vc_set_digest,
+    signature
+});
+struct_codec!(CommitMsg {
+    view,
+    sn,
+    batch_digest,
+    replica,
+    reply_digest,
+    signature
+});
+struct_codec!(ReplyMsg {
+    view,
+    sn,
+    client,
+    timestamp,
+    reply_digest,
+    payload,
+    replica,
+    follower_commit
+});
+struct_codec!(BusyMsg {
+    view,
+    client,
+    timestamp,
+    replica
+});
+struct_codec!(SuspectMsg {
+    view,
+    replica,
+    signature
+});
+// The same bytes as `(unsigned_part(), signature)`.
+struct_codec!(ViewChangeMsg {
+    new_view,
+    replica,
+    commit_log,
+    prepare_log,
+    last_checkpoint,
+    checkpoint_proof,
+    signature
+});
+struct_codec!(CheckpointMsg {
+    sn,
+    view,
+    state_digest,
+    replica,
+    signed,
+    signature
+});
+struct_codec!(StateChunkRequestMsg {
+    min_sn,
+    want_sn,
+    index,
+    replica,
+    signature
+});
+struct_codec!(FaultDetectedMsg {
+    new_view,
+    culprit,
+    kind,
+    reporter,
+    signature
+});
 
 impl ViewChangeMsg {
     /// The canonically encoded fields covered by the sender's signature (all of
@@ -324,7 +227,7 @@ impl ViewChangeMsg {
         &self,
     ) -> (
         ViewNumber,
-        u64,
+        usize,
         &Vec<CommitEntry>,
         &Vec<PrepareEntry>,
         SeqNum,
@@ -332,58 +235,12 @@ impl ViewChangeMsg {
     ) {
         (
             self.new_view,
-            self.replica as u64,
+            self.replica,
             &self.commit_log,
             &self.prepare_log,
             self.last_checkpoint,
             &self.checkpoint_proof,
         )
-    }
-}
-
-impl WireEncode for CheckpointMsg {
-    fn encode_into(&self, out: &mut impl BufMut) {
-        self.sn.encode_into(out);
-        self.view.encode_into(out);
-        self.state_digest.encode_into(out);
-        encode_replica(self.replica, out);
-        self.signed.encode_into(out);
-        self.signature.encode_into(out);
-    }
-}
-
-impl WireDecode for CheckpointMsg {
-    fn decode_from(r: &mut Reader<'_>) -> Option<Self> {
-        Some(CheckpointMsg {
-            sn: WireDecode::decode_from(r)?,
-            view: WireDecode::decode_from(r)?,
-            state_digest: WireDecode::decode_from(r)?,
-            replica: decode_replica(r)?,
-            signed: WireDecode::decode_from(r)?,
-            signature: WireDecode::decode_from(r)?,
-        })
-    }
-}
-
-impl WireEncode for StateChunkRequestMsg {
-    fn encode_into(&self, out: &mut impl BufMut) {
-        self.min_sn.encode_into(out);
-        self.want_sn.encode_into(out);
-        self.index.encode_into(out);
-        encode_replica(self.replica, out);
-        self.signature.encode_into(out);
-    }
-}
-
-impl WireDecode for StateChunkRequestMsg {
-    fn decode_from(r: &mut Reader<'_>) -> Option<Self> {
-        Some(StateChunkRequestMsg {
-            min_sn: WireDecode::decode_from(r)?,
-            want_sn: WireDecode::decode_from(r)?,
-            index: WireDecode::decode_from(r)?,
-            replica: decode_replica(r)?,
-            signature: WireDecode::decode_from(r)?,
-        })
     }
 }
 
@@ -397,7 +254,7 @@ impl WireEncode for StateChunkResponseMsg {
         self.data.encode_into(out);
         self.path.encode_into(out);
         self.proof.encode_into(out);
-        encode_replica(self.replica, out);
+        self.replica.encode_into(out);
         self.signature.encode_into(out);
     }
 }
@@ -413,7 +270,7 @@ impl WireDecode for StateChunkResponseMsg {
             data: WireDecode::decode_from(r)?,
             path: WireDecode::decode_from(r)?,
             proof: WireDecode::decode_from(r)?,
-            replica: decode_replica(r)?,
+            replica: WireDecode::decode_from(r)?,
             signature: WireDecode::decode_from(r)?,
         };
         // Field-level caps on top of the generic collection bound: a Merkle
@@ -477,67 +334,6 @@ impl WireDecode for DetectedFaultKind {
             2 => Some(DetectedFaultKind::Fork),
             _ => None,
         }
-    }
-}
-
-impl WireEncode for FaultDetectedMsg {
-    fn encode_into(&self, out: &mut impl BufMut) {
-        self.new_view.encode_into(out);
-        encode_replica(self.culprit, out);
-        self.kind.encode_into(out);
-        encode_replica(self.reporter, out);
-        self.signature.encode_into(out);
-    }
-}
-
-impl WireDecode for FaultDetectedMsg {
-    fn decode_from(r: &mut Reader<'_>) -> Option<Self> {
-        Some(FaultDetectedMsg {
-            new_view: WireDecode::decode_from(r)?,
-            culprit: decode_replica(r)?,
-            kind: WireDecode::decode_from(r)?,
-            reporter: decode_replica(r)?,
-            signature: WireDecode::decode_from(r)?,
-        })
-    }
-}
-
-impl WireEncode for CommitEntry {
-    fn encode_into(&self, out: &mut impl BufMut) {
-        self.view.encode_into(out);
-        self.sn.encode_into(out);
-        self.batch.encode_into(out);
-        self.primary_sig.encode_into(out);
-        // BTreeMap<usize, Signature>: keys widen to u64 on the wire.
-        (self.commit_sigs.len() as u32).encode_into(out);
-        for (replica, sig) in &self.commit_sigs {
-            encode_replica(*replica, out);
-            sig.encode_into(out);
-        }
-    }
-}
-
-impl WireDecode for CommitEntry {
-    fn decode_from(r: &mut Reader<'_>) -> Option<Self> {
-        let view = WireDecode::decode_from(r)?;
-        let sn = WireDecode::decode_from(r)?;
-        let batch = WireDecode::decode_from(r)?;
-        let primary_sig = WireDecode::decode_from(r)?;
-        // Canonicality (length bound, sorted unique keys) is enforced by the
-        // generic map codec; only the key width conversion lives here.
-        let sigs: std::collections::BTreeMap<u64, xft_crypto::Signature> =
-            WireDecode::decode_from(r)?;
-        let mut commit_sigs = std::collections::BTreeMap::new();
-        for (replica, sig) in sigs {
-            commit_sigs.insert(usize::try_from(replica).ok()?, sig);
-        }
-        Some(CommitEntry {
-            view,
-            sn,
-            batch,
-            primary_sig,
-            commit_sigs,
-        })
     }
 }
 

@@ -13,13 +13,13 @@
 //! that verifies in-process verifies offline byte-for-byte.
 
 use crate::statements::{self, Statement};
-use bytes::{BufMut, Bytes, Reader};
+use bytes::Bytes;
 use std::sync::Arc;
 use xft_core::auth::verify_checkpoint_proof;
 use xft_core::evidence::EvidenceMsg;
 use xft_core::types::replica_key;
 use xft_crypto::{KeyRegistry, Verifier};
-use xft_wire::{WireDecode, WireEncode};
+use xft_wire::{struct_codec, WireDecode};
 
 /// Conflicting proposals: the same primary ordered two different batches at
 /// the same `(view, sn)`.
@@ -98,41 +98,20 @@ pub struct ProofOfCulpability {
     pub msg_b: Bytes,
 }
 
-impl WireEncode for ProofOfCulpability {
-    fn encode_into(&self, out: &mut impl BufMut) {
-        self.class.encode_into(out);
-        self.culprit.encode_into(out);
-        self.view.encode_into(out);
-        self.sn.encode_into(out);
-        self.n.encode_into(out);
-        self.t.encode_into(out);
-        self.key_seed.encode_into(out);
-        self.msg_a.encode_into(out);
-        self.msg_b.encode_into(out);
-    }
-}
-
-impl WireDecode for ProofOfCulpability {
-    fn decode_from(r: &mut Reader<'_>) -> Option<Self> {
-        Some(ProofOfCulpability {
-            class: u8::decode_from(r)?,
-            culprit: u64::decode_from(r)?,
-            view: u64::decode_from(r)?,
-            sn: u64::decode_from(r)?,
-            n: u64::decode_from(r)?,
-            t: u64::decode_from(r)?,
-            key_seed: u64::decode_from(r)?,
-            msg_a: Bytes::decode_from(r)?,
-            msg_b: Bytes::decode_from(r)?,
-        })
-    }
-}
+struct_codec!(ProofOfCulpability {
+    class,
+    culprit,
+    view,
+    sn,
+    n,
+    t,
+    key_seed,
+    msg_a,
+    msg_b
+});
 
 fn decode_carrier(bytes: &Bytes) -> Result<EvidenceMsg, ProofError> {
-    let mut r = Reader::new(bytes);
-    EvidenceMsg::decode_from(&mut r)
-        .filter(|_| r.is_empty())
-        .ok_or(ProofError::MalformedCarrier)
+    EvidenceMsg::decode_exact(bytes).ok_or(ProofError::MalformedCarrier)
 }
 
 impl ProofOfCulpability {

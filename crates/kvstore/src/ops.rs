@@ -1,11 +1,15 @@
 //! Operation encoding for the coordination service.
 //!
-//! Replication protocols carry opaque byte strings; [`KvOp`] provides a compact,
-//! deterministic binary encoding so benchmark clients can generate ZooKeeper-style
-//! operations (1 kB writes in the paper's Figure 10 workload) and replicas can decode
-//! and apply them.
+//! Replication protocols carry opaque byte strings; [`KvOp`] has a compact,
+//! canonical `xft-wire` encoding (one tag byte, then the variant's fields) so
+//! benchmark clients can generate ZooKeeper-style operations (1 kB writes in
+//! the paper's Figure 10 workload) and replicas can decode and apply them.
+//! Like every `xft-wire` decoder, [`KvOp::decode`] accepts exactly one byte
+//! string per operation: trailing bytes or a `sequential` flag other than
+//! 0 / 1 make it `None`.
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, Reader};
+use xft_wire::{WireDecode, WireEncode};
 
 /// A coordination-service operation.
 #[derive(Debug, Clone, PartialEq)]
@@ -86,23 +90,23 @@ impl KvResult {
         matches!(self, KvResult::Ok(_))
     }
 
-    /// Serializes the result to bytes (for protocol replies).
+    /// Serializes the result to bytes (for protocol replies): a success tag
+    /// (1 or 0) followed by the raw payload or error name. The payload has no
+    /// length prefix: the reply field that carries it is already framed.
     pub fn encode(&self) -> Bytes {
-        let mut out = BytesMut::new();
-        match self {
-            KvResult::Ok(payload) => {
-                out.put_u8(1);
-                out.put_slice(payload);
-            }
-            KvResult::Err(name) => {
-                out.put_u8(0);
-                out.put_slice(name.as_bytes());
-            }
-        }
-        out.freeze()
+        let (tag, payload): (u8, &[u8]) = match self {
+            KvResult::Ok(payload) => (1, payload),
+            KvResult::Err(name) => (0, name.as_bytes()),
+        };
+        let mut out = Vec::with_capacity(1 + payload.len());
+        out.put_u8(tag);
+        out.put_slice(payload);
+        Bytes::from(out)
     }
 }
 
+// Variant tags, explicit like the protocol's message tags: reordering the
+// enum must never change the format.
 const TAG_CREATE: u8 = 1;
 const TAG_DELETE: u8 = 2;
 const TAG_SET: u8 = 3;
@@ -113,43 +117,8 @@ const TAG_EXPIRE: u8 = 7;
 const TAG_PUT: u8 = 8;
 const TAG_GETVER: u8 = 9;
 
-fn put_str(out: &mut BytesMut, s: &str) {
-    out.put_u32_le(s.len() as u32);
-    out.put_slice(s.as_bytes());
-}
-
-fn get_str(data: &[u8], pos: &mut usize) -> Option<String> {
-    if data.len() < *pos + 4 {
-        return None;
-    }
-    let len = u32::from_le_bytes(data[*pos..*pos + 4].try_into().ok()?) as usize;
-    *pos += 4;
-    if data.len() < *pos + len {
-        return None;
-    }
-    let s = String::from_utf8(data[*pos..*pos + len].to_vec()).ok()?;
-    *pos += len;
-    Some(s)
-}
-
-fn get_bytes(data: &[u8], pos: &mut usize) -> Option<Bytes> {
-    if data.len() < *pos + 4 {
-        return None;
-    }
-    let len = u32::from_le_bytes(data[*pos..*pos + 4].try_into().ok()?) as usize;
-    *pos += 4;
-    if data.len() < *pos + len {
-        return None;
-    }
-    let b = Bytes::copy_from_slice(&data[*pos..*pos + len]);
-    *pos += len;
-    Some(b)
-}
-
-impl KvOp {
-    /// Encodes the operation to bytes.
-    pub fn encode(&self) -> Bytes {
-        let mut out = BytesMut::new();
+impl WireEncode for KvOp {
+    fn encode_into(&self, out: &mut impl BufMut) {
         match self {
             KvOp::Create {
                 path,
@@ -157,119 +126,76 @@ impl KvOp {
                 ephemeral_owner,
                 sequential,
             } => {
-                out.put_u8(TAG_CREATE);
-                put_str(&mut out, path);
-                out.put_u32_le(data.len() as u32);
-                out.put_slice(data);
-                out.put_u64_le(ephemeral_owner.map(|s| s + 1).unwrap_or(0));
-                out.put_u8(u8::from(*sequential));
+                // The owner travels as `session + 1`; 0 means none.
+                let owner = ephemeral_owner.map_or(0, |s| s + 1);
+                (TAG_CREATE, path, data, owner, sequential).encode_into(out)
             }
-            KvOp::Delete { path } => {
-                out.put_u8(TAG_DELETE);
-                put_str(&mut out, path);
-            }
-            KvOp::SetData { path, data } => {
-                out.put_u8(TAG_SET);
-                put_str(&mut out, path);
-                out.put_u32_le(data.len() as u32);
-                out.put_slice(data);
-            }
-            KvOp::GetData { path } => {
-                out.put_u8(TAG_GET);
-                put_str(&mut out, path);
-            }
-            KvOp::Exists { path } => {
-                out.put_u8(TAG_EXISTS);
-                put_str(&mut out, path);
-            }
-            KvOp::GetChildren { path } => {
-                out.put_u8(TAG_CHILDREN);
-                put_str(&mut out, path);
-            }
-            KvOp::ExpireSession { session } => {
-                out.put_u8(TAG_EXPIRE);
-                out.put_u64_le(*session);
-            }
-            KvOp::Put { path, data } => {
-                out.put_u8(TAG_PUT);
-                put_str(&mut out, path);
-                out.put_u32_le(data.len() as u32);
-                out.put_slice(data);
-            }
-            KvOp::GetVer { path } => {
-                out.put_u8(TAG_GETVER);
-                put_str(&mut out, path);
-            }
+            KvOp::Delete { path } => (TAG_DELETE, path).encode_into(out),
+            KvOp::SetData { path, data } => (TAG_SET, path, data).encode_into(out),
+            KvOp::GetData { path } => (TAG_GET, path).encode_into(out),
+            KvOp::Exists { path } => (TAG_EXISTS, path).encode_into(out),
+            KvOp::GetChildren { path } => (TAG_CHILDREN, path).encode_into(out),
+            KvOp::ExpireSession { session } => (TAG_EXPIRE, session).encode_into(out),
+            KvOp::Put { path, data } => (TAG_PUT, path, data).encode_into(out),
+            KvOp::GetVer { path } => (TAG_GETVER, path).encode_into(out),
         }
-        out.freeze()
+    }
+}
+
+impl WireDecode for KvOp {
+    fn decode_from(r: &mut Reader<'_>) -> Option<Self> {
+        Some(match r.get_u8()? {
+            TAG_CREATE => {
+                let (path, data, owner, sequential): (_, _, u64, _) = WireDecode::decode_from(r)?;
+                KvOp::Create {
+                    path,
+                    data,
+                    ephemeral_owner: owner.checked_sub(1),
+                    sequential,
+                }
+            }
+            TAG_DELETE => KvOp::Delete {
+                path: WireDecode::decode_from(r)?,
+            },
+            TAG_SET => {
+                let (path, data) = WireDecode::decode_from(r)?;
+                KvOp::SetData { path, data }
+            }
+            TAG_GET => KvOp::GetData {
+                path: WireDecode::decode_from(r)?,
+            },
+            TAG_EXISTS => KvOp::Exists {
+                path: WireDecode::decode_from(r)?,
+            },
+            TAG_CHILDREN => KvOp::GetChildren {
+                path: WireDecode::decode_from(r)?,
+            },
+            TAG_EXPIRE => KvOp::ExpireSession {
+                session: u64::decode_from(r)?,
+            },
+            TAG_PUT => {
+                let (path, data) = WireDecode::decode_from(r)?;
+                KvOp::Put { path, data }
+            }
+            TAG_GETVER => KvOp::GetVer {
+                path: WireDecode::decode_from(r)?,
+            },
+            _ => return None,
+        })
+    }
+}
+
+impl KvOp {
+    /// Encodes the operation to bytes.
+    pub fn encode(&self) -> Bytes {
+        Bytes::from(self.wire_bytes())
     }
 
-    /// Decodes an operation from bytes. Returns `None` on malformed input (replicas
-    /// treat undecodable operations as no-ops with an error reply).
+    /// Decodes an operation from bytes. Returns `None` on malformed input,
+    /// trailing bytes included (replicas treat undecodable operations as
+    /// no-ops with an error reply).
     pub fn decode(data: &[u8]) -> Option<KvOp> {
-        let mut pos = 1usize;
-        match *data.first()? {
-            TAG_CREATE => {
-                let path = get_str(data, &mut pos)?;
-                let payload = get_bytes(data, &mut pos)?;
-                if data.len() < pos + 9 {
-                    return None;
-                }
-                let owner_raw = u64::from_le_bytes(data[pos..pos + 8].try_into().ok()?);
-                pos += 8;
-                let sequential = data[pos] != 0;
-                Some(KvOp::Create {
-                    path,
-                    data: payload,
-                    ephemeral_owner: if owner_raw == 0 {
-                        None
-                    } else {
-                        Some(owner_raw - 1)
-                    },
-                    sequential,
-                })
-            }
-            TAG_DELETE => Some(KvOp::Delete {
-                path: get_str(data, &mut pos)?,
-            }),
-            TAG_SET => {
-                let path = get_str(data, &mut pos)?;
-                let payload = get_bytes(data, &mut pos)?;
-                Some(KvOp::SetData {
-                    path,
-                    data: payload,
-                })
-            }
-            TAG_GET => Some(KvOp::GetData {
-                path: get_str(data, &mut pos)?,
-            }),
-            TAG_EXISTS => Some(KvOp::Exists {
-                path: get_str(data, &mut pos)?,
-            }),
-            TAG_CHILDREN => Some(KvOp::GetChildren {
-                path: get_str(data, &mut pos)?,
-            }),
-            TAG_EXPIRE => {
-                if data.len() < pos + 8 {
-                    return None;
-                }
-                Some(KvOp::ExpireSession {
-                    session: u64::from_le_bytes(data[pos..pos + 8].try_into().ok()?),
-                })
-            }
-            TAG_PUT => {
-                let path = get_str(data, &mut pos)?;
-                let payload = get_bytes(data, &mut pos)?;
-                Some(KvOp::Put {
-                    path,
-                    data: payload,
-                })
-            }
-            TAG_GETVER => Some(KvOp::GetVer {
-                path: get_str(data, &mut pos)?,
-            }),
-            _ => None,
-        }
+        KvOp::decode_exact(data)
     }
 }
 

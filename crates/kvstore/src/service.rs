@@ -3,9 +3,10 @@
 
 use crate::ops::{KvOp, KvResult};
 use crate::tree::{TreeError, ZNodeTree};
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes};
 use xft_core::state_machine::StateMachine;
 use xft_crypto::Digest;
+use xft_wire::{WireDecode, WireEncode};
 
 /// The coordination service state machine.
 #[derive(Debug, Clone, Default)]
@@ -57,12 +58,12 @@ impl CoordinationService {
                 b"0"
             })),
             KvOp::GetChildren { path } => {
-                let mut out = BytesMut::new();
+                let mut out = Vec::new();
                 for child in self.tree.children(path) {
                     out.put_slice(child.as_bytes());
                     out.put_u8(b'\n');
                 }
-                KvResult::Ok(out.freeze())
+                KvResult::Ok(Bytes::from(out))
             }
             KvOp::ExpireSession { session } => {
                 let removed = self.tree.expire_session(*session);
@@ -83,10 +84,10 @@ impl CoordinationService {
             }
             KvOp::GetVer { path } => match self.tree.get(path) {
                 Ok(node) => {
-                    let mut out = BytesMut::with_capacity(8 + node.data.len());
+                    let mut out = Vec::with_capacity(8 + node.data.len());
                     out.put_u64_le(node.version);
                     out.put_slice(&node.data);
-                    KvResult::Ok(out.freeze())
+                    KvResult::Ok(Bytes::from(out))
                 }
                 Err(e) => KvResult::Err(err_name(e)),
             },
@@ -148,17 +149,12 @@ impl StateMachine for CoordinationService {
         // state, growing a vector and copying it behind the prefix costs
         // more than the encoding itself.
         let mut out = Vec::with_capacity(8 + self.tree.encoded_len());
-        out.extend_from_slice(&self.applied.to_le_bytes());
-        self.tree.encode_into(&mut out);
+        (self.applied, &self.tree).encode_into(&mut out);
         Bytes::from(out)
     }
 
     fn restore(&mut self, snapshot: &[u8]) -> bool {
-        if snapshot.len() < 8 {
-            return false;
-        }
-        let applied = u64::from_le_bytes(snapshot[..8].try_into().expect("8 bytes"));
-        let Some(tree) = ZNodeTree::from_bytes(&snapshot[8..]) else {
+        let Some((applied, tree)) = WireDecode::decode_exact(snapshot) else {
             return false;
         };
         self.tree = tree;

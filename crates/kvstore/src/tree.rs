@@ -1,9 +1,10 @@
 //! The znode tree: a hierarchical namespace of versioned nodes, modeled after the
 //! ZooKeeper data model.
 
-use bytes::Bytes;
+use bytes::{BufMut, Bytes, Reader};
 use std::collections::BTreeMap;
 use xft_crypto::Digest;
+use xft_wire::{struct_codec, WireDecode, WireEncode};
 
 /// One node in the hierarchical namespace.
 #[derive(Debug, Clone, PartialEq)]
@@ -249,63 +250,12 @@ impl ZNodeTree {
         8 + 4 + nodes
     }
 
-    /// Appends the [`ZNodeTree::to_bytes`] encoding to `out`.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.zxid.to_le_bytes());
-        out.extend_from_slice(&(self.nodes.len() as u32).to_le_bytes());
-        for (path, node) in &self.nodes {
-            out.extend_from_slice(&(path.len() as u32).to_le_bytes());
-            out.extend_from_slice(path.as_bytes());
-            out.extend_from_slice(&(node.data.len() as u32).to_le_bytes());
-            out.extend_from_slice(&node.data);
-            out.extend_from_slice(&node.version.to_le_bytes());
-            out.extend_from_slice(&node.created_at.to_le_bytes());
-            match node.ephemeral_owner {
-                Some(owner) => {
-                    out.push(1);
-                    out.extend_from_slice(&owner.to_le_bytes());
-                }
-                None => out.push(0),
-            }
-            out.extend_from_slice(&node.next_sequential.to_le_bytes());
-        }
-    }
-
     /// Reconstructs a tree from [`ZNodeTree::to_bytes`] output. Returns
-    /// `None` on a malformed blob (truncated, trailing bytes, bad paths).
+    /// `None` on a malformed blob: truncated, trailing bytes, paths out of
+    /// order or repeated, no root, or more than
+    /// [`xft_wire::MAX_COLLECTION_LEN`] nodes or bytes of one node's data.
     pub fn from_bytes(bytes: &[u8]) -> Option<ZNodeTree> {
-        let mut r = bytes::Reader::new(bytes);
-        let zxid = r.get_u64_le()?;
-        let count = r.get_u32_le()? as usize;
-        let mut nodes = BTreeMap::new();
-        for _ in 0..count {
-            let path_len = r.get_u32_le()? as usize;
-            let path = String::from_utf8(r.get_slice(path_len)?.to_vec()).ok()?;
-            let data_len = r.get_u32_le()? as usize;
-            let data = Bytes::copy_from_slice(r.get_slice(data_len)?);
-            let version = r.get_u64_le()?;
-            let created_at = r.get_u64_le()?;
-            let ephemeral_owner = match r.get_u8()? {
-                0 => None,
-                1 => Some(r.get_u64_le()?),
-                _ => return None,
-            };
-            let next_sequential = r.get_u64_le()?;
-            nodes.insert(
-                path,
-                ZNode {
-                    data,
-                    version,
-                    created_at,
-                    ephemeral_owner,
-                    next_sequential,
-                },
-            );
-        }
-        if r.remaining() != 0 || !nodes.contains_key("/") {
-            return None;
-        }
-        Some(ZNodeTree { nodes, zxid })
+        ZNodeTree::decode_exact(bytes)
     }
 
     /// Per-node leaf digests in path order — the leaves of the tree's Merkle
@@ -350,6 +300,28 @@ impl ZNodeTree {
             &self.zxid.to_le_bytes(),
             root.as_bytes(),
         ])
+    }
+}
+
+struct_codec!(ZNode {
+    data,
+    version,
+    created_at,
+    ephemeral_owner,
+    next_sequential
+});
+
+/// The zxid, then the nodes as a map from path to node.
+impl WireEncode for ZNodeTree {
+    fn encode_into(&self, out: &mut impl BufMut) {
+        (self.zxid, &self.nodes).encode_into(out);
+    }
+}
+
+impl WireDecode for ZNodeTree {
+    fn decode_from(r: &mut Reader<'_>) -> Option<Self> {
+        let (zxid, nodes): (u64, BTreeMap<String, ZNode>) = WireDecode::decode_from(r)?;
+        nodes.contains_key("/").then_some(ZNodeTree { nodes, zxid })
     }
 }
 

@@ -20,7 +20,6 @@
 //! accept loop; each request is handled inline (scrapes are rare and cheap,
 //! so there is no per-connection thread).
 
-use bytes::Reader;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
@@ -167,10 +166,7 @@ fn render_evidence(dir: &std::path::Path) -> std::io::Result<String> {
         Ok(framed) => xft_store::wal::scan_records(&framed)
             .records
             .first()
-            .and_then(|blob| {
-                let mut r = Reader::new(blob);
-                EvidenceAnchor::decode_from(&mut r).filter(|_| r.is_empty())
-            })
+            .and_then(|blob| EvidenceAnchor::decode_exact(blob))
             .unwrap_or_else(EvidenceAnchor::genesis),
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => EvidenceAnchor::genesis(),
         Err(e) => return Err(e),
@@ -190,8 +186,7 @@ fn render_evidence(dir: &std::path::Path) -> std::io::Result<String> {
     );
     let mut shown = 0u64;
     for raw in &scan.records {
-        let mut r = Reader::new(raw);
-        let Some(record) = EvidenceRecord::decode_from(&mut r).filter(|_| r.is_empty()) else {
+        let Some(record) = EvidenceRecord::decode_exact(raw) else {
             let _ = writeln!(out, "# undecodable record (version skew?)");
             continue;
         };

@@ -35,6 +35,37 @@ pub trait WireEncode {
 pub trait WireDecode: Sized {
     /// Decodes one value from the cursor.
     fn decode_from(r: &mut Reader<'_>) -> Option<Self>;
+
+    /// Decodes one value that fills `bytes` exactly: `None` on any decoding
+    /// failure and on trailing bytes.
+    fn decode_exact(bytes: &[u8]) -> Option<Self> {
+        let mut r = Reader::new(bytes);
+        Self::decode_from(&mut r).filter(|_| r.is_empty())
+    }
+}
+
+/// Implements [`WireEncode`] and [`WireDecode`] for a struct as its fields,
+/// one after another, in the order listed (declaration order, by
+/// convention). Decoding starts a fresh value, so every field must be listed.
+///
+/// ```
+/// struct Vote { view: u64, replica: usize, yes: bool }
+/// xft_wire::struct_codec!(Vote { view, replica, yes });
+/// ```
+#[macro_export]
+macro_rules! struct_codec {
+    ($ty:ty { $($field:ident),+ $(,)? }) => {
+        impl $crate::WireEncode for $ty {
+            fn encode_into(&self, out: &mut impl $crate::BufMut) {
+                $($crate::WireEncode::encode_into(&self.$field, out);)+
+            }
+        }
+        impl $crate::WireDecode for $ty {
+            fn decode_from(r: &mut $crate::Reader<'_>) -> Option<Self> {
+                Some(Self { $($field: $crate::WireDecode::decode_from(r)?),+ })
+            }
+        }
+    };
 }
 
 impl<T: WireEncode + ?Sized> WireEncode for &T {
@@ -76,6 +107,20 @@ impl WireEncode for u64 {
 impl WireDecode for u64 {
     fn decode_from(r: &mut Reader<'_>) -> Option<Self> {
         r.get_u64_le()
+    }
+}
+
+/// A `usize` (a replica id, a count) is a `u64` on the wire, so builds of
+/// any pointer width agree; decoding fails if the value does not fit.
+impl WireEncode for usize {
+    fn encode_into(&self, out: &mut impl BufMut) {
+        (*self as u64).encode_into(out);
+    }
+}
+
+impl WireDecode for usize {
+    fn decode_from(r: &mut Reader<'_>) -> Option<Self> {
+        usize::try_from(u64::decode_from(r)?).ok()
     }
 }
 
@@ -290,6 +335,8 @@ mod tests {
         round_trip(u8::MAX);
         round_trip(0xDEAD_BEEFu32);
         round_trip(u64::MAX);
+        round_trip(7usize);
+        round_trip(usize::MAX);
         round_trip(true);
         round_trip(false);
         round_trip(String::from("path/with/∆"));
@@ -334,6 +381,44 @@ mod tests {
         let mut buf = Vec::new();
         [0xFFu8, 0xFE].as_slice().encode_into(&mut buf);
         assert_eq!(String::decode_from(&mut Reader::new(&buf)), None);
+    }
+
+    #[test]
+    fn usize_is_a_u64_on_the_wire() {
+        assert_eq!(9usize.wire_bytes(), 9u64.wire_bytes());
+        if let Ok(narrow) = u32::try_from(usize::MAX) {
+            let wide = u64::from(narrow) + 1;
+            assert_eq!(usize::decode_exact(&wide.wire_bytes()), None);
+        }
+    }
+
+    #[test]
+    fn decode_exact_rejects_trailing_bytes() {
+        let mut bytes = 5u64.wire_bytes();
+        assert_eq!(u64::decode_exact(&bytes), Some(5));
+        bytes.push(0);
+        assert_eq!(u64::decode_exact(&bytes), None);
+        assert_eq!(u64::decode_exact(&bytes[..7]), None);
+    }
+
+    struct Vote {
+        view: u64,
+        replica: usize,
+        yes: bool,
+    }
+    crate::struct_codec!(Vote { view, replica, yes });
+
+    #[test]
+    fn struct_codec_encodes_fields_in_order() {
+        let vote = Vote {
+            view: 3,
+            replica: 2,
+            yes: true,
+        };
+        let bytes = vote.wire_bytes();
+        assert_eq!(bytes, (3u64, 2u64, true).wire_bytes());
+        let back = Vote::decode_exact(&bytes).expect("decodes");
+        assert_eq!((back.view, back.replica, back.yes), (3, 2, true));
     }
 
     #[test]

@@ -37,19 +37,7 @@ pub struct TraceContext {
     pub id: u64,
 }
 
-impl WireEncode for TraceContext {
-    fn encode_into(&self, out: &mut impl BufMut) {
-        self.id.encode_into(out);
-    }
-}
-
-impl WireDecode for TraceContext {
-    fn decode_from(r: &mut Reader<'_>) -> Option<Self> {
-        Some(TraceContext {
-            id: u64::decode_from(r)?,
-        })
-    }
-}
+crate::struct_codec!(TraceContext { id });
 
 /// Typed decoding failures surfaced by [`decode_msg`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

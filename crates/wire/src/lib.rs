@@ -8,7 +8,9 @@
 //!   and the bounds-checked [`bytes::Reader`] cursor);
 //! * codec implementations for the primitives and combinators message types
 //!   are made of (integers, byte strings, `Option`, `Vec`, maps, tuples,
-//!   digests and signatures);
+//!   digests and signatures), and [`struct_codec!`], which declares a
+//!   struct's format as its fields in order — every message, record and
+//!   snapshot format in the workspace is declared through this crate;
 //! * the versioned message envelope — every encoded message starts with the
 //!   [`MAGIC`] header and [`WIRE_VERSION`] byte, so incompatible peers fail
 //!   fast with a typed [`WireError`] instead of mis-decoding
@@ -30,6 +32,7 @@ pub mod codec;
 pub mod envelope;
 pub mod frame;
 
+pub use bytes::{BufMut, Reader};
 pub use codec::{WireDecode, WireEncode, MAX_COLLECTION_LEN};
 pub use envelope::{
     decode_msg, decode_msg_traced, encode_msg, encode_msg_into, encode_msg_traced_into,
