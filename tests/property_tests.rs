@@ -538,6 +538,147 @@ fn state_chunk_decoder_caps_hostile_lengths() {
     });
 }
 
+fn arb_kv_op(rng: &mut CaseRng) -> KvOp {
+    let path = format!("/n{}", rng.u64_below(16));
+    let data = Bytes::from(rng.bytes(0, 64));
+    match rng.u64_below(9) {
+        0 => KvOp::Create {
+            path,
+            data,
+            ephemeral_owner: rng.bool().then(|| rng.u64_below(1 << 40)),
+            sequential: rng.bool(),
+        },
+        1 => KvOp::Delete { path },
+        2 => KvOp::SetData { path, data },
+        3 => KvOp::GetData { path },
+        4 => KvOp::Exists { path },
+        5 => KvOp::GetChildren { path },
+        6 => KvOp::ExpireSession {
+            session: rng.u64_below(1 << 40),
+        },
+        7 => KvOp::Put { path, data },
+        _ => KvOp::GetVer { path },
+    }
+}
+
+/// Runs `decodes` on `encoded`, on every strict prefix of it and on a few
+/// random single-bit flips of it: the whole encoding must decode, no prefix
+/// may, and no flip may panic.
+fn prefixes_fail_and_flips_do_not_panic(
+    rng: &mut CaseRng,
+    what: &str,
+    encoded: &[u8],
+    decodes: impl Fn(&[u8]) -> bool,
+) -> Result<(), String> {
+    if !decodes(encoded) {
+        return Err(format!("{what}: the full encoding did not decode"));
+    }
+    for cut in 0..encoded.len() {
+        if decodes(&encoded[..cut]) {
+            let len = encoded.len();
+            return Err(format!("{what}: a {cut}-byte prefix of {len} decoded"));
+        }
+    }
+    for _ in 0..8 {
+        let mut flipped = encoded.to_vec();
+        let idx = rng.usize_in(0, flipped.len());
+        flipped[idx] ^= 1 << (rng.byte() % 8);
+        let _ = decodes(&flipped);
+    }
+    Ok(())
+}
+
+/// The decoders that read client operations, snapshots from peers and
+/// evidence records from disk go through `xft-wire`, so they inherit its
+/// rules on malformed input: a truncated encoding never decodes, and
+/// corrupted bytes are rejected or decoded, never a panic.
+#[test]
+fn client_and_snapshot_decoders_reject_malformed_inputs_without_panicking() {
+    use xft::core::evidence::{evidence_payload, EvidenceRecord};
+    use xft::kvstore::ZNodeTree;
+    use xft::wire::{WireDecode, WireEncode};
+    check(
+        "client_and_snapshot_decoders_reject_malformed_inputs",
+        64,
+        |rng| {
+            let op = arb_kv_op(rng).encode();
+            prefixes_fail_and_flips_do_not_panic(rng, "KvOp", &op, |b| KvOp::decode(b).is_some())?;
+
+            let mut svc = CoordinationService::new();
+            for _ in 0..rng.usize_in(0, 12) {
+                svc.apply_op(&arb_kv_op(rng));
+            }
+            let tree = svc.tree().to_bytes();
+            prefixes_fail_and_flips_do_not_panic(rng, "ZNodeTree", &tree, |b| {
+                ZNodeTree::from_bytes(b).is_some()
+            })?;
+            let snapshot = svc.snapshot();
+            prefixes_fail_and_flips_do_not_panic(rng, "CoordinationService", &snapshot, |b| {
+                CoordinationService::new().restore(b)
+            })?;
+
+            let record = EvidenceRecord {
+                seq: rng.u64_below(1 << 30),
+                prev: arb_digest(rng),
+                at_ns: rng.u64_below(1 << 50),
+                recorder: rng.u64_below(8),
+                direction: rng.byte() % 2,
+                peer: rng.u64_below(8),
+                trace: rng.u64_below(1 << 20),
+                sn: rng.u64_below(1 << 20),
+                msg: Bytes::from(evidence_payload(&arb_msg(rng))),
+            };
+            prefixes_fail_and_flips_do_not_panic(rng, "EvidenceRecord", &record.wire_bytes(), |b| {
+                EvidenceRecord::decode_exact(b).is_some()
+            })
+        },
+    );
+}
+
+/// `KvOp::decode` is canonical like every other `xft-wire` decoder: one byte
+/// string per operation, so every replica rejects a non-canonical one alike.
+#[test]
+fn kv_op_decoding_is_canonical() {
+    let create = KvOp::Create {
+        path: "/a".into(),
+        data: Bytes::from_static(b"v"),
+        ephemeral_owner: Some(3),
+        sequential: true,
+    }
+    .encode()
+    .to_vec();
+    let put = KvOp::Put {
+        path: "/k".into(),
+        data: Bytes::from_static(b"v"),
+    }
+    .encode()
+    .to_vec();
+    let edited = |bytes: &[u8], edit: fn(&mut Vec<u8>)| {
+        let mut bytes = bytes.to_vec();
+        edit(&mut bytes);
+        bytes
+    };
+    let rows: [(&str, Vec<u8>); 6] = [
+        ("empty", vec![]),
+        ("unknown tag", vec![99]),
+        ("truncated create", vec![1, 1, 2]),
+        (
+            "create with a trailing byte",
+            edited(&create, |b| b.push(0)),
+        ),
+        ("put with a trailing byte", edited(&put, |b| b.push(7))),
+        (
+            "create with sequential = 2",
+            edited(&create, |b| *b.last_mut().unwrap() = 2),
+        ),
+    ];
+    for (row, bytes) in rows {
+        assert_eq!(KvOp::decode(&bytes), None, "{row}");
+    }
+    assert!(KvOp::decode(&create).is_some());
+    assert!(KvOp::decode(&put).is_some());
+}
+
 /// Signed digests are derived from the canonical encoding, so two messages
 /// sign the same digest exactly when their wire bytes agree.
 #[test]
