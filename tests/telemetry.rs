@@ -258,3 +258,74 @@ fn checkpoint_capture_series_are_observation_only() {
         "the memo never saved a block ({rehashed} of {total} re-hashed)"
     );
 }
+
+/// A request's trace id follows it across every hop of the t = 1 fast path:
+/// the primary's COMMIT-CARRY for a batch carries the id minted for the
+/// batch's request, and the follower's receipt of it, the follower's COMMIT
+/// and the primary's receipt of that COMMIT all carry the same id. With one
+/// batch in flight the second request is cut inside the step that receives
+/// the first batch's COMMIT, so its proposal is only correctly traced if the
+/// batch cut re-stamps the id instead of inheriting the step's.
+#[test]
+fn a_requests_trace_id_survives_every_fast_path_hop() {
+    use xft::core::evidence::{EvidenceRecord, DIR_RECEIVED, DIR_SENT};
+    use xft::core::sync_group::SyncGroups;
+    use xft::core::types::ViewNumber;
+    use xft::simnet::PipelineConfig;
+    use xft::telemetry::trace::mint;
+
+    let mut cluster = ClusterBuilder::new(1, 2)
+        .with_latency(LatencySpec::Constant(SimDuration::from_millis(1)))
+        .with_pipeline(PipelineConfig::default().with_max_in_flight(1))
+        .with_workload(ClientWorkload {
+            requests: Some(1),
+            ..Default::default()
+        })
+        .with_evidence(true)
+        .build();
+    cluster.run_for(SimDuration::from_millis(200));
+    assert_eq!(cluster.total_committed(), 2);
+
+    let groups = SyncGroups::new(1);
+    let primary = groups.primary(ViewNumber(0));
+    let follower = groups.followers(ViewNumber(0))[0];
+    let records = |replica: usize| -> Vec<EvidenceRecord> {
+        cluster
+            .replica(replica)
+            .evidence()
+            .unwrap()
+            .records()
+            .to_vec()
+    };
+    let (at_primary, at_follower) = (records(primary), records(follower));
+    let find = |records: &[EvidenceRecord], direction: u8, kind: &str, sn: u64| -> u64 {
+        let matching: Vec<u64> = records
+            .iter()
+            .filter(|r| {
+                r.direction == direction
+                    && r.sn == sn
+                    && r.decode_evidence().unwrap().kind() == kind
+            })
+            .map(|r| r.trace)
+            .collect();
+        assert_eq!(
+            matching.len(),
+            1,
+            "{kind} (direction {direction}) at sn {sn}"
+        );
+        matching[0]
+    };
+
+    let mut carried = Vec::new();
+    for sn in [1, 2] {
+        let id = find(&at_primary, DIR_SENT, "COMMIT-CARRY", sn);
+        assert_eq!(find(&at_follower, DIR_RECEIVED, "COMMIT-CARRY", sn), id);
+        assert_eq!(find(&at_follower, DIR_SENT, "COMMIT", sn), id);
+        assert_eq!(find(&at_primary, DIR_RECEIVED, "COMMIT", sn), id);
+        carried.push(id);
+    }
+    carried.sort_unstable();
+    let mut minted = vec![mint(0, 1), mint(1, 1)];
+    minted.sort_unstable();
+    assert_eq!(carried, minted, "one COMMIT-CARRY per request's minted id");
+}
