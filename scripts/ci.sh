@@ -8,6 +8,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "==> non-test lines per crate (scripts/loc.sh; reported, not gated)"
+scripts/loc.sh
+
 echo "==> formatting is canonical (cargo fmt --check)"
 cargo fmt --all -- --check
 
