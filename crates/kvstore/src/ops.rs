@@ -20,7 +20,9 @@ pub enum KvOp {
         path: String,
         /// Initial data.
         data: Bytes,
-        /// Session owning the node if ephemeral.
+        /// Session owning the node if ephemeral. Any session but
+        /// `u64::MAX`, which the encoding cannot represent (encoding it
+        /// panics).
         ephemeral_owner: Option<u64>,
         /// Whether a sequential suffix is appended.
         sequential: bool,
@@ -126,8 +128,13 @@ impl WireEncode for KvOp {
                 ephemeral_owner,
                 sequential,
             } => {
-                // The owner travels as `session + 1`; 0 means none.
-                let owner = ephemeral_owner.map_or(0, |s| s + 1);
+                // The owner travels as `session + 1`; 0 means none. Session
+                // `u64::MAX` has no such form, and wrapping it to 0 would
+                // turn an ephemeral node persistent.
+                let owner = ephemeral_owner.map_or(0, |s| {
+                    s.checked_add(1)
+                        .expect("ephemeral owner u64::MAX cannot be encoded")
+                });
                 (TAG_CREATE, path, data, owner, sequential).encode_into(out)
             }
             KvOp::Delete { path } => (TAG_DELETE, path).encode_into(out),
@@ -202,6 +209,18 @@ impl KvOp {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    #[should_panic(expected = "ephemeral owner u64::MAX cannot be encoded")]
+    fn an_ephemeral_owner_of_u64_max_is_rejected_at_encode() {
+        KvOp::Create {
+            path: "/e".into(),
+            data: Bytes::new(),
+            ephemeral_owner: Some(u64::MAX),
+            sequential: false,
+        }
+        .encode();
+    }
 
     fn roundtrip(op: KvOp) {
         let encoded = op.encode();
