@@ -65,11 +65,6 @@ pub enum ByzantineBehavior {
 }
 
 impl ByzantineBehavior {
-    /// Whether this behaviour counts as a non-crash fault (anything but `Correct`).
-    pub fn is_faulty(&self) -> bool {
-        *self != ByzantineBehavior::Correct
-    }
-
     /// Decodes a behaviour from a fault-script control code:
     /// `0` = correct, `1` = mute, `2` = lose entire commit log, `3` = lose both logs,
     /// `4` = corrupt signatures. Unknown codes leave the behaviour unchanged (`None`).
@@ -92,8 +87,6 @@ mod tests {
     #[test]
     fn default_is_correct() {
         assert_eq!(ByzantineBehavior::default(), ByzantineBehavior::Correct);
-        assert!(!ByzantineBehavior::Correct.is_faulty());
-        assert!(ByzantineBehavior::Mute.is_faulty());
     }
 
     #[test]

@@ -101,11 +101,6 @@ impl XPaxosConfig {
         self.replica_nodes[replica]
     }
 
-    /// Replica id occupying a simnet node, if any.
-    pub fn replica_at(&self, node: NodeId) -> Option<ReplicaId> {
-        self.replica_nodes.iter().position(|&n| n == node)
-    }
-
     /// The 2Δ window used when collecting VIEW-CHANGE messages.
     pub fn two_delta(&self) -> SimDuration {
         self.delta * 2
@@ -184,9 +179,10 @@ mod tests {
     fn node_mapping_roundtrips() {
         let c = XPaxosConfig::new(1, 1);
         for r in 0..c.n() {
-            assert_eq!(c.replica_at(c.node_of(r)), Some(r));
+            let node = c.node_of(r);
+            assert_eq!(c.replica_nodes.iter().position(|&n| n == node), Some(r));
+            assert!(!c.client_nodes.contains(&node));
         }
-        assert_eq!(c.replica_at(99), None);
     }
 
     #[test]

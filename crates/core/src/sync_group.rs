@@ -101,28 +101,6 @@ impl SyncGroups {
     pub fn is_primary(&self, v: ViewNumber, replica: ReplicaId) -> bool {
         self.primary(v) == replica
     }
-
-    /// The smallest view strictly greater than `from` whose synchronous group is
-    /// entirely contained in `available` (used by availability arguments and tests:
-    /// with round-robin rotation, such a view always exists within `group_count()`
-    /// steps when `available` holds at least t + 1 replicas).
-    pub fn next_view_with_group_in(
-        &self,
-        from: ViewNumber,
-        available: &[ReplicaId],
-    ) -> Option<ViewNumber> {
-        for step in 1..=self.group_count() as u64 {
-            let v = ViewNumber(from.0 + step);
-            if self
-                .active_replicas(v)
-                .iter()
-                .all(|r| available.contains(r))
-            {
-                return Some(v);
-            }
-        }
-        None
-    }
 }
 
 #[cfg(test)]
@@ -188,17 +166,6 @@ mod tests {
             all.sort_unstable();
             assert_eq!(all, vec![0, 1, 2, 3, 4]);
         }
-    }
-
-    #[test]
-    fn next_view_with_group_skips_faulty_replicas() {
-        let sg = SyncGroups::new(1);
-        // Replica 1 is down; starting from view 0 (group {0,1}) the next usable view is
-        // view 1 (group {0,2}).
-        let v = sg.next_view_with_group_in(ViewNumber(0), &[0, 2]).unwrap();
-        assert_eq!(v, ViewNumber(1));
-        // Only replica 2 available: no group of size 2 fits.
-        assert_eq!(sg.next_view_with_group_in(ViewNumber(0), &[2]), None);
     }
 
     #[test]

@@ -42,17 +42,6 @@ pub fn bench_workload(client: u64, payload: usize, ops: Option<u64>) -> ClientWo
     }
 }
 
-/// An overwrite of a client-owned znode (ZooKeeper `setData`), the paper's
-/// 1 kB-write workload once the znode exists. Fails with `NoNode` (still a
-/// committed, totally-ordered operation) if [`bench_create_op`] never ran.
-pub fn bench_set_op(client: u64, payload: usize) -> Bytes {
-    KvOp::SetData {
-        path: format!("/bench-c{client}-0000000000"),
-        data: Bytes::from(vec![0xCD; payload]),
-    }
-    .encode()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -69,14 +58,5 @@ mod tests {
         assert_eq!(svc.applied(), 5);
         // Sequential suffixes make every create distinct.
         assert_eq!(svc.tree().children("/").count(), 5);
-    }
-
-    #[test]
-    fn bench_set_targets_the_first_created_node() {
-        let mut svc = CoordinationService::new();
-        let create_reply = svc.apply(&bench_create_op(3, 16));
-        let created = String::from_utf8(create_reply[1..].to_vec()).unwrap();
-        let set_reply = svc.apply(&bench_set_op(3, 16));
-        assert_eq!(set_reply[0], 1, "set of {created} succeeded");
     }
 }

@@ -5,7 +5,6 @@
 //! xpaxos-server --id 0 --t 1 --clients 1 \
 //!     --addrs 127.0.0.1:7000,127.0.0.1:7001,127.0.0.1:7002,127.0.0.1:7010 \
 //!     [--seed 1] [--delta-ms 500] [--retransmit-ms 2000] [--run-secs 0] \
-//!     [--max-in-flight 8] [--batch-size 20] \
 //!     [--data-dir PATH] [--checkpoint-interval 128] \
 //!     [--state-chunk-bytes 65536] [--state-fetch-window 4] \
 //!     [--metrics-addr 127.0.0.1:9100] [--evidence-dir PATH]
@@ -16,12 +15,12 @@
 //! same `--t/--clients/--addrs/--seed/--delta-ms` so they agree on membership,
 //! keys and timeouts. `--run-secs 0` runs until killed.
 //!
-//! `--max-in-flight` bounds how many batches the primary keeps in flight
-//! (`xft_simnet::PipelineConfig::max_in_flight_batches`), and `--batch-size`
-//! is the batch cut threshold: a batch is cut once that many requests are
-//! queued, when the pipe is idle, or when the 2 ms batch timer fires; the cut
-//! carries every queued request up to a 1 MiB byte budget, so a backlog
-//! behind a full in-flight window leaves in one proposal. The admission queue
+//! The primary keeps up to 8 batches in flight
+//! (`xft_simnet::PipelineConfig::max_in_flight_batches`) and cuts a batch once
+//! 20 requests are queued (`XPaxosConfig::batch_size`), when the pipe is idle,
+//! or when the 2 ms batch timer fires; the cut carries every queued request
+//! up to a 1 MiB byte budget, so a backlog behind a full in-flight window
+//! leaves in one proposal. The admission queue
 //! holds 4096 requests; overflow is shed with BUSY. The client window is the
 //! client's own setting (`xpaxos-client --window`).
 //!
@@ -72,7 +71,7 @@ use xft_net::{
     parse_node_addrs, register_cluster_keys, AddressBook, MetricsServer, NetConfig, StartMode,
     TcpRuntime,
 };
-use xft_simnet::{PipelineConfig, SimDuration};
+use xft_simnet::SimDuration;
 use xft_store::{DiskStorage, SyncPolicy};
 use xft_telemetry::Telemetry;
 
@@ -86,9 +85,7 @@ fn main() {
     let delta_ms: u64 = args.optional("--delta-ms").unwrap_or(500);
     let retransmit_ms: u64 = args.optional("--retransmit-ms").unwrap_or(2000);
     let run_secs: u64 = args.optional("--run-secs").unwrap_or(0);
-    let max_in_flight: usize = args.optional("--max-in-flight").unwrap_or(8);
     let data_dir: Option<String> = args.optional("--data-dir");
-    let batch_size: Option<usize> = args.optional("--batch-size");
     let checkpoint_interval: u64 = args.optional("--checkpoint-interval").unwrap_or(128);
     let state_chunk_bytes: Option<u32> = args.optional("--state-chunk-bytes");
     let state_fetch_window: Option<u32> = args.optional("--state-fetch-window");
@@ -123,11 +120,7 @@ fn main() {
     let mut config = XPaxosConfig::new(t, clients)
         .with_delta(SimDuration::from_millis(delta_ms))
         .with_client_retransmit(SimDuration::from_millis(retransmit_ms))
-        .with_checkpoint_interval(checkpoint_interval)
-        .with_pipeline(PipelineConfig::default().with_max_in_flight(max_in_flight));
-    if let Some(batch) = batch_size {
-        config = config.with_batch_size(batch);
-    }
+        .with_checkpoint_interval(checkpoint_interval);
     if let Some(chunk) = state_chunk_bytes {
         config = config.with_state_chunk_bytes(chunk);
     }

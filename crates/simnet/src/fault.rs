@@ -57,11 +57,6 @@ impl FaultScript {
         &self.events
     }
 
-    /// Adds an event at `seconds` of simulated time.
-    pub fn at_secs(self, seconds: u64, event: FaultEvent) -> Self {
-        self.at(SimTime::ZERO + SimDuration::from_secs(seconds), event)
-    }
-
     /// Adds an event at fractional seconds of simulated time.
     pub fn at_secs_f64(self, seconds: f64, event: FaultEvent) -> Self {
         self.at(SimTime::ZERO + SimDuration::from_secs_f64(seconds), event)
@@ -89,17 +84,6 @@ impl FaultScript {
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
-
-    /// Builds the fault script of the paper's Figure 9 experiment: with active replicas
-    /// CA(0) and VA(1) and passive JP(2), crash VA at 180 s, CA at 300 s and JP at
-    /// 420 s, each recovering 20 s later.
-    pub fn figure9(va: NodeId, ca: NodeId, jp: NodeId) -> Self {
-        let down = SimDuration::from_secs(20);
-        FaultScript::new()
-            .crash_for(SimTime::ZERO + SimDuration::from_secs(180), va, down)
-            .crash_for(SimTime::ZERO + SimDuration::from_secs(300), ca, down)
-            .crash_for(SimTime::ZERO + SimDuration::from_secs(420), jp, down)
-    }
 }
 
 #[cfg(test)]
@@ -109,9 +93,9 @@ mod tests {
     #[test]
     fn script_sorts_events_by_time() {
         let script = FaultScript::new()
-            .at_secs(30, FaultEvent::Crash(1))
-            .at_secs(10, FaultEvent::Crash(0))
-            .at_secs(20, FaultEvent::Recover(0));
+            .at_secs_f64(30.0, FaultEvent::Crash(1))
+            .at_secs_f64(10.0, FaultEvent::Crash(0))
+            .at_secs_f64(20.0, FaultEvent::Recover(0));
         let events = script.into_sorted_events();
         let times: Vec<u64> = events
             .iter()
@@ -132,54 +116,6 @@ mod tests {
         assert_eq!(events[0].1, FaultEvent::Crash(2));
         assert_eq!(events[1].1, FaultEvent::Recover(2));
         assert_eq!(events[1].0, SimTime::ZERO + SimDuration::from_secs(12));
-    }
-
-    #[test]
-    fn figure9_script_matches_paper_timings() {
-        let events = FaultScript::figure9(1, 0, 2).into_sorted_events();
-        assert_eq!(events.len(), 6);
-        assert_eq!(
-            events[0],
-            (
-                SimTime::ZERO + SimDuration::from_secs(180),
-                FaultEvent::Crash(1)
-            )
-        );
-        assert_eq!(
-            events[1],
-            (
-                SimTime::ZERO + SimDuration::from_secs(200),
-                FaultEvent::Recover(1)
-            )
-        );
-        assert_eq!(
-            events[2],
-            (
-                SimTime::ZERO + SimDuration::from_secs(300),
-                FaultEvent::Crash(0)
-            )
-        );
-        assert_eq!(
-            events[3],
-            (
-                SimTime::ZERO + SimDuration::from_secs(320),
-                FaultEvent::Recover(0)
-            )
-        );
-        assert_eq!(
-            events[4],
-            (
-                SimTime::ZERO + SimDuration::from_secs(420),
-                FaultEvent::Crash(2)
-            )
-        );
-        assert_eq!(
-            events[5],
-            (
-                SimTime::ZERO + SimDuration::from_secs(440),
-                FaultEvent::Recover(2)
-            )
-        );
     }
 
     #[test]

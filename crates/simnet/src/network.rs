@@ -102,20 +102,10 @@ impl Network {
         self.drop_probability = p.clamp(0.0, 1.0);
     }
 
-    /// Severs the directed link `from → to`.
-    pub fn block_link(&mut self, from: NodeId, to: NodeId) {
-        self.blocked_links.insert((from, to));
-    }
-
     /// Severs both directions between `a` and `b`.
     pub fn block_pair(&mut self, a: NodeId, b: NodeId) {
         self.blocked_links.insert((a, b));
         self.blocked_links.insert((b, a));
-    }
-
-    /// Restores the directed link `from → to`.
-    pub fn unblock_link(&mut self, from: NodeId, to: NodeId) {
-        self.blocked_links.remove(&(from, to));
     }
 
     /// Restores both directions between `a` and `b`.
@@ -247,24 +237,28 @@ mod tests {
     }
 
     #[test]
-    fn blocked_links_drop_messages_directionally() {
+    fn blocked_pairs_drop_messages_until_unblocked() {
         let mut n = net(3, 1, Bandwidth::UNLIMITED);
         let mut rng = SimRng::seed_from_u64(1);
-        n.block_link(0, 1);
-        assert_eq!(
-            n.schedule(SimTime::ZERO, 0, 1, 10, &mut rng),
-            SendOutcome::Dropped
-        );
-        // Reverse direction still works.
+        n.block_pair(0, 1);
+        for (from, to) in [(0, 1), (1, 0)] {
+            assert_eq!(
+                n.schedule(SimTime::ZERO, from, to, 10, &mut rng),
+                SendOutcome::Dropped
+            );
+        }
+        // Other links still work.
         assert!(matches!(
-            n.schedule(SimTime::ZERO, 1, 0, 10, &mut rng),
+            n.schedule(SimTime::ZERO, 0, 2, 10, &mut rng),
             SendOutcome::DeliverAt(_)
         ));
-        n.unblock_link(0, 1);
-        assert!(matches!(
-            n.schedule(SimTime::ZERO, 0, 1, 10, &mut rng),
-            SendOutcome::DeliverAt(_)
-        ));
+        n.unblock_pair(0, 1);
+        for (from, to) in [(0, 1), (1, 0)] {
+            assert!(matches!(
+                n.schedule(SimTime::ZERO, from, to, 10, &mut rng),
+                SendOutcome::DeliverAt(_)
+            ));
+        }
     }
 
     #[test]

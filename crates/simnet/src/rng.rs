@@ -85,12 +85,6 @@ impl SimRng {
         self.next_f64() < p
     }
 
-    /// Exponentially distributed value with the given mean.
-    pub fn exponential(&mut self, mean: f64) -> f64 {
-        let u = self.next_f64().max(1e-15);
-        -mean * u.ln()
-    }
-
     /// Picks a uniformly random element of `items` (panics on empty slice).
     pub fn choose<'a, T>(&mut self, items: &'a [T]) -> &'a T {
         &items[self.next_index(items.len())]
@@ -149,16 +143,6 @@ mod tests {
         }
         let mean = sum / n as f64;
         assert!((mean - 0.5).abs() < 0.02, "mean {mean}");
-    }
-
-    #[test]
-    fn exponential_mean_is_roughly_right() {
-        let mut rng = SimRng::seed_from_u64(9);
-        let n = 20_000;
-        let mean_target = 5.0;
-        let sum: f64 = (0..n).map(|_| rng.exponential(mean_target)).sum();
-        let mean = sum / n as f64;
-        assert!((mean - mean_target).abs() < 0.25, "mean {mean}");
     }
 
     #[test]

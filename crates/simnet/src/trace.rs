@@ -59,11 +59,6 @@ impl MessageTrace {
         &self.entries
     }
 
-    /// Entries of a given kind.
-    pub fn of_kind(&self, kind: &str) -> Vec<&TraceEntry> {
-        self.entries.iter().filter(|e| e.kind == kind).collect()
-    }
-
     /// Number of messages of a given kind exchanged between two specific nodes.
     pub fn count_between(&self, from: NodeId, to: NodeId, kind: &str) -> usize {
         self.entries
@@ -123,7 +118,7 @@ mod tests {
         t.record(entry(1, 0, "COMMIT"));
         t.record(entry(1, 2, "COMMIT"));
         assert_eq!(t.entries().len(), 3);
-        assert_eq!(t.of_kind("COMMIT").len(), 2);
+        assert_eq!(t.count_kind("COMMIT"), 2);
         assert_eq!(t.count_between(1, 2, "COMMIT"), 1);
         assert_eq!(t.count_kind("PREPARE"), 1);
         assert_eq!(t.kinds(), vec!["PREPARE", "COMMIT"]);

@@ -24,11 +24,6 @@ impl Counter {
         self.value.fetch_add(delta, Ordering::Relaxed);
     }
 
-    /// Increments the counter by one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
     /// Current value.
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
@@ -297,7 +292,7 @@ mod tests {
     fn counter_and_gauge_basics() {
         let r = Registry::new();
         let c = r.counter("xft_test_total");
-        c.inc();
+        c.add(1);
         c.add(4);
         assert_eq!(r.counter("xft_test_total").get(), 5);
         let g = r.gauge("xft_test_depth");
