@@ -401,6 +401,37 @@ mod tests {
         );
     }
 
+    /// A client accepts replies it never verifies: one follower forging
+    /// replies — a single non-crash fault, inside the t budget — gets its
+    /// invented results recorded, and the checker sees them. When replies
+    /// become verifiable statements this turns into a zero-violation gate.
+    #[test]
+    fn forged_replies_in_budget_reach_the_checker() {
+        use xft_core::byzantine::CONTROL_FORGE_REPLIES;
+        for t in [1, 2] {
+            let cfg = ExplorerConfig { t, ..quick_cfg() };
+            let follower = xft_core::SyncGroups::new(t).followers(xft_core::ViewNumber(0))[0];
+            let at = SimTime::ZERO + SimDuration::from_secs(1);
+            let forge = xft_simnet::FaultEvent::Control(follower, CONTROL_FORGE_REPLIES);
+            let report = run_schedule(7, vec![(at, forge)], &cfg);
+            assert_eq!(report.peak_budget, 1);
+            let history_violations = report
+                .violations
+                .iter()
+                .filter(|v| !matches!(v, Violation::TotalOrderDivergence { .. }))
+                .count();
+            eprintln!(
+                "t = {t}: {} violations ({history_violations} in client histories), {} committed",
+                report.violations.len(),
+                report.committed
+            );
+            assert!(
+                history_violations > 0,
+                "t = {t}: forged results went unseen"
+            );
+        }
+    }
+
     #[test]
     fn flight_recording_does_not_change_the_verdict() {
         // Telemetry must stay strictly out of protocol state: the same seed

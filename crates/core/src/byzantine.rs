@@ -6,7 +6,11 @@
 //! prepare log before a view change) and *mute* faults (a replica silently stops
 //! participating, indistinguishable from a crash to the rest of the system).
 
-use crate::types::SeqNum;
+use crate::log::PrepareEntry;
+use crate::messages::{reply_digest, CommitMsg, ReplyMsg};
+use crate::sync_group::SyncGroups;
+use crate::types::{ReplicaId, SeqNum};
+use xft_crypto::{Digest, Signature};
 use xft_simnet::ControlCode;
 
 /// Control code triggering an *amnesia* fault: the replica instantly loses its
@@ -39,6 +43,18 @@ pub const CONTROL_TORN_TAIL: u64 = 6;
 /// corrupted suffix. Degrades to full [`CONTROL_AMNESIA`] without storage.
 pub const CONTROL_CORRUPT_WAL: u64 = 7;
 
+/// Control code switching a replica to [`ByzantineBehavior::ForgeReplies`].
+/// The chaos generator never draws it: it exists to show, in the oracle,
+/// that a client accepts replies it does not verify.
+pub const CONTROL_FORGE_REPLIES: u64 = 8;
+
+/// The invented result every forged reply carries: a success tag followed by
+/// version 1, which the coordination service's clients read as "the write
+/// was acknowledged at version 1" (or "the read saw version 1 of an empty
+/// value"). Two writes to one key acknowledged at the same version are a
+/// violation the chaos checker reports.
+pub const FORGED_RESULT: &[u8] = &[1, 1, 0, 0, 0, 0, 0, 0, 0];
+
 /// The non-crash behaviour currently exhibited by a replica.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ByzantineBehavior {
@@ -62,12 +78,60 @@ pub enum ByzantineBehavior {
     },
     /// Sign messages with garbage so signature verification fails at receivers.
     CorruptSignatures,
+    /// On applying a proposal as a follower, answer every request in it
+    /// with forged replies carrying [`FORGED_RESULT`]; see
+    /// [`forged_replies`]. Otherwise behave correctly.
+    ForgeReplies,
+}
+
+/// The replies a [`ByzantineBehavior::ForgeReplies`] follower sends for
+/// proposal `p`: per request, at t = 1 one reply in the primary's name
+/// carrying a follower commit with a forged signature, at t ≥ 2 one reply in
+/// each active replica's name. Every reply binds [`FORGED_RESULT`].
+pub(crate) fn forged_replies(
+    groups: &SyncGroups,
+    p: &PrepareEntry,
+    follower: ReplicaId,
+) -> Vec<ReplyMsg> {
+    let (view, sn) = (p.view, p.sn);
+    let rd = Digest::of(FORGED_RESULT);
+    let primary = groups.primary(view);
+    let names = if groups.t() == 1 {
+        &[primary][..]
+    } else {
+        groups.active_replicas(view)
+    };
+    let follower_commit = (groups.t() == 1).then(|| CommitMsg {
+        view,
+        sn,
+        batch_digest: p.batch.digest(),
+        replica: follower,
+        reply_digest: Some(rd),
+        signature: Signature::forged(crate::types::replica_key(follower)),
+    });
+    let mut replies = Vec::new();
+    for req in &p.batch.requests {
+        for &replica in names {
+            replies.push(ReplyMsg {
+                view,
+                sn,
+                client: req.client,
+                timestamp: req.timestamp,
+                reply_digest: reply_digest(view, sn, req.client, req.timestamp, &rd),
+                payload: (replica == primary).then(|| bytes::Bytes::from_static(FORGED_RESULT)),
+                replica,
+                follower_commit: follower_commit.clone(),
+            });
+        }
+    }
+    replies
 }
 
 impl ByzantineBehavior {
     /// Decodes a behaviour from a fault-script control code:
     /// `0` = correct, `1` = mute, `2` = lose entire commit log, `3` = lose both logs,
-    /// `4` = corrupt signatures. Unknown codes leave the behaviour unchanged (`None`).
+    /// `4` = corrupt signatures, `8` ([`CONTROL_FORGE_REPLIES`]) = forge replies.
+    /// Unknown codes leave the behaviour unchanged (`None`).
     pub fn from_control_code(code: ControlCode) -> Option<ByzantineBehavior> {
         match code.0 {
             0 => Some(ByzantineBehavior::Correct),
@@ -75,6 +139,7 @@ impl ByzantineBehavior {
             2 => Some(ByzantineBehavior::DataLossCommitLog { keep: SeqNum(0) }),
             3 => Some(ByzantineBehavior::DataLossBothLogs { keep: SeqNum(0) }),
             4 => Some(ByzantineBehavior::CorruptSignatures),
+            CONTROL_FORGE_REPLIES => Some(ByzantineBehavior::ForgeReplies),
             _ => None,
         }
     }
@@ -110,6 +175,10 @@ mod tests {
         assert_eq!(
             ByzantineBehavior::from_control_code(ControlCode(4)),
             Some(ByzantineBehavior::CorruptSignatures)
+        );
+        assert_eq!(
+            ByzantineBehavior::from_control_code(ControlCode(CONTROL_FORGE_REPLIES)),
+            Some(ByzantineBehavior::ForgeReplies)
         );
         assert_eq!(ByzantineBehavior::from_control_code(ControlCode(99)), None);
     }

@@ -591,6 +591,11 @@ impl Replica {
 
     /// The apply step of this configuration's path.
     fn apply_proposal(&mut self, p: PrepareEntry, ctx: &mut Context<XPaxosMsg>) {
+        if self.behavior == ByzantineBehavior::ForgeReplies {
+            for reply in crate::byzantine::forged_replies(&self.groups, &p, self.id) {
+                ctx.send(self.client_node(reply.client), XPaxosMsg::Reply(reply));
+            }
+        }
         if self.config.t == 1 {
             self.apply_commit_carry(p, ctx);
         } else {
