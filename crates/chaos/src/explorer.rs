@@ -168,9 +168,6 @@ fn run_schedule_inner(
     SeedReport,
     Option<Vec<Vec<xft_core::evidence::EvidenceRecord>>>,
 ) {
-    // Explorer worker threads are reused across seeds; a trace id left in the
-    // thread-local by an earlier run must not leak into this one's recorder.
-    xft_telemetry::trace::clear();
     let n = 2 * cfg.t + 1;
     let analysis = analyze_schedule(n, &events);
     let keys = cfg.keys;

@@ -308,11 +308,9 @@ impl Client {
             signature,
         };
         // Mint the request's correlation id deterministically from (client,
-        // timestamp) and park it in the thread-local trace slot: the live
-        // TCP runtime stamps it onto the outgoing wire envelope, and every
-        // hop downstream tags its flight-recorder events with it. Inert in
-        // the simulator (no envelope encoding happens there).
-        xft_telemetry::trace::set_current(xft_telemetry::trace::mint(self.id.0, ts));
+        // timestamp) as the step's trace id: the send below carries it, and
+        // every hop downstream tags its flight-recorder events with it.
+        ctx.set_trace(xft_telemetry::trace::mint(self.id.0, ts));
         let primary = self.groups.primary(self.view);
         ctx.send(self.node_of(primary), XPaxosMsg::Replicate(signed));
         let retransmit_timer = ctx.set_timer(

@@ -219,15 +219,13 @@ impl Replica {
         if self.phase != Phase::Active {
             // Buffer during view changes; the new primary will pick pending requests up.
             self.queued_keys.insert((client, ts));
-            self.pending_requests
-                .push_back((req, xft_telemetry::trace::current()));
+            self.pending_requests.push_back((req, ctx.trace()));
             return;
         }
 
         if self.is_primary_in(self.view) {
             self.queued_keys.insert((client, ts));
-            self.pending_requests
-                .push_back((req, xft_telemetry::trace::current()));
+            self.pending_requests.push_back((req, ctx.trace()));
             self.tel_event(ctx, "admit", || format!("client={} ts={}", client.0, ts));
             self.pump_pipeline(ctx, false);
         } else {
@@ -248,18 +246,18 @@ impl Replica {
     pub(crate) fn forward_buffered_requests(&mut self, ctx: &mut Context<XPaxosMsg>) {
         self.queued_keys.clear();
         let primary = self.node_of(self.groups.primary(self.view));
-        let caller_trace = xft_telemetry::trace::current();
+        let step_trace = ctx.trace();
         for (req, trace) in std::mem::take(&mut self.pending_requests) {
             let executed = self
                 .client_table
                 .get(&req.request.client)
                 .is_some_and(|r| r.executed(req.request.timestamp));
             if !executed {
-                xft_telemetry::trace::set_current(trace);
+                ctx.set_trace(trace);
                 ctx.send(primary, XPaxosMsg::Replicate(req));
             }
         }
-        xft_telemetry::trace::set_current(caller_trace);
+        ctx.set_trace(step_trace);
     }
 
     /// Starts the per-request retransmission monitor if not already running.
@@ -334,9 +332,9 @@ impl Replica {
             return;
         }
         // Proposals re-establish their batch's correlation id below; restore
-        // the caller's afterwards so the rest of its step stays correctly
+        // the step's own afterwards so the rest of it stays correctly
         // attributed (e.g. the commit that freed a pipeline slot).
-        let caller_trace = xft_telemetry::trace::current();
+        let step_trace = ctx.trace();
         let max_in_flight = self.config.pipeline.max_in_flight_batches.max(1);
         while self.proposed_in_flight < max_in_flight && !self.pending_requests.is_empty() {
             let full = self.pending_requests.len() >= self.config.batch_size;
@@ -372,10 +370,10 @@ impl Replica {
                 self.queued_keys
                     .remove(&(req.request.client, req.request.timestamp));
             }
-            xft_telemetry::trace::set_current(batch_trace);
+            ctx.set_trace(batch_trace);
             self.propose_batch(chunk, ctx);
         }
-        xft_telemetry::trace::set_current(caller_trace);
+        ctx.set_trace(step_trace);
         if !self.pending_requests.is_empty() {
             if self.batch_timer.is_none() {
                 self.batch_timer = Some(ctx.set_timer(BATCH_TIMEOUT, TOKEN_BATCH));

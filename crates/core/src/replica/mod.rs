@@ -520,8 +520,7 @@ impl Replica {
             .map(|r| r as u64)
             .unwrap_or(crate::evidence::PEER_UNKNOWN);
         let sn = crate::evidence::evidence_sn(msg).unwrap_or(self.exec_sn.0);
-        let now_ns = ctx.now().as_nanos();
-        let trace = xft_telemetry::trace::current();
+        let (now_ns, trace) = (ctx.now().as_nanos(), ctx.trace());
         if let Some(log) = self.evidence.as_mut() {
             log.record(crate::evidence::DIR_RECEIVED, peer, now_ns, trace, sn, msg);
         }
@@ -569,8 +568,8 @@ impl Replica {
         detail: impl FnOnce() -> String,
     ) {
         if self.telemetry.is_enabled() {
-            self.telemetry
-                .event(ctx.now().as_nanos(), self.id as u64, stage, detail);
+            let (now, id) = (ctx.now().as_nanos(), self.id as u64);
+            self.telemetry.event(now, id, ctx.trace(), stage, detail);
         }
     }
 

@@ -328,14 +328,13 @@ impl Replica {
         // Stamp the request with the transfer's trace id so the whole fetch
         // correlates in the flight recorder (the responder's reply inherits
         // it from the delivery, like every other message). Timer-driven
-        // retries otherwise carry trace 0; the ambient trace is restored so
+        // retries otherwise carry trace 0; the step's own id is restored so
         // an in-handler caller (e.g. a response topping up the window) keeps
         // its own correlation for anything else it sends.
-        let transfer_trace = self.pending_transfer.as_ref().map_or(0, |p| p.trace);
-        let ambient = xft_telemetry::trace::current();
-        xft_telemetry::trace::set_current(transfer_trace);
+        let step_trace = ctx.trace();
+        ctx.set_trace(self.pending_transfer.as_ref().map_or(0, |p| p.trace));
         ctx.send(self.node_of(peer), XPaxosMsg::StateChunkRequest(msg));
-        xft_telemetry::trace::set_current(ambient);
+        ctx.set_trace(step_trace);
     }
 
     /// The transfer retry timer fired: give up if the gap closed by other

@@ -78,8 +78,9 @@ impl Replica {
         ctx.charge(CryptoOp::Sign);
         let suspect = self.make_suspect(view);
         ctx.count(counter, 1);
+        let (now, id) = (ctx.now().as_nanos(), self.id as u64);
         self.telemetry
-            .record_suspect(ctx.now().as_nanos(), self.id as u64, view.0, reason);
+            .record_suspect(now, id, ctx.trace(), view.0, reason);
         if let Some(client) = client {
             let node = self.client_node(client);
             ctx.send(node, XPaxosMsg::SuspectToClient(suspect.clone()));
@@ -562,7 +563,8 @@ impl Replica {
             None => "view-change exchange complete",
         };
         let (now, id) = (ctx.now().as_nanos(), self.id as u64);
-        self.telemetry.record_view_change(now, id, target.0, reason);
+        self.telemetry
+            .record_view_change(now, id, ctx.trace(), target.0, reason);
 
         // Reaching the horizon, part three: a checkpointed prefix this replica
         // lacks is fetched now that the view (and with it the preferred

@@ -355,8 +355,7 @@ where
                 self.process(ActorEvent::Control(xft_simnet::ControlCode(code)));
             }
             if let Some((from, msg, trace)) = self.pending_local.pop_front() {
-                xft_telemetry::trace::set_current(trace);
-                self.process(ActorEvent::Message { from, msg });
+                self.process(ActorEvent::Message { from, msg, trace });
                 continue;
             }
 
@@ -372,11 +371,11 @@ where
             match self.inbox_rx.recv_timeout(wait) {
                 Ok((from, msg, trace)) => {
                     self.config.telemetry.gauge_add("xft_net_inbox_depth", -1);
-                    // Park the inbound envelope's correlation id for the
-                    // duration of the step: instrumentation downstream tags
-                    // its events with it, and outbound sends re-stamp it.
-                    xft_telemetry::trace::set_current(trace.map(|t| t.id).unwrap_or(0));
-                    self.process(ActorEvent::Message { from, msg });
+                    // The envelope's correlation id is the step's trace id:
+                    // events recorded in the step carry it, and so do its
+                    // sends.
+                    let trace = trace.map_or(0, |t| t.id);
+                    self.process(ActorEvent::Message { from, msg, trace });
                 }
                 Err(RecvTimeoutError::Timeout) => {}
                 Err(RecvTimeoutError::Disconnected) => break,
@@ -412,8 +411,6 @@ where
             .step(&mut self.actor, self.local, now, &mut self.rng, event);
         self.events_processed += 1;
         self.apply(now, effects);
-        // Don't leak this step's correlation id into timer/control steps.
-        xft_telemetry::trace::clear();
     }
 
     /// Returns the sender handle for `peer`, registering it with the writer
@@ -533,13 +530,11 @@ where
     /// would misattribute to us, a spoofed-`from` request is dropped. (The
     /// simulator backend, which owns every node, can deliver arbitrary pairs.)
     fn post_message(&mut self, from: NodeId, to: NodeId, msg: A::Msg) {
-        let trace_id = xft_telemetry::trace::current();
+        // Posted from outside any step: no trace id.
         if to == self.local {
-            self.pending_local.push_back((from, msg, trace_id));
+            self.pending_local.push_back((from, msg, 0));
         } else if from == self.local {
-            let trace = (trace_id != 0).then_some(TraceContext { id: trace_id });
-            let payload = encode_msg_traced_vec(&msg, trace);
-            self.ensure_link(to).send(payload);
+            self.ensure_link(to).send(encode_msg_traced_vec(&msg, None));
         }
     }
 

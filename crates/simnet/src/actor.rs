@@ -71,10 +71,10 @@ pub struct OutboundMessage<M> {
     pub to: NodeId,
     /// Message payload.
     pub msg: M,
-    /// Telemetry correlation id current when the actor called
-    /// [`Context::send`] (0 = none). Observation-only: the simulator threads
-    /// it to the receiving step's thread-local, the TCP runtime encodes it
-    /// as the wire envelope's optional trace field.
+    /// The step's trace id when the actor called [`Context::send`] (0 =
+    /// none; see [`Context::trace`]). Observation-only: the simulator hands
+    /// it to the receiving step, the TCP runtime encodes it as the wire
+    /// envelope's optional trace field.
     pub trace: u64,
 }
 
@@ -98,6 +98,7 @@ pub enum TimerOp {
 pub struct Context<'a, M> {
     pub(crate) node: NodeId,
     pub(crate) now: SimTime,
+    pub(crate) trace: u64,
     pub(crate) rng: &'a mut SimRng,
     pub(crate) cost_model: CostModel,
     pub(crate) next_timer_id: &'a mut u64,
@@ -111,6 +112,7 @@ impl<'a, M: SimMessage> Context<'a, M> {
     pub(crate) fn new(
         node: NodeId,
         now: SimTime,
+        trace: u64,
         rng: &'a mut SimRng,
         cost_model: CostModel,
         next_timer_id: &'a mut u64,
@@ -118,6 +120,7 @@ impl<'a, M: SimMessage> Context<'a, M> {
         Context {
             node,
             now,
+            trace,
             rng,
             cost_model,
             next_timer_id,
@@ -138,6 +141,21 @@ impl<'a, M: SimMessage> Context<'a, M> {
         self.now
     }
 
+    /// The step's trace id (0 = none): the correlation id of the message
+    /// that started the step, 0 for timers, control codes, start and
+    /// recovery. Every [`Context::send`] stamps it. Observation-only: it
+    /// labels telemetry and evidence, never protocol decisions.
+    pub fn trace(&self) -> u64 {
+        self.trace
+    }
+
+    /// Sets the step's trace id for the sends that follow — how a client
+    /// mints a request's id and a replica re-attributes work it does on a
+    /// request's behalf.
+    pub fn set_trace(&mut self, id: u64) {
+        self.trace = id;
+    }
+
     /// Deterministic per-simulation RNG (shared stream).
     pub fn rng(&mut self) -> &mut SimRng {
         self.rng
@@ -148,7 +166,7 @@ impl<'a, M: SimMessage> Context<'a, M> {
         self.sends.push(OutboundMessage {
             to,
             msg,
-            trace: xft_telemetry::trace::current(),
+            trace: self.trace,
         });
     }
 
@@ -248,6 +266,7 @@ pub fn with_offline_context<M: SimMessage, R>(
     let mut ctx = Context::new(
         node,
         SimTime::ZERO,
+        0,
         &mut rng,
         CostModel::free(),
         &mut next_timer_id,
@@ -277,6 +296,7 @@ mod tests {
         let mut ctx: Context<Ping> = Context::new(
             0,
             SimTime::ZERO,
+            0,
             &mut rng,
             CostModel::free(),
             &mut next_timer,
@@ -292,12 +312,39 @@ mod tests {
     }
 
     #[test]
+    fn sends_carry_the_steps_trace_id() {
+        let mut rng = SimRng::seed_from_u64(1);
+        let mut next_timer = 0u64;
+        let mut ctx: Context<Ping> = Context::new(
+            0,
+            SimTime::ZERO,
+            7,
+            &mut rng,
+            CostModel::free(),
+            &mut next_timer,
+        );
+        assert_eq!(ctx.trace(), 7);
+        ctx.send(1, Ping(1));
+        ctx.set_trace(42);
+        ctx.send(1, Ping(2));
+        ctx.set_trace(0);
+        ctx.send(1, Ping(3));
+        let traces: Vec<u64> = ctx.sends.iter().map(|o| o.trace).collect();
+        assert_eq!(traces, vec![7, 42, 0]);
+        assert_eq!(
+            with_offline_context(0, |ctx: &mut Context<'_, Ping>| ctx.trace()),
+            0
+        );
+    }
+
+    #[test]
     fn charge_accumulates_cpu() {
         let mut rng = SimRng::seed_from_u64(1);
         let mut next_timer = 0u64;
         let mut ctx: Context<Ping> = Context::new(
             0,
             SimTime::ZERO,
+            0,
             &mut rng,
             CostModel::paper_default(),
             &mut next_timer,
@@ -320,6 +367,7 @@ mod tests {
             let mut ctx: Context<Ping> = Context::new(
                 0,
                 SimTime::ZERO,
+                0,
                 &mut rng,
                 CostModel::free(),
                 &mut next_timer,
@@ -329,6 +377,7 @@ mod tests {
         let mut ctx: Context<Ping> = Context::new(
             1,
             SimTime::ZERO,
+            0,
             &mut rng,
             CostModel::free(),
             &mut next_timer,

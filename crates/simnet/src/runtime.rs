@@ -33,6 +33,9 @@ pub enum ActorEvent<M> {
         from: NodeId,
         /// The message.
         msg: M,
+        /// The trace id the message carried (0 = none); the step's
+        /// [`Context::trace`].
+        trace: u64,
     },
     /// A timer armed with `token` fires.
     Timer {
@@ -95,10 +98,21 @@ impl ActorDriver {
         rng: &mut SimRng,
         event: ActorEvent<A::Msg>,
     ) -> StepEffects<A::Msg> {
-        let mut ctx = Context::new(node, now, rng, self.cost_model, &mut self.next_timer_id);
+        let trace = match event {
+            ActorEvent::Message { trace, .. } => trace,
+            _ => 0,
+        };
+        let mut ctx = Context::new(
+            node,
+            now,
+            trace,
+            rng,
+            self.cost_model,
+            &mut self.next_timer_id,
+        );
         match event {
             ActorEvent::Start => actor.on_start(&mut ctx),
-            ActorEvent::Message { from, msg } => actor.on_message(from, msg, &mut ctx),
+            ActorEvent::Message { from, msg, .. } => actor.on_message(from, msg, &mut ctx),
             ActorEvent::Timer { token } => actor.on_timer(token, &mut ctx),
             ActorEvent::Recover => actor.on_recover(&mut ctx),
             ActorEvent::Control(code) => actor.on_control(code, &mut ctx),
@@ -204,6 +218,7 @@ mod tests {
             ActorEvent::Message {
                 from: 3,
                 msg: Echo(9),
+                trace: 0,
             },
         );
         assert_eq!(fx.sends.len(), 1);
@@ -224,6 +239,38 @@ mod tests {
             ActorEvent::Control(ControlCode(42)),
         );
         assert_eq!(actor.controls, vec![42]);
+    }
+
+    /// A step's trace id comes from its own event: a message step carries
+    /// the message's id, and the next step starts from its event's, so no
+    /// id leaks from one step into another.
+    #[test]
+    fn each_step_starts_from_its_events_trace() {
+        let mut driver = ActorDriver::new(CostModel::free());
+        let mut rng = SimRng::seed_from_u64(1);
+        let mut actor = EchoActor {
+            started: false,
+            recovered: false,
+            controls: vec![],
+            timer_tokens: vec![],
+        };
+        let now = SimTime::ZERO;
+        let message = ActorEvent::Message {
+            from: 3,
+            msg: Echo(9),
+            trace: 77,
+        };
+        let fx = driver.step(&mut actor, 0, now, &mut rng, message);
+        assert_eq!(fx.sends[0].trace, 77);
+        let fx = driver.step(&mut actor, 0, now, &mut rng, ActorEvent::Start);
+        assert_eq!(fx.sends.iter().map(|o| o.trace).sum::<u64>(), 0);
+        let untraced = ActorEvent::Message {
+            from: 3,
+            msg: Echo(9),
+            trace: 0,
+        };
+        let fx = driver.step(&mut actor, 0, now, &mut rng, untraced);
+        assert_eq!(fx.sends[0].trace, 0);
     }
 
     #[test]

@@ -229,7 +229,7 @@ impl<A: Actor> Simulation<A> {
             kind: EventKind::Deliver {
                 from,
                 msg,
-                trace: xft_telemetry::trace::current(),
+                trace: 0,
             },
         });
     }
@@ -282,8 +282,8 @@ impl<A: Actor> Simulation<A> {
                     });
                     return true;
                 }
-                xft_telemetry::trace::set_current(trace);
-                self.dispatch(event.node, event.time, ActorEvent::Message { from, msg });
+                let message = ActorEvent::Message { from, msg, trace };
+                self.dispatch(event.node, event.time, message);
             }
             EventKind::Timer { id, token, epoch } => {
                 if !self.alive[event.node]
@@ -363,11 +363,10 @@ impl<A: Actor> Simulation<A> {
         }
 
         // Outbound messages leave once the CPU work that produced them is
-        // finished. Each carries the telemetry correlation id current at its
-        // `ctx.send` call (set by the inbound delivery, or freshly minted by
-        // a client inside the step), which is how a trace follows a request
-        // across replica hops in the simulator — mirroring the TCP
-        // envelope's optional trace field.
+        // finished. Each carries the step's trace id at its `ctx.send` call
+        // (the inbound message's, or one a client minted inside the step),
+        // which is how a trace follows a request across replica hops in the
+        // simulator — mirroring the TCP envelope's optional trace field.
         let send_time = done_at;
         for out in sends {
             let size = out.msg.size_bytes();
@@ -426,9 +425,6 @@ impl<A: Actor> Simulation<A> {
         for ev in metric_events {
             self.metrics.apply(ev);
         }
-        // Don't leak this step's correlation id into timer/control steps of
-        // other nodes — the same hygiene the TCP runtime applies per message.
-        xft_telemetry::trace::clear();
     }
 }
 

@@ -109,12 +109,14 @@ impl Telemetry {
         }
     }
 
-    /// Records a flight-recorder event; `detail` is built lazily so disabled
-    /// hubs never pay for formatting.
+    /// Records a flight-recorder event tagged with trace id `trace` (0 =
+    /// none); `detail` is built lazily so disabled hubs never pay for
+    /// formatting.
     pub fn event(
         &self,
         at_ns: u64,
         node: u64,
+        trace: u64,
         stage: &'static str,
         detail: impl FnOnce() -> String,
     ) {
@@ -124,7 +126,7 @@ impl Telemetry {
         let ev = FlightEvent {
             at_ns,
             node,
-            trace: crate::trace::current(),
+            trace,
             stage,
             detail: detail(),
         };
@@ -146,12 +148,14 @@ impl Telemetry {
     /// [`Telemetry::set_dump_on_suspect`] is on) a stderr dump. Counting is
     /// the caller's job (the replica's counters reach `/metrics` through its
     /// runtime).
-    pub fn record_suspect(&self, at_ns: u64, node: u64, view: u64, reason: &str) {
+    pub fn record_suspect(&self, at_ns: u64, node: u64, trace: u64, view: u64, reason: &str) {
         if !self.enabled {
             return;
         }
         self.with_monitor(|m| m.record_suspect(at_ns, view, reason.to_string()));
-        self.event(at_ns, node, "suspect", || format!("view={view} {reason}"));
+        self.event(at_ns, node, trace, "suspect", || {
+            format!("view={view} {reason}")
+        });
         if self.dump_on_suspect.load(Ordering::Relaxed) {
             eprintln!(
                 "{}",
@@ -162,12 +166,19 @@ impl Telemetry {
 
     /// Records a completed view change with its cause (monitor entry and
     /// recorder event; like [`Telemetry::record_suspect`], it counts nothing).
-    pub fn record_view_change(&self, at_ns: u64, node: u64, new_view: u64, cause: &str) {
+    pub fn record_view_change(
+        &self,
+        at_ns: u64,
+        node: u64,
+        trace: u64,
+        new_view: u64,
+        cause: &str,
+    ) {
         if !self.enabled {
             return;
         }
         self.with_monitor(|m| m.record_view_change(at_ns, new_view, cause.to_string()));
-        self.event(at_ns, node, "new-view", || {
+        self.event(at_ns, node, trace, "new-view", || {
             format!("view={new_view} {cause}")
         });
     }
@@ -244,8 +255,10 @@ mod tests {
         let t = Telemetry::disabled();
         t.add("xft_commits_total", 5);
         t.observe("xft_wal_fsync_seconds", 1e-9, 100);
-        t.event(1, 0, "admit", || unreachable!("lazy detail must not run"));
-        t.record_suspect(1, 0, 0, "nope");
+        t.event(1, 0, 0, "admit", || {
+            unreachable!("lazy detail must not run")
+        });
+        t.record_suspect(1, 0, 0, 0, "nope");
         assert!(!t.is_enabled());
         assert_eq!(t.recorded_events(), 0);
         assert!(t.with_monitor(|m| m.suspect_count()).is_none());
@@ -258,10 +271,13 @@ mod tests {
         t.add("xft_commits_total", 2);
         t.add("xft_commits_total", 1);
         assert_eq!(t.counter("xft_commits_total").get(), 3);
-        t.event(7, 1, "commit", || "sn=4".to_string());
+        t.event(7, 1, 0xabc, "commit", || "sn=4".to_string());
         assert_eq!(t.recorded_events(), 1);
         let dump = t.dump("test");
-        assert!(dump.contains("sn=4"));
+        assert!(
+            dump.contains("trace=0000000000000abc commit   sn=4"),
+            "{dump}"
+        );
         assert!(t.render_prometheus().contains("xft_commits_total 3"));
     }
 
@@ -296,8 +312,8 @@ mod tests {
     fn suspect_and_view_change_flow_into_monitor_and_series() {
         let t = Telemetry::enabled();
         t.set_delta_ns(100_000_000);
-        t.record_suspect(1_000, 0, 3, "retransmit monitor fired");
-        t.record_view_change(2_000, 0, 4, "suspect of view 3");
+        t.record_suspect(1_000, 0, 0, 3, "retransmit monitor fired");
+        t.record_view_change(2_000, 0, 0, 4, "suspect of view 3");
         assert_eq!(t.with_monitor(|m| m.suspect_count()), Some(1));
         assert_eq!(t.with_monitor(|m| m.view_change_count()), Some(1));
         assert_eq!(t.recorded_events(), 2);

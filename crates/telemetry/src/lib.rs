@@ -15,8 +15,7 @@
 //!   one rounding convention, property-tested for equality;
 //! * **trace correlation** ([`trace`]): a correlation ID minted at the
 //!   client, carried across hops in the wire envelope (see `xft-wire`
-//!   version 2) and stored in a thread-local so transport runtimes can
-//!   propagate it without widening the `Actor` API;
+//!   version 2) and, within a step, by the actor's `Context`;
 //! * a per-replica **synchrony monitor** ([`SynchronyMonitor`]) that tracks
 //!   peer RTTs, silence, suspects and view-change causes, and estimates the
 //!   paper's `(t_c, t_b, t_p)` fault vector at runtime;

@@ -1,24 +1,17 @@
 //! Trace correlation: a request-scoped correlation ID minted at the client
 //! and carried across hops.
 //!
-//! The `Actor` API (shared by the simulator and the TCP runtime) knows
-//! nothing about traces, and widening it would touch every protocol
-//! callback. Instead the ID rides out of band: the client mints one in
-//! `issue_one` and publishes it to a thread-local; `xft-net`'s runtime
-//! encodes the thread-local into the version-2 wire envelope on send, and on
-//! receive restores the envelope's ID to the thread-local before invoking
-//! the actor callback. Protocol code that wants to label a flight-recorder
-//! event just reads [`current`].
+//! The ID is step data. Each actor step's `xft_simnet::Context` holds the
+//! trace ID of the message that started it (0 for timers, control codes,
+//! start and recovery), and every send in the step stamps it. The client
+//! sets a freshly minted ID on its context before it sends a request;
+//! `xft-net`'s runtime encodes a send's ID into the version-2 wire envelope
+//! and hands a received envelope's ID to the step it starts. Protocol code
+//! labels flight-recorder events with `ctx.trace()`.
 //!
-//! The thread-local is observation-only: nothing in protocol state ever
-//! reads it, so simulator determinism (`Metrics::fingerprint`) is
-//! unaffected. ID `0` means "no trace".
-
-use std::cell::Cell;
-
-thread_local! {
-    static CURRENT: Cell<u64> = const { Cell::new(0) };
-}
+//! The ID is observation-only: nothing in protocol state ever reads it, so
+//! simulator determinism (`Metrics::fingerprint`) is unaffected. ID `0`
+//! means "no trace".
 
 /// Mints a correlation ID from two request-identifying words (client id and
 /// request timestamp) with FNV-1a — deterministic, so simulator runs mint
@@ -36,21 +29,6 @@ pub fn mint(client: u64, ts: u64) -> u64 {
     }
 }
 
-/// Sets the calling thread's current trace ID.
-pub fn set_current(id: u64) {
-    CURRENT.with(|c| c.set(id));
-}
-
-/// The calling thread's current trace ID (0 = none).
-pub fn current() -> u64 {
-    CURRENT.with(|c| c.get())
-}
-
-/// Clears the calling thread's current trace ID.
-pub fn clear() {
-    CURRENT.with(|c| c.set(0));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -60,23 +38,5 @@ mod tests {
         assert_eq!(mint(3, 17), mint(3, 17));
         assert_ne!(mint(3, 17), mint(3, 18));
         assert_ne!(mint(3, 17), 0);
-    }
-
-    #[test]
-    fn thread_local_set_get_clear() {
-        clear();
-        assert_eq!(current(), 0);
-        set_current(42);
-        assert_eq!(current(), 42);
-        clear();
-        assert_eq!(current(), 0);
-    }
-
-    #[test]
-    fn thread_locals_are_independent() {
-        set_current(7);
-        let other = std::thread::spawn(current).join().unwrap();
-        assert_eq!(other, 0);
-        clear();
     }
 }
