@@ -79,15 +79,15 @@ pub enum ByzantineBehavior {
     /// Sign messages with garbage so signature verification fails at receivers.
     CorruptSignatures,
     /// On applying a proposal as a follower, answer every request in it
-    /// with forged replies carrying [`FORGED_RESULT`]; see
-    /// [`forged_replies`]. Otherwise behave correctly.
+    /// with forged replies carrying [`FORGED_RESULT`]: at t = 1 one reply in
+    /// the primary's name with a follower commit under a forged signature,
+    /// at t ≥ 2 one in each active replica's name. Otherwise behave
+    /// correctly.
     ForgeReplies,
 }
 
 /// The replies a [`ByzantineBehavior::ForgeReplies`] follower sends for
-/// proposal `p`: per request, at t = 1 one reply in the primary's name
-/// carrying a follower commit with a forged signature, at t ≥ 2 one reply in
-/// each active replica's name. Every reply binds [`FORGED_RESULT`].
+/// proposal `p`, per request.
 pub(crate) fn forged_replies(
     groups: &SyncGroups,
     p: &PrepareEntry,

@@ -14,6 +14,13 @@
 //! re-sends to the primary alone; and on receiving a SUSPECT message it
 //! follows the view change, re-sending every outstanding request to the new
 //! primary.
+//!
+//! Each rule is written once: a request is signed once, when issued, and
+//! every re-send repeats that [`SignedRequest`]; `send_to_primary` and
+//! `arm_retransmit` are the only primary send and timer arm; `commit_quorum`
+//! is the commit rule, a pure function of the replies collected. Issuing a
+//! request mints its trace id (`xft_telemetry::trace::mint`) as the step's
+//! [`Context::trace`], so the request carries it from its first hop on.
 
 use crate::config::XPaxosConfig;
 use crate::messages::{
@@ -24,7 +31,7 @@ use crate::types::{client_key, ClientId, ReplicaId, Request, Timestamp, ViewNumb
 use bytes::Bytes;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use xft_crypto::{CryptoOp, KeyRegistry, Signer, Verifier};
+use xft_crypto::{CryptoOp, Digest, KeyRegistry, Signer, Verifier};
 use xft_simnet::{Actor, Context, NodeId, SimDuration, SimTime, TimerId};
 
 /// Hard cap on the request window. Replicas cache
@@ -140,8 +147,8 @@ pub struct HistoryRecord {
 
 /// One outstanding (issued, uncommitted) request.
 struct Pending {
-    request: Request,
-    signature: xft_crypto::Signature,
+    /// The request as signed when issued; every re-send repeats it.
+    signed: SignedRequest,
     issued_at: SimTime,
     /// Matching replies per replica (general case).
     replies: BTreeMap<ReplicaId, ReplyMsg>,
@@ -249,10 +256,6 @@ impl Client {
         BUSY_BACKOFF_UNIT * (4 + ctx.rng().next_below(9))
     }
 
-    fn node_of(&self, replica: ReplicaId) -> NodeId {
-        self.config.node_of(replica)
-    }
-
     /// Issues requests until the window is full, the workload is exhausted,
     /// or the stream would run [`MAX_TS_SPREAD`] past the oldest outstanding
     /// request (head-of-line bound; issuing resumes as commits land).
@@ -303,70 +306,39 @@ impl Client {
         let request = Request::new(self.id, ts, op);
         ctx.charge(CryptoOp::Sign);
         let signature = self.signer.sign_digest(&client_request_digest(&request));
-        let signed = SignedRequest {
-            request: request.clone(),
-            signature,
-        };
         // Mint the request's correlation id deterministically from (client,
         // timestamp) as the step's trace id: the send below carries it, and
         // every hop downstream tags its flight-recorder events with it.
         ctx.set_trace(xft_telemetry::trace::mint(self.id.0, ts));
-        let primary = self.groups.primary(self.view);
-        ctx.send(self.node_of(primary), XPaxosMsg::Replicate(signed));
-        let retransmit_timer = ctx.set_timer(
-            self.config.client_retransmit,
-            self.token_base + TOKEN_RETRANSMIT_BASE + ts,
-        );
-        self.pending.insert(
-            ts,
-            Pending {
-                request,
-                signature,
-                issued_at: ctx.now(),
-                replies: BTreeMap::new(),
-                retransmit_timer,
-                retransmissions: 0,
-                busy_backoff: false,
-                busy_count: 0,
-            },
-        );
+        let pending = Pending {
+            signed: SignedRequest { request, signature },
+            issued_at: ctx.now(),
+            replies: BTreeMap::new(),
+            retransmit_timer: TimerId(0), // armed below
+            retransmissions: 0,
+            busy_backoff: false,
+            busy_count: 0,
+        };
+        self.pending.insert(ts, pending);
+        self.send_to_primary(ts, ctx);
+        self.arm_retransmit(ts, self.config.client_retransmit, ctx);
     }
 
-    /// Returns the `(view, reply digest)` of the winning quorum when the
-    /// commit condition is met.
-    fn commit_condition_met(&self, pending: &Pending) -> Option<(ViewNumber, [u8; 32])> {
-        // Group replies by (view, reply digest) and look for a quorum.
-        let mut by_key: BTreeMap<(u64, [u8; 32]), Vec<ReplicaId>> = BTreeMap::new();
-        for (replica, reply) in &pending.replies {
-            by_key
-                .entry((reply.view.0, reply.reply_digest.0))
-                .or_default()
-                .push(*replica);
+    /// Sends outstanding request `ts` to the primary of the current view.
+    fn send_to_primary(&self, ts: Timestamp, ctx: &mut Context<XPaxosMsg>) {
+        if let Some(pending) = self.pending.get(&ts) {
+            let primary = self.config.node_of(self.groups.primary(self.view));
+            ctx.send(primary, XPaxosMsg::Replicate(pending.signed.clone()));
         }
-        for ((view, digest), replicas) in &by_key {
-            let view = ViewNumber(*view);
-            if self.config.t == 1 {
-                // Fast path: the primary's reply carrying the follower's signed commit
-                // suffices; alternatively, matching replies from both active replicas.
-                let primary = self.groups.primary(view);
-                let has_full_primary_reply = replicas.contains(&primary)
-                    && pending
-                        .replies
-                        .get(&primary)
-                        .map(|r| r.follower_commit.is_some())
-                        .unwrap_or(false);
-                if has_full_primary_reply || replicas.len() >= self.config.active_count() {
-                    return Some((view, *digest));
-                }
-            } else {
-                // General case: matching replies from all t + 1 active replicas.
-                let active = self.groups.active_replicas(view);
-                if active.iter().all(|a| replicas.contains(a)) {
-                    return Some((view, *digest));
-                }
-            }
+    }
+
+    /// Arms the retransmission timer of outstanding request `ts` to fire
+    /// after `delay`.
+    fn arm_retransmit(&mut self, ts: Timestamp, delay: SimDuration, ctx: &mut Context<XPaxosMsg>) {
+        let token = self.token_base + TOKEN_RETRANSMIT_BASE + ts;
+        if let Some(pending) = self.pending.get_mut(&ts) {
+            pending.retransmit_timer = ctx.set_timer(delay, token);
         }
-        None
     }
 
     fn on_reply(&mut self, reply: ReplyMsg, ctx: &mut Context<XPaxosMsg>) {
@@ -381,51 +353,37 @@ impl Client {
         if reply.replica >= self.config.n() {
             return;
         }
-        pending.replies.insert(reply.replica, reply.clone());
         // Track the replicas' view so retransmissions go to the right primary.
-        if reply.view > self.view {
-            self.view = reply.view;
-        }
-
-        let Some(pending_ref) = self.pending.get(&ts) else {
+        self.view = self.view.max(reply.view);
+        pending.replies.insert(reply.replica, reply);
+        let Some((view, digest)) = commit_quorum(&self.groups, &pending.replies) else {
             return;
         };
-        if let Some((view, digest)) = self.commit_condition_met(pending_ref) {
-            let pending = self.pending.remove(&ts).expect("pending exists");
-            ctx.cancel_timer(pending.retransmit_timer);
-            if self.workload.record_history {
-                // The primary's reply in the winning quorum carries the full
-                // application payload; followers send the digest only.
-                let winning = pending
-                    .replies
-                    .values()
-                    .filter(|r| r.view == view && r.reply_digest.0 == digest);
-                let mut result = None;
-                let mut sn = None;
-                for r in winning {
-                    sn = Some(r.sn.0);
+        let pending = self.pending.remove(&ts).expect("looked up above");
+        ctx.cancel_timer(pending.retransmit_timer);
+        if let Some(record) = self.history.get_mut(&ts) {
+            // The primary's reply in the winning quorum carries the full
+            // application payload; followers send the digest only.
+            for r in pending.replies.values() {
+                if r.view == view && r.reply_digest == digest {
+                    record.sn = Some(r.sn.0);
                     if r.payload.is_some() {
-                        result = r.payload.clone();
+                        record.result = r.payload.clone();
                     }
                 }
-                if let Some(record) = self.history.get_mut(&ts) {
-                    record.completed_at = Some(ctx.now());
-                    record.result = result;
-                    record.sn = sn;
-                }
             }
-            self.view = self.view.max(view);
-            self.committed += 1;
-            let latency = ctx.now().duration_since(pending.issued_at);
-            ctx.record_commit(latency, pending.request.op.len());
-            if self.workload.think_time == SimDuration::ZERO {
-                self.fill_window(ctx);
-            } else {
-                ctx.set_timer(
-                    self.workload.think_time,
-                    self.token_base + TOKEN_NEXT_REQUEST,
-                );
-            }
+            record.completed_at = Some(ctx.now());
+        }
+        self.committed += 1;
+        let latency = ctx.now().duration_since(pending.issued_at);
+        ctx.record_commit(latency, pending.signed.request.op.len());
+        if self.workload.think_time == SimDuration::ZERO {
+            self.fill_window(ctx);
+        } else {
+            ctx.set_timer(
+                self.workload.think_time,
+                self.token_base + TOKEN_NEXT_REQUEST,
+            );
         }
     }
 
@@ -454,56 +412,35 @@ impl Client {
         }
         ctx.cancel_timer(pending.retransmit_timer);
         pending.busy_backoff = true;
-        pending.retransmit_timer =
-            ctx.set_timer(delay, self.token_base + TOKEN_RETRANSMIT_BASE + m.timestamp);
+        self.arm_retransmit(m.timestamp, delay, ctx);
     }
 
     /// The retransmission timer of request `ts` fired.
     fn retransmit(&mut self, ts: Timestamp, ctx: &mut Context<XPaxosMsg>) {
-        let (signed, retransmissions, was_busy) = {
-            let Some(pending) = self.pending.get_mut(&ts) else {
-                return;
-            };
-            let was_busy = pending.busy_backoff;
-            pending.busy_backoff = false;
-            if !was_busy {
-                pending.retransmissions += 1;
-            }
-            (
-                SignedRequest {
-                    request: pending.request.clone(),
-                    signature: pending.signature,
-                },
-                pending.retransmissions,
-                was_busy,
-            )
+        let Some(pending) = self.pending.get_mut(&ts) else {
+            return;
         };
-        if was_busy {
+        if std::mem::take(&mut pending.busy_backoff) {
             // Busy-shed requests retry as a plain REPLICATE to the primary.
-            let primary = self.groups.primary(self.view);
-            ctx.send(self.node_of(primary), XPaxosMsg::Replicate(signed));
+            self.send_to_primary(ts, ctx);
         } else {
+            pending.retransmissions += 1;
             ctx.count("client_retransmissions", 1);
             // Broadcast the RE-SEND to the active replicas of the current view
             // estimate; after repeated failures fall back to all replicas (the
             // client's estimate may be arbitrarily stale after a burst of view
             // changes).
-            let targets: Vec<ReplicaId> = if retransmissions <= 2 {
+            let targets: Vec<ReplicaId> = if pending.retransmissions <= 2 {
                 self.groups.active_replicas(self.view).to_vec()
             } else {
                 (0..self.config.n()).collect()
             };
             for replica in targets {
-                ctx.send(self.node_of(replica), XPaxosMsg::Resend(signed.clone()));
+                let resend = XPaxosMsg::Resend(pending.signed.clone());
+                ctx.send(self.config.node_of(replica), resend);
             }
         }
-        let timer = ctx.set_timer(
-            self.config.client_retransmit,
-            self.token_base + TOKEN_RETRANSMIT_BASE + ts,
-        );
-        if let Some(pending) = self.pending.get_mut(&ts) {
-            pending.retransmit_timer = timer;
-        }
+        self.arm_retransmit(ts, self.config.client_retransmit, ctx);
     }
 
     fn on_suspect(&mut self, m: SuspectMsg, ctx: &mut Context<XPaxosMsg>) {
@@ -513,22 +450,44 @@ impl Client {
         // Follow the view change (Algorithm 4, lines 11–15): adopt view i + 1, forward
         // the suspect to the new active replicas and re-send every outstanding request
         // to the new primary.
-        if m.view.next() > self.view {
-            self.view = m.view.next();
-        }
+        self.view = self.view.max(m.view.next());
         for replica in self.groups.active_replicas(self.view).to_vec() {
-            ctx.send(self.node_of(replica), XPaxosMsg::Suspect(m.clone()));
+            ctx.send(self.config.node_of(replica), XPaxosMsg::Suspect(m.clone()));
         }
-        let primary = self.groups.primary(self.view);
-        let primary_node = self.node_of(primary);
-        for pending in self.pending.values() {
-            let signed = SignedRequest {
-                request: pending.request.clone(),
-                signature: pending.signature,
-            };
-            ctx.send(primary_node, XPaxosMsg::Replicate(signed));
+        for &ts in self.pending.keys() {
+            self.send_to_primary(ts, ctx);
         }
     }
+}
+
+/// The client's commit rule, over the replies collected for one request
+/// (keyed by the replica each names): the `(view, reply digest)` of the
+/// first quorum, in `(view, digest)` order, or `None`. At t = 1 a quorum is
+/// the primary's reply carrying the follower's commit, or matching replies
+/// from t + 1 replicas; at t ≥ 2 it is matching replies from every active
+/// replica of the view (paper §4.2).
+fn commit_quorum(
+    groups: &SyncGroups,
+    replies: &BTreeMap<ReplicaId, ReplyMsg>,
+) -> Option<(ViewNumber, Digest)> {
+    let mut by_key: BTreeMap<(ViewNumber, Digest), Vec<ReplicaId>> = BTreeMap::new();
+    for (replica, reply) in replies {
+        by_key
+            .entry((reply.view, reply.reply_digest))
+            .or_default()
+            .push(*replica);
+    }
+    by_key.into_iter().find_map(|((view, digest), names)| {
+        let active = groups.active_replicas(view);
+        let quorum = if groups.t() == 1 {
+            let primary = active[0];
+            names.len() >= active.len()
+                || (names.contains(&primary) && replies[&primary].follower_commit.is_some())
+        } else {
+            active.iter().all(|a| names.contains(a))
+        };
+        quorum.then_some((view, digest))
+    })
 }
 
 /// Several windowed [`Client`]s behind one network endpoint.
@@ -653,20 +612,214 @@ impl Actor for Client {
     fn on_recover(&mut self, ctx: &mut Context<XPaxosMsg>) {
         // Timers were discarded by the crash: re-send every outstanding request
         // and re-arm its retransmission timer, then refill the window.
-        let primary = self.groups.primary(self.view);
-        let primary_node = self.node_of(primary);
-        for (&ts, pending) in self.pending.iter_mut() {
-            pending.busy_backoff = false;
-            let signed = SignedRequest {
-                request: pending.request.clone(),
-                signature: pending.signature,
-            };
-            ctx.send(primary_node, XPaxosMsg::Replicate(signed));
-            pending.retransmit_timer = ctx.set_timer(
-                self.config.client_retransmit,
-                self.token_base + TOKEN_RETRANSMIT_BASE + ts,
-            );
+        let outstanding: Vec<Timestamp> = self.pending.keys().copied().collect();
+        for ts in outstanding {
+            if let Some(pending) = self.pending.get_mut(&ts) {
+                pending.busy_backoff = false;
+            }
+            self.send_to_primary(ts, ctx);
+            self.arm_retransmit(ts, self.config.client_retransmit, ctx);
         }
         self.fill_window(ctx);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::log::commit_statement_digest;
+    use crate::messages::{reply_digest, CommitMsg};
+    use crate::types::{replica_key, SeqNum};
+    use xft_crypto::Signature;
+    use xft_simnet::with_offline_context;
+
+    /// What a row delivers to a client whose request 1 is outstanding; every
+    /// reply is for view 0, sequence number 1, and binds one result.
+    #[derive(Clone, Copy)]
+    enum In {
+        /// A reply naming replica `named`, sent from replica `from`'s node.
+        Reply { from: ReplicaId, named: ReplicaId },
+        /// The primary's reply carrying its follower's signed COMMIT.
+        FastPath,
+        /// The same, the COMMIT under a forged signature.
+        ForgedFastPath,
+        /// The primary's reply addressed to another client.
+        Misrouted,
+        /// The primary's reply to a timestamp the client never issued.
+        UnknownTs,
+        /// A reply naming replica id n.
+        OutOfRange,
+    }
+
+    /// Builds the message `input` describes, and the replica that sends it.
+    fn message(registry: &Arc<KeyRegistry>, input: In) -> (ReplicaId, XPaxosMsg) {
+        let (view, sn, client, ts) = (ViewNumber(0), SeqNum(1), ClientId(0), 1);
+        let rd = Digest::of(b"result");
+        let reply = |named: ReplicaId| ReplyMsg {
+            view,
+            sn,
+            client,
+            timestamp: ts,
+            reply_digest: reply_digest(view, sn, client, ts, &rd),
+            payload: (named == 0).then(|| Bytes::from_static(b"result")),
+            replica: named,
+            follower_commit: None,
+        };
+        let with_commit = |signature: Option<Signature>| {
+            let batch_digest = Digest::of(b"batch");
+            let signed = commit_statement_digest(&batch_digest, sn, view, Some(&rd));
+            let signature = signature
+                .unwrap_or_else(|| Signer::new(registry, replica_key(1)).sign_digest(&signed));
+            let commit = CommitMsg {
+                view,
+                sn,
+                batch_digest,
+                replica: 1,
+                reply_digest: Some(rd),
+                signature,
+            };
+            ReplyMsg {
+                follower_commit: Some(commit),
+                ..reply(0)
+            }
+        };
+        let (from, reply) = match input {
+            In::Reply { from, named } => (from, reply(named)),
+            In::FastPath => (0, with_commit(None)),
+            In::ForgedFastPath => (0, with_commit(Some(Signature::forged(replica_key(1))))),
+            In::Misrouted => (
+                0,
+                ReplyMsg {
+                    client: ClientId(7),
+                    ..reply(0)
+                },
+            ),
+            In::UnknownTs => (
+                0,
+                ReplyMsg {
+                    timestamp: 9,
+                    ..reply(0)
+                },
+            ),
+            In::OutOfRange => (0, reply(99)),
+        };
+        (from, XPaxosMsg::Reply(reply))
+    }
+
+    /// What the client holds after a row.
+    #[derive(Clone, Debug, Default, PartialEq)]
+    struct Outcome {
+        committed: u64,
+        /// Replies held toward request 1's quorum (0 once it committed).
+        held: usize,
+    }
+
+    /// Delivers `inputs` in order, in one offline callback, to a fresh
+    /// client that has just issued request 1.
+    fn deliver(t: usize, inputs: &[In]) -> Outcome {
+        let registry = KeyRegistry::new(1);
+        let config = XPaxosConfig::new(t, 1);
+        let workload = ClientWorkload {
+            requests: Some(1),
+            ..Default::default()
+        };
+        let mut client = Client::new(ClientId(0), config.clone(), &registry, workload);
+        assert_eq!(client.groups.active_replicas(ViewNumber(0))[0], 0);
+        let msgs: Vec<_> = inputs.iter().map(|i| message(&registry, *i)).collect();
+        with_offline_context(config.client_nodes[0], |ctx| {
+            client.on_start(ctx);
+            for (from, msg) in msgs {
+                client.on_message(config.node_of(from), msg, ctx);
+            }
+        });
+        Outcome {
+            committed: client.committed(),
+            held: client.pending.get(&1).map_or(0, |p| p.replies.len()),
+        }
+    }
+
+    /// One row per outcome of `on_reply`, each at the `t` values it names.
+    #[test]
+    fn reply_acceptance_table() {
+        let from_self = |named| In::Reply { from: named, named };
+        let committed = Outcome {
+            committed: 1,
+            held: 0,
+        };
+        let held = |n| Outcome {
+            committed: 0,
+            held: n,
+        };
+        let both: &[usize] = &[1, 2];
+        let rows: Vec<(&str, &[usize], Vec<In>, Outcome)> = vec![
+            (
+                "misrouted client: ignored",
+                both,
+                vec![In::Misrouted],
+                held(0),
+            ),
+            (
+                "unknown timestamp: ignored",
+                both,
+                vec![In::UnknownTs],
+                held(0),
+            ),
+            (
+                "replica id ≥ n: ignored",
+                both,
+                vec![In::OutOfRange],
+                held(0),
+            ),
+            ("no quorum yet: held", both, vec![from_self(1)], held(1)),
+            (
+                "t = 1: the primary's reply with its follower's commit",
+                &[1],
+                vec![In::FastPath],
+                committed.clone(),
+            ),
+            (
+                "t = 1: matching replies from both active replicas",
+                &[1],
+                vec![from_self(0), from_self(1)],
+                committed.clone(),
+            ),
+            (
+                "t ≥ 2: t matching replies are no quorum",
+                &[2],
+                vec![from_self(0), from_self(1)],
+                held(2),
+            ),
+            (
+                "t ≥ 2: matching replies from every active replica",
+                &[2],
+                vec![from_self(0), from_self(1), from_self(2)],
+                committed.clone(),
+            ),
+            // Current behaviour that a client verifying its replies must
+            // change: these rows flip to "ignored".
+            (
+                "unverified: a reply counts under the replica it names, not its sender",
+                &[1],
+                (0..2).map(|named| In::Reply { from: 2, named }).collect(),
+                committed.clone(),
+            ),
+            (
+                "unverified: a reply counts under the replica it names, not its sender",
+                &[2],
+                (0..3).map(|named| In::Reply { from: 4, named }).collect(),
+                committed.clone(),
+            ),
+            (
+                "unverified: a forged follower commit completes the fast path",
+                &[1],
+                vec![In::ForgedFastPath],
+                committed.clone(),
+            ),
+        ];
+        for (name, ts, inputs, expected) in rows {
+            for &t in ts {
+                assert_eq!(deliver(t, &inputs), expected, "t = {t}: {name}");
+            }
+        }
     }
 }
