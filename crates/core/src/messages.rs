@@ -94,6 +94,30 @@ pub struct ReplyMsg {
     pub follower_commit: Option<CommitMsg>,
 }
 
+impl ReplyMsg {
+    /// Replica `replica`'s REPLY to request `(client, ts)`, executed at `sn`
+    /// with raw result digest `rd`, bound to `view` and carrying no follower
+    /// commit: the one place a replica builds a REPLY.
+    pub(crate) fn bound(
+        (view, sn): (ViewNumber, SeqNum),
+        (client, ts): (ClientId, Timestamp),
+        rd: &Digest,
+        payload: Option<bytes::Bytes>,
+        replica: ReplicaId,
+    ) -> ReplyMsg {
+        ReplyMsg {
+            view,
+            sn,
+            client,
+            timestamp: ts,
+            reply_digest: reply_digest(view, sn, client, ts, rd),
+            payload,
+            replica,
+            follower_commit: None,
+        }
+    }
+}
+
 /// BUSY: the primary's admission queue is full; the request identified by
 /// `timestamp` was shed and the client should retry after a short backoff.
 ///

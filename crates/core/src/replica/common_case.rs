@@ -25,15 +25,17 @@
 //!   the common case, the view change and lazy replication alike.
 //!   `record_commit` adds the statistics for the three common-case
 //!   completions (carry, fast path, general).
+//! * **One answer to an executed request.** `answer_executed` re-answers
+//!   from the reply cache: re-binding, follower commit, durability gate and
+//!   escalation count. Every REPLY is built by `ReplyMsg::bound` and sent
+//!   by `send_reply`.
 
 use super::{Phase, Replica, TOKEN_BATCH, TOKEN_MONITOR};
 use crate::auth::{verify_client_sig, verify_replica_sig};
 use crate::byzantine::ByzantineBehavior;
 use crate::config::{BATCH_TIMEOUT, MAX_BATCH_BYTES};
 use crate::log::{commit_statement_digest, proposal_digest, CommitEntry, PrepareEntry};
-use crate::messages::{
-    reply_digest, CommitCarryMsg, CommitMsg, PrepareMsg, ReplyMsg, SignedRequest, XPaxosMsg,
-};
+use crate::messages::{CommitCarryMsg, CommitMsg, PrepareMsg, ReplyMsg, SignedRequest, XPaxosMsg};
 use crate::types::{Batch, ClientId, ReplicaId, SeqNum, Timestamp};
 use std::collections::BTreeMap;
 use xft_crypto::{CryptoOp, Digest, Signature};
@@ -77,8 +79,7 @@ impl Replica {
             }
         }
 
-        let client = req.request.client;
-        let ts = req.request.timestamp;
+        let (client, ts) = (req.request.client, req.request.timestamp);
 
         // Exactly-once: an already-executed request is answered from the reply
         // cache and never re-admitted (even once its reply has been pruned).
@@ -89,87 +90,9 @@ impl Replica {
         if self
             .client_table
             .get(&client)
-            .map(|r| r.executed(ts))
-            .unwrap_or(false)
+            .is_some_and(|r| r.executed(ts))
         {
-            // Escalation: a client that keeps re-sending an executed request
-            // cannot assemble a commit quorum from the current group (the
-            // chaos explorer surfaced wedges where the other active replica
-            // had forgotten the view). Suspect after repeated re-answers,
-            // exactly like the unexecuted-request monitor path.
-            let mut escalate = false;
-            if retransmission && self.phase == Phase::Active && self.is_active_in(self.view) {
-                if let Some(cached) = self
-                    .client_table
-                    .get_mut(&client)
-                    .and_then(|r| r.replies.get_mut(&ts))
-                {
-                    cached.resends += 1;
-                    if cached.resends >= super::CACHE_ANSWER_SUSPECT_THRESHOLD {
-                        // Consumed only when the suspect actually goes out
-                        // (the guard above matches the send below), so a
-                        // re-answer during a view change doesn't burn the
-                        // whole threshold cycle.
-                        cached.resends = 0;
-                        escalate = true;
-                    }
-                }
-            }
-            if let Some(cached) = self.client_table.get(&client).and_then(|r| r.reply_for(ts)) {
-                let mut reply = cached.reply.clone();
-                // Re-bind stale cached replies to the current view. A
-                // request that commits *through* a view change leaves
-                // each active replica holding a reply bound to whichever
-                // view it executed in; those never re-form a quorum at
-                // the client (found by the chaos explorer: a follower
-                // crash+recover mid-pipeline wedged every in-flight
-                // request forever). As an active member of the current
-                // view — whose adopted log contains the executed entry —
-                // this replica can vouch for the result in this view, so
-                // the t + 1 active replicas' re-bound replies match again.
-                if self.phase == Phase::Active
-                    && self.is_active_in(self.view)
-                    && reply.view < self.view
-                {
-                    ctx.charge(CryptoOp::Sign);
-                    reply.view = self.view;
-                    reply.replica = self.id;
-                    reply.reply_digest = reply_digest(self.view, reply.sn, client, ts, &cached.rd);
-                    reply.follower_commit = None;
-                }
-                // The t = 1 primary attaches the follower's signed commit
-                // when it holds one for this view (fresh fast-path
-                // commits, or proofs rebuilt by the view-change exchange).
-                if self.config.t == 1
-                    && self.is_primary_in(self.view)
-                    && reply.view == self.view
-                    && reply.follower_commit.is_none()
-                {
-                    reply.follower_commit = self
-                        .follower_commits
-                        .get(&reply.sn.0)
-                        .filter(|c| c.view == self.view)
-                        .cloned();
-                }
-                let node = self.client_node(client);
-                self.send_to_client_gated(node, XPaxosMsg::Reply(reply), ctx);
-            } else if retransmission {
-                // Executed, but the reply fell off the bounded cache. Only a
-                // client violating the `MAX_TS_SPREAD` contract can get here
-                // (retention covers every timestamp a correct client can
-                // still retransmit), so this is swallowed without
-                // escalation — suspecting the view on a replayed ancient
-                // timestamp would hand any client a view-change lever. Still
-                // counted: a wedge here is a retention bug, not noise.
-                ctx.count("cache_answers_pruned", 1);
-                self.tel_event(ctx, "cache-miss", || {
-                    format!("client={} ts={} executed, reply pruned", client.0, ts)
-                });
-            }
-            if escalate {
-                ctx.count("cache_answer_suspects", 1);
-                self.suspect_view(Some(client), ctx);
-            }
+            self.answer_executed(client, ts, retransmission, ctx);
             return;
         }
 
@@ -216,23 +139,95 @@ impl Replica {
             self.monitor_request(client, ts, ctx);
         }
 
-        if self.phase != Phase::Active {
-            // Buffer during view changes; the new primary will pick pending requests up.
-            self.queued_keys.insert((client, ts));
-            self.pending_requests.push_back((req, ctx.trace()));
-            return;
-        }
-
-        if self.is_primary_in(self.view) {
-            self.queued_keys.insert((client, ts));
-            self.pending_requests.push_back((req, ctx.trace()));
-            self.tel_event(ctx, "admit", || format!("client={} ts={}", client.0, ts));
-            self.pump_pipeline(ctx, false);
-        } else {
+        if !queues_here {
             // Not the primary: forward to the current primary (covers both clients with
             // stale view estimates and the RE-SEND path of Algorithm 4).
             let primary = self.groups.primary(self.view);
             ctx.send(self.node_of(primary), XPaxosMsg::Replicate(req));
+            return;
+        }
+        // Queued: buffered during a view change (the new primary picks pending
+        // requests up), or admitted by the primary for batching.
+        self.queued_keys.insert((client, ts));
+        self.pending_requests.push_back((req, ctx.trace()));
+        if self.phase == Phase::Active {
+            self.tel_event(ctx, "admit", || format!("client={} ts={}", client.0, ts));
+            self.pump_pipeline(ctx, false);
+        }
+    }
+
+    /// Answers request `(client, ts)`, already executed, from the reply
+    /// cache: the one rule for every re-answer. As an active replica of the
+    /// current view, outside a view change, this replica
+    /// * re-binds a reply cached in an older view to the current one. A
+    ///   request that commits *through* a view change leaves each active
+    ///   replica holding a reply bound to whichever view it executed in;
+    ///   those never re-form a quorum at the client (found by the chaos
+    ///   explorer: a follower crash+recover mid-pipeline wedged every
+    ///   in-flight request forever). The current view's adopted log contains
+    ///   the executed entry, so this replica can vouch for the result in
+    ///   this view, and the t + 1 active replicas' re-bound replies match;
+    /// * counts a retransmission's re-answer toward escalation. A client
+    ///   that keeps re-sending an executed request cannot assemble a commit
+    ///   quorum from the current group (the chaos explorer surfaced wedges
+    ///   where the other active replica had forgotten the view), so after
+    ///   [`super::CACHE_ANSWER_SUSPECT_THRESHOLD`] re-answers it suspects
+    ///   the view, exactly like the unexecuted-request monitor path. The
+    ///   count resets only when the suspect goes out, so a re-answer during a
+    ///   view change doesn't burn the whole threshold cycle.
+    ///
+    /// The t = 1 primary attaches the follower's signed commit when it holds
+    /// one for this view (fresh fast-path commits, or proofs rebuilt by the
+    /// view-change exchange). The reply leaves through the durability gate.
+    fn answer_executed(
+        &mut self,
+        client: ClientId,
+        ts: Timestamp,
+        retransmission: bool,
+        ctx: &mut Context<XPaxosMsg>,
+    ) {
+        let view = self.view;
+        let vouches = self.phase == Phase::Active && self.is_active_in(view);
+        let attaches = self.config.t == 1 && self.is_primary_in(view);
+        let cached = self.client_table.get_mut(&client);
+        let Some(cached) = cached.and_then(|r| r.replies.get_mut(&ts)) else {
+            if retransmission {
+                // Executed, but the reply fell off the bounded cache. Only a
+                // client violating the `MAX_TS_SPREAD` contract can get here
+                // (retention covers every timestamp a correct client can
+                // still retransmit), so this is swallowed without
+                // escalation — suspecting the view on a replayed ancient
+                // timestamp would hand any client a view-change lever. Still
+                // counted: a wedge here is a retention bug, not noise.
+                ctx.count("cache_answers_pruned", 1);
+                self.tel_event(ctx, "cache-miss", || {
+                    format!("client={} ts={} executed, reply pruned", client.0, ts)
+                });
+            }
+            return;
+        };
+        let mut escalate = false;
+        if retransmission && vouches {
+            cached.resends += 1;
+            escalate = cached.resends >= super::CACHE_ANSWER_SUSPECT_THRESHOLD;
+            if escalate {
+                cached.resends = 0;
+            }
+        }
+        let mut reply = cached.reply.clone();
+        if vouches && reply.view < view {
+            ctx.charge(CryptoOp::Sign);
+            let (sn, payload) = (reply.sn, reply.payload);
+            reply = ReplyMsg::bound((view, sn), (client, ts), &cached.rd, payload, self.id);
+        }
+        if attaches && reply.view == view && reply.follower_commit.is_none() {
+            let commit = self.follower_commits.get(&reply.sn.0);
+            reply.follower_commit = commit.filter(|c| c.view == view).cloned();
+        }
+        self.send_reply(reply, ctx);
+        if escalate {
+            ctx.count("cache_answer_suspects", 1);
+            self.suspect_view(Some(client), ctx);
         }
     }
 
@@ -926,15 +921,13 @@ impl Replica {
                 self.suspect_view(None, ctx);
                 break;
             }
+            // Released as cached, not through `answer_executed`: a request
+            // the batch skipped as a duplicate keeps the reply of the view
+            // it executed in.
             for req in &batch.requests {
-                if let Some(cached) = self
-                    .client_table
-                    .get(&req.client)
-                    .and_then(|r| r.reply_for(req.timestamp))
-                {
-                    let node = self.client_node(req.client);
-                    let reply = XPaxosMsg::Reply(cached.reply.clone());
-                    self.send_to_client_gated(node, reply, ctx);
+                let record = self.client_table.get(&req.client);
+                if let Some(cached) = record.and_then(|r| r.reply_for(req.timestamp)) {
+                    self.send_reply(cached.reply.clone(), ctx);
                 }
             }
         }
@@ -983,19 +976,12 @@ impl Replica {
             let rd = Digest::of(&payload);
             digests.push(rd);
 
+            let (request, payload) = ((req.client, req.timestamp), is_primary.then_some(payload));
             let reply = ReplyMsg {
-                view: self.view,
-                sn,
-                client: req.client,
-                timestamp: req.timestamp,
-                reply_digest: reply_digest(self.view, sn, req.client, req.timestamp, &rd),
-                payload: if is_primary { Some(payload) } else { None },
-                replica: self.id,
-                follower_commit: if attach_follower_commit {
-                    self.follower_commits.get(&sn.0).cloned()
-                } else {
-                    None
-                },
+                follower_commit: attach_follower_commit
+                    .then(|| self.follower_commits.get(&sn.0).cloned())
+                    .flatten(),
+                ..ReplyMsg::bound((self.view, sn), request, &rd, payload, self.id)
             };
             // Remember recent replies (with the raw reply digest, for
             // view re-binding) for duplicate suppression.
@@ -1013,8 +999,7 @@ impl Replica {
                 self.tel_event(ctx, "reply", || {
                     format!("sn={} client={} ts={}", sn.0, req.client.0, req.timestamp)
                 });
-                let node = self.client_node(req.client);
-                self.send_to_client_gated(node, XPaxosMsg::Reply(reply), ctx);
+                self.send_reply(reply, ctx);
             }
         }
         digests
@@ -1058,14 +1043,15 @@ mod tests {
     use crate::harness::{ClusterBuilder, LatencySpec, XPaxosCluster};
     use crate::log::{CommitEntry, PrepareEntry};
     use crate::messages::{
-        client_request_digest, CommitCarryMsg, CommitMsg, PrepareMsg, SignedRequest, XPaxosMsg,
+        client_request_digest, CommitCarryMsg, CommitMsg, PrepareMsg, ReplyMsg, SignedRequest,
+        XPaxosMsg,
     };
-    use crate::replica::Replica;
+    use crate::replica::{Phase, Replica};
     use crate::types::{
         client_key, replica_key, Batch, ClientId, ReplicaId, Request, SeqNum, ViewNumber,
     };
     use std::collections::{BTreeMap, BTreeSet};
-    use xft_crypto::{Signature, Signer};
+    use xft_crypto::{Digest, Signature, Signer};
     use xft_simnet::{with_offline_context, Actor, PipelineConfig, SimDuration, SimMessage};
 
     fn one_ms_cluster(clients: usize, requests: u64) -> XPaxosCluster {
@@ -1504,5 +1490,296 @@ mod tests {
         });
         let entry = replica.commit_log.get(sn).expect("entry kept");
         assert_eq!(entry.commit_sigs, BTreeMap::from([(0, old_sig)]));
+    }
+
+    /// What a row of the client-request table delivers: client 0's request
+    /// `ts`, fresh, retransmitted, or retransmitted under a signature that
+    /// does not verify.
+    #[derive(Clone, Copy)]
+    enum Req {
+        Replicate(u64),
+        Resend(u64),
+        BadResend(u64),
+    }
+
+    /// What the replica holds and emitted after a client-request row.
+    #[derive(Clone, Debug, Default, PartialEq)]
+    struct Admitted {
+        sent: BTreeSet<&'static str>,
+        /// The view of every REPLY sent, in order.
+        reply_views: Vec<u64>,
+        queued: usize,
+        monitored: usize,
+        shed: u64,
+        pruned: u64,
+        escalated: u64,
+    }
+
+    /// Delivers `inputs` to replica `at` (0 is view 0's primary, 1 a
+    /// follower) of a fresh idle cluster, after `setup`, in one offline
+    /// callback.
+    fn admit(t: usize, at: ReplicaId, setup: fn(&mut Replica), inputs: &[Req]) -> Admitted {
+        let mut cluster = idle_cluster(t);
+        let client = Signer::new(&cluster.registry, client_key(ClientId(0)));
+        let msgs: Vec<XPaxosMsg> = inputs
+            .iter()
+            .map(|input| {
+                let (Req::Replicate(ts) | Req::Resend(ts) | Req::BadResend(ts)) = *input;
+                let request = Request::new(ClientId(0), ts, vec![ts as u8; 8].into());
+                let mut signature = client.sign_digest(&client_request_digest(&request));
+                if matches!(input, Req::BadResend(_)) {
+                    signature = Signature::forged(client_key(ClientId(0)));
+                }
+                let signed = SignedRequest { request, signature };
+                match input {
+                    Req::Replicate(_) => XPaxosMsg::Replicate(signed),
+                    Req::Resend(_) | Req::BadResend(_) => XPaxosMsg::Resend(signed),
+                }
+            })
+            .collect();
+        let client_node = cluster.config.client_nodes[0];
+        let replica = cluster.replica_mut(at);
+        setup(replica);
+        with_offline_context(replica.node_of(at), |ctx| {
+            for msg in msgs {
+                replica.on_message(client_node, msg, ctx);
+            }
+            let sends = ctx.pending_sends();
+            Admitted {
+                sent: sends.iter().map(|o| o.msg.kind()).collect(),
+                reply_views: sends
+                    .iter()
+                    .filter_map(|o| match &o.msg {
+                        XPaxosMsg::Reply(r) => Some(r.view.0),
+                        _ => None,
+                    })
+                    .collect(),
+                queued: replica.pending_requests.len(),
+                monitored: replica.monitored_by_req.len(),
+                shed: ctx.counted("requests_shed"),
+                pruned: ctx.counted("cache_answers_pruned"),
+                escalated: ctx.counted("cache_answer_suspects"),
+            }
+        })
+    }
+
+    /// Client 0's request 1 executed at sequence number 1 in view 0.
+    fn executed(r: &mut Replica) {
+        let rd = Digest::of(b"result");
+        let reply = ReplyMsg::bound(
+            (ViewNumber(0), SeqNum(1)),
+            (ClientId(0), 1),
+            &rd,
+            None,
+            r.id,
+        );
+        r.client_table
+            .entry(ClientId(0))
+            .or_default()
+            .record(1, reply, rd);
+    }
+
+    /// The same, and the replica has since moved to view 1, where replica 0
+    /// is still the primary.
+    fn executed_then_view_1(r: &mut Replica) {
+        executed(r);
+        r.view = ViewNumber(1);
+        assert!(r.is_primary_in(r.view));
+    }
+
+    /// Executed, but its reply has been pruned from the cache.
+    fn pruned(r: &mut Replica) {
+        executed(r);
+        r.client_table
+            .get_mut(&ClientId(0))
+            .unwrap()
+            .replies
+            .clear();
+    }
+
+    /// Executed, and re-answered one time short of escalating.
+    fn one_short_of_escalation(r: &mut Replica) {
+        executed(r);
+        let record = r.client_table.get_mut(&ClientId(0)).unwrap();
+        record.replies.get_mut(&1).unwrap().resends =
+            super::super::CACHE_ANSWER_SUSPECT_THRESHOLD - 1;
+    }
+
+    /// Every pipeline slot is in flight, so admitted requests stay queued.
+    fn pipe_full(r: &mut Replica) {
+        r.proposed_in_flight = r.config.pipeline.max_in_flight_batches;
+    }
+
+    /// The same, with room for one queued request.
+    fn one_queue_slot(r: &mut Replica) {
+        pipe_full(r);
+        r.config.pipeline.max_pending_requests = 1;
+    }
+
+    fn in_view_change(r: &mut Replica) {
+        r.phase = Phase::ViewChange;
+    }
+
+    /// One row per branch of `on_client_request`, at t = 1 and t = 2 unless
+    /// the row names one.
+    #[test]
+    fn client_request_table() {
+        let kinds = |k: &[&'static str]| k.iter().copied().collect::<BTreeSet<_>>();
+        let both: &[usize] = &[1, 2];
+        let answered = |view| Admitted {
+            sent: kinds(&["REPLY"]),
+            reply_views: vec![view],
+            ..Admitted::default()
+        };
+        let queued = |queued, monitored| Admitted {
+            queued,
+            monitored,
+            ..Admitted::default()
+        };
+        type Row = (
+            &'static str,
+            &'static [usize],
+            ReplicaId,
+            fn(&mut Replica),
+            Vec<Req>,
+            Admitted,
+        );
+        let rows: Vec<Row> = vec![
+            (
+                "retransmission with a bad signature: dropped",
+                both,
+                0,
+                as_is,
+                vec![Req::BadResend(1)],
+                Admitted::default(),
+            ),
+            (
+                "executed: answered from the reply cache",
+                both,
+                0,
+                executed,
+                vec![Req::Replicate(1)],
+                answered(0),
+            ),
+            (
+                "executed in an older view: re-bound and answered",
+                both,
+                0,
+                executed_then_view_1,
+                vec![Req::Resend(1)],
+                answered(1),
+            ),
+            (
+                "executed, reply pruned: counted, not answered",
+                both,
+                0,
+                pruned,
+                vec![Req::Resend(1)],
+                Admitted {
+                    pruned: 1,
+                    ..Admitted::default()
+                },
+            ),
+            (
+                "escalation at the threshold: answered, then the view suspected",
+                both,
+                0,
+                one_short_of_escalation,
+                vec![Req::Resend(1)],
+                Admitted {
+                    sent: kinds(&["REPLY", "SUSPECT", "SUSPECT-CLIENT", "VIEW-CHANGE"]),
+                    reply_views: vec![0],
+                    escalated: 1,
+                    ..Admitted::default()
+                },
+            ),
+            (
+                "duplicate of a queued request: one slot",
+                both,
+                0,
+                pipe_full,
+                vec![Req::Replicate(1), Req::Replicate(1)],
+                queued(1, 0),
+            ),
+            (
+                "retransmitted duplicate of a queued request: one slot, monitored",
+                both,
+                0,
+                pipe_full,
+                vec![Req::Replicate(1), Req::Resend(1)],
+                queued(1, 1),
+            ),
+            (
+                "queue full: shed with BUSY",
+                both,
+                0,
+                one_queue_slot,
+                vec![Req::Replicate(1), Req::Replicate(2)],
+                Admitted {
+                    sent: kinds(&["BUSY"]),
+                    queued: 1,
+                    shed: 1,
+                    ..Admitted::default()
+                },
+            ),
+            (
+                "during a view change: buffered",
+                both,
+                1,
+                in_view_change,
+                vec![Req::Replicate(1)],
+                queued(1, 0),
+            ),
+            (
+                "at the primary: queued and proposed at once",
+                &[1],
+                0,
+                as_is,
+                vec![Req::Replicate(1)],
+                Admitted {
+                    sent: kinds(&["COMMIT-CARRY"]),
+                    ..Admitted::default()
+                },
+            ),
+            (
+                "at the primary: queued and proposed at once",
+                &[2],
+                0,
+                as_is,
+                vec![Req::Replicate(1)],
+                Admitted {
+                    sent: kinds(&["PREPARE"]),
+                    ..Admitted::default()
+                },
+            ),
+            (
+                "at a non-primary: forwarded to the primary",
+                both,
+                1,
+                as_is,
+                vec![Req::Replicate(1)],
+                Admitted {
+                    sent: kinds(&["REPLICATE"]),
+                    ..Admitted::default()
+                },
+            ),
+            (
+                "retransmitted at a non-primary: forwarded and monitored",
+                both,
+                1,
+                as_is,
+                vec![Req::Resend(1)],
+                Admitted {
+                    sent: kinds(&["REPLICATE"]),
+                    monitored: 1,
+                    ..Admitted::default()
+                },
+            ),
+        ];
+        for (name, ts, at, setup, inputs, expected) in rows {
+            for &t in ts {
+                assert_eq!(admit(t, at, setup, &inputs), expected, "t = {t}: {name}");
+            }
+        }
     }
 }

@@ -18,12 +18,11 @@ use super::{Phase, Replica};
 use crate::durable::{
     ClientRecordSnapshot, DurableEvent, ReplicaSnapshot, SealedSnapshot, SnapshotImage,
 };
-use crate::messages::CheckpointMsg;
-use crate::messages::XPaxosMsg;
+use crate::messages::{CheckpointMsg, ReplyMsg, XPaxosMsg};
 use crate::types::{SeqNum, ViewNumber};
 use bytes::Reader;
 use std::sync::Arc;
-use xft_simnet::{Context, NodeId};
+use xft_simnet::Context;
 use xft_store::{DiskFault, Recovered};
 use xft_wire::{WireDecode, WireEncode};
 
@@ -60,16 +59,12 @@ impl Replica {
         }
     }
 
-    /// Sends a client-bound message now, or — when the attached storage runs
+    /// Sends a REPLY to its client now, or — when the attached storage runs
     /// overlapped fsyncs and the WAL tip is not yet durable — defers it until
     /// the background fsync reaches the current append LSN. Admission and
     /// ordering are never gated; only the durability promise a reply carries.
-    pub(crate) fn send_to_client_gated(
-        &mut self,
-        node: NodeId,
-        msg: XPaxosMsg,
-        ctx: &mut Context<XPaxosMsg>,
-    ) {
+    pub(crate) fn send_reply(&mut self, reply: ReplyMsg, ctx: &mut Context<XPaxosMsg>) {
+        let (node, msg) = (self.client_node(reply.client), XPaxosMsg::Reply(reply));
         if let Some(storage) = self.storage.as_ref() {
             if storage.overlapped() {
                 let required = storage.wal_lsn();

@@ -204,16 +204,7 @@ impl ClientRecord {
             record.executed_ranges.insert(*start, *end);
         }
         for (ts, sn, rd) in &snap.replies {
-            let reply = ReplyMsg {
-                view,
-                sn: *sn,
-                client: snap.client,
-                timestamp: *ts,
-                reply_digest: crate::messages::reply_digest(view, *sn, snap.client, *ts, rd),
-                payload: None,
-                replica,
-                follower_commit: None,
-            };
+            let reply = ReplyMsg::bound((view, *sn), (snap.client, *ts), rd, None, replica);
             record.replies.insert(
                 *ts,
                 CachedReply {
