@@ -7,7 +7,7 @@
 //! participating, indistinguishable from a crash to the rest of the system).
 
 use crate::log::PrepareEntry;
-use crate::messages::{reply_digest, CommitMsg, ReplyMsg};
+use crate::messages::{CommitMsg, ReplyMsg};
 use crate::sync_group::SyncGroups;
 use crate::types::{ReplicaId, SeqNum};
 use xft_crypto::{Digest, Signature};
@@ -112,15 +112,11 @@ pub(crate) fn forged_replies(
     let mut replies = Vec::new();
     for req in &p.batch.requests {
         for &replica in names {
+            let payload = (replica == primary).then(|| bytes::Bytes::from_static(FORGED_RESULT));
+            let request = (req.client, req.timestamp);
             replies.push(ReplyMsg {
-                view,
-                sn,
-                client: req.client,
-                timestamp: req.timestamp,
-                reply_digest: reply_digest(view, sn, req.client, req.timestamp, &rd),
-                payload: (replica == primary).then(|| bytes::Bytes::from_static(FORGED_RESULT)),
-                replica,
                 follower_commit: follower_commit.clone(),
+                ..ReplyMsg::bound((view, sn), request, &rd, payload, replica)
             });
         }
     }

@@ -977,12 +977,10 @@ impl Replica {
             digests.push(rd);
 
             let (request, payload) = ((req.client, req.timestamp), is_primary.then_some(payload));
-            let reply = ReplyMsg {
-                follower_commit: attach_follower_commit
-                    .then(|| self.follower_commits.get(&sn.0).cloned())
-                    .flatten(),
-                ..ReplyMsg::bound((self.view, sn), request, &rd, payload, self.id)
-            };
+            let mut reply = ReplyMsg::bound((self.view, sn), request, &rd, payload, self.id);
+            if attach_follower_commit {
+                reply.follower_commit = self.follower_commits.get(&sn.0).cloned();
+            }
             // Remember recent replies (with the raw reply digest, for
             // view re-binding) for duplicate suppression.
             self.client_table.entry(req.client).or_default().record(
@@ -1781,5 +1779,33 @@ mod tests {
                 assert_eq!(admit(t, at, setup, &inputs), expected, "t = {t}: {name}");
             }
         }
+    }
+
+    /// Forwarding the view-change buffer sends each request under the trace
+    /// id it was admitted with, skips executed ones, and leaves the step's
+    /// own id in place afterwards.
+    #[test]
+    fn forwarded_buffered_requests_keep_their_trace_ids() {
+        let mut cluster = idle_cluster(1);
+        let client = Signer::new(&cluster.registry, client_key(ClientId(0)));
+        let replica = cluster.replica_mut(1);
+        executed(replica);
+        for (ts, trace) in [(1, 11), (2, 22), (3, 33)] {
+            let request = Request::new(ClientId(0), ts, vec![ts as u8; 8].into());
+            let signature = client.sign_digest(&client_request_digest(&request));
+            let signed = SignedRequest { request, signature };
+            replica.pending_requests.push_back((signed, trace));
+        }
+        let (traces, after) = with_offline_context(replica.node_of(1), |ctx| {
+            ctx.set_trace(99);
+            replica.forward_buffered_requests(ctx);
+            let sends = ctx.pending_sends();
+            assert!(sends.iter().all(|o| o.msg.kind() == "REPLICATE"));
+            let traces: Vec<u64> = sends.iter().map(|o| o.trace).collect();
+            (traces, ctx.trace())
+        });
+        assert_eq!(traces, vec![22, 33], "request 1 executed: not forwarded");
+        assert_eq!(after, 99);
+        assert!(replica.pending_requests.is_empty());
     }
 }

@@ -44,10 +44,9 @@ pub struct NetConfig {
     pub origin: Option<Instant>,
     /// Telemetry hub shared with the transport threads (queue depths, drop
     /// and frame counters) and, via [`NetConfig`], with whoever scrapes it.
-    /// Disabled by default; enabling it also turns on trace-context
-    /// propagation: inbound envelopes' correlation ids are parked in the
-    /// thread-local trace slot around each actor step and stamped back onto
-    /// outbound envelopes.
+    /// Disabled by default. Trace ids travel either way: an inbound
+    /// envelope's correlation id becomes the trace id of the actor step it
+    /// starts, and each send's id is stamped onto its outbound envelope.
     pub telemetry: Arc<Telemetry>,
 }
 
