@@ -118,6 +118,23 @@ impl Bytes {
         self.as_slice().to_vec()
     }
 
+    /// Mutable access to the view's bytes, copy-on-write: written in place
+    /// when this handle is the only one to a whole heap allocation, copied
+    /// into an allocation of its own first otherwise (a live clone, a
+    /// [`slice`](Bytes::slice), a [`from_static`](Bytes::from_static) view),
+    /// so no other handle ever sees a byte change.
+    pub fn make_mut(&mut self) -> &mut [u8] {
+        let whole = matches!(&self.storage,
+            Storage::Shared(v) if self.start == 0 && self.end == v.len());
+        if !whole {
+            *self = Bytes::from(self.to_vec());
+        }
+        match &mut self.storage {
+            Storage::Shared(v) => Arc::make_mut(v).as_mut_slice(),
+            Storage::Static(_) => unreachable!("a whole view is heap-backed"),
+        }
+    }
+
     fn as_slice(&self) -> &[u8] {
         match &self.storage {
             Storage::Static(s) => &s[self.start..self.end],
@@ -397,6 +414,46 @@ mod tests {
         } else {
             panic!("heap-backed Bytes expected");
         }
+    }
+
+    #[test]
+    fn make_mut_writes_a_unique_handle_in_place() {
+        let mut b = Bytes::from(vec![1u8, 2, 3]);
+        let before = b.as_ptr();
+        b.make_mut()[0] = 9;
+        assert_eq!(b.as_ptr(), before, "a unique handle is not copied");
+        assert_eq!(&b[..], &[9, 2, 3]);
+    }
+
+    #[test]
+    fn make_mut_copies_before_writing_a_shared_view() {
+        // A live clone keeps its bytes.
+        let mut b = Bytes::from(vec![1u8, 2, 3]);
+        let kept = b.clone();
+        b.make_mut()[0] = 9;
+        assert_eq!(&b[..], &[9, 2, 3]);
+        assert_eq!(&kept[..], &[1, 2, 3]);
+        assert_ne!(b.as_ptr(), kept.as_ptr());
+        // Once the clone is gone, the copy is unique and written in place.
+        drop(kept);
+        let copied = b.as_ptr();
+        b.make_mut()[1] = 8;
+        assert_eq!(b.as_ptr(), copied);
+
+        // A slice copies its own range only, even when it is the last handle.
+        let whole = Bytes::from(vec![0u8, 1, 2, 3]);
+        let mut part = whole.slice(1..3);
+        drop(whole);
+        part.make_mut()[0] = 7;
+        assert_eq!(&part[..], &[7, 2]);
+
+        // A static view is never written.
+        static DATA: [u8; 2] = [4, 5];
+        let mut s = Bytes::from_static(&DATA);
+        s.make_mut()[0] = 6;
+        assert_eq!(&s[..], &[6, 5]);
+        assert_eq!(DATA, [4, 5]);
+        assert_ne!(s.as_ptr(), DATA.as_ptr());
     }
 
     #[test]
