@@ -40,6 +40,12 @@ pub trait StateMachine: Send {
     /// digest covers them), and `restore(snapshot())` must reproduce a state
     /// with the same `snapshot()` and [`StateMachine::state_digest`] — a
     /// replica adopting a snapshot checks the former.
+    ///
+    /// An implementation may keep its encoding between calls and bring it up
+    /// to date on the next one (the coordination service rewrites only what
+    /// changed), but must return bytes equal to a from-scratch encoding of
+    /// its current state. A caller that drops the returned bytes before the
+    /// next call lets such an implementation write its kept buffer in place.
     fn snapshot(&self) -> Bytes;
 
     /// Replaces the service state with a previously captured snapshot.

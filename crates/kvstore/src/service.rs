@@ -2,26 +2,117 @@
 //! [`StateMachine`] interface, ready to be replicated by XPaxos or any baseline.
 
 use crate::ops::{KvOp, KvResult};
-use crate::tree::{TreeError, ZNodeTree};
+use crate::tree::{encode_entry, TreeError, ZNodeTree};
 use bytes::{BufMut, Bytes};
+use std::cell::RefCell;
 use xft_core::state_machine::StateMachine;
 use xft_crypto::Digest;
 use xft_wire::{WireDecode, WireEncode};
 
 /// The coordination service state machine.
+///
+/// Its [`StateMachine::snapshot`] costs what changed since the previous
+/// call: the service keeps the encoding it last returned and rewrites in
+/// place only the entries of nodes whose version moved, plus the header.
+/// The bytes always equal a from-scratch encoding of `(applied, tree)`.
 #[derive(Debug, Clone, Default)]
 pub struct CoordinationService {
     tree: ZNodeTree,
     applied: u64,
+    /// The encoding the last `snapshot()` returned, refreshed by the next.
+    ///
+    /// Invariant: a node whose version did not move since the encoding was
+    /// taken still encodes to the same bytes. [`ZNodeTree::set`] is the only
+    /// in-place mutation of a node and always bumps its version; every other
+    /// change drops the cache — `Create` (even a failing sequential one has
+    /// bumped its parent's counter), `Delete`, `ExpireSession`, a `Put` that
+    /// creates, `restore` and `reset`. A write that resizes a node moves the
+    /// layout, which the refresh detects and answers with a full encoding.
+    encoded: RefCell<Option<Encoded>>,
+}
+
+/// A kept snapshot encoding and, per node in path order, where its entry
+/// starts and the version and data length it was encoded with.
+#[derive(Debug, Clone)]
+struct Encoded {
+    bytes: Bytes,
+    entries: Vec<EntryAt>,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct EntryAt {
+    offset: usize,
+    version: u64,
+    data_len: usize,
+}
+
+/// Where the tree's encoding starts in a snapshot: behind `applied`.
+const TREE_AT: usize = 8;
+
+impl Encoded {
+    /// Encodes `(applied, tree)` from scratch (one pass into one buffer of
+    /// exact capacity: at a few megabytes of state, growing a vector and
+    /// copying it behind the prefix costs more than the encoding itself).
+    fn new(applied: u64, tree: &ZNodeTree) -> Self {
+        let mut out = Vec::with_capacity(TREE_AT + tree.encoded_len());
+        (applied, tree).encode_into(&mut out);
+        let entries = tree
+            .entries()
+            .map(|(offset, _, node)| EntryAt {
+                offset: TREE_AT + offset,
+                version: node.version,
+                data_len: node.data.len(),
+            })
+            .collect();
+        Encoded {
+            bytes: Bytes::from(out),
+            entries,
+        }
+    }
+
+    /// Brings the encoding up to `(applied, tree)` in place: the header
+    /// (`applied` and the zxid) and each entry whose version moved.
+    /// Returns `false`, with no byte written, when the layout moved (the
+    /// node count or a data length differs); the caller then encodes anew.
+    fn refresh(&mut self, applied: u64, tree: &ZNodeTree) -> bool {
+        if tree.len() != self.entries.len() {
+            return false;
+        }
+        let mut dirty = Vec::new();
+        for ((_, path, node), kept) in tree.entries().zip(&mut self.entries) {
+            if node.data.len() != kept.data_len {
+                return false;
+            }
+            if node.version != kept.version {
+                kept.version = node.version;
+                dirty.push((kept.offset, path, node));
+            }
+        }
+        let buf = self.bytes.make_mut();
+        (applied, tree.zxid()).encode_into(&mut Overwrite(&mut buf[..TREE_AT + 8]));
+        for (offset, path, node) in dirty {
+            encode_entry(path, node, &mut Overwrite(&mut buf[offset..]));
+        }
+        true
+    }
+}
+
+/// Writes over a slice from its start: the [`BufMut`] an entry is
+/// re-encoded in place through.
+struct Overwrite<'a>(&'a mut [u8]);
+
+impl BufMut for Overwrite<'_> {
+    fn put_slice(&mut self, src: &[u8]) {
+        let (head, tail) = std::mem::take(&mut self.0).split_at_mut(src.len());
+        head.copy_from_slice(src);
+        self.0 = tail;
+    }
 }
 
 impl CoordinationService {
     /// Creates an empty service.
     pub fn new() -> Self {
-        CoordinationService {
-            tree: ZNodeTree::new(),
-            applied: 0,
-        }
+        CoordinationService::default()
     }
 
     /// Applies a decoded operation and returns its result.
@@ -33,17 +124,23 @@ impl CoordinationService {
                 data,
                 ephemeral_owner,
                 sequential,
-            } => match self
-                .tree
-                .create(path, data.clone(), *ephemeral_owner, *sequential)
-            {
-                Ok(created) => KvResult::Ok(Bytes::from(created.into_bytes())),
-                Err(e) => KvResult::Err(err_name(e)),
-            },
-            KvOp::Delete { path } => match self.tree.delete(path, None) {
-                Ok(()) => KvResult::Ok(Bytes::new()),
-                Err(e) => KvResult::Err(err_name(e)),
-            },
+            } => {
+                self.drop_encoding();
+                match self
+                    .tree
+                    .create(path, data.clone(), *ephemeral_owner, *sequential)
+                {
+                    Ok(created) => KvResult::Ok(Bytes::from(created.into_bytes())),
+                    Err(e) => KvResult::Err(err_name(e)),
+                }
+            }
+            KvOp::Delete { path } => {
+                self.drop_encoding();
+                match self.tree.delete(path, None) {
+                    Ok(()) => KvResult::Ok(Bytes::new()),
+                    Err(e) => KvResult::Err(err_name(e)),
+                }
+            }
             KvOp::SetData { path, data } => match self.tree.set(path, data.clone(), None) {
                 Ok(version) => KvResult::Ok(Bytes::copy_from_slice(&version.to_le_bytes())),
                 Err(e) => KvResult::Err(err_name(e)),
@@ -66,6 +163,7 @@ impl CoordinationService {
                 KvResult::Ok(Bytes::from(out))
             }
             KvOp::ExpireSession { session } => {
+                self.drop_encoding();
                 let removed = self.tree.expire_session(*session);
                 KvResult::Ok(Bytes::copy_from_slice(&(removed as u64).to_le_bytes()))
             }
@@ -76,6 +174,7 @@ impl CoordinationService {
                         Err(e) => KvResult::Err(err_name(e)),
                     }
                 } else {
+                    self.drop_encoding();
                     match self.tree.create(path, data.clone(), None, false) {
                         Ok(_) => KvResult::Ok(Bytes::copy_from_slice(&0u64.to_le_bytes())),
                         Err(e) => KvResult::Err(err_name(e)),
@@ -102,6 +201,12 @@ impl CoordinationService {
     /// Number of operations applied.
     pub fn applied(&self) -> u64 {
         self.applied
+    }
+
+    /// Forgets the kept snapshot encoding: the next `snapshot()` encodes
+    /// from scratch.
+    fn drop_encoding(&mut self) {
+        *self.encoded.get_mut() = None;
     }
 }
 
@@ -145,12 +250,17 @@ impl StateMachine for CoordinationService {
     }
 
     fn snapshot(&self) -> Bytes {
-        // One pass into one buffer of exact capacity: at a few megabytes of
-        // state, growing a vector and copying it behind the prefix costs
-        // more than the encoding itself.
-        let mut out = Vec::with_capacity(8 + self.tree.encoded_len());
-        (self.applied, &self.tree).encode_into(&mut out);
-        Bytes::from(out)
+        let mut kept = self.encoded.borrow_mut();
+        let encoded = kept
+            .take()
+            .and_then(|mut e| e.refresh(self.applied, &self.tree).then_some(e))
+            .unwrap_or_else(|| Encoded::new(self.applied, &self.tree));
+        let bytes = kept.insert(encoded).bytes.clone();
+        debug_assert!(
+            bytes == Encoded::new(self.applied, &self.tree).bytes,
+            "the kept snapshot encoding differs from a from-scratch encoding"
+        );
+        bytes
     }
 
     fn restore(&mut self, snapshot: &[u8]) -> bool {
@@ -159,6 +269,7 @@ impl StateMachine for CoordinationService {
         };
         self.tree = tree;
         self.applied = applied;
+        self.drop_encoding();
         true
     }
 }

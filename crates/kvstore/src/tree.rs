@@ -239,15 +239,17 @@ impl ZNodeTree {
     /// Exact length of the [`ZNodeTree::to_bytes`] encoding, so a caller can
     /// reserve once for a multi-megabyte tree instead of growing a vector.
     pub fn encoded_len(&self) -> usize {
-        let nodes: usize = self
-            .nodes
-            .iter()
-            .map(|(path, node)| {
-                let owner = if node.ephemeral_owner.is_some() { 8 } else { 0 };
-                4 + path.len() + 4 + node.data.len() + 8 + 8 + 1 + owner + 8
-            })
-            .sum();
-        8 + 4 + nodes
+        ENTRIES_AT + self.nodes.iter().map(entry_len).sum::<usize>()
+    }
+
+    /// Every node in path order with the offset of its entry in the
+    /// [`ZNodeTree::to_bytes`] encoding, where [`encode_entry`] writes it.
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (usize, &str, &ZNode)> {
+        self.nodes.iter().scan(ENTRIES_AT, |at, entry| {
+            let offset = *at;
+            *at += entry_len(entry);
+            Some((offset, entry.0.as_str(), entry.1))
+        })
     }
 
     /// Reconstructs a tree from [`ZNodeTree::to_bytes`] output. Returns
@@ -301,6 +303,21 @@ impl ZNodeTree {
             root.as_bytes(),
         ])
     }
+}
+
+/// Where the first node's entry starts: behind the zxid and the node count.
+const ENTRIES_AT: usize = 8 + 4;
+
+/// Length of one node's entry: its path, then the node.
+fn entry_len((path, node): (&String, &ZNode)) -> usize {
+    let owner = if node.ephemeral_owner.is_some() { 8 } else { 0 };
+    4 + path.len() + 4 + node.data.len() + 8 + 8 + 1 + owner + 8
+}
+
+/// Writes one node's entry as the tree's encoding holds it (a map entry: the
+/// path, then the node).
+pub(crate) fn encode_entry(path: &str, node: &ZNode, out: &mut impl BufMut) {
+    (path, node).encode_into(out);
 }
 
 struct_codec!(ZNode {

@@ -6,6 +6,9 @@
 //! * a snapshot image built with the previous image as memo equals one built
 //!   from scratch, over random operation sequences and chunk sizes, for a
 //!   veteran and for a replica restored from the previous checkpoint;
+//! * the coordination service's kept snapshot encoding equals a
+//!   from-scratch encoding after every kind of operation, a clone, a
+//!   restore and a reset;
 //! * the number of blocks re-hashed is bounded by what changed — asserted as
 //!   a count, which repeats exactly, not as a time;
 //! * a running replica never calls `state_digest` to checkpoint.
@@ -22,7 +25,7 @@ use xft::core::harness::{ClusterBuilder, LatencySpec};
 use xft::core::state_machine::StateMachine;
 use xft::core::types::{ClientId, SeqNum};
 use xft::crypto::{merkle_path, merkle_root, merkle_verify, Digest};
-use xft::kvstore::{CoordinationService, KvOp};
+use xft::kvstore::{CoordinationService, KvOp, KvResult};
 use xft::simnet::SimDuration;
 use xft::testing::{check, CaseRng};
 
@@ -170,6 +173,103 @@ fn state_digest_equality_coincides_with_snapshot_equality() {
         equal.get(),
         unequal.get()
     );
+}
+
+/// The from-scratch encoding a service snapshot must equal: `applied`, then
+/// the tree as `ZNodeTree::to_bytes` encodes it.
+fn reference_encoding(svc: &CoordinationService) -> Vec<u8> {
+    let mut out = svc.applied().to_le_bytes().to_vec();
+    out.extend(svc.tree().to_bytes());
+    out
+}
+
+fn snapshot_is_current(svc: &CoordinationService, after: &str) -> Result<(), String> {
+    if svc.snapshot() == reference_encoding(svc) {
+        Ok(())
+    } else {
+        Err(format!("the kept snapshot encoding is stale after {after}"))
+    }
+}
+
+/// Satellite: the service's kept snapshot encoding always equals the
+/// from-scratch encoding. A random history is applied to two copies: one
+/// snapshots after every operation, the other only now and then, so several
+/// changes pile up between refreshes. Along the way a clone is taken (and
+/// both copies go on), a service holding a stale encoding restores a
+/// snapshot, the service is reset, and a returned snapshot is held across
+/// the next refresh, which must copy rather than write under it.
+#[test]
+fn kept_snapshot_encoding_equals_the_reference_encoding() {
+    // A sequential create that fails with NodeExists has bumped its
+    // parent's counter: no node count or data length moves with it.
+    let mut svc = service_with_dir();
+    svc.apply_op(&KvOp::Create {
+        path: "/d/s-0000000000".into(),
+        data: Bytes::new(),
+        ephemeral_owner: None,
+        sequential: false,
+    });
+    snapshot_is_current(&svc, "a plain create").unwrap();
+    let failed = svc.apply_op(&KvOp::Create {
+        path: "/d/s-".into(),
+        data: Bytes::new(),
+        ephemeral_owner: None,
+        sequential: true,
+    });
+    assert_eq!(failed, KvResult::Err("NodeExists"));
+    snapshot_is_current(&svc, "a failed sequential create").unwrap();
+
+    check("kept_snapshot_vs_reference", 200, |rng| {
+        let mut every = service_with_dir();
+        let mut sparse = service_with_dir();
+        // A service with an encoding of its own, for `restore` to replace.
+        let mut other = service_with_dir();
+        other.apply_op(&random_op(rng, &other));
+        let mut held: Option<(Bytes, Vec<u8>)> = None;
+        for _ in 0..rng.usize_in(8, 80) {
+            let op = random_op(rng, &every);
+            every.apply_op(&op);
+            sparse.apply_op(&op);
+            snapshot_is_current(&every, &format!("{op:?}"))?;
+            if rng.u64_below(4) == 0 {
+                snapshot_is_current(&sparse, &format!("a run ending in {op:?}"))?;
+            }
+            match rng.u64_below(12) {
+                0 => {
+                    // Both copies go on from here; their writes stay apart.
+                    let copy = every.clone();
+                    snapshot_is_current(&copy, "clone")?;
+                    sparse = std::mem::replace(&mut every, copy);
+                    snapshot_is_current(&sparse, "clone (original)")?;
+                }
+                1 => {
+                    snapshot_is_current(&other, "before restore")?;
+                    if !other.restore(&sparse.snapshot()) {
+                        return Err("snapshot does not restore".into());
+                    }
+                    snapshot_is_current(&other, "restore")?;
+                    other.apply_op(&op);
+                    snapshot_is_current(&other, &format!("restore, then {op:?}"))?;
+                }
+                2 => {
+                    sparse.reset();
+                    snapshot_is_current(&sparse, "reset")?;
+                }
+                3 => {
+                    let snap = every.snapshot();
+                    let bytes = snap.to_vec();
+                    held = Some((snap, bytes));
+                }
+                _ => {}
+            }
+            if let Some((snap, bytes)) = &held {
+                if snap[..] != bytes[..] {
+                    return Err("a refresh wrote under a snapshot still held".into());
+                }
+            }
+        }
+        snapshot_is_current(&sparse, "the last operation")
+    });
 }
 
 /// The replica snapshot a checkpoint at `sn` would capture around `svc`:
