@@ -4,12 +4,23 @@
 //! since the previous checkpoint.
 //!
 //! A capture is `StateMachine::snapshot()` plus `SnapshotImage::capture`
-//! (encode, compare with the previous image, hash what differs). Rows:
+//! (encode, compare with the previous image, hash what differs). The
+//! service keeps its snapshot encoding between calls, so `snapshot()` is a
+//! refresh: it rewrites the entries whose version moved. Rows:
 //!
 //! * `128 keys dirty` — the lone-client interval (128 one-op batches);
 //! * `every key dirty` — the saturated interval (~30 000 ops over 4 096 keys);
-//! * `one resizing put` — a layout shift: every block behind it moves;
+//! * `one resizing put` — a layout shift: every block behind it moves, and
+//!   the service encodes from scratch;
+//! * `128 keys dirty + a create` — a create drops the kept encoding, so the
+//!   refresh is a full encoding;
 //! * `no previous image` — the first capture after a restart.
+//!
+//! Every round is also checked: the captured image's commitment must equal
+//! that of a memo-less capture of the from-scratch encoding (`applied`,
+//! then `ZNodeTree::to_bytes`) of the same state, which a twin service
+//! reaches by replaying the rounds after they are timed. A release build
+//! has no other check of the kept encoding at this size.
 //!
 //! `state_digest()` is printed for reference: checkpoints used to call it
 //! once per capture and no longer do.
@@ -36,6 +47,19 @@ fn put(svc: &mut CoordinationService, key: u64, fill: u8, len: usize) {
     });
 }
 
+/// The replica snapshot a checkpoint at `sn` captures around `app`.
+fn replica_snapshot(sn: u64, app: Bytes) -> ReplicaSnapshot {
+    ReplicaSnapshot {
+        sn: SeqNum(sn),
+        base: SeqNum(sn.saturating_sub(INTERVAL)),
+        app,
+        executed: (sn.saturating_sub(INTERVAL) + 1..=sn)
+            .map(|s| (SeqNum(s), Digest::of(&s.to_le_bytes())))
+            .collect(),
+        clients: Vec::new(),
+    }
+}
+
 /// One capture as the replica does it; returns (snapshot ms, image ms).
 fn capture(
     svc: &CoordinationService,
@@ -45,19 +69,20 @@ fn capture(
     let t0 = Instant::now();
     let app = svc.snapshot();
     let t1 = Instant::now();
-    let snapshot = ReplicaSnapshot {
-        sn: SeqNum(sn),
-        base: SeqNum(sn.saturating_sub(INTERVAL)),
-        app,
-        executed: (sn.saturating_sub(INTERVAL) + 1..=sn)
-            .map(|s| (SeqNum(s), Digest::of(&s.to_le_bytes())))
-            .collect(),
-        clients: Vec::new(),
-    };
-    let (image, stats) = SnapshotImage::capture(&snapshot, CHUNK_BYTES, memo);
+    let (image, stats) = SnapshotImage::capture(&replica_snapshot(sn, app), CHUNK_BYTES, memo);
     let t2 = Instant::now();
     let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
     (image, stats, ms(t1 - t0), ms(t2 - t1))
+}
+
+/// The commitment of a memo-less capture at `sn` of the from-scratch
+/// encoding of `svc`'s state: `applied`, then `ZNodeTree::to_bytes`.
+fn from_scratch_commitment(svc: &CoordinationService, sn: u64) -> Digest {
+    let mut app = svc.applied().to_le_bytes().to_vec();
+    app.extend(svc.tree().to_bytes());
+    let (image, _) =
+        SnapshotImage::capture(&replica_snapshot(sn, Bytes::from(app)), CHUNK_BYTES, None);
+    image.commitment()
 }
 
 fn median(mut v: Vec<f64>) -> f64 {
@@ -87,7 +112,7 @@ fn main() {
     let state_bytes = svc.snapshot().len();
 
     type Dirty = fn(&mut CoordinationService, u64);
-    let scenarios: [(&str, bool, Dirty); 4] = [
+    let scenarios: [(&str, bool, Dirty); 5] = [
         ("128 keys dirty", true, |svc, round| {
             for i in 0..INTERVAL {
                 put(svc, (round * 977 + i * 31) % KEYS, round as u8, 1024);
@@ -101,6 +126,17 @@ fn main() {
         ("one resizing put", true, |svc, round| {
             put(svc, 0, round as u8, 1000 + (round % 2) as usize * 24);
         }),
+        ("128 keys dirty + a create", true, |svc, round| {
+            for i in 0..INTERVAL {
+                put(svc, (round * 977 + i * 31) % KEYS, round as u8, 1024);
+            }
+            svc.apply_op(&KvOp::Create {
+                path: format!("/bench/z{round:05}"),
+                data: Bytes::new(),
+                ephemeral_owner: None,
+                sequential: false,
+            });
+        }),
         ("no previous image", false, |svc, round| {
             put(svc, round % KEYS, round as u8, 1024);
         }),
@@ -108,8 +144,14 @@ fn main() {
 
     let mut rows = Vec::new();
     for (label, with_memo, dirty) in scenarios {
+        // A twin replays the rounds once they are timed, and each capture is
+        // checked against the twin's from-scratch one: checking in between
+        // would evict what the next timed capture reads.
+        let mut twin = CoordinationService::new();
+        assert!(twin.restore(&svc.snapshot()));
         let (mut memo, ..) = capture(&svc, INTERVAL, None);
         let (mut snap_ms, mut image_ms, mut total_ms) = (Vec::new(), Vec::new(), Vec::new());
+        let mut commitments = Vec::new();
         let mut last = None;
         for round in 1..=rounds {
             dirty(&mut svc, round);
@@ -118,8 +160,17 @@ fn main() {
             snap_ms.push(s);
             image_ms.push(i);
             total_ms.push(s + i);
+            commitments.push(image.commitment());
             last = Some(stats);
             memo = image;
+        }
+        for (round, commitment) in (1..=rounds).zip(commitments) {
+            dirty(&mut twin, round);
+            assert_eq!(
+                commitment,
+                from_scratch_commitment(&twin, (round + 1) * INTERVAL),
+                "{label}, round {round}: the capture differs from one of the from-scratch encoding"
+            );
         }
         let stats = last.expect("at least one round");
         rows.push(vec![
@@ -140,7 +191,7 @@ fn main() {
             &[
                 "interval",
                 "blocks re-hashed",
-                "snapshot()",
+                "snapshot() refresh",
                 "image",
                 "capture"
             ],

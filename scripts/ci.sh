@@ -43,6 +43,14 @@ echo "==> the repo's benchmark still builds and passes its own checks (benchmark
 # product change that breaks them fails here, not at the next measurement.
 benchmark/check.sh
 
+echo "==> checkpoint capture at 4.35 MB matches the from-scratch encoding (checkpoint_cost --rounds 3)"
+# The coordination service keeps its snapshot encoding between captures;
+# debug builds compare it with a from-scratch encoding on every call, and
+# this is the release-build check at the benchmark's state size: each round
+# asserts the captured image's commitment equals that of a memo-less
+# capture of the from-scratch encoding.
+cargo run --offline --release -q -p xft-bench --bin checkpoint_cost -- --rounds 3 >/dev/null
+
 echo "==> quickstart example exits 0"
 cargo run --offline --release --example quickstart >/dev/null
 
