@@ -18,9 +18,12 @@
 //! Each rule is written once: a request is signed once, when issued, and
 //! every re-send repeats that [`SignedRequest`]; `send_to_primary` and
 //! `arm_retransmit` are the only primary send and timer arm; `commit_quorum`
-//! is the commit rule, a pure function of the replies collected. Issuing a
-//! request mints its trace id (`xft_telemetry::trace::mint`) as the step's
-//! [`Context::trace`], so the request carries it from its first hop on.
+//! is the commit rule, a pure function of the replies collected. Every send
+//! of a request — the first, a BUSY retry, a RE-SEND, a re-send after a
+//! SUSPECT or a recovery — goes through `send_for`, which stamps it with the
+//! request's own trace id (`xft_telemetry::trace::mint` of client and
+//! timestamp) whatever step it runs in, so every hop downstream tags its
+//! flight-recorder and evidence records with that id.
 
 use crate::config::XPaxosConfig;
 use crate::messages::{
@@ -306,10 +309,6 @@ impl Client {
         let request = Request::new(self.id, ts, op);
         ctx.charge(CryptoOp::Sign);
         let signature = self.signer.sign_digest(&client_request_digest(&request));
-        // Mint the request's correlation id deterministically from (client,
-        // timestamp) as the step's trace id: the send below carries it, and
-        // every hop downstream tags its flight-recorder events with it.
-        ctx.set_trace(xft_telemetry::trace::mint(self.id.0, ts));
         let pending = Pending {
             signed: SignedRequest { request, signature },
             issued_at: ctx.now(),
@@ -328,8 +327,24 @@ impl Client {
     fn send_to_primary(&self, ts: Timestamp, ctx: &mut Context<XPaxosMsg>) {
         if let Some(pending) = self.pending.get(&ts) {
             let primary = self.config.node_of(self.groups.primary(self.view));
-            ctx.send(primary, XPaxosMsg::Replicate(pending.signed.clone()));
+            self.send_for(
+                ts,
+                primary,
+                XPaxosMsg::Replicate(pending.signed.clone()),
+                ctx,
+            );
         }
+    }
+
+    /// Sends `msg` on behalf of request `ts` under the request's own trace
+    /// id, minted deterministically from (client, timestamp) whatever step
+    /// it runs in, then restores the step's id: a SUSPECT the client
+    /// forwards keeps the SUSPECT's.
+    fn send_for(&self, ts: Timestamp, to: NodeId, msg: XPaxosMsg, ctx: &mut Context<XPaxosMsg>) {
+        let step = ctx.trace();
+        ctx.set_trace(xft_telemetry::trace::mint(self.id.0, ts));
+        ctx.send(to, msg);
+        ctx.set_trace(step);
     }
 
     /// Arms the retransmission timer of outstanding request `ts` to fire
@@ -435,9 +450,10 @@ impl Client {
             } else {
                 (0..self.config.n()).collect()
             };
+            let signed = pending.signed.clone();
             for replica in targets {
-                let resend = XPaxosMsg::Resend(pending.signed.clone());
-                ctx.send(self.config.node_of(replica), resend);
+                let resend = XPaxosMsg::Resend(signed.clone());
+                self.send_for(ts, self.config.node_of(replica), resend, ctx);
             }
         }
         self.arm_retransmit(ts, self.config.client_retransmit, ctx);
@@ -821,5 +837,73 @@ mod tests {
                 assert_eq!(deliver(t, &inputs), expected, "t = {t}: {name}");
             }
         }
+    }
+
+    /// Every send of a request carries the request's own trace id, whatever
+    /// step sends it: the first REPLICATE, the retransmission timer's
+    /// RE-SENDs, a BUSY retry and the re-send after a SUSPECT. The SUSPECT
+    /// the client forwards keeps the step's id, and so does the step.
+    #[test]
+    fn every_send_of_a_request_carries_its_trace_id() {
+        use xft_simnet::SimMessage;
+        use xft_telemetry::trace::mint;
+
+        let registry = KeyRegistry::new(1);
+        let config = XPaxosConfig::new(1, 1);
+        let workload = ClientWorkload {
+            requests: Some(1),
+            ..Default::default()
+        };
+        let mut client = Client::new(ClientId(0), config.clone(), &registry, workload);
+        let id = mint(0, 1);
+        let node = config.client_nodes[0];
+        let retransmit_timer = TOKEN_RETRANSMIT_BASE + 1;
+        // Each step starts from the id its event carried (0 for a timer).
+        let mut step = |trace: u64, f: &mut dyn FnMut(&mut Client, &mut Context<XPaxosMsg>)| {
+            with_offline_context(node, |ctx| {
+                ctx.set_trace(trace);
+                f(&mut client, ctx);
+                let sends: Vec<(&str, u64)> = ctx
+                    .pending_sends()
+                    .iter()
+                    .map(|o| (o.msg.kind(), o.trace))
+                    .collect();
+                (sends, ctx.trace())
+            })
+        };
+
+        let (sends, _) = step(0, &mut |c, ctx| c.on_start(ctx));
+        assert_eq!(sends, vec![("REPLICATE", id)]);
+
+        let (sends, after) = step(0, &mut |c, ctx| c.on_timer(retransmit_timer, ctx));
+        assert_eq!(sends, vec![("RE-SEND", id), ("RE-SEND", id)]);
+        assert_eq!(after, 0);
+
+        let busy = BusyMsg {
+            view: ViewNumber(0),
+            client: ClientId(0),
+            timestamp: 1,
+            replica: 0,
+        };
+        let (sends, _) = step(id, &mut |c, ctx| {
+            c.on_message(config.node_of(0), XPaxosMsg::Busy(busy.clone()), ctx)
+        });
+        assert!(sends.is_empty());
+        let (sends, _) = step(0, &mut |c, ctx| c.on_timer(retransmit_timer, ctx));
+        assert_eq!(sends, vec![("REPLICATE", id)], "the BUSY retry");
+
+        let suspect = SuspectMsg {
+            view: ViewNumber(0),
+            replica: 1,
+            signature: Signature::forged(replica_key(1)),
+        };
+        let (sends, after) = step(55, &mut |c, ctx| {
+            c.on_message(config.node_of(1), XPaxosMsg::Suspect(suspect.clone()), ctx)
+        });
+        assert_eq!(
+            sends,
+            vec![("SUSPECT", 55), ("SUSPECT", 55), ("REPLICATE", id)]
+        );
+        assert_eq!(after, 55);
     }
 }

@@ -329,3 +329,89 @@ fn a_requests_trace_id_survives_every_fast_path_hop() {
     minted.sort_unstable();
     assert_eq!(carried, minted, "one COMMIT-CARRY per request's minted id");
 }
+
+/// A request a replica buffers during a view change keeps its own trace id
+/// when the replica forwards it to the new primary at install. Replica 0
+/// (primary of views 0 and 1) crashes with request `ts` outstanding, and
+/// the survivors move to view 2 = {1, 2} with replica 1 as primary. Once
+/// replica 1 is in that view change the client can no longer reach it, so
+/// the request reaches it only through replica 2, which buffered the
+/// client's RE-SEND. Every copy the client sends after the crash is a
+/// retransmission, so the id survives only if retransmissions carry it.
+#[test]
+fn a_request_forwarded_after_a_view_change_keeps_its_trace_id() {
+    use xft::core::evidence::DIR_SENT;
+    use xft::core::replica::Phase;
+    use xft::simnet::FaultEvent;
+    use xft::telemetry::trace::mint;
+
+    let mut cluster = ClusterBuilder::new(1, 1)
+        .with_latency(LatencySpec::Constant(SimDuration::from_millis(5)))
+        .with_config(|c| {
+            let mut c = c
+                .with_delta(SimDuration::from_millis(100))
+                .with_client_retransmit(SimDuration::from_millis(300))
+                .with_checkpoint_interval(0);
+            c.replica_retransmit = SimDuration::from_millis(500);
+            c
+        })
+        .with_evidence(true)
+        .with_tracing(true)
+        .build();
+    cluster.run_for(SimDuration::from_secs(1));
+    cluster
+        .sim
+        .inject_fault_at(cluster.sim.now(), FaultEvent::Crash(0));
+    cluster.run_for(SimDuration::from_millis(1));
+    let ts = cluster.total_committed() + 1;
+
+    let (client, primary) = (cluster.n(), 1);
+    let mut cut_at = None;
+    for _ in 0..400 {
+        cluster.run_for(SimDuration::from_millis(5));
+        let replica = cluster.replica(primary);
+        let (phase, installed) = (replica.phase(), replica.is_primary_in(replica.view()));
+        if cut_at.is_none() && phase == Phase::ViewChange {
+            let now = cluster.sim.now();
+            cluster
+                .sim
+                .inject_fault_at(now, FaultEvent::PartitionPair(client, primary));
+            cut_at = Some(now);
+        }
+        if cut_at.is_some() && phase == Phase::Active && installed {
+            break;
+        }
+    }
+    let cut_at = cut_at.expect("replica 1 never entered a view change");
+    cluster.run_for(SimDuration::from_millis(100));
+    let replica = cluster.replica(primary);
+    assert!(
+        replica.is_primary_in(replica.view()),
+        "view 2 never installed"
+    );
+
+    // The new primary's first proposal is the forwarded request.
+    let proposal = replica
+        .evidence()
+        .unwrap()
+        .records()
+        .iter()
+        .find(|r| r.direction == DIR_SENT && r.decode_evidence().unwrap().kind() == "COMMIT-CARRY")
+        .expect("the new primary proposed nothing");
+    let forwarded = cluster.sim.trace().entries().iter().any(|e| {
+        e.kind == "REPLICATE"
+            && e.from == 2
+            && e.to == primary
+            && e.sent_at > cut_at
+            && e.sent_at.as_nanos() <= proposal.at_ns
+    });
+    assert!(
+        forwarded,
+        "replica 2 forwarded no request to the new primary"
+    );
+    assert_eq!(
+        proposal.trace,
+        mint(0, ts),
+        "request {ts} lost its trace id on the way to the new primary"
+    );
+}
