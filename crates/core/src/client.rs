@@ -478,10 +478,9 @@ impl Client {
 
 /// The client's commit rule, over the replies collected for one request
 /// (keyed by the replica each names): the `(view, reply digest)` of the
-/// first quorum, in `(view, digest)` order, or `None`. At t = 1 a quorum is
-/// the primary's reply carrying the follower's commit, or matching replies
-/// from t + 1 replicas; at t ≥ 2 it is matching replies from every active
-/// replica of the view (paper §4.2).
+/// first quorum, in `(view, digest)` order, or `None`. A quorum is matching
+/// replies from every active replica of the view (paper §4.2); at t = 1 the
+/// primary's reply carrying the follower's commit is one too.
 fn commit_quorum(
     groups: &SyncGroups,
     replies: &BTreeMap<ReplicaId, ReplyMsg>,
@@ -495,13 +494,11 @@ fn commit_quorum(
     }
     by_key.into_iter().find_map(|((view, digest), names)| {
         let active = groups.active_replicas(view);
-        let quorum = if groups.t() == 1 {
-            let primary = active[0];
-            names.len() >= active.len()
-                || (names.contains(&primary) && replies[&primary].follower_commit.is_some())
-        } else {
-            active.iter().all(|a| names.contains(a))
-        };
+        let primary = active[0];
+        let quorum = active.iter().all(|a| names.contains(a))
+            || (groups.t() == 1
+                && names.contains(&primary)
+                && replies[&primary].follower_commit.is_some());
         quorum.then_some((view, digest))
     })
 }
@@ -798,6 +795,12 @@ mod tests {
                 &[1],
                 vec![from_self(0), from_self(1)],
                 committed.clone(),
+            ),
+            (
+                "t = 1: matching replies from follower 1 and passive replica 2",
+                &[1],
+                vec![from_self(1), from_self(2)],
+                held(2),
             ),
             (
                 "t ≥ 2: t matching replies are no quorum",

@@ -30,12 +30,13 @@
 //!   GC writes a fresh [`EvidenceAnchor`] snapshot so chain verification
 //!   restarts from the post-GC anchor.
 //! * **Compact**: bulk messages (batches, lazy shipments, state chunks) are
-//!   recorded digest-compacted ([`EvidenceMsg::Compact`]) — the protocol's
+//!   recorded digest-compacted ([`compact`]) — the protocol's
 //!   signatures bind payload *digests*, so the compact form convicts exactly
 //!   as well as the original at a tiny fraction of the bytes.
 
+use crate::log::{CommitEntry, PrepareEntry};
 use crate::messages::{CheckpointMsg, XPaxosMsg};
-use crate::types::{SeqNum, ViewNumber};
+use crate::types::{Batch, SeqNum, ViewNumber};
 use bytes::{BufMut, Bytes, Reader};
 use xft_crypto::{Digest, Signature};
 use xft_simnet::SimMessage;
@@ -143,26 +144,6 @@ pub fn is_accountable(msg: &XPaxosMsg) -> bool {
             | XPaxosMsg::Busy(_)
             | XPaxosMsg::SuspectToClient(_)
             | XPaxosMsg::SyncDone(_)
-    )
-}
-
-/// Whether an accountable message embeds bulk payload — full request
-/// batches, lazy-replication shipments, state chunks. Bulk messages are
-/// recorded **digest-compacted** ([`EvidenceMsg::Compact`]): every signature
-/// in the protocol covers a *digest* of the payload, never the payload
-/// bytes, so a record holding `(view, sn, batch digest, signatures)` convicts
-/// exactly as well as one holding the multi-kilobyte original — a fabricated
-/// digest fails signature verification, and a verifying one proves the
-/// culprit signed it. Recording batches in full would multiply the evidence
-/// volume by the request payload (~5× write amplification measured on the
-/// loopback bench) for bytes with zero additional conviction power.
-pub fn is_bulk(msg: &XPaxosMsg) -> bool {
-    matches!(
-        msg,
-        XPaxosMsg::Prepare(_)
-            | XPaxosMsg::CommitCarry(_)
-            | XPaxosMsg::LazyReplicate { .. }
-            | XPaxosMsg::StateChunkResponse(_)
     )
 }
 
@@ -286,66 +267,87 @@ impl WireDecode for EvidenceMsg {
     }
 }
 
-fn claim_of(
-    view: ViewNumber,
-    sn: SeqNum,
-    batch: &crate::types::Batch,
-    primary_sig: Signature,
-    commit_sigs: Vec<(u64, Signature)>,
-) -> OrderingClaim {
-    OrderingClaim {
-        view,
-        sn,
-        batch: batch.digest(),
-        requests: batch.requests.len() as u32,
-        primary_sig,
-        commit_sigs,
+impl OrderingClaim {
+    /// The claim rule: what a primary signature over `(batch, sn, view)`
+    /// and the follower commit signatures riding with it assert. Every
+    /// carrier of ordering claims — a PREPARE, a COMMIT-CARRY, a
+    /// [`CommitEntry`] or a [`PrepareEntry`] — goes through here.
+    fn new(
+        view: ViewNumber,
+        sn: SeqNum,
+        batch: &Batch,
+        primary_sig: Signature,
+        commit_sigs: Vec<(u64, Signature)>,
+    ) -> Self {
+        OrderingClaim {
+            view,
+            sn,
+            batch: batch.digest(),
+            requests: batch.requests.len() as u32,
+            primary_sig,
+            commit_sigs,
+        }
     }
 }
 
-/// Encodes the evidence payload for `msg`: bulk messages ([`is_bulk`]) are
-/// digest-compacted, everything else is recorded in full. This is the single
-/// place the compaction happens, so the inline and threaded logs produce
+impl From<&PrepareEntry> for OrderingClaim {
+    fn from(e: &PrepareEntry) -> Self {
+        OrderingClaim::new(e.view, e.sn, &e.batch, e.primary_sig, Vec::new())
+    }
+}
+
+impl From<&CommitEntry> for OrderingClaim {
+    fn from(e: &CommitEntry) -> Self {
+        let commit_sigs = e.commit_sigs.iter().map(|(r, sig)| (*r as u64, *sig));
+        OrderingClaim::new(e.view, e.sn, &e.batch, e.primary_sig, commit_sigs.collect())
+    }
+}
+
+/// The digest-compacted form of a bulk message — full request batches,
+/// lazy-replication shipments, state chunks — or `None` for any other
+/// message. Every signature in the protocol covers a *digest* of the
+/// payload, never the payload bytes, so a record holding `(view, sn, batch
+/// digest, signatures)` convicts exactly as well as one holding the
+/// multi-kilobyte original: a fabricated digest fails signature
+/// verification, and a verifying one proves the culprit signed it.
+/// Recording batches in full would multiply the evidence volume by the
+/// request payload (~5× write amplification measured on the loopback bench)
+/// for bytes with zero additional conviction power.
+pub fn compact(msg: &XPaxosMsg) -> Option<EvidenceMsg> {
+    let (kind, claims, chkpts) = match msg {
+        XPaxosMsg::Prepare(m) => {
+            let claim = OrderingClaim::new(m.view, m.sn, &m.batch, m.signature, Vec::new());
+            (COMPACT_PREPARE, vec![claim], Vec::new())
+        }
+        XPaxosMsg::CommitCarry(m) => {
+            let claim = OrderingClaim::new(m.view, m.sn, &m.batch, m.signature, Vec::new());
+            (COMPACT_COMMIT_CARRY, vec![claim], Vec::new())
+        }
+        XPaxosMsg::LazyReplicate { entries, .. } => (
+            COMPACT_LAZY_REPLICATE,
+            entries.iter().map(OrderingClaim::from).collect(),
+            Vec::new(),
+        ),
+        XPaxosMsg::StateChunkResponse(m) => {
+            (COMPACT_STATE_CHUNK_RESPONSE, Vec::new(), m.proof.clone())
+        }
+        _ => return None,
+    };
+    Some(EvidenceMsg::Compact {
+        kind,
+        claims,
+        chkpts,
+    })
+}
+
+/// Encodes the evidence payload for `msg`: bulk messages are recorded
+/// [`compact`]ed, everything else in full. This is the single place the
+/// compaction happens, so the inline and threaded logs produce
 /// byte-identical records.
 pub fn evidence_payload(msg: &XPaxosMsg) -> Vec<u8> {
-    let compacted = match msg {
-        XPaxosMsg::Prepare(m) => Some((
-            COMPACT_PREPARE,
-            vec![claim_of(m.view, m.sn, &m.batch, m.signature, Vec::new())],
-            Vec::new(),
-        )),
-        XPaxosMsg::CommitCarry(m) => Some((
-            COMPACT_COMMIT_CARRY,
-            vec![claim_of(m.view, m.sn, &m.batch, m.signature, Vec::new())],
-            Vec::new(),
-        )),
-        XPaxosMsg::LazyReplicate { entries, .. } => Some((
-            COMPACT_LAZY_REPLICATE,
-            entries
-                .iter()
-                .map(|e| {
-                    claim_of(
-                        e.view,
-                        e.sn,
-                        &e.batch,
-                        e.primary_sig,
-                        e.commit_sigs
-                            .iter()
-                            .map(|(r, sig)| (*r as u64, *sig))
-                            .collect(),
-                    )
-                })
-                .collect(),
-            Vec::new(),
-        )),
-        XPaxosMsg::StateChunkResponse(m) => {
-            Some((COMPACT_STATE_CHUNK_RESPONSE, Vec::new(), m.proof.clone()))
-        }
-        _ => None,
-    };
     let mut out = Vec::with_capacity(128);
-    match compacted {
-        Some((kind, claims, chkpts)) => (EV_COMPACT, kind, claims, chkpts).encode_into(&mut out),
+    match compact(msg) {
+        Some(compacted) => compacted.encode_into(&mut out),
         None => (EV_FULL, msg).encode_into(&mut out),
     }
     out

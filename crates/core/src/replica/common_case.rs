@@ -171,10 +171,12 @@ impl Replica {
     ///   that keeps re-sending an executed request cannot assemble a commit
     ///   quorum from the current group (the chaos explorer surfaced wedges
     ///   where the other active replica had forgotten the view), so after
-    ///   [`super::CACHE_ANSWER_SUSPECT_THRESHOLD`] re-answers it suspects
-    ///   the view, exactly like the unexecuted-request monitor path. The
-    ///   count resets only when the suspect goes out, so a re-answer during a
-    ///   view change doesn't burn the whole threshold cycle.
+    ///   [`super::CACHE_ANSWER_SUSPECT_THRESHOLD`] re-answers in one view it
+    ///   suspects that view, exactly like the unexecuted-request monitor
+    ///   path. The count resets when the suspect goes out and when this
+    ///   replica first vouches in a newer view: re-sends that failed in an
+    ///   older view say nothing about the new group, which must get its own
+    ///   chance to re-answer. A re-answer during a view change doesn't count.
     ///
     /// The t = 1 primary attaches the follower's signed commit when it holds
     /// one for this view (fresh fast-path commits, or proofs rebuilt by the
@@ -208,6 +210,10 @@ impl Replica {
         };
         let mut escalate = false;
         if retransmission && vouches {
+            if cached.resends_view != view {
+                cached.resends_view = view;
+                cached.resends = 0;
+            }
             cached.resends += 1;
             escalate = cached.resends >= super::CACHE_ANSWER_SUSPECT_THRESHOLD;
             if escalate {
@@ -1603,6 +1609,14 @@ mod tests {
             super::super::CACHE_ANSWER_SUSPECT_THRESHOLD - 1;
     }
 
+    /// The same re-answers, counted in view 0; the replica has since moved
+    /// to view 1.
+    fn one_short_in_view_0_then_view_1(r: &mut Replica) {
+        one_short_of_escalation(r);
+        r.view = ViewNumber(1);
+        assert!(r.is_primary_in(r.view));
+    }
+
     /// Every pipeline slot is in flight, so admitted requests stay queued.
     fn pipe_full(r: &mut Replica) {
         r.proposed_in_flight = r.config.pipeline.max_in_flight_batches;
@@ -1690,6 +1704,14 @@ mod tests {
                     escalated: 1,
                     ..Admitted::default()
                 },
+            ),
+            (
+                "re-answers counted in an older view: re-bound and answered, not escalated",
+                both,
+                0,
+                one_short_in_view_0_then_view_1,
+                vec![Req::Resend(1)],
+                answered(1),
             ),
             (
                 "duplicate of a queued request: one slot",

@@ -59,14 +59,17 @@ pub enum Phase {
 pub(crate) struct CachedReply {
     pub(crate) reply: ReplyMsg,
     pub(crate) rd: Digest,
-    /// Retransmissions answered from this cache entry since it was recorded
-    /// (or since the last escalation). A client that keeps re-sending an
-    /// *executed* request is telling us its replies never assemble a commit
-    /// quorum — e.g. the other active replica forgot the view, or holds a
-    /// reply from an older view. After [`CACHE_ANSWER_SUSPECT_THRESHOLD`]
-    /// re-answers the replica suspects the view, the Algorithm-4 escalation
-    /// the plain (unexecuted-request) monitor path already provides.
+    /// Retransmissions answered from this cache entry in view
+    /// `resends_view` (since the last escalation). A client that keeps
+    /// re-sending an *executed* request is telling us its replies never
+    /// assemble a commit quorum — e.g. the other active replica forgot the
+    /// view, or holds a reply from an older view. After
+    /// [`CACHE_ANSWER_SUSPECT_THRESHOLD`] re-answers in one view the replica
+    /// suspects it, the Algorithm-4 escalation the plain
+    /// (unexecuted-request) monitor path already provides.
     pub(crate) resends: u32,
+    /// The view `resends` counts in.
+    pub(crate) resends_view: ViewNumber,
 }
 
 /// Cache re-answers of one request before the view is suspected. The client
@@ -113,6 +116,7 @@ impl ClientRecord {
                 reply,
                 rd,
                 resends: 0,
+                resends_view: ViewNumber(0),
             },
         );
         while self.replies.len() > CLIENT_REPLY_CACHE {
@@ -211,6 +215,7 @@ impl ClientRecord {
                     reply,
                     rd: *rd,
                     resends: 0,
+                    resends_view: ViewNumber(0),
                 },
             );
         }
@@ -521,7 +526,7 @@ impl Replica {
     /// callback (called at handler exit; contexts are per-callback, so
     /// [`Context::pending_sends`] is exactly this handler's output). Bulk
     /// messages are digest-compacted on recording — see
-    /// [`crate::evidence::is_bulk`].
+    /// [`crate::evidence::compact`].
     pub(crate) fn note_evidence_sent(&mut self, ctx: &Context<XPaxosMsg>) {
         if self.evidence.is_none() {
             return;

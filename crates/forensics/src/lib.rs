@@ -13,16 +13,26 @@
 //! * [`statements`] — decomposes a protocol message into the individually
 //!   signed [`statements::Statement`]s it carries, including the statements
 //!   embedded in view-change logs, lazy-replication shipments and
-//!   checkpoint proofs;
+//!   checkpoint proofs. Ordering claims are read one way: a bulk message is
+//!   first digest-compacted by [`xft_core::evidence::compact`] (the rule the
+//!   evidence recorder uses), a log entry becomes an
+//!   [`xft_core::evidence::OrderingClaim`] the same way, and every claim
+//!   turns into statements in one place, so a full message and its recorded
+//!   form yield the same statements by construction;
+//! * [`statements::Statement::conflict`] — the one conflict rule: two
+//!   statements of one author and slot that disagree (conflicting proposals
+//!   for the same `(view, sn)`, commit-certificate / executed-reply
+//!   divergence, checkpoint-state divergence) or a later view change that
+//!   suppresses an earlier proven checkpoint horizon;
 //! * [`audit`] — the [`audit::Auditor`]: ingests evidence logs from any
-//!   number of replicas, cross-checks every verified statement and emits a
-//!   [`proof::ProofOfCulpability`] for each equivocation class it finds:
-//!   conflicting proposals for the same `(view, sn)`, commit-certificate /
-//!   executed-reply divergence, checkpoint-state divergence and
-//!   view-change suppression of a proven checkpoint horizon;
+//!   number of replicas, groups every verified statement by author and slot
+//!   and runs the conflict rule over each group's pairs, emitting a
+//!   [`proof::ProofOfCulpability`] per culprit and class;
 //! * [`proof`] — the proof format: the two conflicting carrier messages
 //!   plus the verification context, serialized via `xft-wire`, verified
-//!   offline with no access to the run that produced them (`xft-audit`).
+//!   offline with no access to the run that produced them (`xft-audit`):
+//!   a proof is accepted only when the conflict rule, re-run on the
+//!   carriers, returns exactly the class, view and sn it claims.
 //!
 //! A proof only ever accuses a replica whose own signature appears on both
 //! sides of a conflict: the auditor discards any statement whose signature

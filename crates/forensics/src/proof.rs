@@ -15,7 +15,6 @@
 use crate::statements::{self, Statement};
 use bytes::Bytes;
 use std::sync::Arc;
-use xft_core::auth::verify_checkpoint_proof;
 use xft_core::evidence::EvidenceMsg;
 use xft_core::types::replica_key;
 use xft_crypto::{KeyRegistry, Verifier};
@@ -127,9 +126,10 @@ impl ProofOfCulpability {
 
     /// Verifies the proof from nothing but its own bytes: decodes both
     /// carriers, re-extracts their signed statements, discards any whose
-    /// signature fails, and checks that a pair matching the claimed
-    /// `(class, culprit, view, sn)` genuinely conflicts — one statement
-    /// from each carrier.
+    /// signature fails, and accepts only if a pair by the culprit — one
+    /// statement from each carrier, in carrier order — is judged by
+    /// [`Statement::conflict`] to conflict with exactly the claimed class,
+    /// view and sn.
     pub fn verify(&self) -> Result<(), ProofError> {
         if !matches!(
             self.class,
@@ -154,85 +154,13 @@ impl ProofOfCulpability {
         };
         let sa = statements_of(&a);
         let sb = statements_of(&b);
-        for x in &sa {
-            for y in &sb {
-                if self.statements_conflict(&verifier, x, y) {
-                    return Ok(());
-                }
-            }
-        }
-        Err(ProofError::NoConflict)
-    }
-
-    /// Whether two *verified* statements by the culprit realize the claimed
-    /// conflict.
-    fn statements_conflict(&self, verifier: &Verifier, x: &Statement, y: &Statement) -> bool {
-        match (self.class, x, y) {
-            (
-                CLASS_PROPOSAL,
-                Statement::Proposal {
-                    view: va,
-                    sn: sa,
-                    batch: ba,
-                    ..
-                },
-                Statement::Proposal {
-                    view: vb,
-                    sn: sb,
-                    batch: bb,
-                    ..
-                },
-            ) => va.0 == self.view && va == vb && sa.0 == self.sn && sa == sb && ba != bb,
-            (
-                CLASS_COMMIT,
-                Statement::Commit {
-                    view: va,
-                    sn: sa,
-                    batch: ba,
-                    reply: ra,
-                    ..
-                },
-                Statement::Commit {
-                    view: vb,
-                    sn: sb,
-                    batch: bb,
-                    reply: rb,
-                    ..
-                },
-            ) => {
-                va.0 == self.view
-                    && va == vb
-                    && sa.0 == self.sn
-                    && sa == sb
-                    && (ba != bb || (ra.is_some() && rb.is_some() && ra != rb))
-            }
-            (
-                CLASS_CHECKPOINT,
-                Statement::Chkpt {
-                    view: va,
-                    sn: sa,
-                    state: da,
-                    ..
-                },
-                Statement::Chkpt {
-                    view: vb,
-                    sn: sb,
-                    state: db,
-                    ..
-                },
-            ) => va.0 == self.view && va == vb && sa.0 == self.sn && sa == sb && da != db,
-            (CLASS_HORIZON, Statement::ViewChange(earlier), Statement::ViewChange(later)) => {
-                // The earlier view change proved a horizon H = `self.sn`
-                // with a valid t + 1 CHKPT proof; the later one (a strictly
-                // later view) claims a horizon below H.
-                later.new_view > earlier.new_view
-                    && later.new_view.0 == self.view
-                    && earlier.last_checkpoint.0 == self.sn
-                    && later.last_checkpoint < earlier.last_checkpoint
-                    && verify_checkpoint_proof(verifier, self.t as usize, &earlier.checkpoint_proof)
-                        .is_some_and(|(sn, _)| sn == earlier.last_checkpoint)
-            }
-            _ => false,
+        let claim = Some((self.class, self.view, self.sn));
+        let t = self.t as usize;
+        let convicts = |x: &Statement| sb.iter().any(|y| x.conflict(y, &verifier, t) == claim);
+        if sa.iter().any(convicts) {
+            Ok(())
+        } else {
+            Err(ProofError::NoConflict)
         }
     }
 

@@ -9,8 +9,9 @@
 //! travelled — a replica cannot hide a fork by only ever shipping it inside
 //! a view-change log.
 
-use xft_core::auth::verify_replica_sig;
-use xft_core::evidence::EvidenceMsg;
+use crate::proof::{CLASS_CHECKPOINT, CLASS_COMMIT, CLASS_HORIZON, CLASS_PROPOSAL};
+use xft_core::auth::{verify_checkpoint_proof, verify_replica_sig};
+use xft_core::evidence::{compact, EvidenceMsg, OrderingClaim};
 use xft_core::log::{commit_statement_digest, CommitEntry, PrepareEntry};
 use xft_core::messages::{checkpoint_vote_digest, CheckpointMsg, ViewChangeMsg, XPaxosMsg};
 use xft_core::types::{SeqNum, ViewNumber};
@@ -73,41 +74,91 @@ pub enum Statement {
 impl Statement {
     /// The replica this statement accuses if it conflicts with another.
     pub fn author(&self) -> u64 {
+        self.cell().0
+    }
+
+    /// The cell a statement is judged in: `(author, class, view, sn)`. Only
+    /// statements of one cell can [`conflict`](Statement::conflict); a
+    /// replica's view changes share one cell, `(author, CLASS_HORIZON, 0, 0)`.
+    pub fn cell(&self) -> (u64, u8, u64, u64) {
         match self {
-            Statement::Proposal { signer, .. } => *signer,
-            Statement::Commit { replica, .. } => *replica,
-            Statement::Chkpt { replica, .. } => *replica,
-            Statement::ViewChange(m) => m.replica as u64,
+            Statement::Proposal {
+                signer, view, sn, ..
+            } => (*signer, CLASS_PROPOSAL, view.0, sn.0),
+            Statement::Commit {
+                replica, view, sn, ..
+            } => (*replica, CLASS_COMMIT, view.0, sn.0),
+            Statement::Chkpt {
+                replica, view, sn, ..
+            } => (*replica, CLASS_CHECKPOINT, view.0, sn.0),
+            Statement::ViewChange(m) => (m.replica as u64, CLASS_HORIZON, 0, 0),
         }
+    }
+
+    /// The conflict rule: whether this statement and `other`, both verified
+    /// and by the same author, contradict each other. Returns the class and
+    /// the `(view, sn)` a proof of the conflict names:
+    ///
+    /// * two proposals, commits or checkpoint votes for one slot with
+    ///   different digests ([`CLASS_PROPOSAL`], [`CLASS_COMMIT`],
+    ///   [`CLASS_CHECKPOINT`]); a digest-only commit and a reply-bound commit
+    ///   of one batch are the same claim at different phases, not a conflict;
+    /// * this view change proved horizon `H` with a valid `t + 1` CHKPT
+    ///   proof, and `other`, for a later view, claims a horizon below `H`
+    ///   ([`CLASS_HORIZON`], at `other`'s view and sn `H`). An unproven
+    ///   horizon could itself be the lie, so it convicts nobody.
+    pub fn conflict(
+        &self,
+        other: &Statement,
+        verifier: &Verifier,
+        t: usize,
+    ) -> Option<(u8, u64, u64)> {
+        let (_, class, view, sn) = self.cell();
+        if other.cell() != self.cell() {
+            return None;
+        }
+        let conflicting = match (self, other) {
+            (Statement::Proposal { batch: a, .. }, Statement::Proposal { batch: b, .. }) => a != b,
+            (
+                Statement::Commit {
+                    batch: a,
+                    reply: ra,
+                    ..
+                },
+                Statement::Commit {
+                    batch: b,
+                    reply: rb,
+                    ..
+                },
+            ) => a != b || (ra.is_some() && rb.is_some() && ra != rb),
+            (Statement::Chkpt { state: a, .. }, Statement::Chkpt { state: b, .. }) => a != b,
+            (Statement::ViewChange(earlier), Statement::ViewChange(later)) => {
+                let suppressed = later.new_view > earlier.new_view
+                    && later.last_checkpoint < earlier.last_checkpoint
+                    && verify_checkpoint_proof(verifier, t, &earlier.checkpoint_proof)
+                        .is_some_and(|(sn, _)| sn == earlier.last_checkpoint);
+                return suppressed.then_some((
+                    CLASS_HORIZON,
+                    later.new_view.0,
+                    earlier.last_checkpoint.0,
+                ));
+            }
+            _ => false,
+        };
+        conflicting.then_some((class, view, sn))
     }
 }
 
-/// Extracts every signed statement an evidence payload carries. Full
-/// messages go through [`extract`]; digest-compacted bulk records yield the
-/// same statements their originals would have — the claims hold the batch
-/// *digests*, which is all any signature ever covered.
+/// Extracts every signed statement an evidence payload carries. A full
+/// bulk message is [`compact`]ed first, so it and its compacted record yield
+/// the same statements: the claims hold the batch *digests*, which is all
+/// any signature ever covered.
 pub fn extract_record(msg: &EvidenceMsg, out: &mut Vec<Statement>) {
     match msg {
         EvidenceMsg::Full(m) => extract(m, out),
         EvidenceMsg::Compact { claims, chkpts, .. } => {
             for c in claims {
-                out.push(Statement::Proposal {
-                    signer: c.primary_sig.signer.0,
-                    view: c.view,
-                    sn: c.sn,
-                    batch: c.batch,
-                    sig: c.primary_sig,
-                });
-                for (replica, sig) in &c.commit_sigs {
-                    out.push(Statement::Commit {
-                        replica: *replica,
-                        view: c.view,
-                        sn: c.sn,
-                        batch: c.batch,
-                        reply: None,
-                        sig: *sig,
-                    });
-                }
+                extract_claim(c, out);
             }
             for m in chkpts {
                 extract_chkpt(m, out);
@@ -121,21 +172,10 @@ pub fn extract_record(msg: &EvidenceMsg, out: &mut Vec<Statement>) {
 /// with [`verify_statement`] (the auditor only compares verified
 /// statements).
 pub fn extract(msg: &XPaxosMsg, out: &mut Vec<Statement>) {
+    if let Some(compacted) = compact(msg) {
+        return extract_record(&compacted, out);
+    }
     match msg {
-        XPaxosMsg::Prepare(m) => out.push(Statement::Proposal {
-            signer: m.signature.signer.0,
-            view: m.view,
-            sn: m.sn,
-            batch: m.batch.digest(),
-            sig: m.signature,
-        }),
-        XPaxosMsg::CommitCarry(m) => out.push(Statement::Proposal {
-            signer: m.signature.signer.0,
-            view: m.view,
-            sn: m.sn,
-            batch: m.batch.digest(),
-            sig: m.signature,
-        }),
         XPaxosMsg::Commit(m) => out.push(Statement::Commit {
             replica: m.replica as u64,
             view: m.view,
@@ -150,11 +190,6 @@ pub fn extract(msg: &XPaxosMsg, out: &mut Vec<Statement>) {
                 extract_chkpt(m, out);
             }
         }
-        XPaxosMsg::LazyReplicate { entries, .. } => {
-            for e in entries {
-                extract_commit_entry(e, out);
-            }
-        }
         XPaxosMsg::ViewChange(m) => extract_view_change(m, out),
         XPaxosMsg::VcFinal(m) => {
             for vc in &m.vc_set {
@@ -163,18 +198,38 @@ pub fn extract(msg: &XPaxosMsg, out: &mut Vec<Statement>) {
         }
         XPaxosMsg::NewView(m) => {
             for e in &m.prepare_log {
-                extract_prepare_entry(e, out);
-            }
-        }
-        XPaxosMsg::StateChunkResponse(m) => {
-            for c in &m.proof {
-                extract_chkpt(c, out);
+                extract_claim(&e.into(), out);
             }
         }
         // Client traffic, SUSPECT / VC-CONFIRM / FD notices and runtime
         // notifications carry no orderable claims the conflict classes
         // compare.
         _ => {}
+    }
+}
+
+/// The statements one ordering claim makes: the primary's proposal and each
+/// follower's commit.
+fn extract_claim(c: &OrderingClaim, out: &mut Vec<Statement>) {
+    out.push(Statement::Proposal {
+        signer: c.primary_sig.signer.0,
+        view: c.view,
+        sn: c.sn,
+        batch: c.batch,
+        sig: c.primary_sig,
+    });
+    // Claims store the follower signatures without the t = 1 reply binding;
+    // statements whose signature actually covered a combined reply digest
+    // simply fail verification and are discarded — never mis-attributed.
+    for (replica, sig) in &c.commit_sigs {
+        out.push(Statement::Commit {
+            replica: *replica,
+            view: c.view,
+            sn: c.sn,
+            batch: c.batch,
+            reply: None,
+            sig: *sig,
+        });
     }
 }
 
@@ -191,48 +246,13 @@ fn extract_chkpt(m: &CheckpointMsg, out: &mut Vec<Statement>) {
     }
 }
 
-fn extract_prepare_entry(e: &PrepareEntry, out: &mut Vec<Statement>) {
-    out.push(Statement::Proposal {
-        signer: e.primary_sig.signer.0,
-        view: e.view,
-        sn: e.sn,
-        batch: e.batch.digest(),
-        sig: e.primary_sig,
-    });
-}
-
-fn extract_commit_entry(e: &CommitEntry, out: &mut Vec<Statement>) {
-    let batch = e.batch.digest();
-    out.push(Statement::Proposal {
-        signer: e.primary_sig.signer.0,
-        view: e.view,
-        sn: e.sn,
-        batch,
-        sig: e.primary_sig,
-    });
-    // Commit-log entries store the follower signatures without the t = 1
-    // reply binding; statements whose signature actually covered a combined
-    // reply digest simply fail verification and are discarded — never
-    // mis-attributed.
-    for (r, sig) in &e.commit_sigs {
-        out.push(Statement::Commit {
-            replica: *r as u64,
-            view: e.view,
-            sn: e.sn,
-            batch,
-            reply: None,
-            sig: *sig,
-        });
-    }
-}
-
 fn extract_view_change(m: &ViewChangeMsg, out: &mut Vec<Statement>) {
     out.push(Statement::ViewChange(Box::new(m.clone())));
     for e in &m.commit_log {
-        extract_commit_entry(e, out);
+        extract_claim(&e.into(), out);
     }
     for e in &m.prepare_log {
-        extract_prepare_entry(e, out);
+        extract_claim(&e.into(), out);
     }
     for c in &m.checkpoint_proof {
         extract_chkpt(c, out);

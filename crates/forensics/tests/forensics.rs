@@ -4,16 +4,21 @@
 //! convict anyone.
 
 use bytes::Bytes;
-use xft_core::evidence::{EvidenceLog, DIR_RECEIVED};
+use std::collections::BTreeMap;
+use xft_core::evidence::{evidence_payload, EvidenceLog, EvidenceMsg, DIR_RECEIVED};
 use xft_core::log::{CommitEntry, PrepareEntry};
 use xft_core::messages::{
-    checkpoint_vote_digest, CheckpointMsg, CommitMsg, PrepareMsg, ViewChangeMsg, XPaxosMsg,
+    checkpoint_vote_digest, CheckpointMsg, CommitCarryMsg, CommitMsg, PrepareMsg,
+    StateChunkResponseMsg, ViewChangeMsg, XPaxosMsg,
 };
 use xft_core::types::{replica_key, Batch, ClientId, Request, SeqNum, ViewNumber};
 use xft_crypto::{Digest, KeyRegistry, Signature, Signer};
+use xft_forensics::statements::{extract, extract_record};
 use xft_forensics::{
-    Auditor, ProofBundle, ProofError, CLASS_CHECKPOINT, CLASS_COMMIT, CLASS_HORIZON, CLASS_PROPOSAL,
+    Auditor, ProofBundle, ProofError, ProofOfCulpability, Statement, CLASS_CHECKPOINT,
+    CLASS_COMMIT, CLASS_HORIZON, CLASS_PROPOSAL,
 };
+use xft_wire::WireDecode;
 
 const KEY_SEED: u64 = 0xfeed;
 const T: usize = 1;
@@ -272,6 +277,142 @@ fn tampered_proofs_fail_verification() {
     let mut bad_ctx = good.clone();
     bad_ctx.n = 2;
     assert_eq!(bad_ctx.verify(), Err(ProofError::BadContext));
+
+    // The claim is checked whole: a genuine conflict under the wrong view,
+    // sn or class convicts nobody.
+    let mut off_view = good.clone();
+    off_view.view += 1;
+    assert_eq!(off_view.verify(), Err(ProofError::NoConflict));
+    let mut off_sn = good.clone();
+    off_sn.sn += 1;
+    assert_eq!(off_sn.verify(), Err(ProofError::NoConflict));
+    let mut swapped_class = good.clone();
+    swapped_class.class = CLASS_COMMIT;
+    assert_eq!(swapped_class.verify(), Err(ProofError::NoConflict));
+
+    // A horizon proof whose earlier view change carries an unproven
+    // checkpoint (one CHKPT vote, t + 1 = 2 needed) convicts nobody.
+    let state = Digest::of(b"sealed");
+    let unproven = view_change(&s[1], 1, 1, 10, vec![chkpt(&s[1], 1, 0, 10, state)]);
+    let late = view_change(&s[1], 1, 2, 0, Vec::new());
+    let horizon = ProofOfCulpability {
+        class: CLASS_HORIZON,
+        culprit: 1,
+        view: 2,
+        sn: 10,
+        msg_a: Bytes::from(evidence_payload(&unproven)),
+        msg_b: Bytes::from(evidence_payload(&late)),
+        ..good
+    };
+    assert_eq!(horizon.verify(), Err(ProofError::NoConflict));
+    let proven = view_change(
+        &s[1],
+        1,
+        1,
+        10,
+        vec![chkpt(&s[0], 0, 0, 10, state), chkpt(&s[1], 1, 0, 10, state)],
+    );
+    let convicting = ProofOfCulpability {
+        msg_a: Bytes::from(evidence_payload(&proven)),
+        ..horizon
+    };
+    assert_eq!(
+        convicting.verify(),
+        Ok(()),
+        "the same pair, proven, convicts"
+    );
+}
+
+/// A commit-log entry for `batch` at `(0, sn)`: the primary's commit-domain
+/// signature plus follower 1's commit signature.
+fn commit_entry(s: &[Signer], sn: u64, batch: Batch) -> CommitEntry {
+    let digest = CommitEntry::commit_digest(&batch.digest(), SeqNum(sn), ViewNumber(0));
+    CommitEntry {
+        view: ViewNumber(0),
+        sn: SeqNum(sn),
+        batch,
+        primary_sig: s[0].sign_digest(&digest),
+        commit_sigs: BTreeMap::from([(1, s[1].sign_digest(&digest))]),
+    }
+}
+
+/// The statements a message yields in full and as recorded.
+fn full_and_recorded(msg: &XPaxosMsg) -> (Vec<Statement>, Vec<Statement>, bool) {
+    let mut full = Vec::new();
+    extract(msg, &mut full);
+    let recorded = EvidenceMsg::decode_exact(&evidence_payload(msg)).expect("payload decodes");
+    let mut from_record = Vec::new();
+    extract_record(&recorded, &mut from_record);
+    (full, from_record, recorded.is_compact())
+}
+
+#[test]
+fn compacted_and_full_carriers_yield_the_same_statements() {
+    let s = signers();
+    let entries = vec![commit_entry(&s, 1, batch(1)), commit_entry(&s, 2, batch(2))];
+    let carry_digest = CommitEntry::commit_digest(&batch(3).digest(), SeqNum(3), ViewNumber(0));
+    let sealed = Digest::of(b"sealed");
+    let rows: Vec<(&str, XPaxosMsg, usize)> = vec![
+        ("PREPARE", prepare(&s[0], 0, 1, batch(1)), 1),
+        (
+            "COMMIT-CARRY",
+            XPaxosMsg::CommitCarry(CommitCarryMsg {
+                view: ViewNumber(0),
+                sn: SeqNum(3),
+                batch: batch(3),
+                client_sigs: Vec::new(),
+                signature: s[0].sign_digest(&carry_digest),
+            }),
+            1,
+        ),
+        (
+            "LAZY-REPLICATE with commit signatures",
+            XPaxosMsg::LazyReplicate {
+                view: ViewNumber(0),
+                entries: entries.clone(),
+            },
+            4,
+        ),
+        (
+            "STATE-CHUNK-RESPONSE with a CHKPT proof",
+            XPaxosMsg::StateChunkResponse(StateChunkResponseMsg {
+                sn: SeqNum(10),
+                chunk_bytes: 4,
+                total_len: 4,
+                root: Digest::of(b"root"),
+                index: 0,
+                data: Bytes::from_static(b"data"),
+                path: Vec::new(),
+                proof: vec![
+                    chkpt(&s[0], 0, 0, 10, sealed),
+                    chkpt(&s[1], 1, 0, 10, sealed),
+                ],
+                replica: 1,
+                signature: Signature::forged(replica_key(1)),
+            }),
+            2,
+        ),
+    ];
+    for (name, msg, statements) in &rows {
+        let (full, recorded, compact) = full_and_recorded(msg);
+        assert!(compact, "{name}: a bulk message is recorded compacted");
+        assert_eq!(full.len(), *statements, "{name}");
+        assert_eq!(full, recorded, "{name}");
+    }
+
+    // A VIEW-CHANGE is recorded in full; the entries its logs embed yield
+    // the same statements as the LAZY-REPLICATE that shipped them.
+    let XPaxosMsg::ViewChange(mut vc) = view_change(&s[1], 1, 1, 0, Vec::new()) else {
+        unreachable!()
+    };
+    vc.commit_log = entries.clone();
+    vc.signature = s[1].sign_digest(&vc.digest());
+    let (full, recorded, compact) = full_and_recorded(&XPaxosMsg::ViewChange(vc));
+    assert!(!compact);
+    assert_eq!(full, recorded);
+    let (lazy, _, _) = full_and_recorded(&rows[2].1);
+    assert!(matches!(full[0], Statement::ViewChange(_)));
+    assert_eq!(full[1..], lazy[..]);
 }
 
 #[test]

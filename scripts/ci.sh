@@ -357,20 +357,20 @@ check_fingerprint() { # label pinned log
 chaos_log=$(mktemp)
 target/release/chaos-explorer --seeds 200 --base-seed 1 --window-secs 5 --drain-secs 14 \
     | tee "$chaos_log"
-check_fingerprint "t=1" 0xc29322692e4a6442 "$chaos_log"
+check_fingerprint "t=1" 0xa454aca9f6542f7d "$chaos_log"
 
 echo "==> chaos smoke at t = 2: 200 in-budget seeds on the PREPARE / COMMIT path, zero violations allowed"
 # The t = 1 smoke exercises only the COMMIT-CARRY fast path; this one pins
 # the general path (n = 5) the same way, and checks its fingerprint too.
 target/release/chaos-explorer --t 2 --seeds 200 --base-seed 1 --window-secs 5 --drain-secs 14 \
     | tee "$chaos_log"
-check_fingerprint "t=2" 0x9e6f39418e9b0d04 "$chaos_log"
+check_fingerprint "t=2" 0x16bf323d9368078d "$chaos_log"
 
 echo "==> chaos smoke with fault detection: 200 in-budget seeds at t = 1 and t = 2, zero violations allowed"
 # The same two sweeps with the replicas running fault detection (paper §4.4:
 # prepare logs in VIEW-CHANGE messages and the VC-CONFIRM round), a path the
 # smokes above never reach.
-for pin in 1:0x58e5a9b0f54f8593 2:0x5d4407419ad3ea1b; do
+for pin in 1:0x32c2b3196075475b 2:0x3736cb96d82a5066; do
     t=${pin%%:*}
     target/release/chaos-explorer --t "$t" --fault-detection true --seeds 200 --base-seed 1 \
         --window-secs 5 --drain-secs 14 | tee "$chaos_log"
@@ -393,9 +393,15 @@ echo "==> chaos beyond-budget audit gate: 200 seeds, every violating schedule au
 # accountability gate inside `--mode beyond` re-audits every violating seed
 # against its injected fault schedule — one accusation of an untouched
 # replica fails the build ("no false accusations", pinned at 200 seeds).
+# The sweep's combined fingerprint and the gate's verdict (violating seeds,
+# seeds with proofs) are pinned too, so an auditor change that moves a
+# verdict fails here.
 target/release/chaos-explorer --mode beyond --seeds 200 --base-seed 1 \
     --window-secs 5 --drain-secs 14 | tee /tmp/xft-beyond-audit.log
-grep -q "0 false accusations" /tmp/xft-beyond-audit.log
+check_fingerprint "beyond t=1" 0x9d4d9a70be7a711b /tmp/xft-beyond-audit.log
+grep -Eq "audit gate: 9 violating seeds re-audited in [0-9.]+s — 0 with proofs of culpability, 0 false accusations" \
+    /tmp/xft-beyond-audit.log ||
+    { echo "beyond-budget audit verdict moved from the pin" >&2; exit 1; }
 rm -f /tmp/xft-beyond-audit.log
 
 echo "==> accountability smoke: equivocating replica pinned by a proof that verifies offline"
