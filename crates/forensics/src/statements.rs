@@ -95,9 +95,10 @@ impl Statement {
         }
     }
 
-    /// The conflict rule: whether this statement and `other`, both verified
-    /// and by the same author, contradict each other. Returns the class and
-    /// the `(view, sn)` a proof of the conflict names:
+    /// The conflict rule: whether this statement and `other`, both verified,
+    /// contradict each other. Only statements of one cell (so of one author)
+    /// can; returns the class and the `(view, sn)` a proof of the conflict
+    /// names:
     ///
     /// * two proposals, commits or checkpoint votes for one slot with
     ///   different digests ([`CLASS_PROPOSAL`], [`CLASS_COMMIT`],
@@ -113,10 +114,11 @@ impl Statement {
         verifier: &Verifier,
         t: usize,
     ) -> Option<(u8, u64, u64)> {
-        let (_, class, view, sn) = self.cell();
-        if other.cell() != self.cell() {
+        let cell = self.cell();
+        if other.cell() != cell {
             return None;
         }
+        let (_, class, view, sn) = cell;
         let conflicting = match (self, other) {
             (Statement::Proposal { batch: a, .. }, Statement::Proposal { batch: b, .. }) => a != b,
             (
