@@ -1044,19 +1044,22 @@ mod tests {
     use crate::byzantine::ByzantineBehavior;
     use crate::client::ClientWorkload;
     use crate::config::MAX_BATCH_BYTES;
+    use crate::durable::SealedSnapshot;
     use crate::harness::{ClusterBuilder, LatencySpec, XPaxosCluster};
     use crate::log::{CommitEntry, PrepareEntry};
     use crate::messages::{
         client_request_digest, CommitCarryMsg, CommitMsg, PrepareMsg, ReplyMsg, SignedRequest,
         XPaxosMsg,
     };
-    use crate::replica::{Phase, Replica};
+    use crate::replica::{Phase, Replica, TOKEN_MONITOR};
     use crate::types::{
         client_key, replica_key, Batch, ClientId, ReplicaId, Request, SeqNum, ViewNumber,
     };
     use std::collections::{BTreeMap, BTreeSet};
     use xft_crypto::{Digest, Signature, Signer};
-    use xft_simnet::{with_offline_context, Actor, PipelineConfig, SimDuration, SimMessage};
+    use xft_simnet::{
+        with_offline_context, Actor, Context, NodeId, PipelineConfig, SimDuration, SimMessage,
+    };
 
     fn one_ms_cluster(clients: usize, requests: u64) -> XPaxosCluster {
         ClusterBuilder::new(1, clients)
@@ -1829,5 +1832,147 @@ mod tests {
         assert_eq!(traces, vec![22, 33], "request 1 executed: not forwarded");
         assert_eq!(after, 99);
         assert!(replica.pending_requests.is_empty());
+    }
+
+    /// What a reset path leaves of client 0's request state. Before the
+    /// reset, request 1 has executed (its reply cached), request 2 is queued
+    /// and monitored (the first monitor, token 0) and request 3 is queued.
+    #[derive(Debug, PartialEq)]
+    struct Survives {
+        /// Request 1 is still known as executed: a fresh copy is not queued.
+        executed: bool,
+        /// Its reply is still cached: a fresh copy is answered.
+        reply: bool,
+        /// Requests still queued for a batch.
+        queued: usize,
+        /// Request 2's monitor still fires: its timeout suspects the view.
+        monitor: bool,
+        /// The monitor token counter kept counting: the next monitor is
+        /// token 1.
+        counter: bool,
+    }
+
+    /// Builds the state [`Survives`] describes on replica 0 of a fresh
+    /// cluster (view 0's primary, t = 1, every pipeline slot in flight) and
+    /// applies `reset`. Returns the cluster, the client's node and client
+    /// 0's signed requests 0–4.
+    fn reset_replica(
+        reset: fn(&mut Replica, &mut Context<XPaxosMsg>),
+    ) -> (XPaxosCluster, NodeId, Vec<SignedRequest>) {
+        let mut cluster = idle_cluster(1);
+        let client = Signer::new(&cluster.registry, client_key(ClientId(0)));
+        let signed: Vec<SignedRequest> = (0..5)
+            .map(|ts| {
+                let request = Request::new(ClientId(0), ts, vec![ts as u8; 8].into());
+                let signature = client.sign_digest(&client_request_digest(&request));
+                SignedRequest { request, signature }
+            })
+            .collect();
+        let client_node = cluster.config.client_nodes[0];
+        let replica = cluster.replica_mut(0);
+        pipe_full(replica);
+        with_offline_context(replica.node_of(0), |ctx| {
+            let batch = Batch::single(signed[1].request.clone());
+            replica.execute_batch_now(SeqNum(1), &batch, ctx);
+            replica.on_message(client_node, XPaxosMsg::Resend(signed[2].clone()), ctx);
+            replica.on_message(client_node, XPaxosMsg::Replicate(signed[3].clone()), ctx);
+        });
+        with_offline_context(replica.node_of(0), |ctx| reset(replica, ctx));
+        (cluster, client_node, signed)
+    }
+
+    /// What `reset` leaves. Probing a monitor suspects the view, so the
+    /// monitor probe runs on a second, identically reset replica.
+    fn after_reset(reset: fn(&mut Replica, &mut Context<XPaxosMsg>)) -> Survives {
+        let (mut cluster, _, _) = reset_replica(reset);
+        let replica = cluster.replica_mut(0);
+        let monitor = with_offline_context(replica.node_of(0), |ctx| {
+            replica.on_timer(TOKEN_MONITOR, ctx);
+            ctx.counted("suspects_sent") == 1
+        });
+        let (mut cluster, client_node, signed) = reset_replica(reset);
+        let replica = cluster.replica_mut(0);
+        let queued = replica.pending_requests.len();
+        pipe_full(replica);
+        with_offline_context(replica.node_of(0), |ctx| {
+            replica.on_message(client_node, XPaxosMsg::Replicate(signed[1].clone()), ctx);
+            let reply = ctx.pending_sends().iter().any(|o| o.msg.kind() == "REPLY");
+            let executed = replica.pending_requests.len() == queued;
+            replica.on_message(client_node, XPaxosMsg::Resend(signed[4].clone()), ctx);
+            replica.on_timer(TOKEN_MONITOR + 1, ctx);
+            Survives {
+                executed,
+                reply,
+                queued,
+                monitor,
+                counter: ctx.counted("suspects_sent") == 1,
+            }
+        })
+    }
+
+    /// One row per path that resets client-request state, naming what each
+    /// keeps: executed requests, cached replies, queued requests, monitors
+    /// and the monitor token counter.
+    #[test]
+    fn request_state_reset_table() {
+        let survives = |executed, reply, queued, monitor| Survives {
+            executed,
+            reply,
+            queued,
+            monitor,
+            counter: true,
+        };
+        type Row = (
+            &'static str,
+            fn(&mut Replica, &mut Context<XPaxosMsg>),
+            Survives,
+        );
+        let rows: Vec<Row> = vec![
+            (
+                "no reset: everything",
+                |_, _| {},
+                survives(true, true, 2, true),
+            ),
+            (
+                "clear_volatile_state: only the token counter",
+                |r, _| r.clear_volatile_state(),
+                survives(false, false, 0, false),
+            ),
+            (
+                "cancel_volatile_timers: all but the monitors",
+                |r, ctx| r.cancel_volatile_timers(ctx),
+                survives(true, true, 2, false),
+            ),
+            (
+                "on_recover: all but the monitors",
+                |r, ctx| r.on_recover(ctx),
+                survives(true, true, 2, false),
+            ),
+            (
+                "discard_executed_state: the queue and the monitors",
+                |r, _| r.discard_executed_state(),
+                survives(false, false, 2, true),
+            ),
+            (
+                "adopt_sealed_snapshot of its own state: rebuilt from the image",
+                |r, ctx| {
+                    let image = r.capture_checkpoint(ctx);
+                    let sealed = SealedSnapshot {
+                        image,
+                        proof: Vec::new(),
+                    };
+                    assert!(r.adopt_sealed_snapshot(sealed, false, ctx));
+                },
+                survives(true, true, 2, true),
+            ),
+            (
+                "forward_buffered_requests: all but the queue",
+                |r, ctx| r.forward_buffered_requests(ctx),
+                survives(true, true, 0, true),
+            ),
+        ];
+        for (name, reset, expected) in rows {
+            assert_eq!(after_reset(reset), expected, "{name}");
+        }
     }
 }
