@@ -267,12 +267,7 @@ impl Replica {
             evidence.gc_below(base);
         }
         self.executed_history.retain(|(s, _)| *s > base);
-        for record in self.client_table.values_mut() {
-            let floor = record.retained_reply_floor();
-            record
-                .replies
-                .retain(|ts, cached| cached.reply.sn > base || floor.is_none_or(|f| *ts >= f));
-        }
+        self.sessions.prune_replies(base);
     }
 
     /// Drops the ordering state a checkpoint at `sn` makes dead: log
@@ -348,7 +343,7 @@ impl Replica {
     pub(crate) fn discard_executed_state(&mut self) {
         self.state.reset();
         self.executed_history.clear();
-        self.client_table.clear();
+        self.sessions.forget_executed();
         self.follower_commits.clear();
         self.exec_sn = SeqNum(0);
         self.last_checkpoint = SeqNum(0);

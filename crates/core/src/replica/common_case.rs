@@ -30,7 +30,8 @@
 //!   escalation count. Every REPLY is built by `ReplyMsg::bound` and sent
 //!   by `send_reply`.
 
-use super::{Phase, Replica, TOKEN_BATCH, TOKEN_MONITOR};
+use super::sessions::{Standing, CACHE_ANSWER_SUSPECT_THRESHOLD};
+use super::{Phase, Replica, TOKEN_BATCH};
 use crate::auth::{verify_client_sig, verify_replica_sig};
 use crate::byzantine::ByzantineBehavior;
 use crate::config::{BATCH_TIMEOUT, MAX_BATCH_BYTES};
@@ -81,28 +82,11 @@ impl Replica {
 
         let (client, ts) = (req.request.client, req.request.timestamp);
 
-        // Exactly-once: an already-executed request is answered from the reply
-        // cache and never re-admitted (even once its reply has been pruned).
-        // Matching is by *exact* timestamp — under load shedding a client's
-        // later request can execute before an earlier shed one, so "at or
-        // below the latest executed timestamp" would wrongly swallow the shed
-        // request's retry.
-        if self
-            .client_table
-            .get(&client)
-            .is_some_and(|r| r.executed(ts))
-        {
+        // Exactly-once: an executed request is answered from the reply cache
+        // and never re-admitted, even once its reply has been pruned.
+        let standing = self.sessions.standing(client, ts);
+        if standing == Standing::Executed {
             self.answer_executed(client, ts, retransmission, ctx);
-            return;
-        }
-
-        // A retransmitted copy of a request that is still in the admission
-        // queue must not occupy another slot (copies of already-batched
-        // requests are caught by the execution-time duplicate skip instead).
-        if self.queued_keys.contains(&(client, ts)) {
-            if retransmission && self.is_active_in(self.view) {
-                self.monitor_request(client, ts, ctx);
-            }
             return;
         }
 
@@ -116,7 +100,7 @@ impl Replica {
         // intended response, not a false positive.
         let queue_full = self.pending_requests.len() >= self.config.pipeline.max_pending_requests;
         let queues_here = self.phase != Phase::Active || self.is_primary_in(self.view);
-        if queues_here && queue_full {
+        if standing == Standing::Open && queues_here && queue_full {
             ctx.count("requests_shed", 1);
             self.tel_event(ctx, "shed", || {
                 format!("client={} ts={} queue full", client.0, ts)
@@ -133,12 +117,19 @@ impl Replica {
             return;
         }
 
-        // Retransmitted requests are monitored (Algorithm 4): if the request does not
-        // commit in time, this replica suspects the view.
+        // Retransmitted requests are monitored (Algorithm 4): if the request
+        // does not commit in time, this replica suspects the view.
         if retransmission && self.is_active_in(self.view) {
-            self.monitor_request(client, ts, ctx);
+            let delay = self.config.replica_retransmit;
+            self.sessions
+                .monitor(client, ts, |token| ctx.set_timer(delay, token));
         }
 
+        // A copy of a request still in the admission queue takes no second
+        // slot (copies of batched requests are skipped at execution).
+        if standing == Standing::Queued {
+            return;
+        }
         if !queues_here {
             // Not the primary: forward to the current primary (covers both clients with
             // stale view estimates and the RE-SEND path of Algorithm 4).
@@ -148,8 +139,9 @@ impl Replica {
         }
         // Queued: buffered during a view change (the new primary picks pending
         // requests up), or admitted by the primary for batching.
-        self.queued_keys.insert((client, ts));
+        self.sessions.queue(client, ts);
         self.pending_requests.push_back((req, ctx.trace()));
+        debug_assert_eq!(self.sessions.queued(), self.pending_requests.len());
         if self.phase == Phase::Active {
             self.tel_event(ctx, "admit", || format!("client={} ts={}", client.0, ts));
             self.pump_pipeline(ctx, false);
@@ -171,7 +163,7 @@ impl Replica {
     ///   that keeps re-sending an executed request cannot assemble a commit
     ///   quorum from the current group (the chaos explorer surfaced wedges
     ///   where the other active replica had forgotten the view), so after
-    ///   [`super::CACHE_ANSWER_SUSPECT_THRESHOLD`] re-answers in one view it
+    ///   [`CACHE_ANSWER_SUSPECT_THRESHOLD`] re-answers in one view it
     ///   suspects that view, exactly like the unexecuted-request monitor
     ///   path. The count resets when the suspect goes out and when this
     ///   replica first vouches in a newer view: re-sends that failed in an
@@ -191,8 +183,7 @@ impl Replica {
         let view = self.view;
         let vouches = self.phase == Phase::Active && self.is_active_in(view);
         let attaches = self.config.t == 1 && self.is_primary_in(view);
-        let cached = self.client_table.get_mut(&client);
-        let Some(cached) = cached.and_then(|r| r.replies.get_mut(&ts)) else {
+        let Some(cached) = self.sessions.cached(client, ts) else {
             if retransmission {
                 // Executed, but the reply fell off the bounded cache. Only a
                 // client violating the `MAX_TS_SPREAD` contract can get here
@@ -215,7 +206,7 @@ impl Replica {
                 cached.resends = 0;
             }
             cached.resends += 1;
-            escalate = cached.resends >= super::CACHE_ANSWER_SUSPECT_THRESHOLD;
+            escalate = cached.resends >= CACHE_ANSWER_SUSPECT_THRESHOLD;
             if escalate {
                 cached.resends = 0;
             }
@@ -245,68 +236,17 @@ impl Replica {
     /// verify, a sign and batch space — whenever this replica next became
     /// primary.
     pub(crate) fn forward_buffered_requests(&mut self, ctx: &mut Context<XPaxosMsg>) {
-        self.queued_keys.clear();
         let primary = self.node_of(self.groups.primary(self.view));
         let step_trace = ctx.trace();
         for (req, trace) in std::mem::take(&mut self.pending_requests) {
-            let executed = self
-                .client_table
-                .get(&req.request.client)
-                .is_some_and(|r| r.executed(req.request.timestamp));
-            if !executed {
+            let (client, ts) = (req.request.client, req.request.timestamp);
+            self.sessions.unqueue(client, ts);
+            if !self.sessions.executed(client, ts) {
                 ctx.set_trace(trace);
                 ctx.send(primary, XPaxosMsg::Replicate(req));
             }
         }
         ctx.set_trace(step_trace);
-    }
-
-    /// Starts the per-request retransmission monitor if not already running.
-    pub(crate) fn monitor_request(
-        &mut self,
-        client: ClientId,
-        ts: Timestamp,
-        ctx: &mut Context<XPaxosMsg>,
-    ) {
-        if self.monitored_by_req.contains_key(&(client, ts)) {
-            return;
-        }
-        let token = TOKEN_MONITOR + self.next_monitor_token;
-        self.next_monitor_token += 1;
-        let timer = ctx.set_timer(self.config.replica_retransmit, token);
-        self.monitored.insert(token, (client, ts));
-        self.monitored_by_req.insert((client, ts), (token, timer));
-    }
-
-    /// A monitored request did not commit in time: suspect the view and tell the client
-    /// (Algorithm 4, lines 8–10).
-    pub(crate) fn on_monitor_timeout(&mut self, token: u64, ctx: &mut Context<XPaxosMsg>) {
-        let Some((client, ts)) = self.monitored.remove(&token) else {
-            return;
-        };
-        self.monitored_by_req.remove(&(client, ts));
-        // Already executed? Then the reply was (re)sent; nothing to do.
-        if let Some(record) = self.client_table.get(&client) {
-            if record.executed(ts) {
-                return;
-            }
-        }
-        if self.is_active_in(self.view) && self.phase == Phase::Active {
-            self.suspect_view(Some(client), ctx);
-        }
-    }
-
-    /// Cancels the retransmission monitor of an executed request.
-    pub(crate) fn clear_monitor(
-        &mut self,
-        client: ClientId,
-        ts: Timestamp,
-        ctx: &mut Context<XPaxosMsg>,
-    ) {
-        if let Some((token, timer)) = self.monitored_by_req.remove(&(client, ts)) {
-            self.monitored.remove(&token);
-            ctx.cancel_timer(timer);
-        }
     }
 
     /// Second and third stages of the request pipeline (*batch* → *propose*):
@@ -368,13 +308,14 @@ impl Replica {
                 })
                 .collect();
             for req in &chunk {
-                self.queued_keys
-                    .remove(&(req.request.client, req.request.timestamp));
+                self.sessions
+                    .unqueue(req.request.client, req.request.timestamp);
             }
             ctx.set_trace(batch_trace);
             self.propose_batch(chunk, ctx);
         }
         ctx.set_trace(step_trace);
+        debug_assert_eq!(self.sessions.queued(), self.pending_requests.len());
         if !self.pending_requests.is_empty() {
             if self.batch_timer.is_none() {
                 self.batch_timer = Some(ctx.set_timer(BATCH_TIMEOUT, TOKEN_BATCH));
@@ -931,9 +872,9 @@ impl Replica {
             // the batch skipped as a duplicate keeps the reply of the view
             // it executed in.
             for req in &batch.requests {
-                let record = self.client_table.get(&req.client);
-                if let Some(cached) = record.and_then(|r| r.reply_for(req.timestamp)) {
-                    self.send_reply(cached.reply.clone(), ctx);
+                let cached = self.sessions.cached(req.client, req.timestamp);
+                if let Some(reply) = cached.map(|c| c.reply.clone()) {
+                    self.send_reply(reply, ctx);
                 }
             }
         }
@@ -968,12 +909,7 @@ impl Replica {
             // be admitted into a later batch while the original is still in
             // flight. Every replica executes batches in the same total order,
             // so every replica skips the same duplicates.
-            let already_executed = self
-                .client_table
-                .get(&req.client)
-                .map(|record| record.executed(req.timestamp))
-                .unwrap_or(false);
-            if already_executed {
+            if self.sessions.executed(req.client, req.timestamp) {
                 digests.push(Digest::of(b"duplicate-skip"));
                 continue;
             }
@@ -988,13 +924,11 @@ impl Replica {
                 reply.follower_commit = self.follower_commits.get(&sn.0).cloned();
             }
             // Remember recent replies (with the raw reply digest, for
-            // view re-binding) for duplicate suppression.
-            self.client_table.entry(req.client).or_default().record(
-                req.timestamp,
-                reply.clone(),
-                rd,
-            );
-            self.clear_monitor(req.client, req.timestamp, ctx);
+            // view re-binding) for duplicate suppression; the request's
+            // monitor ends.
+            if let Some(timer) = self.sessions.record(reply.clone(), rd) {
+                ctx.cancel_timer(timer);
+            }
 
             // Only active replicas answer clients (passive replicas execute
             // silently, as do rebuild replays — retransmissions are answered
@@ -1051,6 +985,7 @@ mod tests {
         client_request_digest, CommitCarryMsg, CommitMsg, PrepareMsg, ReplyMsg, SignedRequest,
         XPaxosMsg,
     };
+    use crate::replica::sessions::{CACHE_ANSWER_SUSPECT_THRESHOLD, CLIENT_REPLY_CACHE};
     use crate::replica::{Phase, Replica, TOKEN_MONITOR};
     use crate::types::{
         client_key, replica_key, Batch, ClientId, ReplicaId, Request, SeqNum, ViewNumber,
@@ -1562,7 +1497,7 @@ mod tests {
                     })
                     .collect(),
                 queued: replica.pending_requests.len(),
-                monitored: replica.monitored_by_req.len(),
+                monitored: replica.sessions.monitored(),
                 shed: ctx.counted("requests_shed"),
                 pruned: ctx.counted("cache_answers_pruned"),
                 escalated: ctx.counted("cache_answer_suspects"),
@@ -1580,10 +1515,7 @@ mod tests {
             None,
             r.id,
         );
-        r.client_table
-            .entry(ClientId(0))
-            .or_default()
-            .record(1, reply, rd);
+        r.sessions.record(reply, rd);
     }
 
     /// The same, and the replica has since moved to view 1, where replica 0
@@ -1594,22 +1526,24 @@ mod tests {
         assert!(r.is_primary_in(r.view));
     }
 
-    /// Executed, but its reply has been pruned from the cache.
+    /// Executed, but its reply has been pruned from the cache by as many
+    /// later executions as the cache holds.
     fn pruned(r: &mut Replica) {
         executed(r);
-        r.client_table
-            .get_mut(&ClientId(0))
-            .unwrap()
-            .replies
-            .clear();
+        for ts in 2..=CLIENT_REPLY_CACHE as u64 + 1 {
+            let rd = Digest::of(&ts.to_le_bytes());
+            let request = (ClientId(0), ts);
+            let reply = ReplyMsg::bound((ViewNumber(0), SeqNum(ts)), request, &rd, None, r.id);
+            r.sessions.record(reply, rd);
+        }
+        assert!(r.sessions.cached(ClientId(0), 1).is_none());
     }
 
     /// Executed, and re-answered one time short of escalating.
     fn one_short_of_escalation(r: &mut Replica) {
         executed(r);
-        let record = r.client_table.get_mut(&ClientId(0)).unwrap();
-        record.replies.get_mut(&1).unwrap().resends =
-            super::super::CACHE_ANSWER_SUSPECT_THRESHOLD - 1;
+        let cached = r.sessions.cached(ClientId(0), 1).unwrap();
+        cached.resends = CACHE_ANSWER_SUSPECT_THRESHOLD - 1;
     }
 
     /// The same re-answers, counted in view 0; the replica has since moved

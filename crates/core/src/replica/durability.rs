@@ -15,9 +15,7 @@
 
 use super::state_transfer::{ChunkProgress, PendingTransfer};
 use super::{Phase, Replica};
-use crate::durable::{
-    ClientRecordSnapshot, DurableEvent, ReplicaSnapshot, SealedSnapshot, SnapshotImage,
-};
+use crate::durable::{DurableEvent, ReplicaSnapshot, SealedSnapshot, SnapshotImage};
 use crate::messages::{CheckpointMsg, ReplyMsg, XPaxosMsg};
 use crate::types::{SeqNum, ViewNumber};
 use bytes::Reader;
@@ -165,7 +163,7 @@ impl Replica {
                 .filter(|(s, _)| *s > base)
                 .cloned()
                 .collect(),
-            clients: self.client_record_snapshots(base),
+            clients: self.sessions.snapshot(base),
         };
         // Any earlier image serves as the memo (blocks are compared by
         // content, so it never needs invalidating); the newest one shares
@@ -196,42 +194,6 @@ impl Replica {
         let sealed = SealedSnapshot { image, proof };
         self.persist_sealed_snapshot(&sealed);
         self.latest_snapshot = Some(sealed);
-    }
-
-    /// The canonical per-client exactly-once records (see
-    /// [`ClientRecordSnapshot`] for what is — and is not — included).
-    /// Cached replies executed at or below `base` are pruned, except each
-    /// client's last `MAX_CLIENT_WINDOW` replies by timestamp
-    /// ([`ClientRecord::retained_reply_floor`]): a correct client's
-    /// retransmittable requests all lie in that suffix, and a reply pruned
-    /// before the retransmission arrives can never be re-answered. Still
-    /// O(1) per client, so the capture stays flat in the history length.
-    pub(crate) fn client_record_snapshots(&self, base: SeqNum) -> Vec<ClientRecordSnapshot> {
-        let mut clients: Vec<ClientRecordSnapshot> = self
-            .client_table
-            .iter()
-            .map(|(client, record)| {
-                let floor = record.retained_reply_floor();
-                ClientRecordSnapshot {
-                    client: *client,
-                    ranges: record
-                        .executed_ranges
-                        .iter()
-                        .map(|(s, e)| (*s, *e))
-                        .collect(),
-                    replies: record
-                        .replies
-                        .iter()
-                        .filter(|(ts, cached)| {
-                            cached.reply.sn > base || floor.is_none_or(|f| **ts >= f)
-                        })
-                        .map(|(ts, cached)| (*ts, cached.reply.sn, cached.rd))
-                        .collect(),
-                }
-            })
-            .collect();
-        clients.sort_by_key(|c| c.client.0);
-        clients
     }
 
     /// Replaces this replica's executed state with a sealed snapshot:
@@ -274,11 +236,7 @@ impl Replica {
         let sn = snap.sn;
         self.exec_sn = sn;
         self.executed_history = snap.executed;
-        self.client_table.clear();
-        for client in &snap.clients {
-            let record = super::ClientRecord::from_snapshot(client, self.view, self.id);
-            self.client_table.insert(client.client, record);
-        }
+        self.sessions.restore(&snap.clients, self.view, self.id);
         self.advance_checkpoint(sn, sealed.proof.clone());
         if self.next_sn < sn {
             self.next_sn = sn;

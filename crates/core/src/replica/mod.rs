@@ -10,6 +10,7 @@ pub mod checkpoint;
 pub mod common_case;
 pub mod durability;
 pub mod fault_detection;
+pub mod sessions;
 pub mod state_transfer;
 pub mod view_change;
 pub(crate) mod votes;
@@ -18,10 +19,11 @@ use crate::byzantine::ByzantineBehavior;
 use crate::config::XPaxosConfig;
 use crate::durable::{SealedSnapshot, SnapshotImage};
 use crate::log::{CommitLog, PrepareEntry, PrepareLog};
-use crate::messages::{CommitCarryMsg, CommitMsg, PrepareMsg, ReplyMsg, SignedRequest, XPaxosMsg};
+use crate::messages::{CommitCarryMsg, CommitMsg, PrepareMsg, SignedRequest, XPaxosMsg};
 use crate::state_machine::StateMachine;
 use crate::sync_group::SyncGroups;
-use crate::types::{ClientId, ReplicaId, SeqNum, Timestamp, ViewNumber};
+use crate::types::{ClientId, ReplicaId, SeqNum, ViewNumber};
+use sessions::Sessions;
 use state_transfer::PendingTransfer;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use votes::{Reorder, Votes};
@@ -47,180 +49,6 @@ pub enum Phase {
     Active,
     /// A view change towards `Replica::view` is in progress.
     ViewChange,
-}
-
-/// A cached reply together with the *raw* application reply digest it was
-/// built from. The raw digest is what lets an active replica of a **later**
-/// view re-bind the cached reply to the current view when answering a
-/// retransmission (see `on_client_request`): the signed binding digest
-/// `reply_digest(view, sn, c, ts, rd)` must be recomputed for the new view,
-/// which needs `rd`.
-#[derive(Debug, Clone)]
-pub(crate) struct CachedReply {
-    pub(crate) reply: ReplyMsg,
-    pub(crate) rd: Digest,
-    /// Retransmissions answered from this cache entry in view
-    /// `resends_view` (since the last escalation). A client that keeps
-    /// re-sending an *executed* request is telling us its replies never
-    /// assemble a commit quorum — e.g. the other active replica forgot the
-    /// view, or holds a reply from an older view. After
-    /// [`CACHE_ANSWER_SUSPECT_THRESHOLD`] re-answers in one view the replica
-    /// suspects it, the Algorithm-4 escalation the plain
-    /// (unexecuted-request) monitor path already provides.
-    pub(crate) resends: u32,
-    /// The view `resends` counts in.
-    pub(crate) resends_view: ViewNumber,
-}
-
-/// Cache re-answers of one request before the view is suspected. The client
-/// retransmit cycle paces arrivals, so a single lost reply stays well below
-/// this; only a persistently uncommittable request crosses it.
-pub(crate) const CACHE_ANSWER_SUSPECT_THRESHOLD: u32 = 3;
-
-/// Cached replies per client for exactly-once semantics. With windowed clients
-/// several of a client's requests execute close together — and load shedding
-/// can reorder a single client's timestamps — so the seed's single "latest
-/// timestamp" slot is no longer enough: duplicate suppression must match the
-/// *exact* timestamp, both at admission and at execution.
-#[derive(Debug, Default, Clone)]
-pub(crate) struct ClientRecord {
-    /// Replies to recent requests, pruned to [`CLIENT_REPLY_CACHE`] entries.
-    pub(crate) replies: BTreeMap<Timestamp, CachedReply>,
-    /// Every executed timestamp, as merged inclusive ranges (start → end).
-    /// Execution is near-monotone per client (gaps only while shedding
-    /// reorders a client's requests, and they close when the stragglers
-    /// execute), so this stays a handful of entries — and unlike the bounded
-    /// reply cache it is *exact forever*, which is what makes it safe to
-    /// decide "already executed" from: a pruned reply can no longer be
-    /// re-sent, but its request can never be re-executed either.
-    executed_ranges: BTreeMap<u64, u64>,
-}
-
-/// Replies retained per client for re-answering retransmissions. A correct
-/// client bounds its timestamp spread (oldest outstanding to newest issued)
-/// by `MAX_TS_SPREAD = MAX_CLIENT_WINDOW`, so any request it can still
-/// retransmit lies within the last `MAX_CLIENT_WINDOW` executed timestamps —
-/// double that is ample. Executed-ness itself is tracked exactly by
-/// `executed_ranges`, not by this bounded cache, so even a misbehaving
-/// client's ancient duplicate can be swallowed but never re-executed.
-pub(crate) const CLIENT_REPLY_CACHE: usize = 2 * crate::client::MAX_CLIENT_WINDOW;
-
-impl ClientRecord {
-    /// Records the reply for `ts` (with its raw application reply digest),
-    /// pruning the oldest replies past the cap.
-    pub(crate) fn record(&mut self, ts: Timestamp, reply: ReplyMsg, rd: Digest) {
-        self.mark_executed(ts);
-        self.replies.insert(
-            ts,
-            CachedReply {
-                reply,
-                rd,
-                resends: 0,
-                resends_view: ViewNumber(0),
-            },
-        );
-        while self.replies.len() > CLIENT_REPLY_CACHE {
-            let oldest = *self.replies.keys().next().expect("non-empty cache");
-            self.replies.remove(&oldest);
-        }
-    }
-
-    fn mark_executed(&mut self, ts: Timestamp) {
-        // Extend the predecessor range if `ts` touches it…
-        if let Some((&start, &end)) = self.executed_ranges.range(..=ts).next_back() {
-            if ts <= end {
-                return; // already covered
-            }
-            if end.saturating_add(1) == ts {
-                let merged_end = self.absorb_successor(ts);
-                self.executed_ranges.insert(start, merged_end);
-                return;
-            }
-        }
-        // …otherwise open a new range (possibly fusing with a successor).
-        let merged_end = self.absorb_successor(ts);
-        self.executed_ranges.insert(ts, merged_end);
-    }
-
-    /// Removes a range starting exactly at `ts + 1`, returning the combined
-    /// end (or `ts` when none adjoins).
-    fn absorb_successor(&mut self, ts: Timestamp) -> u64 {
-        let next = ts.saturating_add(1);
-        if let Some((&start, &end)) = self.executed_ranges.range(next..).next() {
-            if start == next {
-                self.executed_ranges.remove(&start);
-                return end;
-            }
-        }
-        ts
-    }
-
-    /// Whether request `ts` has ever been executed.
-    pub(crate) fn executed(&self, ts: Timestamp) -> bool {
-        self.executed_ranges
-            .range(..=ts)
-            .next_back()
-            .map(|(_, &end)| ts <= end)
-            .unwrap_or(false)
-    }
-
-    /// The cached reply for exactly `ts`, if not yet pruned.
-    pub(crate) fn reply_for(&self, ts: Timestamp) -> Option<&CachedReply> {
-        self.replies.get(&ts)
-    }
-
-    /// The oldest timestamp the checkpoint window rule must retain for this
-    /// client, regardless of how far below the window base its reply was
-    /// executed. A correct client caps its timestamp spread at
-    /// `MAX_TS_SPREAD = MAX_CLIENT_WINDOW`, so every request it can still
-    /// retransmit has `ts ≥ highest executed ts − MAX_CLIENT_WINDOW` —
-    /// pruning inside that range wedges the request forever: once the
-    /// original reply misses its quorum, the retransmission → re-answer
-    /// path is the *only* recovery, and at high throughput a sequence-number
-    /// window can close before the client's first retransmission timer even
-    /// fires.
-    ///
-    /// Derived from `executed_ranges` — exact, and identical on every
-    /// replica at the same execution point — *never* from the reply map
-    /// itself: a veteran replica (which truncated at past seals after
-    /// execution had moved on) and a freshly adopting replica (which decoded
-    /// the capture-time set) hold different stale entries, so any rule that
-    /// reads the map's own membership selects different survivors on each
-    /// and the next PRECHK round disagrees on byte-identical snapshots.
-    pub(crate) fn retained_reply_floor(&self) -> Option<Timestamp> {
-        self.executed_ranges
-            .values()
-            .next_back()
-            .map(|end| end.saturating_sub(crate::client::MAX_CLIENT_WINDOW as u64))
-    }
-
-    /// Rebuilds a record from its canonical snapshot form (state transfer /
-    /// recovery). Cached replies come back as digest-only replies bound to
-    /// the adopting replica and view — the view re-binding path refreshes
-    /// them if the view moves on before a retransmission arrives.
-    pub(crate) fn from_snapshot(
-        snap: &crate::durable::ClientRecordSnapshot,
-        view: ViewNumber,
-        replica: ReplicaId,
-    ) -> Self {
-        let mut record = ClientRecord::default();
-        for (start, end) in &snap.ranges {
-            record.executed_ranges.insert(*start, *end);
-        }
-        for (ts, sn, rd) in &snap.replies {
-            let reply = ReplyMsg::bound((view, *sn), (snap.client, *ts), rd, None, replica);
-            record.replies.insert(
-                *ts,
-                CachedReply {
-                    reply,
-                    rd: *rd,
-                    resends: 0,
-                    resends_view: ViewNumber(0),
-                },
-            );
-        }
-        record
-    }
 }
 
 /// Per-view-change bookkeeping (paper Algorithm 3 / 5).
@@ -298,9 +126,9 @@ pub struct Replica {
     /// updates all local state but suppresses client replies (clients get the
     /// rebuilt cached replies on retransmission instead of a replay storm).
     pub(crate) replaying: bool,
-    /// Recently executed timestamps and cached replies per client
-    /// (exactly-once semantics, windowed).
-    pub(crate) client_table: HashMap<ClientId, ClientRecord>,
+    /// One record per client: executed requests, cached replies, and the
+    /// queued and monitored marks of requests not yet executed.
+    pub(crate) sessions: Sessions,
     /// Verified proposals (PREPARE / COMMIT-CARRY) that cannot be applied
     /// yet — ahead of the next expected sequence number, or (t = 1) of
     /// execution; drained in order as the gap fills (follower side of the
@@ -317,12 +145,9 @@ pub struct Replica {
     /// `config.pipeline.max_pending_requests`; overflow is shed with BUSY.
     /// The id is telemetry-only: it is re-established when the request's
     /// batch is proposed, so the trace survives the batch-timer hop, and
-    /// never feeds protocol decisions or `Metrics`.
+    /// never feeds protocol decisions or `Metrics`. Each entry is marked
+    /// queued in `sessions`, so a retransmitted copy takes no second slot.
     pub(crate) pending_requests: VecDeque<(SignedRequest, u64)>,
-    /// Mirror of `pending_requests` keys, so retransmissions of a request
-    /// that is still queued (client re-sends after a suspect or recovery)
-    /// don't occupy additional queue slots or batch capacity.
-    pub(crate) queued_keys: HashSet<(ClientId, Timestamp)>,
     pub(crate) batch_timer: Option<TimerId>,
     /// Batches proposed in the current view that have not yet committed.
     pub(crate) proposed_in_flight: usize,
@@ -368,11 +193,6 @@ pub struct Replica {
     pub(crate) vc: Option<ViewChangeState>,
     /// Views for which a SUSPECT has already been forwarded (dedup).
     pub(crate) forwarded_suspects: HashSet<u64>,
-
-    // ---- retransmission monitoring (Algorithm 4) ---------------------------------
-    pub(crate) monitored: HashMap<u64, (ClientId, Timestamp)>,
-    pub(crate) monitored_by_req: HashMap<(ClientId, Timestamp), (u64, TimerId)>,
-    pub(crate) next_monitor_token: u64,
 
     // ---- fault detection --------------------------------------------------------
     /// Replicas this replica has detected (or been told, with proof) to be faulty.
@@ -430,11 +250,10 @@ impl Replica {
             state,
             executed_history: Vec::new(),
             replaying: false,
-            client_table: HashMap::new(),
+            sessions: Sessions::default(),
             stashed_proposals: Reorder::new(window),
             early_commits: Reorder::new(window),
             pending_requests: VecDeque::new(),
-            queued_keys: HashSet::new(),
             batch_timer: None,
             proposed_in_flight: 0,
             last_checkpoint: SeqNum(0),
@@ -449,9 +268,6 @@ impl Replica {
             serving_snapshot: None,
             vc: None,
             forwarded_suspects: HashSet::new(),
-            monitored: HashMap::new(),
-            monitored_by_req: HashMap::new(),
-            next_monitor_token: 0,
             detected_faulty: BTreeSet::new(),
             committed_batches: 0,
             view_changes_completed: 0,
@@ -666,11 +482,10 @@ impl Replica {
         self.follower_commits.clear();
         self.state.reset();
         self.executed_history.clear();
-        self.client_table.clear();
+        self.sessions.clear();
         self.stashed_proposals.clear();
         self.early_commits.clear();
         self.pending_requests.clear();
-        self.queued_keys.clear();
         self.batch_timer = None;
         self.proposed_in_flight = 0;
         self.last_checkpoint = SeqNum(0);
@@ -684,8 +499,6 @@ impl Replica {
         self.serving_snapshot = None;
         self.vc = None;
         self.forwarded_suspects.clear();
-        self.monitored.clear();
-        self.monitored_by_req.clear();
         self.detected_faulty.clear();
     }
 
@@ -704,10 +517,9 @@ impl Replica {
         }
         self.end_state_transfer(ctx);
         self.end_view_change(ctx);
-        for (_, (_, timer)) in self.monitored_by_req.drain() {
+        for timer in self.sessions.drop_monitors() {
             ctx.cancel_timer(timer);
         }
-        self.monitored.clear();
     }
 
     /// Whether this replica is active (primary or follower) in `view`.
@@ -846,8 +658,12 @@ impl Actor for Replica {
         } else if (TOKEN_VC_TIMEOUT..TOKEN_MONITOR).contains(&token) {
             let target = ViewNumber(token - TOKEN_VC_TIMEOUT);
             self.on_vc_timeout(target, ctx);
-        } else if token >= TOKEN_MONITOR {
-            self.on_monitor_timeout(token, ctx);
+        } else if let Some(client) = self.sessions.expire(token) {
+            // A monitored request did not commit in time: suspect the view
+            // and tell the client (Algorithm 4, lines 8–10).
+            if self.phase == Phase::Active {
+                self.suspect_view(Some(client), ctx);
+            }
         }
         self.note_evidence_sent(ctx);
     }
@@ -860,11 +676,10 @@ impl Actor for Replica {
         self.batch_timer = None;
         self.vc = None;
         self.phase = Phase::Active;
-        self.monitored.clear();
-        self.monitored_by_req.clear();
-        // In-flight accounting restarts conservatively: commits for batches
-        // proposed before the crash still drain through the commit log, and
-        // the saturating decrement absorbs the mismatch.
+        self.sessions.drop_monitors(); // their timers died with the crash
+                                       // In-flight accounting restarts conservatively: commits for batches
+                                       // proposed before the crash still drain through the commit log, and
+                                       // the saturating decrement absorbs the mismatch.
         self.proposed_in_flight = 0;
         self.stashed_proposals.clear();
         self.early_commits.clear();
@@ -900,62 +715,5 @@ impl Actor for Replica {
             }
         }
         self.note_evidence_sent(ctx);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::types::SeqNum as Sn;
-    use xft_crypto::Digest as D;
-
-    fn reply(ts: Timestamp) -> ReplyMsg {
-        ReplyMsg {
-            view: ViewNumber(0),
-            sn: Sn(ts),
-            client: ClientId(1),
-            timestamp: ts,
-            reply_digest: D::of(&ts.to_le_bytes()),
-            payload: None,
-            replica: 0,
-            follower_commit: None,
-        }
-    }
-
-    #[test]
-    fn client_record_merges_executed_ranges() {
-        let mut r = ClientRecord::default();
-        for ts in [1, 2, 3, 7, 5, 6, 4] {
-            r.record(ts, reply(ts), D::of(&ts.to_le_bytes()));
-        }
-        // Out-of-order execution collapses into one contiguous range.
-        assert_eq!(r.executed_ranges, BTreeMap::from([(1, 7)]));
-        assert!(r.executed(1) && r.executed(7));
-        assert!(!r.executed(0) && !r.executed(8));
-    }
-
-    #[test]
-    fn client_record_executedness_survives_reply_pruning() {
-        let mut r = ClientRecord::default();
-        for ts in 1..=(CLIENT_REPLY_CACHE as u64 + 50) {
-            r.record(ts, reply(ts), D::of(&ts.to_le_bytes()));
-        }
-        assert_eq!(r.replies.len(), CLIENT_REPLY_CACHE);
-        // The oldest replies were pruned…
-        assert!(r.reply_for(1).is_none());
-        // …but their requests can never be re-admitted.
-        assert!(r.executed(1));
-        assert_eq!(r.executed_ranges.len(), 1);
-    }
-
-    #[test]
-    fn client_record_tracks_gaps_until_they_close() {
-        let mut r = ClientRecord::default();
-        r.record(1, reply(1), D::of(b"1"));
-        r.record(3, reply(3), D::of(b"3"));
-        assert!(!r.executed(2), "the shed request is still admissible");
-        assert_eq!(r.executed_ranges.len(), 2);
-        r.record(2, reply(2), D::of(b"2"));
-        assert_eq!(r.executed_ranges, BTreeMap::from([(1, 3)]));
     }
 }

@@ -1755,7 +1755,7 @@ mod tests {
                 continue;
             }
             assert!(
-                replica.pending_requests.is_empty() && replica.queued_keys.is_empty(),
+                replica.pending_requests.is_empty() && replica.sessions.queued() == 0,
                 "non-primary replica {r} in view {} still queues {} requests",
                 replica.view().0,
                 replica.pending_requests.len()
