@@ -399,11 +399,10 @@ fn lock_wal(wal: &Mutex<Wal>) -> MutexGuard<'_, Wal> {
     wal.lock().expect("WAL lock poisoned")
 }
 
-/// Makes a rename inside `dir` durable (best effort).
+/// Makes a rename inside `dir` durable.
 fn sync_dir(dir: &Path) {
-    if let Ok(d) = File::open(dir) {
-        let _ = d.sync_all();
-    }
+    let d = fatal(File::open(dir), "directory open");
+    fatal(d.sync_all(), "directory sync");
 }
 
 /// The installer's job: step 1, then step 2 (see the module docs).
@@ -680,6 +679,12 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    #[test]
+    #[should_panic(expected = "fatal directory open failure")]
+    fn sync_dir_fails_loudly_on_a_missing_directory() {
+        sync_dir(&temp_dir("missing-dir"));
     }
 
     /// The background-install tests run under both kinds of policy.
