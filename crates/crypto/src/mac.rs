@@ -125,15 +125,6 @@ impl Authenticator {
     pub fn verify_bytes(&self, data: &[u8], tag: &MacTag) -> bool {
         self.verify_digest(&Digest::of(data), tag)
     }
-
-    /// Computes a MAC vector (one tag per receiver), as used by PBFT-style protocols
-    /// that authenticate a broadcast to several replicas at once.
-    pub fn mac_vector(&self, receivers: &[KeyId], digest: &Digest) -> Vec<MacTag> {
-        receivers
-            .iter()
-            .filter_map(|r| self.mac_digest(*r, digest))
-            .collect()
-    }
 }
 
 impl fmt::Debug for Authenticator {
@@ -189,23 +180,6 @@ mod tests {
         let mut forged = c.mac_bytes(KeyId(2), b"hello").unwrap();
         forged.from = KeyId(1);
         assert!(!b.verify_bytes(b"hello", &forged));
-    }
-
-    #[test]
-    fn mac_vector_covers_all_receivers() {
-        let registry = KeyRegistry::new(3);
-        let a = Authenticator::new(registry.clone(), KeyId(0));
-        let receivers: Vec<KeyId> = (1..=4).map(KeyId).collect();
-        let auths: Vec<Authenticator> = receivers
-            .iter()
-            .map(|r| Authenticator::new(registry.clone(), *r))
-            .collect();
-        let digest = Digest::of(b"broadcast");
-        let tags = a.mac_vector(&receivers, &digest);
-        assert_eq!(tags.len(), 4);
-        for (auth, tag) in auths.iter().zip(&tags) {
-            assert!(auth.verify_digest(&digest, tag));
-        }
     }
 
     #[test]

@@ -42,11 +42,6 @@ impl MessageTrace {
         self.enabled
     }
 
-    /// Enables or disables tracing (entries so far are kept).
-    pub fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
-    }
-
     /// Records one transmission if tracing is enabled.
     pub fn record(&mut self, entry: TraceEntry) {
         if self.enabled {
@@ -124,15 +119,5 @@ mod tests {
         assert_eq!(t.kinds(), vec!["PREPARE", "COMMIT"]);
         t.clear();
         assert!(t.entries().is_empty());
-    }
-
-    #[test]
-    fn toggling_enabled_keeps_existing_entries() {
-        let mut t = MessageTrace::new(true);
-        t.record(entry(0, 1, "A"));
-        t.set_enabled(false);
-        t.record(entry(0, 1, "B"));
-        assert_eq!(t.entries().len(), 1);
-        assert!(!t.is_enabled());
     }
 }
