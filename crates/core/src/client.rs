@@ -37,10 +37,13 @@ use std::sync::Arc;
 use xft_crypto::{CryptoOp, Digest, KeyRegistry, Signer, Verifier};
 use xft_simnet::{Actor, Context, NodeId, SimDuration, SimTime, TimerId};
 
-/// Hard cap on the request window. Replicas cache
-/// [`CLIENT_REPLY_CACHE`](crate::replica) replies per client for exact-match
-/// duplicate suppression; a window beyond that cache could let a pruned
-/// reply's retransmission re-execute, so windows are clamped well below it.
+/// Hard cap on the request window. What it bounds is re-answerability:
+/// replicas keep the last
+/// [`CLIENT_REPLY_CACHE`](crate::replica::sessions) replies per client (twice
+/// this cap) to answer retransmissions, and with the timestamp spread held at
+/// the window, every request a client can still retransmit finds its reply
+/// there. Executed requests are kept exactly and forever, so a retransmission
+/// whose reply was pruned is swallowed, never re-executed.
 pub const MAX_CLIENT_WINDOW: usize = 128;
 
 /// Maximum timestamp spread between a client's oldest outstanding request and
