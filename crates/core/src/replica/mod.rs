@@ -676,10 +676,10 @@ impl Actor for Replica {
         self.batch_timer = None;
         self.vc = None;
         self.phase = Phase::Active;
-        self.sessions.drop_monitors(); // their timers died with the crash
-                                       // In-flight accounting restarts conservatively: commits for batches
-                                       // proposed before the crash still drain through the commit log, and
-                                       // the saturating decrement absorbs the mismatch.
+        self.sessions.drop_monitors();
+        // In-flight accounting restarts conservatively: commits for batches
+        // proposed before the crash still drain through the commit log, and
+        // the saturating decrement absorbs the mismatch.
         self.proposed_in_flight = 0;
         self.stashed_proposals.clear();
         self.early_commits.clear();

@@ -32,12 +32,11 @@ pub(crate) struct CachedReply {
 
 impl CachedReply {
     fn new(reply: ReplyMsg, rd: Digest) -> Self {
-        let resends_view = ViewNumber(0);
         CachedReply {
             reply,
             rd,
             resends: 0,
-            resends_view,
+            resends_view: ViewNumber(0),
         }
     }
 }
@@ -334,6 +333,15 @@ mod tests {
         assert_eq!(r.executed_ranges, BTreeMap::from([(1, 7)]));
         assert!(r.executed(1) && r.executed(7));
         assert!(!r.executed(0) && !r.executed(8));
+        // A client picks its timestamps: the top of the range merges too.
+        let mut r = ClientRecord::default();
+        for ts in [u64::MAX, u64::MAX - 1] {
+            r.record(reply(ts), D::of(&ts.to_le_bytes()));
+        }
+        assert_eq!(
+            r.executed_ranges,
+            BTreeMap::from([(u64::MAX - 1, u64::MAX)])
+        );
     }
 
     #[test]
