@@ -16,6 +16,9 @@
 //!   transferable proof that a snapshot blob is the agreed state — this is
 //!   what makes state transfer verifiable instead of trusted. A checkpoint
 //!   is captured into a [`SnapshotImage`] once; every later use reads it.
+//!   The image holds the application bytes exactly as the state machine
+//!   returned them, between an encoded head and tail, and never copies
+//!   them into one buffer.
 //!
 //! [`StateMachine::snapshot`]: crate::state_machine::StateMachine::snapshot
 
@@ -23,6 +26,7 @@ use crate::log::{CommitEntry, PrepareEntry};
 use crate::messages::CheckpointMsg;
 use crate::types::{ClientId, SeqNum, Timestamp, ViewNumber};
 use bytes::Bytes;
+use std::ops::Range;
 use std::sync::Arc;
 use xft_crypto::{merkle_root, Digest, Sha256};
 use xft_wire::{WireDecode, WireEncode};
@@ -201,13 +205,108 @@ pub struct ImageStats {
     pub blocks_rehashed: u64,
 }
 
+/// An encoding held as consecutive byte strings, never concatenated: a
+/// captured image's head, application bytes and tail. A range inside one
+/// part is read in place; one that straddles a boundary is stitched.
+#[derive(Debug, Clone)]
+struct Parts {
+    parts: Vec<Bytes>,
+    /// Where each part ends in the encoding.
+    ends: Vec<usize>,
+}
+
+impl Parts {
+    fn new(parts: Vec<Bytes>) -> Self {
+        let ends = parts
+            .iter()
+            .scan(0, |end, part| {
+                *end += part.len();
+                Some(*end)
+            })
+            .collect();
+        Parts { parts, ends }
+    }
+
+    fn len(&self) -> usize {
+        self.ends.last().copied().unwrap_or(0)
+    }
+
+    /// The part that holds all of `range`, and where that part starts;
+    /// `None` if the range straddles a boundary (or is empty at the end).
+    fn holding(&self, range: &Range<usize>) -> Option<(&Bytes, usize)> {
+        let i = self.ends.partition_point(|&end| end <= range.start);
+        let end = *self.ends.get(i)?;
+        let part = &self.parts[i];
+        (range.end <= end).then_some((part, end - part.len()))
+    }
+
+    /// Copies `range` into `out`, replacing its contents.
+    fn stitch(&self, range: &Range<usize>, out: &mut Vec<u8>) {
+        out.clear();
+        for (part, &end) in self.parts.iter().zip(&self.ends) {
+            let start = end - part.len();
+            let (from, to) = (range.start.max(start), range.end.min(end));
+            if from < to {
+                out.extend_from_slice(&part[from - start..to - start]);
+            }
+        }
+    }
+
+    /// The bytes in `range`: borrowed from the part that holds them, or
+    /// stitched into `scratch`.
+    fn read<'a>(&'a self, range: Range<usize>, scratch: &'a mut Vec<u8>) -> &'a [u8] {
+        match self.holding(&range) {
+            Some((part, start)) => &part[range.start - start..range.end - start],
+            None => {
+                self.stitch(&range, scratch);
+                scratch
+            }
+        }
+    }
+
+    /// The bytes in `range` as a [`Bytes`]: zero-copy when one part holds
+    /// them, a copy otherwise.
+    fn slice(&self, range: Range<usize>) -> Bytes {
+        match self.holding(&range) {
+            Some((part, start)) => part.slice(range.start - start..range.end - start),
+            None => {
+                let mut out = Vec::with_capacity(range.len());
+                self.stitch(&range, &mut out);
+                Bytes::from(out)
+            }
+        }
+    }
+}
+
+/// Equal content, whatever the part layout.
+impl PartialEq for Parts {
+    fn eq(&self, other: &Self) -> bool {
+        let len = self.len();
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        len == other.len()
+            && (0..len).step_by(LEAF_BLOCK_BYTES).all(|start| {
+                let range = start..(start + LEAF_BLOCK_BYTES).min(len);
+                self.read(range.clone(), &mut a) == other.read(range, &mut b)
+            })
+    }
+}
+
 /// A checkpoint captured once: the canonical encoding of a
 /// [`ReplicaSnapshot`], its chunk tree and the commitment PRECHK/CHKPT agree
 /// on. The vote, the comparison at the CHKPT quorum, the snapshot file and
 /// every served chunk read this one value; nothing encodes or hashes the
 /// state a second time.
 ///
-/// The commitment is a pure function of `bytes` and `chunk_bytes`: two
+/// The encoding is kept as the consecutive parts it was built from, never
+/// concatenated: a capture holds the head (`sn`, `base`, the application
+/// length), the application bytes exactly as [`StateMachine::snapshot`]
+/// returned them, and the tail (executed window and client records), so
+/// the megabytes of application state are hashed where they lie and not
+/// copied. Every read — block hashing, the memo comparison, chunks,
+/// [`SnapshotImage::decode`], the snapshot file — sees the same bytes as
+/// a contiguous encoding, and equality compares content, not layout.
+///
+/// The commitment is a pure function of the encoding and `chunk_bytes`: two
 /// replicas produce the same one iff they agree on the application state,
 /// the executed window *and* the exactly-once table. Because it commits to
 /// the chunk tree (leaf size, total length, root), a lagging replica can
@@ -216,11 +315,13 @@ pub struct ImageStats {
 /// (the cluster-uniform `state_chunk_bytes` knob) is bound in, replicas
 /// configured differently fail loudly at PRECHK rather than mis-verifying
 /// chunks.
+///
+/// [`StateMachine::snapshot`]: crate::state_machine::StateMachine::snapshot
 #[derive(Debug, Clone, PartialEq)]
 pub struct SnapshotImage {
     sn: SeqNum,
     chunk_bytes: u32,
-    bytes: Bytes,
+    parts: Parts,
     /// Block digests, chunk by chunk (every chunk but the last has the same
     /// number of blocks, so a block's index is the same in any two images
     /// that both contain its offset).
@@ -231,15 +332,19 @@ pub struct SnapshotImage {
 }
 
 impl SnapshotImage {
-    /// Encodes `snapshot` (one pass, exact capacity) and builds its image.
+    /// Builds the image of `snapshot` around its application bytes: only
+    /// the head and the tail are encoded, and `snapshot.app` is shared.
     pub fn capture(
         snapshot: &ReplicaSnapshot,
         chunk_bytes: u32,
         memo: Option<&SnapshotImage>,
     ) -> (Self, ImageStats) {
-        let mut bytes = Vec::with_capacity(snapshot.encoded_len());
-        snapshot.encode_into(&mut bytes);
-        Self::of_encoded(snapshot.sn, Bytes::from(bytes), chunk_bytes, memo)
+        let mut head = Vec::with_capacity(8 + 8 + 4);
+        (snapshot.sn, snapshot.base, snapshot.app.len() as u32).encode_into(&mut head);
+        let mut tail = Vec::with_capacity(snapshot.encoded_len() - head.len() - snapshot.app.len());
+        (&snapshot.executed, &snapshot.clients).encode_into(&mut tail);
+        let parts = vec![head.into(), snapshot.app.clone(), tail.into()];
+        Self::of_parts(snapshot.sn, Parts::new(parts), chunk_bytes, memo)
     }
 
     /// Builds the image of an already encoded snapshot (a reassembled
@@ -258,26 +363,46 @@ impl SnapshotImage {
         chunk_bytes: u32,
         memo: Option<&SnapshotImage>,
     ) -> (Self, ImageStats) {
+        Self::of_parts(sn, Parts::new(vec![bytes]), chunk_bytes, memo)
+    }
+
+    /// [`SnapshotImage::of_encoded`] of the concatenation of `parts`.
+    fn of_parts(
+        sn: SeqNum,
+        parts: Parts,
+        chunk_bytes: u32,
+        memo: Option<&SnapshotImage>,
+    ) -> (Self, ImageStats) {
         let chunk = (chunk_bytes as usize).max(1);
+        let len = parts.len();
         let memo = memo.filter(|m| m.chunk_bytes == chunk_bytes);
-        let memo_len = memo.map_or(0, |m| m.bytes.len());
-        let mut blocks = Vec::with_capacity(bytes.len().div_ceil(LEAF_BLOCK_BYTES) + 1);
-        let mut leaves = Vec::with_capacity(chunk_count(bytes.len() as u64, chunk_bytes) as usize);
+        let memo_len = memo.map_or(0, |m| m.parts.len());
+        let chunks = chunk_count(len as u64, chunk_bytes) as usize;
+        let mut blocks = Vec::with_capacity(len.div_ceil(LEAF_BLOCK_BYTES) + 1);
+        let mut leaves = Vec::with_capacity(chunks);
         let mut rehashed = 0u64;
-        for (index, data) in pieces(&bytes, chunk).enumerate() {
+        // Blocks that straddle a part boundary are stitched into these.
+        let (mut scratch, mut memo_scratch) = (Vec::new(), Vec::new());
+        for index in 0..chunks {
             let chunk_start = index * chunk;
+            let chunk_end = (chunk_start + chunk).min(len);
             let first_block = blocks.len();
             let mut changed = false;
-            for (j, block) in pieces(data, LEAF_BLOCK_BYTES).enumerate() {
-                let start = chunk_start + j * LEAF_BLOCK_BYTES;
-                let end = start + block.len();
+            // Every chunk has at least one block, even an empty one.
+            let block_starts =
+                (chunk_start..chunk_end.max(chunk_start + 1)).step_by(LEAF_BLOCK_BYTES);
+            for start in block_starts {
+                let end = (start + LEAF_BLOCK_BYTES).min(chunk_end);
+                let block = parts.read(start..end, &mut scratch);
                 // Where the memo's block at this offset ends; its digest is
                 // only reusable if it covers exactly the same range.
                 let memo_end = (start + LEAF_BLOCK_BYTES)
                     .min(chunk_start + chunk)
                     .min(memo_len);
                 let kept = memo
-                    .filter(|m| memo_end == end && m.bytes[start..end] == *block)
+                    .filter(|m| {
+                        memo_end == end && m.parts.read(start..end, &mut memo_scratch) == block
+                    })
                     .map(|m| m.blocks[blocks.len()]);
                 blocks.push(kept.unwrap_or_else(|| {
                     changed = true;
@@ -285,14 +410,14 @@ impl SnapshotImage {
                     block_digest(block)
                 }));
             }
-            let same_extent = (chunk_start + chunk).min(memo_len) == chunk_start + data.len();
+            let same_extent = (chunk_start + chunk).min(memo_len) == chunk_end;
             leaves.push(match memo {
                 Some(m) if !changed && same_extent => m.leaves[index],
                 _ => leaf_of_blocks(index as u32, &blocks[first_block..]),
             });
         }
         let root = merkle_root(&leaves);
-        let commitment = snapshot_commitment(chunk_bytes, bytes.len() as u64, &root);
+        let commitment = snapshot_commitment(chunk_bytes, len as u64, &root);
         let stats = ImageStats {
             blocks_total: blocks.len() as u64,
             blocks_rehashed: rehashed,
@@ -300,7 +425,7 @@ impl SnapshotImage {
         let image = SnapshotImage {
             sn,
             chunk_bytes,
-            bytes,
+            parts,
             blocks,
             leaves,
             root,
@@ -319,9 +444,18 @@ impl SnapshotImage {
         self.chunk_bytes
     }
 
-    /// The canonical encoding of the snapshot.
-    pub fn bytes(&self) -> &Bytes {
-        &self.bytes
+    /// Length of the canonical encoding.
+    pub fn total_len(&self) -> u64 {
+        self.parts.len() as u64
+    }
+
+    /// The canonical encoding of the snapshot as one contiguous buffer:
+    /// zero-copy for an image built with [`SnapshotImage::of_encoded`], a
+    /// copy of the whole state for a capture. For tools and tests; the
+    /// replica reads [`SnapshotImage::chunk`] and
+    /// [`SealedSnapshot::to_bytes`].
+    pub fn bytes(&self) -> Bytes {
+        self.parts.slice(0..self.parts.len())
     }
 
     /// Per-chunk Merkle leaves ([`chunk_leaf`] of every chunk).
@@ -339,20 +473,21 @@ impl SnapshotImage {
         self.commitment
     }
 
-    /// Chunk `index` of the encoding (zero-copy), if in range.
+    /// Chunk `index` of the encoding, if in range: zero-copy unless it
+    /// straddles a part boundary.
     pub fn chunk(&self, index: u32) -> Option<Bytes> {
         let chunk = (self.chunk_bytes as usize).max(1);
         let start = (index as usize).checked_mul(chunk)?;
         ((index as usize) < self.leaves.len()).then(|| {
-            self.bytes
-                .slice(start..(start + chunk).min(self.bytes.len()))
+            self.parts
+                .slice(start..(start + chunk).min(self.parts.len()))
         })
     }
 
     /// Decodes the snapshot. `None` if the bytes are not exactly one
     /// canonical [`ReplicaSnapshot`] at this image's sequence number.
     pub fn decode(&self) -> Option<ReplicaSnapshot> {
-        ReplicaSnapshot::decode_exact(&self.bytes).filter(|s| s.sn == self.sn)
+        ReplicaSnapshot::decode_exact(&self.bytes()).filter(|s| s.sn == self.sn)
     }
 }
 
@@ -379,8 +514,15 @@ impl SealedSnapshot {
     /// encoding as it stands, proof. The chunk tree is not stored; it is a
     /// function of the bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.image.bytes.len() + 64 + self.proof.len() * 128);
-        (self.image.sn, &self.image.bytes, &self.proof).encode_into(&mut out);
+        let parts = &self.image.parts;
+        let mut out = Vec::with_capacity(parts.len() + 64 + self.proof.len() * 128);
+        // The encoding's length prefix, then its parts: what encoding the
+        // concatenation as one byte string writes.
+        (self.image.sn, parts.len() as u32).encode_into(&mut out);
+        for part in &parts.parts {
+            out.extend_from_slice(part);
+        }
+        self.proof.encode_into(&mut out);
         out
     }
 
@@ -569,7 +711,7 @@ mod tests {
                         // A memo built at another chunk size is no memo.
                         let (rebuilt, stats) = SnapshotImage::of_encoded(
                             SeqNum(2),
-                            scratch.bytes().clone(),
+                            scratch.bytes(),
                             chunk,
                             Some(&other),
                         );
@@ -578,6 +720,104 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// The image of `bytes` held as parts cut at `cuts` (ascending).
+    fn image_of_parts(
+        bytes: &[u8],
+        cuts: &[usize],
+        chunk: u32,
+        memo: Option<&SnapshotImage>,
+    ) -> (SnapshotImage, ImageStats) {
+        let ends = cuts.iter().copied().chain([bytes.len()]);
+        let parts = ends
+            .scan(0, |at, end| {
+                let part = Bytes::copy_from_slice(&bytes[*at..end]);
+                *at = end;
+                Some(part)
+            })
+            .collect();
+        SnapshotImage::of_parts(SeqNum(1), Parts::new(parts), chunk, memo)
+    }
+
+    /// `image` reads exactly as the contiguous `whole`: equality,
+    /// commitment, leaves, every chunk, the decode and the snapshot file.
+    fn assert_reads_as(image: &SnapshotImage, whole: &SnapshotImage, case: &str) {
+        assert_eq!(image, whole, "{case}");
+        assert_eq!(image.commitment(), whole.commitment(), "{case}");
+        assert_eq!(image.leaves(), whole.leaves(), "{case}");
+        assert_eq!(image.total_len(), whole.total_len(), "{case}");
+        assert_eq!(image.bytes(), whole.bytes(), "{case}");
+        for index in 0..=whole.leaves().len() as u32 {
+            assert_eq!(
+                image.chunk(index),
+                whole.chunk(index),
+                "{case}: chunk {index}"
+            );
+        }
+        assert_eq!(image.decode(), whole.decode(), "{case}");
+        let file = |image: &SnapshotImage| {
+            SealedSnapshot {
+                image: Arc::new(image.clone()),
+                proof: Vec::new(),
+            }
+            .to_bytes()
+        };
+        assert_eq!(file(image), file(whole), "{case}");
+    }
+
+    #[test]
+    fn parts_read_as_the_contiguous_encoding() {
+        const CHUNK: u32 = 4 * LEAF_BLOCK_BYTES as u32;
+        let bytes = filler(5 * CHUNK as usize + 300);
+        let len = bytes.len();
+        let (whole, _) = SnapshotImage::of_encoded(SeqNum(1), bytes.clone().into(), CHUNK, None);
+        // Inside a block, on a block boundary, on a chunk boundary, at the
+        // ends (an empty first or last part), twice at one offset (an empty
+        // middle part), and at random offsets.
+        let mut cases: Vec<Vec<usize>> = [0, 1, 700, 1024, 3 * 1024, 4096, 8193, len - 1, len]
+            .iter()
+            .map(|&cut| vec![cut])
+            .collect();
+        cases.extend([vec![20, 20], vec![0, len], vec![1024, 4096, 4097]]);
+        let mut rng = xft_simnet::SimRng::seed_from_u64(52);
+        for _ in 0..24 {
+            let mut cuts: Vec<usize> = (0..3).map(|_| rng.next_u64() as usize % len).collect();
+            cuts.sort_unstable();
+            cases.push(cuts);
+        }
+        for cuts in cases {
+            let case = format!("cuts {cuts:?}");
+            let (parts, stats) = image_of_parts(&bytes, &cuts, CHUNK, None);
+            assert_eq!(stats.blocks_rehashed, stats.blocks_total, "{case}");
+            assert_reads_as(&parts, &whole, &case);
+            // Either layout is a full memo for the other.
+            let (memoized, stats) = image_of_parts(&bytes, &cuts, CHUNK, Some(&whole));
+            assert_eq!(stats.blocks_rehashed, 0, "{case}");
+            assert_reads_as(&memoized, &whole, &case);
+            let (memoized, stats) =
+                SnapshotImage::of_encoded(SeqNum(1), bytes.clone().into(), CHUNK, Some(&parts));
+            assert_eq!(stats.blocks_rehashed, 0, "{case}");
+            assert_reads_as(&memoized, &whole, &case);
+        }
+    }
+
+    #[test]
+    fn a_capture_reads_as_its_wire_encoding() {
+        const CHUNK: u32 = 4 * LEAF_BLOCK_BYTES as u32;
+        // The application bytes start behind the 20-byte head. They are
+        // empty, shorter than a block, end inside a block, end on a block
+        // boundary, end on a chunk boundary, or span several chunks.
+        for app_len in [0, 100, 1500, 1024 - 20, 4096 - 20, 2 * 4096 + 7] {
+            let mut snap = snapshot();
+            snap.app = filler(app_len).into();
+            let (image, _) = SnapshotImage::capture(&snap, CHUNK, None);
+            let (whole, _) =
+                SnapshotImage::of_encoded(snap.sn, snap.wire_bytes().into(), CHUNK, None);
+            let case = format!("app of {app_len} bytes");
+            assert_reads_as(&image, &whole, &case);
+            assert_eq!(image.decode(), Some(snap), "{case}");
         }
     }
 

@@ -399,7 +399,7 @@ impl Replica {
         let mut response = StateChunkResponseMsg {
             sn,
             chunk_bytes: image.chunk_bytes(),
-            total_len: image.bytes().len() as u64,
+            total_len: image.total_len(),
             root: image.root(),
             index,
             data,
@@ -712,7 +712,7 @@ mod tests {
         let m = StateChunkResponseMsg {
             sn: s.sn(),
             chunk_bytes: image.chunk_bytes(),
-            total_len: image.bytes().len() as u64,
+            total_len: image.total_len(),
             root: image.root(),
             index,
             data: image.chunk(index).unwrap_or_default(),

@@ -41,11 +41,14 @@ pub trait StateMachine: Send {
     /// with the same `snapshot()` and [`StateMachine::state_digest`] — a
     /// replica adopting a snapshot checks the former.
     ///
-    /// An implementation may keep its encoding between calls and bring it up
-    /// to date on the next one (the coordination service rewrites only what
-    /// changed), but must return bytes equal to a from-scratch encoding of
-    /// its current state. A caller that drops the returned bytes before the
-    /// next call lets such an implementation write its kept buffer in place.
+    /// An implementation may keep its encodings between calls and bring one
+    /// up to date on a later call (the coordination service keeps its last
+    /// two and rewrites only what changed), but must return bytes equal to a
+    /// from-scratch encoding of its current state, and must never write
+    /// under bytes a caller still holds. A replica holds only the latest
+    /// call's bytes (in the previous checkpoint's image) by the time it
+    /// calls again, which lets such an implementation write the buffer of
+    /// two calls back in place.
     fn snapshot(&self) -> Bytes;
 
     /// Replaces the service state with a previously captured snapshot.

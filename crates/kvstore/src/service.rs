@@ -4,31 +4,41 @@
 use crate::ops::{KvOp, KvResult};
 use crate::tree::{encode_entry, TreeError, ZNodeTree};
 use bytes::{BufMut, Bytes};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use xft_core::state_machine::StateMachine;
 use xft_crypto::Digest;
 use xft_wire::{WireDecode, WireEncode};
 
 /// The coordination service state machine.
 ///
-/// Its [`StateMachine::snapshot`] costs what changed since the previous
-/// call: the service keeps the encoding it last returned and rewrites in
-/// place only the entries of nodes whose version moved, plus the header.
-/// The bytes always equal a from-scratch encoding of `(applied, tree)`.
+/// Its [`StateMachine::snapshot`] costs what changed, and returns bytes no
+/// later call writes while anyone else holds them. The service keeps the
+/// encoding it returned last and the one it returned before that. A call
+/// refreshes the *older* one and returns it: it rewrites the entries of
+/// nodes whose version moved since that encoding was taken, plus the
+/// header. A replica holds the previous checkpoint's image, which shares
+/// the newer encoding, and has dropped the one before, so the older buffer
+/// is written in place; if anything still holds it, the refresh copies it
+/// first ([`Bytes::make_mut`]). The bytes always equal a from-scratch
+/// encoding of `(applied, tree)`.
 #[derive(Debug, Clone, Default)]
 pub struct CoordinationService {
     tree: ZNodeTree,
     applied: u64,
-    /// The encoding the last `snapshot()` returned, refreshed by the next.
+    /// The encodings the last two `snapshot()` calls returned, the older
+    /// first; the next call refreshes the older one.
     ///
-    /// Invariant: a node whose version did not move since the encoding was
+    /// Invariant: a node whose version did not move since an encoding was
     /// taken still encodes to the same bytes. [`ZNodeTree::set`] is the only
     /// in-place mutation of a node and always bumps its version; every other
-    /// change drops the cache — `Create` (even a failing sequential one has
-    /// bumped its parent's counter), `Delete`, `ExpireSession`, a `Put` that
-    /// creates, `restore` and `reset`. A write that resizes a node moves the
-    /// layout, which the refresh detects and answers with a full encoding.
-    encoded: RefCell<Option<Encoded>>,
+    /// change forgets both encodings — `Create` (even a failing sequential
+    /// one has bumped its parent's counter), `Delete`, `ExpireSession`, a
+    /// `Put` that creates, `restore` and `reset`. A write that resizes a
+    /// node moves the layout, which the refresh detects and answers with a
+    /// full encoding.
+    encoded: RefCell<[Option<Encoded>; 2]>,
+    /// `snapshot()` calls that refreshed a kept encoding in place.
+    refreshed_in_place: Cell<u64>,
 }
 
 /// A kept snapshot encoding and, per node in path order, where its entry
@@ -36,7 +46,9 @@ pub struct CoordinationService {
 #[derive(Debug, Clone)]
 struct Encoded {
     bytes: Bytes,
-    entries: Vec<EntryAt>,
+    /// `None` once the encoding is forgotten: the buffer is then kept only
+    /// so that the next full encoding can reuse its allocation.
+    entries: Option<Vec<EntryAt>>,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -50,11 +62,17 @@ struct EntryAt {
 const TREE_AT: usize = 8;
 
 impl Encoded {
-    /// Encodes `(applied, tree)` from scratch (one pass into one buffer of
-    /// exact capacity: at a few megabytes of state, growing a vector and
-    /// copying it behind the prefix costs more than the encoding itself).
-    fn new(applied: u64, tree: &ZNodeTree) -> Self {
-        let mut out = Vec::with_capacity(TREE_AT + tree.encoded_len());
+    /// Encodes `(applied, tree)` from scratch, in one pass into one buffer
+    /// of exact capacity: at a few megabytes of state, growing a vector and
+    /// copying it behind the prefix costs more than the encoding itself.
+    /// The buffer is `spare`'s allocation when nothing else holds it (its
+    /// pages are already mapped), a fresh one otherwise.
+    fn new(applied: u64, tree: &ZNodeTree, spare: Option<Bytes>) -> Self {
+        let mut out = spare
+            .and_then(|b| b.try_into_vec().ok())
+            .unwrap_or_default();
+        out.clear();
+        out.reserve_exact(TREE_AT + tree.encoded_len());
         (applied, tree).encode_into(&mut out);
         let entries = tree
             .entries()
@@ -66,33 +84,30 @@ impl Encoded {
             .collect();
         Encoded {
             bytes: Bytes::from(out),
-            entries,
+            entries: Some(entries),
         }
     }
 
-    /// Brings the encoding up to `(applied, tree)` in place: the header
-    /// (`applied` and the zxid) and each entry whose version moved.
-    /// Returns `false`, with no byte written, when the layout moved (the
-    /// node count or a data length differs); the caller then encodes anew.
+    /// Brings the encoding up to `(applied, tree)`: the header (`applied`
+    /// and the zxid) and each entry whose version moved, written as the
+    /// walk finds it. Returns `false` when the encoding was forgotten or
+    /// the layout moved (the node count or a data length differs); the
+    /// bytes are then stale and the caller encodes anew.
     fn refresh(&mut self, applied: u64, tree: &ZNodeTree) -> bool {
-        if tree.len() != self.entries.len() {
+        let Some(entries) = self.entries.as_mut().filter(|e| e.len() == tree.len()) else {
             return false;
-        }
-        let mut dirty = Vec::new();
-        for ((_, path, node), kept) in tree.entries().zip(&mut self.entries) {
+        };
+        let buf = self.bytes.make_mut();
+        for ((_, path, node), kept) in tree.entries().zip(entries) {
             if node.data.len() != kept.data_len {
                 return false;
             }
             if node.version != kept.version {
                 kept.version = node.version;
-                dirty.push((kept.offset, path, node));
+                encode_entry(path, node, &mut Overwrite(&mut buf[kept.offset..]));
             }
         }
-        let buf = self.bytes.make_mut();
         (applied, tree.zxid()).encode_into(&mut Overwrite(&mut buf[..TREE_AT + 8]));
-        for (offset, path, node) in dirty {
-            encode_entry(path, node, &mut Overwrite(&mut buf[offset..]));
-        }
         true
     }
 }
@@ -203,10 +218,20 @@ impl CoordinationService {
         self.applied
     }
 
-    /// Forgets the kept snapshot encoding: the next `snapshot()` encodes
-    /// from scratch.
+    /// How many `snapshot()` calls refreshed a kept encoding in place:
+    /// they neither copied it (something else still held it) nor encoded
+    /// anew. With a replica's retention that is every call but the first
+    /// two and those after a change that forgets the encodings.
+    pub fn snapshots_refreshed_in_place(&self) -> u64 {
+        self.refreshed_in_place.get()
+    }
+
+    /// Forgets both kept snapshot encodings: the next two `snapshot()`
+    /// calls encode from scratch (into the kept buffers when unshared).
     fn drop_encoding(&mut self) {
-        *self.encoded.get_mut() = None;
+        for encoded in self.encoded.get_mut().iter_mut().flatten() {
+            encoded.entries = None;
+        }
     }
 }
 
@@ -251,13 +276,28 @@ impl StateMachine for CoordinationService {
 
     fn snapshot(&self) -> Bytes {
         let mut kept = self.encoded.borrow_mut();
-        let encoded = kept
-            .take()
-            .and_then(|mut e| e.refresh(self.applied, &self.tree).then_some(e))
-            .unwrap_or_else(|| Encoded::new(self.applied, &self.tree));
-        let bytes = kept.insert(encoded).bytes.clone();
+        let [older, newer] = &mut *kept;
+        let mut encoded = older.take();
+        let at = encoded.as_ref().map(|e| e.bytes.as_ptr());
+        let refreshed = encoded
+            .as_mut()
+            .is_some_and(|e| e.refresh(self.applied, &self.tree));
+        let encoded = match encoded {
+            Some(e) if refreshed => {
+                // A copy is made while its source is still held, so it
+                // never lands at the source's address.
+                if Some(e.bytes.as_ptr()) == at {
+                    self.refreshed_in_place
+                        .set(self.refreshed_in_place.get() + 1);
+                }
+                e
+            }
+            stale => Encoded::new(self.applied, &self.tree, stale.map(|e| e.bytes)),
+        };
+        let bytes = encoded.bytes.clone();
+        *older = newer.replace(encoded);
         debug_assert!(
-            bytes == Encoded::new(self.applied, &self.tree).bytes,
+            bytes == Encoded::new(self.applied, &self.tree, None).bytes,
             "the kept snapshot encoding differs from a from-scratch encoding"
         );
         bytes

@@ -9,6 +9,8 @@
 //! * the coordination service's kept snapshot encoding equals a
 //!   from-scratch encoding after every kind of operation, a clone, a
 //!   restore and a reset;
+//! * an image keeps its bytes while the service refreshes the encoding it
+//!   shares, and with a replica's retention the refresh writes in place;
 //! * the number of blocks re-hashed is bounded by what changed — asserted as
 //!   a count, which repeats exactly, not as a time;
 //! * a running replica never calls `state_digest` to checkpoint.
@@ -270,6 +272,88 @@ fn kept_snapshot_encoding_equals_the_reference_encoding() {
         }
         snapshot_is_current(&sparse, "the last operation")
     });
+}
+
+/// Satellite: a held image never changes. The service refreshes the
+/// encoding it returned two calls back, and an image shares the bytes it
+/// was handed. While every image is held, each refresh must copy: the held
+/// images keep the bytes and commitment of a from-scratch capture of their
+/// own state. With a replica's retention — the previous image held, the
+/// one before it dropped — the refresh writes in place: the service hands
+/// back the very buffer of two calls back, and counts the refresh.
+#[test]
+fn a_held_image_never_changes() {
+    const CHUNK: u32 = 4_096;
+    const INTERVAL: u64 = 16;
+    let mut svc = service_with_dir();
+    let put = |svc: &mut CoordinationService, key: u64, fill: u8| {
+        svc.apply_op(&KvOp::Put {
+            path: format!("/k{key:02}"),
+            data: Bytes::from(vec![fill; VALUE_BYTES]),
+        });
+    };
+    for key in 0..64 {
+        put(&mut svc, key, 0);
+    }
+    // The image of `svc` at `round`, where its application bytes live, and
+    // the image of the from-scratch encoding of the same state.
+    let capture = |svc: &CoordinationService, round: u64, memo: Option<&SnapshotImage>| {
+        let sn = round * INTERVAL;
+        let snapshot = snapshot_at(svc, sn, INTERVAL);
+        let at = snapshot.app.as_ptr();
+        let (image, _) = SnapshotImage::capture(&snapshot, CHUNK, memo);
+        let mut scratch = snapshot;
+        scratch.app = reference_encoding(svc).into();
+        (image, at, SnapshotImage::capture(&scratch, CHUNK, None).0)
+    };
+
+    let mut held: Vec<(SnapshotImage, SnapshotImage)> = Vec::new();
+    let mut ats = Vec::new();
+    for round in 1..=5u64 {
+        for key in (round..64).step_by(3) {
+            put(&mut svc, key, round as u8);
+        }
+        let (image, at, scratch) = capture(&svc, round, held.last().map(|(image, _)| image));
+        ats.push(at);
+        held.push((image, scratch));
+        for (i, (image, scratch)) in held.iter().enumerate() {
+            assert_eq!(image.bytes(), scratch.bytes(), "round {round}: image {i}");
+            assert_eq!(
+                image.commitment(),
+                scratch.commitment(),
+                "round {round}: image {i}"
+            );
+        }
+    }
+    // Every buffer was still held, so none was written twice.
+    for (round, pair) in ats.windows(3).enumerate() {
+        assert_ne!(
+            pair[2],
+            pair[0],
+            "round {}: written under a held image",
+            round + 3
+        );
+    }
+    assert_eq!(svc.snapshots_refreshed_in_place(), 0);
+
+    let mut previous = held.pop().map(|(image, _)| image);
+    drop(held);
+    let mut ats = ats[ats.len() - 2..].to_vec();
+    for round in 6..=10u64 {
+        for key in (round..64).step_by(5) {
+            put(&mut svc, key, round as u8);
+        }
+        let (image, at, scratch) = capture(&svc, round, previous.as_ref());
+        assert_eq!(image, scratch, "round {round}");
+        assert_eq!(
+            at,
+            ats[ats.len() - 2],
+            "round {round}: not refreshed in place"
+        );
+        assert_eq!(svc.snapshots_refreshed_in_place(), round - 5);
+        ats.push(at);
+        previous = Some(image);
+    }
 }
 
 /// The replica snapshot a checkpoint at `sn` would capture around `svc`:
