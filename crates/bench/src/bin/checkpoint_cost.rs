@@ -4,17 +4,30 @@
 //! since the previous checkpoint.
 //!
 //! A capture is `StateMachine::snapshot()` plus `SnapshotImage::capture`
-//! (encode, compare with the previous image, hash what differs). The
-//! service keeps its snapshot encoding between calls, so `snapshot()` is a
-//! refresh: it rewrites the entries whose version moved. Rows:
+//! (encode the head and the tail around the application bytes, compare
+//! with the previous image, hash what differs). The service keeps the
+//! encodings it returned the last two times, so `snapshot()` is a refresh
+//! of the older one: it rewrites the entries whose version moved since
+//! that encoding was taken. Rows:
 //!
 //! * `128 keys dirty` — the lone-client interval (128 one-op batches);
 //! * `every key dirty` — the saturated interval (~30 000 ops over 4 096 keys);
-//! * `one resizing put` — a layout shift: every block behind it moves, and
-//!   the service encodes from scratch;
-//! * `128 keys dirty + a create` — a create drops the kept encoding, so the
-//!   refresh is a full encoding;
+//! * `every key dirty + a create` — the same state encoded from scratch (a
+//!   create forgets the kept encodings): the streaming encode the
+//!   entry-by-entry refresh of the row above competes with;
+//! * `one resizing put` — a layout shift against the previous image: every
+//!   block behind it moves. The put alternates two sizes, so the encoding
+//!   the service refreshes (two calls back) has the current layout;
+//! * `128 keys dirty + a create` — a create forgets the kept encodings, so
+//!   the refresh is a full encoding (into the older buffer's allocation);
 //! * `no previous image` — the first capture after a restart.
+//!
+//! Each capture holds the previous image and drops the one before, as a
+//! replica does. The `app in place` column counts the captures whose
+//! `snapshot()` refreshed the buffer it returned two calls back in place
+//! (`CoordinationService::snapshots_refreshed_in_place`), rather than
+//! copying it or encoding anew; `scripts/ci.sh` fails if the
+//! `128 keys dirty` row has fewer than rounds − 2 of them.
 //!
 //! Every round is also checked: the captured image's commitment must equal
 //! that of a memo-less capture of the from-scratch encoding (`applied`,
@@ -112,7 +125,7 @@ fn main() {
     let state_bytes = svc.snapshot().len();
 
     type Dirty = fn(&mut CoordinationService, u64);
-    let scenarios: [(&str, bool, Dirty); 5] = [
+    let scenarios: [(&str, bool, Dirty); 6] = [
         ("128 keys dirty", true, |svc, round| {
             for i in 0..INTERVAL {
                 put(svc, (round * 977 + i * 31) % KEYS, round as u8, 1024);
@@ -122,6 +135,17 @@ fn main() {
             for key in 0..KEYS {
                 put(svc, key, round as u8, 1024);
             }
+        }),
+        ("every key dirty + a create", true, |svc, round| {
+            for key in 0..KEYS {
+                put(svc, key, round as u8, 1024);
+            }
+            svc.apply_op(&KvOp::Create {
+                path: format!("/bench/z{round:05}"),
+                data: Bytes::new(),
+                ephemeral_owner: None,
+                sequential: false,
+            });
         }),
         ("one resizing put", true, |svc, round| {
             put(svc, 0, round as u8, 1000 + (round % 2) as usize * 24);
@@ -152,6 +176,7 @@ fn main() {
         let (mut memo, ..) = capture(&svc, INTERVAL, None);
         let (mut snap_ms, mut image_ms, mut total_ms) = (Vec::new(), Vec::new(), Vec::new());
         let mut commitments = Vec::new();
+        let in_place_before = svc.snapshots_refreshed_in_place();
         let mut last = None;
         for round in 1..=rounds {
             dirty(&mut svc, round);
@@ -172,6 +197,7 @@ fn main() {
                 "{label}, round {round}: the capture differs from one of the from-scratch encoding"
             );
         }
+        let in_place = svc.snapshots_refreshed_in_place() - in_place_before;
         let stats = last.expect("at least one round");
         rows.push(vec![
             label.to_string(),
@@ -179,6 +205,7 @@ fn main() {
             f2(median(snap_ms)),
             f2(median(image_ms)),
             f2(median(total_ms)),
+            format!("{in_place} / {rounds}"),
         ]);
     }
     println!(
@@ -193,7 +220,8 @@ fn main() {
                 "blocks re-hashed",
                 "snapshot() refresh",
                 "image",
-                "capture"
+                "capture",
+                "app in place"
             ],
             &rows,
         )

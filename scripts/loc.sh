@@ -1,8 +1,12 @@
 #!/usr/bin/env bash
-# Non-test line counts: every `.rs` file under `crates/*/src` counts up to
-# its first `#[cfg(test)]` line (files under `tests/` are all test code and
-# are not counted). Prints one line per crate, one for the replica module
-# (`crates/core/src/replica/`) and the total.
+# Non-test line counts: every `.rs` file under `crates/*/src` counts all its
+# lines except each `#[cfg(test)]` item — the attribute line and the item
+# it applies to, up to its matching closing brace (or, for a one-line item,
+# its closing `;` or `,`). Files under `tests/` are all test code and are
+# not counted. Braces are counted naively, so an unbalanced brace in a
+# string or char literal inside a test item miscounts. Prints one line per
+# crate, one for the replica module (`crates/core/src/replica/`) and the
+# total.
 #
 # Usage: scripts/loc.sh [repo-root]   (default: the repository this script
 # lives in)
@@ -13,9 +17,18 @@ cd "$root"
 count() {
   find "$@" -name '*.rs' -print0 | sort -z |
     xargs -0 -r awk '
-      FNR == 1 { done = 0 }
-      /^[[:space:]]*#\[cfg\(test\)\]/ { done = 1 }
-      !done { n++ }
+      FNR == 1 { skip = 0 }
+      /^[[:space:]]*#\[cfg\(test\)\]/ { skip = 1; depth = 0; opened = 0; next }
+      skip {
+        line = $0
+        o = gsub(/\{/, "", line)
+        c = gsub(/\}/, "", line)
+        depth += o - c
+        if (o > 0) opened = 1
+        if ((opened && depth <= 0) || (!opened && $0 ~ /[;,][[:space:]]*$/)) skip = 0
+        next
+      }
+      { n++ }
       END { print n + 0 }'
 }
 
