@@ -19,7 +19,7 @@
 //!   block behind it moves. The put alternates two sizes, so the encoding
 //!   the service refreshes (two calls back) has the current layout;
 //! * `128 keys dirty + a create` — a create forgets the kept encodings, so
-//!   the refresh is a full encoding (into the older buffer's allocation);
+//!   `snapshot()` is a full encoding;
 //! * `no previous image` — the first capture after a restart.
 //!
 //! Each capture holds the previous image and drops the one before, as a

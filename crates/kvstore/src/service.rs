@@ -65,14 +65,17 @@ impl Encoded {
     /// Encodes `(applied, tree)` from scratch, in one pass into one buffer
     /// of exact capacity: at a few megabytes of state, growing a vector and
     /// copying it behind the prefix costs more than the encoding itself.
-    /// The buffer is `spare`'s allocation when nothing else holds it (its
-    /// pages are already mapped), a fresh one otherwise.
+    /// The buffer is `spare`'s allocation when nothing else holds it and
+    /// it is large enough (its pages are already mapped). Otherwise the
+    /// spare is freed before a fresh buffer is allocated: growing it in
+    /// place would hold both at once and raise the peak resident set.
     fn new(applied: u64, tree: &ZNodeTree, spare: Option<Bytes>) -> Self {
+        let len = TREE_AT + tree.encoded_len();
         let mut out = spare
             .and_then(|b| b.try_into_vec().ok())
-            .unwrap_or_default();
+            .filter(|v| v.capacity() >= len)
+            .unwrap_or_else(|| Vec::with_capacity(len));
         out.clear();
-        out.reserve_exact(TREE_AT + tree.encoded_len());
         (applied, tree).encode_into(&mut out);
         let entries = tree
             .entries()
