@@ -230,7 +230,8 @@ impl CoordinationService {
     }
 
     /// Forgets both kept snapshot encodings: the next two `snapshot()`
-    /// calls encode from scratch (into the kept buffers when unshared).
+    /// calls encode from scratch, into the kept buffers when they are
+    /// unshared and large enough.
     fn drop_encoding(&mut self) {
         for encoded in self.encoded.get_mut().iter_mut().flatten() {
             encoded.entries = None;
