@@ -135,24 +135,6 @@ impl Bytes {
         }
     }
 
-    /// The allocation as a vector, without copying, when this handle is the
-    /// only one to a whole heap allocation (the case [`make_mut`] writes in
-    /// place); `self` back unchanged otherwise. Mirrors the real crate's
-    /// `try_into_mut`, so a caller can reuse a buffer it no longer shares.
-    ///
-    /// [`make_mut`]: Bytes::make_mut
-    pub fn try_into_vec(self) -> Result<Vec<u8>, Bytes> {
-        match self.storage {
-            Storage::Shared(v) if self.start == 0 && self.end == v.len() => Arc::try_unwrap(v)
-                .map_err(|v| Bytes {
-                    storage: Storage::Shared(v),
-                    start: self.start,
-                    end: self.end,
-                }),
-            storage => Err(Bytes { storage, ..self }),
-        }
-    }
-
     fn as_slice(&self) -> &[u8] {
         match &self.storage {
             Storage::Static(s) => &s[self.start..self.end],
@@ -441,30 +423,6 @@ mod tests {
         b.make_mut()[0] = 9;
         assert_eq!(b.as_ptr(), before, "a unique handle is not copied");
         assert_eq!(&b[..], &[9, 2, 3]);
-    }
-
-    #[test]
-    fn try_into_vec_takes_only_a_unique_whole_allocation() {
-        let b = Bytes::from(vec![1u8, 2, 3]);
-        let at = b.as_ptr();
-        let v = b.try_into_vec().expect("a unique handle");
-        assert_eq!((v.as_ptr(), &v[..]), (at, &[1u8, 2, 3][..]));
-
-        // A live clone, a slice and a static view come back unchanged.
-        let b = Bytes::from(vec![1u8, 2, 3]);
-        let kept = b.clone();
-        let b = b.try_into_vec().expect_err("shared");
-        assert_eq!((b.as_ptr(), &b[..]), (kept.as_ptr(), &[1u8, 2, 3][..]));
-        drop(kept);
-        let part = b.slice(1..);
-        drop(b);
-        assert_eq!(&part.try_into_vec().expect_err("a slice")[..], &[2, 3]);
-        assert_eq!(
-            &Bytes::from_static(b"ab")
-                .try_into_vec()
-                .expect_err("static")[..],
-            b"ab"
-        );
     }
 
     #[test]

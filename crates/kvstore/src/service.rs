@@ -46,9 +46,7 @@ pub struct CoordinationService {
 #[derive(Debug, Clone)]
 struct Encoded {
     bytes: Bytes,
-    /// `None` once the encoding is forgotten: the buffer is then kept only
-    /// so that the next full encoding can reuse its allocation.
-    entries: Option<Vec<EntryAt>>,
+    entries: Vec<EntryAt>,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -62,20 +60,11 @@ struct EntryAt {
 const TREE_AT: usize = 8;
 
 impl Encoded {
-    /// Encodes `(applied, tree)` from scratch, in one pass into one buffer
-    /// of exact capacity: at a few megabytes of state, growing a vector and
-    /// copying it behind the prefix costs more than the encoding itself.
-    /// The buffer is `spare`'s allocation when nothing else holds it and
-    /// it is large enough (its pages are already mapped). Otherwise the
-    /// spare is freed before a fresh buffer is allocated: growing it in
-    /// place would hold both at once and raise the peak resident set.
-    fn new(applied: u64, tree: &ZNodeTree, spare: Option<Bytes>) -> Self {
-        let len = TREE_AT + tree.encoded_len();
-        let mut out = spare
-            .and_then(|b| b.try_into_vec().ok())
-            .filter(|v| v.capacity() >= len)
-            .unwrap_or_else(|| Vec::with_capacity(len));
-        out.clear();
+    /// Encodes `(applied, tree)` from scratch (one pass into one buffer of
+    /// exact capacity: at a few megabytes of state, growing a vector and
+    /// copying it behind the prefix costs more than the encoding itself).
+    fn new(applied: u64, tree: &ZNodeTree) -> Self {
+        let mut out = Vec::with_capacity(TREE_AT + tree.encoded_len());
         (applied, tree).encode_into(&mut out);
         let entries = tree
             .entries()
@@ -87,24 +76,26 @@ impl Encoded {
             .collect();
         Encoded {
             bytes: Bytes::from(out),
-            entries: Some(entries),
+            entries,
         }
     }
 
     /// Brings the encoding up to `(applied, tree)`: the header (`applied`
     /// and the zxid) and each entry whose version moved, written as the
-    /// walk finds it. Returns `false` when the encoding was forgotten or
-    /// the layout moved (the node count or a data length differs); the
-    /// bytes are then stale and the caller encodes anew.
+    /// walk finds it. Returns `false`, with no byte written (and so no
+    /// copy of a shared buffer made), when the layout moved (the node
+    /// count or a data length differs); the caller then encodes anew.
     fn refresh(&mut self, applied: u64, tree: &ZNodeTree) -> bool {
-        let Some(entries) = self.entries.as_mut().filter(|e| e.len() == tree.len()) else {
+        let same_layout = tree.len() == self.entries.len()
+            && tree
+                .entries()
+                .zip(&self.entries)
+                .all(|((_, _, node), kept)| node.data.len() == kept.data_len);
+        if !same_layout {
             return false;
-        };
+        }
         let buf = self.bytes.make_mut();
-        for ((_, path, node), kept) in tree.entries().zip(entries) {
-            if node.data.len() != kept.data_len {
-                return false;
-            }
+        for ((_, path, node), kept) in tree.entries().zip(&mut self.entries) {
             if node.version != kept.version {
                 kept.version = node.version;
                 encode_entry(path, node, &mut Overwrite(&mut buf[kept.offset..]));
@@ -230,12 +221,9 @@ impl CoordinationService {
     }
 
     /// Forgets both kept snapshot encodings: the next two `snapshot()`
-    /// calls encode from scratch, into the kept buffers when they are
-    /// unshared and large enough.
+    /// calls encode from scratch.
     fn drop_encoding(&mut self) {
-        for encoded in self.encoded.get_mut().iter_mut().flatten() {
-            encoded.entries = None;
-        }
+        *self.encoded.get_mut() = [None, None];
     }
 }
 
@@ -281,27 +269,26 @@ impl StateMachine for CoordinationService {
     fn snapshot(&self) -> Bytes {
         let mut kept = self.encoded.borrow_mut();
         let [older, newer] = &mut *kept;
-        let mut encoded = older.take();
-        let at = encoded.as_ref().map(|e| e.bytes.as_ptr());
-        let refreshed = encoded
-            .as_mut()
-            .is_some_and(|e| e.refresh(self.applied, &self.tree));
-        let encoded = match encoded {
-            Some(e) if refreshed => {
+        let encoded = older
+            .take()
+            .and_then(|mut e| {
+                let at = e.bytes.as_ptr();
+                if !e.refresh(self.applied, &self.tree) {
+                    return None;
+                }
                 // A copy is made while its source is still held, so it
                 // never lands at the source's address.
-                if Some(e.bytes.as_ptr()) == at {
+                if e.bytes.as_ptr() == at {
                     self.refreshed_in_place
                         .set(self.refreshed_in_place.get() + 1);
                 }
-                e
-            }
-            stale => Encoded::new(self.applied, &self.tree, stale.map(|e| e.bytes)),
-        };
+                Some(e)
+            })
+            .unwrap_or_else(|| Encoded::new(self.applied, &self.tree));
         let bytes = encoded.bytes.clone();
         *older = newer.replace(encoded);
         debug_assert!(
-            bytes == Encoded::new(self.applied, &self.tree, None).bytes,
+            bytes == Encoded::new(self.applied, &self.tree).bytes,
             "the kept snapshot encoding differs from a from-scratch encoding"
         );
         bytes
@@ -491,6 +478,33 @@ mod tests {
         assert!(!restored.restore(b"????"));
         assert!(!restored.restore(&blob[..blob.len() - 1]));
         assert_eq!(restored.state_digest(), before);
+    }
+
+    #[test]
+    fn a_refresh_that_finds_the_layout_moved_writes_nothing() {
+        let mut svc = CoordinationService::new();
+        for path in ["/a", "/b"] {
+            svc.apply_op(&KvOp::Put {
+                path: path.into(),
+                data: Bytes::from_static(b"x"),
+            });
+        }
+        let mut encoded = Encoded::new(svc.applied(), svc.tree());
+        let held = encoded.bytes.clone();
+        // `/a`'s entry is dirty and comes before `/b`, whose size moved.
+        for (path, data) in [("/a", &b"y"[..]), ("/b", &b"longer"[..])] {
+            svc.apply_op(&KvOp::SetData {
+                path: path.into(),
+                data: Bytes::from_static(data),
+            });
+        }
+        assert!(!encoded.refresh(svc.applied(), svc.tree()));
+        assert_eq!(
+            encoded.bytes.as_ptr(),
+            held.as_ptr(),
+            "a refresh that fails does not copy the shared buffer"
+        );
+        assert_eq!(encoded.bytes, held);
     }
 
     #[test]
