@@ -10,6 +10,15 @@ cd "$(dirname "$0")/.."
 
 echo "==> non-test lines per crate (scripts/loc.sh; reported, not gated)"
 scripts/loc.sh
+# The counting rule itself is gated on a fixture of test-only items laid
+# out as rustfmt writes them; its non-test lines are marked (see its header).
+fixture=scripts/loc-fixture/crates/core/src/replica/cases.rs
+want=$(grep -cE '^(//.*)?$|// counted$' "$fixture")
+got=$(scripts/loc.sh scripts/loc-fixture | awk '$1 == "total" { print $2 }')
+if [ "$got" != "$want" ]; then
+    echo "scripts/loc.sh counts $got non-test lines in $fixture, expected $want" >&2
+    exit 1
+fi
 
 echo "==> formatting is canonical (cargo fmt --check)"
 cargo fmt --all -- --check
