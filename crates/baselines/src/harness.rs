@@ -4,6 +4,7 @@
 use crate::engine::{BaselineClient, BaselineConfig, BaselineNode, BaselineReplica};
 use crate::spec::BaselineProtocol;
 use std::collections::BTreeMap;
+use xft_core::harness::LatencySpec;
 use xft_core::state_machine::{NullService, StateMachine};
 use xft_core::types::ClientId;
 use xft_crypto::{CostModel, Digest};
@@ -26,6 +27,22 @@ pub enum BaselineLatency {
         /// Region of every client.
         client_region: Region,
     },
+}
+
+impl From<LatencySpec> for BaselineLatency {
+    fn from(spec: LatencySpec) -> Self {
+        match spec {
+            LatencySpec::Constant(d) => BaselineLatency::Constant(d),
+            LatencySpec::Uniform(lo, hi) => BaselineLatency::Uniform(lo, hi),
+            LatencySpec::Ec2 {
+                replica_regions,
+                client_region,
+            } => BaselineLatency::Ec2 {
+                replica_regions,
+                client_region,
+            },
+        }
+    }
 }
 
 /// Builder for a baseline cluster.
@@ -96,8 +113,8 @@ impl BaselineClusterBuilder {
     }
 
     /// Sets the latency model.
-    pub fn with_latency(mut self, latency: BaselineLatency) -> Self {
-        self.latency = latency;
+    pub fn with_latency(mut self, latency: impl Into<BaselineLatency>) -> Self {
+        self.latency = latency.into();
         self
     }
 
@@ -251,6 +268,64 @@ impl BaselineCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xft_core::harness::LatencySpec;
+    use xft_crypto::CostModel;
+    use xft_simnet::{ec2, Region, SimDuration};
+
+    /// Every protocol under every latency model at one seed, with the paper's
+    /// crypto costs charged, each run's metrics fingerprint pinned: a change
+    /// to how a baseline cluster is built or run that moves its commits, its
+    /// counters or its CPU charges moves a value here.
+    #[test]
+    fn baseline_fingerprint_table() {
+        let pinned: [(BaselineProtocol, [u64; 3]); 4] = [
+            (
+                BaselineProtocol::PaxosWan,
+                [0xda0922d4f480e3d9, 0x4282154b2c963e24, 0x89e536adff768ed7],
+            ),
+            (
+                BaselineProtocol::PbftSpeculative,
+                [0xcdac78ec1658f53a, 0x44ae23ee4aecb0f2, 0x5d9f1c0b40a3f2e7],
+            ),
+            (
+                BaselineProtocol::Zyzzyva,
+                [0xa1570d9044f1b58b, 0x3ef5147314c651e9, 0x1f7325f30309bd17],
+            ),
+            (
+                BaselineProtocol::Zab,
+                [0xa3ce03f9a397c162, 0xd1ec02a5f10ddfad, 0x16977770d8a3b289],
+            ),
+        ];
+        let (mut got, mut want_all) = (Vec::new(), Vec::new());
+        for (protocol, want) in pinned {
+            let latencies = [
+                LatencySpec::Constant(SimDuration::from_millis(5)),
+                LatencySpec::Uniform(SimDuration::from_millis(2), SimDuration::from_millis(8)),
+                LatencySpec::Ec2 {
+                    replica_regions: ec2::table4_placement(protocol.spec(1).n),
+                    client_region: Region::UsWestCA,
+                },
+            ];
+            for (latency, want) in latencies.into_iter().zip(want) {
+                let label = format!("{protocol:?} on {latency:?}");
+                let mut cluster = BaselineClusterBuilder::new(protocol, 1, 2)
+                    .with_seed(7)
+                    .with_payload(256)
+                    .with_requests_limit(15)
+                    .with_cost_model(CostModel::paper_default())
+                    .with_latency(latency)
+                    .build();
+                cluster.run_for(SimDuration::from_secs(20));
+                assert_eq!(cluster.total_committed(), 30, "{label}");
+                got.push(format!(
+                    "{label}: {:#018x}",
+                    cluster.sim.metrics().fingerprint()
+                ));
+                want_all.push(format!("{label}: {want:#018x}"));
+            }
+        }
+        assert_eq!(got, want_all);
+    }
 
     fn run_protocol(protocol: BaselineProtocol) -> (u64, BaselineCluster) {
         let mut cluster = BaselineClusterBuilder::new(protocol, 1, 2)
