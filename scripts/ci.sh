@@ -155,6 +155,32 @@ smoke_pipelined() {
 }
 smoke_pipelined $((20000 + RANDOM % 20000)) || smoke_pipelined $((20000 + RANDOM % 20000))
 
+echo "==> muxed loopback smoke: 3 xpaxos-servers + 1 xpaxos-client --mux 1 for 4 client slots"
+# One client process multiplexes every client slot on one socket: the
+# servers publish the mux address for each slot, and replies are routed to
+# the sub-client their `client` field names.
+smoke_mux() {
+    local base=$1 ops=50
+    local mux="127.0.0.1:$((base + 3))"
+    local addrs="127.0.0.1:${base},127.0.0.1:$((base + 1)),127.0.0.1:$((base + 2))"
+    addrs="${addrs},${mux},${mux},${mux},${mux}"
+    local flags=(--t 1 --clients 4 --addrs "$addrs" --delta-ms 200 --retransmit-ms 1000)
+    local pids=()
+    for id in 0 1 2; do
+        target/release/xpaxos-server --id "$id" "${flags[@]}" --run-secs 120 &
+        pids+=($!)
+    done
+    local ok=0
+    if target/release/xpaxos-client "${flags[@]}" --mux 1 --window 8 --ops "$ops" --payload 256 \
+        --timeout-secs 60; then
+        ok=1
+    fi
+    kill "${pids[@]}" 2>/dev/null || true
+    wait "${pids[@]}" 2>/dev/null || true
+    [ "$ok" = 1 ]
+}
+smoke_mux $((20000 + RANDOM % 20000)) || smoke_mux $((20000 + RANDOM % 20000))
+
 echo "==> kill -9 recovery smoke: restart a server from its --data-dir"
 # 3 servers on durable storage; client 0 commits; replica 1 is killed with
 # SIGKILL and restarted from its data directory; it must log a recovery line
