@@ -10,6 +10,7 @@ use crate::messages::BaselineMsg;
 use crate::spec::{AgreementPattern, ProtocolSpec};
 use bytes::Bytes;
 use std::collections::{BTreeMap, BTreeSet};
+use xft_core::node::Node;
 use xft_core::state_machine::StateMachine;
 use xft_core::types::{Batch, ClientId, Request, SeqNum};
 use xft_crypto::{CryptoOp, Digest};
@@ -483,52 +484,4 @@ impl Actor for BaselineClient {
 }
 
 /// A node of a baseline cluster.
-pub enum BaselineNode {
-    /// A replica.
-    Replica(Box<BaselineReplica>),
-    /// A client.
-    Client(Box<BaselineClient>),
-}
-
-impl BaselineNode {
-    /// The replica, panicking if this node is a client.
-    pub fn replica(&self) -> &BaselineReplica {
-        match self {
-            BaselineNode::Replica(r) => r,
-            BaselineNode::Client(_) => panic!("node is a client"),
-        }
-    }
-
-    /// The client, panicking if this node is a replica.
-    pub fn client(&self) -> &BaselineClient {
-        match self {
-            BaselineNode::Client(c) => c,
-            BaselineNode::Replica(_) => panic!("node is a replica"),
-        }
-    }
-}
-
-impl Actor for BaselineNode {
-    type Msg = BaselineMsg;
-
-    fn on_start(&mut self, ctx: &mut Context<BaselineMsg>) {
-        match self {
-            BaselineNode::Replica(r) => r.on_start(ctx),
-            BaselineNode::Client(c) => c.on_start(ctx),
-        }
-    }
-
-    fn on_message(&mut self, from: NodeId, msg: BaselineMsg, ctx: &mut Context<BaselineMsg>) {
-        match self {
-            BaselineNode::Replica(r) => r.on_message(from, msg, ctx),
-            BaselineNode::Client(c) => c.on_message(from, msg, ctx),
-        }
-    }
-
-    fn on_timer(&mut self, token: u64, ctx: &mut Context<BaselineMsg>) {
-        match self {
-            BaselineNode::Replica(r) => r.on_timer(token, ctx),
-            BaselineNode::Client(c) => c.on_timer(token, ctx),
-        }
-    }
-}
+pub type BaselineNode = Node<BaselineReplica, BaselineClient>;

@@ -1,64 +1,25 @@
-//! Builder for baseline-protocol clusters on the simulator, mirroring the XPaxos
-//! harness so the benchmark code can drive every protocol uniformly.
+//! Builder for baseline-protocol clusters on the simulator. The simulated
+//! deployment is XPaxos's own ([`SimSetup`]), so every protocol of a figure
+//! runs on identical links, and the total-order check is XPaxos's too.
 
 use crate::engine::{BaselineClient, BaselineConfig, BaselineNode, BaselineReplica};
 use crate::spec::BaselineProtocol;
-use std::collections::BTreeMap;
-use xft_core::harness::LatencySpec;
+use xft_core::harness::{check_executed_histories, LatencySpec, SimSetup};
 use xft_core::state_machine::{NullService, StateMachine};
 use xft_core::types::ClientId;
-use xft_crypto::{CostModel, Digest};
-use xft_simnet::{
-    ec2_latency_model, Bandwidth, ConstantLatency, LatencyModel, Region, SimConfig, SimDuration,
-    SimTime, Simulation, UniformLatency,
-};
-
-/// Latency model selection (same shape as the XPaxos harness).
-#[derive(Debug, Clone)]
-pub enum BaselineLatency {
-    /// Constant one-way latency.
-    Constant(SimDuration),
-    /// Uniformly jittered latency.
-    Uniform(SimDuration, SimDuration),
-    /// EC2 regions: one region per replica, all clients in `client_region`.
-    Ec2 {
-        /// Region of each replica.
-        replica_regions: Vec<Region>,
-        /// Region of every client.
-        client_region: Region,
-    },
-}
-
-impl From<LatencySpec> for BaselineLatency {
-    fn from(spec: LatencySpec) -> Self {
-        match spec {
-            LatencySpec::Constant(d) => BaselineLatency::Constant(d),
-            LatencySpec::Uniform(lo, hi) => BaselineLatency::Uniform(lo, hi),
-            LatencySpec::Ec2 {
-                replica_regions,
-                client_region,
-            } => BaselineLatency::Ec2 {
-                replica_regions,
-                client_region,
-            },
-        }
-    }
-}
+use xft_crypto::CostModel;
+use xft_simnet::{Bandwidth, SimDuration, SimTime, Simulation};
 
 /// Builder for a baseline cluster.
 pub struct BaselineClusterBuilder {
     protocol: BaselineProtocol,
     t: usize,
     clients: usize,
-    seed: u64,
+    sim: SimSetup,
     payload_size: usize,
     op_bytes: Option<bytes::Bytes>,
     requests_limit: Option<u64>,
     batch_size: usize,
-    latency: BaselineLatency,
-    uplink: Bandwidth,
-    cost_model: CostModel,
-    trace_messages: bool,
     state_factory: Box<dyn Fn() -> Box<dyn StateMachine>>,
 }
 
@@ -69,22 +30,18 @@ impl BaselineClusterBuilder {
             protocol,
             t,
             clients,
-            seed: 1,
+            sim: SimSetup::default(),
             payload_size: 1024,
             op_bytes: None,
             requests_limit: None,
             batch_size: 20,
-            latency: BaselineLatency::Constant(SimDuration::from_millis(1)),
-            uplink: Bandwidth::UNLIMITED,
-            cost_model: CostModel::free(),
-            trace_messages: false,
             state_factory: Box::new(|| Box::new(NullService::new())),
         }
     }
 
     /// Sets the RNG seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.sim.seed = seed;
         self
     }
 
@@ -113,26 +70,26 @@ impl BaselineClusterBuilder {
     }
 
     /// Sets the latency model.
-    pub fn with_latency(mut self, latency: impl Into<BaselineLatency>) -> Self {
-        self.latency = latency.into();
+    pub fn with_latency(mut self, latency: LatencySpec) -> Self {
+        self.sim.latency = latency;
         self
     }
 
     /// Sets the per-node uplink bandwidth.
     pub fn with_uplink(mut self, uplink: Bandwidth) -> Self {
-        self.uplink = uplink;
+        self.sim.uplink = uplink;
         self
     }
 
     /// Sets the crypto cost model.
     pub fn with_cost_model(mut self, cost_model: CostModel) -> Self {
-        self.cost_model = cost_model;
+        self.sim.cost_model = cost_model;
         self
     }
 
     /// Enables message tracing.
     pub fn with_tracing(mut self, enabled: bool) -> Self {
-        self.trace_messages = enabled;
+        self.sim.trace_messages = enabled;
         self
     }
 
@@ -150,33 +107,7 @@ impl BaselineClusterBuilder {
         let spec = self.protocol.spec(self.t);
         let mut config = BaselineConfig::new(spec, self.clients);
         config.batch_size = self.batch_size;
-
-        let latency: Box<dyn LatencyModel> = match &self.latency {
-            BaselineLatency::Constant(d) => Box::new(ConstantLatency(*d)),
-            BaselineLatency::Uniform(lo, hi) => Box::new(UniformLatency { min: *lo, max: *hi }),
-            BaselineLatency::Ec2 {
-                replica_regions,
-                client_region,
-            } => {
-                assert_eq!(
-                    replica_regions.len(),
-                    spec.n,
-                    "need one region per replica (n = {})",
-                    spec.n
-                );
-                let mut placement = replica_regions.clone();
-                placement.extend(std::iter::repeat_n(*client_region, self.clients));
-                Box::new(ec2_latency_model(&placement))
-            }
-        };
-
-        let sim_config = SimConfig {
-            seed: self.seed,
-            cost_model: self.cost_model,
-            trace_messages: self.trace_messages,
-            ..SimConfig::default()
-        };
-        let mut sim: Simulation<BaselineNode> = Simulation::new(sim_config, latency, self.uplink);
+        let mut sim: Simulation<BaselineNode> = self.sim.simulation(spec.n, self.clients);
         for r in 0..spec.n {
             let replica = BaselineReplica::new(r, config.clone(), (self.state_factory)());
             let node = sim.add_node(BaselineNode::Replica(Box::new(replica)));
@@ -237,31 +168,11 @@ impl BaselineCluster {
 
     /// Checks total order across all replicas' executed histories.
     pub fn check_total_order(&self) -> Result<(), String> {
-        let n = self.config.spec.n;
-        let mut histories: Vec<BTreeMap<u64, Digest>> = Vec::with_capacity(n);
-        for r in 0..n {
-            histories.push(
-                self.replica(r)
-                    .executed_history()
-                    .iter()
-                    .map(|(sn, d)| (sn.0, *d))
-                    .collect(),
-            );
-        }
-        for a in 0..n {
-            for b in (a + 1)..n {
-                for (sn, da) in &histories[a] {
-                    if let Some(db) = histories[b].get(sn) {
-                        if da != db {
-                            return Err(format!(
-                                "total-order violation at sn {sn} between replicas {a} and {b}"
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-        Ok(())
+        check_executed_histories(
+            (0..self.config.spec.n)
+                .map(|r| (r, self.replica(r).executed_history()))
+                .collect(),
+        )
     }
 }
 
@@ -332,7 +243,7 @@ mod tests {
             .with_seed(9)
             .with_payload(256)
             .with_requests_limit(25)
-            .with_latency(BaselineLatency::Constant(SimDuration::from_millis(5)))
+            .with_latency(LatencySpec::Constant(SimDuration::from_millis(5)))
             .build();
         cluster.run_for(SimDuration::from_secs(30));
         (cluster.total_committed(), cluster)
@@ -361,7 +272,7 @@ mod tests {
                 .with_seed(3)
                 .with_payload(1024)
                 .with_requests_limit(20)
-                .with_latency(BaselineLatency::Ec2 {
+                .with_latency(LatencySpec::Ec2 {
                     replica_regions: regions,
                     client_region: Region::UsWestCA,
                 })
@@ -384,7 +295,7 @@ mod tests {
             .with_seed(5)
             .with_payload(128)
             .with_requests_limit(5)
-            .with_latency(BaselineLatency::Constant(SimDuration::from_millis(5)))
+            .with_latency(LatencySpec::Constant(SimDuration::from_millis(5)))
             .with_tracing(true)
             .build();
         cluster.run_for(SimDuration::from_secs(10));
@@ -406,7 +317,7 @@ mod tests {
                 .with_seed(6)
                 .with_payload(128)
                 .with_requests_limit(10)
-                .with_latency(BaselineLatency::Constant(SimDuration::from_millis(5)))
+                .with_latency(LatencySpec::Constant(SimDuration::from_millis(5)))
                 .with_tracing(true)
                 .build();
             cluster.run_for(SimDuration::from_secs(10));

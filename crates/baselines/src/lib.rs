@@ -21,6 +21,6 @@ pub mod messages;
 pub mod spec;
 
 pub use engine::{BaselineClient, BaselineConfig, BaselineNode, BaselineReplica};
-pub use harness::{BaselineCluster, BaselineClusterBuilder, BaselineLatency};
+pub use harness::{BaselineCluster, BaselineClusterBuilder};
 pub use messages::BaselineMsg;
 pub use spec::{AgreementPattern, BaselineProtocol, ProtocolSpec};

@@ -2,7 +2,7 @@
 //! simulated geo-replicated deployment and reports throughput / latency / CPU.
 
 use bytes::Bytes;
-use xft_baselines::{BaselineClusterBuilder, BaselineLatency, BaselineProtocol};
+use xft_baselines::{BaselineClusterBuilder, BaselineProtocol};
 use xft_core::client::ClientWorkload;
 use xft_core::harness::{ClusterBuilder, LatencySpec};
 use xft_core::state_machine::{NullService, StateMachine};
@@ -174,7 +174,7 @@ pub fn run_with_state(
                 .with_seed(spec.seed)
                 .with_payload(spec.payload)
                 .with_batch_size(spec.batch_size)
-                .with_latency(BaselineLatency::Ec2 {
+                .with_latency(LatencySpec::Ec2 {
                     replica_regions: regions,
                     client_region,
                 })

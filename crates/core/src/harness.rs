@@ -1,8 +1,11 @@
-//! Cluster builder and verification helpers: glue between XPaxos and the simulator.
+//! Cluster builder and verification helpers: glue between a protocol and the
+//! simulator.
 //!
 //! The harness builds a complete cluster (replicas + clients) on a chosen latency
 //! model, runs it, and checks the paper's safety property (total order, Theorem 1)
-//! across replicas after the run.
+//! across replicas after the run. [`SimSetup`] and [`check_executed_histories`]
+//! serve every protocol: the baselines' cluster builder runs on the same
+//! simulated deployment and is judged by the same check.
 
 use crate::client::{Client, ClientWorkload};
 use crate::config::XPaxosConfig;
@@ -14,8 +17,8 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use xft_crypto::{CostModel, Digest, KeyRegistry};
 use xft_simnet::{
-    ec2_latency_model, Bandwidth, ConstantLatency, LatencyModel, Region, SimConfig, SimDuration,
-    SimTime, Simulation, UniformLatency,
+    ec2_latency_model, Actor, Bandwidth, ConstantLatency, LatencyModel, Region, SimConfig,
+    SimDuration, SimTime, Simulation, UniformLatency,
 };
 
 /// Which latency model the cluster runs on.
@@ -35,16 +38,73 @@ pub enum LatencySpec {
     },
 }
 
+/// The simulated deployment a cluster runs on: seed, latency model, uplinks,
+/// crypto costs and message tracing.
+#[derive(Debug, Clone)]
+pub struct SimSetup {
+    /// Seed of the simulation's RNG.
+    pub seed: u64,
+    /// Latency between nodes.
+    pub latency: LatencySpec,
+    /// Uniform per-node uplink bandwidth.
+    pub uplink: Bandwidth,
+    /// Crypto cost model charged to each node's CPU.
+    pub cost_model: CostModel,
+    /// Record every message transmission in the trace.
+    pub trace_messages: bool,
+}
+
+impl Default for SimSetup {
+    fn default() -> Self {
+        SimSetup {
+            seed: 1,
+            latency: LatencySpec::Constant(SimDuration::from_millis(1)),
+            uplink: Bandwidth::UNLIMITED,
+            cost_model: CostModel::free(),
+            trace_messages: false,
+        }
+    }
+}
+
+impl SimSetup {
+    /// An empty simulation of `replicas` replicas followed by `clients`
+    /// clients: nodes `0..replicas` are the replicas, in id order, and the
+    /// clients follow. Under [`LatencySpec::Ec2`] every client sits in the
+    /// client region.
+    pub fn simulation<A: Actor>(&self, replicas: usize, clients: usize) -> Simulation<A> {
+        let latency: Box<dyn LatencyModel> = match &self.latency {
+            LatencySpec::Constant(d) => Box::new(ConstantLatency(*d)),
+            LatencySpec::Uniform(lo, hi) => Box::new(UniformLatency { min: *lo, max: *hi }),
+            LatencySpec::Ec2 {
+                replica_regions,
+                client_region,
+            } => {
+                assert_eq!(
+                    replica_regions.len(),
+                    replicas,
+                    "need one region per replica (n = {replicas})"
+                );
+                let mut placement = replica_regions.clone();
+                placement.extend(std::iter::repeat_n(*client_region, clients));
+                Box::new(ec2_latency_model(&placement))
+            }
+        };
+        let config = SimConfig {
+            seed: self.seed,
+            cost_model: self.cost_model,
+            trace_messages: self.trace_messages,
+            ..SimConfig::default()
+        };
+        Simulation::new(config, latency, self.uplink)
+    }
+}
+
 /// Builder for an XPaxos cluster simulation.
 pub struct ClusterBuilder {
     config: XPaxosConfig,
     clients: usize,
-    seed: u64,
+    sim: SimSetup,
     workload_factory: Box<dyn Fn(usize) -> ClientWorkload>,
-    latency: LatencySpec,
-    uplink: Bandwidth,
-    cost_model: CostModel,
-    trace_messages: bool,
     state_factory: Box<dyn Fn() -> Box<dyn StateMachine>>,
     storage_factory: Option<StorageFactory>,
     telemetry_factory: Option<TelemetryFactory>,
@@ -65,12 +125,8 @@ impl ClusterBuilder {
         ClusterBuilder {
             config: XPaxosConfig::new(t, clients),
             clients,
-            seed: 1,
+            sim: SimSetup::default(),
             workload_factory: Box::new(|_| ClientWorkload::default()),
-            latency: LatencySpec::Constant(SimDuration::from_millis(1)),
-            uplink: Bandwidth::UNLIMITED,
-            cost_model: CostModel::free(),
-            trace_messages: false,
             state_factory: Box::new(|| Box::new(DigestChainService::new())),
             storage_factory: None,
             telemetry_factory: None,
@@ -93,7 +149,7 @@ impl ClusterBuilder {
 
     /// Sets the RNG seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.sim.seed = seed;
         self
     }
 
@@ -122,25 +178,25 @@ impl ClusterBuilder {
 
     /// Sets the latency model.
     pub fn with_latency(mut self, latency: LatencySpec) -> Self {
-        self.latency = latency;
+        self.sim.latency = latency;
         self
     }
 
     /// Sets the uniform per-node uplink bandwidth.
     pub fn with_uplink(mut self, uplink: Bandwidth) -> Self {
-        self.uplink = uplink;
+        self.sim.uplink = uplink;
         self
     }
 
     /// Sets the crypto cost model (use [`CostModel::paper_default`] for CPU experiments).
     pub fn with_cost_model(mut self, cost_model: CostModel) -> Self {
-        self.cost_model = cost_model;
+        self.sim.cost_model = cost_model;
         self
     }
 
     /// Enables message tracing (for message-pattern tests).
     pub fn with_tracing(mut self, enabled: bool) -> Self {
-        self.trace_messages = enabled;
+        self.sim.trace_messages = enabled;
         self
     }
 
@@ -189,34 +245,8 @@ impl ClusterBuilder {
     /// Builds the cluster.
     pub fn build(self) -> XPaxosCluster {
         let n = self.config.n();
-        let total_nodes = n + self.clients;
-        let latency: Box<dyn LatencyModel> = match &self.latency {
-            LatencySpec::Constant(d) => Box::new(ConstantLatency(*d)),
-            LatencySpec::Uniform(lo, hi) => Box::new(UniformLatency { min: *lo, max: *hi }),
-            LatencySpec::Ec2 {
-                replica_regions,
-                client_region,
-            } => {
-                assert_eq!(
-                    replica_regions.len(),
-                    n,
-                    "need one region per replica (n = {n})"
-                );
-                let mut placement = replica_regions.clone();
-                placement.extend(std::iter::repeat_n(*client_region, self.clients));
-                Box::new(ec2_latency_model(&placement))
-            }
-        };
-
-        let sim_config = SimConfig {
-            seed: self.seed,
-            cost_model: self.cost_model,
-            trace_messages: self.trace_messages,
-            ..SimConfig::default()
-        };
-        let mut sim: Simulation<XPaxosNode> = Simulation::new(sim_config, latency, self.uplink);
-
-        let registry = KeyRegistry::new(self.seed ^ 0x5eed);
+        let mut sim: Simulation<XPaxosNode> = self.sim.simulation(n, self.clients);
+        let registry = KeyRegistry::new(self.sim.seed ^ 0x5eed);
         for r in 0..n {
             let mut replica =
                 Replica::new(r, self.config.clone(), &registry, (self.state_factory)());
@@ -242,7 +272,7 @@ impl ClusterBuilder {
             let node = sim.add_node(XPaxosNode::Client(Box::new(client)));
             debug_assert_eq!(node, self.config.client_nodes[c]);
         }
-        assert_eq!(sim.node_count(), total_nodes);
+        assert_eq!(sim.node_count(), n + self.clients);
 
         XPaxosCluster {
             sim,
@@ -252,34 +282,41 @@ impl ClusterBuilder {
     }
 }
 
-/// Checks the paper's total-order safety property (Theorem 1): for every
-/// sequence number executed by two of `replicas`, the executed batch must be
-/// identical. Returns an error describing the first divergence found. Works on
-/// simulated replicas and on replicas returned by a TCP runtime's shutdown.
+/// Checks the paper's total-order safety property (Theorem 1) for XPaxos
+/// replicas (see [`check_executed_histories`]). Works on simulated replicas
+/// and on replicas returned by a TCP runtime's shutdown.
 ///
 /// Pass a subset to leave out a replica that was partitioned while it held
 /// speculatively executed entries of the t = 1 fast path (§4.2.2): it may
 /// hold a divergent suffix that no client committed until it rejoins and
 /// repairs through a view change, exactly as the paper's Lemma 1 permits.
 pub fn check_total_order(replicas: &[&Replica]) -> Result<(), String> {
-    let histories: Vec<BTreeMap<u64, Digest>> = replicas
+    check_executed_histories(
+        replicas
+            .iter()
+            .map(|r| (r.id(), r.executed_history()))
+            .collect(),
+    )
+}
+
+/// Checks total order across executed histories, each a replica id with the
+/// `(sn, batch digest)` pairs that replica executed: for every sequence
+/// number executed by two replicas, the executed batch must be identical.
+/// Returns an error describing the first divergence found.
+pub fn check_executed_histories(
+    histories: Vec<(ReplicaId, &[(SeqNum, Digest)])>,
+) -> Result<(), String> {
+    let executed: Vec<BTreeMap<u64, Digest>> = histories
         .iter()
-        .map(|r| {
-            r.executed_history()
-                .iter()
-                .map(|(sn, d)| (sn.0, *d))
-                .collect()
-        })
+        .map(|(_, history)| history.iter().map(|(sn, d)| (sn.0, *d)).collect())
         .collect();
-    for (i, a) in replicas.iter().enumerate() {
-        for (j, b) in replicas.iter().enumerate().skip(i + 1) {
-            for (sn, da) in &histories[i] {
-                if let Some(db) = histories[j].get(sn) {
+    for (i, (a, _)) in histories.iter().enumerate() {
+        for (j, (b, _)) in histories.iter().enumerate().skip(i + 1) {
+            for (sn, da) in &executed[i] {
+                if let Some(db) = executed[j].get(sn) {
                     if da != db {
                         return Err(format!(
-                            "total-order violation at sn {sn}: replica {} executed {da:?}, replica {} executed {db:?}",
-                            a.id(),
-                            b.id()
+                            "total-order violation at sn {sn}: replica {a} executed {da:?}, replica {b} executed {db:?}"
                         ));
                     }
                 }

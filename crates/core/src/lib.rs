@@ -60,7 +60,7 @@ pub use evidence::{EvidenceAnchor, EvidenceLog, EvidenceRecord};
 pub use harness::{check_total_order, ClusterBuilder, LatencySpec, XPaxosCluster};
 pub use messages::XPaxosMsg;
 pub use model::{ProtocolModel, ReplicaFaultState, SystemSnapshot};
-pub use node::XPaxosNode;
+pub use node::{Node, XPaxosNode};
 pub use pipeline::CryptoFront;
 pub use replica::durability::RecoveryReport;
 pub use replica::{Phase, Replica};

@@ -1,79 +1,83 @@
-//! The actor wrapper placing XPaxos replicas and clients in one simulation.
+//! The actor wrapper placing one protocol's replicas and clients in one
+//! simulation: XPaxos's and every baseline's.
 
 use crate::client::Client;
-use crate::messages::XPaxosMsg;
 use crate::replica::Replica;
 use xft_simnet::{Actor, Context, ControlCode, NodeId};
 
-/// A node of an XPaxos cluster: either a replica or a client.
-pub enum XPaxosNode {
+/// A node of a two-role cluster: either a replica `R` or a client `C` of one
+/// protocol, both speaking `R::Msg`.
+pub enum Node<R, C> {
     /// A replica.
-    Replica(Box<Replica>),
+    Replica(Box<R>),
     /// A client.
-    Client(Box<Client>),
+    Client(Box<C>),
 }
 
-impl XPaxosNode {
+/// A node of an XPaxos cluster.
+pub type XPaxosNode = Node<Replica, Client>;
+
+impl<R, C> Node<R, C> {
     /// Returns the replica, panicking if this node is a client.
-    pub fn replica(&self) -> &Replica {
+    pub fn replica(&self) -> &R {
         match self {
-            XPaxosNode::Replica(r) => r,
-            XPaxosNode::Client(_) => panic!("node is a client, not a replica"),
+            Node::Replica(r) => r,
+            Node::Client(_) => panic!("node is a client, not a replica"),
         }
     }
 
     /// Mutable access to the replica, panicking if this node is a client.
-    pub fn replica_mut(&mut self) -> &mut Replica {
+    pub fn replica_mut(&mut self) -> &mut R {
         match self {
-            XPaxosNode::Replica(r) => r,
-            XPaxosNode::Client(_) => panic!("node is a client, not a replica"),
+            Node::Replica(r) => r,
+            Node::Client(_) => panic!("node is a client, not a replica"),
         }
     }
 
     /// Returns the client, panicking if this node is a replica.
-    pub fn client(&self) -> &Client {
+    pub fn client(&self) -> &C {
         match self {
-            XPaxosNode::Client(c) => c,
-            XPaxosNode::Replica(_) => panic!("node is a replica, not a client"),
+            Node::Client(c) => c,
+            Node::Replica(_) => panic!("node is a replica, not a client"),
         }
     }
 }
 
-impl Actor for XPaxosNode {
-    type Msg = XPaxosMsg;
+impl<R: Actor, C: Actor<Msg = R::Msg>> Actor for Node<R, C> {
+    type Msg = R::Msg;
 
-    fn on_start(&mut self, ctx: &mut Context<XPaxosMsg>) {
+    fn on_start(&mut self, ctx: &mut Context<R::Msg>) {
         match self {
-            XPaxosNode::Replica(r) => r.on_start(ctx),
-            XPaxosNode::Client(c) => c.on_start(ctx),
+            Node::Replica(r) => r.on_start(ctx),
+            Node::Client(c) => c.on_start(ctx),
         }
     }
 
-    fn on_message(&mut self, from: NodeId, msg: XPaxosMsg, ctx: &mut Context<XPaxosMsg>) {
+    fn on_message(&mut self, from: NodeId, msg: R::Msg, ctx: &mut Context<R::Msg>) {
         match self {
-            XPaxosNode::Replica(r) => r.on_message(from, msg, ctx),
-            XPaxosNode::Client(c) => c.on_message(from, msg, ctx),
+            Node::Replica(r) => r.on_message(from, msg, ctx),
+            Node::Client(c) => c.on_message(from, msg, ctx),
         }
     }
 
-    fn on_timer(&mut self, token: u64, ctx: &mut Context<XPaxosMsg>) {
+    fn on_timer(&mut self, token: u64, ctx: &mut Context<R::Msg>) {
         match self {
-            XPaxosNode::Replica(r) => r.on_timer(token, ctx),
-            XPaxosNode::Client(c) => c.on_timer(token, ctx),
+            Node::Replica(r) => r.on_timer(token, ctx),
+            Node::Client(c) => c.on_timer(token, ctx),
         }
     }
 
-    fn on_recover(&mut self, ctx: &mut Context<XPaxosMsg>) {
+    fn on_recover(&mut self, ctx: &mut Context<R::Msg>) {
         match self {
-            XPaxosNode::Replica(r) => r.on_recover(ctx),
-            XPaxosNode::Client(c) => c.on_recover(ctx),
+            Node::Replica(r) => r.on_recover(ctx),
+            Node::Client(c) => c.on_recover(ctx),
         }
     }
 
-    fn on_control(&mut self, code: ControlCode, ctx: &mut Context<XPaxosMsg>) {
+    fn on_control(&mut self, code: ControlCode, ctx: &mut Context<R::Msg>) {
         match self {
-            XPaxosNode::Replica(r) => r.on_control(code, ctx),
-            XPaxosNode::Client(c) => c.on_control(code, ctx),
+            Node::Replica(r) => r.on_control(code, ctx),
+            Node::Client(c) => c.on_control(code, ctx),
         }
     }
 }
