@@ -95,94 +95,73 @@ pub fn commit_statement_digest(
     }
 }
 
+/// An entry kept in a [`SlotLog`]: at most one per sequence number.
+pub trait Slot {
+    /// The sequence number the entry occupies.
+    fn sn(&self) -> SeqNum;
+    /// Approximate wire size.
+    fn wire_size(&self) -> usize;
+}
+
+impl Slot for PrepareEntry {
+    fn sn(&self) -> SeqNum {
+        self.sn
+    }
+
+    fn wire_size(&self) -> usize {
+        PrepareEntry::wire_size(self)
+    }
+}
+
+impl Slot for CommitEntry {
+    fn sn(&self) -> SeqNum {
+        self.sn
+    }
+
+    fn wire_size(&self) -> usize {
+        CommitEntry::wire_size(self)
+    }
+}
+
+/// A log of entries keyed by their sequence number.
+#[derive(Debug, Clone)]
+pub struct SlotLog<E> {
+    entries: BTreeMap<u64, E>,
+}
+
 /// A replica's prepare log (primary role) or the prepare entries it received
 /// (follower role in the general case).
-#[derive(Debug, Clone, Default)]
-pub struct PrepareLog {
-    entries: BTreeMap<u64, PrepareEntry>,
-}
+pub type PrepareLog = SlotLog<PrepareEntry>;
 
 /// A replica's commit log.
-#[derive(Debug, Clone, Default)]
-pub struct CommitLog {
-    entries: BTreeMap<u64, CommitEntry>,
+pub type CommitLog = SlotLog<CommitEntry>;
+
+impl<E> Default for SlotLog<E> {
+    fn default() -> Self {
+        SlotLog {
+            entries: BTreeMap::new(),
+        }
+    }
 }
 
-impl PrepareLog {
+impl<E: Slot> SlotLog<E> {
     /// Creates an empty log.
     pub fn new() -> Self {
         Self::default()
     }
 
     /// Inserts (or replaces) the entry for its sequence number.
-    pub fn insert(&mut self, entry: PrepareEntry) {
-        self.entries.insert(entry.sn.0, entry);
+    pub fn insert(&mut self, entry: E) {
+        self.entries.insert(entry.sn().0, entry);
     }
 
     /// Looks up the entry at `sn`.
-    pub fn get(&self, sn: SeqNum) -> Option<&PrepareEntry> {
-        self.entries.get(&sn.0)
-    }
-
-    /// Removes all entries with `sn <= upto` (checkpoint garbage collection).
-    pub fn truncate_upto(&mut self, upto: SeqNum) {
-        self.entries.retain(|sn, _| *sn > upto.0);
-    }
-
-    /// Drops all entries with `sn > keep` — models a Byzantine "data loss" fault.
-    pub fn lose_suffix(&mut self, keep: SeqNum) {
-        self.entries.retain(|sn, _| *sn <= keep.0);
-    }
-
-    /// Highest sequence number present, or `SeqNum(0)` when empty.
-    pub fn end(&self) -> SeqNum {
-        SeqNum(self.entries.keys().next_back().copied().unwrap_or(0))
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the log is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Iterates over entries in sequence-number order.
-    pub fn iter(&self) -> impl Iterator<Item = &PrepareEntry> {
-        self.entries.values()
-    }
-
-    /// All entries, cloned, in order (used when building VIEW-CHANGE messages).
-    pub fn to_vec(&self) -> Vec<PrepareEntry> {
-        self.entries.values().cloned().collect()
-    }
-
-    /// Approximate wire size of the whole log.
-    pub fn wire_size(&self) -> usize {
-        self.entries.values().map(|e| e.wire_size()).sum()
-    }
-}
-
-impl CommitLog {
-    /// Creates an empty log.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Inserts (or replaces) the entry for its sequence number.
-    pub fn insert(&mut self, entry: CommitEntry) {
-        self.entries.insert(entry.sn.0, entry);
-    }
-
-    /// Looks up the entry at `sn`.
-    pub fn get(&self, sn: SeqNum) -> Option<&CommitEntry> {
+    pub fn get(&self, sn: SeqNum) -> Option<&E> {
         self.entries.get(&sn.0)
     }
 
     /// Looks up the entry at `sn` for an in-place update.
-    pub fn get_mut(&mut self, sn: SeqNum) -> Option<&mut CommitEntry> {
+    pub fn get_mut(&mut self, sn: SeqNum) -> Option<&mut E> {
         self.entries.get_mut(&sn.0)
     }
 
@@ -217,12 +196,15 @@ impl CommitLog {
     }
 
     /// Iterates over entries in sequence-number order.
-    pub fn iter(&self) -> impl Iterator<Item = &CommitEntry> {
+    pub fn iter(&self) -> impl Iterator<Item = &E> {
         self.entries.values()
     }
 
     /// All entries, cloned, in order (used when building VIEW-CHANGE messages).
-    pub fn to_vec(&self) -> Vec<CommitEntry> {
+    pub fn to_vec(&self) -> Vec<E>
+    where
+        E: Clone,
+    {
         self.entries.values().cloned().collect()
     }
 
