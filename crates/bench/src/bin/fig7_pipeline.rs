@@ -7,11 +7,7 @@
 //! * **pipelined w=1** — closed-loop clients, one request each in flight;
 //! * **pipelined w=8** — 8 requests in flight per client.
 //!
-//! Usage: `fig7_pipeline [--quick] [--json OUT]`.
-//!
-//! `--json OUT` also writes the best point (highest throughput across every
-//! config × client-count pair) as `{"ops_per_sec", "p50", "p90", "p99"}` —
-//! latencies in milliseconds — for CI trend tracking.
+//! Usage: `fig7_pipeline [--quick]`.
 
 use xft_bench::report::{f1, f2, render_table};
 use xft_core::harness::{ClusterBuilder, LatencySpec};
@@ -19,7 +15,6 @@ use xft_kvstore::workload::bench_workload;
 use xft_kvstore::CoordinationService;
 use xft_simnet::{PipelineConfig, SimDuration};
 
-#[derive(Clone, Copy)]
 struct Point {
     throughput_ops: f64,
     mean_ms: f64,
@@ -66,13 +61,7 @@ fn run_point(clients: usize, pipeline: PipelineConfig, ops_per_client: u64) -> P
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let json_out: Option<String> = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
+    let quick = std::env::args().any(|a| a == "--quick");
     let (client_counts, ops_per_client) = if quick {
         (vec![1, 4, 16], 500)
     } else {
@@ -88,13 +77,9 @@ fn main() {
     ];
 
     let mut rows = Vec::new();
-    let mut best: Option<Point> = None;
     for (name, pipeline) in &configs {
         for &clients in &client_counts {
             let p = run_point(clients, pipeline.clone(), ops_per_client);
-            if best.is_none_or(|b| p.throughput_ops > b.throughput_ops) {
-                best = Some(p);
-            }
             rows.push(vec![
                 name.to_string(),
                 clients.to_string(),
@@ -127,16 +112,4 @@ fn main() {
          clients move the throughput knee up by roughly the window factor until the\n\
          in-flight batch limit or CPU, not the batch timer, becomes the bottleneck."
     );
-    if let Some(path) = json_out {
-        let b = best.expect("at least one point ran");
-        let json = format!(
-            "{{\"ops_per_sec\": {:.1}, \"p50\": {:.4}, \"p90\": {:.4}, \"p99\": {:.4}}}\n",
-            b.throughput_ops, b.p50_ms, b.p90_ms, b.p99_ms
-        );
-        if let Err(e) = std::fs::write(&path, json) {
-            eprintln!("fig7_pipeline: cannot write --json {path}: {e}");
-            std::process::exit(1);
-        }
-        println!("wrote {path}");
-    }
 }

@@ -1,55 +1,18 @@
 //! Length-prefixed framing for byte streams (TCP).
 //!
 //! A frame is `u32_le(len) ‖ payload`, where the payload is an enveloped
-//! message ([`crate::encode_msg`]). Two consumption styles are provided:
-//!
-//! * [`write_frame`] / [`read_frame`] for blocking [`std::io`] streams, and
-//! * [`FrameBuffer`], an incremental reassembly buffer for readers that pull
-//!   whatever bytes the socket yields (partial frames, several frames at
-//!   once) — the shape `xft-net`'s connection readers use, since a blocking
-//!   `read_exact` cannot be safely combined with read timeouts.
+//! message ([`crate::encode_msg`]). [`frame_bytes`] writes one, and
+//! [`FrameBuffer`] reassembles them from whatever bytes a socket yields
+//! (partial frames, several frames at once) — the shape `xft-net`'s
+//! connection readers use, since a blocking `read_exact` cannot be safely
+//! combined with read timeouts.
 
 use bytes::{BufMut, Reader};
-use std::io::{self, Read, Write};
 
 /// Default upper bound on a frame payload (16 MiB) — far above the largest
 /// view-change transfer the reproduction produces, small enough that a
 /// corrupted or hostile length prefix cannot exhaust memory.
 pub const DEFAULT_MAX_FRAME: usize = 16 << 20;
-
-/// Writes one length-prefixed frame to a blocking stream as a single
-/// `write_all` (one syscall, one segment on a `TCP_NODELAY` socket).
-pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
-    if payload.len() > u32::MAX as usize {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "frame too large",
-        ));
-    }
-    w.write_all(&frame_bytes(payload))
-}
-
-/// Reads one length-prefixed frame from a blocking stream.
-///
-/// Returns `Ok(None)` on clean EOF at a frame boundary; mid-frame EOF and
-/// frames larger than `max_frame` are errors.
-pub fn read_frame<R: Read>(r: &mut R, max_frame: usize) -> io::Result<Option<Vec<u8>>> {
-    let mut len_bytes = [0u8; 4];
-    match r.read(&mut len_bytes[..1])? {
-        0 => return Ok(None), // clean EOF between frames
-        _ => r.read_exact(&mut len_bytes[1..])?,
-    }
-    let len = u32::from_le_bytes(len_bytes) as usize;
-    if len > max_frame {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame of {len} bytes exceeds limit {max_frame}"),
-        ));
-    }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
-    Ok(Some(payload))
-}
 
 /// Incremental frame reassembly for non-blocking or timeout-driven readers.
 ///
@@ -147,36 +110,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn stream_frames_round_trip() {
-        let mut wire = Vec::new();
-        write_frame(&mut wire, b"alpha").unwrap();
-        write_frame(&mut wire, b"").unwrap();
-        write_frame(&mut wire, &[9u8; 300]).unwrap();
-        let mut cursor = io::Cursor::new(wire);
-        assert_eq!(
-            read_frame(&mut cursor, DEFAULT_MAX_FRAME).unwrap().unwrap(),
-            b"alpha"
-        );
-        assert_eq!(
-            read_frame(&mut cursor, DEFAULT_MAX_FRAME).unwrap().unwrap(),
-            b""
-        );
-        assert_eq!(
-            read_frame(&mut cursor, DEFAULT_MAX_FRAME).unwrap().unwrap(),
-            vec![9u8; 300]
-        );
-        assert!(read_frame(&mut cursor, DEFAULT_MAX_FRAME)
-            .unwrap()
-            .is_none());
-    }
-
-    #[test]
     fn oversized_frames_are_errors() {
-        let mut wire = Vec::new();
-        write_frame(&mut wire, &[0u8; 64]).unwrap();
-        let mut cursor = io::Cursor::new(wire);
-        assert!(read_frame(&mut cursor, 16).is_err());
-
         let mut fb = FrameBuffer::new(16);
         fb.extend(&frame_bytes(&[0u8; 64]));
         assert!(fb.next_frame().is_err());

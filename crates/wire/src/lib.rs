@@ -39,7 +39,7 @@ pub use envelope::{
     encode_msg_traced_vec, encode_msg_vec, TraceContext, WireError, MAGIC, WIRE_VERSION,
     WIRE_VERSION_TRACED,
 };
-pub use frame::{frame_bytes, read_frame, write_frame, FrameBuffer, DEFAULT_MAX_FRAME};
+pub use frame::{frame_bytes, FrameBuffer, DEFAULT_MAX_FRAME};
 
 use xft_crypto::{Digest, Sha256};
 
