@@ -17,7 +17,6 @@ use crate::schedule::{analyze_schedule, generate, ScheduleConfig};
 use crate::workload::chaos_workload;
 use std::net::TcpListener;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use xft_core::client::Client;
 use xft_core::replica::Replica;
@@ -25,7 +24,7 @@ use xft_core::types::ClientId;
 use xft_core::XPaxosConfig;
 use xft_crypto::KeyRegistry;
 use xft_kvstore::CoordinationService;
-use xft_net::runtime::{NetConfig, NetHandle, StartMode, TcpRuntime};
+use xft_net::runtime::{NetConfig, NodeThread, StartMode, TcpRuntime};
 use xft_net::{bind_loopback_cluster, check_total_order, register_cluster_keys, AddressBook};
 use xft_simnet::{Actor, FaultEvent, PipelineConfig, SimDuration};
 use xft_wire::{WireDecode, WireEncode};
@@ -69,53 +68,31 @@ impl Default for TcpChaosConfig {
     }
 }
 
-/// A node runtime on its own thread, stoppable with its actor state intact.
-struct NodeRunner<A: Actor>
+/// Starts `actor` as node `node` on a thread of its own, on the run's shared
+/// clock `origin`.
+fn spawn_node<A: Actor + Send + 'static>(
+    actor: A,
+    node: usize,
+    book: &Arc<AddressBook>,
+    listener: TcpListener,
+    mode: StartMode,
+    seed: u64,
+    origin: Instant,
+) -> NodeThread<A>
 where
     A::Msg: WireEncode + WireDecode + Send + 'static,
 {
-    handle: Arc<NetHandle>,
-    thread: JoinHandle<A>,
-}
-
-impl<A: Actor + Send + 'static> NodeRunner<A>
-where
-    A::Msg: WireEncode + WireDecode + Send + 'static,
-{
-    fn spawn(
-        actor: A,
-        node: usize,
-        book: Arc<AddressBook>,
-        listener: TcpListener,
-        mode: StartMode,
-        seed: u64,
-        origin: Instant,
-    ) -> Self {
-        let config = NetConfig {
-            seed: seed ^ node as u64,
-            reconnect_delay: Duration::from_millis(40),
-            // One shared clock origin: history timestamps from different
-            // nodes must be comparable for the checker's real-time order.
-            origin: Some(origin),
-            ..NetConfig::default()
-        };
-        let mut runtime =
-            TcpRuntime::start(actor, node, book, listener, config, mode).expect("start runtime");
-        let handle = runtime.handle();
-        let thread = std::thread::Builder::new()
-            .name(format!("chaos-node-{node}"))
-            .spawn(move || {
-                runtime.run();
-                runtime.shutdown()
-            })
-            .expect("spawn node thread");
-        NodeRunner { handle, thread }
-    }
-
-    fn stop(self) -> A {
-        self.handle.request_shutdown();
-        self.thread.join().expect("node thread panicked")
-    }
+    let config = NetConfig {
+        seed: seed ^ node as u64,
+        reconnect_delay: Duration::from_millis(40),
+        // One shared clock origin: history timestamps from different
+        // nodes must be comparable for the checker's real-time order.
+        origin: Some(origin),
+        ..NetConfig::default()
+    };
+    TcpRuntime::start(actor, node, book.clone(), listener, config, mode)
+        .expect("start runtime")
+        .spawn(format!("chaos-node-{node}"))
 }
 
 /// Runs one seeded crash/recovery/control schedule over live loopback
@@ -148,7 +125,7 @@ pub fn run_seed_tcp(seed: u64, cfg: &TcpChaosConfig) -> SeedReport {
     register_cluster_keys(&registry, &config);
     let (mut listeners, book) = bind_loopback_cluster(n + cfg.clients).expect("bind cluster");
 
-    let mut replicas: Vec<Option<NodeRunner<Replica>>> = Vec::new();
+    let mut replicas: Vec<Option<NodeThread<Replica>>> = Vec::new();
     for (r, listener) in listeners.drain(..n).enumerate() {
         let replica = Replica::new(
             r,
@@ -156,24 +133,24 @@ pub fn run_seed_tcp(seed: u64, cfg: &TcpChaosConfig) -> SeedReport {
             &registry,
             Box::new(CoordinationService::new()),
         );
-        replicas.push(Some(NodeRunner::spawn(
+        replicas.push(Some(spawn_node(
             replica,
             r,
-            book.clone(),
+            &book,
             listener,
             StartMode::Fresh,
             seed,
             origin,
         )));
     }
-    let mut clients: Vec<NodeRunner<Client>> = Vec::new();
+    let mut clients: Vec<NodeThread<Client>> = Vec::new();
     for (c, listener) in listeners.drain(..).enumerate() {
         let workload = chaos_workload(seed, c as u64, cfg.keys, cfg.read_pct);
         let client = Client::new(ClientId(c as u64), config.clone(), &registry, workload);
-        clients.push(NodeRunner::spawn(
+        clients.push(spawn_node(
             client,
             n + c,
-            book.clone(),
+            &book,
             listener,
             StartMode::Fresh,
             seed,
@@ -200,10 +177,10 @@ pub fn run_seed_tcp(seed: u64, cfg: &TcpChaosConfig) -> SeedReport {
             FaultEvent::Recover(r) => {
                 if let Some(actor) = parked.remove(r) {
                     let listener = TcpListener::bind("127.0.0.1:0").expect("bind recovery port");
-                    replicas[*r] = Some(NodeRunner::spawn(
+                    replicas[*r] = Some(spawn_node(
                         actor,
                         *r,
-                        book.clone(),
+                        &book,
                         listener,
                         StartMode::Recovered,
                         seed,
@@ -213,13 +190,13 @@ pub fn run_seed_tcp(seed: u64, cfg: &TcpChaosConfig) -> SeedReport {
             }
             FaultEvent::Control(r, code) => {
                 if let Some(runner) = replicas[*r].as_ref() {
-                    runner.handle.inject_control(*code);
+                    runner.handle().inject_control(*code);
                 }
             }
             _ => {}
         }
     }
-    let committed_at_heal: u64 = clients.iter().map(|c| c.handle.committed()).sum();
+    let committed_at_heal: u64 = clients.iter().map(|c| c.handle().committed()).sum();
     let drain_deadline = cfg.fault_window + cfg.drain;
     if let Some(wait) = drain_deadline.checked_sub(start.elapsed()) {
         std::thread::sleep(wait);
@@ -228,7 +205,7 @@ pub fn run_seed_tcp(seed: u64, cfg: &TcpChaosConfig) -> SeedReport {
     // machine a post-crash reconnect can eat the whole drain. Before judging
     // liveness, give a stalled cluster one extra drain period — a genuine
     // wedge stays wedged, a slow CI box gets its commits in.
-    if clients.iter().map(|c| c.handle.committed()).sum::<u64>() <= committed_at_heal {
+    if clients.iter().map(|c| c.handle().committed()).sum::<u64>() <= committed_at_heal {
         std::thread::sleep(cfg.drain);
     }
 
@@ -236,7 +213,7 @@ pub fn run_seed_tcp(seed: u64, cfg: &TcpChaosConfig) -> SeedReport {
     let mut committed = 0u64;
     let mut ops: Vec<OpEvent> = Vec::new();
     for (c, runner) in clients.into_iter().enumerate() {
-        committed += runner.handle.committed();
+        committed += runner.handle().committed();
         let actor = runner.stop();
         ops.extend(decode_history(c as u64, &actor.history()));
     }

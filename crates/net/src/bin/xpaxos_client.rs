@@ -5,7 +5,7 @@
 //! xpaxos-client --t 1 --clients 4 --window 8 \
 //!     --addrs <replica addrs>,<client addrs> \
 //!     --ops 1000 [--id 0] [--payload 1024] [--seed 1] [--delta-ms 500] \
-//!     [--retransmit-ms 2000] [--timeout-secs 60] [--mux 1] [--json OUT]
+//!     [--retransmit-ms 2000] [--timeout-secs 60] [--mux 1]
 //! ```
 //!
 //! Without `--id` the binary spawns **all** `--clients` windowed workers
@@ -19,158 +19,86 @@
 //!
 //! `--mux 1` runs all workers as sub-clients of one [`MuxClient`] on a single
 //! socket — the servers must then publish the same address for every client
-//! slot (pass the first client address `clients` times). `--json OUT` writes
-//! `{"ops_per_sec", "p50", "p90", "p99"}` (latencies in milliseconds).
+//! slot (pass the first client address `clients` times).
 
 use std::net::TcpListener;
+use std::ops::Range;
 use std::process::exit;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xft_core::client::{Client, MuxClient};
+use xft_core::messages::XPaxosMsg;
 use xft_core::types::ClientId;
 use xft_core::XPaxosConfig;
 use xft_crypto::KeyRegistry;
 use xft_kvstore::workload::bench_workload;
 use xft_net::cli::Args;
 use xft_net::{
-    parse_node_addrs, register_cluster_keys, AddressBook, NetConfig, StartMode, TcpRuntime,
+    parse_node_addrs, register_cluster_keys, AddressBook, NetConfig, NodeThread, StartMode,
+    TcpRuntime,
 };
-use xft_simnet::{PipelineConfig, SimDuration};
+use xft_simnet::{Actor, PipelineConfig, SimDuration};
 
-/// One worker's outcome: requests committed and their wall-clock latencies.
-struct WorkerResult {
-    committed: u64,
-    latencies: Vec<Duration>,
-}
-
-/// Runs one windowed client to completion (or the shared deadline).
-#[allow(clippy::too_many_arguments)]
-fn run_worker(
-    id: usize,
-    config: XPaxosConfig,
-    registry: Arc<KeyRegistry>,
-    book: Arc<AddressBook>,
-    ops: u64,
-    payload: usize,
+/// Runs each client actor on a node thread of its own until together they
+/// commit `target` requests or `deadline` passes, and returns the requests
+/// committed and their wall-clock latencies. An actor comes with the client
+/// indices it answers for: it listens as node `n + ids.start`, the address of
+/// every node in `n + ids` is its socket, and its runtime seed is derived
+/// from `ids.start`.
+fn drive<A>(
+    clients: Vec<(A, Range<usize>)>,
+    n: usize,
+    book: &Arc<AddressBook>,
     seed: u64,
+    target: u64,
     deadline: Instant,
-) -> WorkerResult {
-    let n = config.n();
-    let node = n + id;
-    let workload = bench_workload(id as u64, payload, Some(ops));
-    let client = Client::new(ClientId(id as u64), config, &registry, workload);
-    let listener = match TcpListener::bind(book.get(node).expect("client addr published")) {
-        Ok(l) => l,
-        Err(e) => {
-            eprintln!("xpaxos-client: worker {id} cannot bind: {e}");
-            return WorkerResult {
-                committed: 0,
-                latencies: Vec::new(),
+) -> (u64, Vec<Duration>)
+where
+    A: Actor<Msg = XPaxosMsg> + Send + 'static,
+{
+    let nodes: Vec<NodeThread<A>> = clients
+        .into_iter()
+        .map(|(actor, ids)| {
+            let node = n + ids.start;
+            let fail = |what: &str, e: std::io::Error| -> ! {
+                eprintln!("xpaxos-client: client {} {what}: {e}", ids.start);
+                exit(1);
             };
-        }
-    };
-    let mut runtime = match TcpRuntime::start(
-        client,
-        node,
-        book,
-        listener,
-        NetConfig {
-            seed: seed ^ 0xC11E47 ^ (id as u64) << 8,
-            ..NetConfig::default()
-        },
-        StartMode::Fresh,
-    ) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("xpaxos-client: worker {id} start failed: {e}");
-            return WorkerResult {
-                committed: 0,
-                latencies: Vec::new(),
+            let addr = book.get(node).expect("client addr published");
+            let listener = TcpListener::bind(addr).unwrap_or_else(|e| fail("cannot bind", e));
+            let local = listener
+                .local_addr()
+                .unwrap_or_else(|e| fail("has no address", e));
+            for id in ids.clone() {
+                book.set(n + id, local);
+            }
+            let config = NetConfig {
+                seed: seed ^ 0xC11E47 ^ (ids.start as u64) << 8,
+                ..NetConfig::default()
             };
-        }
-    };
-    let handle = runtime.handle();
-    while handle.committed() < ops && Instant::now() < deadline {
-        runtime.run_for(Duration::from_millis(100));
-    }
-    let committed = handle.committed();
-    let latencies = handle.latencies();
-    runtime.shutdown();
-    WorkerResult {
-        committed,
-        latencies,
-    }
-}
-
-/// Runs **all** workers as sub-clients of one [`MuxClient`] on a single
-/// socket (`--mux`). The cluster must publish the same address for every
-/// client slot; replies are demultiplexed by their `client` echo.
-#[allow(clippy::too_many_arguments)]
-fn run_mux(
-    config: XPaxosConfig,
-    registry: Arc<KeyRegistry>,
-    book: Arc<AddressBook>,
-    clients: usize,
-    ops: u64,
-    payload: usize,
-    seed: u64,
-    deadline: Instant,
-) -> WorkerResult {
-    let n = config.n();
-    let subs: Vec<Client> = (0..clients)
-        .map(|id| {
-            let workload = bench_workload(id as u64, payload, Some(ops));
-            Client::new(ClientId(id as u64), config.clone(), &registry, workload)
+            let runtime = TcpRuntime::start(
+                actor,
+                node,
+                Arc::clone(book),
+                listener,
+                config,
+                StartMode::Fresh,
+            )
+            .unwrap_or_else(|e| fail("start failed", e));
+            runtime.spawn(format!("client-{}", ids.start))
         })
         .collect();
-    let mux = MuxClient::new(subs);
-    let listener = match TcpListener::bind(book.get(n).expect("client addr published")) {
-        Ok(l) => l,
-        Err(e) => {
-            eprintln!("xpaxos-client: mux cannot bind: {e}");
-            return WorkerResult {
-                committed: 0,
-                latencies: Vec::new(),
-            };
-        }
-    };
-    // Every client slot resolves to the mux endpoint.
-    let local = listener.local_addr().expect("mux listener addr");
-    for id in 0..clients {
-        book.set(n + id, local);
+    let committed = || nodes.iter().map(|c| c.handle().committed()).sum::<u64>();
+    while committed() < target && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
     }
-    let mut runtime = match TcpRuntime::start(
-        mux,
-        n,
-        book,
-        listener,
-        NetConfig {
-            seed: seed ^ 0xC11E47,
-            ..NetConfig::default()
-        },
-        StartMode::Fresh,
-    ) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("xpaxos-client: mux start failed: {e}");
-            return WorkerResult {
-                committed: 0,
-                latencies: Vec::new(),
-            };
-        }
-    };
-    let target = ops * clients as u64;
-    let handle = runtime.handle();
-    while handle.committed() < target && Instant::now() < deadline {
-        runtime.run_for(Duration::from_millis(100));
+    let committed = committed();
+    let mut latencies = Vec::new();
+    for node in nodes {
+        latencies.extend(node.handle().latencies());
+        node.stop();
     }
-    let committed = handle.committed();
-    let latencies = handle.latencies();
-    runtime.shutdown();
-    WorkerResult {
-        committed,
-        latencies,
-    }
+    (committed, latencies)
 }
 
 fn main() {
@@ -187,7 +115,6 @@ fn main() {
     let retransmit_ms: u64 = args.optional("--retransmit-ms").unwrap_or(2000);
     let timeout_secs: u64 = args.optional("--timeout-secs").unwrap_or(60);
     let mux: u64 = args.optional("--mux").unwrap_or(0);
-    let json_out: Option<String> = args.optional("--json");
     args.finish();
 
     let addrs = match parse_node_addrs(&addrs_raw) {
@@ -233,38 +160,30 @@ fn main() {
 
     let started = Instant::now();
     let deadline = started + Duration::from_secs(timeout_secs);
-    let (mut committed, mut latencies): (u64, Vec<Duration>) = (0, Vec::new());
-    if mux != 0 {
+    let client = |id: usize| {
+        let workload = bench_workload(id as u64, payload, Some(ops));
+        Client::new(ClientId(id as u64), config.clone(), &registry, workload)
+    };
+    let (committed, mut latencies) = if mux != 0 {
         if only_id.is_some() {
             eprintln!("xpaxos-client: --id and --mux are mutually exclusive");
             exit(2);
         }
-        let result = run_mux(
-            config, registry, book, clients, ops, payload, seed, deadline,
-        );
-        committed = result.committed;
-        latencies = result.latencies;
+        // One socket for every client slot; replies are demultiplexed by
+        // their `client` echo.
+        let mux = MuxClient::new(worker_ids.iter().map(|&id| client(id)).collect());
+        drive(
+            vec![(mux, 0..clients)],
+            n,
+            &book,
+            seed,
+            total_target,
+            deadline,
+        )
     } else {
-        let handles: Vec<std::thread::JoinHandle<WorkerResult>> = worker_ids
-            .into_iter()
-            .map(|id| {
-                let config = config.clone();
-                let registry = Arc::clone(&registry);
-                let book = Arc::clone(&book);
-                std::thread::Builder::new()
-                    .name(format!("client-{id}"))
-                    .spawn(move || {
-                        run_worker(id, config, registry, book, ops, payload, seed, deadline)
-                    })
-                    .expect("spawn client worker")
-            })
-            .collect();
-        for handle in handles {
-            let result = handle.join().expect("client worker panicked");
-            committed += result.committed;
-            latencies.extend(result.latencies);
-        }
-    }
+        let workers = worker_ids.iter().map(|&id| (client(id), id..id + 1));
+        drive(workers.collect(), n, &book, seed, total_target, deadline)
+    };
     let elapsed = started.elapsed();
 
     let throughput = committed as f64 / elapsed.as_secs_f64().max(1e-9);
@@ -275,33 +194,17 @@ fn main() {
     latencies.sort_unstable();
     // Nearest-rank percentiles: the workspace's one rule, shared with the
     // simulator's metrics and the telemetry histograms.
-    let percentiles = (!latencies.is_empty()).then(|| {
+    if !latencies.is_empty() {
         let at = |q: f64| latencies[xft_telemetry::percentile_index(latencies.len(), q)];
-        (at(0.50), at(0.90), at(0.99))
-    });
-    if let Some((p50, p90, p99)) = percentiles {
         let mean = latencies.iter().sum::<Duration>() / latencies.len() as u32;
         println!(
             "xpaxos-client: latency min {}  mean {}  p50 {}  p90 {}  p99 {}",
             fmt_duration(latencies[0]),
             fmt_duration(mean),
-            fmt_duration(p50),
-            fmt_duration(p90),
-            fmt_duration(p99),
+            fmt_duration(at(0.50)),
+            fmt_duration(at(0.90)),
+            fmt_duration(at(0.99)),
         );
-    }
-    if let Some(path) = json_out {
-        // Latency percentiles in milliseconds.
-        let ms = |d: Duration| d.as_secs_f64() * 1e3;
-        let (p50, p90, p99) = percentiles
-            .map(|(p50, p90, p99)| (ms(p50), ms(p90), ms(p99)))
-            .unwrap_or((0.0, 0.0, 0.0));
-        let json = format!(
-            "{{\"ops_per_sec\": {throughput:.1}, \"p50\": {p50:.4}, \"p90\": {p90:.4}, \"p99\": {p99:.4}}}\n"
-        );
-        if let Err(e) = std::fs::write(&path, json) {
-            eprintln!("xpaxos-client: cannot write {path}: {e}");
-        }
     }
     exit(if committed >= total_target { 0 } else { 1 });
 }

@@ -61,15 +61,14 @@ use std::process::exit;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use xft_core::messages::XPaxosMsg;
 use xft_core::replica::Replica;
 use xft_core::XPaxosConfig;
 use xft_crypto::KeyRegistry;
 use xft_kvstore::CoordinationService;
 use xft_net::cli::Args;
 use xft_net::{
-    parse_node_addrs, register_cluster_keys, AddressBook, MetricsServer, NetConfig, StartMode,
-    TcpRuntime,
+    deliver_sync_done, parse_node_addrs, register_cluster_keys, AddressBook, MetricsServer,
+    NetConfig, StartMode, TcpRuntime,
 };
 use xft_simnet::SimDuration;
 use xft_store::{DiskStorage, SyncPolicy};
@@ -252,13 +251,8 @@ fn main() {
         "xpaxos-server: replica {id} of {n} listening on {} (t = {t}, delta = {delta_ms} ms)",
         runtime.local_addr()
     );
-    // Late-bind the fsync-completion callback now that the inbox exists:
-    // each background fsync surfaces as a local SyncDone message, releasing
-    // any client replies gated on the newly durable LSN.
-    if let Some(slot) = sync_notifier {
-        let inject = runtime.local_injector();
-        let _ = slot.set(Box::new(move |lsn| inject(XPaxosMsg::SyncDone(lsn))));
-    }
+    // Late-bind the fsync-completion callback now that the inbox exists.
+    deliver_sync_done(&runtime, sync_notifier);
 
     let metrics_shutdown = Arc::new(AtomicBool::new(false));
     let metrics_server = metrics_addr.as_deref().map(|raw| {

@@ -1,11 +1,15 @@
 //! Cluster bring-up helpers shared by the binaries and the integration tests.
 
 use crate::address::AddressBook;
+use crate::runtime::TcpRuntime;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
+use xft_core::messages::XPaxosMsg;
 use xft_core::types::{client_key, replica_key, ClientId};
 use xft_core::XPaxosConfig;
 use xft_crypto::KeyRegistry;
+use xft_simnet::Actor;
+use xft_store::SyncNotifier;
 
 /// Registers every cluster identity (replicas and clients) with the registry.
 ///
@@ -42,6 +46,20 @@ pub fn bind_loopback_cluster(
         addrs.push((node, listener.local_addr()?));
     }
     Ok((listeners, AddressBook::new(addrs)))
+}
+
+/// Posts each background fsync completion that `notifier` announces into
+/// `runtime`'s inbox as a [`XPaxosMsg::SyncDone`], releasing the client
+/// replies gated on the newly durable LSN. A storage that syncs inline has
+/// no notifier, and nothing is wired.
+pub fn deliver_sync_done<A: Actor<Msg = XPaxosMsg>>(
+    runtime: &TcpRuntime<A>,
+    notifier: Option<SyncNotifier>,
+) {
+    if let Some(slot) = notifier {
+        let inject = runtime.local_injector();
+        let _ = slot.set(Box::new(move |lsn| inject(XPaxosMsg::SyncDone(lsn))));
+    }
 }
 
 /// Parses a comma-separated node address list (`host:port,host:port,…`),

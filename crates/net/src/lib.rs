@@ -39,7 +39,9 @@ pub mod runtime;
 pub mod transport;
 
 pub use address::AddressBook;
-pub use cluster::{bind_loopback_cluster, parse_node_addrs, register_cluster_keys};
+pub use cluster::{
+    bind_loopback_cluster, deliver_sync_done, parse_node_addrs, register_cluster_keys,
+};
 pub use metrics_http::MetricsServer;
-pub use runtime::{NetConfig, NetHandle, StartMode, TcpRuntime};
+pub use runtime::{NetConfig, NetHandle, NodeThread, StartMode, TcpRuntime};
 pub use xft_core::check_total_order;

@@ -512,6 +512,55 @@ where
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
     }
+
+    /// Moves the runtime onto a new thread named `name`, which runs it until
+    /// shutdown is requested (see [`NodeThread::stop`]) or the actor halts.
+    pub fn spawn(mut self, name: impl Into<String>) -> NodeThread<A>
+    where
+        A: Send + 'static,
+    {
+        let handle = self.handle();
+        let stats = self.transport_stats();
+        let thread = std::thread::Builder::new()
+            .name(name.into())
+            .spawn(move || {
+                self.run();
+                self.shutdown()
+            })
+            .expect("spawn node thread");
+        NodeThread {
+            handle,
+            stats,
+            thread,
+        }
+    }
+}
+
+/// A [`TcpRuntime`] running on its own thread (see [`TcpRuntime::spawn`]),
+/// stoppable with its actor's state intact.
+pub struct NodeThread<A> {
+    handle: Arc<NetHandle>,
+    stats: Arc<TransportStats>,
+    thread: JoinHandle<A>,
+}
+
+impl<A> NodeThread<A> {
+    /// The running node's observability/shutdown handle.
+    pub fn handle(&self) -> Arc<NetHandle> {
+        self.handle.clone()
+    }
+
+    /// The running node's transport counters (sent/received/dropped frames).
+    pub fn transport_stats(&self) -> Arc<TransportStats> {
+        self.stats.clone()
+    }
+
+    /// Stops the runtime and returns the actor with its full protocol state
+    /// (see [`TcpRuntime::shutdown`]).
+    pub fn stop(self) -> A {
+        self.handle.request_shutdown();
+        self.thread.join().expect("node thread panicked")
+    }
 }
 
 impl<A: Actor> Runtime<A> for TcpRuntime<A>

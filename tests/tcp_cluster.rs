@@ -15,21 +15,20 @@
 use std::net::TcpListener;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use xft::core::client::{Client, ClientWorkload};
-use xft::core::messages::XPaxosMsg;
 use xft::core::replica::Replica;
 use xft::core::types::ClientId;
 use xft::core::XPaxosConfig;
 use xft::crypto::KeyRegistry;
 use xft::kvstore::workload::bench_create_op;
 use xft::kvstore::CoordinationService;
-use xft::net::runtime::{NetConfig, NetHandle, StartMode, TcpRuntime};
-use xft::net::transport::TransportStats;
-use xft::net::{bind_loopback_cluster, check_total_order, register_cluster_keys, AddressBook};
+use xft::net::runtime::{NetConfig, NodeThread, StartMode, TcpRuntime};
+use xft::net::{
+    bind_loopback_cluster, check_total_order, deliver_sync_done, register_cluster_keys, AddressBook,
+};
 use xft::simnet::{Actor, PipelineConfig, SimDuration};
-use xft::store::{DiskStorage, SyncNotifier, SyncPolicy};
+use xft::store::{DiskStorage, SyncPolicy};
 use xft_wire::{WireDecode, WireEncode};
 
 const T: usize = 1;
@@ -57,75 +56,24 @@ fn cluster_config() -> XPaxosConfig {
     config
 }
 
-/// A node runtime running on its own thread until shutdown, returning the
-/// actor (with all protocol state) when joined.
-struct NodeThread<A: Actor>
+/// Starts `actor` as node `node` over loopback TCP; the caller wires it and
+/// moves it onto its own thread with [`TcpRuntime::spawn`].
+fn start<A: Actor>(
+    actor: A,
+    node: usize,
+    book: &Arc<AddressBook>,
+    listener: TcpListener,
+    mode: StartMode,
+) -> TcpRuntime<A>
 where
     A::Msg: WireEncode + WireDecode + Send + 'static,
 {
-    handle: Arc<NetHandle>,
-    stats: Arc<TransportStats>,
-    thread: JoinHandle<A>,
-}
-
-impl<A: Actor> NodeThread<A>
-where
-    A::Msg: WireEncode + WireDecode + Send + 'static,
-{
-    fn spawn(
-        actor: A,
-        node: usize,
-        book: Arc<AddressBook>,
-        listener: TcpListener,
-        mode: StartMode,
-    ) -> Self
-    where
-        A: Send + 'static,
-    {
-        Self::spawn_wired(actor, node, book, listener, mode, |_| {})
-    }
-
-    /// [`NodeThread::spawn`], with `wire` run on the started runtime before
-    /// it is driven.
-    fn spawn_wired(
-        actor: A,
-        node: usize,
-        book: Arc<AddressBook>,
-        listener: TcpListener,
-        mode: StartMode,
-        wire: impl FnOnce(&TcpRuntime<A>),
-    ) -> Self
-    where
-        A: Send + 'static,
-    {
-        let config = NetConfig {
-            seed: 0xF00D + node as u64,
-            reconnect_delay: Duration::from_millis(50),
-            ..NetConfig::default()
-        };
-        let mut runtime = TcpRuntime::start(actor, node, book, listener, config, mode)
-            .expect("start tcp runtime");
-        wire(&runtime);
-        let handle = runtime.handle();
-        let stats = runtime.transport_stats();
-        let thread = std::thread::Builder::new()
-            .name(format!("node-{node}"))
-            .spawn(move || {
-                runtime.run();
-                runtime.shutdown()
-            })
-            .expect("spawn node thread");
-        NodeThread {
-            handle,
-            stats,
-            thread,
-        }
-    }
-
-    fn stop(self) -> A {
-        self.handle.request_shutdown();
-        self.thread.join().expect("node thread panicked")
-    }
+    let config = NetConfig {
+        seed: 0xF00D + node as u64,
+        reconnect_delay: Duration::from_millis(50),
+        ..NetConfig::default()
+    };
+    TcpRuntime::start(actor, node, book.clone(), listener, config, mode).expect("start tcp runtime")
 }
 
 fn wait_until(deadline: Duration, what: &str, mut done: impl FnMut() -> bool) {
@@ -159,13 +107,9 @@ fn live_tcp_cluster_commits_survives_primary_kill_and_reconnect() {
             &registry,
             Box::new(CoordinationService::new()),
         );
-        replicas.push(Some(NodeThread::spawn(
-            replica,
-            r,
-            book.clone(),
-            listener,
-            StartMode::Fresh,
-        )));
+        replicas.push(Some(
+            start(replica, r, &book, listener, StartMode::Fresh).spawn(format!("node-{r}")),
+        ));
     }
     let mut clients: Vec<NodeThread<Client>> = Vec::new();
     for (c, listener) in listeners.drain(..).enumerate() {
@@ -182,16 +126,14 @@ fn live_tcp_cluster_commits_survives_primary_kill_and_reconnect() {
             ..Default::default()
         };
         let client = Client::new(ClientId(c as u64), config.clone(), &registry, workload);
-        clients.push(NodeThread::spawn(
-            client,
-            N + c,
-            book.clone(),
-            listener,
-            StartMode::Fresh,
-        ));
+        clients.push(
+            start(client, N + c, &book, listener, StartMode::Fresh)
+                .spawn(format!("node-{}", N + c)),
+        );
     }
-    let committed_total =
-        |clients: &[NodeThread<Client>]| clients.iter().map(|c| c.handle.committed()).sum::<u64>();
+    let committed_total = |clients: &[NodeThread<Client>]| {
+        clients.iter().map(|c| c.handle().committed()).sum::<u64>()
+    };
 
     // Phase 1: the fault-free cluster makes progress in view 0.
     wait_until(Duration::from_secs(30), "first 25 commits", || {
@@ -218,15 +160,10 @@ fn live_tcp_cluster_commits_survives_primary_kill_and_reconnect() {
     // Phase 3: recover replica 0 with its state intact on a *new* ephemeral
     // port; peers find it through the address book and reconnect.
     let new_listener = TcpListener::bind("127.0.0.1:0").expect("bind recovery port");
-    let recovered = NodeThread::spawn(
-        killed_primary,
-        0,
-        book.clone(),
-        new_listener,
-        StartMode::Recovered,
-    );
+    let recovered =
+        start(killed_primary, 0, &book, new_listener, StartMode::Recovered).spawn("node-0");
     let received_at_recovery = recovered
-        .stats
+        .transport_stats()
         .received
         .load(std::sync::atomic::Ordering::Relaxed);
     replicas[0] = Some(recovered);
@@ -235,7 +172,7 @@ fn live_tcp_cluster_commits_survives_primary_kill_and_reconnect() {
     wait_until(Duration::from_secs(60), "all 120 commits", || {
         clients
             .iter()
-            .all(|c| c.handle.committed() >= OPS_PER_CLIENT)
+            .all(|c| c.handle().committed() >= OPS_PER_CLIENT)
     });
     let total = committed_total(&clients);
     assert!(total >= 100, "committed {total} kvstore ops, need >= 100");
@@ -243,7 +180,7 @@ fn live_tcp_cluster_commits_survives_primary_kill_and_reconnect() {
     // The recovered replica is part of the live cluster again: lazy
     // replication from the view-1 follower reaches it over a fresh TCP
     // connection to its new port.
-    let recovered_stats = replicas[0].as_ref().expect("recovered").stats.clone();
+    let recovered_stats = replicas[0].as_ref().expect("recovered").transport_stats();
     wait_until(
         Duration::from_secs(20),
         "recovered replica receiving frames on its new port",
@@ -301,22 +238,11 @@ fn killed_replica_recovers_from_its_data_dir_and_rejoins() {
 }
 
 /// The same on the production storage: WAL fsyncs on the overlapped thread,
-/// their `SyncDone` wired as `xpaxos-server` wires it, and every checkpoint
-/// installed in the background.
+/// their `SyncDone` delivered by `deliver_sync_done` as in `xpaxos-server`,
+/// and every checkpoint installed in the background.
 #[test]
 fn killed_replica_on_overlapped_storage_recovers_from_its_data_dir_and_rejoins() {
     kill_and_restart_from_data_dir("recovery-overlapped", SyncPolicy::every(1).overlapped());
-}
-
-/// Posts each overlapped fsync completion into the replica's inbox as a
-/// `SyncDone`, releasing the replies gated on it (a no-op without a slot).
-fn wire_sync_done(slot: Option<SyncNotifier>) -> impl FnOnce(&TcpRuntime<Replica>) {
-    move |runtime| {
-        if let Some(slot) = slot {
-            let inject = runtime.local_injector();
-            let _ = slot.set(Box::new(move |lsn| inject(XPaxosMsg::SyncDone(lsn))));
-        }
-    }
 }
 
 /// `kill -9` + restart from disk: a replica whose process state is *discarded
@@ -352,14 +278,9 @@ fn kill_and_restart_from_data_dir(tag: &str, policy: SyncPolicy) {
             Box::new(CoordinationService::new()),
         )
         .with_storage(storage);
-        replicas.push(Some(NodeThread::spawn_wired(
-            replica,
-            r,
-            book.clone(),
-            listener,
-            StartMode::Fresh,
-            wire_sync_done(slot),
-        )));
+        let runtime = start(replica, r, &book, listener, StartMode::Fresh);
+        deliver_sync_done(&runtime, slot);
+        replicas.push(Some(runtime.spawn(format!("node-{r}"))));
     }
     let mut clients: Vec<NodeThread<Client>> = Vec::new();
     for (c, listener) in listeners.drain(..).enumerate() {
@@ -371,16 +292,14 @@ fn kill_and_restart_from_data_dir(tag: &str, policy: SyncPolicy) {
             ..Default::default()
         };
         let client = Client::new(ClientId(c as u64), config.clone(), &registry, workload);
-        clients.push(NodeThread::spawn(
-            client,
-            N + c,
-            book.clone(),
-            listener,
-            StartMode::Fresh,
-        ));
+        clients.push(
+            start(client, N + c, &book, listener, StartMode::Fresh)
+                .spawn(format!("node-{}", N + c)),
+        );
     }
-    let committed_total =
-        |clients: &[NodeThread<Client>]| clients.iter().map(|c| c.handle.committed()).sum::<u64>();
+    let committed_total = |clients: &[NodeThread<Client>]| {
+        clients.iter().map(|c| c.handle().committed()).sum::<u64>()
+    };
 
     // Phase 1: fault-free progress in view 0 (past a checkpoint or two).
     wait_until(Duration::from_secs(30), "first 40 commits", || {
@@ -424,16 +343,11 @@ fn kill_and_restart_from_data_dir(tag: &str, policy: SyncPolicy) {
     assert!(report.wal_records > 0, "WAL records were replayed");
 
     let new_listener = TcpListener::bind("127.0.0.1:0").expect("bind recovery port");
-    let recovered = NodeThread::spawn_wired(
-        reborn,
-        0,
-        book.clone(),
-        new_listener,
-        StartMode::Recovered,
-        wire_sync_done(slot),
-    );
+    let runtime = start(reborn, 0, &book, new_listener, StartMode::Recovered);
+    deliver_sync_done(&runtime, slot);
+    let recovered = runtime.spawn("node-0");
     let received_at_restart = recovered
-        .stats
+        .transport_stats()
         .received
         .load(std::sync::atomic::Ordering::Relaxed);
     replicas[0] = Some(recovered);
@@ -444,7 +358,7 @@ fn kill_and_restart_from_data_dir(tag: &str, policy: SyncPolicy) {
     wait_until(Duration::from_secs(45), "post-restart progress", || {
         committed_total(&clients) >= target
     });
-    let recovered_stats = replicas[0].as_ref().expect("recovered").stats.clone();
+    let recovered_stats = replicas[0].as_ref().expect("recovered").transport_stats();
     wait_until(
         Duration::from_secs(20),
         "restarted replica receiving frames",
